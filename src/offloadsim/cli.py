@@ -192,7 +192,9 @@ def _load_graph(args) -> partition_mod.CallGraph:
 def _cmd_partition(args) -> CommandOutcome:
     graph = _load_graph(args)
     natural = partition_mod.louvain_optimal(graph)
-    sets = partition_mod.enumerate_partition_sets(graph, weighted=args.weighted)
+    sets = partition_mod.enumerate_partition_sets(
+        graph, weighted=args.weighted, natural=natural.n_clusters
+    )
     payload = {
         "natural_n_clusters": natural.n_clusters,
         "natural_modularity": natural.modularity,

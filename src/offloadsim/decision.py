@@ -21,7 +21,14 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .partition import PINNED_TAG, CallGraph, MethodProfile, PartitionSet
+from .partition import (
+    PINNED_TAG,
+    CallGraph,
+    MethodProfile,
+    PartitionSet,
+    _non_negative,
+    _positive,
+)
 
 
 class DecisionError(ValueError):
@@ -37,12 +44,12 @@ class NetworkConditions:
     cpu_speedup: float
 
     def __post_init__(self):
-        if self.rtt_s < 0.0:
-            raise DecisionError("rtt must be non-negative")
-        if self.bandwidth_bytes_per_s <= 0.0:
-            raise DecisionError("bandwidth must be positive")
-        if self.cpu_speedup <= 0.0:
-            raise DecisionError("cpu speedup must be positive")
+        if not _non_negative(self.rtt_s):
+            raise DecisionError("rtt must be finite and non-negative")
+        if not _positive(self.bandwidth_bytes_per_s):
+            raise DecisionError("bandwidth must be finite and positive")
+        if not _positive(self.cpu_speedup):
+            raise DecisionError("cpu speedup must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -54,12 +61,12 @@ class EnergyModel:
     energy_idle_per_s_j: float = 0.0
 
     def __post_init__(self):
-        if (
-            self.energy_per_tx_byte_j < 0.0
-            or self.energy_per_rx_byte_j < 0.0
-            or self.energy_idle_per_s_j < 0.0
+        if not (
+            _non_negative(self.energy_per_tx_byte_j)
+            and _non_negative(self.energy_per_rx_byte_j)
+            and _non_negative(self.energy_idle_per_s_j)
         ):
-            raise DecisionError("energy prices must be non-negative")
+            raise DecisionError("energy prices must be finite and non-negative")
 
 
 def load_energy_model(source) -> EnergyModel:

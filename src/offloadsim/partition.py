@@ -2,9 +2,17 @@
 
 The call graph is class granular: vertices carry per-method runtime
 profiles, weighted edges count cross-class invocations. Partitioning uses
-divisive edge-betweenness clustering to produce candidate offload sets for
-every cluster count N between 2 and the count a modularity-maximizing
-(Louvain) pass considers natural.
+divisive edge-betweenness clustering (Girvan-Newman) to produce candidate
+offload sets for every cluster count N between 2 and the count a
+modularity-maximizing (Louvain) pass considers natural.
+
+The divisive clustering is a single pass. Cutting one edge splits at most
+one component in two, so the cuts that reach N clusters are a prefix of
+the cuts that reach N + 1, and one cut sequence yields every offload set.
+Betweenness sums over source vertices, and a vertex's shortest paths stay
+inside its component, so after a cut only the component that lost the
+edge is rescored; every other edge keeps the score it already had, which
+is the same float a rescoring of the whole graph would give.
 
 All algorithms here are deterministic: vertex sweeps run in sorted name
 order, betweenness ties remove the lexicographically smallest edge, and
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +33,16 @@ PINNED_TAG = "pinned"
 
 class CallGraphError(ValueError):
     """Raised for malformed call-graph input."""
+
+
+def _non_negative(x: float) -> bool:
+    """Finite and at least zero (False for NaN and the infinities)."""
+    return math.isfinite(x) and x >= 0.0
+
+
+def _positive(x: float) -> bool:
+    """Finite and above zero (False for NaN and the infinities)."""
+    return math.isfinite(x) and x > 0.0
 
 
 @dataclass(frozen=True)
@@ -39,15 +58,15 @@ class MethodProfile:
     cpu_scale_hint: float = 1.0
 
     def __post_init__(self):
-        if self.invocations < 0:
+        if not _non_negative(self.invocations):
             raise CallGraphError(f"method {self.name!r}: invocations must be non-negative")
-        if self.t_local_s < 0:
+        if not _non_negative(self.t_local_s):
             raise CallGraphError(f"method {self.name!r}: local time must be non-negative")
-        if self.in_bytes < 0 or self.out_bytes < 0:
+        if not (_non_negative(self.in_bytes) and _non_negative(self.out_bytes)):
             raise CallGraphError(f"method {self.name!r}: byte counts must be non-negative")
-        if self.energy_local_j < 0:
+        if not _non_negative(self.energy_local_j):
             raise CallGraphError(f"method {self.name!r}: energy must be non-negative")
-        if self.cpu_scale_hint <= 0:
+        if not _positive(self.cpu_scale_hint):
             raise CallGraphError(f"method {self.name!r}: cpu_scale_hint must be positive")
 
 
@@ -79,8 +98,8 @@ class CallGraph:
                 raise CallGraphError(f"edge ({a!r}, {b!r}) references unknown class {v!r}")
         if a == b:
             raise CallGraphError(f"self-edge on class {a!r}")
-        if weight <= 0:
-            raise CallGraphError(f"edge ({a!r}, {b!r}) must have positive weight")
+        if not _positive(weight):
+            raise CallGraphError(f"edge ({a!r}, {b!r}) must have a finite positive weight")
         self.adj[a][b] = self.adj[a].get(b, 0.0) + weight
         self.adj[b][a] = self.adj[b].get(a, 0.0) + weight
 
@@ -102,8 +121,26 @@ class CallGraph:
         return sum(self.adj[name].values())
 
 
+def _load_json(source, what: str):
+    """Parse JSON input: a ``Path`` is a file to read, a ``str`` is the text."""
+    if isinstance(source, Path):
+        try:
+            text = source.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CallGraphError(f"cannot read {what} {source}: {exc}") from exc
+    elif isinstance(source, str):
+        text = source
+    else:
+        raise CallGraphError(f"{what} must be a Path or JSON text, not {type(source).__name__}")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CallGraphError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def build_call_graph(source) -> CallGraph:
-    """Load a call graph from a JSON file path, JSON text, or parsed dict.
+    """Load a call graph from a JSON file (``Path``), JSON text (``str``), or
+    parsed dict.
 
     Input schema: ``vertices`` is a list of ``{name, tags, methods}`` where
     each method carries ``name, invocations, t_local_ms, in_bytes,
@@ -111,22 +148,7 @@ def build_call_graph(source) -> CallGraph:
     list of ``{a, b, weight}``. Times and energies convert to seconds and
     joules internally.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        if isinstance(source, Path) or (
-            isinstance(source, str) and not source.lstrip().startswith("{")
-        ):
-            try:
-                text = Path(source).read_text()
-            except OSError as exc:
-                raise CallGraphError(f"cannot read call graph {source}: {exc}") from exc
-        else:
-            text = source
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CallGraphError(f"call graph is not valid JSON: {exc}") from exc
+    data = source if isinstance(source, dict) else _load_json(source, "call graph")
 
     graph = CallGraph()
     try:
@@ -170,15 +192,14 @@ class TagRule:
 
 
 def load_tag_rules(source) -> list[TagRule]:
-    """Rules come as a JSON list of {prefix, tag} objects."""
+    """Rules come as a JSON list of {prefix, tag} objects, read from a file
+    (``Path``), parsed from JSON text (``str``), or given as a list."""
     if isinstance(source, (list, tuple)):
         entries = source
     else:
-        text = Path(source).read_text() if Path(str(source)).exists() else str(source)
-        try:
-            entries = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CallGraphError(f"tag rules are not valid JSON: {exc}") from exc
+        entries = _load_json(source, "tag rules")
+        if not isinstance(entries, list):
+            raise CallGraphError("tag rules must be a JSON list")
     rules = []
     for e in entries:
         if isinstance(e, TagRule):
@@ -330,6 +351,50 @@ def _partition_set(graph: CallGraph, clusters: list[list[str]]) -> PartitionSet:
     )
 
 
+def _divisive_pass(graph: CallGraph, weighted: bool, trace: list | None = None):
+    """Girvan-Newman as one pass over a working copy of the graph.
+
+    Yields the component list (each sorted, ordered by smallest member)
+    before any cut, then again after every cut that splits a component,
+    until no edge is left. Each cut takes the highest-betweenness edge;
+    a sorted scan with a strict ``1e-12`` margin resolves score ties to the
+    lexicographically smallest pair. After a cut only the component that
+    lost the edge is rescored. ``trace`` (if given) collects the cut edges
+    in order.
+    """
+    names = graph.names()
+    work = {u: dict(vs) for u, vs in graph.adj.items()}
+    comps = _components(names, work)
+    yield comps
+    component_of = {v: comp for comp in comps for v in comp}
+    scores = _edge_betweenness(names, work, weighted)
+    edges = sorted(scores)
+    while edges:
+        best_edge, best_score = None, -1.0
+        for edge in edges:
+            sc = scores[edge]
+            if sc > best_score + 1e-12:
+                best_edge, best_score = edge, sc
+        a, b = best_edge
+        del work[a][b]
+        del work[b][a]
+        edges.remove(best_edge)
+        del scores[best_edge]
+        if trace is not None:
+            trace.append(best_edge)
+        # Components are sorted, so sources run in the order a whole-graph
+        # pass would visit them and each rescored edge gets the same float.
+        comp = component_of[a]
+        scores.update(_edge_betweenness(comp, work, weighted))
+        parts = _components(comp, work)
+        if len(parts) > 1:
+            comps = sorted([c for c in comps if c is not comp] + parts, key=lambda c: c[0])
+            for part in parts:
+                for v in part:
+                    component_of[v] = part
+            yield comps
+
+
 def girvan_newman(
     graph: CallGraph, n_clusters: int, weighted: bool = False, trace: list | None = None
 ) -> PartitionSet:
@@ -338,30 +403,16 @@ def girvan_newman(
 
     Ties cut the lexicographically smallest edge. A graph that is already
     more fragmented than requested is returned as-is. ``trace`` (if given)
-    collects the removed edges in order.
+    collects the removed edges in order. The cuts are those of the single
+    pass that ``enumerate_partition_sets`` runs, stopped at ``n_clusters``.
     """
     names = graph.names()
     if not 1 <= n_clusters <= len(names):
         raise CallGraphError(
             f"cluster count must be within 1..{len(names)}, got {n_clusters}"
         )
-    work = {u: dict(vs) for u, vs in graph.adj.items()}
-    comps = _components(names, work)
-    while len(comps) < n_clusters:
-        scores = _edge_betweenness(names, work, weighted)
-        # Scan edges in sorted order with a strict comparison so score ties
-        # resolve to the lexicographically smallest pair.
-        best_edge, best_score = None, -1.0
-        for edge in sorted(scores):
-            sc = scores[edge]
-            if sc > best_score + 1e-12:
-                best_edge, best_score = edge, sc
-        a, b = best_edge
-        del work[a][b]
-        del work[b][a]
-        if trace is not None:
-            trace.append(best_edge)
-        comps = _components(names, work)
+    # Cutting every edge leaves one component per class, so this ends.
+    comps = next(c for c in _divisive_pass(graph, weighted, trace) if len(c) >= n_clusters)
     return _partition_set(graph, comps)
 
 
@@ -490,12 +541,31 @@ def louvain_optimal(graph: CallGraph, min_gain: float = 1e-12) -> PartitionSet:
     return _partition_set(graph, clusters)
 
 
-def enumerate_partition_sets(graph: CallGraph, weighted: bool = False) -> list[PartitionSet]:
+def enumerate_partition_sets(
+    graph: CallGraph, weighted: bool = False, *, natural: int | None = None
+) -> list[PartitionSet]:
     """Candidate partitions for every N from 2 up to the natural cluster
-    count found by modularity maximization (ascending N)."""
-    natural = louvain_optimal(graph).n_clusters
+    count found by modularity maximization (ascending N).
+
+    One Girvan-Newman pass gives every set: the set for N is the first
+    component list of at least N components, so N at or below the graph's
+    own component count repeats the uncut graph. ``natural`` is the
+    ``louvain_optimal`` cluster count for callers that have already
+    computed it; without it Louvain runs here.
+    """
+    if natural is None:
+        natural = louvain_optimal(graph).n_clusters
     upper = min(natural, len(graph.vertices))
-    return [girvan_newman(graph, n, weighted) for n in range(2, upper + 1)]
+    sets: list[PartitionSet] = []
+    n = 2
+    for comps in _divisive_pass(graph, weighted):
+        while n <= min(len(comps), upper):
+            # Sets share no lists, even where N repeats one component list.
+            sets.append(_partition_set(graph, [list(c) for c in comps]))
+            n += 1
+        if n > upper:
+            break
+    return sets
 
 
 def offloadable_fraction(graph: CallGraph, pset: PartitionSet) -> float:

@@ -164,6 +164,15 @@ class TestPartition:
         res = run_cli("partition", "--graph", bad)
         assert res.returncode == 2
 
+    def test_non_finite_edge_weight_is_a_usage_error(self, tmp_path):
+        doc = json.loads(json.dumps(GRAPH_DOC))
+        doc["edges"][0]["weight"] = float("nan")
+        bad = tmp_path / "graph.json"
+        bad.write_text(json.dumps(doc))  # writes the bare NaN token
+        res = run_cli("partition", "--graph", bad)
+        assert res.returncode == 2
+        assert res.stdout == ""
+
     def test_unwritable_output_is_a_runtime_error(self, tmp_path, inputs):
         blocker = tmp_path / "blocker"
         blocker.write_text("occupied")
@@ -191,6 +200,15 @@ class TestDecide:
                       "--mode", "all")
         assert res.returncode == 0
         json.loads(res.stdout)
+
+    @pytest.mark.parametrize("flag", ["--rtt-ms", "--bandwidth-bytes-per-s", "--cpu-speedup"])
+    def test_non_finite_link_is_a_usage_error(self, inputs, flag):
+        args = {"--rtt-ms": "15", "--bandwidth-bytes-per-s": "1e6", "--cpu-speedup": "4"}
+        args[flag] = "nan"
+        res = run_cli("decide", "--graph", inputs / "graph.json",
+                      *[x for kv in args.items() for x in kv])
+        assert res.returncode == 2
+        assert res.stdout == ""
 
     def test_repeated_verdicts_are_byte_identical(self, inputs):
         args = ("decide", "--graph", inputs / "graph.json",

@@ -1,6 +1,7 @@
 """Offload gating checked against a straight-line transcription of the
 time and energy inequalities, plus partition selection semantics."""
 
+import math
 import random
 
 import pytest
@@ -137,6 +138,25 @@ def test_network_conditions_validated():
         dc.NetworkConditions(rtt_s=0.01, bandwidth_bytes_per_s=0.0, cpu_speedup=2.0)
     with pytest.raises(ValueError):
         dc.NetworkConditions(rtt_s=0.01, bandwidth_bytes_per_s=1e6, cpu_speedup=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["rtt_s", "bandwidth_bytes_per_s", "cpu_speedup"])
+def test_network_conditions_reject_non_finite(field, value):
+    kwargs = {"rtt_s": 0.01, "bandwidth_bytes_per_s": 1e6, "cpu_speedup": 2.0, field: value}
+    with pytest.raises(dc.DecisionError):
+        dc.NetworkConditions(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field", ["energy_per_tx_byte_j", "energy_per_rx_byte_j", "energy_idle_per_s_j"]
+)
+def test_energy_model_rejects_non_finite(field, value):
+    with pytest.raises(dc.DecisionError):
+        dc.EnergyModel(**{field: value})
+    with pytest.raises(dc.DecisionError):
+        dc.load_energy_model({field: value})
 
 
 def random_profile(rng):

@@ -2,14 +2,19 @@
 
 The oracles enumerate what the algorithms compute incrementally: all
 shortest paths for betweenness, all set partitions for the modularity
-maximum, and the textbook summation for Q itself.
+maximum, the textbook summation for Q itself, and a from-scratch divisive
+loop for the single-pass Girvan-Newman.
 """
 
 import itertools
+import json
+import math
 import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offloadsim import partition as pt
 
@@ -93,6 +98,35 @@ def all_set_partitions(items):
         for i in range(len(smaller)):
             yield smaller[:i] + [[first] + smaller[i]] + smaller[i + 1:]
         yield [[first]] + smaller
+
+
+def reference_girvan_newman(graph, n_clusters, weighted=False, trace=None):
+    """Divisive clustering from scratch for one N: rescore the whole graph
+    and recompute all of its components after every cut."""
+    names = graph.names()
+    work = {u: dict(vs) for u, vs in graph.adj.items()}
+    comps = pt._components(names, work)
+    while len(comps) < n_clusters:
+        scores = pt._edge_betweenness(names, work, weighted)
+        best_edge, best_score = None, -1.0
+        for edge in sorted(scores):
+            sc = scores[edge]
+            if sc > best_score + 1e-12:
+                best_edge, best_score = edge, sc
+        a, b = best_edge
+        del work[a][b]
+        del work[b][a]
+        if trace is not None:
+            trace.append(best_edge)
+        comps = pt._components(names, work)
+    return pt._partition_set(graph, comps)
+
+
+def reference_partition_sets(graph, weighted=False, upper=None):
+    """One from-scratch run per N from 2 to ``upper`` (default: Louvain's)."""
+    if upper is None:
+        upper = min(pt.louvain_optimal(graph).n_clusters, len(graph.vertices))
+    return [reference_girvan_newman(graph, n, weighted) for n in range(2, upper + 1)]
 
 
 def random_graph(rng, n, p=0.45, max_w=5):
@@ -415,3 +449,126 @@ def test_weighted_betweenness_mode_differs():
     wtd = pt.edge_betweenness(g, weighted=True)
     assert hop[("A", "C")] == pytest.approx(1.0)
     assert wtd[("A", "C")] < hop[("A", "C")]
+
+
+@st.composite
+def divisive_cases(draw):
+    """A small call graph and a betweenness mode. Graphs are often
+    disconnected and tie-heavy: unit weights, or disjoint rings."""
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+        names, edges = [], []
+        for r, size in enumerate(sizes):
+            ring = [f"r{r}.{i}" for i in range(size)]
+            names.extend(ring)
+            if size == 2:
+                edges.append((ring[0], ring[1], 1.0))
+            elif size > 2:
+                edges.extend((ring[i], ring[(i + 1) % size], 1.0) for i in range(size))
+    else:
+        names = [f"c{i}" for i in range(draw(st.integers(1, 9)))]
+        pairs = list(itertools.combinations(names, 2))
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        unit = draw(st.booleans())
+        weight = st.just(1.0) if unit else st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.0])
+        edges = [(a, b, draw(weight)) for a, b in chosen]
+    pinned = draw(st.sets(st.sampled_from(names)))
+    graph = make_graph(edges, isolated=names, tags={v: {pt.PINNED_TAG} for v in pinned})
+    return graph, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(divisive_cases())
+def test_single_pass_matches_from_scratch_oracle(case):
+    g, weighted = case
+    assert pt.enumerate_partition_sets(g, weighted) == reference_partition_sets(g, weighted)
+    every = len(g.names())
+    assert pt.enumerate_partition_sets(g, weighted, natural=every) == (
+        reference_partition_sets(g, weighted, upper=every)
+    )
+    for n in range(1, every + 1):
+        got_trace, want_trace = [], []
+        got = pt.girvan_newman(g, n, weighted, trace=got_trace)
+        want = reference_girvan_newman(g, n, weighted, trace=want_trace)
+        assert got == want
+        assert got_trace == want_trace
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_single_pass_matches_oracle_on_larger_graphs(weighted):
+    rng = random.Random(2024)
+    for _ in range(3):
+        g = random_graph(rng, 22, p=0.2, max_w=3)
+        assert pt.enumerate_partition_sets(g, weighted) == reference_partition_sets(g, weighted)
+        got_trace, want_trace = [], []
+        n = len(g.names())
+        assert pt.girvan_newman(g, n, weighted, trace=got_trace) == reference_girvan_newman(
+            g, n, weighted, trace=want_trace
+        )
+        assert got_trace == want_trace
+
+
+def test_enumerate_partition_sets_share_no_lists():
+    # Starts in two components, so N=2 and N=1 repeat the uncut graph.
+    g = make_graph([("a", "b", 1.0), ("c", "d", 1.0), ("d", "e", 1.0)])
+    sets = pt.enumerate_partition_sets(g, natural=4)
+    assert [p.n_clusters for p in sets] == [2, 3, 4]
+    cluster_ids = [id(c) for p in sets for c in p.clusters]
+    assert len(set(cluster_ids)) == len(cluster_ids)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field", ["invocations", "t_local_s", "in_bytes", "out_bytes", "energy_local_j",
+              "cpu_scale_hint"]
+)
+def test_method_profile_rejects_non_finite(field, value):
+    kwargs = {"name": "m", "invocations": 1.0, "t_local_s": 0.01, field: value}
+    with pytest.raises(pt.CallGraphError, match="method 'm'"):
+        pt.MethodProfile(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_edge_weight_rejects_non_finite(value):
+    g = make_graph([("A", "B", 1.0)])
+    with pytest.raises(pt.CallGraphError, match="finite positive weight"):
+        g.add_call("A", "B", value)
+    assert g.adj["A"]["B"] == 1.0
+
+
+def test_call_graph_json_with_nan_weight_is_rejected():
+    text = (
+        '{"vertices": [{"name": "A"}, {"name": "B"}],'
+        ' "edges": [{"a": "A", "b": "B", "weight": NaN}]}'
+    )
+    with pytest.raises(pt.CallGraphError):
+        pt.build_call_graph(text)
+
+
+def test_long_tag_rules_text_parses_as_json():
+    entries = [{"prefix": f"com.example.module{i:03d}", "tag": pt.PINNED_TAG} for i in range(25)]
+    text = json.dumps(entries)
+    assert len(text) > 1024
+    rules = pt.load_tag_rules(text)
+    assert rules == [pt.TagRule(e["prefix"], e["tag"]) for e in entries]
+
+
+def test_tag_rules_path_and_text_follow_one_rule(tmp_path):
+    path = tmp_path / "rules.json"
+    path.write_text('[{"prefix": "a.b", "tag": "pinned"}]')
+    assert pt.load_tag_rules(path) == [pt.TagRule("a.b", "pinned")]
+    # A str is JSON text, never a file name.
+    with pytest.raises(pt.CallGraphError, match="not valid JSON"):
+        pt.load_tag_rules(str(path))
+    with pytest.raises(pt.CallGraphError, match="must be a JSON list"):
+        pt.load_tag_rules('{"prefix": "a.b", "tag": "pinned"}')
+
+
+def test_unreadable_inputs_raise_call_graph_error(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(pt.CallGraphError, match="cannot read tag rules"):
+        pt.load_tag_rules(missing)
+    with pytest.raises(pt.CallGraphError, match="cannot read call graph"):
+        pt.build_call_graph(missing)
+    with pytest.raises(pt.CallGraphError, match="cannot read call graph"):
+        pt.build_call_graph(tmp_path)
