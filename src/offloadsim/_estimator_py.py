@@ -1,4 +1,4 @@
-"""Pure-Python estimator core (reference implementation).
+"""Estimator core: the per-node arrival/service statistics.
 
 Keeps per-node arrival/completion statistics inside fixed circular buffers of
 size k and derives, in O(1) per event:
@@ -8,8 +8,9 @@ size k and derives, in O(1) per event:
 * the smoothed service rate and mean per-request cpu/memory demand,
 * the admission probability q used by the proactive strategy.
 
-The compiled twin in ``_estimator_cy.pyx`` mirrors this class exactly; any
-semantic change here must be ported there (tests replay both side by side).
+``record_arrival`` and ``execution_probability`` run once per proactive
+arrival, so they work on locals and inline their helpers; every float
+operation and its order is part of the simulator's byte-identical output.
 """
 
 import math
@@ -18,37 +19,6 @@ NAN = float("nan")
 INF = float("inf")
 
 ARMA_WEIGHT = 0.5
-
-
-def admission_probability(
-    lambda_eff: float,
-    mu: float,
-    cpu_avg: float,
-    mem_avg: float,
-    cpu_capacity: float,
-    mem_capacity: float,
-) -> float:
-    """Closed-form admission probability, capped into [0, 1].
-
-    q = min(cpu_cap/(cpu_cap+cpu_avg), mem_cap/(mem_cap+mem_avg)) * mu/lambda_eff
-
-    A zero mean demand leaves the corresponding headroom ratio at 1; a
-    non-positive effective arrival rate means no observed pressure, so q = 1.
-    """
-    if cpu_capacity <= 0.0 or mem_capacity <= 0.0:
-        raise ValueError("capacities must be positive")
-    if lambda_eff <= 0.0:
-        return 1.0
-    headroom = min(
-        cpu_capacity / (cpu_capacity + cpu_avg),
-        mem_capacity / (mem_capacity + mem_avg),
-    )
-    q = headroom * (mu / lambda_eff)
-    if q >= 1.0:
-        return 1.0
-    if q <= 0.0:
-        return 0.0
-    return q
 
 
 class EstimatorCore:
@@ -109,47 +79,51 @@ class EstimatorCore:
         k = self.k
         count = self.arrival_count
         idx = self.arrival_index
+        buf = self.buf_lambda
+        last = self.last_arrival
+        s = self.interval_sum
         if count > 0:
-            if timestamp < self.last_arrival:
+            if timestamp < last:
                 raise ValueError(
                     f"arrival timestamps must be non-decreasing "
-                    f"({timestamp!r} after {self.last_arrival!r})"
+                    f"({timestamp!r} after {last!r})"
                 )
-            z = timestamp - self.last_arrival
+            z = timestamp - last
             if count >= k:
                 # Slot idx holds the oldest timestamp; evicting it removes the
                 # interval between it and its successor from the window sum.
-                buf = self.buf_lambda
-                y = buf[(idx + 1) % k] - buf[idx]
-                self.interval_sum += z - y
+                s += z - (buf[(idx + 1) % k] - buf[idx])
             else:
-                self.interval_sum += z
-        self.buf_lambda[idx] = timestamp
+                s += z
+            self.interval_sum = s
+        buf[idx] = timestamp
         self.last_arrival = timestamp
-        self.arrival_count = count + 1
+        count += 1
+        self.arrival_count = count
         idx += 1
         if idx == k:
             idx = 0
         self.arrival_index = idx
 
-        valid = count + 1
-        if valid > k:
-            valid = k
-        if valid >= 2:
-            s = self.interval_sum
-            self.lambda_hat = (valid - 1) / s if s > 0.0 else INF
-        d = self.lambda_hat - self.lambda_prev
-        self.delta_lambda = d if d > 0.0 else 0.0
-        self.lambda_eff = self.lambda_hat + self.delta_lambda
+        lambda_hat = self.lambda_hat
+        if count >= 2:
+            valid = count if count < k else k
+            lambda_hat = (valid - 1) / s if s > 0.0 else INF
+            self.lambda_hat = lambda_hat
+        d = lambda_hat - self.lambda_prev
+        if not d > 0.0:
+            d = 0.0
+        self.delta_lambda = d
+        self.lambda_eff = lambda_hat + d
 
         if idx == 0:  # buffer wrapped on this arrival
             self.arrival_wraps += 1
             if self.arrival_wraps == 1:
                 # No defined prior for the historical rate; adopting the
                 # current estimate avoids a spurious burst signal at warm-up.
-                self.lambda_prev = self.lambda_hat
+                self.lambda_prev = lambda_hat
             else:
-                self.lambda_prev = ARMA_WEIGHT * (self.lambda_prev + self.lambda_hat)
+                self.lambda_prev = ARMA_WEIGHT * (self.lambda_prev + lambda_hat)
 
     def record_completion(self, exec_time: float, cpu_cost: float, mem_cost: float) -> None:
         if exec_time <= 0.0 or math.isnan(exec_time):
@@ -168,10 +142,17 @@ class EstimatorCore:
         self.completion_index = idx
         if idx == 0:  # buffer full: fold window means into the smoothed stats
             self.completion_wraps += 1
-            mean_exec = sum(self.buf_mu) / k
-            self.mu = ARMA_WEIGHT * (self.mu + 1.0 / mean_exec)
-            self.cpu_avg = ARMA_WEIGHT * (self.cpu_avg + sum(self.buf_cpu) / k)
-            self.mem_avg = ARMA_WEIGHT * (self.mem_avg + sum(self.buf_mem) / k)
+            # Plain left-to-right sums: the built-in sum() switched to
+            # compensated summation for floats in Python 3.12, which would
+            # make the smoothed stats depend on the interpreter version.
+            acc_mu = acc_cpu = acc_mem = 0.0
+            for e, c, m in zip(self.buf_mu, self.buf_cpu, self.buf_mem):
+                acc_mu += e
+                acc_cpu += c
+                acc_mem += m
+            self.mu = ARMA_WEIGHT * (self.mu + 1.0 / (acc_mu / k))
+            self.cpu_avg = ARMA_WEIGHT * (self.cpu_avg + acc_cpu / k)
+            self.mem_avg = ARMA_WEIGHT * (self.mem_avg + acc_mem / k)
 
     def mean_arrival_rate(self) -> float:
         valid = self.arrival_count
@@ -182,14 +163,30 @@ class EstimatorCore:
         s = self.interval_sum
         return (valid - 1) / s if s > 0.0 else INF
 
-    def is_warm(self) -> bool:
-        """True once both buffers carry a full window of history."""
-        return self.arrival_count >= self.k and self.completion_wraps >= 1
-
     def execution_probability(self, cpu_capacity: float, mem_capacity: float) -> float:
-        if not self.is_warm():
+        """Admission probability q in [0, 1]; 1.0 until both buffers carry a
+        full window of history. Once warm, the closed form capped into [0, 1]:
+
+        q = min(cpu_cap/(cpu_cap+cpu_avg), mem_cap/(mem_cap+mem_avg)) * mu/lambda_eff
+
+        A zero mean demand leaves the corresponding headroom ratio at 1; a
+        non-positive effective arrival rate means no observed pressure, so
+        q = 1.
+        """
+        if self.arrival_count < self.k or self.completion_wraps < 1:
             return 1.0
-        return admission_probability(
-            self.lambda_eff, self.mu, self.cpu_avg, self.mem_avg,
-            cpu_capacity, mem_capacity,
-        )
+        if cpu_capacity <= 0.0 or mem_capacity <= 0.0:
+            raise ValueError("capacities must be positive")
+        lambda_eff = self.lambda_eff
+        if lambda_eff <= 0.0:
+            return 1.0
+        headroom = cpu_capacity / (cpu_capacity + self.cpu_avg)
+        mem_headroom = mem_capacity / (mem_capacity + self.mem_avg)
+        if mem_headroom < headroom:
+            headroom = mem_headroom
+        q = headroom * (self.mu / lambda_eff)
+        if q >= 1.0:
+            return 1.0
+        if q <= 0.0:
+            return 0.0
+        return q

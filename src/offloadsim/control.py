@@ -47,11 +47,16 @@ class AdmissionDecision:
 
     @staticmethod
     def forward(target: int) -> "AdmissionDecision":
-        return AdmissionDecision(Action.FORWARD, target)
+        dec = _FORWARDS.get(target)
+        if dec is None:
+            dec = _FORWARDS[target] = AdmissionDecision(Action.FORWARD, target)
+        return dec
 
 
 _EXECUTE = AdmissionDecision(Action.EXECUTE)
 _DROP = AdmissionDecision(Action.DROP)
+# Decisions are immutable, so one FORWARD instance per target is shared.
+_FORWARDS: dict[int, AdmissionDecision] = {}
 
 
 @dataclass(frozen=True)

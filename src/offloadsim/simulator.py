@@ -36,8 +36,15 @@ from heapq import heapify, heappop, heappush
 from pathlib import Path
 
 from .control import Action, NeighborLoadTable, decide_none, decide_passive, decide_proactive
+from .partition import _non_negative, _positive
 from .topology import NodeSpec, Topology, generate_topology, load_topology
-from .workload import JitterSpec, ServiceSpec, _iter_arrival_tuples, new_estimator
+from .workload import (
+    JitterSpec,
+    ServiceSpec,
+    _iter_arrival_tuples,
+    _validate_jitters,
+    new_estimator,
+)
 
 STRATEGIES = ("none", "passive", "proactive")
 
@@ -47,7 +54,6 @@ _COMPLETION = 1
 _ARRIVAL = 2
 _HEARTBEAT = 3
 _SAMPLE = 4
-_JITTER_MARK = 5
 
 
 class ConfigError(ValueError):
@@ -87,12 +93,15 @@ class ScenarioConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r} (choose from {STRATEGIES})")
         if not self.services:
             raise ConfigError("at least one service must be defined")
-        if self.base_rate_per_s <= 0.0:
-            raise ConfigError("base_rate_per_s must be positive")
-        if self.load_multiplier <= 0.0:
-            raise ConfigError("load_multiplier must be positive")
-        if self.horizon_s <= 0.0:
-            raise ConfigError("horizon_s must be positive")
+        for name in (
+            "base_rate_per_s",
+            "load_multiplier",
+            "horizon_s",
+            "gossip_period_ms",
+            "capacity_threshold",
+        ):
+            if not _positive(getattr(self, name)):
+                raise ConfigError(f"{name} must be positive and finite")
         w = self.resolved_warmup()
         if not 0.0 <= w < self.horizon_s:
             raise ConfigError("warmup must lie inside [0, horizon)")
@@ -100,19 +109,12 @@ class ScenarioConfig:
             raise ConfigError("estimator buffer_size must be at least 2")
         if self.ttl is not None and self.ttl < 0:
             raise ConfigError("ttl must be non-negative")
-        if self.gossip_period_ms <= 0.0:
-            raise ConfigError("gossip_period_ms must be positive")
-        if self.capacity_threshold <= 0.0:
-            raise ConfigError("capacity_threshold must be positive")
-        if self.sample_interval_ms < 0.0:
-            raise ConfigError("sample_interval_ms must be non-negative")
-        ordered = sorted(self.jitters, key=lambda j: j.start_ms)
-        for a, b in zip(ordered, ordered[1:]):
-            if b.start_ms < a.end_ms:
-                raise ConfigError(
-                    f"jitter windows overlap: [{a.start_ms}, {a.end_ms}) and "
-                    f"[{b.start_ms}, {b.end_ms}) ms"
-                )
+        if not _non_negative(self.sample_interval_ms):
+            raise ConfigError("sample_interval_ms must be non-negative and finite")
+        try:
+            _validate_jitters(self.jitters)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not self.topology.access_points():
             raise ConfigError("topology declares no access points, nothing can arrive")
 
@@ -221,7 +223,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     strategy = cfg.strategy
     horizon = cfg.horizon_s
     warmup = cfg.resolved_warmup()
-    ttl0 = cfg.resolved_ttl()
+    proactive = strategy == "proactive"
+    # Only proactive forwarding spends TTL; the default TTL needs the hop
+    # diameter, which is costly on large topologies.
+    ttl0 = cfg.resolved_ttl() if proactive else None
     server_executes = cfg.server_executes
     fwd_enabled = cfg.proactive_forwarding
     threshold = cfg.capacity_threshold
@@ -253,7 +258,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
 
     aps = sorted(idx_of[a] for a in topo.access_points())
 
-    proactive = strategy == "proactive"
     estimators = [None] * n
     tables: list[NeighborLoadTable | None] = [None] * n
     pub_groups: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(n)]
@@ -328,12 +332,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     if sample_dt > 0.0:
         heap.append((0.0, _SAMPLE, -1, seq))
         seq += 1
-    for j in cfg.jitters:
-        for edge_ms in (j.start_ms, j.end_ms):
-            t_edge = edge_ms / 1000.0
-            if t_edge <= horizon:
-                heap.append((t_edge, _JITTER_MARK, -1, seq))
-                seq += 1
     heapify(heap)
 
     # Request payload layout: [service, origin, t_origin, ttl, acc_delay_s,
@@ -380,13 +378,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                     counted_drop += 1
                 continue
 
-            if strategy == "none":
-                dec = decide_none(load_num[i] * inv_cap[i], threshold)
-            elif strategy == "passive":
-                dec = decide_passive(
-                    load_num[i] * inv_cap[i], threshold, ids[i], topo, server_executes
-                )
-            else:
+            if proactive:
                 est = estimators[i]
                 est.record_arrival(t)
                 dec = decide_proactive(
@@ -399,6 +391,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                     load_num[i] * inv_cap[i],
                     threshold,
                     fwd_enabled,
+                )
+            elif strategy == "none":
+                dec = decide_none(load_num[i] * inv_cap[i], threshold)
+            else:
+                dec = decide_passive(
+                    load_num[i] * inv_cap[i], threshold, ids[i], topo, server_executes
                 )
 
             act = dec.action
@@ -424,7 +422,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             else:
                 # Neighbor-table targets are dense indices; passive targets
                 # come back as topology-level node ids.
-                if strategy == "proactive":
+                if proactive:
                     j = dec.target
                     req[3] -= 1
                     d = topo.adj[ids[i]][ids[j]] / 1000.0
@@ -500,8 +498,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             if t_next <= horizon + 1e-12:
                 heappush(heap, (t_next, _SAMPLE, -1, seq))
                 seq += 1
-
-        # _JITTER_MARK events only annotate the trace; nothing to do.
 
     if gross_executed + gross_dropped != gross_arrivals:
         raise RuntimeError(

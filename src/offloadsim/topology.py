@@ -34,6 +34,8 @@ import heapq
 import random
 from dataclasses import dataclass
 
+from .partition import _non_negative, _positive
+
 FLAG_EXECUTOR = 0
 FLAG_ACCESS_POINT = 1
 FLAG_RELAY_ACCESS_POINT = 2
@@ -55,8 +57,8 @@ class NodeSpec:
     is_relay: bool = False
 
     def __post_init__(self):
-        if self.cpu_capacity <= 0.0 or self.mem_capacity <= 0.0:
-            raise TopologyError(f"node {self.id}: capacities must be positive")
+        if not (_positive(self.cpu_capacity) and _positive(self.mem_capacity)):
+            raise TopologyError(f"node {self.id}: capacities must be positive and finite")
 
 
 class Topology:
@@ -83,8 +85,8 @@ class Topology:
                 raise TopologyError(f"edge ({u}, {v}) references unknown node {missing}")
             if u == v:
                 raise TopologyError(f"self-loop on node {u}")
-            if delay < 0.0:
-                raise TopologyError(f"edge ({u}, {v}) has negative delay {delay}")
+            if not _non_negative(delay):
+                raise TopologyError(f"edge ({u}, {v}) needs a non-negative finite delay, got {delay}")
             if v in self.adj[u]:
                 raise TopologyError(f"duplicate edge ({u}, {v})")
             self.adj[u][v] = delay
@@ -246,8 +248,10 @@ def load_topology(source) -> Topology:
             flag = int(fields[3])
         except ValueError:
             raise TopologyError(f"line {line_no}: malformed node fields in {body!r}") from None
-        if cpu <= 0.0 or mem <= 0.0:
-            raise TopologyError(f"line {line_no}: node {nid} capacities must be positive")
+        if not (_positive(cpu) and _positive(mem)):
+            raise TopologyError(
+                f"line {line_no}: node {nid} capacities must be positive and finite"
+            )
         nodes.append(_spec_from_flag(nid, cpu, mem, flag, line_no))
 
     edges: list[tuple[int, int, float]] = []
@@ -263,8 +267,10 @@ def load_topology(source) -> Topology:
             raise TopologyError(f"line {line_no}: malformed edge fields in {body!r}") from None
         if u == v:
             raise TopologyError(f"self-loop at line {line_no} (node {u})")
-        if delay < 0.0:
-            raise TopologyError(f"line {line_no}: negative delay on edge ({u}, {v})")
+        if not _non_negative(delay):
+            raise TopologyError(
+                f"line {line_no}: delay on edge ({u}, {v}) must be non-negative and finite"
+            )
         edges.append((u, v, delay))
 
     return Topology(nodes, edges, server_id)
@@ -287,10 +293,10 @@ def _uniform_specs(params: dict) -> tuple[float, float, float]:
     cpu = float(params.get("cpu", 1.0))
     mem = float(params.get("mem", 1.0))
     delay = float(params.get("delay_ms", 1.0))
-    if cpu <= 0.0 or mem <= 0.0:
-        raise TopologyError("generator capacities must be positive")
-    if delay < 0.0:
-        raise TopologyError("generator delay must be non-negative")
+    if not (_positive(cpu) and _positive(mem)):
+        raise TopologyError("generator capacities must be positive and finite")
+    if not _non_negative(delay):
+        raise TopologyError("generator delay must be non-negative and finite")
     return cpu, mem, delay
 
 

@@ -4,9 +4,8 @@ Two halves live here:
 
 * ``EstimatorState`` plus the functional wrappers (``record_arrival``,
   ``mean_arrival_rate``, ``record_completion``, ``execution_probability``,
-  ``expected_queue_length``). The state class is a compiled Cython kernel
-  when available, with a pure-Python twin as fallback; set
-  ``OFFLOADSIM_PURE_PYTHON=1`` before import to force the fallback.
+  ``expected_queue_length``). The state class is the pure-Python
+  ``EstimatorCore`` from ``_estimator_py``.
 
 * The request source: a service catalog with popularity weights and
   ``poisson_stream``, which samples (possibly jittered) Poisson arrival
@@ -16,39 +15,23 @@ Two halves live here:
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass, field
 
 from ._estimator_py import ARMA_WEIGHT
-from ._estimator_py import EstimatorCore as _PyEstimatorCore
-from ._estimator_py import admission_probability
-
-if os.environ.get("OFFLOADSIM_PURE_PYTHON"):
-    _CoreImpl = _PyEstimatorCore
-    _BACKEND = "pure-python"
-else:
-    try:
-        from ._estimator_cy import EstimatorCore as _CyEstimatorCore
-
-        _CoreImpl = _CyEstimatorCore
-        _BACKEND = "compiled"
-    except ImportError:
-        _CoreImpl = _PyEstimatorCore
-        _BACKEND = "pure-python"
-
-#: The class actually used for estimator state (backend dependent).
-EstimatorState = _CoreImpl
+from ._estimator_py import EstimatorCore as EstimatorState
+from .partition import _non_negative, _positive
 
 
 def estimator_backend() -> str:
-    """Which estimator kernel is active: 'compiled' or 'pure-python'."""
-    return _BACKEND
+    """Name of the estimator implementation, recorded by benchmarks. There
+    is one, in pure Python."""
+    return "pure-python"
 
 
 def new_estimator(k: int = 128) -> EstimatorState:
     """Fresh estimator with circular buffers of size k (k >= 2)."""
-    return _CoreImpl(k)
+    return EstimatorState(k)
 
 
 def record_arrival(state: EstimatorState, timestamp: float) -> EstimatorState:
@@ -105,12 +88,18 @@ class ServiceSpec:
     popularity_weight: float = 1.0
 
     def __post_init__(self):
-        if self.mean_exec_time_s <= 0.0:
-            raise ValueError(f"service {self.name!r}: mean_exec_time_s must be positive")
-        if self.cpu_cost < 0.0 or self.mem_cost < 0.0:
-            raise ValueError(f"service {self.name!r}: resource costs must be non-negative")
-        if self.popularity_weight < 0.0:
-            raise ValueError(f"service {self.name!r}: popularity_weight must be non-negative")
+        if not _positive(self.mean_exec_time_s):
+            raise ValueError(
+                f"service {self.name!r}: mean_exec_time_s must be positive and finite"
+            )
+        if not (_non_negative(self.cpu_cost) and _non_negative(self.mem_cost)):
+            raise ValueError(
+                f"service {self.name!r}: resource costs must be non-negative and finite"
+            )
+        if not _non_negative(self.popularity_weight):
+            raise ValueError(
+                f"service {self.name!r}: popularity_weight must be non-negative and finite"
+            )
 
 
 def popularity(services: list[ServiceSpec]) -> list[float]:
@@ -139,12 +128,12 @@ class JitterSpec:
     rate_multiplier: float
 
     def __post_init__(self):
-        if self.start_ms < 0.0:
-            raise ValueError("jitter start must be non-negative")
-        if self.duration_ms <= 0.0:
-            raise ValueError("jitter duration must be positive")
-        if self.rate_multiplier <= 0.0:
-            raise ValueError("jitter rate multiplier must be positive")
+        if not _non_negative(self.start_ms):
+            raise ValueError("jitter start must be non-negative and finite")
+        if not _positive(self.duration_ms):
+            raise ValueError("jitter duration must be positive and finite")
+        if not _positive(self.rate_multiplier):
+            raise ValueError("jitter rate multiplier must be positive and finite")
 
     @property
     def end_ms(self) -> float:
@@ -196,12 +185,13 @@ def _iter_arrival_tuples(
 ):
     """Yields raw (time_s, service_index, origin) tuples; shared core for
     the public stream API and the simulator's hot loop."""
-    if rate_per_s <= 0.0:
-        raise ValueError("arrival rate must be positive")
-    if horizon_s <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not _positive(horizon_s):
+        raise ValueError("horizon must be positive and finite")
     jitters = _validate_jitters(list(jitters or []))
     segs = _segment_boundaries(jitters, horizon_s)
+    # An infinite rate draws zero gaps forever; finite factors can overflow.
+    if not all(_positive(rate_per_s * mult) for _, mult in segs):
+        raise ValueError("arrival rate must be positive and finite in every rate segment")
 
     rng = random.Random(f"{seed}|arrivals")
     expovariate = rng.expovariate
@@ -286,7 +276,6 @@ __all__ = [
     "EstimatorState",
     "JitterSpec",
     "ServiceSpec",
-    "admission_probability",
     "catalog_means",
     "estimator_backend",
     "execution_probability",

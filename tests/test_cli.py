@@ -126,6 +126,24 @@ class TestSimulate:
                       "--seeds", "a..b", "--out", tmp_path / "o")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("edit", [
+        {"base_rate_per_s": float("nan")},
+        {"base_rate_per_s": float("inf")},
+        {"jitters": [{"start_ms": 10.0, "duration_ms": 5.0, "rate_multiplier": float("inf")}]},
+        {"services": [{"name": "s", "mean_exec_time_s": float("nan")}]},
+    ])
+    def test_non_finite_scenario_is_a_usage_error(self, tmp_path, edit):
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps({**SCENARIO_DOC, **edit}))  # bare NaN / Infinity tokens
+        res = subprocess.run(
+            [sys.executable, "-m", "offloadsim", "simulate", "--config", str(bad),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert res.returncode == 2
+        assert "finite" in res.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_config_and_preset_are_mutually_exclusive(self, tmp_path, inputs):
         res = run_cli("simulate", "--config", inputs / "scenario.json",
                       "--preset", "fig3", "--out", tmp_path / "o")

@@ -7,6 +7,8 @@ import pytest
 from offloadsim import control as ct
 from offloadsim import workload as wl
 
+from test_workload import admit_q
+
 
 def warm_state(lam=4.0, mu=4.0, cpu=1.0, mem=0.0, k=2):
     """A warmed estimator with chosen steady statistics."""
@@ -182,9 +184,7 @@ def test_conservative_mode_lowers_admission():
         t += 0.01
     assert state.delta_lambda > 0.0
     q_conservative = wl.execution_probability(state, 1.0, 1.0)
-    q_plain = wl.admission_probability(
-        state.lambda_hat, state.mu, state.cpu_avg, state.mem_avg, 1.0, 1.0
-    )
+    q_plain = admit_q(state.lambda_hat, state.mu, state.cpu_avg, state.mem_avg, 1.0, 1.0)
     assert q_conservative <= q_plain
 
 

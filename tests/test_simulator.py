@@ -2,12 +2,13 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
 from offloadsim import simulator as sim
 from offloadsim.topology import NodeSpec, Topology, generate_topology
-from offloadsim.workload import JitterSpec, ServiceSpec
+from offloadsim.workload import JitterSpec, ServiceSpec, _iter_arrival_tuples
 
 from conftest import line_topology
 
@@ -230,6 +231,30 @@ def test_config_validation_raises_config_error():
             JitterSpec(start_ms=0.0, duration_ms=20.0, rate_multiplier=2.0),
             JitterSpec(start_ms=10.0, duration_ms=20.0, rate_multiplier=2.0),
         ]).validate()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field",
+    ["base_rate_per_s", "load_multiplier", "horizon_s", "gossip_period_ms",
+     "capacity_threshold", "sample_interval_ms", "warmup_s"],
+)
+def test_config_validation_rejects_non_finite(field, value):
+    with pytest.raises(sim.ConfigError, match=field.split("_")[0]):
+        small_config(**{field: value}).validate()
+
+
+def test_jitter_overlap_message_matches_the_stream_check():
+    jitters = [
+        JitterSpec(start_ms=0.0, duration_ms=20.0, rate_multiplier=2.0),
+        JitterSpec(start_ms=10.0, duration_ms=20.0, rate_multiplier=2.0),
+    ]
+    with pytest.raises(sim.ConfigError) as from_config:
+        small_config(jitters=jitters).validate()
+    with pytest.raises(ValueError) as from_stream:
+        list(_iter_arrival_tuples(100.0, 0.1, 0, jitters))
+    assert str(from_config.value) == str(from_stream.value)
+    assert "jitter windows overlap" in str(from_config.value)
 
 
 def test_scenario_from_dict_with_generated_topology():

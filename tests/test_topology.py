@@ -1,5 +1,7 @@
 """Network descriptions: edge-list parsing, validation, routing, generators."""
 
+import math
+
 import pytest
 
 from offloadsim import topology as tp
@@ -79,6 +81,43 @@ def test_capacity_validation():
         tp.NodeSpec(0, cpu_capacity=0.0, mem_capacity=1.0)
     with pytest.raises(ValueError):
         tp.NodeSpec(0, cpu_capacity=1.0, mem_capacity=-2.0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["cpu_capacity", "mem_capacity"])
+def test_node_spec_rejects_non_finite(field, value):
+    kwargs = {"id": 0, "cpu_capacity": 1.0, "mem_capacity": 1.0, field: value}
+    with pytest.raises(tp.TopologyError, match="finite"):
+        tp.NodeSpec(**kwargs)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_edge_delay_rejects_non_finite(value):
+    specs = [tp.NodeSpec(0, 1.0, 1.0), tp.NodeSpec(1, 1.0, 1.0)]
+    with pytest.raises(tp.TopologyError, match="finite"):
+        tp.Topology(specs, [(0, 1, value)], server_id=1)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["cpu", "mem", "delay"])
+def test_edge_list_rejects_non_finite(field, text):
+    line = {"cpu": ("1 1.0 1.0 0", f"1 {text} 1.0 0"),
+            "mem": ("1 1.0 1.0 0", f"1 1.0 {text} 0"),
+            "delay": ("1 2 1.0", f"1 2 {text}")}[field]
+    bad = LINE4.replace(*line)
+    assert bad != LINE4
+    with pytest.raises(tp.TopologyError, match="finite"):
+        tp.load_topology(bad)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("param", ["cpu", "mem", "delay_ms"])
+def test_generator_rejects_non_finite(param, value):
+    with pytest.raises(tp.TopologyError, match="finite"):
+        tp.generate_topology("line", {"n": 3, param: value})
 
 
 def test_roundtrip_preserves_topology(tmp_path):
