@@ -21,7 +21,8 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
-from pathlib import Path
+
+from .partition import _read_text
 
 
 class CorpusError(ValueError):
@@ -59,16 +60,9 @@ class Corpus:
 
 
 def parse_corpus(source) -> Corpus:
-    """Read the tab-separated corpus format from a path or literal text."""
-    if hasattr(source, "read_text"):
-        text = source.read_text()
-    else:
-        text = str(source)
-        if "\t" not in text and "\n" not in text:
-            try:
-                text = Path(text).read_text()
-            except OSError as exc:
-                raise CorpusError(f"cannot read corpus {source}: {exc}") from exc
+    """Read the tab-separated corpus format from a file (``Path``) or its
+    text (``str``)."""
+    text = _read_text(source, "corpus", CorpusError)
     apps: list[AppRecord] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

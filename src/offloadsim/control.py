@@ -11,6 +11,15 @@ incoming request:
   rejected requests go to the least-loaded executor neighbor (one TTL tick
   per forward). Exhausted TTL falls back to execute-if-feasible.
 
+``none`` and ``passive`` share one threshold rule, ``decide_threshold``;
+they differ only in the overflow decision a node takes at or above the
+threshold, which is fixed per node before a run (``DROP`` for ``none``,
+``passive_overflow`` for ``passive``). Forward targets are whatever node
+ids the caller's tables use.
+
+Load gossip reaches a node's ``NeighborLoadTable`` through ``apply``, the
+one place that decides whether an observation is stale.
+
 Decisions are pure functions of their inputs (the RNG draw is passed in),
 so the simulator, the CLI, and the tests share one code path.
 """
@@ -20,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .topology import Topology
 from .workload import EstimatorState
 
 
@@ -38,14 +46,6 @@ class AdmissionDecision:
     target: int | None = None  # receiving node for FORWARD
 
     @staticmethod
-    def execute() -> "AdmissionDecision":
-        return _EXECUTE
-
-    @staticmethod
-    def drop() -> "AdmissionDecision":
-        return _DROP
-
-    @staticmethod
     def forward(target: int) -> "AdmissionDecision":
         dec = _FORWARDS.get(target)
         if dec is None:
@@ -54,18 +54,9 @@ class AdmissionDecision:
 
 
 _EXECUTE = AdmissionDecision(Action.EXECUTE)
-_DROP = AdmissionDecision(Action.DROP)
+DROP = AdmissionDecision(Action.DROP)
 # Decisions are immutable, so one FORWARD instance per target is shared.
 _FORWARDS: dict[int, AdmissionDecision] = {}
-
-
-@dataclass(frozen=True)
-class GossipMessage:
-    """One published load observation."""
-
-    sender: int
-    load: float
-    published_at: float
 
 
 @dataclass
@@ -87,20 +78,15 @@ class NeighborLoadTable:
             t.as_of[nid] = 0.0
         return t
 
-    def apply(self, msg: GossipMessage) -> bool:
-        """Install a received observation; stale (older) messages lose."""
-        if msg.sender not in self.loads:
+    def apply(self, sender: int, load: float, published_at: float) -> bool:
+        """Install a neighbor's load published at ``published_at``; an
+        unknown sender or an older observation than the one held loses."""
+        as_of = self.as_of.get(sender)
+        if as_of is None or published_at < as_of:
             return False
-        if msg.published_at < self.as_of[msg.sender]:
-            return False
-        self.loads[msg.sender] = msg.load
-        self.as_of[msg.sender] = msg.published_at
+        self.loads[sender] = load
+        self.as_of[sender] = published_at
         return True
-
-
-def publish_load(node_id: int, load: float, now: float) -> GossipMessage:
-    """Snapshot this node's normalized load for dissemination."""
-    return GossipMessage(sender=node_id, load=load, published_at=now)
 
 
 def lightest_load_neighbor(table: NeighborLoadTable) -> int | None:
@@ -115,27 +101,22 @@ def lightest_load_neighbor(table: NeighborLoadTable) -> int | None:
     return best_id
 
 
-def decide_none(node_load: float, capacity_threshold: float) -> AdmissionDecision:
-    """Threshold-only admission; at or above threshold the request drops."""
-    return _EXECUTE if node_load < capacity_threshold else _DROP
-
-
-def decide_passive(
-    node_load: float,
-    capacity_threshold: float,
-    node_id: int,
-    topo: Topology,
-    server_executes: bool = False,
+def decide_threshold(
+    node_load: float, capacity_threshold: float, overflow: AdmissionDecision
 ) -> AdmissionDecision:
-    """Threshold admission with overflow pushed along the server path."""
-    if node_load < capacity_threshold:
-        return _EXECUTE
-    nxt = topo.next_hop_toward_server(node_id)
-    if nxt is None:
-        return _DROP
-    if nxt == topo.server_id and not server_executes:
-        return _DROP
-    return AdmissionDecision.forward(nxt)
+    """Execute below the threshold; at or above it, take ``overflow``."""
+    return _EXECUTE if node_load < capacity_threshold else overflow
+
+
+def passive_overflow(
+    next_hop: int | None, server: int, server_executes: bool = False
+) -> AdmissionDecision:
+    """What a passive node does at or above threshold: forward to its next
+    hop toward the server, or drop at the server and before a server that
+    does not execute."""
+    if next_hop is None or (next_hop == server and not server_executes):
+        return DROP
+    return AdmissionDecision.forward(next_hop)
 
 
 def decide_proactive(
@@ -157,26 +138,25 @@ def decide_proactive(
     fallback applies when no forwarding candidate exists.
     """
     if ttl_remaining <= 0:
-        return _EXECUTE if node_load < capacity_threshold else _DROP
+        return decide_threshold(node_load, capacity_threshold, DROP)
     q = state.execution_probability(cpu_capacity, mem_capacity)
     if rng_draw < q:
         return _EXECUTE
     if not forwarding_enabled:
-        return _DROP
+        return DROP
     target = lightest_load_neighbor(neighbors)
     if target is None:
-        return _EXECUTE if node_load < capacity_threshold else _DROP
+        return decide_threshold(node_load, capacity_threshold, DROP)
     return AdmissionDecision.forward(target)
 
 
 __all__ = [
+    "DROP",
     "Action",
     "AdmissionDecision",
-    "GossipMessage",
     "NeighborLoadTable",
-    "decide_none",
-    "decide_passive",
     "decide_proactive",
+    "decide_threshold",
     "lightest_load_neighbor",
-    "publish_load",
+    "passive_overflow",
 ]

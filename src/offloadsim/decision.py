@@ -17,15 +17,15 @@ offload and finally to keeping everything local.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .partition import (
     PINNED_TAG,
     CallGraph,
     MethodProfile,
     PartitionSet,
+    _left_sum,
+    _load_json,
     _non_negative,
     _positive,
 )
@@ -70,16 +70,11 @@ class EnergyModel:
 
 
 def load_energy_model(source) -> EnergyModel:
-    """Energy model from a JSON object file (missing keys fall back to 0)."""
-    if isinstance(source, dict):
-        data = source
-    else:
-        try:
-            data = json.loads(Path(source).read_text())
-        except OSError as exc:
-            raise DecisionError(f"cannot read energy model {source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DecisionError(f"energy model is not valid JSON: {exc}") from exc
+    """Energy model from a JSON file (``Path``), JSON text (``str``), or
+    parsed dict; missing keys fall back to 0."""
+    data = source if isinstance(source, dict) else _load_json(source, "energy model", DecisionError)
+    if not isinstance(data, dict):
+        raise DecisionError("energy model must be a JSON object")
     try:
         return EnergyModel(
             energy_per_tx_byte_j=float(data.get("energy_per_tx_byte_j", 0.0)),
@@ -124,7 +119,7 @@ def build_class_profile(graph: CallGraph, name: str, cluster: set[str]) -> Class
 
 
 def _frequencies(profile: ClassProfile) -> list[float]:
-    total = sum(m.invocations for m in profile.methods)
+    total = _left_sum(m.invocations for m in profile.methods)
     if total <= 0.0:
         return [0.0] * len(profile.methods)
     return [m.invocations / total for m in profile.methods]
@@ -195,7 +190,7 @@ class LatencyWindow:
     def rtt_estimate(self) -> float:
         if not self.samples:
             raise DecisionError("latency window holds no samples yet")
-        return sum(self.samples) / len(self.samples)
+        return _left_sum(self.samples) / len(self.samples)
 
 
 def update_latency_window(window: LatencyWindow, rtt_s: float, now: float) -> LatencyWindow:

@@ -45,6 +45,16 @@ def _positive(x: float) -> bool:
     return math.isfinite(x) and x > 0.0
 
 
+def _left_sum(values) -> float:
+    """Float sum added left to right from 0.0. The built-in sum() adds
+    floats with compensation since Python 3.12, so its bits depend on the
+    interpreter; this gives Python 3.11's sum() bits on every version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class MethodProfile:
     """Runtime profile of one method (times seconds, energies joules)."""
@@ -115,27 +125,32 @@ class CallGraph:
         return out
 
     def total_weight(self) -> float:
-        return sum(w for _, _, w in self.edge_list())
+        return _left_sum(w for _, _, w in self.edge_list())
 
     def degree_weight(self, name: str) -> float:
-        return sum(self.adj[name].values())
+        return _left_sum(self.adj[name].values())
 
 
-def _load_json(source, what: str):
-    """Parse JSON input: a ``Path`` is a file to read, a ``str`` is the text."""
+def _read_text(source, what: str, error: type[ValueError]) -> str:
+    """Text input for every loader: a ``Path`` is a UTF-8 file to read, a
+    ``str`` is the text itself. Anything else, or a file that cannot be
+    read or decoded, raises ``error``."""
     if isinstance(source, Path):
         try:
-            text = source.read_text()
+            return source.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            raise CallGraphError(f"cannot read {what} {source}: {exc}") from exc
-    elif isinstance(source, str):
-        text = source
-    else:
-        raise CallGraphError(f"{what} must be a Path or JSON text, not {type(source).__name__}")
+            raise error(f"cannot read {what} {source}: {exc}") from exc
+    if isinstance(source, str):
+        return source
+    raise error(f"{what} must be a Path or text, not {type(source).__name__}")
+
+
+def _load_json(source, what: str, error: type[ValueError] = CallGraphError):
+    """Parse JSON input read by ``_read_text``."""
     try:
-        return json.loads(text)
+        return json.loads(_read_text(source, what, error))
     except json.JSONDecodeError as exc:
-        raise CallGraphError(f"{what} is not valid JSON: {exc}") from exc
+        raise error(f"{what} is not valid JSON: {exc}") from exc
 
 
 def build_call_graph(source) -> CallGraph:
@@ -473,7 +488,7 @@ def louvain_optimal(graph: CallGraph, min_gain: float = 1e-12) -> PartitionSet:
 
     while True:
         size = len(nbrs)
-        k = [2.0 * self_w[i] + sum(w for _, w in nbrs[i]) for i in range(size)]
+        k = [2.0 * self_w[i] + _left_sum(w for _, w in nbrs[i]) for i in range(size)]
         comm = list(range(size))
         comm_tot = k[:]
         moved_any = False

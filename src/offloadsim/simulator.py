@@ -35,8 +35,15 @@ from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
 from pathlib import Path
 
-from .control import Action, NeighborLoadTable, decide_none, decide_passive, decide_proactive
-from .partition import _non_negative, _positive
+from .control import (
+    DROP,
+    Action,
+    NeighborLoadTable,
+    decide_proactive,
+    decide_threshold,
+    passive_overflow,
+)
+from .partition import _left_sum, _load_json, _non_negative, _positive
 from .topology import NodeSpec, Topology, generate_topology, load_topology
 from .workload import (
     JitterSpec,
@@ -183,13 +190,10 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConf
 
 
 def load_scenario(path) -> ScenarioConfig:
+    """Scenario config from a JSON file; a topology file it names resolves
+    against the config's directory."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario config {path} is not valid JSON: {exc}") from exc
+    data = _load_json(path, "scenario config", ConfigError)
     return scenario_from_dict(data, base_dir=path.parent)
 
 
@@ -239,18 +243,28 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     cpu_cap = [topo.nodes[nid].cpu_capacity for nid in ids]
     mem_cap = [topo.nodes[nid].mem_capacity for nid in ids]
     inv_cap = [1.0 / c for c in cpu_cap]
-    thr_abs = [threshold * c for c in cpu_cap]
     # Executors run a strategy and may execute; the sink server and relays do not.
     executor = [
         not is_relay[i] and (i != server or server_executes) for i in range(n)
     ]
-    next_hop = [-1] * n
-    delay_to_next = [0.0] * n
+    # Link delays in seconds by dense index, read by every forward and by the
+    # gossip groups. Only proactive requests leave the path to the server,
+    # so the other strategies need just the link toward it.
+    if proactive:
+        delay = [{idx_of[m]: d_ms / 1000.0 for m, d_ms in topo.adj[nid].items()} for nid in ids]
+    else:
+        delay = [{} for _ in range(n)]
+    next_hop: list[int | None] = [None] * n
     for i, nid in enumerate(ids):
         nh = topo.next_hop_toward_server(nid)
         if nh is not None:
-            next_hop[i] = idx_of[nh]
-            delay_to_next[i] = topo.adj[nid][nh] / 1000.0
+            j = next_hop[i] = idx_of[nh]
+            delay[i][j] = topo.adj[nid][nh] / 1000.0
+    # What none and passive do at or above the threshold, fixed per node.
+    if strategy == "passive":
+        overflow = [passive_overflow(nh, server, server_executes) for nh in next_hop]
+    else:
+        overflow = [DROP] * n
 
     svc_rate = [1.0 / s.mean_exec_time_s for s in cfg.services]
     svc_cpu = [s.cpu_cost for s in cfg.services]
@@ -260,29 +274,31 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
 
     estimators = [None] * n
     tables: list[NeighborLoadTable | None] = [None] * n
-    pub_groups: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(n)]
-    hb_groups: list[tuple[float, list[tuple[int, int]]]] = []
+    pub_groups: list[list[tuple[float, tuple]]] = [[] for _ in range(n)]
+    hb_groups: list[tuple[float, list]] = []
     if proactive:
-        for i, nid in enumerate(ids):
-            if not executor[i]:
-                continue
-            estimators[i] = new_estimator(cfg.buffer_size)
-            exec_nbrs = [
-                idx_of[m] for m in topo.adj[nid] if executor[idx_of[m]]
-            ]
-            tables[i] = NeighborLoadTable.seeded(exec_nbrs)
+        for i in range(n):
+            if executor[i]:
+                estimators[i] = new_estimator(cfg.buffer_size)
+                tables[i] = NeighborLoadTable.seeded(j for j in delay[i] if executor[j])
+        # Gossip events carry (receiver's NeighborLoadTable.apply, sender)
+        # pairs, grouped by link delay. Calling the stored bound method
+        # costs a third less per delivery than looking up the receiver's
+        # table, and heartbeats deliver over every link each period.
         by_delay: dict[float, list[tuple[int, int]]] = {}
-        for i, nid in enumerate(ids):
+        for i in range(n):
             if not executor[i]:
                 continue
-            groups: dict[float, list[int]] = {}
-            for m, d_ms in topo.adj[nid].items():
-                j = idx_of[m]
-                if executor[j] and tables[j] is not None:
-                    groups.setdefault(d_ms / 1000.0, []).append(j)
-                    by_delay.setdefault(d_ms / 1000.0, []).append((j, i))
-            pub_groups[i] = [(d, tuple(sorted(rs))) for d, rs in sorted(groups.items())]
-        hb_groups = [(d, sorted(pairs)) for d, pairs in sorted(by_delay.items())]
+            groups: dict[float, list] = {}
+            for j, d in delay[i].items():
+                if executor[j]:
+                    groups.setdefault(d, []).append((tables[j].apply, i))
+                    by_delay.setdefault(d, []).append((j, i))
+            pub_groups[i] = [(d, tuple(pairs)) for d, pairs in sorted(groups.items())]
+        hb_groups = [
+            (d, [(tables[j].apply, i) for j, i in sorted(pairs)])
+            for d, pairs in sorted(by_delay.items())
+        ]
 
     rng = random.Random(f"{cfg.seed}|sim")
     rng_random = rng.random
@@ -365,75 +381,59 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             if is_relay[i]:
                 # Ingress plumbing: push toward the server, TTL untouched.
                 j = next_hop[i]
-                req[4] += delay_to_next[i]
-                if req[5]:
-                    counted_fwd += 1
-                heappush(heap, (t + delay_to_next[i], _ARRIVAL, j, seq, req, False))
-                seq += 1
-                continue
-            if not executor[i]:
-                # Pure sink: the server absorbs nothing unless configured to.
-                gross_dropped += 1
-                if req[5]:
-                    counted_drop += 1
-                continue
-
-            if proactive:
-                est = estimators[i]
-                est.record_arrival(t)
-                dec = decide_proactive(
-                    est,
-                    tables[i],
-                    cpu_cap[i],
-                    mem_cap[i],
-                    rng_random(),
-                    req[3],
-                    load_num[i] * inv_cap[i],
-                    threshold,
-                    fwd_enabled,
-                )
-            elif strategy == "none":
-                dec = decide_none(load_num[i] * inv_cap[i], threshold)
             else:
-                dec = decide_passive(
-                    load_num[i] * inv_cap[i], threshold, ids[i], topo, server_executes
-                )
-
-            act = dec.action
-            if act is Action.EXECUTE:
-                lt = last_t[i]
-                if lt < horizon:
-                    hi = t if t < horizon else horizon
-                    lo = lt if lt > warmup else warmup
-                    if hi > lo:
-                        acc[i] += load_num[i] * inv_cap[i] * (hi - lo)
-                last_t[i] = t
-                load_num[i] += svc_cpu[req[0]]
-                req[6] = t
-                if busy[i]:
-                    queue[i].append(req)
+                if not executor[i]:
+                    # Pure sink: the server absorbs nothing unless configured to.
+                    dec = DROP
+                elif proactive:
+                    est = estimators[i]
+                    est.record_arrival(t)
+                    dec = decide_proactive(
+                        est,
+                        tables[i],
+                        cpu_cap[i],
+                        mem_cap[i],
+                        rng_random(),
+                        req[3],
+                        load_num[i] * inv_cap[i],
+                        threshold,
+                        fwd_enabled,
+                    )
                 else:
-                    busy[i] = True
-                    start_service(i, req, t)
-            elif act is Action.DROP:
-                gross_dropped += 1
-                if req[5]:
-                    counted_drop += 1
-            else:
-                # Neighbor-table targets are dense indices; passive targets
-                # come back as topology-level node ids.
+                    dec = decide_threshold(load_num[i] * inv_cap[i], threshold, overflow[i])
+
+                act = dec.action
+                if act is Action.EXECUTE:
+                    lt = last_t[i]
+                    if lt < horizon:
+                        hi = t if t < horizon else horizon
+                        lo = lt if lt > warmup else warmup
+                        if hi > lo:
+                            acc[i] += load_num[i] * inv_cap[i] * (hi - lo)
+                    last_t[i] = t
+                    load_num[i] += svc_cpu[req[0]]
+                    req[6] = t
+                    if busy[i]:
+                        queue[i].append(req)
+                    else:
+                        busy[i] = True
+                        start_service(i, req, t)
+                    continue
+                if act is Action.DROP:
+                    gross_dropped += 1
+                    if req[5]:
+                        counted_drop += 1
+                    continue
+                j = dec.target
                 if proactive:
-                    j = dec.target
                     req[3] -= 1
-                    d = topo.adj[ids[i]][ids[j]] / 1000.0
-                else:
-                    j = idx_of[dec.target]
-                    d = delay_to_next[i]
-                req[4] += d
-                if req[5]:
-                    counted_fwd += 1
-                heappush(heap, (t + d, _ARRIVAL, j, seq, req, False))
-                seq += 1
+            # One forward path for relays and strategies alike.
+            d = delay[i][j]
+            req[4] += d
+            if req[5]:
+                counted_fwd += 1
+            heappush(heap, (t + d, _ARRIVAL, j, seq, req, False))
+            seq += 1
 
         elif kind == _COMPLETION:
             i = ev[2]
@@ -455,9 +455,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             if proactive and estimators[i] is not None:
                 estimators[i].record_completion(dur, svc_cpu[req[0]], svc_mem[req[0]])
                 if pub_groups[i]:
-                    lv = load_num[i] * inv_cap[i]
-                    for d, receivers in pub_groups[i]:
-                        heappush(heap, (t + d, _GOSSIP, i, seq, receivers, lv, t))
+                    snap = {i: load_num[i] * inv_cap[i]}
+                    for d, pairs in pub_groups[i]:
+                        heappush(heap, (t + d, _GOSSIP, i, seq, pairs, snap, t))
                         seq += 1
             if queue[i]:
                 start_service(i, queue[i].popleft(), t)
@@ -465,21 +465,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 busy[i] = False
 
         elif kind == _GOSSIP:
-            sender = ev[2]
-            if sender >= 0:
-                receivers, lv, t_pub = ev[4], ev[5], ev[6]
-                for r in receivers:
-                    tbl = tables[r]
-                    if t_pub >= tbl.as_of[sender]:
-                        tbl.loads[sender] = lv
-                        tbl.as_of[sender] = t_pub
-            else:
-                pairs, snap, t_pub = ev[4], ev[5], ev[6]
-                for r, s in pairs:
-                    tbl = tables[r]
-                    if t_pub >= tbl.as_of[s]:
-                        tbl.loads[s] = snap[s]
-                        tbl.as_of[s] = t_pub
+            # Completion gossip (node = sender) and heartbeat gossip (node =
+            # -1) share one payload: (receiver's apply, sender) pairs, loads
+            # indexed by sender, publication time.
+            snap, t_pub = ev[5], ev[6]
+            for apply, s in ev[4]:
+                apply(s, snap[s], t_pub)
 
         elif kind == _HEARTBEAT:
             snap = [load_num[i] * inv_cap[i] for i in range(n)]
@@ -518,7 +509,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
 
     exec_nodes = [i for i in range(n) if executor[i]]
     tau = (
-        sum(acc[i] for i in exec_nodes) / (len(exec_nodes) * span) if exec_nodes else 0.0
+        _left_sum(acc[i] for i in exec_nodes) / (len(exec_nodes) * span) if exec_nodes else 0.0
     )
     phi_ms = (lat_sum / counted_exec) * 1000.0 if counted_exec else 0.0
     psi = counted_drop / counted_total if counted_total else 0.0

@@ -3,7 +3,9 @@
 Topologies come from an edge-list text format or from seeded generators
 (line, grid, tree, scale_free). Every topology has exactly one server node;
 routing toward it uses link-delay shortest paths (ties resolved toward the
-lowest node id so routes are reproducible).
+lowest node id so routes are reproducible). A next hop is always strictly
+closer to the server by (delay, hops), so zero-delay links cannot make a
+route loop.
 
 Node roles:
 
@@ -34,7 +36,7 @@ import heapq
 import random
 from dataclasses import dataclass
 
-from .partition import _non_negative, _positive
+from .partition import _non_negative, _positive, _read_text
 
 FLAG_EXECUTOR = 0
 FLAG_ACCESS_POINT = 1
@@ -99,33 +101,37 @@ class Topology:
         self._route()
 
     def _route(self) -> None:
-        dist = {nid: float("inf") for nid in self.nodes}
-        dist[self.server_id] = 0.0
-        heap = [(0.0, self.server_id)]
+        # Dijkstra on (delay, hops): the delay part is the plain shortest
+        # delay, and the hop count orders nodes that zero-delay links leave
+        # at equal delay.
+        inf = float("inf")
+        key = {nid: (inf, 0) for nid in self.nodes}
+        key[self.server_id] = (0.0, 0)
+        heap = [(0.0, 0, self.server_id)]
         while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
+            d, h, u = heapq.heappop(heap)
+            if (d, h) > key[u]:
                 continue
             for v, w in self.adj[u].items():
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        unreachable = sorted(n for n, d in dist.items() if d == float("inf"))
+                cand = (d + w, h + 1)
+                if cand < key[v]:
+                    key[v] = cand
+                    heapq.heappush(heap, (d + w, h + 1, v))
+        unreachable = sorted(n for n, k in key.items() if k[0] == inf)
         if unreachable:
             raise TopologyError(
                 f"node(s) {unreachable} cannot reach the server {self.server_id}"
             )
-        self.distance_to_server = dist
+        dist = self.distance_to_server = {nid: k[0] for nid, k in key.items()}
         for nid in self.nodes:
-            if nid == self.server_id:
-                self._next_hop[nid] = None
-                continue
+            # Only neighbors strictly closer by (delay, hops) qualify, so
+            # every route ends at the server.
             best: tuple[float, int] | None = None
             for nb, w in self.adj[nid].items():
-                cand = (w + dist[nb], nb)
-                if best is None or cand < best:
-                    best = cand
+                if key[nb] < key[nid]:
+                    cand = (w + dist[nb], nb)
+                    if best is None or cand < best:
+                        best = cand
             self._next_hop[nid] = best[1] if best else None
 
     def next_hop_toward_server(self, node_id: int) -> int | None:
@@ -200,17 +206,12 @@ def _spec_from_flag(nid: int, cpu: float, mem: float, flag: int, line_no: int) -
 
 
 def load_topology(source) -> Topology:
-    """Parse the edge-list format from a path or a string of its contents.
+    """Parse the edge-list format from a file (``Path``) or its text (``str``).
 
-    Raises TopologyError naming the offending line for malformed input.
+    Raises TopologyError naming the offending line for malformed input, and
+    for a file that cannot be read.
     """
-    if hasattr(source, "read_text"):
-        text = source.read_text()
-    else:
-        text = str(source)
-        if "\n" not in text and not text.strip().startswith("nodes"):
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
+    text = _read_text(source, "topology", TopologyError)
 
     lines: list[tuple[int, str]] = []
     for i, raw in enumerate(text.splitlines(), start=1):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from ._estimator_py import ARMA_WEIGHT
 from ._estimator_py import EstimatorCore as EstimatorState
-from .partition import _non_negative, _positive
+from .partition import _left_sum, _non_negative, _positive
 
 
 def estimator_backend() -> str:
@@ -104,7 +104,7 @@ class ServiceSpec:
 
 def popularity(services: list[ServiceSpec]) -> list[float]:
     """Normalized popularity shares (sums to 1)."""
-    total = sum(s.popularity_weight for s in services)
+    total = _left_sum(s.popularity_weight for s in services)
     if total <= 0.0:
         raise ValueError("popularity weights must not all be zero")
     return [s.popularity_weight / total for s in services]
@@ -113,8 +113,8 @@ def popularity(services: list[ServiceSpec]) -> list[float]:
 def catalog_means(services: list[ServiceSpec]) -> tuple[float, float]:
     """Popularity-weighted mean cpu and memory demand of the catalog."""
     shares = popularity(services)
-    cpu = sum(p * s.cpu_cost for p, s in zip(shares, services))
-    mem = sum(p * s.mem_cost for p, s in zip(shares, services))
+    cpu = _left_sum(p * s.cpu_cost for p, s in zip(shares, services))
+    mem = _left_sum(p * s.mem_cost for p, s in zip(shares, services))
     return cpu, mem
 
 

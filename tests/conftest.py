@@ -39,3 +39,14 @@ def line_topology(n, cpu=1.0, mem=1.0, delay=1.0):
 @pytest.fixture
 def line4():
     return line_topology(4)
+
+
+def route_to_server(topo, node_id):
+    """The next-hop chain from ``node_id``; fails on a loop or a dead end
+    instead of following it forever."""
+    path = [node_id]
+    while path[-1] != topo.server_id:
+        nxt = topo.next_hop_toward_server(path[-1])
+        assert nxt is not None and nxt not in path, f"route {path} continues to {nxt}"
+        path.append(nxt)
+    return path

@@ -297,4 +297,4 @@ class TestCorpusIO:
 
     def test_missing_file_reports_the_path(self, tmp_path):
         with pytest.raises(CorpusError, match="cannot read"):
-            parse_corpus(str(tmp_path / "absent.tsv"))
+            parse_corpus(tmp_path / "absent.tsv")

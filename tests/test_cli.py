@@ -6,6 +6,10 @@ import sys
 
 import pytest
 
+from offloadsim.topology import generate_topology
+
+from conftest import route_to_server
+
 GRAPH_DOC = {
     "vertices": [
         {"name": "core.Heavy", "methods": [
@@ -143,6 +147,28 @@ class TestSimulate:
         assert res.returncode == 2
         assert "finite" in res.stderr
         assert not (tmp_path / "o").exists()
+
+    def test_zero_delay_passive_run_finishes(self, tmp_path):
+        # Overloaded nodes push requests toward the server over 0 ms links;
+        # a routing loop would bounce them forever at one instant, so the
+        # routes are checked before anything runs.
+        gen = {"kind": "line", "n": 3, "delay_ms": 0.0}
+        topo = generate_topology(gen["kind"], gen)
+        for nid in topo.nodes:
+            route_to_server(topo, nid)
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({
+            **SCENARIO_DOC, "topology": {"generate": gen}, "base_rate_per_s": 5000.0,
+        }))
+        res = subprocess.run(
+            [sys.executable, "-m", "offloadsim", "simulate", "--config", str(cfg),
+             "--strategy", "passive", "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
+        summary = json.loads((tmp_path / "o" / "run_summary.json").read_text())
+        assert summary["forwarded"] > 0
+        assert summary["executed"] + summary["dropped"] == summary["total_arrivals"]
 
     def test_config_and_preset_are_mutually_exclusive(self, tmp_path, inputs):
         res = run_cli("simulate", "--config", inputs / "scenario.json",

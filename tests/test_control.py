@@ -1,5 +1,6 @@
 """Per-node admission strategies and one-hop load exchange."""
 
+import math
 import random
 
 import pytest
@@ -24,40 +25,53 @@ def warm_state(lam=4.0, mu=4.0, cpu=1.0, mem=0.0, k=2):
     return state
 
 
+def passive(topo, node_id, load, server_executes=False):
+    """The passive strategy at one node: the threshold rule with the node's
+    overflow decision."""
+    overflow = ct.passive_overflow(
+        topo.next_hop_toward_server(node_id), topo.server_id, server_executes
+    )
+    return ct.decide_threshold(load, 1.0, overflow)
+
+
 def test_none_strategy_threshold():
-    assert ct.decide_none(0.3, 1.0).action is ct.Action.EXECUTE
-    assert ct.decide_none(1.2, 1.0).action is ct.Action.DROP
+    assert ct.decide_threshold(0.3, 1.0, ct.DROP).action is ct.Action.EXECUTE
+    assert ct.decide_threshold(1.2, 1.0, ct.DROP).action is ct.Action.DROP
 
 
 def test_none_strategy_boundary_is_drop():
-    assert ct.decide_none(1.0, 1.0).action is ct.Action.DROP
+    assert ct.decide_threshold(1.0, 1.0, ct.DROP).action is ct.Action.DROP
 
 
 def test_passive_under_load_executes(line4):
-    d = ct.decide_passive(0.2, 1.0, node_id=1, topo=line4)
+    d = passive(line4, 1, 0.2)
     assert d.action is ct.Action.EXECUTE
 
 
 def test_passive_overloaded_forwards_along_path(line4):
-    d = ct.decide_passive(1.5, 1.0, node_id=1, topo=line4)
+    d = passive(line4, 1, 1.5)
     assert d.action is ct.Action.FORWARD
     assert d.target == 2
 
 
+def test_passive_boundary_takes_the_overflow(line4):
+    assert passive(line4, 1, 1.0) is ct.AdmissionDecision.forward(2)
+
+
 def test_passive_last_hop_drops(line4):
     # Node 2 is the final in-network hop; the sink server does not execute.
-    d = ct.decide_passive(1.5, 1.0, node_id=2, topo=line4)
+    d = passive(line4, 2, 1.5)
     assert d.action is ct.Action.DROP
 
 
 def test_passive_last_hop_can_reach_executing_server(line4):
-    d = ct.decide_passive(1.5, 1.0, node_id=2, topo=line4, server_executes=True)
+    d = passive(line4, 2, 1.5, server_executes=True)
     assert d.action is ct.Action.FORWARD
     assert d.target == 3
 
 
 def test_passive_at_server_drops(line4):
-    d = ct.decide_passive(1.5, 1.0, node_id=3, topo=line4, server_executes=True)
+    d = passive(line4, 3, 1.5, server_executes=True)
     assert d.action is ct.Action.DROP
 
 
@@ -77,24 +91,23 @@ def test_no_neighbors_signalled():
 
 def test_gossip_delay_accounting():
     table = ct.NeighborLoadTable.seeded([4])
-    msg = ct.publish_load(node_id=4, load=0.42, now=0.010)
-    assert table.apply(msg)
+    assert table.apply(4, 0.42, 0.010)
     assert table.loads[4] == 0.42
     assert table.as_of[4] == 0.010
 
 
 def test_stale_gossip_ignored():
     table = ct.NeighborLoadTable.seeded([4])
-    table.apply(ct.publish_load(4, 0.5, now=0.020))
-    assert not table.apply(ct.publish_load(4, 0.9, now=0.010))
+    table.apply(4, 0.5, 0.020)
+    assert not table.apply(4, 0.9, 0.010)
     assert table.loads[4] == 0.5
     assert table.as_of[4] == 0.020
 
 
 def test_equal_timestamp_gossip_accepted():
     table = ct.NeighborLoadTable.seeded([4])
-    table.apply(ct.publish_load(4, 0.5, now=0.020))
-    assert table.apply(ct.publish_load(4, 0.6, now=0.020))
+    table.apply(4, 0.5, 0.020)
+    assert table.apply(4, 0.6, 0.020)
     assert table.loads[4] == 0.6
 
 
@@ -190,5 +203,7 @@ def test_conservative_mode_lowers_admission():
 
 def test_gossip_from_unknown_sender_ignored():
     table = ct.NeighborLoadTable.seeded([2])
-    assert not table.apply(ct.publish_load(9, 0.4, now=0.001))
+    assert not table.apply(9, 0.4, 0.001)
+    assert not table.apply(9, 0.4, math.inf)
     assert 9 not in table.loads
+    assert 9 not in table.as_of

@@ -572,3 +572,12 @@ def test_unreadable_inputs_raise_call_graph_error(tmp_path):
         pt.build_call_graph(missing)
     with pytest.raises(pt.CallGraphError, match="cannot read call graph"):
         pt.build_call_graph(tmp_path)
+
+
+def test_weight_sums_add_left_to_right():
+    # A compensated sum (the built-in sum() since Python 3.12) would give
+    # 1.0000000000000002 here; left to right both tiny weights round away.
+    g = make_graph([("a", "b", 1.0), ("a", "c", 1e-16), ("a", "d", 1e-16)])
+    assert g.total_weight() == 1.0
+    assert g.degree_weight("a") == 1.0
+    assert pt._left_sum([1e16, 1.0, -1e16]) == 0.0

@@ -6,7 +6,7 @@ import pytest
 
 from offloadsim import topology as tp
 
-from conftest import line_topology
+from conftest import line_topology, route_to_server
 
 LINE4 = """\
 # c - n1 - n2 - s, unit delays
@@ -212,3 +212,38 @@ def test_relay_flag_roundtrip(tmp_path):
 def test_hop_diameter():
     assert line_topology(4).hop_diameter() == 3
     assert tp.generate_topology("grid", {"width": 3, "height": 3}).hop_diameter() == 4
+
+
+def test_zero_delay_line_routes_toward_the_server():
+    topo = tp.generate_topology("line", {"n": 3, "delay_ms": 0.0})
+    assert [topo.next_hop_toward_server(i) for i in range(3)] == [1, 2, None]
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("line", {"n": 7}),
+        ("grid", {"width": 4, "height": 3}),
+        ("tree", {"branching": 2, "depth": 3}),
+        ("scale_free", {"n": 40, "m": 2}),
+    ],
+)
+def test_zero_delay_routes_reach_the_server(kind, params):
+    topo = tp.generate_topology(kind, {**params, "delay_ms": 0.0}, seed=5)
+    for nid in topo.nodes:
+        assert len(route_to_server(topo, nid)) - 1 <= len(topo.nodes)
+
+
+def test_mixed_delay_routes_are_shortest_and_loop_free():
+    # A zero-delay triangle hangs off a one-hop link to the server; every
+    # node in it is at delay 1.0, so only the hop count orders them.
+    nodes = [tp.NodeSpec(i, 1.0, 1.0, is_access_point=(i == 0)) for i in range(5)]
+    edges = [(0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0), (2, 3, 1.0), (3, 4, 0.0), (0, 4, 5.0)]
+    topo = tp.Topology(nodes, edges, server_id=4)
+    assert topo.distance_to_server == {0: 1.0, 1: 1.0, 2: 1.0, 3: 0.0, 4: 0.0}
+    assert route_to_server(topo, 0) == [0, 2, 3, 4]
+    assert route_to_server(topo, 1) == [1, 2, 3, 4]
+    for nid in topo.nodes:
+        nxt = topo.next_hop_toward_server(nid)
+        if nxt is not None:
+            assert topo.distance_to_server[nid] == topo.adj[nid][nxt] + topo.distance_to_server[nxt]
