@@ -150,7 +150,8 @@ def _load_json(source, what: str, error: type[ValueError] = CallGraphError):
     try:
         return json.loads(_read_text(source, what, error))
     except json.JSONDecodeError as exc:
-        raise error(f"{what} is not valid JSON: {exc}") from exc
+        where = f" {source}" if isinstance(source, Path) else ""
+        raise error(f"{what}{where} is not valid JSON: {exc}") from exc
 
 
 def build_call_graph(source) -> CallGraph:

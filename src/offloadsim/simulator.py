@@ -248,18 +248,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         not is_relay[i] and (i != server or server_executes) for i in range(n)
     ]
     # Link delays in seconds by dense index, read by every forward and by the
-    # gossip groups. Only proactive requests leave the path to the server,
-    # so the other strategies need just the link toward it.
-    if proactive:
-        delay = [{idx_of[m]: d_ms / 1000.0 for m, d_ms in topo.adj[nid].items()} for nid in ids]
-    else:
-        delay = [{} for _ in range(n)]
+    # gossip groups.
+    delay = [{idx_of[m]: d_ms / 1000.0 for m, d_ms in topo.adj[nid].items()} for nid in ids]
     next_hop: list[int | None] = [None] * n
     for i, nid in enumerate(ids):
         nh = topo.next_hop_toward_server(nid)
         if nh is not None:
-            j = next_hop[i] = idx_of[nh]
-            delay[i][j] = topo.adj[nid][nh] / 1000.0
+            next_hop[i] = idx_of[nh]
     # What none and passive do at or above the threshold, fixed per node.
     if strategy == "passive":
         overflow = [passive_overflow(nh, server, server_executes) for nh in next_hop]

@@ -8,7 +8,11 @@ offloadsim.
 * tau for every preset x strategy at seeds 1..3, the overload presets cut
   to a 0.4 s horizon (0.1 s warmup) to keep the check quick,
 * Louvain modularity, and the modularity of a fixed split, on 20 random
-  call graphs with float edge weights.
+  call graphs with float edge weights,
+* the decision gates' method frequencies and time/energy verdicts for each
+  class of those graphs, given random float invocation counts, and the
+  RTT estimate of random float latency windows,
+* popularity shares and catalog means of random float service catalogs.
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ import dataclasses
 import json
 import random
 
-from offloadsim.partition import CallGraph, ClassNode, louvain_optimal, modularity
+from offloadsim import decision
+from offloadsim.partition import CallGraph, ClassNode, MethodProfile, louvain_optimal, modularity
 from offloadsim.simulator import PRESETS, STRATEGIES, run_scenario
+from offloadsim.workload import ServiceSpec, catalog_means, popularity
 
 
 def tau_values() -> dict[str, str]:
@@ -39,7 +45,18 @@ def float_weighted_graph(seed: int) -> CallGraph:
     n = rng.randint(8, 24)
     graph = CallGraph()
     for i in range(n):
-        graph.add_class(ClassNode(name=f"c{i:02d}"))
+        methods = [
+            MethodProfile(
+                name=f"m{k}",
+                invocations=rng.uniform(0.1, 100.0),
+                t_local_s=rng.uniform(1e-4, 1e-2),
+                in_bytes=rng.uniform(0.0, 1e4),
+                out_bytes=rng.uniform(0.0, 1e4),
+                energy_local_j=rng.uniform(0.0, 1e-2),
+            )
+            for k in range(rng.randint(1, 6))
+        ]
+        graph.add_class(ClassNode(name=f"c{i:02d}", methods=methods))
     for i in range(1, n):
         graph.add_call(f"c{rng.randrange(i):02d}", f"c{i:02d}", rng.uniform(0.01, 10.0))
     for _ in range(n):
@@ -59,8 +76,53 @@ def modularity_values() -> dict[str, str]:
     return out
 
 
+def decision_values() -> dict[str, str]:
+    cond = decision.NetworkConditions(rtt_s=0.002, bandwidth_bytes_per_s=1e7, cpu_speedup=3.0)
+    model = decision.EnergyModel(
+        energy_per_tx_byte_j=1e-7, energy_per_rx_byte_j=5e-8, energy_idle_per_s_j=0.3
+    )
+    out = {}
+    for seed in range(20):
+        graph = float_weighted_graph(seed)
+        names = graph.names()
+        cluster = set(names[: len(names) // 2])
+        for name in names:
+            prof = decision.build_class_profile(graph, name, cluster)
+            verdict = (
+                decision.class_valid_time(prof, cond),
+                decision.class_valid_energy(prof, cond, model),
+            )
+            out[f"freq|{seed}|{name}"] = repr(decision._frequencies(prof))
+            out[f"gates|{seed}|{name}"] = repr(verdict)
+        rng = random.Random(seed)
+        window = decision.LatencyWindow()
+        for k in range(3):
+            decision.update_latency_window(window, rng.uniform(1e-3, 0.1), float(k))
+        out[f"rtt|{seed}"] = repr(window.rtt_estimate())
+    return out
+
+
+def catalog_values() -> dict[str, str]:
+    out = {}
+    for seed in range(20):
+        rng = random.Random(seed)
+        services = [
+            ServiceSpec(
+                name=f"s{i}",
+                mean_exec_time_s=0.001,
+                cpu_cost=rng.uniform(0.1, 2.0),
+                mem_cost=rng.uniform(0.0, 1.0),
+                popularity_weight=rng.uniform(0.01, 10.0),
+            )
+            for i in range(rng.randint(3, 12))
+        ]
+        out[f"popularity|{seed}"] = repr(popularity(services))
+        out[f"catalog|{seed}"] = repr(catalog_means(services))
+    return out
+
+
 def values() -> dict[str, str]:
-    return {**tau_values(), **modularity_values()}
+    return {**tau_values(), **modularity_values(), **decision_values(), **catalog_values()}
 
 
 if __name__ == "__main__":

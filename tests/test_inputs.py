@@ -4,6 +4,7 @@ is its contents, and an unreadable file raises the loader's own
 ``UnicodeDecodeError``."""
 
 import json
+import re
 
 import pytest
 
@@ -85,6 +86,13 @@ def test_unreadable_scenario_raises_config_error(tmp_path, make):
     elif make == "undecodable":
         path.write_bytes(b"\xff\xfe{}")
     with pytest.raises(simulator.ConfigError, match="cannot read"):
+        simulator.load_scenario(path)
+
+
+def test_invalid_scenario_json_names_the_path(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text("{not json")
+    with pytest.raises(simulator.ConfigError, match=re.escape(f"{path} is not valid JSON")):
         simulator.load_scenario(path)
 
 
