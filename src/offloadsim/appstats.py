@@ -14,6 +14,9 @@ Corpus line format (tab separated)::
 Savings model: keeping one copy per shared prefix group (the copy priced at
 the sharer with the largest per-class size) against the naive sum of all
 dex sizes.
+
+Both statistics read one pass over the corpus that maps each package once
+to its shared key (``_shared_key``).
 """
 
 from __future__ import annotations
@@ -69,6 +72,9 @@ def parse_corpus(source) -> Corpus:
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
+        if len(parts) == 2 and "\t" in raw[len(raw.rstrip()):]:
+            # write_corpus gives an app without packages an empty last field.
+            raise CorpusError(f"line {line_no}: app {parts[0]!r} declares no classes")
         if len(parts) != 3:
             raise CorpusError(
                 f"line {line_no}: expected 'app_id<TAB>dex_size<TAB>packages', got {raw!r}"
@@ -83,28 +89,25 @@ def parse_corpus(source) -> Corpus:
         if dex_size < 0:
             raise CorpusError(f"line {line_no}: dex size must be non-negative")
         packages: dict[str, int] = {}
-        if pkg_text:
-            for chunk in pkg_text.split(";"):
-                if not chunk:
-                    raise CorpusError(f"line {line_no}: empty package entry")
-                if "=" not in chunk:
-                    raise CorpusError(
-                        f"line {line_no}: package entry {chunk!r} lacks '=count'"
-                    )
-                pkg, _, count_text = chunk.partition("=")
-                if not pkg:
-                    raise CorpusError(f"line {line_no}: empty package path")
-                try:
-                    count = int(count_text)
-                except ValueError:
-                    raise CorpusError(
-                        f"line {line_no}: class count {count_text!r} is not an integer"
-                    ) from None
-                if count < 1:
-                    raise CorpusError(f"line {line_no}: class count must be at least 1")
-                if pkg in packages:
-                    raise CorpusError(f"line {line_no}: duplicate package {pkg!r}")
-                packages[pkg] = count
+        for chunk in pkg_text.split(";"):
+            if not chunk:
+                raise CorpusError(f"line {line_no}: empty package entry")
+            if "=" not in chunk:
+                raise CorpusError(f"line {line_no}: package entry {chunk!r} lacks '=count'")
+            pkg, _, count_text = chunk.partition("=")
+            if not pkg:
+                raise CorpusError(f"line {line_no}: empty package path")
+            try:
+                count = int(count_text)
+            except ValueError:
+                raise CorpusError(
+                    f"line {line_no}: class count {count_text!r} is not an integer"
+                ) from None
+            if count < 1:
+                raise CorpusError(f"line {line_no}: class count must be at least 1")
+            if pkg in packages:
+                raise CorpusError(f"line {line_no}: duplicate package {pkg!r}")
+            packages[pkg] = count
         apps.append(AppRecord(app_id=app_id, dex_size_bytes=dex_size, packages=packages))
     return Corpus(apps=apps)
 
@@ -118,23 +121,16 @@ def write_corpus(corpus: Corpus, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def is_obfuscated_package(path: str, single_letter_range: bool = False) -> bool:
-    """A package is considered obfuscated when any segment is one character.
-
-    With ``single_letter_range`` only letters a through p count (the typical
-    minifier alphabet); off by default.
-    """
-    for segment in path.split("."):
-        if len(segment) == 1:
-            if not single_letter_range or "a" <= segment <= "p":
-                return True
-    return False
+def is_obfuscated_package(path: str) -> bool:
+    """A package is considered obfuscated when any segment is one character."""
+    return any(len(segment) == 1 for segment in path.split("."))
 
 
-def _prefix(path: str, depth: int) -> str | None:
-    """First ``depth`` segments, or None when the path is too shallow."""
+def _shared_key(path: str, depth: int) -> str | None:
+    """First ``depth`` segments of a package, or None when it can never
+    match across apps (obfuscated, or shallower than ``depth``)."""
     segments = path.split(".")
-    if len(segments) < depth:
+    if len(segments) < depth or is_obfuscated_package(path):
         return None
     return ".".join(segments[:depth])
 
@@ -153,49 +149,76 @@ class OverlapReport:
     storage_savings: float
 
 
-def _shared_prefixes(corpus: Corpus, depth: int) -> dict[str, list[str]]:
-    """Prefix -> sorted app ids containing it (only prefixes in 2+ apps)."""
-    holders: dict[str, set[str]] = {}
+@dataclass
+class _Tally:
+    """One app: bytes per class, classes no other app shares, count per key."""
+
+    app: AppRecord
+    class_size: float
+    unique: int
+    by_key: dict[str, int]
+
+
+def _overlap(corpus: Corpus, depth: int) -> tuple[list[_Tally], dict[str, list[str]]]:
+    """Classify every package once. Returns one tally per app (corpus
+    order) and the keys held by two or more apps, in key order, each with
+    its sorted holder ids."""
+    if depth < 1:
+        raise CorpusError("prefix depth must be at least 1")
+    if not corpus.apps:
+        raise CorpusError("corpus holds no apps")
+    rows: list[tuple[AppRecord, int, dict[str, int]]] = []
+    holders: dict[str, list[str]] = {}
     for app in corpus.apps:
-        for pkg in app.packages:
-            if is_obfuscated_package(pkg):
-                continue
-            pre = _prefix(pkg, depth)
-            if pre is None:
-                continue
-            holders.setdefault(pre, set()).add(app.app_id)
-    return {p: sorted(a) for p, a in sorted(holders.items()) if len(a) >= 2}
+        private = 0
+        by_key: dict[str, int] = {}
+        for pkg, count in app.packages.items():
+            key = _shared_key(pkg, depth)
+            if key is None:
+                private += count
+            elif key in by_key:
+                by_key[key] += count
+            else:
+                by_key[key] = count
+                holders.setdefault(key, []).append(app.app_id)
+        rows.append((app, private, by_key))
+    shared = {k: sorted(h) for k, h in sorted(holders.items()) if len(h) >= 2}
+    tallies = []
+    for app, private, by_key in rows:
+        unique = private + sum(c for k, c in by_key.items() if k not in shared)
+        tallies.append(_Tally(app, app.per_class_size(), unique, by_key))
+    return tallies, shared
+
+
+def _savings(tallies: list[_Tally], shared: dict[str, list[str]]) -> float:
+    naive = float(sum(t.app.dex_size_bytes for t in tallies))
+    if naive == 0.0:
+        return 0.0
+    dedup = 0.0
+    for tally in tallies:
+        dedup += tally.unique * tally.class_size
+    by_id = {t.app.app_id: t for t in tallies}
+    for key, ids in shared.items():
+        # Largest per-class size wins, then larger count; max() keeps the
+        # first (smallest id) of remaining ties since holders are sorted.
+        keeper = max((by_id[a] for a in ids), key=lambda t: (t.class_size, t.by_key[key]))
+        dedup += keeper.by_key[key] * keeper.class_size
+    saving = 1.0 - dedup / naive
+    return saving if saving > 0.0 else 0.0
 
 
 def unique_class_fraction(corpus: Corpus, depth: int) -> OverlapReport:
     """Percentage of each app's classes that no other app shares at
     prefix depth N, plus the corpus storage savings at that depth."""
-    if depth < 1:
-        raise CorpusError("prefix depth must be at least 1")
-    if not corpus.apps:
-        raise CorpusError("corpus holds no apps")
-    shared = _shared_prefixes(corpus, depth)
-    per_app: dict[str, float] = {}
-    for app in corpus.apps:
-        total = app.total_classes()
-        if total == 0:
-            per_app[app.app_id] = 100.0
-            continue
-        unique = 0
-        for pkg, count in app.packages.items():
-            pre = None
-            if not is_obfuscated_package(pkg):
-                pre = _prefix(pkg, depth)
-            if pre is None or pre not in shared:
-                unique += count
-        per_app[app.app_id] = 100.0 * unique / total
+    tallies, shared = _overlap(corpus, depth)
+    per_app = {t.app.app_id: 100.0 * t.unique / t.app.total_classes() for t in tallies}
     values = list(per_app.values())
     return OverlapReport(
         depth=depth,
         per_app_unique_fraction=per_app,
         mean_unique_fraction=statistics.fmean(values),
         median_unique_fraction=statistics.median(values),
-        storage_savings=storage_savings(corpus, depth),
+        storage_savings=_savings(tallies, shared),
     )
 
 
@@ -207,39 +230,7 @@ def storage_savings(corpus: Corpus, depth: int) -> float:
     at the holder with the largest per-class size (ties prefer the larger
     class count, then the smallest app id).
     """
-    if depth < 1:
-        raise CorpusError("prefix depth must be at least 1")
-    if not corpus.apps:
-        raise CorpusError("corpus holds no apps")
-    sizes = {app.app_id: app.per_class_size() for app in corpus.apps}
-    naive = float(sum(app.dex_size_bytes for app in corpus.apps))
-    if naive == 0.0:
-        return 0.0
-    shared = _shared_prefixes(corpus, depth)
-
-    dedup = 0.0
-    shared_counts: dict[tuple[str, str], int] = {}
-    for app in corpus.apps:
-        unique_classes = 0
-        for pkg, count in app.packages.items():
-            pre = None
-            if not is_obfuscated_package(pkg):
-                pre = _prefix(pkg, depth)
-            if pre is not None and pre in shared:
-                key = (pre, app.app_id)
-                shared_counts[key] = shared_counts.get(key, 0) + count
-            else:
-                unique_classes += count
-        dedup += unique_classes * sizes[app.app_id]
-    for pre, holders in shared.items():
-        # Largest per-class size wins, then larger count; max() keeps the
-        # first (smallest id) of remaining ties since holders are sorted.
-        best_id = max(
-            holders, key=lambda a: (sizes[a], shared_counts.get((pre, a), 0))
-        )
-        dedup += shared_counts.get((pre, best_id), 0) * sizes[best_id]
-    saving = 1.0 - dedup / naive
-    return saving if saving > 0.0 else 0.0
+    return _savings(*_overlap(corpus, depth))
 
 
 #: Library paths used when synth_corpus gets no explicit pool.

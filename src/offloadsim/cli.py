@@ -15,7 +15,6 @@ All outputs are byte-deterministic for identical arguments and inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,7 +23,7 @@ from . import appstats as appstats_mod
 from . import decision as decision_mod
 from . import partition as partition_mod
 from . import simulator as simulator_mod
-from .simulator import ConfigError
+from .simulator import ConfigError, _dump_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -116,12 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def _emit(payload: dict, out: Path | None, artifacts: list[Path]) -> None:
-    text = _dump(payload)
+    text = _dump_json(payload)
     if out is None:
         sys.stdout.write(text)
     else:

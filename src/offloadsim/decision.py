@@ -224,6 +224,14 @@ class OffloadVerdict:
         }
 
 
+def _class_verdict(
+    graph: CallGraph, name: str, members: set[str], cond: NetworkConditions, model: EnergyModel
+) -> dict[str, bool]:
+    """Both gates for one class offloaded together with ``members``."""
+    prof = build_class_profile(graph, name, members)
+    return {"time": class_valid_time(prof, cond), "energy": class_valid_energy(prof, cond, model)}
+
+
 def _evaluate_pset(
     graph: CallGraph,
     pset: PartitionSet,
@@ -240,11 +248,8 @@ def _evaluate_pset(
         members = set(cluster)
         cluster_ok = True
         for name in cluster:
-            prof = build_class_profile(graph, name, members)
-            tv = class_valid_time(prof, cond)
-            ev = class_valid_energy(prof, cond, model)
-            validity[name] = {"time": tv, "energy": ev}
-            if not (tv and ev):
+            verdict = validity[name] = _class_verdict(graph, name, members, cond, model)
+            if not (verdict["time"] and verdict["energy"]):
                 cluster_ok = False
         if cluster_ok:
             surviving.append(cluster)
@@ -294,11 +299,8 @@ def select_partition(
         node = graph.vertices[name]
         if PINNED_TAG in node.tags:
             continue
-        prof = build_class_profile(graph, name, {name})
-        tv = class_valid_time(prof, cond)
-        ev = class_valid_energy(prof, cond, model)
-        validity[name] = {"time": tv, "energy": ev}
-        if tv and ev:
+        verdict = validity[name] = _class_verdict(graph, name, {name}, cond, model)
+        if verdict["time"] and verdict["energy"]:
             chosen.append(name)
     if chosen:
         return OffloadVerdict(

@@ -354,7 +354,12 @@ class PartitionSet:
     offloadable: list[bool]
 
 
-def _partition_set(graph: CallGraph, clusters: list[list[str]]) -> PartitionSet:
+def _partition_set(
+    graph: CallGraph, clusters: list[list[str]], total: float | None = None
+) -> PartitionSet:
+    """``total`` is ``graph.total_weight()`` when the caller has it already."""
+    if total is None:
+        total = graph.total_weight()
     offloadable = [
         all(PINNED_TAG not in graph.vertices[v].tags for v in cluster)
         for cluster in clusters
@@ -362,7 +367,7 @@ def _partition_set(graph: CallGraph, clusters: list[list[str]]) -> PartitionSet:
     return PartitionSet(
         n_clusters=len(clusters),
         clusters=clusters,
-        modularity=modularity(graph, clusters),
+        modularity=_modularity(graph, clusters, total),
         offloadable=offloadable,
     )
 
@@ -434,6 +439,10 @@ def girvan_newman(
 
 def modularity(graph: CallGraph, clusters) -> float:
     """Weighted Newman modularity of a full partition of the vertices."""
+    return _modularity(graph, clusters, graph.total_weight())
+
+
+def _modularity(graph: CallGraph, clusters, total: float) -> float:
     names = set(graph.vertices)
     assigned: dict[str, int] = {}
     for ci, cluster in enumerate(clusters):
@@ -446,7 +455,6 @@ def modularity(graph: CallGraph, clusters) -> float:
     if len(assigned) != len(names):
         missing = sorted(names - assigned.keys())
         raise CallGraphError(f"partition does not cover class(es) {missing}")
-    total = graph.total_weight()
     if total == 0.0:
         return 0.0
     q = 0.0
@@ -476,7 +484,7 @@ def louvain_optimal(graph: CallGraph, min_gain: float = 1e-12) -> PartitionSet:
         raise CallGraphError("cannot partition an empty graph")
     total = graph.total_weight()
     if total == 0.0:
-        return _partition_set(graph, [[v] for v in names])
+        return _partition_set(graph, [[v] for v in names], total)
     w2 = 2.0 * total
 
     # Index-space working copy; aggregation introduces self-loops.
@@ -554,7 +562,7 @@ def louvain_optimal(graph: CallGraph, min_gain: float = 1e-12) -> PartitionSet:
     for v, c in zip(names, membership):
         groups.setdefault(c, []).append(v)
     clusters = sorted((sorted(g) for g in groups.values()), key=lambda c: c[0])
-    return _partition_set(graph, clusters)
+    return _partition_set(graph, clusters, total)
 
 
 def enumerate_partition_sets(
@@ -572,12 +580,13 @@ def enumerate_partition_sets(
     if natural is None:
         natural = louvain_optimal(graph).n_clusters
     upper = min(natural, len(graph.vertices))
+    total = graph.total_weight()
     sets: list[PartitionSet] = []
     n = 2
     for comps in _divisive_pass(graph, weighted):
         while n <= min(len(comps), upper):
             # Sets share no lists, even where N repeats one component list.
-            sets.append(_partition_set(graph, [list(c) for c in comps]))
+            sets.append(_partition_set(graph, [list(c) for c in comps], total))
             n += 1
         if n > upper:
             break

@@ -12,7 +12,9 @@ offloadsim.
 * the decision gates' method frequencies and time/energy verdicts for each
   class of those graphs, given random float invocation counts, and the
   RTT estimate of random float latency windows,
-* popularity shares and catalog means of random float service catalogs.
+* popularity shares and catalog means of random float service catalogs,
+* the mean and median unique-class fraction and the storage savings of
+  synthetic app corpora at prefix depths 2 to 4.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import random
 
 from offloadsim import decision
+from offloadsim.appstats import synth_corpus, unique_class_fraction
 from offloadsim.partition import CallGraph, ClassNode, MethodProfile, louvain_optimal, modularity
 from offloadsim.simulator import PRESETS, STRATEGIES, run_scenario
 from offloadsim.workload import ServiceSpec, catalog_means, popularity
@@ -121,8 +124,26 @@ def catalog_values() -> dict[str, str]:
     return out
 
 
+def corpus_values() -> dict[str, str]:
+    out = {}
+    for seed in range(4):
+        corpus = synth_corpus(30, seed=seed).corpus
+        for depth in (2, 3, 4):
+            report = unique_class_fraction(corpus, depth)
+            out[f"unique_mean|{seed}|{depth}"] = repr(report.mean_unique_fraction)
+            out[f"unique_median|{seed}|{depth}"] = repr(report.median_unique_fraction)
+            out[f"savings|{seed}|{depth}"] = repr(report.storage_savings)
+    return out
+
+
 def values() -> dict[str, str]:
-    return {**tau_values(), **modularity_values(), **decision_values(), **catalog_values()}
+    return {
+        **tau_values(),
+        **modularity_values(),
+        **decision_values(),
+        **catalog_values(),
+        **corpus_values(),
+    }
 
 
 if __name__ == "__main__":

@@ -1,12 +1,20 @@
-"""Corpus overlap statistics: obfuscation filter, unique fractions, dedup savings."""
+"""Corpus overlap statistics: obfuscation filter, unique fractions, dedup
+savings, and generated corpora checked against a multi-pass reference."""
+
+import statistics
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offloadsim.appstats import (
     AppRecord,
     Corpus,
     CorpusError,
     LibrarySpec,
+    OverlapReport,
     is_obfuscated_package,
     parse_corpus,
     storage_savings,
@@ -14,6 +22,83 @@ from offloadsim.appstats import (
     unique_class_fraction,
     write_corpus,
 )
+
+
+def reference_shared_prefixes(corpus, depth):
+    """Prefix -> sorted app ids containing it (only prefixes in 2+ apps)."""
+    holders = {}
+    for app in corpus.apps:
+        for pkg in app.packages:
+            pre = reference_prefix(pkg, depth)
+            if pre is not None:
+                holders.setdefault(pre, set()).add(app.app_id)
+    return {p: sorted(a) for p, a in sorted(holders.items()) if len(a) >= 2}
+
+
+def reference_prefix(pkg, depth):
+    """First ``depth`` segments, or None for an obfuscated or too shallow path."""
+    segments = pkg.split(".")
+    if any(len(s) == 1 for s in segments) or len(segments) < depth:
+        return None
+    return ".".join(segments[:depth])
+
+
+def reference_storage_savings(corpus, depth):
+    """The savings as a separate pass of its own: validate, find the shared
+    prefixes, then classify every package again while pricing it."""
+    if depth < 1:
+        raise CorpusError("prefix depth must be at least 1")
+    if not corpus.apps:
+        raise CorpusError("corpus holds no apps")
+    sizes = {app.app_id: app.per_class_size() for app in corpus.apps}
+    naive = float(sum(app.dex_size_bytes for app in corpus.apps))
+    if naive == 0.0:
+        return 0.0
+    shared = reference_shared_prefixes(corpus, depth)
+    dedup = 0.0
+    shared_counts = {}
+    for app in corpus.apps:
+        unique_classes = 0
+        for pkg, count in app.packages.items():
+            pre = reference_prefix(pkg, depth)
+            if pre is not None and pre in shared:
+                key = (pre, app.app_id)
+                shared_counts[key] = shared_counts.get(key, 0) + count
+            else:
+                unique_classes += count
+        dedup += unique_classes * sizes[app.app_id]
+    for pre, holders in shared.items():
+        best_id = max(holders, key=lambda a: (sizes[a], shared_counts.get((pre, a), 0)))
+        dedup += shared_counts.get((pre, best_id), 0) * sizes[best_id]
+    saving = 1.0 - dedup / naive
+    return saving if saving > 0.0 else 0.0
+
+
+def reference_unique_class_fraction(corpus, depth):
+    """The report as the multi-pass original computed it: shared prefixes
+    first, every package classified again per app, and the savings from a
+    pass of their own."""
+    if depth < 1:
+        raise CorpusError("prefix depth must be at least 1")
+    if not corpus.apps:
+        raise CorpusError("corpus holds no apps")
+    shared = reference_shared_prefixes(corpus, depth)
+    per_app = {}
+    for app in corpus.apps:
+        unique = 0
+        for pkg, count in app.packages.items():
+            pre = reference_prefix(pkg, depth)
+            if pre is None or pre not in shared:
+                unique += count
+        per_app[app.app_id] = 100.0 * unique / app.total_classes()
+    values = list(per_app.values())
+    return OverlapReport(
+        depth=depth,
+        per_app_unique_fraction=per_app,
+        mean_unique_fraction=statistics.fmean(values),
+        median_unique_fraction=statistics.median(values),
+        storage_savings=reference_storage_savings(corpus, depth),
+    )
 
 
 def savings_by_hand(corpus, depth):
@@ -65,11 +150,6 @@ class TestObfuscationFilter:
 
     def test_one_short_segment_is_enough(self):
         assert is_obfuscated_package("com.a.analytics")
-
-    def test_range_restriction_spares_late_letters(self):
-        assert is_obfuscated_package("q.core.impl")
-        assert not is_obfuscated_package("q.core.impl", single_letter_range=True)
-        assert is_obfuscated_package("a.core.impl", single_letter_range=True)
 
 
 class TestUniqueFractions:
@@ -295,6 +375,92 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="duplicate app id"):
             parse_corpus(text)
 
+    def test_app_without_packages_names_the_line(self, tmp_path):
+        corpus = make_corpus(("full", 100, {"com.one.app": 1}), ("hollow", 100, {}))
+        path = tmp_path / "corpus.tsv"
+        write_corpus(corpus, path)
+        assert path.read_text().splitlines()[1] == "hollow\t100\t"
+        with pytest.raises(CorpusError, match="line 2: app 'hollow' declares no classes"):
+            parse_corpus(path)
+
     def test_missing_file_reports_the_path(self, tmp_path):
         with pytest.raises(CorpusError, match="cannot read"):
             parse_corpus(tmp_path / "absent.tsv")
+
+
+# Segments chosen so that generated packages collide: one app often holds
+# several packages under one key, keys recur across apps, and one-letter
+# segments mark some packages obfuscated.
+SEGMENTS = ["com", "org", "lib", "core", "util", "net", "a", "q"]
+
+
+@st.composite
+def corpora(draw, min_apps=1):
+    """Up to 7 apps with shuffled ids; per-class sizes drawn from a short
+    list so that size ties occur, zero-byte apps included."""
+    ids = draw(st.permutations([f"app{i}" for i in range(7)]))
+    n_apps = draw(st.integers(min_apps, 7))
+    apps = []
+    for app_id in ids[:n_apps]:
+        paths = draw(
+            st.lists(
+                st.lists(st.sampled_from(SEGMENTS), min_size=1, max_size=7).map(".".join),
+                min_size=1,
+                max_size=6,
+                unique=True,
+            )
+        )
+        packages = {p: draw(st.integers(1, 12)) for p in paths}
+        per_class = draw(st.sampled_from([0, 0, 100, 100, 250, 333]))
+        size = sum(packages.values()) * per_class + draw(st.sampled_from([0, 0, 7]))
+        apps.append(AppRecord(app_id=app_id, dex_size_bytes=size, packages=packages))
+    return Corpus(apps=apps)
+
+
+class TestGeneratedCorpora:
+    @settings(max_examples=300, deadline=None)
+    @given(corpora(), st.integers(1, 6))
+    def test_one_pass_matches_the_multi_pass_reference(self, corpus, depth):
+        got = unique_class_fraction(corpus, depth)
+        want = reference_unique_class_fraction(corpus, depth)
+        assert got.depth == want.depth
+        assert list(got.per_app_unique_fraction.items()) == list(
+            want.per_app_unique_fraction.items()
+        )
+        assert got.mean_unique_fraction == want.mean_unique_fraction
+        assert got.median_unique_fraction == want.median_unique_fraction
+        assert got.storage_savings == want.storage_savings
+        assert storage_savings(corpus, depth) == want.storage_savings
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpora(), st.integers(1, 6))
+    def test_fractions_and_savings_stay_in_range(self, corpus, depth):
+        report = unique_class_fraction(corpus, depth)
+        values = report.per_app_unique_fraction.values()
+        assert all(0.0 <= v <= 100.0 for v in values)
+        assert 0.0 <= report.mean_unique_fraction <= 100.0
+        assert 0.0 <= report.median_unique_fraction <= 100.0
+        assert 0.0 <= report.storage_savings <= 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpora())
+    def test_write_then_parse_round_trips(self, corpus):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.tsv"
+            write_corpus(corpus, path)
+            assert parse_corpus(path).apps == corpus.apps
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpora(), st.integers(1, 6), st.data())
+    def test_zero_class_app_is_rejected(self, corpus, depth, data):
+        at = data.draw(st.integers(0, len(corpus.apps)))
+        corpus.apps.insert(at, AppRecord(app_id="hollow", dex_size_bytes=100, packages={}))
+        with pytest.raises(CorpusError, match="zero classes"):
+            unique_class_fraction(corpus, depth)
+        with pytest.raises(CorpusError, match="zero classes"):
+            storage_savings(corpus, depth)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.tsv"
+            write_corpus(corpus, path)
+            with pytest.raises(CorpusError, match=f"line {at + 1}: app 'hollow' declares no"):
+                parse_corpus(path)
