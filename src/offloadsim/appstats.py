@@ -25,7 +25,7 @@ import random
 import statistics
 from dataclasses import dataclass, field
 
-from .partition import _read_text
+from .partition import _read_text, _write_text
 
 
 class CorpusError(ValueError):
@@ -117,8 +117,7 @@ def write_corpus(corpus: Corpus, path) -> None:
     for app in corpus.apps:
         pkgs = ";".join(f"{p}={c}" for p, c in sorted(app.packages.items()))
         lines.append(f"{app.app_id}\t{app.dex_size_bytes}\t{pkgs}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def is_obfuscated_package(path: str) -> bool:

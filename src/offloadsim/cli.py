@@ -23,6 +23,7 @@ from . import appstats as appstats_mod
 from . import decision as decision_mod
 from . import partition as partition_mod
 from . import simulator as simulator_mod
+from .partition import _write_text
 from .simulator import ConfigError, _dump_json
 
 EXIT_OK = 0
@@ -121,7 +122,7 @@ def _emit(payload: dict, out: Path | None, artifacts: list[Path]) -> None:
         sys.stdout.write(text)
     else:
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+        _write_text(out, text)
         artifacts.append(out)
 
 

@@ -145,6 +145,13 @@ def _read_text(source, what: str, error: type[ValueError]) -> str:
     raise error(f"{what} must be a Path or text, not {type(source).__name__}")
 
 
+def _write_text(path, text: str) -> None:
+    """Text output for every writer: UTF-8 with ``\\n`` line ends whatever
+    the locale and platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _load_json(source, what: str, error: type[ValueError] = CallGraphError):
     """Parse JSON input read by ``_read_text``."""
     try:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 import statistics
 from collections import deque
@@ -43,7 +44,7 @@ from .control import (
     decide_threshold,
     passive_overflow,
 )
-from .partition import _left_sum, _load_json, _non_negative, _positive
+from .partition import _left_sum, _load_json, _non_negative, _positive, _write_text
 from .topology import NodeSpec, Topology, generate_topology, load_topology
 from .workload import (
     JitterSpec,
@@ -228,8 +229,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     horizon = cfg.horizon_s
     warmup = cfg.resolved_warmup()
     proactive = strategy == "proactive"
-    # Only proactive forwarding spends TTL; the default TTL needs the hop
-    # diameter, which is costly on large topologies.
+    # Only proactive forwarding spends TTL; the default TTL is twice the hop
+    # diameter, which the topology computes once and keeps.
     ttl0 = cfg.resolved_ttl() if proactive else None
     server_executes = cfg.server_executes
     fwd_enabled = cfg.proactive_forwarding
@@ -577,6 +578,61 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# How the json module spells the float reprs that are not JSON numbers.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values: list[float]) -> list[str]:
+    """Each value as the json module writes it: float.__repr__, except NaN
+    and the infinities."""
+    if math.isfinite(sum(values)):
+        return list(map(repr, values))
+    return [_JSON_NONFINITE.get(text, text) for text in map(repr, values)]
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """Item texts laid out as ``json.dumps(indent=2)`` lays out a list that
+    starts on a line indented by ``indent``."""
+    if not items:
+        return "[]"
+    sep = "\n" + indent + "  "
+    return "[" + sep + ("," + sep).join(items) + "\n" + indent + "]"
+
+
+def _series_json(m: RunMetrics) -> str:
+    """The run series, byte for byte ``_dump_json`` of ``{"node_ids": ...,
+    "samples": [{"time_ms": t, "loads": row}, ...]}``, written directly:
+    the json module's indenting encoder is pure Python and costs a few
+    times more on a series of 40k loads."""
+    samples = [
+        '{\n      "loads": '
+        + _json_array(_json_floats(row), "      ")
+        + ',\n      "time_ms": '
+        + t
+        + "\n    }"
+        for t, row in zip(_json_floats(m.sample_times_ms), m.sample_loads)
+    ]
+    return (
+        '{\n  "node_ids": '
+        + _json_array(list(map(repr, m.sample_node_ids)), "  ")
+        + ',\n  "samples": '
+        + _json_array(samples, "  ")
+        + "\n}\n"
+    )
+
+
+def _series_csv(m: RunMetrics) -> str:
+    """The run series, byte for byte what ``csv.writer(lineterminator="\\n")``
+    writes for the header and one ``[repr(t), node_id, repr(load)]`` row per
+    sample and node: no float repr or int needs quoting."""
+    out = ["time_ms,node_id,normalized_load\n"]
+    ids = [f",{nid}," for nid in m.sample_node_ids]
+    for t, row in zip(m.sample_times_ms, m.sample_loads):
+        t_text = repr(t)
+        out.append("".join([f"{t_text}{nid}{load!r}\n" for nid, load in zip(ids, row)]))
+    return "".join(out)
+
+
 def export_metrics(metrics: RunMetrics, fmt: str, dest_dir, prefix: str = "run") -> list[Path]:
     """Write <prefix>_summary and <prefix>_series files; returns the paths.
 
@@ -590,15 +646,8 @@ def export_metrics(metrics: RunMetrics, fmt: str, dest_dir, prefix: str = "run")
     series_path = dest / f"{prefix}_series.{fmt}"
 
     if fmt == "json":
-        summary_path.write_text(_dump_json(_summary_dict(metrics)))
-        series = {
-            "node_ids": metrics.sample_node_ids,
-            "samples": [
-                {"time_ms": t, "loads": row}
-                for t, row in zip(metrics.sample_times_ms, metrics.sample_loads)
-            ],
-        }
-        series_path.write_text(_dump_json(series))
+        _write_text(summary_path, _dump_json(_summary_dict(metrics)))
+        _write_text(series_path, _series_json(metrics))
     else:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -610,15 +659,8 @@ def export_metrics(metrics: RunMetrics, fmt: str, dest_dir, prefix: str = "run")
         summary = _summary_dict(metrics)
         w.writerow(keys)
         w.writerow([repr(summary[k]) if isinstance(summary[k], float) else summary[k] for k in keys])
-        summary_path.write_text(buf.getvalue())
-
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["time_ms", "node_id", "normalized_load"])
-        for t, row in zip(metrics.sample_times_ms, metrics.sample_loads):
-            for nid, load in zip(metrics.sample_node_ids, row):
-                w.writerow([repr(t), nid, repr(load)])
-        series_path.write_text(buf.getvalue())
+        _write_text(summary_path, buf.getvalue())
+        _write_text(series_path, _series_csv(metrics))
     return [summary_path, series_path]
 
 
@@ -631,7 +673,7 @@ def export_batch(runs: list[RunMetrics], dest_dir, prefix: str = "batch") -> Pat
         "per_seed": [_summary_dict(r) for r in runs],
     }
     out = dest / f"{prefix}_summary.json"
-    out.write_text(_dump_json(payload))
+    _write_text(out, _dump_json(payload))
     return out
 
 

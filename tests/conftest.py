@@ -1,4 +1,9 @@
-"""Shared fixtures and small builders used across the test modules."""
+"""Shared fixtures and small builders used across the test modules, and
+the reference implementations that the fast paths are checked against."""
+
+import csv
+import io
+import json
 
 import pytest
 
@@ -50,3 +55,44 @@ def route_to_server(topo, node_id):
         assert nxt is not None and nxt not in path, f"route {path} continues to {nxt}"
         path.append(nxt)
     return path
+
+
+def reference_hop_diameter(topo):
+    """Longest shortest path in hops by a dict BFS from every node: the
+    oracle for ``Topology.hop_diameter``."""
+    best = 0
+    for src in topo.nodes:
+        depth = {src: 0}
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in topo.adj[u]:
+                    if v not in depth:
+                        depth[v] = depth[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        best = max(best, max(depth.values()))
+    return best
+
+
+def reference_series_json(m):
+    """A run's ``<prefix>_series.json`` text through the json module."""
+    series = {
+        "node_ids": m.sample_node_ids,
+        "samples": [
+            {"time_ms": t, "loads": row} for t, row in zip(m.sample_times_ms, m.sample_loads)
+        ],
+    }
+    return json.dumps(series, sort_keys=True, indent=2) + "\n"
+
+
+def reference_series_csv(m):
+    """A run's ``<prefix>_series.csv`` text through the csv module."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["time_ms", "node_id", "normalized_load"])
+    for t, row in zip(m.sample_times_ms, m.sample_loads):
+        for nid, load in zip(m.sample_node_ids, row):
+            w.writerow([repr(t), nid, repr(load)])
+    return buf.getvalue()

@@ -1,11 +1,14 @@
 """End-to-end command-line checks through ``python -m offloadsim``."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import offloadsim
 from offloadsim.topology import generate_topology
 
 from conftest import route_to_server
@@ -287,3 +290,51 @@ class TestParserBasics:
 
     def test_unknown_subcommand_is_a_usage_error(self):
         assert run_cli("frobnicate").returncode == 2
+
+
+# Exports a fig3 run whose seed is "cafe" with an acute e (escaped, so the
+# script itself stays ASCII under any locale), a batch summary, and an
+# appstats report through the CLI's --out.
+WRITERS_SCRIPT = """
+import dataclasses, sys
+from pathlib import Path
+from offloadsim import cli, simulator as sim
+out = Path(sys.argv[1])
+m = sim.run_scenario(dataclasses.replace(sim.preset_fig3(), seed="caf\\u00e9", horizon_s=0.02))
+for fmt in ("csv", "json"):
+    sim.export_metrics(m, fmt, out)
+sim.export_batch([m], out)
+argv = ["appstats", "--corpus", sys.argv[2], "--depth", "2", "--out", str(out / "appstats.json")]
+sys.exit(cli.dispatch(argv).exit_code)
+"""
+
+
+class TestOutputEncoding:
+    def run_writers(self, out, corpus, **env):
+        full_env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIO"))}
+        full_env.update(env, PYTHONPATH=str(Path(offloadsim.__file__).parent.parent))
+        res = subprocess.run(
+            [sys.executable, "-c", WRITERS_SCRIPT, str(out), str(corpus)],
+            capture_output=True,
+            text=True,
+            env=full_env,
+        )
+        assert res.returncode == 0, res.stderr
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_files_are_utf8_with_newlines_under_an_ascii_locale(self, tmp_path, inputs):
+        utf8 = self.run_writers(tmp_path / "utf8", inputs / "corpus.tsv", PYTHONUTF8="1")
+        ascii_locale = self.run_writers(
+            tmp_path / "c",
+            inputs / "corpus.tsv",
+            PYTHONCOERCECLOCALE="0",
+            PYTHONUTF8="0",
+            LC_ALL="C",
+        )
+        assert sorted(utf8) == [
+            "appstats.json", "batch_summary.json", "run_series.csv", "run_series.json",
+            "run_summary.csv", "run_summary.json",
+        ]
+        assert ascii_locale == utf8
+        assert "café".encode() in utf8["run_summary.csv"]
+        assert all(b"\r" not in data for data in utf8.values())

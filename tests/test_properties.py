@@ -1,16 +1,20 @@
 """Generated scenarios: every run terminates, conserves requests, gives
-finite metrics, and repeats bit for bit under one seed.
+finite metrics, repeats bit for bit under one seed, and exports the bytes
+of the json and csv modules.
 
 Topologies are small lines, grids, trees and scale-free graphs with random
 relay flags and per-link delays of 0 ms or more; scenarios vary the
 strategy, ``server_executes``, ``proactive_forwarding``, the TTL and the
-gossip period.
+gossip period. The fast paths are checked against their references in
+``conftest``: the bit-parallel hop diameter against a BFS from every node,
+and the series emitters against ``json.dumps`` and ``csv.writer``.
 """
 
 import contextlib
 import dataclasses
 import math
 import signal
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +23,12 @@ from offloadsim import simulator as sim
 from offloadsim import topology as tp
 from offloadsim.workload import ServiceSpec
 
-from conftest import route_to_server
+from conftest import (
+    reference_hop_diameter,
+    reference_series_csv,
+    reference_series_json,
+    route_to_server,
+)
 
 DELAYS_MS = [0.0, 0.0, 0.5, 1.0, 3.0]
 
@@ -95,3 +104,89 @@ def test_generated_scenarios_terminate_conserve_and_repeat(cfg):
         assert math.isfinite(value) and value >= 0.0
     assert m.psi <= 1.0
     assert m == again
+    with tempfile.TemporaryDirectory() as out:
+        _, csv_series = sim.export_metrics(m, "csv", out)
+        _, json_series = sim.export_metrics(m, "json", out)
+        assert csv_series.read_bytes() == reference_series_csv(m).encode()
+        assert json_series.read_bytes() == reference_series_json(m).encode()
+
+
+@st.composite
+def shaped_topologies(draw):
+    """Generated lines up to 300 nodes, grids and trees, with unit or
+    zero-delay links."""
+    kind = draw(st.sampled_from(["line", "grid", "tree"]))
+    if kind == "line":
+        params = {"n": draw(st.integers(1, 300))}
+    elif kind == "grid":
+        params = {"width": draw(st.integers(1, 12)), "height": draw(st.integers(2, 12))}
+    else:
+        params = {"branching": draw(st.integers(1, 3)), "depth": draw(st.integers(0, 5))}
+    params["delay_ms"] = draw(st.sampled_from([0.0, 1.0]))
+    return tp.generate_topology(kind, params)
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree plus random extra links, any node the server,
+    one node upward."""
+    n = draw(st.integers(1, 40))
+    links = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        if u != v:
+            links.add((min(u, v), max(u, v)))
+    nodes = [tp.NodeSpec(i, 1.0, 1.0, is_access_point=i == 0) for i in range(n)]
+    edges = [(u, v, draw(st.sampled_from(DELAYS_MS))) for u, v in sorted(links)]
+    return tp.Topology(nodes, edges, draw(st.integers(0, n - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(topologies(), shaped_topologies(), connected_graphs()))
+def test_hop_diameter_matches_the_bfs_oracle(topo):
+    assert topo.hop_diameter() == reference_hop_diameter(topo)
+
+
+SPECIAL_FLOATS = [0.0, 3.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308]
+
+
+def series_metrics(node_ids, times_ms, loads):
+    """A RunMetrics carrying only a load series."""
+    return sim.RunMetrics(
+        strategy="none", seed=0, tau=0.0, phi_ms=0.0, psi=0.0,
+        total_arrivals=0, executed=0, forwarded=0, dropped=0,
+        per_node_mean_load={}, per_node_executed={},
+        gross_arrivals=0, gross_executed=0, gross_dropped=0,
+        sample_node_ids=node_ids, sample_times_ms=times_ms, sample_loads=loads,
+    )
+
+
+@st.composite
+def series(draw):
+    node_ids = draw(st.lists(st.integers(-5, 10**6), unique=True, max_size=6))
+    value = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    times = draw(st.lists(value, max_size=5))
+    loads = [draw(st.lists(value, min_size=len(node_ids), max_size=len(node_ids))) for _ in times]
+    return series_metrics(node_ids, times, loads)
+
+
+def assert_emitters_match_the_references(m):
+    assert sim._series_json(m) == reference_series_json(m)
+    assert sim._series_csv(m) == reference_series_csv(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series())
+def test_series_emitters_match_the_json_and_csv_modules(m):
+    assert_emitters_match_the_references(m)
+
+
+def test_series_emitters_on_edge_series():
+    for node_ids, times, loads in [
+        ([], [], []),  # empty series without nodes
+        ([0, 1, 2], [], []),  # empty series
+        ([], [0.0, 1.0], [[], []]),  # empty node list
+        ([7], [2.5], [[0.5]]),  # one node
+        (list(range(6)), SPECIAL_FLOATS, [SPECIAL_FLOATS] * 6),
+        ([0, 1], [math.inf, -0.0], [[math.nan, -math.inf], [1e308, 1e308]]),
+    ]:
+        assert_emitters_match_the_references(series_metrics(node_ids, times, loads))

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from offloadsim import simulator as sim
+from offloadsim import topology as tp
 from offloadsim.topology import NodeSpec, Topology, generate_topology
 from offloadsim.workload import JitterSpec, ServiceSpec, _iter_arrival_tuples
 
@@ -166,6 +167,23 @@ def test_run_batch_sweeps_seeds():
     assert agg["tau"]["std"] >= 0.0
     assert agg["psi"]["mean"] == pytest.approx(
         sum(r.psi for r in runs) / 3)
+
+
+def test_hop_diameter_is_computed_once_per_topology(monkeypatch):
+    calls = []
+    diameter = tp._bit_parallel_diameter
+
+    def counted(adj):
+        calls.append(len(adj))
+        return diameter(adj)
+
+    monkeypatch.setattr(tp, "_bit_parallel_diameter", counted)
+    cfg = small_config(strategy="proactive", topology=line_topology(5), ttl=None)
+    runs = sim.run_batch(cfg, seeds=range(1, 6))
+    assert len(runs) == 5
+    assert calls == [5]
+    sim.run_scenario(small_config(strategy="none", topology=line_topology(6), ttl=None))
+    assert calls == [5]
 
 
 def test_export_json_roundtrips(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from offloadsim import topology as tp
 
-from conftest import line_topology, route_to_server
+from conftest import line_topology, reference_hop_diameter, route_to_server
 
 LINE4 = """\
 # c - n1 - n2 - s, unit delays
@@ -212,6 +212,27 @@ def test_relay_flag_roundtrip(tmp_path):
 def test_hop_diameter():
     assert line_topology(4).hop_diameter() == 3
     assert tp.generate_topology("grid", {"width": 3, "height": 3}).hop_diameter() == 4
+
+
+def test_one_node_has_diameter_zero():
+    lone = tp.Topology([tp.NodeSpec(5, 1.0, 1.0, is_access_point=True)], [], server_id=5)
+    assert lone.hop_diameter() == 0
+    assert tp.generate_topology("line", {"n": 1}).hop_diameter() == 0
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("scale_free", {"n": 400, "m": 2}),
+        ("scale_free", {"n": 1600, "m": 2}),
+        ("line", {"n": 1000}),
+        ("grid", {"width": 30, "height": 30}),
+        ("tree", {"branching": 2, "depth": 8}),
+    ],
+)
+def test_hop_diameter_matches_the_bfs_oracle_at_scale(kind, params):
+    topo = tp.generate_topology(kind, params, seed=1)
+    assert topo.hop_diameter() == reference_hop_diameter(topo)
 
 
 def test_zero_delay_line_routes_toward_the_server():
