@@ -170,10 +170,13 @@ def _cmd_simulate(args) -> CommandOutcome:
         formats = ("csv", "json") if args.format == "both" else (args.format,)
         for fmt in formats:
             artifacts.extend(simulator_mod.export_metrics(metrics, fmt, args.out))
-        sys.stdout.write(
+        line = (
             f"strategy={metrics.strategy} seed={metrics.seed} tau={metrics.tau!r} "
             f"phi_ms={metrics.phi_ms!r} psi={metrics.psi!r}\n"
         )
+        # Escape what stdout cannot encode (a string seed under the C locale).
+        encoding = sys.stdout.encoding or "utf-8"
+        sys.stdout.write(line.encode(encoding, "backslashreplace").decode(encoding))
     return CommandOutcome(EXIT_OK, artifacts)
 
 

@@ -15,18 +15,21 @@ incoming request:
 they differ only in the overflow decision a node takes at or above the
 threshold, which is fixed per node before a run (``DROP`` for ``none``,
 ``passive_overflow`` for ``passive``). Forward targets are whatever node
-ids the caller's tables use.
+ids the caller's feeds use.
 
-Load gossip reaches a node's ``NeighborLoadTable`` through ``apply``, the
-one place that decides whether an observation is stale.
+Load gossip is pulled: completions and heartbeats publish loads on
+``LoadFeed``s, one per link delay, and ``lightest_load_neighbor`` reads
+them when a node forwards, holding the one staleness rule.
 
-Decisions are pure functions of their inputs (the RNG draw is passed in),
+Decisions depend only on their inputs (the RNG draw is passed in),
 so the simulator, the CLI, and the tests share one code path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections import deque
+from dataclasses import dataclass
 from enum import Enum
 
 from .workload import EstimatorState
@@ -59,43 +62,51 @@ DROP = AdmissionDecision(Action.DROP)
 _FORWARDS: dict[int, AdmissionDecision] = {}
 
 
-@dataclass
-class NeighborLoadTable:
-    """Last known load per executor neighbor, with observation timestamps.
+class LoadFeed:
+    """Publications of one source over links of one delay. ``deliver(now)``
+    is the latest ``(published_at, value)`` landed by ``now`` (at first
+    ``(-inf, initial)``: 0.0, or all-zero loads for heartbeats). Each lands
+    at published_at + delay, in order as time only moves forward, and
+    whoever touches the feed first, reader or publisher, delivers for all."""
 
-    Entries are pre-seeded at load 0.0 so a fresh node has forwarding
-    candidates before any gossip arrives.
-    """
+    __slots__ = ("delay", "latest", "in_flight")
 
-    loads: dict[int, float] = field(default_factory=dict)
-    as_of: dict[int, float] = field(default_factory=dict)
+    def __init__(self, delay: float, initial=0.0):
+        self.delay = delay
+        self.latest = (-math.inf, initial)
+        self.in_flight: deque = deque()
 
-    @staticmethod
-    def seeded(neighbor_ids) -> "NeighborLoadTable":
-        t = NeighborLoadTable()
-        for nid in sorted(neighbor_ids):
-            t.loads[nid] = 0.0
-            t.as_of[nid] = 0.0
-        return t
+    def deliver(self, now: float) -> tuple:
+        in_flight = self.in_flight
+        while in_flight and in_flight[0][0] <= now:
+            self.latest = in_flight.popleft()[1]
+        return self.latest
 
-    def apply(self, sender: int, load: float, published_at: float) -> bool:
-        """Install a neighbor's load published at ``published_at``; an
-        unknown sender or an older observation than the one held loses."""
-        as_of = self.as_of.get(sender)
-        if as_of is None or published_at < as_of:
-            return False
-        self.loads[sender] = load
-        self.as_of[sender] = published_at
-        return True
+    def publish(self, now: float, value) -> None:
+        self.deliver(now)
+        self.in_flight.append((now + self.delay, (now, value)))
 
 
-def lightest_load_neighbor(table: NeighborLoadTable) -> int | None:
-    """Neighbor with the smallest known load (ties to the lowest id);
-    None signals an empty table (no forwarding candidates)."""
+def lightest_load_neighbor(neighbors: list[tuple], now: float) -> int | None:
+    """Neighbor with the smallest load visible at ``now`` (ties to the
+    lowest id) from ``(neighbor, completion feed, heartbeat feed)`` triples
+    in id order; None signals no forwarding candidates.
+
+    The one staleness rule: of a neighbour's latest delivered completion
+    (p) and heartbeat (h), the later wins. At h == p the heartbeat, which
+    ran after the completion, wins only over a link that delivers at once
+    (h + delay == h); otherwise both land together, heartbeats first."""
     best_id: int | None = None
     best_load = 0.0
-    for nid, load in table.loads.items():
-        if best_id is None or load < best_load or (load == best_load and nid < best_id):
+    for nid, sent, beats in neighbors:
+        # Skip the delivery pass when nothing has landed by now.
+        due = sent.in_flight
+        p, load = sent.deliver(now) if due and due[0][0] <= now else sent.latest
+        due = beats.in_flight
+        h, loads = beats.deliver(now) if due and due[0][0] <= now else beats.latest
+        if h > p or (h == p and h + beats.delay == h):
+            load = loads[nid]
+        if best_id is None or load < best_load:
             best_id = nid
             best_load = load
     return best_id
@@ -121,7 +132,8 @@ def passive_overflow(
 
 def decide_proactive(
     state: EstimatorState,
-    neighbors: NeighborLoadTable,
+    neighbors: list[tuple],
+    now: float,
     cpu_capacity: float,
     mem_capacity: float,
     rng_draw: float,
@@ -144,7 +156,7 @@ def decide_proactive(
         return _EXECUTE
     if not forwarding_enabled:
         return DROP
-    target = lightest_load_neighbor(neighbors)
+    target = lightest_load_neighbor(neighbors, now)
     if target is None:
         return decide_threshold(node_load, capacity_threshold, DROP)
     return AdmissionDecision.forward(target)
@@ -154,7 +166,7 @@ __all__ = [
     "DROP",
     "Action",
     "AdmissionDecision",
-    "NeighborLoadTable",
+    "LoadFeed",
     "decide_proactive",
     "decide_threshold",
     "lightest_load_neighbor",

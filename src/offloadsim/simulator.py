@@ -6,11 +6,17 @@ instantaneous normalized load is (sum of cpu costs of requests in system)
 divided by cpu capacity. Strategies decide per arrival whether to execute,
 drop, or forward (see ``control``).
 
-Event ordering is a strict total order: time, then kind rank (gossip
-deliveries before completions before arrivals before heartbeats before
-samples), then node id, then a global sequence number. Simultaneous events
-therefore replay identically for a given seed, and a scenario config plus
-seed fully determines every metric byte.
+Event ordering is a strict total order: time, then kind rank (completions
+before arrivals before heartbeats before samples), then node id, then a
+global sequence number. Simultaneous events therefore replay identically
+for a given seed, and a scenario config plus seed fully determines every
+metric byte.
+
+Gossip deliveries are not events: completions and heartbeats publish on
+feeds that deliver a publication at p over a link of delay d at p + d (see
+``control``). A node forwarding at t sees exactly the publications already
+made that land by t. So over a 0 ms link a completion reaches arrivals at
+its own instant, and a heartbeat, which runs after them, does not.
 
 Metrics (collected over [warmup, horizon), then settled so every admitted
 request finishes):
@@ -39,7 +45,7 @@ from pathlib import Path
 from .control import (
     DROP,
     Action,
-    NeighborLoadTable,
+    LoadFeed,
     decide_proactive,
     decide_threshold,
     passive_overflow,
@@ -57,11 +63,10 @@ from .workload import (
 STRATEGIES = ("none", "passive", "proactive")
 
 # Event kind ranks; lower processes first at equal timestamps.
-_GOSSIP = 0
-_COMPLETION = 1
-_ARRIVAL = 2
-_HEARTBEAT = 3
-_SAMPLE = 4
+_COMPLETION = 0
+_ARRIVAL = 1
+_HEARTBEAT = 2
+_SAMPLE = 3
 
 
 class ConfigError(ValueError):
@@ -249,7 +254,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         not is_relay[i] and (i != server or server_executes) for i in range(n)
     ]
     # Link delays in seconds by dense index, read by every forward and by the
-    # gossip groups.
+    # gossip feeds.
     delay = [{idx_of[m]: d_ms / 1000.0 for m, d_ms in topo.adj[nid].items()} for nid in ids]
     next_hop: list[int | None] = [None] * n
     for i, nid in enumerate(ids):
@@ -269,32 +274,21 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     aps = sorted(idx_of[a] for a in topo.access_points())
 
     estimators = [None] * n
-    tables: list[NeighborLoadTable | None] = [None] * n
-    pub_groups: list[list[tuple[float, tuple]]] = [[] for _ in range(n)]
-    hb_groups: list[tuple[float, list]] = []
+    # Gossip feeds: per executor, one for its completions per delay of its
+    # links to executor neighbours; one per delay shared by heartbeats. A
+    # view lists (neighbour, its feed, the heartbeat feed) in id order.
+    feeds: list[dict[float, LoadFeed]] = [{} for _ in range(n)]
+    beats: dict[float, LoadFeed] = {}
+    views: list[list[tuple]] = [[] for _ in range(n)]
     if proactive:
+        no_loads = [0.0] * n
         for i in range(n):
             if executor[i]:
                 estimators[i] = new_estimator(cfg.buffer_size)
-                tables[i] = NeighborLoadTable.seeded(j for j in delay[i] if executor[j])
-        # Gossip events carry (receiver's NeighborLoadTable.apply, sender)
-        # pairs, grouped by link delay. Calling the stored bound method
-        # costs a third less per delivery than looking up the receiver's
-        # table, and heartbeats deliver over every link each period.
-        by_delay: dict[float, list[tuple[int, int]]] = {}
-        for i in range(n):
-            if not executor[i]:
-                continue
-            groups: dict[float, list] = {}
-            for j, d in delay[i].items():
-                if executor[j]:
-                    groups.setdefault(d, []).append((tables[j].apply, i))
-                    by_delay.setdefault(d, []).append((j, i))
-            pub_groups[i] = [(d, tuple(pairs)) for d, pairs in sorted(groups.items())]
-        hb_groups = [
-            (d, [(tables[j].apply, i) for j, i in sorted(pairs)])
-            for d, pairs in sorted(by_delay.items())
-        ]
+                for j, d in delay[i].items():
+                    if executor[j]:
+                        sent = feeds[j].setdefault(d, LoadFeed(d))
+                        views[i].append((j, sent, beats.setdefault(d, LoadFeed(d, no_loads))))
 
     rng = random.Random(f"{cfg.seed}|sim")
     rng_random = rng.random
@@ -336,7 +330,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     if nxt is not None:
         heap.append((nxt[0], _ARRIVAL, nxt[2], seq, None, True))
         seq += 1
-    if proactive and hb_groups and cfg.gossip_period_ms > 0:
+    if beats:
         hb_dt = cfg.gossip_period_ms / 1000.0
         if hb_dt < horizon:
             heap.append((hb_dt, _HEARTBEAT, -1, seq))
@@ -386,7 +380,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                     est.record_arrival(t)
                     dec = decide_proactive(
                         est,
-                        tables[i],
+                        views[i],
+                        t,
                         cpu_cap[i],
                         mem_cap[i],
                         rng_random(),
@@ -450,29 +445,18 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 lat_sum += (t - req[6]) + 2.0 * req[4]
             if proactive and estimators[i] is not None:
                 estimators[i].record_completion(dur, svc_cpu[req[0]], svc_mem[req[0]])
-                if pub_groups[i]:
-                    snap = {i: load_num[i] * inv_cap[i]}
-                    for d, pairs in pub_groups[i]:
-                        heappush(heap, (t + d, _GOSSIP, i, seq, pairs, snap, t))
-                        seq += 1
+                load = load_num[i] * inv_cap[i]
+                for feed in feeds[i].values():
+                    feed.publish(t, load)
             if queue[i]:
                 start_service(i, queue[i].popleft(), t)
             else:
                 busy[i] = False
 
-        elif kind == _GOSSIP:
-            # Completion gossip (node = sender) and heartbeat gossip (node =
-            # -1) share one payload: (receiver's apply, sender) pairs, loads
-            # indexed by sender, publication time.
-            snap, t_pub = ev[5], ev[6]
-            for apply, s in ev[4]:
-                apply(s, snap[s], t_pub)
-
         elif kind == _HEARTBEAT:
             snap = [load_num[i] * inv_cap[i] for i in range(n)]
-            for d, pairs in hb_groups:
-                heappush(heap, (t + d, _GOSSIP, -1, seq, pairs, snap, t))
-                seq += 1
+            for feed in beats.values():
+                feed.publish(t, snap)
             t_next = t + hb_dt
             if t_next < horizon:
                 heappush(heap, (t_next, _HEARTBEAT, -1, seq))

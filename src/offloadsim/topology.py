@@ -48,6 +48,12 @@ class TopologyError(ValueError):
     """Raised for malformed or inconsistent topology descriptions."""
 
 
+def _capacity(x: float) -> bool:
+    """Positive and finite with a finite reciprocal (the simulator's loads
+    divide by it; a subnormal capacity would make them infinite)."""
+    return _positive(x) and _positive(1.0 / x)
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     """Static per-node attributes."""
@@ -59,8 +65,8 @@ class NodeSpec:
     is_relay: bool = False
 
     def __post_init__(self):
-        if not (_positive(self.cpu_capacity) and _positive(self.mem_capacity)):
-            raise TopologyError(f"node {self.id}: capacities must be positive and finite")
+        if not (_capacity(self.cpu_capacity) and _capacity(self.mem_capacity)):
+            raise TopologyError(f"node {self.id}: capacity and 1/capacity must be finite and > 0")
 
 
 class Topology:
@@ -140,11 +146,6 @@ class Topology:
         if node_id not in self.nodes:
             raise TopologyError(f"unknown node {node_id}")
         return self._next_hop[node_id]
-
-    def neighbors(self, node_id: int) -> dict[int, float]:
-        if node_id not in self.nodes:
-            raise TopologyError(f"unknown node {node_id}")
-        return self.adj[node_id]
 
     def edges(self) -> list[tuple[int, int, float]]:
         out = []
@@ -278,9 +279,9 @@ def load_topology(source) -> Topology:
             flag = int(fields[3])
         except ValueError:
             raise TopologyError(f"line {line_no}: malformed node fields in {body!r}") from None
-        if not (_positive(cpu) and _positive(mem)):
+        if not (_capacity(cpu) and _capacity(mem)):
             raise TopologyError(
-                f"line {line_no}: node {nid} capacities must be positive and finite"
+                f"line {line_no}: node {nid} capacity and 1/capacity must be finite and > 0"
             )
         nodes.append(_spec_from_flag(nid, cpu, mem, flag, line_no))
 
@@ -322,8 +323,8 @@ def _uniform_specs(params: dict) -> tuple[float, float, float]:
     cpu = float(params.get("cpu", 1.0))
     mem = float(params.get("mem", 1.0))
     delay = float(params.get("delay_ms", 1.0))
-    if not (_positive(cpu) and _positive(mem)):
-        raise TopologyError("generator capacities must be positive and finite")
+    if not (_capacity(cpu) and _capacity(mem)):
+        raise TopologyError("generator capacity and 1/capacity must be finite and > 0")
     if not _non_negative(delay):
         raise TopologyError("generator delay must be non-negative and finite")
     return cpu, mem, delay

@@ -1,14 +1,31 @@
 """Shared fixtures and small builders used across the test modules, and
 the reference implementations that the fast paths are checked against."""
 
+import contextlib
 import csv
 import io
 import json
+import random
+import sys
+import types
+from collections import deque
+from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from unittest import mock
 
 import pytest
 
-from offloadsim.partition import CallGraph, ClassNode, MethodProfile
+from offloadsim import simulator as sim
+from offloadsim.control import (
+    DROP,
+    Action,
+    AdmissionDecision,
+    decide_threshold,
+    passive_overflow,
+)
+from offloadsim.partition import CallGraph, ClassNode, MethodProfile, _left_sum
 from offloadsim.topology import NodeSpec, Topology
+from offloadsim.workload import _iter_arrival_tuples, new_estimator
 
 
 def make_graph(edges, isolated=(), methods=None, tags=None):
@@ -96,3 +113,405 @@ def reference_series_csv(m):
         for nid, load in zip(m.sample_node_ids, row):
             w.writerow([repr(t), nid, repr(load)])
     return buf.getvalue()
+
+
+@contextlib.contextmanager
+def scripted_runs(arrivals, durations, draws):
+    """Inside the block, ``run_scenario`` and ``reference_run_scenario``
+    take external arrivals at the given ``(time, k)`` pairs, at the k-th
+    access point (modulo their number), and service times and admission
+    draws in order from ``durations`` and ``draws`` (then 1 ms and 0.0)."""
+
+    class Scripted:
+        def __init__(self, _seed):
+            self.durations = iter(durations)
+            self.draws = iter(draws)
+
+        def expovariate(self, _rate):
+            return next(self.durations, 0.001)
+
+        def random(self):
+            return next(self.draws, 0.0)
+
+    def scripted_arrivals(*args):
+        aps = args[-1]
+        return iter([(t, 0, aps[k % len(aps)]) for t, k in sorted(arrivals)])
+
+    with contextlib.ExitStack() as stack:
+        for module in (sim, sys.modules[__name__]):
+            fake = types.SimpleNamespace(Random=Scripted)
+            stack.enter_context(mock.patch.object(module, "random", fake))
+            stack.enter_context(mock.patch.object(module, "_iter_arrival_tuples", scripted_arrivals))
+        yield
+
+
+# Event kind ranks of the push-gossip loop; lower processes first at equal
+# timestamps.
+_REF_GOSSIP = 0
+_REF_COMPLETION = 1
+_REF_ARRIVAL = 2
+_REF_HEARTBEAT = 3
+_REF_SAMPLE = 4
+
+
+@dataclass
+class ReferenceLoadTable:
+    """Last known load per executor neighbor, with observation timestamps,
+    pre-seeded at load 0.0 as of 0.0."""
+
+    loads: dict = field(default_factory=dict)
+    as_of: dict = field(default_factory=dict)
+
+    @staticmethod
+    def seeded(neighbor_ids):
+        t = ReferenceLoadTable()
+        for nid in sorted(neighbor_ids):
+            t.loads[nid] = 0.0
+            t.as_of[nid] = 0.0
+        return t
+
+    def apply(self, sender, load, published_at):
+        """Install a neighbor's load; an unknown sender or an older
+        observation than the one held loses."""
+        as_of = self.as_of.get(sender)
+        if as_of is None or published_at < as_of:
+            return False
+        self.loads[sender] = load
+        self.as_of[sender] = published_at
+        return True
+
+
+def reference_decide_proactive(
+    state, table, cpu_capacity, mem_capacity, rng_draw, ttl_remaining, node_load,
+    capacity_threshold, forwarding_enabled=True,
+):
+    """The proactive decision over a pushed table: forward to the lightest
+    known neighbor, ties to the lowest id."""
+    if ttl_remaining <= 0:
+        return decide_threshold(node_load, capacity_threshold, DROP)
+    if rng_draw < state.execution_probability(cpu_capacity, mem_capacity):
+        return AdmissionDecision(Action.EXECUTE)
+    if not forwarding_enabled:
+        return DROP
+    best_id = None
+    best_load = 0.0
+    for nid, load in table.loads.items():
+        if best_id is None or load < best_load or (load == best_load and nid < best_id):
+            best_id = nid
+            best_load = load
+    if best_id is None:
+        return decide_threshold(node_load, capacity_threshold, DROP)
+    return AdmissionDecision.forward(best_id)
+
+
+def reference_run_scenario(cfg):
+    """``simulator.run_scenario`` as it was with push gossip: every
+    completion and heartbeat schedules one gossip event per link delay, and
+    each delivery applies to the receiver's table. The oracle for the
+    pull-based view."""
+    cfg.validate()
+    topo = cfg.topology
+    strategy = cfg.strategy
+    horizon = cfg.horizon_s
+    warmup = cfg.resolved_warmup()
+    proactive = strategy == "proactive"
+    # Only proactive forwarding spends TTL; the default TTL is twice the hop
+    # diameter, which the topology computes once and keeps.
+    ttl0 = cfg.resolved_ttl() if proactive else None
+    server_executes = cfg.server_executes
+    fwd_enabled = cfg.proactive_forwarding
+    threshold = cfg.capacity_threshold
+
+    ids = sorted(topo.nodes)
+    idx_of = {nid: i for i, nid in enumerate(ids)}
+    n = len(ids)
+    server = idx_of[topo.server_id]
+    is_relay = [topo.nodes[nid].is_relay for nid in ids]
+    cpu_cap = [topo.nodes[nid].cpu_capacity for nid in ids]
+    mem_cap = [topo.nodes[nid].mem_capacity for nid in ids]
+    inv_cap = [1.0 / c for c in cpu_cap]
+    # Executors run a strategy and may execute; the sink server and relays do not.
+    executor = [
+        not is_relay[i] and (i != server or server_executes) for i in range(n)
+    ]
+    # Link delays in seconds by dense index, read by every forward and by the
+    # gossip groups.
+    delay = [{idx_of[m]: d_ms / 1000.0 for m, d_ms in topo.adj[nid].items()} for nid in ids]
+    next_hop: list[int | None] = [None] * n
+    for i, nid in enumerate(ids):
+        nh = topo.next_hop_toward_server(nid)
+        if nh is not None:
+            next_hop[i] = idx_of[nh]
+    # What none and passive do at or above the threshold, fixed per node.
+    if strategy == "passive":
+        overflow = [passive_overflow(nh, server, server_executes) for nh in next_hop]
+    else:
+        overflow = [DROP] * n
+
+    svc_rate = [1.0 / s.mean_exec_time_s for s in cfg.services]
+    svc_cpu = [s.cpu_cost for s in cfg.services]
+    svc_mem = [s.mem_cost for s in cfg.services]
+
+    aps = sorted(idx_of[a] for a in topo.access_points())
+
+    estimators = [None] * n
+    tables: list[ReferenceLoadTable | None] = [None] * n
+    pub_groups: list[list[tuple[float, tuple]]] = [[] for _ in range(n)]
+    hb_groups: list[tuple[float, list]] = []
+    if proactive:
+        for i in range(n):
+            if executor[i]:
+                estimators[i] = new_estimator(cfg.buffer_size)
+                tables[i] = ReferenceLoadTable.seeded(j for j in delay[i] if executor[j])
+        # Gossip events carry (receiver's ReferenceLoadTable.apply, sender)
+        # pairs, grouped by link delay. Calling the stored bound method
+        # costs a third less per delivery than looking up the receiver's
+        # table, and heartbeats deliver over every link each period.
+        by_delay: dict[float, list[tuple[int, int]]] = {}
+        for i in range(n):
+            if not executor[i]:
+                continue
+            groups: dict[float, list] = {}
+            for j, d in delay[i].items():
+                if executor[j]:
+                    groups.setdefault(d, []).append((tables[j].apply, i))
+                    by_delay.setdefault(d, []).append((j, i))
+            pub_groups[i] = [(d, tuple(pairs)) for d, pairs in sorted(groups.items())]
+        hb_groups = [
+            (d, [(tables[j].apply, i) for j, i in sorted(pairs)])
+            for d, pairs in sorted(by_delay.items())
+        ]
+
+    rng = random.Random(f"{cfg.seed}|sim")
+    rng_random = rng.random
+    rng_expo = rng.expovariate
+
+    arrivals = _iter_arrival_tuples(
+        cfg.base_rate_per_s * cfg.load_multiplier,
+        horizon,
+        cfg.seed,
+        cfg.jitters,
+        cfg.services,
+        aps,
+    )
+
+    queue = [deque() for _ in range(n)]
+    busy = [False] * n
+    load_num = [0.0] * n
+    acc = [0.0] * n
+    last_t = [0.0] * n
+
+    counted_total = 0
+    counted_exec = 0
+    counted_fwd = 0
+    counted_drop = 0
+    gross_arrivals = 0
+    gross_executed = 0
+    gross_dropped = 0
+    lat_sum = 0.0
+    pne = [0] * n
+
+    sample_dt = cfg.sample_interval_ms / 1000.0
+    sample_times: list[float] = []
+    sample_rows: list[list[float]] = []
+
+    heap: list[tuple] = []
+    seq = 0
+
+    nxt = next(arrivals, None)
+    if nxt is not None:
+        heap.append((nxt[0], _REF_ARRIVAL, nxt[2], seq, None, True))
+        seq += 1
+    if proactive and hb_groups and cfg.gossip_period_ms > 0:
+        hb_dt = cfg.gossip_period_ms / 1000.0
+        if hb_dt < horizon:
+            heap.append((hb_dt, _REF_HEARTBEAT, -1, seq))
+            seq += 1
+    if sample_dt > 0.0:
+        heap.append((0.0, _REF_SAMPLE, -1, seq))
+        seq += 1
+    heapify(heap)
+
+    # Request payload layout: [service, origin, t_origin, ttl, acc_delay_s,
+    # counted, t_admitted]. Mutated in place across hops.
+
+    def start_service(i: int, req: list, now: float) -> None:
+        nonlocal seq
+        dur = rng_expo(svc_rate[req[0]])
+        heappush(heap, (now + dur, _REF_COMPLETION, i, seq, req, dur))
+        seq += 1
+
+    while heap:
+        ev = heappop(heap)
+        t = ev[0]
+        kind = ev[1]
+
+        if kind == _REF_ARRIVAL:
+            i = ev[2]
+            req = ev[4]
+            if req is None:
+                # External origination; schedule the next one right away.
+                req = [nxt[1], i, t, ttl0, 0.0, t >= warmup, 0.0]
+                gross_arrivals += 1
+                if req[5]:
+                    counted_total += 1
+                nxt = next(arrivals, None)
+                if nxt is not None:
+                    heappush(heap, (nxt[0], _REF_ARRIVAL, nxt[2], seq, None, True))
+                    seq += 1
+
+            if is_relay[i]:
+                # Ingress plumbing: push toward the server, TTL untouched.
+                j = next_hop[i]
+            else:
+                if not executor[i]:
+                    # Pure sink: the server absorbs nothing unless configured to.
+                    dec = DROP
+                elif proactive:
+                    est = estimators[i]
+                    est.record_arrival(t)
+                    dec = reference_decide_proactive(
+                        est,
+                        tables[i],
+                        cpu_cap[i],
+                        mem_cap[i],
+                        rng_random(),
+                        req[3],
+                        load_num[i] * inv_cap[i],
+                        threshold,
+                        fwd_enabled,
+                    )
+                else:
+                    dec = decide_threshold(load_num[i] * inv_cap[i], threshold, overflow[i])
+
+                act = dec.action
+                if act is Action.EXECUTE:
+                    lt = last_t[i]
+                    if lt < horizon:
+                        hi = t if t < horizon else horizon
+                        lo = lt if lt > warmup else warmup
+                        if hi > lo:
+                            acc[i] += load_num[i] * inv_cap[i] * (hi - lo)
+                    last_t[i] = t
+                    load_num[i] += svc_cpu[req[0]]
+                    req[6] = t
+                    if busy[i]:
+                        queue[i].append(req)
+                    else:
+                        busy[i] = True
+                        start_service(i, req, t)
+                    continue
+                if act is Action.DROP:
+                    gross_dropped += 1
+                    if req[5]:
+                        counted_drop += 1
+                    continue
+                j = dec.target
+                if proactive:
+                    req[3] -= 1
+            # One forward path for relays and strategies alike.
+            d = delay[i][j]
+            req[4] += d
+            if req[5]:
+                counted_fwd += 1
+            heappush(heap, (t + d, _REF_ARRIVAL, j, seq, req, False))
+            seq += 1
+
+        elif kind == _REF_COMPLETION:
+            i = ev[2]
+            req = ev[4]
+            dur = ev[5]
+            lt = last_t[i]
+            if lt < horizon:
+                hi = t if t < horizon else horizon
+                lo = lt if lt > warmup else warmup
+                if hi > lo:
+                    acc[i] += load_num[i] * inv_cap[i] * (hi - lo)
+            last_t[i] = t
+            load_num[i] -= svc_cpu[req[0]]
+            gross_executed += 1
+            if req[5]:
+                counted_exec += 1
+                pne[i] += 1
+                lat_sum += (t - req[6]) + 2.0 * req[4]
+            if proactive and estimators[i] is not None:
+                estimators[i].record_completion(dur, svc_cpu[req[0]], svc_mem[req[0]])
+                if pub_groups[i]:
+                    snap = {i: load_num[i] * inv_cap[i]}
+                    for d, pairs in pub_groups[i]:
+                        heappush(heap, (t + d, _REF_GOSSIP, i, seq, pairs, snap, t))
+                        seq += 1
+            if queue[i]:
+                start_service(i, queue[i].popleft(), t)
+            else:
+                busy[i] = False
+
+        elif kind == _REF_GOSSIP:
+            # Completion gossip (node = sender) and heartbeat gossip (node =
+            # -1) share one payload: (receiver's apply, sender) pairs, loads
+            # indexed by sender, publication time.
+            snap, t_pub = ev[5], ev[6]
+            for apply, s in ev[4]:
+                apply(s, snap[s], t_pub)
+
+        elif kind == _REF_HEARTBEAT:
+            snap = [load_num[i] * inv_cap[i] for i in range(n)]
+            for d, pairs in hb_groups:
+                heappush(heap, (t + d, _REF_GOSSIP, -1, seq, pairs, snap, t))
+                seq += 1
+            t_next = t + hb_dt
+            if t_next < horizon:
+                heappush(heap, (t_next, _REF_HEARTBEAT, -1, seq))
+                seq += 1
+
+        elif kind == _REF_SAMPLE:
+            sample_times.append(t * 1000.0)
+            sample_rows.append([load_num[i] * inv_cap[i] for i in range(n)])
+            t_next = t + sample_dt
+            if t_next <= horizon + 1e-12:
+                heappush(heap, (t_next, _REF_SAMPLE, -1, seq))
+                seq += 1
+
+    if gross_executed + gross_dropped != gross_arrivals:
+        raise RuntimeError(
+            f"conservation violated: {gross_executed} executed + "
+            f"{gross_dropped} dropped != {gross_arrivals} arrivals"
+        )
+    if counted_exec + counted_drop != counted_total:
+        raise RuntimeError("conservation violated in the measurement window")
+
+    span = horizon - warmup
+    for i in range(n):
+        lt = last_t[i]
+        if lt < horizon:
+            lo = lt if lt > warmup else warmup
+            if horizon > lo:
+                acc[i] += load_num[i] * inv_cap[i] * (horizon - lo)
+            last_t[i] = horizon
+
+    exec_nodes = [i for i in range(n) if executor[i]]
+    tau = (
+        _left_sum(acc[i] for i in exec_nodes) / (len(exec_nodes) * span) if exec_nodes else 0.0
+    )
+    phi_ms = (lat_sum / counted_exec) * 1000.0 if counted_exec else 0.0
+    psi = counted_drop / counted_total if counted_total else 0.0
+
+    return sim.RunMetrics(
+        strategy=strategy,
+        seed=cfg.seed,
+        tau=tau,
+        phi_ms=phi_ms,
+        psi=psi,
+        total_arrivals=counted_total,
+        executed=counted_exec,
+        forwarded=counted_fwd,
+        dropped=counted_drop,
+        per_node_mean_load={ids[i]: acc[i] / span for i in range(n)},
+        per_node_executed={ids[i]: pne[i] for i in range(n)},
+        gross_arrivals=gross_arrivals,
+        gross_executed=gross_executed,
+        gross_dropped=gross_dropped,
+        sample_node_ids=list(ids),
+        sample_times_ms=sample_times,
+        sample_loads=sample_rows,
+    )

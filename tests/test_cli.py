@@ -151,6 +151,37 @@ class TestSimulate:
         assert "finite" in res.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("param", ["cpu", "mem"])
+    def test_subnormal_capacity_is_a_usage_error(self, tmp_path, param):
+        gen = {"kind": "line", "n": 3, "seed": 1, param: 5e-324}
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({**SCENARIO_DOC, "topology": {"generate": gen}}))
+        res = run_cli("simulate", "--config", cfg, "--out", tmp_path / "o")
+        assert res.returncode == 2
+        assert "1/capacity" in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("locale_env,line", [
+        ({"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0"}, b"seed=caf\\xe9 "),
+        ({"PYTHONUTF8": "1"}, "seed=caf\u00e9 ".encode()),
+    ])
+    def test_summary_line_survives_any_locale(self, tmp_path, locale_env, line):
+        # Under the C locale stdout is ASCII: the seed is escaped instead of
+        # failing the command after its four files are written.
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({**SCENARIO_DOC, "seed": "caf\u00e9"}))
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIO"))}
+        env.update(locale_env, PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(offloadsim.__file__).parent.parent))
+        res = subprocess.run(
+            [sys.executable, "-m", "offloadsim", "simulate", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith(b"strategy=passive " + line)
+        assert len(list((tmp_path / "o").iterdir())) == 4
+
     def test_zero_delay_passive_run_finishes(self, tmp_path):
         # Overloaded nodes push requests toward the server over 0 ms links;
         # a routing loop would bounce them forever at one instant, so the

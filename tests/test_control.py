@@ -1,5 +1,6 @@
 """Per-node admission strategies and one-hop load exchange."""
 
+import collections
 import math
 import random
 
@@ -9,6 +10,13 @@ from offloadsim import control as ct
 from offloadsim import workload as wl
 
 from test_workload import admit_q
+
+# Heartbeat feeds start from a snapshot in which every node reads 0.0.
+NO_LOADS = collections.defaultdict(float)
+
+
+def beat_feed(delay):
+    return ct.LoadFeed(delay, NO_LOADS)
 
 
 def warm_state(lam=4.0, mu=4.0, cpu=1.0, mem=0.0, k=2):
@@ -23,6 +31,37 @@ def warm_state(lam=4.0, mu=4.0, cpu=1.0, mem=0.0, k=2):
     for _ in range(k - 1):
         wl.record_completion(state, 0.5 / mu, 2.0 * cpu, 2.0 * mem)
     return state
+
+
+def view_of(loads, now=0.0):
+    """Feed triples whose neighbours show ``loads`` (id -> load), each
+    published by a completion at ``now`` over a 0 ms link."""
+    beats = beat_feed(0.0)
+    links = []
+    for nid, load in sorted(loads.items()):
+        feed = ct.LoadFeed(0.0)
+        feed.publish(now, load)
+        links.append((nid, feed, beats))
+    return links
+
+
+def silent_view(neighbor_ids):
+    """Feed triples of neighbours from which nothing has been delivered."""
+    beats = beat_feed(0.0)
+    return [(nid, ct.LoadFeed(0.0), beats) for nid in sorted(neighbor_ids)]
+
+
+def at_most(link, now, load):
+    """Whether the neighbour of ``link`` reads at most ``load`` at ``now``:
+    it wins against a higher-id probe neighbour that shows ``load``."""
+    (probe,) = view_of({99: load}, now=-1.0)
+    return ct.lightest_load_neighbor([link, probe], now) == link[0]
+
+
+def shows(link, now, load):
+    """Whether the neighbour of ``link`` reads exactly ``load`` at ``now``."""
+    below = math.nextafter(load, -math.inf)
+    return at_most(link, now, load) and not at_most(link, now, below)
 
 
 def passive(topo, node_id, load, server_executes=False):
@@ -76,45 +115,81 @@ def test_passive_at_server_drops(line4):
 
 
 def test_lightest_neighbor_argmin():
-    table = ct.NeighborLoadTable(loads={5: 0.9, 2: 0.1}, as_of={5: 0.0, 2: 0.0})
-    assert ct.lightest_load_neighbor(table) == 2
+    assert ct.lightest_load_neighbor(view_of({5: 0.9, 2: 0.1}), 0.0) == 2
 
 
 def test_lightest_neighbor_tie_breaks_low_id():
-    table = ct.NeighborLoadTable(loads={7: 0.5, 3: 0.5}, as_of={7: 0.0, 3: 0.0})
-    assert ct.lightest_load_neighbor(table) == 3
+    assert ct.lightest_load_neighbor(view_of({7: 0.5, 3: 0.5}), 0.0) == 3
 
 
 def test_no_neighbors_signalled():
-    assert ct.lightest_load_neighbor(ct.NeighborLoadTable.seeded([])) is None
+    assert ct.lightest_load_neighbor(silent_view([]), 0.0) is None
+
+
+def test_silent_neighbours_read_zero():
+    view = silent_view([4, 2])
+    assert all(shows(link, 1.0, 0.0) for link in view)
+    assert ct.lightest_load_neighbor(view, 1.0) == 2
 
 
 def test_gossip_delay_accounting():
-    table = ct.NeighborLoadTable.seeded([4])
-    assert table.apply(4, 0.42, 0.010)
-    assert table.loads[4] == 0.42
-    assert table.as_of[4] == 0.010
+    feed, beats = ct.LoadFeed(0.005), beat_feed(0.005)
+    link = (4, feed, beats)
+    feed.publish(0.010, 0.42)
+    assert shows(link, 0.0149, 0.0)
+    assert shows(link, 0.010 + 0.005, 0.42)
+    assert feed.latest == (0.010, 0.42)
+    assert not feed.in_flight
 
 
 def test_stale_gossip_ignored():
-    table = ct.NeighborLoadTable.seeded([4])
-    table.apply(4, 0.5, 0.020)
-    assert not table.apply(4, 0.9, 0.010)
-    assert table.loads[4] == 0.5
-    assert table.as_of[4] == 0.020
+    # The heartbeat lands after the completion was published, but it was
+    # published earlier, so once the completion lands its load stands.
+    for delay in (0.0, 0.001):
+        feed, beats = ct.LoadFeed(delay), beat_feed(delay)
+        link = (4, feed, beats)
+        beats.publish(0.010, {4: 0.9})
+        feed.publish(0.020, 0.5)
+        assert shows(link, 0.015, 0.9)
+        assert shows(link, 0.030, 0.5)
 
 
 def test_equal_timestamp_gossip_accepted():
-    table = ct.NeighborLoadTable.seeded([4])
-    table.apply(4, 0.5, 0.020)
-    assert table.apply(4, 0.6, 0.020)
-    assert table.loads[4] == 0.6
+    # At one instant the last completion wins. A heartbeat at that instant
+    # runs after the completions: over a delayed link its delivery applies
+    # first, so the completion stands; over a link that delivers at once it
+    # applies last and wins.
+    for delay, seen in [(0.001, 0.6), (0.0, 0.9), (1e-20, 0.9)]:
+        feed, beats = ct.LoadFeed(delay), beat_feed(delay)
+        feed.publish(0.020, 0.5)
+        feed.publish(0.020, 0.6)
+        beats.publish(0.020, {4: 0.9})
+        assert shows((4, feed, beats), 0.030, seen)
+
+
+def test_feed_delivers_in_order_and_keeps_only_what_is_in_flight():
+    feed = ct.LoadFeed(0.003)
+    for k in range(100):
+        feed.publish(k * 0.001, float(k))
+    # Publishing delivers what has landed, so only the last three (at
+    # 0.097, 0.098 and 0.099) are still travelling.
+    assert [entry[1][1] for entry in feed.in_flight] == [97.0, 98.0, 99.0]
+    assert feed.latest == (96 * 0.001, 96.0)
+    assert feed.deliver(0.099 + 0.003) == (0.099, 99.0)
+
+
+def test_one_delivery_pass_serves_every_reader():
+    feed, beats = ct.LoadFeed(0.002), beat_feed(0.002)
+    feed.publish(0.0, 0.7)
+    assert shows((1, feed, beats), 0.005, 0.7)
+    assert not feed.in_flight
+    assert shows((1, feed, beats), 0.005, 0.7)
 
 
 def test_proactive_cold_state_executes():
     state = wl.new_estimator(k=64)
-    table = ct.NeighborLoadTable.seeded([1])
-    d = ct.decide_proactive(state, table, 1.0, 1.0, rng_draw=0.999,
+    view = silent_view([1])
+    d = ct.decide_proactive(state, view, 0.0, 1.0, 1.0, rng_draw=0.999,
                             ttl_remaining=4, node_load=0.0, capacity_threshold=1.0)
     assert d.action is ct.Action.EXECUTE
 
@@ -123,8 +198,8 @@ def test_proactive_rejection_forwards_to_lightest():
     state = warm_state(lam=4.0, mu=4.0, cpu=1.0)  # q = 0.5 at capacity 1
     q = wl.execution_probability(state, 1.0, 1.0)
     assert q == pytest.approx(0.5)
-    table = ct.NeighborLoadTable(loads={2: 0.1, 3: 0.4}, as_of={2: 0.0, 3: 0.0})
-    d = ct.decide_proactive(state, table, 1.0, 1.0, rng_draw=0.7,
+    view = view_of({2: 0.1, 3: 0.4})
+    d = ct.decide_proactive(state, view, 0.0, 1.0, 1.0, rng_draw=0.7,
                             ttl_remaining=4, node_load=0.2, capacity_threshold=1.0)
     assert d.action is ct.Action.FORWARD
     assert d.target == 2
@@ -132,27 +207,27 @@ def test_proactive_rejection_forwards_to_lightest():
 
 def test_proactive_admission_below_q():
     state = warm_state(lam=4.0, mu=4.0, cpu=1.0)
-    table = ct.NeighborLoadTable(loads={2: 0.1}, as_of={2: 0.0})
-    d = ct.decide_proactive(state, table, 1.0, 1.0, rng_draw=0.3,
+    view = view_of({2: 0.1})
+    d = ct.decide_proactive(state, view, 0.0, 1.0, 1.0, rng_draw=0.3,
                             ttl_remaining=4, node_load=0.2, capacity_threshold=1.0)
     assert d.action is ct.Action.EXECUTE
 
 
 def test_proactive_exhausted_ttl_executes_when_feasible():
     state = warm_state()
-    table = ct.NeighborLoadTable.seeded([2])
-    d = ct.decide_proactive(state, table, 1.0, 1.0, rng_draw=0.99,
+    view = silent_view([2])
+    d = ct.decide_proactive(state, view, 0.0, 1.0, 1.0, rng_draw=0.99,
                             ttl_remaining=0, node_load=0.2, capacity_threshold=1.0)
     assert d.action is ct.Action.EXECUTE
-    d = ct.decide_proactive(state, table, 1.0, 1.0, rng_draw=0.99,
+    d = ct.decide_proactive(state, view, 0.0, 1.0, 1.0, rng_draw=0.99,
                             ttl_remaining=0, node_load=1.2, capacity_threshold=1.0)
     assert d.action is ct.Action.DROP
 
 
 def test_proactive_disabled_forwarding_drops_rejections():
     state = warm_state()
-    table = ct.NeighborLoadTable.seeded([2])
-    d = ct.decide_proactive(state, table, 1.0, 1.0, rng_draw=0.99,
+    view = silent_view([2])
+    d = ct.decide_proactive(state, view, 0.0, 1.0, 1.0, rng_draw=0.99,
                             ttl_remaining=4, node_load=0.0, capacity_threshold=1.0,
                             forwarding_enabled=False)
     assert d.action is ct.Action.DROP
@@ -160,8 +235,8 @@ def test_proactive_disabled_forwarding_drops_rejections():
 
 def test_proactive_isolated_node_falls_back_to_threshold():
     state = warm_state()
-    table = ct.NeighborLoadTable.seeded([])
-    d = ct.decide_proactive(state, table, 1.0, 1.0, rng_draw=0.99,
+    view = silent_view([])
+    d = ct.decide_proactive(state, view, 0.0, 1.0, 1.0, rng_draw=0.99,
                             ttl_remaining=4, node_load=0.3, capacity_threshold=1.0)
     assert d.action is ct.Action.EXECUTE
 
@@ -169,13 +244,13 @@ def test_proactive_isolated_node_falls_back_to_threshold():
 def test_execute_fraction_converges_to_q():
     state = warm_state(lam=4.0, mu=4.0, cpu=1.0)
     q = wl.execution_probability(state, 1.0, 1.0)
-    table = ct.NeighborLoadTable.seeded([2])
+    view = silent_view([2])
     rng = random.Random(17)
     n = 20_000
     executed = sum(
         1
         for _ in range(n)
-        if ct.decide_proactive(state, table, 1.0, 1.0, rng.random(), 4, 0.0, 1.0).action
+        if ct.decide_proactive(state, view, 0.0, 1.0, 1.0, rng.random(), 4, 0.0, 1.0).action
         is ct.Action.EXECUTE
     )
     sigma = (n * q * (1 - q)) ** 0.5
@@ -202,8 +277,12 @@ def test_conservative_mode_lowers_admission():
 
 
 def test_gossip_from_unknown_sender_ignored():
-    table = ct.NeighborLoadTable.seeded([2])
-    assert not table.apply(9, 0.4, 0.001)
-    assert not table.apply(9, 0.4, math.inf)
-    assert 9 not in table.loads
-    assert 9 not in table.as_of
+    # Node 9 publishes and shows up in heartbeat snapshots, but it is not a
+    # neighbour, so the view never offers it.
+    beats = beat_feed(0.0)
+    mine, stranger = ct.LoadFeed(0.0), ct.LoadFeed(0.0)
+    mine.publish(0.001, 0.8)
+    stranger.publish(0.001, 0.0)
+    beats.publish(0.001, {2: 0.8, 9: 0.0})
+    assert ct.lightest_load_neighbor([(2, mine, beats)], math.inf) == 2
+    assert shows((2, mine, beats), math.inf, 0.8)

@@ -6,8 +6,11 @@ Topologies are small lines, grids, trees and scale-free graphs with random
 relay flags and per-link delays of 0 ms or more; scenarios vary the
 strategy, ``server_executes``, ``proactive_forwarding``, the TTL and the
 gossip period. The fast paths are checked against their references in
-``conftest``: the bit-parallel hop diameter against a BFS from every node,
-and the series emitters against ``json.dumps`` and ``csv.writer``.
+``conftest``: the pull-based gossip view against the push-gossip event
+loop (also on scripted runs whose events fall on a grid of exact times, so
+that many share an instant), the bit-parallel hop diameter against a BFS
+from every node, and the series emitters against ``json.dumps`` and
+``csv.writer``.
 """
 
 import contextlib
@@ -25,9 +28,11 @@ from offloadsim.workload import ServiceSpec
 
 from conftest import (
     reference_hop_diameter,
+    reference_run_scenario,
     reference_series_csv,
     reference_series_json,
     route_to_server,
+    scripted_runs,
 )
 
 DELAYS_MS = [0.0, 0.0, 0.5, 1.0, 3.0]
@@ -50,7 +55,7 @@ def time_limit(seconds):
 
 
 @st.composite
-def topologies(draw):
+def topologies(draw, delays_ms=DELAYS_MS):
     kind = draw(st.sampled_from(["line", "grid", "tree", "scale_free"]))
     if kind == "line":
         params = {"n": draw(st.integers(2, 6))}
@@ -65,20 +70,20 @@ def topologies(draw):
         dataclasses.replace(spec, is_relay=draw(st.booleans()) and nid != base.server_id)
         for nid, spec in base.nodes.items()
     ]
-    edges = [(u, v, draw(st.sampled_from(DELAYS_MS))) for u, v, _ in base.edges()]
+    edges = [(u, v, draw(st.sampled_from(delays_ms))) for u, v, _ in base.edges()]
     return tp.Topology(nodes, edges, base.server_id)
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, strategies=sim.STRATEGIES, delays_ms=DELAYS_MS):
     return sim.ScenarioConfig(
-        topology=draw(topologies()),
+        topology=draw(topologies(delays_ms)),
         services=[
             ServiceSpec(name="s", mean_exec_time_s=draw(st.sampled_from([0.0005, 0.002, 0.01])))
         ],
         base_rate_per_s=draw(st.sampled_from([200.0, 1000.0, 4000.0])),
         horizon_s=draw(st.sampled_from([0.02, 0.05])),
-        strategy=draw(st.sampled_from(sim.STRATEGIES)),
+        strategy=draw(st.sampled_from(strategies)),
         buffer_size=draw(st.integers(2, 8)),
         ttl=draw(st.one_of(st.none(), st.integers(0, 4))),
         gossip_period_ms=draw(st.sampled_from([0.5, 1.0, 5.0, 100.0])),
@@ -109,6 +114,38 @@ def test_generated_scenarios_terminate_conserve_and_repeat(cfg):
         _, json_series = sim.export_metrics(m, "json", out)
         assert csv_series.read_bytes() == reference_series_csv(m).encode()
         assert json_series.read_bytes() == reference_series_json(m).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios(strategies=("proactive",)))
+def test_pull_gossip_matches_the_push_gossip_loop(cfg):
+    with time_limit(30):
+        assert sim.run_scenario(cfg) == reference_run_scenario(cfg)
+
+
+# 2**-10 s in ms: sums of multiples of it are exact, so scripted runs on
+# this grid put completions, arrivals and heartbeats at the same instants.
+TICK_MS = 1000.0 / 1024.0
+TICK_S = TICK_MS / 1000.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scenarios(strategies=("proactive",), delays_ms=[0.0, TICK_MS, 2 * TICK_MS]),
+    st.sampled_from([TICK_MS, 2 * TICK_MS]),
+    st.lists(st.tuples(st.integers(0, 19), st.integers(0, 10)), min_size=20, max_size=80),
+    st.lists(st.integers(1, 4), min_size=20, max_size=80),
+    st.lists(st.sampled_from([0.0, 0.99]), min_size=40, max_size=160),
+)
+def test_pull_gossip_matches_the_push_gossip_loop_on_tied_instants(
+    cfg, period_ms, arrivals, ticks, draws
+):
+    # Arrivals land before the shortest horizon (20 ms > 19 ticks).
+    cfg = dataclasses.replace(cfg, gossip_period_ms=period_ms, buffer_size=2)
+    with time_limit(30), scripted_runs(
+        [(k * TICK_S, ap) for k, ap in arrivals], [k * TICK_S for k in ticks], draws
+    ):
+        assert sim.run_scenario(cfg) == reference_run_scenario(cfg)
 
 
 @st.composite

@@ -6,6 +6,8 @@ import math
 
 import pytest
 
+import conftest
+
 from offloadsim import simulator as sim
 from offloadsim import topology as tp
 from offloadsim.topology import NodeSpec, Topology, generate_topology
@@ -122,6 +124,108 @@ def test_relay_node_never_executes():
     m = sim.run_scenario(cfg)
     assert m.per_node_executed.get(0, 0) == 0
     assert m.executed > 0
+
+
+def scripted_run(cfg, arrivals, durations, draws):
+    """Run ``cfg`` with external arrivals at the given ``(time, node)``
+    pairs (every node here is an access point), and with service times and
+    admission draws taken in order from ``durations`` and ``draws``. The
+    push-gossip reference must agree."""
+    with conftest.scripted_runs(arrivals, durations, draws):
+        m = sim.run_scenario(cfg)
+        assert m == conftest.reference_run_scenario(cfg)
+    return m
+
+
+def fork_config(delay_ms):
+    """Node 0 forwards to executor neighbours 1 and 2 over ``delay_ms``
+    links; nodes 0-2 take arrivals, node 3 is the sink server, and
+    heartbeats run every 10 ms. Node 0's first two requests warm its
+    estimator (buffer 2), so later close arrivals there see a small q."""
+    nodes = [
+        NodeSpec(0, 1.0, 1.0, is_access_point=True),
+        NodeSpec(1, 1.0, 1.0, is_access_point=True),
+        NodeSpec(2, 2.0, 1.0, is_access_point=True),
+        NodeSpec(3, 1.0, 1.0),
+    ]
+    edges = [(0, 1, delay_ms), (0, 2, delay_ms), (1, 3, 1.0), (2, 3, 1.0)]
+    return small_config(
+        topology=Topology(nodes, edges, server_id=3),
+        strategy="proactive",
+        buffer_size=2,
+        ttl=4,
+        gossip_period_ms=10.0,
+        horizon_s=0.03,
+        warmup_s=0.0,
+        sample_interval_ms=0.0,
+    )
+
+
+# Node 0's warm-up: two requests of 3 ms each, done by 7 ms.
+WARM_UP = [(0.001, 0), (0.0011, 0)]
+
+
+def test_heartbeat_is_not_visible_to_arrivals_at_its_own_instant():
+    # Over 0 ms links the 10 ms heartbeat runs after the arrivals at 10 ms:
+    # the one at 10 ms still reads nothing from node 1 (busy since 5 ms)
+    # and picks it by id; the one at 10.1 ms reads the snapshot and picks 2.
+    m = scripted_run(
+        fork_config(0.0),
+        WARM_UP + [(0.005, 1), (0.0099, 0), (0.01, 0), (0.0101, 0)],
+        durations=[0.003, 0.003, 0.05, 0.05, 0.05],
+        draws=[0.0, 0.0, 0.0, 0.0, 0.99, 0.0, 0.99, 0.0],
+    )
+    assert m.forwarded == 2
+    assert m.per_node_executed == {0: 3, 1: 2, 2: 1, 3: 0}
+
+
+@pytest.mark.parametrize(
+    "delay_ms,lands,target",
+    [(1.0, 0.011, 1), (0.0, 0.01, 2)],
+)
+def test_completion_and_heartbeat_at_the_same_instant(delay_ms, lands, target):
+    # Node 1 finishes at exactly 10 ms (load 0.0) and then admits a request
+    # at 10 ms, so the 10 ms heartbeat shows it at 1.0; node 2 reads 0.0.
+    # Over a 1 ms link both land at 11 ms and the completion, applied after
+    # the heartbeat, stands: node 0 picks node 1 by id. Over a 0 ms link the
+    # heartbeat lands after the completion and wins: node 0 picks node 2.
+    assert 0.005 + 0.005 == 0.01
+    read = lands + 0.0001
+    m = scripted_run(
+        fork_config(delay_ms),
+        WARM_UP + [(0.005, 1), (0.01, 1), (read - 0.0002, 0), (read, 0)],
+        durations=[0.003, 0.003, 0.005, 0.05, 0.05],
+        draws=[0.0, 0.0, 0.0, 0.0, 0.0, 0.99, 0.0],
+    )
+    assert m.forwarded == 1
+    assert m.per_node_executed == {0: 3, 1: 2 + (target == 1), 2: int(target == 2), 3: 0}
+
+
+def test_last_of_two_simultaneous_completions_wins():
+    # Node 1 finishes two requests at exactly 12 ms (the second takes
+    # 1e-20 s): loads 1.0, then 0.0, which reach node 0 at 13 ms. Node 2
+    # shows 0.5 since the 10 ms heartbeat. Only the later completion makes
+    # node 1 the lighter one.
+    assert 0.003 + 0.009 == 0.012 == 0.012 + 1e-20
+    m = scripted_run(
+        fork_config(1.0),
+        WARM_UP + [(0.003, 1), (0.0035, 1), (0.005, 2), (0.0133, 0), (0.0135, 0)],
+        durations=[0.003, 0.009, 0.003, 0.05, 1e-20, 0.05],
+        draws=[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.99, 0.0],
+    )
+    assert m.forwarded == 1
+    assert m.per_node_executed == {0: 3, 1: 3, 2: 1, 3: 0}
+
+
+def test_tiny_normal_capacities_give_finite_metrics():
+    # A capacity of 1e-300 has a finite reciprocal, so it is accepted; loads
+    # on the fig3 chain reach about 1e301, and every metric stays finite.
+    topo = generate_topology("line", {"n": 4, "cpu": 1e-300, "mem": 1e-300})
+    m = sim.run_scenario(dataclasses.replace(sim.preset_fig3("proactive"), topology=topo))
+    assert m.executed > 0
+    for value in (m.tau, m.phi_ms, m.psi):
+        assert math.isfinite(value)
+    assert all(math.isfinite(x) for row in m.sample_loads for x in row)
 
 
 def test_sink_server_drops_when_not_executing():

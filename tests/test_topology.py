@@ -120,6 +120,35 @@ def test_generator_rejects_non_finite(param, value):
         tp.generate_topology("line", {"n": 3, param: value})
 
 
+# Positive and finite, but their reciprocals overflow to inf.
+SUBNORMAL = [5e-324, 1e-310]
+
+
+@pytest.mark.parametrize("value", SUBNORMAL)
+@pytest.mark.parametrize("field", ["cpu_capacity", "mem_capacity"])
+def test_node_spec_rejects_capacities_without_a_finite_reciprocal(field, value):
+    assert math.isinf(1.0 / value)
+    kwargs = {"id": 0, "cpu_capacity": 1.0, "mem_capacity": 1.0, field: value}
+    with pytest.raises(tp.TopologyError, match="1/capacity"):
+        tp.NodeSpec(**kwargs)
+
+
+@pytest.mark.parametrize("value", SUBNORMAL)
+@pytest.mark.parametrize("param", ["cpu", "mem"])
+def test_generator_rejects_capacities_without_a_finite_reciprocal(param, value):
+    with pytest.raises(tp.TopologyError, match="1/capacity"):
+        tp.generate_topology("line", {"n": 3, param: value})
+
+
+@pytest.mark.parametrize("field", ["cpu", "mem"])
+def test_edge_list_rejects_capacities_without_a_finite_reciprocal(field):
+    line = {"cpu": "1 5e-324 1.0 0", "mem": "1 1.0 5e-324 0"}[field]
+    bad = LINE4.replace("1 1.0 1.0 0", line)
+    assert bad != LINE4
+    with pytest.raises(tp.TopologyError, match="line 4: node 1 capacity and 1/capacity"):
+        tp.load_topology(bad)
+
+
 def test_roundtrip_preserves_topology(tmp_path):
     topo = tp.generate_topology("grid", {"width": 3, "height": 3})
     path = tmp_path / "grid.topo"
