@@ -14,6 +14,28 @@ inside its component, so after a cut only the component that lost the
 edge is rescored; every other edge keeps the score it already had, which
 is the same float a rescoring of the whole graph would give.
 
+The pass, betweenness, modularity and Louvain run on a dense index built
+once per call: int ids in sorted name order, list adjacency, edge ids and
+flat per-edge scores. Names appear only on input and in the returned
+cluster lists and cut traces. Every order the name-keyed algorithms used
+is kept, so every float comes out with the same bits:
+
+* comparing ids orders vertices as comparing names does, which covers
+  source order, the Dijkstra heap's ``(distance, vertex)`` tie-break and
+  component order;
+* edge ids follow sorted ``(a, b)`` name pairs, so the strict ``1e-12``
+  tie scan over ascending ids cuts the same edge;
+* each vertex's adjacency keeps the insertion order of ``graph.adj``,
+  which ``sigma`` and the weight sums follow.
+
+The unweighted pass keeps no predecessor lists. A vertex's predecessors
+are its neighbours one hop nearer the source, and each (predecessor,
+vertex) pair adds its share to its own ``delta`` entry and its own edge
+score. So rescanning neighbours in the backward pass, still in reverse
+visit order, adds the same floats in the same order. The weighted pass
+keeps them, because the ``1e-12`` tie rule decides a predecessor when a
+vertex is reached, against the tentative distance of that moment.
+
 All algorithms here are deterministic: vertex sweeps run in sorted name
 order, betweenness ties remove the lexicographically smallest edge, and
 cluster lists are ordered by their smallest member.
@@ -179,7 +201,20 @@ def build_call_graph(source) -> CallGraph:
         edges = data.get("edges", [])
     except (TypeError, KeyError) as exc:
         raise CallGraphError("call graph needs 'vertices' and 'edges' lists") from exc
+    for key, what, entries in (("vertices", "vertex", vertices), ("edges", "edge", edges)):
+        if not isinstance(entries, list):
+            raise CallGraphError(
+                f"call graph {key!r} must be a list, not {type(entries).__name__}"
+            )
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise CallGraphError(f"malformed {what} entry {entry!r}: not an object")
     for v in vertices:
+        if not isinstance(v.get("name"), str):
+            raise CallGraphError(f"malformed vertex entry {v!r}: 'name' must be a string")
+        tags = v.get("tags", [])
+        if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+            raise CallGraphError(f"malformed vertex entry {v!r}: 'tags' must be a list of strings")
         try:
             methods = [
                 MethodProfile(
@@ -194,7 +229,7 @@ def build_call_graph(source) -> CallGraph:
                 for m in v.get("methods", [])
             ]
             graph.add_class(
-                ClassNode(name=v["name"], tags=set(v.get("tags", [])), methods=methods)
+                ClassNode(name=v["name"], tags=set(tags), methods=methods)
             )
         except (TypeError, KeyError) as exc:
             raise CallGraphError(f"malformed vertex entry {v!r}: {exc}") from exc
@@ -256,90 +291,174 @@ def apply_tag_rules(graph: CallGraph, rules: list[TagRule]) -> CallGraph:
     return graph
 
 
-def _components(names: list[str], adj: dict[str, dict[str, float]]) -> list[list[str]]:
-    seen: set[str] = set()
-    comps: list[list[str]] = []
-    for start in names:
-        if start in seen:
+@dataclass(frozen=True)
+class _DenseIndex:
+    """A call graph on int ids. Ids follow sorted name order, so comparing
+    ids orders vertices as comparing names does. Each vertex's neighbours
+    keep the insertion order of ``graph.adj``, with a parallel list of
+    edge weights; ``degree`` holds each vertex's ``degree_weight``."""
+
+    names: list[str]
+    id_of: dict[str, int]
+    nbrs: list[list[int]]
+    weights: list[list[float]]
+    degree: list[float]
+
+    def named(self, comps: list[list[int]]) -> list[list[str]]:
+        names = self.names
+        return [[names[i] for i in comp] for comp in comps]
+
+
+def _dense_index(graph: CallGraph) -> _DenseIndex:
+    names = graph.names()
+    id_of = {v: i for i, v in enumerate(names)}
+    weights = [list(graph.adj[v].values()) for v in names]
+    return _DenseIndex(
+        names=names,
+        id_of=id_of,
+        nbrs=[[id_of[u] for u in graph.adj[v]] for v in names],
+        weights=weights,
+        degree=[_left_sum(ws) for ws in weights],
+    )
+
+
+def _betweenness_graph(ix: _DenseIndex):
+    """``edges``, ``nbrs``, ``eids`` and ``lens`` for a betweenness pass.
+
+    ``edges`` lists the ``(a, b)`` pairs with ``a < b`` in sorted order, so
+    ascending edge ids scan pairs as sorted names would. ``nbrs`` is a copy
+    of the index adjacency the pass may cut; ``eids`` and ``lens`` (path
+    length ``1.0 / weight``) run parallel to it.
+    """
+    n = len(ix.nbrs)
+    edges: list[tuple[int, int]] = []
+    eid_of: dict[int, int] = {}
+    for a, vs in enumerate(ix.nbrs):
+        for b in sorted(vs):
+            if a < b:
+                eid_of[a * n + b] = len(edges)
+                edges.append((a, b))
+    eids = [
+        [eid_of[a * n + b] if a < b else eid_of[b * n + a] for b in vs]
+        for a, vs in enumerate(ix.nbrs)
+    ]
+    lens = [[1.0 / w for w in ws] for ws in ix.weights]
+    return edges, [list(vs) for vs in ix.nbrs], eids, lens
+
+
+def _components(sources, nbrs: list[list[int]]) -> list[list[int]]:
+    """Connected components reached from ``sources`` (ascending ids), each
+    sorted. A component starts at its smallest source, so the list comes
+    out ordered by smallest member."""
+    seen = bytearray(len(nbrs))
+    comps: list[list[int]] = []
+    for start in sources:
+        if seen[start]:
             continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    comps.sort(key=lambda c: c[0])
+        seen[start] = 1
+        comp = [start]
+        for u in comp:
+            for v in nbrs[u]:
+                if not seen[v]:
+                    seen[v] = 1
+                    comp.append(v)
+        comp.sort()
+        comps.append(comp)
     return comps
 
 
+def _source_arrays(n: int) -> tuple[list, list, list, list, list]:
+    """``sigma``, ``delta``, ``dist``, ``found`` and ``preds`` for
+    ``_edge_betweenness``, allocated once per pass. A source sets what it
+    reads and resets ``dist`` and ``found`` where it reached."""
+    return [0.0] * n, [0.0] * n, [-1] * n, [None] * n, [None] * n
+
+
 def _edge_betweenness(
-    names: list[str], adj: dict[str, dict[str, float]], weighted: bool
-) -> dict[tuple[str, str], float]:
-    scores: dict[tuple[str, str], float] = {}
-    for a in names:
-        for b in adj[a]:
-            if a < b:
-                scores[(a, b)] = 0.0
-    for s in names:
-        sigma = {s: 1.0}
-        preds: dict[str, list[str]] = {s: []}
-        order: list[str] = []
+    sources, nbrs: list[list[int]], eids: list[list[int]], lens: list[list[float]],
+    score: list[float], arrays: tuple, weighted: bool,
+) -> None:
+    """Brandes's per-source accumulation over the component(s) of
+    ``sources`` (ascending ids). Overwrites ``score[e]`` of every edge in
+    them: zeroed, summed over sources in order, then halved."""
+    sigma, delta, dist, found, preds = arrays
+    live = [e for u in sources for v, e in zip(nbrs[u], eids[u]) if u < v]
+    for e in live:
+        score[e] = 0.0
+    for s in sources:
+        sigma[s] = 1.0
+        delta[s] = 0.0
         if not weighted:
-            dist = {s: 0}
-            frontier = [s]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    order.append(u)
-                    du = dist[u]
-                    for v in adj[u]:
-                        if v not in dist:
-                            dist[v] = du + 1
-                            sigma[v] = 0.0
-                            preds[v] = []
-                            nxt.append(v)
-                        if dist[v] == du + 1:
-                            sigma[v] += sigma[u]
-                            preds[v].append(u)
-                frontier = nxt
+            # The BFS queue is the visit order. Predecessors are the
+            # neighbours one hop nearer, found again on the way back.
+            dist[s] = 0
+            order = [s]
+            for u in order:
+                du1 = dist[u] + 1
+                su = sigma[u]
+                for v in nbrs[u]:
+                    dv = dist[v]
+                    if dv < 0:
+                        dist[v] = du1
+                        sigma[v] = su
+                        delta[v] = 0.0
+                        order.append(v)
+                    elif dv == du1:
+                        sigma[v] += su
+            for w in order[:0:-1]:
+                dp = dist[w] - 1
+                sw = sigma[w]
+                cw = 1.0 + delta[w]
+                for u, e in zip(nbrs[w], eids[w]):
+                    if dist[u] == dp:
+                        share = sigma[u] / sw * cw
+                        score[e] += share
+                        delta[u] += share
+            for v in order:
+                dist[v] = -1
         else:
             # Strong edges are short paths: length is the inverse weight.
-            dist: dict[str, float] = {}
+            # Paths within 1e-12 tie, decided when a vertex is reached, so
+            # predecessors are kept. ``dist`` marks settled vertices and
+            # ``found`` holds tentative distances.
+            found[s] = 0.0
+            preds[s] = []
+            order = []
             heap = [(0.0, s)]
-            found = {s: 0.0}
             while heap:
                 d, u = heapq.heappop(heap)
-                if u in dist:
+                if dist[u] >= 0:
                     continue
                 dist[u] = d
                 order.append(u)
-                for v, w in adj[u].items():
-                    if v in dist:
+                su = sigma[u]
+                for v, ln, e in zip(nbrs[u], lens[u], eids[u]):
+                    if dist[v] >= 0:
                         continue
-                    nd = d + 1.0 / w
-                    old = found.get(v)
+                    nd = d + ln
+                    old = found[v]
                     if old is None or nd < old - 1e-12:
                         found[v] = nd
-                        sigma[v] = sigma[u]
-                        preds[v] = [u]
+                        sigma[v] = su
+                        delta[v] = 0.0
+                        preds[v] = [(u, e)]
                         heapq.heappush(heap, (nd, v))
-                    elif abs(nd - old) <= 1e-12:
-                        sigma[v] += sigma[u]
-                        preds[v].append(u)
-        delta = {v: 0.0 for v in order}
-        for w_v in reversed(order):
-            for u in preds[w_v]:
-                share = sigma[u] / sigma[w_v] * (1.0 + delta[w_v])
-                key = (u, w_v) if u < w_v else (w_v, u)
-                scores[key] += share
-                delta[u] += share
+                    elif -1e-12 <= nd - old <= 1e-12:
+                        sigma[v] += su
+                        preds[v].append((u, e))
+            for w in reversed(order):
+                sw = sigma[w]
+                cw = 1.0 + delta[w]
+                for u, e in preds[w]:
+                    share = sigma[u] / sw * cw
+                    score[e] += share
+                    delta[u] += share
+            for v in order:
+                dist[v] = -1
+                found[v] = None
     # Every undirected pair was counted from both endpoints' trees.
-    return {k: v / 2.0 for k, v in scores.items()}
+    for e in live:
+        score[e] /= 2.0
 
 
 def edge_betweenness(graph: CallGraph, weighted: bool = False) -> dict[tuple[str, str], float]:
@@ -348,7 +467,13 @@ def edge_betweenness(graph: CallGraph, weighted: bool = False) -> dict[tuple[str
     Unweighted hop counting by default; ``weighted=True`` treats heavier
     edges as shorter (length 1/weight).
     """
-    return _edge_betweenness(graph.names(), graph.adj, weighted)
+    ix = _dense_index(graph)
+    n = len(ix.names)
+    edges, nbrs, eids, lens = _betweenness_graph(ix)
+    score = [0.0] * len(edges)
+    _edge_betweenness(range(n), nbrs, eids, lens, score, _source_arrays(n), weighted)
+    names = ix.names
+    return {(names[a], names[b]): sc for (a, b), sc in zip(edges, score)}
 
 
 @dataclass
@@ -362,11 +487,10 @@ class PartitionSet:
 
 
 def _partition_set(
-    graph: CallGraph, clusters: list[list[str]], total: float | None = None
+    graph: CallGraph, clusters: list[list[str]], ix: _DenseIndex, total: float
 ) -> PartitionSet:
-    """``total`` is ``graph.total_weight()`` when the caller has it already."""
-    if total is None:
-        total = graph.total_weight()
+    """``ix`` and ``total`` are the graph's dense index and its
+    ``_modularity_total``."""
     offloadable = [
         all(PINNED_TAG not in graph.vertices[v].tags for v in cluster)
         for cluster in clusters
@@ -374,47 +498,52 @@ def _partition_set(
     return PartitionSet(
         n_clusters=len(clusters),
         clusters=clusters,
-        modularity=_modularity(graph, clusters, total),
+        modularity=_modularity(ix, clusters, total),
         offloadable=offloadable,
     )
 
 
-def _divisive_pass(graph: CallGraph, weighted: bool, trace: list | None = None):
-    """Girvan-Newman as one pass over a working copy of the graph.
+def _divisive_pass(ix: _DenseIndex, weighted: bool, trace: list | None = None):
+    """Girvan-Newman as one pass over a working copy of the dense index.
 
-    Yields the component list (each sorted, ordered by smallest member)
-    before any cut, then again after every cut that splits a component,
-    until no edge is left. Each cut takes the highest-betweenness edge;
-    a sorted scan with a strict ``1e-12`` margin resolves score ties to the
-    lexicographically smallest pair. After a cut only the component that
-    lost the edge is rescored. ``trace`` (if given) collects the cut edges
-    in order.
+    Yields the component list (lists of ids, each sorted, ordered by
+    smallest member) before any cut, then again after every cut that
+    splits a component, until no edge is left. Each cut takes the
+    highest-betweenness edge; a scan over ascending edge ids with a strict
+    ``1e-12`` margin resolves score ties to the lexicographically smallest
+    pair. After a cut only the component that lost the edge is rescored.
+    ``trace`` (if given) collects the cut edges by name, in order.
     """
-    names = graph.names()
-    work = {u: dict(vs) for u, vs in graph.adj.items()}
-    comps = _components(names, work)
+    n = len(ix.names)
+    edges, nbrs, eids, lens = _betweenness_graph(ix)
+    comps = _components(range(n), nbrs)
     yield comps
-    component_of = {v: comp for comp in comps for v in comp}
-    scores = _edge_betweenness(names, work, weighted)
-    edges = sorted(scores)
-    while edges:
-        best_edge, best_score = None, -1.0
-        for edge in edges:
-            sc = scores[edge]
+    component_of: list[list[int]] = [[]] * n
+    for comp in comps:
+        for v in comp:
+            component_of[v] = comp
+    score = [0.0] * len(edges)
+    arrays = _source_arrays(n)
+    _edge_betweenness(range(n), nbrs, eids, lens, score, arrays, weighted)
+    live = list(range(len(edges)))
+    while live:
+        best, best_score = -1, -1.0
+        for e in live:
+            sc = score[e]
             if sc > best_score + 1e-12:
-                best_edge, best_score = edge, sc
-        a, b = best_edge
-        del work[a][b]
-        del work[b][a]
-        edges.remove(best_edge)
-        del scores[best_edge]
+                best, best_score = e, sc
+        live.remove(best)
+        a, b = edges[best]
+        for u, v in ((a, b), (b, a)):
+            k = nbrs[u].index(v)
+            del nbrs[u][k], eids[u][k], lens[u][k]
         if trace is not None:
-            trace.append(best_edge)
+            trace.append((ix.names[a], ix.names[b]))
         # Components are sorted, so sources run in the order a whole-graph
         # pass would visit them and each rescored edge gets the same float.
         comp = component_of[a]
-        scores.update(_edge_betweenness(comp, work, weighted))
-        parts = _components(comp, work)
+        _edge_betweenness(comp, nbrs, eids, lens, score, arrays, weighted)
+        parts = _components(comp, nbrs)
         if len(parts) > 1:
             comps = sorted([c for c in comps if c is not comp] + parts, key=lambda c: c[0])
             for part in parts:
@@ -434,45 +563,62 @@ def girvan_newman(
     collects the removed edges in order. The cuts are those of the single
     pass that ``enumerate_partition_sets`` runs, stopped at ``n_clusters``.
     """
-    names = graph.names()
-    if not 1 <= n_clusters <= len(names):
+    if not 1 <= n_clusters <= len(graph.vertices):
         raise CallGraphError(
-            f"cluster count must be within 1..{len(names)}, got {n_clusters}"
+            f"cluster count must be within 1..{len(graph.vertices)}, got {n_clusters}"
         )
+    ix = _dense_index(graph)
+    total = _modularity_total(graph)
     # Cutting every edge leaves one component per class, so this ends.
-    comps = next(c for c in _divisive_pass(graph, weighted, trace) if len(c) >= n_clusters)
-    return _partition_set(graph, comps)
+    comps = next(c for c in _divisive_pass(ix, weighted, trace) if len(c) >= n_clusters)
+    return _partition_set(graph, ix.named(comps), ix, total)
+
+
+def _modularity_total(graph: CallGraph) -> float:
+    """W, the total edge weight that modularity and Louvain divide by.
+    Every term they form is at most (2W)^2, so a W whose (2W)^2 overflows
+    is refused here instead of turning into infinities and NaN."""
+    total = graph.total_weight()
+    w2 = 2.0 * total
+    if not math.isfinite(w2 * w2):
+        raise CallGraphError(
+            f"total edge weight W = {total!r} is too large: modularity terms up to "
+            "(2W)^2 overflow"
+        )
+    return total
 
 
 def modularity(graph: CallGraph, clusters) -> float:
     """Weighted Newman modularity of a full partition of the vertices."""
-    return _modularity(graph, clusters, graph.total_weight())
+    return _modularity(_dense_index(graph), clusters, _modularity_total(graph))
 
 
-def _modularity(graph: CallGraph, clusters, total: float) -> float:
-    names = set(graph.vertices)
-    assigned: dict[str, int] = {}
+def _modularity(ix: _DenseIndex, clusters, total: float) -> float:
+    id_of = ix.id_of
+    assigned = [-1] * len(ix.names)
     for ci, cluster in enumerate(clusters):
         for v in cluster:
-            if v not in names:
+            i = id_of.get(v)
+            if i is None:
                 raise CallGraphError(f"partition references unknown class {v!r}")
-            if v in assigned:
+            if assigned[i] >= 0:
                 raise CallGraphError(f"class {v!r} appears in more than one cluster")
-            assigned[v] = ci
-    if len(assigned) != len(names):
-        missing = sorted(names - assigned.keys())
+            assigned[i] = ci
+    missing = [name for name, ci in zip(ix.names, assigned) if ci < 0]
+    if missing:
         raise CallGraphError(f"partition does not cover class(es) {missing}")
     if total == 0.0:
         return 0.0
+    nbrs, weights, degree = ix.nbrs, ix.weights, ix.degree
     q = 0.0
-    for cluster in clusters:
-        members = set(cluster)
+    for ci, cluster in enumerate(clusters):
         w_in = 0.0
         w_tot = 0.0
         for v in cluster:
-            w_tot += graph.degree_weight(v)
-            for u, w in graph.adj[v].items():
-                if u in members and v < u:
+            i = id_of[v]
+            w_tot += degree[i]
+            for u, w in zip(nbrs[i], weights[i]):
+                if assigned[u] == ci and i < u:
                     w_in += w
         q += w_in / total - (w_tot / (2.0 * total)) ** 2
     return q
@@ -485,21 +631,21 @@ def louvain_optimal(graph: CallGraph, min_gain: float = 1e-12) -> PartitionSet:
     when it improves modularity by more than ``min_gain``; community ties
     resolve to the lowest community id. Deterministic for a given graph.
     """
-    names = graph.names()
-    n = len(names)
+    n = len(graph.vertices)
     if n == 0:
         raise CallGraphError("cannot partition an empty graph")
-    total = graph.total_weight()
+    ix = _dense_index(graph)
+    names = ix.names
+    total = _modularity_total(graph)
     if total == 0.0:
-        return _partition_set(graph, [[v] for v in names], total)
+        return _partition_set(graph, [[v] for v in names], ix, total)
     w2 = 2.0 * total
 
     # Index-space working copy; aggregation introduces self-loops.
-    nbrs: list[list[tuple[int, float]]] = []
+    nbrs: list[list[tuple[int, float]]] = [
+        sorted(zip(vs, ws)) for vs, ws in zip(ix.nbrs, ix.weights)
+    ]
     self_w = [0.0] * n
-    index = {v: i for i, v in enumerate(names)}
-    for v in names:
-        nbrs.append(sorted((index[u], w) for u, w in graph.adj[v].items()))
     membership = list(range(n))  # original vertex -> current community label
 
     while True:
@@ -569,7 +715,7 @@ def louvain_optimal(graph: CallGraph, min_gain: float = 1e-12) -> PartitionSet:
     for v, c in zip(names, membership):
         groups.setdefault(c, []).append(v)
     clusters = sorted((sorted(g) for g in groups.values()), key=lambda c: c[0])
-    return _partition_set(graph, clusters, total)
+    return _partition_set(graph, clusters, ix, total)
 
 
 def enumerate_partition_sets(
@@ -587,13 +733,14 @@ def enumerate_partition_sets(
     if natural is None:
         natural = louvain_optimal(graph).n_clusters
     upper = min(natural, len(graph.vertices))
-    total = graph.total_weight()
+    ix = _dense_index(graph)
+    total = _modularity_total(graph)
     sets: list[PartitionSet] = []
     n = 2
-    for comps in _divisive_pass(graph, weighted):
+    for comps in _divisive_pass(ix, weighted):
         while n <= min(len(comps), upper):
             # Sets share no lists, even where N repeats one component list.
-            sets.append(_partition_set(graph, [list(c) for c in comps], total))
+            sets.append(_partition_set(graph, ix.named(comps), ix, total))
             n += 1
         if n > upper:
             break

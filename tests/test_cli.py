@@ -1,6 +1,8 @@
-"""End-to-end command-line checks through ``python -m offloadsim``."""
+"""End-to-end command-line checks through ``python -m offloadsim``, and
+in process through ``cli.dispatch`` where only exit codes and streams matter."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import offloadsim
+from offloadsim import cli
 from offloadsim.topology import generate_topology
 
 from conftest import route_to_server
@@ -258,6 +261,72 @@ class TestPartition:
                       "--out", blocker / "report.json")
         assert res.returncode == 3
         assert res.stderr.startswith("runtime error:")
+
+
+def malformed_graph_docs():
+    """Call-graph documents that once leaked a non-ValueError or were
+    misread, each with what the error should name."""
+    vertex = dict(GRAPH_DOC["vertices"][0])
+    return {
+        "vertex-is-a-string": ({"vertices": ["A"], "edges": []}, "not an object"),
+        "vertices-is-an-object": ({"vertices": {"A": {}}, "edges": []}, "must be a list"),
+        "edge-is-a-string": ({**GRAPH_DOC, "edges": ["A"]}, "not an object"),
+        "edges-is-a-number": ({**GRAPH_DOC, "edges": 5}, "must be a list"),
+        "name-is-a-number": (
+            {"vertices": [vertex, {"name": 5}], "edges": []}, "'name' must be a string"
+        ),
+        "tags-is-a-string": (
+            {"vertices": [{**vertex, "tags": "pinned"}], "edges": []},
+            "'tags' must be a list of strings",
+        ),
+    }
+
+
+def huge_weight_doc(weight):
+    doc = json.loads(json.dumps(GRAPH_DOC))
+    for edge in doc["edges"]:
+        edge["weight"] = weight
+    return doc
+
+
+class TestMalformedGraphs:
+    """Bad documents exit 2 from both graph commands, in process."""
+
+    COMMANDS = {
+        "partition": ["partition"],
+        "decide": ["decide", "--rtt-ms", "15", "--bandwidth-bytes-per-s", "1e6"],
+    }
+
+    def dispatch(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))
+        code = cli.dispatch([*self.COMMANDS[command], "--graph", str(path)]).exit_code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("command", ["partition", "decide"])
+    @pytest.mark.parametrize("case", sorted(malformed_graph_docs()))
+    def test_malformed_document_is_a_usage_error(self, capsys, tmp_path, command, case):
+        doc, message = malformed_graph_docs()[case]
+        code, out, err = self.dispatch(capsys, tmp_path, command, doc)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["partition", "decide"])
+    @pytest.mark.parametrize("weight", [1e200, 1e308])
+    def test_weights_whose_modularity_overflows_are_a_usage_error(
+        self, capsys, tmp_path, command, weight
+    ):
+        code, out, err = self.dispatch(capsys, tmp_path, command, huge_weight_doc(weight))
+        assert (code, out) == (2, "")
+        assert "total edge weight" in err and "overflow" in err
+
+    def test_largest_safe_weights_give_finite_modularity(self, capsys, tmp_path):
+        code, out, _ = self.dispatch(capsys, tmp_path, "partition", huge_weight_doc(1e150))
+        assert code == 0
+        payload = json.loads(out)
+        assert math.isfinite(payload["natural_modularity"])
+        assert all(math.isfinite(s["modularity"]) for s in payload["sets"])
 
 
 class TestDecide:

@@ -6,6 +6,7 @@ maximum, the textbook summation for Q itself, and a from-scratch divisive
 loop for the single-pass Girvan-Newman.
 """
 
+import heapq
 import itertools
 import json
 import math
@@ -100,14 +101,101 @@ def all_set_partitions(items):
         yield [[first]] + smaller
 
 
+def reference_components(names, adj):
+    """Connected components by a dict DFS, each sorted, ordered by smallest
+    member: the name-keyed kernel the dense ``_components`` replaced."""
+    seen = set()
+    comps = []
+    for start in names:
+        if start in seen:
+            continue
+        comp = []
+        stack = [start]
+        seen.add(start)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        comps.append(sorted(comp))
+    comps.sort(key=lambda c: c[0])
+    return comps
+
+
+def reference_edge_betweenness(names, adj, weighted):
+    """Brandes's accumulation over name-keyed dicts with predecessor lists:
+    the kernel the dense ``_edge_betweenness`` replaced, and the oracle its
+    scores must equal bit for bit."""
+    scores = {}
+    for a in names:
+        for b in adj[a]:
+            if a < b:
+                scores[(a, b)] = 0.0
+    for s in names:
+        sigma = {s: 1.0}
+        preds = {s: []}
+        order = []
+        if not weighted:
+            dist = {s: 0}
+            frontier = [s]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    order.append(u)
+                    du = dist[u]
+                    for v in adj[u]:
+                        if v not in dist:
+                            dist[v] = du + 1
+                            sigma[v] = 0.0
+                            preds[v] = []
+                            nxt.append(v)
+                        if dist[v] == du + 1:
+                            sigma[v] += sigma[u]
+                            preds[v].append(u)
+                frontier = nxt
+        else:
+            dist = {}
+            heap = [(0.0, s)]
+            found = {s: 0.0}
+            while heap:
+                d, u = heapq.heappop(heap)
+                if u in dist:
+                    continue
+                dist[u] = d
+                order.append(u)
+                for v, w in adj[u].items():
+                    if v in dist:
+                        continue
+                    nd = d + 1.0 / w
+                    old = found.get(v)
+                    if old is None or nd < old - 1e-12:
+                        found[v] = nd
+                        sigma[v] = sigma[u]
+                        preds[v] = [u]
+                        heapq.heappush(heap, (nd, v))
+                    elif abs(nd - old) <= 1e-12:
+                        sigma[v] += sigma[u]
+                        preds[v].append(u)
+        delta = {v: 0.0 for v in order}
+        for w_v in reversed(order):
+            for u in preds[w_v]:
+                share = sigma[u] / sigma[w_v] * (1.0 + delta[w_v])
+                key = (u, w_v) if u < w_v else (w_v, u)
+                scores[key] += share
+                delta[u] += share
+    return {k: v / 2.0 for k, v in scores.items()}
+
+
 def reference_girvan_newman(graph, n_clusters, weighted=False, trace=None):
     """Divisive clustering from scratch for one N: rescore the whole graph
     and recompute all of its components after every cut."""
     names = graph.names()
     work = {u: dict(vs) for u, vs in graph.adj.items()}
-    comps = pt._components(names, work)
+    comps = reference_components(names, work)
     while len(comps) < n_clusters:
-        scores = pt._edge_betweenness(names, work, weighted)
+        scores = reference_edge_betweenness(names, work, weighted)
         best_edge, best_score = None, -1.0
         for edge in sorted(scores):
             sc = scores[edge]
@@ -118,8 +206,8 @@ def reference_girvan_newman(graph, n_clusters, weighted=False, trace=None):
         del work[b][a]
         if trace is not None:
             trace.append(best_edge)
-        comps = pt._components(names, work)
-    return pt._partition_set(graph, comps)
+        comps = reference_components(names, work)
+    return pt._partition_set(graph, comps, pt._dense_index(graph), pt._modularity_total(graph))
 
 
 def reference_partition_sets(graph, weighted=False, upper=None):
@@ -441,6 +529,48 @@ def test_build_call_graph_rejects_bad_documents():
         )
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"vertices": ["A"], "edges": []}, "not an object"),
+        ({"vertices": {"A": {}}, "edges": []}, "'vertices' must be a list"),
+        ({"vertices": [{"name": "A"}], "edges": [["A", "B", 1]]}, "not an object"),
+        ({"vertices": [{"name": "A"}], "edges": 5}, "'edges' must be a list"),
+        ({"vertices": [{"name": "A"}, {"name": 5}], "edges": []}, "'name' must be a string"),
+        ({"vertices": [{"name": "A", "tags": "pinned"}]}, "'tags' must be a list of strings"),
+        ({"vertices": [{"name": "A", "tags": ["pinned", 1]}]}, "'tags' must be a list"),
+    ],
+)
+def test_build_call_graph_rejects_malformed_entries(doc, message):
+    with pytest.raises(pt.CallGraphError, match=message):
+        pt.build_call_graph(doc)
+    with pytest.raises(pt.CallGraphError, match=message):
+        pt.build_call_graph(json.dumps(doc))
+
+
+@pytest.mark.parametrize("weight", [1e200, 1e308])
+def test_weights_whose_modularity_terms_overflow_are_rejected(weight):
+    g = make_graph([("a", "b", weight), ("b", "c", weight), ("c", "d", 1.0)])
+    for run in (
+        pt.louvain_optimal,
+        lambda g: pt.modularity(g, [["a", "b"], ["c", "d"]]),
+        lambda g: pt.enumerate_partition_sets(g, natural=3),
+        lambda g: pt.girvan_newman(g, 2),
+    ):
+        with pytest.raises(pt.CallGraphError, match="total edge weight W = .* overflow"):
+            run(g)
+    # Betweenness forms no modularity term, so it still runs.
+    assert pt.edge_betweenness(g, weighted=True)[("a", "b")] == 3.0
+
+
+def test_largest_weights_below_the_bound_keep_modularity_finite():
+    # 2W = 4e153 squares to 1.6e307, still finite.
+    g = make_graph([("a", "b", 1e153), ("b", "c", 1e153), ("c", "d", 1.0)])
+    best = pt.louvain_optimal(g)
+    assert math.isfinite(best.modularity) and best.n_clusters > 1
+    assert all(math.isfinite(p.modularity) for p in pt.enumerate_partition_sets(g))
+
+
 def test_weighted_betweenness_mode_differs():
     # Heavy edges are short in the weighted metric, so the weighted mode
     # must route around the light (long) edge.
@@ -492,6 +622,61 @@ def test_single_pass_matches_from_scratch_oracle(case):
         want = reference_girvan_newman(g, n, weighted, trace=want_trace)
         assert got == want
         assert got_trace == want_trace
+
+
+@st.composite
+def shuffled_weight_cases(draw):
+    """A call graph whose edges go in in a drawn order and orientation, so
+    adjacency insertion order is not name order, with weights from
+    {1, 2, 3, 6}: weighted path lengths tie within 1e-12 (1/3 + 1/6 = 1/2).
+    Names sort apart from their numbers ("v10" before "v2"); a pair drawn
+    twice merges into one heavier edge."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 16)))]
+    pairs = list(itertools.combinations(names, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=48)) if pairs else []
+    edges = [
+        (b, a, w) if draw(st.booleans()) else (a, b, w)
+        for (a, b), w in zip(chosen, draw(st.lists(
+            st.sampled_from([1.0, 2.0, 3.0, 6.0]), min_size=len(chosen), max_size=len(chosen)
+        )))
+    ]
+    return make_graph(edges, isolated=names), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(divisive_cases(), shuffled_weight_cases()))
+def test_betweenness_equals_dict_kernel_exactly(case):
+    g, weighted = case
+    want = reference_edge_betweenness(g.names(), g.adj, weighted)
+    assert pt.edge_betweenness(g, weighted) == want
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_betweenness_equals_dict_kernel_on_larger_graphs(weighted):
+    # Scores that are not small integers: a kernel that reorders one
+    # division or sum differs in the last bit here.
+    rng = random.Random(7)
+    for n in (20, 30, 40):
+        edges = random_graph(rng, n, p=0.15, max_w=6).edge_list()
+        rng.shuffle(edges)
+        g = make_graph([(b, a, w) if rng.random() < 0.5 else (a, b, w) for a, b, w in edges],
+                       isolated=[f"v{i}" for i in range(n)])
+        want = reference_edge_betweenness(g.names(), g.adj, weighted)
+        assert pt.edge_betweenness(g, weighted) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_weight_cases())
+def test_single_pass_matches_oracle_on_shuffled_graphs(case):
+    g, weighted = case
+    every = len(g.names())
+    assert pt.enumerate_partition_sets(g, weighted, natural=every) == (
+        reference_partition_sets(g, weighted, upper=every)
+    )
+    got_trace, want_trace = [], []
+    pt.girvan_newman(g, every, weighted, trace=got_trace)
+    reference_girvan_newman(g, every, weighted, trace=want_trace)
+    assert got_trace == want_trace
 
 
 @pytest.mark.parametrize("weighted", [False, True])
