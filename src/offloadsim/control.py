@@ -17,6 +17,10 @@ threshold, which is fixed per node before a run (``DROP`` for ``none``,
 ``passive_overflow`` for ``passive``). Forward targets are whatever node
 ids the caller's feeds use.
 
+Decisions are shared instances: ``EXECUTE``, ``DROP`` and one forward per
+target, so callers branch on ``dec is EXECUTE`` / ``dec is DROP`` and read
+a forward's ``target`` (which may be node 0).
+
 Load gossip is pulled: completions and heartbeats publish loads on
 ``LoadFeed``s, one per link delay, and ``lightest_load_neighbor`` reads
 them when a node forwards, holding the one staleness rule.
@@ -27,6 +31,7 @@ so the simulator, the CLI, and the tests share one code path.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -49,17 +54,14 @@ class AdmissionDecision:
     target: int | None = None  # receiving node for FORWARD
 
     @staticmethod
+    @functools.cache
     def forward(target: int) -> "AdmissionDecision":
-        dec = _FORWARDS.get(target)
-        if dec is None:
-            dec = _FORWARDS[target] = AdmissionDecision(Action.FORWARD, target)
-        return dec
+        """The one shared FORWARD decision to ``target``."""
+        return AdmissionDecision(Action.FORWARD, target)
 
 
-_EXECUTE = AdmissionDecision(Action.EXECUTE)
+EXECUTE = AdmissionDecision(Action.EXECUTE)
 DROP = AdmissionDecision(Action.DROP)
-# Decisions are immutable, so one FORWARD instance per target is shared.
-_FORWARDS: dict[int, AdmissionDecision] = {}
 
 
 class LoadFeed:
@@ -116,7 +118,7 @@ def decide_threshold(
     node_load: float, capacity_threshold: float, overflow: AdmissionDecision
 ) -> AdmissionDecision:
     """Execute below the threshold; at or above it, take ``overflow``."""
-    return _EXECUTE if node_load < capacity_threshold else overflow
+    return EXECUTE if node_load < capacity_threshold else overflow
 
 
 def passive_overflow(
@@ -153,7 +155,7 @@ def decide_proactive(
         return decide_threshold(node_load, capacity_threshold, DROP)
     q = state.execution_probability(cpu_capacity, mem_capacity)
     if rng_draw < q:
-        return _EXECUTE
+        return EXECUTE
     if not forwarding_enabled:
         return DROP
     target = lightest_load_neighbor(neighbors, now)
@@ -164,6 +166,7 @@ def decide_proactive(
 
 __all__ = [
     "DROP",
+    "EXECUTE",
     "Action",
     "AdmissionDecision",
     "LoadFeed",

@@ -322,13 +322,15 @@ def _dense_index(graph: CallGraph) -> _DenseIndex:
     )
 
 
-def _betweenness_graph(ix: _DenseIndex):
+def _betweenness_graph(ix: _DenseIndex, weighted: bool):
     """``edges``, ``nbrs``, ``eids`` and ``lens`` for a betweenness pass.
 
     ``edges`` lists the ``(a, b)`` pairs with ``a < b`` in sorted order, so
     ascending edge ids scan pairs as sorted names would. ``nbrs`` is a copy
     of the index adjacency the pass may cut; ``eids`` and ``lens`` (path
-    length ``1.0 / weight``) run parallel to it.
+    length ``1.0 / weight``) run parallel to it. A weighted pass whose
+    paths of up to n - 1 edges could sum past the largest float is refused
+    here, since the ``1e-12`` tie test would then compare ``inf - inf``.
     """
     n = len(ix.nbrs)
     edges: list[tuple[int, int]] = []
@@ -343,6 +345,13 @@ def _betweenness_graph(ix: _DenseIndex):
         for a, vs in enumerate(ix.nbrs)
     ]
     lens = [[1.0 / w for w in ws] for ws in ix.weights]
+    if weighted:
+        lightest = min((w for ws in ix.weights for w in ws), default=math.inf)
+        if not math.isfinite((n - 1) * (1.0 / lightest)):
+            raise CallGraphError(
+                f"edge weight {lightest!r} is too small for weighted betweenness: "
+                f"paths of up to {n - 1} edges of length 1/weight overflow"
+            )
     return edges, [list(vs) for vs in ix.nbrs], eids, lens
 
 
@@ -469,7 +478,7 @@ def edge_betweenness(graph: CallGraph, weighted: bool = False) -> dict[tuple[str
     """
     ix = _dense_index(graph)
     n = len(ix.names)
-    edges, nbrs, eids, lens = _betweenness_graph(ix)
+    edges, nbrs, eids, lens = _betweenness_graph(ix, weighted)
     score = [0.0] * len(edges)
     _edge_betweenness(range(n), nbrs, eids, lens, score, _source_arrays(n), weighted)
     names = ix.names
@@ -515,7 +524,7 @@ def _divisive_pass(ix: _DenseIndex, weighted: bool, trace: list | None = None):
     ``trace`` (if given) collects the cut edges by name, in order.
     """
     n = len(ix.names)
-    edges, nbrs, eids, lens = _betweenness_graph(ix)
+    edges, nbrs, eids, lens = _betweenness_graph(ix, weighted)
     comps = _components(range(n), nbrs)
     yield comps
     component_of: list[list[int]] = [[]] * n

@@ -44,7 +44,7 @@ from pathlib import Path
 
 from .control import (
     DROP,
-    Action,
+    EXECUTE,
     LoadFeed,
     decide_proactive,
     decide_threshold,
@@ -343,12 +343,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     # Request payload layout: [service, origin, t_origin, ttl, acc_delay_s,
     # counted, t_admitted]. Mutated in place across hops.
 
-    def start_service(i: int, req: list, now: float) -> None:
-        nonlocal seq
-        dur = rng_expo(svc_rate[req[0]])
-        heappush(heap, (now + dur, _COMPLETION, i, seq, req, dur))
-        seq += 1
-
     while heap:
         ev = heappop(heap)
         t = ev[0]
@@ -393,8 +387,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 else:
                     dec = decide_threshold(load_num[i] * inv_cap[i], threshold, overflow[i])
 
-                act = dec.action
-                if act is Action.EXECUTE:
+                if dec is EXECUTE:
                     lt = last_t[i]
                     if lt < horizon:
                         hi = t if t < horizon else horizon
@@ -408,9 +401,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                         queue[i].append(req)
                     else:
                         busy[i] = True
-                        start_service(i, req, t)
+                        dur = rng_expo(svc_rate[req[0]])
+                        heappush(heap, (t + dur, _COMPLETION, i, seq, req, dur))
+                        seq += 1
                     continue
-                if act is Action.DROP:
+                if dec is DROP:
                     gross_dropped += 1
                     if req[5]:
                         counted_drop += 1
@@ -443,13 +438,18 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 counted_exec += 1
                 pne[i] += 1
                 lat_sum += (t - req[6]) + 2.0 * req[4]
-            if proactive and estimators[i] is not None:
-                estimators[i].record_completion(dur, svc_cpu[req[0]], svc_mem[req[0]])
+            # Only proactive runs keep estimators.
+            est = estimators[i]
+            if est is not None:
+                est.record_completion(dur, svc_cpu[req[0]], svc_mem[req[0]])
                 load = load_num[i] * inv_cap[i]
                 for feed in feeds[i].values():
                     feed.publish(t, load)
             if queue[i]:
-                start_service(i, queue[i].popleft(), t)
+                req = queue[i].popleft()
+                dur = rng_expo(svc_rate[req[0]])
+                heappush(heap, (t + dur, _COMPLETION, i, seq, req, dur))
+                seq += 1
             else:
                 busy[i] = False
 

@@ -9,7 +9,9 @@ Two halves live here:
 
 * The request source: a service catalog with popularity weights and
   ``poisson_stream``, which samples (possibly jittered) Poisson arrival
-  times, service picks, and origin access points from a seeded RNG.
+  times, service picks, and origin access points from a seeded RNG. The
+  origin draw is ``randrange``'s own, inlined: ``getrandbits`` of the
+  count's bit length, redrawn until below the access point count.
 """
 
 from __future__ import annotations
@@ -196,7 +198,7 @@ def _iter_arrival_tuples(
     rng = random.Random(f"{seed}|arrivals")
     expovariate = rng.expovariate
     uniform = rng.random
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
 
     cum: list[float] = []
     total_w = 0.0
@@ -209,19 +211,26 @@ def _iter_arrival_tuples(
     if access_points is not None and not access_points:
         raise ValueError("access point list must not be empty")
     n_ap = len(access_points) if access_points is not None else 0
+    k_ap = n_ap.bit_length()
 
     t = 0.0
+    origin = 0
     seg_i = 0
     last_seg = len(segs) - 1
+    # The current segment's rate, and where the next segment starts.
+    rate = rate_per_s * segs[0][1]
+    seg_end = segs[1][0] if last_seg else math.inf
     while True:
         # The exponential gap is memoryless, so on crossing a rate boundary
         # the residual wait can be redrawn at the new rate without bias.
         while True:
-            gap = expovariate(rate_per_s * segs[seg_i][1])
-            nxt = t + gap
-            if seg_i < last_seg and nxt >= segs[seg_i + 1][0]:
+            nxt = t + expovariate(rate)
+            # The last segment ends at inf, which an infinite gap reaches.
+            if nxt >= seg_end and seg_i < last_seg:
                 seg_i += 1
-                t = segs[seg_i][0]
+                t = seg_end
+                rate = rate_per_s * segs[seg_i][1]
+                seg_end = segs[seg_i + 1][0] if seg_i < last_seg else math.inf
                 continue
             t = nxt
             break
@@ -233,7 +242,11 @@ def _iter_arrival_tuples(
             for svc, edge in enumerate(cum):
                 if u < edge:
                     break
-        origin = access_points[randrange(n_ap)] if n_ap else 0
+        if n_ap:
+            r = getrandbits(k_ap)
+            while r >= n_ap:
+                r = getrandbits(k_ap)
+            origin = access_points[r]
         yield (t, svc, origin)
 
 

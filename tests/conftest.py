@@ -23,9 +23,9 @@ from offloadsim.control import (
     decide_threshold,
     passive_overflow,
 )
-from offloadsim.partition import CallGraph, ClassNode, MethodProfile, _left_sum
+from offloadsim.partition import CallGraph, ClassNode, MethodProfile, _left_sum, _positive
 from offloadsim.topology import NodeSpec, Topology
-from offloadsim.workload import _iter_arrival_tuples, new_estimator
+from offloadsim.workload import _segment_boundaries, _validate_jitters, new_estimator
 
 
 def make_graph(edges, isolated=(), methods=None, tags=None):
@@ -138,11 +138,64 @@ def scripted_runs(arrivals, durations, draws):
         return iter([(t, 0, aps[k % len(aps)]) for t, k in sorted(arrivals)])
 
     with contextlib.ExitStack() as stack:
-        for module in (sim, sys.modules[__name__]):
+        for module, stream in (
+            (sim, "_iter_arrival_tuples"),
+            (sys.modules[__name__], "reference_arrival_tuples"),
+        ):
             fake = types.SimpleNamespace(Random=Scripted)
             stack.enter_context(mock.patch.object(module, "random", fake))
-            stack.enter_context(mock.patch.object(module, "_iter_arrival_tuples", scripted_arrivals))
+            stack.enter_context(mock.patch.object(module, stream, scripted_arrivals))
         yield
+
+
+def reference_arrival_tuples(
+    rate_per_s, horizon_s, seed, jitters=None, services=None, access_points=None
+):
+    """The arrival stream with ``randrange`` origins and the segment's rate
+    looked up and multiplied on every draw: the oracle for
+    ``workload._iter_arrival_tuples``."""
+    if not _positive(horizon_s):
+        raise ValueError("horizon must be positive and finite")
+    jitters = _validate_jitters(list(jitters or []))
+    segs = _segment_boundaries(jitters, horizon_s)
+    if not all(_positive(rate_per_s * mult) for _, mult in segs):
+        raise ValueError("arrival rate must be positive and finite in every rate segment")
+
+    rng = random.Random(f"{seed}|arrivals")
+    cum = []
+    total_w = 0.0
+    if services is not None:
+        for s in services:
+            total_w += s.popularity_weight
+            cum.append(total_w)
+        if total_w <= 0.0:
+            raise ValueError("popularity weights must not all be zero")
+    if access_points is not None and not access_points:
+        raise ValueError("access point list must not be empty")
+    n_ap = len(access_points) if access_points is not None else 0
+
+    t = 0.0
+    seg_i = 0
+    last_seg = len(segs) - 1
+    while True:
+        while True:
+            nxt = t + rng.expovariate(rate_per_s * segs[seg_i][1])
+            if seg_i < last_seg and nxt >= segs[seg_i + 1][0]:
+                seg_i += 1
+                t = segs[seg_i][0]
+                continue
+            t = nxt
+            break
+        if t >= horizon_s:
+            return
+        svc = 0
+        if cum:
+            u = rng.random() * total_w
+            for svc, edge in enumerate(cum):
+                if u < edge:
+                    break
+        origin = access_points[rng.randrange(n_ap)] if n_ap else 0
+        yield (t, svc, origin)
 
 
 # Event kind ranks of the push-gossip loop; lower processes first at equal
@@ -207,8 +260,9 @@ def reference_decide_proactive(
 def reference_run_scenario(cfg):
     """``simulator.run_scenario`` as it was with push gossip: every
     completion and heartbeat schedules one gossip event per link delay, and
-    each delivery applies to the receiver's table. The oracle for the
-    pull-based view."""
+    each delivery applies to the receiver's table, and arrivals come from
+    ``reference_arrival_tuples``. The oracle for the pull-based view and
+    the arrival stream."""
     cfg.validate()
     topo = cfg.topology
     strategy = cfg.strategy
@@ -286,7 +340,7 @@ def reference_run_scenario(cfg):
     rng_random = rng.random
     rng_expo = rng.expovariate
 
-    arrivals = _iter_arrival_tuples(
+    arrivals = reference_arrival_tuples(
         cfg.base_rate_per_s * cfg.load_multiplier,
         horizon,
         cfg.seed,

@@ -14,12 +14,16 @@ offloadsim.
   RTT estimate of random float latency windows,
 * popularity shares and catalog means of random float service catalogs,
 * the mean and median unique-class fraction and the storage savings of
-  synthetic app corpora at prefix depths 2 to 4.
+  synthetic app corpora at prefix depths 2 to 4,
+* the first 300 arrivals of a stream with 5 access points, 3 weighted
+  services and two surges. CPython promises reproducible output across
+  versions only for ``random()``; the origin draw uses ``getrandbits``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 
@@ -27,7 +31,13 @@ from offloadsim import decision
 from offloadsim.appstats import synth_corpus, unique_class_fraction
 from offloadsim.partition import CallGraph, ClassNode, MethodProfile, louvain_optimal, modularity
 from offloadsim.simulator import PRESETS, STRATEGIES, run_scenario
-from offloadsim.workload import ServiceSpec, catalog_means, popularity
+from offloadsim.workload import (
+    JitterSpec,
+    ServiceSpec,
+    _iter_arrival_tuples,
+    catalog_means,
+    popularity,
+)
 
 
 def tau_values() -> dict[str, str]:
@@ -136,6 +146,17 @@ def corpus_values() -> dict[str, str]:
     return out
 
 
+def arrival_values() -> dict[str, str]:
+    services = [
+        ServiceSpec(name=f"s{i}", mean_exec_time_s=0.001, popularity_weight=w)
+        for i, w in enumerate((3.0, 1.5, 0.25))
+    ]
+    jitters = [JitterSpec(20.0, 15.0, 4.0), JitterSpec(60.0, 10.0, 0.5)]
+    stream = _iter_arrival_tuples(2000.0, 0.5, 7, jitters, services, [2, 3, 5, 7, 11])
+    first = itertools.islice(stream, 300)
+    return {f"arrival|{k}": repr(arrival) for k, arrival in enumerate(first)}
+
+
 def values() -> dict[str, str]:
     return {
         **tau_values(),
@@ -143,6 +164,7 @@ def values() -> dict[str, str]:
         **decision_values(),
         **catalog_values(),
         **corpus_values(),
+        **arrival_values(),
     }
 
 

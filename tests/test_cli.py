@@ -297,10 +297,10 @@ class TestMalformedGraphs:
         "decide": ["decide", "--rtt-ms", "15", "--bandwidth-bytes-per-s", "1e6"],
     }
 
-    def dispatch(self, capsys, tmp_path, command, doc):
+    def dispatch(self, capsys, tmp_path, command, doc, *flags):
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(doc))
-        code = cli.dispatch([*self.COMMANDS[command], "--graph", str(path)]).exit_code
+        code = cli.dispatch([*self.COMMANDS[command], *flags, "--graph", str(path)]).exit_code
         out, err = capsys.readouterr()
         return code, out, err
 
@@ -320,6 +320,14 @@ class TestMalformedGraphs:
         code, out, err = self.dispatch(capsys, tmp_path, command, huge_weight_doc(weight))
         assert (code, out) == (2, "")
         assert "total edge weight" in err and "overflow" in err
+
+    def test_weights_whose_betweenness_paths_overflow_are_a_usage_error(self, capsys, tmp_path):
+        doc = huge_weight_doc(1e-308)
+        code, out, err = self.dispatch(capsys, tmp_path, "partition", doc, "--weighted")
+        assert (code, out) == (2, "")
+        assert "too small for weighted betweenness" in err
+        # Hop counting sums no lengths, so the same graph partitions.
+        assert self.dispatch(capsys, tmp_path, "partition", doc)[0] == 0
 
     def test_largest_safe_weights_give_finite_modularity(self, capsys, tmp_path):
         code, out, _ = self.dispatch(capsys, tmp_path, "partition", huge_weight_doc(1e150))

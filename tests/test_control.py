@@ -1,12 +1,15 @@
 """Per-node admission strategies and one-hop load exchange."""
 
 import collections
+import dataclasses
 import math
 import random
+from unittest import mock
 
 import pytest
 
 from offloadsim import control as ct
+from offloadsim import simulator as sim
 from offloadsim import workload as wl
 
 from test_workload import admit_q
@@ -112,6 +115,34 @@ def test_passive_last_hop_can_reach_executing_server(line4):
 def test_passive_at_server_drops(line4):
     d = passive(line4, 3, 1.5, server_executes=True)
     assert d.action is ct.Action.DROP
+
+
+def test_forward_to_index_zero_is_a_forward():
+    # Node 0 is a valid target and 0 is falsy: nothing may read a target
+    # by its truth value.
+    d = ct.passive_overflow(0, 3)
+    assert d.action is ct.Action.FORWARD and d.target == 0
+    assert ct.decide_threshold(1.5, 1.0, d) is d
+    # On overload-line every node but the sink server executes, so node 1
+    # forwards to node 0 (dense index 0) whenever 0 reads lightest; with no
+    # warmup and no relays, every forward decision counts as one forward.
+    cfg = dataclasses.replace(
+        sim.preset_overload_line("proactive"), horizon_s=0.2, warmup_s=0.0, seed=1
+    )
+    decisions = collections.Counter()
+
+    def counted(*args, **kwargs):
+        dec = ct.decide_proactive(*args, **kwargs)
+        decisions[dec] += 1
+        return dec
+
+    with mock.patch.object(sim, "decide_proactive", counted):
+        m = sim.run_scenario(cfg)
+    assert decisions[ct.AdmissionDecision.forward(0)] > 0
+    assert m.forwarded == sum(
+        k for dec, k in decisions.items() if dec.action is ct.Action.FORWARD
+    )
+    assert m.executed == decisions[ct.EXECUTE]
 
 
 def test_lightest_neighbor_argmin():

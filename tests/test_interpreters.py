@@ -1,7 +1,9 @@
 """Float results carry the same bits on every CPython >= 3.10 on PATH.
 
 Python 3.12 made the built-in sum() compensate float rounding, so a sum()
-left in a metric path gives other bits there than on 3.11. The script
+left in a metric path gives other bits there than on 3.11. CPython
+promises the same stream across versions only for ``random()``, and the
+arrival stream's origin draw uses ``getrandbits``. The script
 ``interp_values.py`` runs under each other interpreter in a subprocess and
 its reprs must equal the ones computed in this process.
 """

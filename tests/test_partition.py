@@ -571,6 +571,32 @@ def test_largest_weights_below_the_bound_keep_modularity_finite():
     assert all(math.isfinite(p.modularity) for p in pt.enumerate_partition_sets(g))
 
 
+def four_cycle(weight):
+    """The ring a-b-d-c-a, every edge of one weight: each edge carries two
+    shortest paths' worth of betweenness."""
+    return make_graph([("a", "b", weight), ("a", "c", weight), ("b", "d", weight),
+                       ("c", "d", weight)])
+
+
+def test_weighted_betweenness_refuses_path_lengths_that_overflow():
+    # Lengths of 1e308: two of them already sum to inf, and inf - inf in
+    # the tie test is NaN, which miscounted this ring as 3, 2, 2, 1.
+    g = four_cycle(1e-308)
+    for run in (
+        lambda g: pt.edge_betweenness(g, weighted=True),
+        lambda g: pt.girvan_newman(g, 2, weighted=True),
+        lambda g: pt.enumerate_partition_sets(g, weighted=True, natural=2),
+    ):
+        with pytest.raises(pt.CallGraphError, match="too small for weighted betweenness"):
+            run(g)
+    # Hop counting sums no lengths.
+    assert set(pt.edge_betweenness(g).values()) == {2.0}
+
+
+def test_weighted_betweenness_with_tiny_finite_path_lengths_is_exact():
+    assert set(pt.edge_betweenness(four_cycle(1e-300), weighted=True).values()) == {2.0}
+
+
 def test_weighted_betweenness_mode_differs():
     # Heavy edges are short in the weighted metric, so the weighted mode
     # must route around the light (long) edge.

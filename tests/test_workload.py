@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from offloadsim import workload as wl
 
+from conftest import reference_arrival_tuples
+
 INF = math.inf
 NAN = math.nan
 
@@ -529,6 +531,43 @@ def test_arrivals_sorted_and_bounded():
     assert times == sorted(times)
     assert all(0.0 <= t < 0.5 for t in times)
     assert all(e.origin in (1, 2) for e in events)
+
+
+@st.composite
+def arrival_inputs(draw):
+    """Arguments of ``_iter_arrival_tuples``: surges a few ms apart (some
+    back to back, some past the horizon) at rates that put many draws on
+    each side of every boundary, 1-7 weighted services or none, and 1-9
+    access points (mostly not a power of two) or none."""
+    horizon_s = draw(st.floats(min_value=0.02, max_value=0.1))
+    jitters = []
+    start_ms = 0.0
+    for _ in range(draw(st.integers(0, 3))):
+        start_ms += draw(st.floats(min_value=0.0, max_value=40.0))
+        duration_ms = draw(st.floats(min_value=0.5, max_value=20.0))
+        mult = draw(st.floats(min_value=0.05, max_value=10.0))
+        jitters.append(wl.JitterSpec(start_ms, duration_ms, mult))
+        start_ms += duration_ms
+    services = draw(st.none() | st.lists(
+        st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=7
+    ).map(lambda ws: [
+        wl.ServiceSpec(name=f"s{i}", mean_exec_time_s=0.001, popularity_weight=w)
+        for i, w in enumerate(ws)
+    ]))
+    access_points = draw(st.none() | st.lists(
+        st.integers(0, 50), min_size=1, max_size=9
+    ))
+    rate = draw(st.floats(min_value=200.0, max_value=5000.0))
+    seed = draw(st.integers(0, 2**16))
+    return rate, horizon_s, seed, jitters, services, access_points
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrival_inputs())
+@example((1000.0, 0.15, 0, [wl.JitterSpec(40.0, 10.0, 6.0), wl.JitterSpec(70.0, 10.0, 6.0)],
+          None, [0, 1, 2, 3, 4]))
+def test_arrival_stream_matches_the_randrange_oracle(args):
+    assert list(wl._iter_arrival_tuples(*args)) == list(reference_arrival_tuples(*args))
 
 
 def test_estimator_memory_is_fixed_by_k():
