@@ -15,8 +15,10 @@ Savings model: keeping one copy per shared prefix group (the copy priced at
 the sharer with the largest per-class size) against the naive sum of all
 dex sizes.
 
-Both statistics read one pass over the corpus that maps each package once
-to its shared key (``_shared_key``).
+Both statistics read one pass over the corpus that maps each distinct
+package path once to its shared key (``_shared_key``), which splits the
+path once and tests it with one C-level scan of the segment lengths for a
+one-character segment; ``is_obfuscated_package`` reads the same test.
 """
 
 from __future__ import annotations
@@ -92,9 +94,9 @@ def parse_corpus(source) -> Corpus:
         for chunk in pkg_text.split(";"):
             if not chunk:
                 raise CorpusError(f"line {line_no}: empty package entry")
-            if "=" not in chunk:
+            pkg, eq, count_text = chunk.partition("=")
+            if not eq:
                 raise CorpusError(f"line {line_no}: package entry {chunk!r} lacks '=count'")
-            pkg, _, count_text = chunk.partition("=")
             if not pkg:
                 raise CorpusError(f"line {line_no}: empty package path")
             try:
@@ -112,24 +114,54 @@ def parse_corpus(source) -> Corpus:
     return Corpus(apps=apps)
 
 
+#: What an id or package cannot hold in a corpus file: the field, entry and
+#: count separators, and every line break of ``str.splitlines``.
+_UNCARRIED = "\t;=\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _holds_uncarried(text: str) -> bool:
+    return any(ch in text for ch in _UNCARRIED)
+
+
+def _uncarried(app_id) -> CorpusError:
+    return CorpusError(f"app {app_id!r}: a corpus file cannot carry its id or a package")
+
+
 def write_corpus(corpus: Corpus, path) -> None:
+    """Write the corpus in the format ``parse_corpus`` reads.
+
+    Raises ``CorpusError``, naming an app, for an id or package that the
+    format cannot carry: one holding a tab, ``;``, ``=`` or any line break
+    of ``str.splitlines``, an empty package, or an id that is empty, starts
+    with ``#`` or has surrounding whitespace. An app without packages is
+    written, and ``parse_corpus`` refuses it.
+    """
     lines = []
     for app in corpus.apps:
+        app_id = app.app_id
+        if not app_id or app_id[0] == "#" or app_id.strip() != app_id or "" in app.packages:
+            raise _uncarried(app_id)
         pkgs = ";".join(f"{p}={c}" for p, c in sorted(app.packages.items()))
-        lines.append(f"{app.app_id}\t{app.dex_size_bytes}\t{pkgs}")
+        lines.append(f"{app_id}\t{app.dex_size_bytes}\t{pkgs}")
+    # One scan over every id and package; only a hit is traced to its app.
+    names = [app.app_id + "".join(app.packages) for app in corpus.apps]
+    if _holds_uncarried("".join(names)):
+        raise _uncarried(next(a.app_id for a, n in zip(corpus.apps, names) if _holds_uncarried(n)))
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def is_obfuscated_package(path: str) -> bool:
-    """A package is considered obfuscated when any segment is one character."""
-    return any(len(segment) == 1 for segment in path.split("."))
+    """A package is considered obfuscated when any segment is one character
+    (an empty segment, as in ``com..lib``, is not)."""
+    # Every path has a first segment, so only obfuscation leaves no key.
+    return _shared_key(path, 1) is None
 
 
 def _shared_key(path: str, depth: int) -> str | None:
     """First ``depth`` segments of a package, or None when it can never
     match across apps (obfuscated, or shallower than ``depth``)."""
     segments = path.split(".")
-    if len(segments) < depth or is_obfuscated_package(path):
+    if len(segments) < depth or 1 in map(len, segments):
         return None
     return ".".join(segments[:depth])
 
@@ -150,9 +182,11 @@ class OverlapReport:
 
 @dataclass
 class _Tally:
-    """One app: bytes per class, classes no other app shares, count per key."""
+    """One app: classes in all, bytes per class, classes no other app
+    shares, count per key."""
 
     app: AppRecord
+    total: int
     class_size: float
     unique: int
     by_key: dict[str, int]
@@ -168,11 +202,15 @@ def _overlap(corpus: Corpus, depth: int) -> tuple[list[_Tally], dict[str, list[s
         raise CorpusError("corpus holds no apps")
     rows: list[tuple[AppRecord, int, dict[str, int]]] = []
     holders: dict[str, list[str]] = {}
+    keys: dict[str, str | None] = {}  # library paths recur across apps
     for app in corpus.apps:
         private = 0
         by_key: dict[str, int] = {}
         for pkg, count in app.packages.items():
-            key = _shared_key(pkg, depth)
+            if pkg in keys:
+                key = keys[pkg]
+            else:
+                key = keys[pkg] = _shared_key(pkg, depth)
             if key is None:
                 private += count
             elif key in by_key:
@@ -185,7 +223,10 @@ def _overlap(corpus: Corpus, depth: int) -> tuple[list[_Tally], dict[str, list[s
     tallies = []
     for app, private, by_key in rows:
         unique = private + sum(c for k, c in by_key.items() if k not in shared)
-        tallies.append(_Tally(app, app.per_class_size(), unique, by_key))
+        total = app.total_classes()
+        # per_class_size raises the error for an app without classes.
+        size = app.dex_size_bytes / total if total else app.per_class_size()
+        tallies.append(_Tally(app, total, size, unique, by_key))
     return tallies, shared
 
 
@@ -210,7 +251,7 @@ def unique_class_fraction(corpus: Corpus, depth: int) -> OverlapReport:
     """Percentage of each app's classes that no other app shares at
     prefix depth N, plus the corpus storage savings at that depth."""
     tallies, shared = _overlap(corpus, depth)
-    per_app = {t.app.app_id: 100.0 * t.unique / t.app.total_classes() for t in tallies}
+    per_app = {t.app.app_id: 100.0 * t.unique / t.total for t in tallies}
     values = list(per_app.values())
     return OverlapReport(
         depth=depth,

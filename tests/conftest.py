@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import random
+import statistics
 import sys
 import types
 from collections import deque
@@ -16,6 +17,7 @@ from unittest import mock
 import pytest
 
 from offloadsim import simulator as sim
+from offloadsim.appstats import CorpusError, OverlapReport
 from offloadsim.control import (
     DROP,
     Action,
@@ -568,4 +570,81 @@ def reference_run_scenario(cfg):
         sample_node_ids=list(ids),
         sample_times_ms=sample_times,
         sample_loads=sample_rows,
+    )
+
+
+def reference_shared_prefixes(corpus, depth):
+    """Prefix -> sorted app ids containing it (only prefixes in 2+ apps)."""
+    holders = {}
+    for app in corpus.apps:
+        for pkg in app.packages:
+            pre = reference_prefix(pkg, depth)
+            if pre is not None:
+                holders.setdefault(pre, set()).add(app.app_id)
+    return {p: sorted(a) for p, a in sorted(holders.items()) if len(a) >= 2}
+
+
+def reference_prefix(pkg, depth):
+    """First ``depth`` segments, or None for an obfuscated or too shallow path."""
+    segments = pkg.split(".")
+    if any(len(s) == 1 for s in segments) or len(segments) < depth:
+        return None
+    return ".".join(segments[:depth])
+
+
+def reference_storage_savings(corpus, depth):
+    """The savings as a separate pass of its own: validate, find the shared
+    prefixes, then classify every package again while pricing it."""
+    if depth < 1:
+        raise CorpusError("prefix depth must be at least 1")
+    if not corpus.apps:
+        raise CorpusError("corpus holds no apps")
+    sizes = {app.app_id: app.per_class_size() for app in corpus.apps}
+    naive = float(sum(app.dex_size_bytes for app in corpus.apps))
+    if naive == 0.0:
+        return 0.0
+    shared = reference_shared_prefixes(corpus, depth)
+    dedup = 0.0
+    shared_counts = {}
+    for app in corpus.apps:
+        unique_classes = 0
+        for pkg, count in app.packages.items():
+            pre = reference_prefix(pkg, depth)
+            if pre is not None and pre in shared:
+                key = (pre, app.app_id)
+                shared_counts[key] = shared_counts.get(key, 0) + count
+            else:
+                unique_classes += count
+        dedup += unique_classes * sizes[app.app_id]
+    for pre, holders in shared.items():
+        best_id = max(holders, key=lambda a: (sizes[a], shared_counts.get((pre, a), 0)))
+        dedup += shared_counts.get((pre, best_id), 0) * sizes[best_id]
+    saving = 1.0 - dedup / naive
+    return saving if saving > 0.0 else 0.0
+
+
+def reference_unique_class_fraction(corpus, depth):
+    """The report as the multi-pass original computed it: shared prefixes
+    first, every package classified again per app, and the savings from a
+    pass of their own."""
+    if depth < 1:
+        raise CorpusError("prefix depth must be at least 1")
+    if not corpus.apps:
+        raise CorpusError("corpus holds no apps")
+    shared = reference_shared_prefixes(corpus, depth)
+    per_app = {}
+    for app in corpus.apps:
+        unique = 0
+        for pkg, count in app.packages.items():
+            pre = reference_prefix(pkg, depth)
+            if pre is None or pre not in shared:
+                unique += count
+        per_app[app.app_id] = 100.0 * unique / app.total_classes()
+    values = list(per_app.values())
+    return OverlapReport(
+        depth=depth,
+        per_app_unique_fraction=per_app,
+        mean_unique_fraction=statistics.fmean(values),
+        median_unique_fraction=statistics.median(values),
+        storage_savings=reference_storage_savings(corpus, depth),
     )

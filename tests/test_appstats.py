@@ -1,7 +1,7 @@
 """Corpus overlap statistics: obfuscation filter, unique fractions, dedup
 savings, and generated corpora checked against a multi-pass reference."""
 
-import statistics
+import re
 import tempfile
 from pathlib import Path
 
@@ -14,7 +14,7 @@ from offloadsim.appstats import (
     Corpus,
     CorpusError,
     LibrarySpec,
-    OverlapReport,
+    _shared_key,
     is_obfuscated_package,
     parse_corpus,
     storage_savings,
@@ -23,82 +23,7 @@ from offloadsim.appstats import (
     write_corpus,
 )
 
-
-def reference_shared_prefixes(corpus, depth):
-    """Prefix -> sorted app ids containing it (only prefixes in 2+ apps)."""
-    holders = {}
-    for app in corpus.apps:
-        for pkg in app.packages:
-            pre = reference_prefix(pkg, depth)
-            if pre is not None:
-                holders.setdefault(pre, set()).add(app.app_id)
-    return {p: sorted(a) for p, a in sorted(holders.items()) if len(a) >= 2}
-
-
-def reference_prefix(pkg, depth):
-    """First ``depth`` segments, or None for an obfuscated or too shallow path."""
-    segments = pkg.split(".")
-    if any(len(s) == 1 for s in segments) or len(segments) < depth:
-        return None
-    return ".".join(segments[:depth])
-
-
-def reference_storage_savings(corpus, depth):
-    """The savings as a separate pass of its own: validate, find the shared
-    prefixes, then classify every package again while pricing it."""
-    if depth < 1:
-        raise CorpusError("prefix depth must be at least 1")
-    if not corpus.apps:
-        raise CorpusError("corpus holds no apps")
-    sizes = {app.app_id: app.per_class_size() for app in corpus.apps}
-    naive = float(sum(app.dex_size_bytes for app in corpus.apps))
-    if naive == 0.0:
-        return 0.0
-    shared = reference_shared_prefixes(corpus, depth)
-    dedup = 0.0
-    shared_counts = {}
-    for app in corpus.apps:
-        unique_classes = 0
-        for pkg, count in app.packages.items():
-            pre = reference_prefix(pkg, depth)
-            if pre is not None and pre in shared:
-                key = (pre, app.app_id)
-                shared_counts[key] = shared_counts.get(key, 0) + count
-            else:
-                unique_classes += count
-        dedup += unique_classes * sizes[app.app_id]
-    for pre, holders in shared.items():
-        best_id = max(holders, key=lambda a: (sizes[a], shared_counts.get((pre, a), 0)))
-        dedup += shared_counts.get((pre, best_id), 0) * sizes[best_id]
-    saving = 1.0 - dedup / naive
-    return saving if saving > 0.0 else 0.0
-
-
-def reference_unique_class_fraction(corpus, depth):
-    """The report as the multi-pass original computed it: shared prefixes
-    first, every package classified again per app, and the savings from a
-    pass of their own."""
-    if depth < 1:
-        raise CorpusError("prefix depth must be at least 1")
-    if not corpus.apps:
-        raise CorpusError("corpus holds no apps")
-    shared = reference_shared_prefixes(corpus, depth)
-    per_app = {}
-    for app in corpus.apps:
-        unique = 0
-        for pkg, count in app.packages.items():
-            pre = reference_prefix(pkg, depth)
-            if pre is None or pre not in shared:
-                unique += count
-        per_app[app.app_id] = 100.0 * unique / app.total_classes()
-    values = list(per_app.values())
-    return OverlapReport(
-        depth=depth,
-        per_app_unique_fraction=per_app,
-        mean_unique_fraction=statistics.fmean(values),
-        median_unique_fraction=statistics.median(values),
-        storage_savings=reference_storage_savings(corpus, depth),
-    )
+from conftest import reference_prefix, reference_unique_class_fraction
 
 
 def savings_by_hand(corpus, depth):
@@ -150,6 +75,16 @@ class TestObfuscationFilter:
 
     def test_one_short_segment_is_enough(self):
         assert is_obfuscated_package("com.a.analytics")
+
+    def test_empty_segment_is_not_obfuscated(self):
+        assert not is_obfuscated_package("com..lib")
+        assert _shared_key("com..lib", 2) == "com."
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="ab.", max_size=12), st.integers(1, 6))
+    def test_scan_matches_the_per_segment_generator(self, path, depth):
+        assert _shared_key(path, depth) == reference_prefix(path, depth)
+        assert is_obfuscated_package(path) == any(len(s) == 1 for s in path.split("."))
 
 
 class TestUniqueFractions:
@@ -383,6 +318,27 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="line 2: app 'hollow' declares no classes"):
             parse_corpus(path)
 
+    @pytest.mark.parametrize(
+        "app_id, package",
+        [
+            ("#x", "com.one.app"),
+            (" sp ", "com.one.app"),
+            ("", "com.one.app"),
+            ("tab\tid", "com.one.app"),
+            ("two\nlines", "com.one.app"),
+            ("app", "com;foo.bar"),
+            ("app", "com.foo=bar.x"),
+            ("app", "com.sep\u2028line"),
+            ("app", ""),
+        ],
+    )
+    def test_uncarried_id_or_package_is_refused_at_write(self, tmp_path, app_id, package):
+        corpus = make_corpus(("fine", 100, {"com.one.app": 1}), (app_id, 100, {package: 2}))
+        path = tmp_path / "corpus.tsv"
+        with pytest.raises(CorpusError, match=re.escape(f"app {app_id!r}:")):
+            write_corpus(corpus, path)
+        assert not path.exists()
+
     def test_missing_file_reports_the_path(self, tmp_path):
         with pytest.raises(CorpusError, match="cannot read"):
             parse_corpus(tmp_path / "absent.tsv")
@@ -390,8 +346,43 @@ class TestCorpusIO:
 
 # Segments chosen so that generated packages collide: one app often holds
 # several packages under one key, keys recur across apps, and one-letter
-# segments mark some packages obfuscated.
-SEGMENTS = ["com", "org", "lib", "core", "util", "net", "a", "q"]
+# segments mark some packages obfuscated, and empty ones give paths such
+# as "com..lib" or ".net" (but not the empty path, which a corpus file
+# cannot carry).
+SEGMENTS = ["com", "org", "lib", "core", "util", "net", "a", "q", ""]
+
+# Characters that the corpus format gives a meaning: its separators, the
+# comment mark, whitespace that strip() removes, and line breaks of
+# str.splitlines() (plus "\x1f" and "\xa0", which are whitespace only).
+HOSTILE = "\t;=# \n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029"
+
+
+def carriable(corpus):
+    """Whether every id and package can go through a corpus file, by the
+    reader's rules: fields split on tabs, lines on str.splitlines(), each
+    line stripped, '#' lines skipped, entries split on ';' and '='."""
+    for app in corpus.apps:
+        if not app.app_id or app.app_id.strip() != app.app_id or app.app_id[0] == "#":
+            return False
+        for name in (app.app_id, *app.packages):
+            if not name or any(c in name for c in "\t;=") or len(f"{name}x".splitlines()) != 1:
+                return False
+    return True
+
+
+@st.composite
+def hostile_corpora(draw):
+    """Up to 4 apps whose ids and package names mix plain names with
+    text over the HOSTILE characters."""
+    name = st.one_of(
+        st.sampled_from(["app", "com.lib.core", "x y", "#", "a#b"]),
+        st.text(alphabet="ab." + HOSTILE, max_size=5),
+    )
+    apps = []
+    for app_id in draw(st.lists(name, min_size=1, max_size=4, unique=True)):
+        packages = draw(st.dictionaries(name, st.integers(1, 12), min_size=1, max_size=3))
+        apps.append(AppRecord(app_id, draw(st.integers(0, 5000)), packages))
+    return Corpus(apps=apps)
 
 
 @st.composite
@@ -404,7 +395,9 @@ def corpora(draw, min_apps=1):
     for app_id in ids[:n_apps]:
         paths = draw(
             st.lists(
-                st.lists(st.sampled_from(SEGMENTS), min_size=1, max_size=7).map(".".join),
+                st.lists(st.sampled_from(SEGMENTS), min_size=1, max_size=7)
+                .map(".".join)
+                .filter(bool),
                 min_size=1,
                 max_size=6,
                 unique=True,
@@ -442,11 +435,18 @@ class TestGeneratedCorpora:
         assert 0.0 <= report.median_unique_fraction <= 100.0
         assert 0.0 <= report.storage_savings <= 1.0
 
-    @settings(max_examples=100, deadline=None)
-    @given(corpora())
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(corpora(), hostile_corpora()))
     def test_write_then_parse_round_trips(self, corpus):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.tsv"
+            if not carriable(corpus):
+                with pytest.raises(CorpusError) as refused:
+                    write_corpus(corpus, path)
+                named = re.match(r"app (.*): a corpus file cannot carry", str(refused.value))
+                bad = [a for a in corpus.apps if not carriable(Corpus(apps=[a]))]
+                assert named and named.group(1) in [repr(a.app_id) for a in bad]
+                return
             write_corpus(corpus, path)
             assert parse_corpus(path).apps == corpus.apps
 
