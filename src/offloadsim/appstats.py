@@ -34,13 +34,39 @@ class CorpusError(ValueError):
     """Raised for malformed corpus input."""
 
 
+_INT = frozenset([int])
+
+
 @dataclass
 class AppRecord:
-    """One app: identifier, dex size, and per-package class counts."""
+    """One app: identifier, dex size, and per-package class counts.
+
+    The size and counts pass the checks that ``parse_corpus`` applies, with
+    its messages naming the app instead of a line, so that ``write_corpus``
+    writes only what it reads back: integers (not bools), a non-negative
+    size, and counts of at least 1.
+    """
 
     app_id: str
     dex_size_bytes: int
     packages: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        size = self.dex_size_bytes
+        if type(size) is not int:
+            raise CorpusError(f"app {self.app_id!r}: dex size {size!r} is not an integer")
+        if size < 0:
+            raise CorpusError(f"app {self.app_id!r}: dex size must be non-negative")
+        counts = self.packages.values()
+        # C-level passes for the common case; a failure is traced in Python.
+        if counts and (not _INT.issuperset(map(type, counts)) or min(counts) < 1):
+            for count in counts:
+                if type(count) is not int:
+                    raise CorpusError(
+                        f"app {self.app_id!r}: class count {count!r} is not an integer"
+                    )
+                if count < 1:
+                    raise CorpusError(f"app {self.app_id!r}: class count must be at least 1")
 
     def total_classes(self) -> int:
         return sum(self.packages.values())
@@ -54,14 +80,23 @@ class AppRecord:
 
 @dataclass
 class Corpus:
+    """Apps with distinct ids. ``apps`` stays a plain list that callers may
+    append to, so the reports and ``write_corpus`` check the ids again."""
+
     apps: list[AppRecord] = field(default_factory=list)
 
     def __post_init__(self):
+        _check_ids(self.apps)
+
+
+def _check_ids(apps: list[AppRecord]) -> None:
+    ids = [app.app_id for app in apps]
+    if len(set(ids)) != len(ids):
         seen: set[str] = set()
-        for app in self.apps:
-            if app.app_id in seen:
-                raise CorpusError(f"duplicate app id {app.app_id!r}")
-            seen.add(app.app_id)
+        for app_id in ids:
+            if app_id in seen:
+                raise CorpusError(f"duplicate app id {app_id!r}")
+            seen.add(app_id)
 
 
 def parse_corpus(source) -> Corpus:
@@ -136,6 +171,7 @@ def write_corpus(corpus: Corpus, path) -> None:
     with ``#`` or has surrounding whitespace. An app without packages is
     written, and ``parse_corpus`` refuses it.
     """
+    _check_ids(corpus.apps)
     lines = []
     for app in corpus.apps:
         app_id = app.app_id
@@ -200,6 +236,7 @@ def _overlap(corpus: Corpus, depth: int) -> tuple[list[_Tally], dict[str, list[s
         raise CorpusError("prefix depth must be at least 1")
     if not corpus.apps:
         raise CorpusError("corpus holds no apps")
+    _check_ids(corpus.apps)
     rows: list[tuple[AppRecord, int, dict[str, int]]] = []
     holders: dict[str, list[str]] = {}
     keys: dict[str, str | None] = {}  # library paths recur across apps

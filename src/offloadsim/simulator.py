@@ -35,6 +35,7 @@ import csv
 import io
 import json
 import math
+import operator
 import random
 import statistics
 from collections import deque
@@ -71,6 +72,9 @@ _SAMPLE = 3
 
 class ConfigError(ValueError):
     """Raised for invalid scenario configurations."""
+
+
+_OVERFLOW = "loads overflow, cpu capacities are too small for the service cpu costs"
 
 
 @dataclass
@@ -205,7 +209,11 @@ def load_scenario(path) -> ScenarioConfig:
 
 @dataclass
 class RunMetrics:
-    """Everything measured by one run (counts are post-warmup unless gross)."""
+    """Everything measured by one run (counts are post-warmup unless gross).
+
+    Rows of ``sample_loads`` are read-only: consecutive rows between which
+    no load changed are the same list object.
+    """
 
     strategy: str
     seed: int | str
@@ -227,7 +235,16 @@ class RunMetrics:
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
-    """Execute one scenario to settlement and return its metrics."""
+    """Execute one scenario to settlement and return its metrics.
+
+    Raises ``ConfigError`` when tau, phi, psi, a per-node mean load or a
+    series load is not finite, as when a tiny cpu capacity (say 3e-308,
+    whose reciprocal is finite) lets a few queued requests overflow the
+    load. The run is checked after the loop, once per distinct sample row,
+    rather than held to a capacity floor: how far a load climbs depends on
+    how many requests queue, which no bound fixed before the run knows, so
+    any floor would refuse runs that stay finite or pass ones that do not.
+    """
     cfg.validate()
     topo = cfg.topology
     strategy = cfg.strategy
@@ -273,7 +290,16 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
 
     aps = sorted(idx_of[a] for a in topo.access_points())
 
+    # The live normalized loads, load_num[i] * inv_cap[i], rewritten where
+    # load_num changes. ``changed`` marks a change since ``snap``, the last
+    # copy handed to heartbeats and samples; while it is unset they share it.
+    loads = [0.0] * n
+    snap = [0.0] * n
+    changed = False
+
+    # Estimators are built at an executor's first proactive arrival.
     estimators = [None] * n
+    buffer_size = cfg.buffer_size
     # Gossip feeds: per executor, one for its completions per delay of its
     # links to executor neighbours; one per delay shared by heartbeats. A
     # view lists (neighbour, its feed, the heartbeat feed) in id order.
@@ -281,14 +307,17 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     beats: dict[float, LoadFeed] = {}
     views: list[list[tuple]] = [[] for _ in range(n)]
     if proactive:
-        no_loads = [0.0] * n
         for i in range(n):
             if executor[i]:
-                estimators[i] = new_estimator(cfg.buffer_size)
                 for j, d in delay[i].items():
                     if executor[j]:
-                        sent = feeds[j].setdefault(d, LoadFeed(d))
-                        views[i].append((j, sent, beats.setdefault(d, LoadFeed(d, no_loads))))
+                        sent = feeds[j].get(d)
+                        if sent is None:
+                            sent = feeds[j][d] = LoadFeed(d)
+                        beat = beats.get(d)
+                        if beat is None:
+                            beat = beats[d] = LoadFeed(d, snap)
+                        views[i].append((j, sent, beat))
 
     rng = random.Random(f"{cfg.seed}|sim")
     rng_random = rng.random
@@ -371,6 +400,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                     dec = DROP
                 elif proactive:
                     est = estimators[i]
+                    if est is None:
+                        est = estimators[i] = new_estimator(buffer_size)
                     est.record_arrival(t)
                     dec = decide_proactive(
                         est,
@@ -380,12 +411,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                         mem_cap[i],
                         rng_random(),
                         req[3],
-                        load_num[i] * inv_cap[i],
+                        loads[i],
                         threshold,
                         fwd_enabled,
                     )
                 else:
-                    dec = decide_threshold(load_num[i] * inv_cap[i], threshold, overflow[i])
+                    dec = decide_threshold(loads[i], threshold, overflow[i])
 
                 if dec is EXECUTE:
                     lt = last_t[i]
@@ -393,9 +424,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                         hi = t if t < horizon else horizon
                         lo = lt if lt > warmup else warmup
                         if hi > lo:
-                            acc[i] += load_num[i] * inv_cap[i] * (hi - lo)
+                            acc[i] += loads[i] * (hi - lo)
                     last_t[i] = t
                     load_num[i] += svc_cpu[req[0]]
+                    loads[i] = load_num[i] * inv_cap[i]
+                    changed = True
                     req[6] = t
                     if busy[i]:
                         queue[i].append(req)
@@ -430,9 +463,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 hi = t if t < horizon else horizon
                 lo = lt if lt > warmup else warmup
                 if hi > lo:
-                    acc[i] += load_num[i] * inv_cap[i] * (hi - lo)
+                    acc[i] += loads[i] * (hi - lo)
             last_t[i] = t
             load_num[i] -= svc_cpu[req[0]]
+            loads[i] = load_num[i] * inv_cap[i]
+            changed = True
             gross_executed += 1
             if req[5]:
                 counted_exec += 1
@@ -442,7 +477,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             est = estimators[i]
             if est is not None:
                 est.record_completion(dur, svc_cpu[req[0]], svc_mem[req[0]])
-                load = load_num[i] * inv_cap[i]
+                load = loads[i]
                 for feed in feeds[i].values():
                     feed.publish(t, load)
             if queue[i]:
@@ -454,7 +489,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 busy[i] = False
 
         elif kind == _HEARTBEAT:
-            snap = [load_num[i] * inv_cap[i] for i in range(n)]
+            if changed:
+                snap = loads.copy()
+                changed = False
             for feed in beats.values():
                 feed.publish(t, snap)
             t_next = t + hb_dt
@@ -464,7 +501,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
 
         elif kind == _SAMPLE:
             sample_times.append(t * 1000.0)
-            sample_rows.append([load_num[i] * inv_cap[i] for i in range(n)])
+            if changed:
+                snap = loads.copy()
+                changed = False
+            sample_rows.append(snap)
             t_next = t + sample_dt
             if t_next <= horizon + 1e-12:
                 heappush(heap, (t_next, _SAMPLE, -1, seq))
@@ -484,7 +524,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         if lt < horizon:
             lo = lt if lt > warmup else warmup
             if horizon > lo:
-                acc[i] += load_num[i] * inv_cap[i] * (horizon - lo)
+                acc[i] += loads[i] * (horizon - lo)
             last_t[i] = horizon
 
     exec_nodes = [i for i in range(n) if executor[i]]
@@ -493,6 +533,19 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     )
     phi_ms = (lat_sum / counted_exec) * 1000.0 if counted_exec else 0.0
     psi = counted_drop / counted_total if counted_total else 0.0
+    mean_load = [a / span for a in acc]
+    for name, value in (("tau", tau), ("phi", phi_ms), ("psi", psi)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} is not finite ({value!r}): {_OVERFLOW}")
+    if not all(map(math.isfinite, mean_load)):
+        raise ConfigError(f"a per-node mean load is not finite: {_OVERFLOW}")
+    prev = None
+    for row in sample_rows:
+        # A finite sum needs every load finite; only a non-finite one is
+        # told from an overflowing sum of finite loads.
+        if row is not prev and not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+            raise ConfigError(f"a series load is not finite: {_OVERFLOW}")
+        prev = row
 
     return RunMetrics(
         strategy=strategy,
@@ -504,7 +557,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         executed=counted_exec,
         forwarded=counted_fwd,
         dropped=counted_drop,
-        per_node_mean_load={ids[i]: acc[i] / span for i in range(n)},
+        per_node_mean_load=dict(zip(ids, mean_load)),
         per_node_executed={ids[i]: pne[i] for i in range(n)},
         gross_arrivals=gross_arrivals,
         gross_executed=gross_executed,
@@ -587,15 +640,16 @@ def _series_json(m: RunMetrics) -> str:
     """The run series, byte for byte ``_dump_json`` of ``{"node_ids": ...,
     "samples": [{"time_ms": t, "loads": row}, ...]}``, written directly:
     the json module's indenting encoder is pure Python and costs a few
-    times more on a series of 40k loads."""
-    samples = [
-        '{\n      "loads": '
-        + _json_array(_json_floats(row), "      ")
-        + ',\n      "time_ms": '
-        + t
-        + "\n    }"
-        for t, row in zip(_json_floats(m.sample_times_ms), m.sample_loads)
-    ]
+    times more on a series of 40k loads. A row is rendered once while the
+    next row is the same list object (by identity: ``0.0 == -0.0``)."""
+    samples = []
+    row_text = ""
+    prev = None
+    for t, row in zip(_json_floats(m.sample_times_ms), m.sample_loads):
+        if row is not prev:
+            row_text = '{\n      "loads": ' + _json_array(_json_floats(row), "      ")
+            prev = row
+        samples.append(row_text + ',\n      "time_ms": ' + t + "\n    }")
     return (
         '{\n  "node_ids": '
         + _json_array(list(map(repr, m.sample_node_ids)), "  ")
@@ -608,12 +662,20 @@ def _series_json(m: RunMetrics) -> str:
 def _series_csv(m: RunMetrics) -> str:
     """The run series, byte for byte what ``csv.writer(lineterminator="\\n")``
     writes for the header and one ``[repr(t), node_id, repr(load)]`` row per
-    sample and node: no float repr or int needs quoting."""
+    sample and node: no float repr or int needs quoting. A row's
+    ``,node_id,load`` cells are rendered once while the next row is the
+    same list object (by identity: ``0.0 == -0.0``)."""
     out = ["time_ms,node_id,normalized_load\n"]
     ids = [f",{nid}," for nid in m.sample_node_ids]
+    cells: list[str] = []
+    prev = None
     for t, row in zip(m.sample_times_ms, m.sample_loads):
-        t_text = repr(t)
-        out.append("".join([f"{t_text}{nid}{load!r}\n" for nid, load in zip(ids, row)]))
+        if row is not prev:
+            cells = list(map(operator.concat, ids, map(repr, row)))
+            prev = row
+        if cells:
+            t_text = repr(t)
+            out.append(t_text + ("\n" + t_text).join(cells) + "\n")
     return "".join(out)
 
 

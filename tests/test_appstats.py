@@ -410,6 +410,52 @@ def corpora(draw, min_apps=1):
     return Corpus(apps=apps)
 
 
+class TestRecordChecks:
+    """Records refuse what ``parse_corpus`` refuses, with its messages, and
+    reports refuse ids duplicated after the corpus was built."""
+
+    def test_class_count_below_one_is_refused(self):
+        with pytest.raises(CorpusError, match="app 'a': class count must be at least 1"):
+            AppRecord("a", 10, {"com.x.y": 0})
+
+    def test_bool_class_count_is_refused(self):
+        with pytest.raises(CorpusError, match="app 'a': class count True is not an integer"):
+            AppRecord("a", 10, {"com.x.y": 2, "com.x.z": True})
+
+    def test_non_integer_class_count_is_refused(self):
+        with pytest.raises(CorpusError, match=r"app 'a': class count 2\.0 is not an integer"):
+            AppRecord("a", 10, {"com.x.y": 2.0})
+
+    def test_negative_dex_size_is_refused(self):
+        with pytest.raises(CorpusError, match="app 'a': dex size must be non-negative"):
+            AppRecord("a", -1, {"com.x.y": 1})
+
+    def test_non_integer_dex_size_is_refused(self):
+        with pytest.raises(CorpusError, match="app 'a': dex size True is not an integer"):
+            AppRecord("a", True, {"com.x.y": 1})
+
+    @pytest.mark.parametrize("size, count", [(10, 0), (-5, 1)])
+    def test_messages_are_the_parser_messages(self, size, count):
+        with pytest.raises(CorpusError) as parsed:
+            parse_corpus(f"a\t{size}\tcom.x.y={count}\n")
+        with pytest.raises(CorpusError) as built:
+            AppRecord("a", size, {"com.x.y": count})
+        assert str(parsed.value).removeprefix("line 1: ") == str(built.value).removeprefix(
+            "app 'a': "
+        )
+
+    def test_duplicate_id_appended_after_construction_is_refused(self, tmp_path):
+        corpus = make_corpus(("a", 100, {"com.one.app": 1}), ("b", 100, {"com.one.app": 2}))
+        corpus.apps.append(AppRecord("a", 50, {"com.two.app": 3}))
+        for report in (unique_class_fraction, storage_savings):
+            with pytest.raises(CorpusError, match="duplicate app id 'a'"):
+                report(corpus, 2)
+        path = tmp_path / "corpus.tsv"
+        with pytest.raises(CorpusError, match="duplicate app id 'a'"):
+            write_corpus(corpus, path)
+        assert not path.exists()
+
+
 class TestGeneratedCorpora:
     @settings(max_examples=300, deadline=None)
     @given(corpora(), st.integers(1, 6))

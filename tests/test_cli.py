@@ -164,6 +164,19 @@ class TestSimulate:
         assert "1/capacity" in res.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_capacity_whose_loads_overflow_is_a_usage_error(self, tmp_path):
+        # 1/3e-308 is finite, but one request of cpu cost 10 overflows the load.
+        gen = {"kind": "line", "n": 3, "seed": 1, "cpu": 3e-308}
+        services = [{"id": "s", "mean_exec_time_s": 0.001, "cpu_cost": 10.0}]
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(
+            json.dumps({**SCENARIO_DOC, "topology": {"generate": gen}, "services": services})
+        )
+        res = run_cli("simulate", "--config", cfg, "--out", tmp_path / "o")
+        assert res.returncode == 2
+        assert "is not finite" in res.stderr and "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("locale_env,line", [
         ({"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0"}, b"seed=caf\\xe9 "),
         ({"PYTHONUTF8": "1"}, "seed=caf\u00e9 ".encode()),

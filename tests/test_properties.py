@@ -199,11 +199,28 @@ def series_metrics(node_ids, times_ms, loads):
 
 @st.composite
 def series(draw):
+    """Rows may repeat one list object, back to back or apart, as runs share
+    unchanged rows; and a row may hold -0.0 where the row before it holds
+    0.0, which an emitter that reuses rows by value would print as 0.0."""
     node_ids = draw(st.lists(st.integers(-5, 10**6), unique=True, max_size=6))
     value = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
     times = draw(st.lists(value, max_size=5))
-    loads = [draw(st.lists(value, min_size=len(node_ids), max_size=len(node_ids))) for _ in times]
-    return series_metrics(node_ids, times, loads)
+    fresh = st.lists(value, min_size=len(node_ids), max_size=len(node_ids))
+    loads = []
+    while len(loads) < len(times):
+        how = draw(st.sampled_from(["fresh", "again", "earlier", "signed zero"]))
+        if how == "again" and loads:
+            loads.append(loads[-1])
+        elif how == "earlier" and loads:
+            loads.append(loads[draw(st.integers(0, len(loads) - 1))])
+        elif how == "signed zero" and node_ids:
+            row = draw(fresh)
+            k = draw(st.integers(0, len(node_ids) - 1))
+            row[k] = 0.0
+            loads += [row, [*row[:k], -0.0, *row[k + 1 :]]]
+        else:
+            loads.append(draw(fresh))
+    return series_metrics(node_ids, times, loads[: len(times)])
 
 
 def assert_emitters_match_the_references(m):
@@ -218,6 +235,7 @@ def test_series_emitters_match_the_json_and_csv_modules(m):
 
 
 def test_series_emitters_on_edge_series():
+    shared = [0.0, 1.0]
     for node_ids, times, loads in [
         ([], [], []),  # empty series without nodes
         ([0, 1, 2], [], []),  # empty series
@@ -225,5 +243,6 @@ def test_series_emitters_on_edge_series():
         ([7], [2.5], [[0.5]]),  # one node
         (list(range(6)), SPECIAL_FLOATS, [SPECIAL_FLOATS] * 6),
         ([0, 1], [math.inf, -0.0], [[math.nan, -math.inf], [1e308, 1e308]]),
+        ([0, 1], [0.0, 1.0, 2.0, 3.0], [shared, shared, [-0.0, 1.0], shared]),  # reuse
     ]:
         assert_emitters_match_the_references(series_metrics(node_ids, times, loads))

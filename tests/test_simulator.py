@@ -228,6 +228,33 @@ def test_tiny_normal_capacities_give_finite_metrics():
     assert all(math.isfinite(x) for row in m.sample_loads for x in row)
 
 
+def test_loads_that_overflow_are_refused():
+    # 1/3e-308 is finite, so the capacity is accepted; a few queued requests
+    # on the fig3 chain overflow the load, and tau would read inf.
+    topo = generate_topology("line", {"n": 4, "cpu": 3e-308, "mem": 4.0})
+    with pytest.raises(sim.ConfigError, match="tau is not finite"):
+        sim.run_scenario(dataclasses.replace(sim.preset_fig3("proactive"), topology=topo))
+
+
+def test_a_series_load_that_overflows_before_warmup_is_refused():
+    # One request of cpu cost 10 at capacity 3e-308 overflows the load while
+    # it runs, from 1.5 to 3.5 ms, all before the warmup: every time-weighted
+    # metric stays finite and only the 2 ms and 3 ms samples read inf.
+    cfg = small_config(
+        topology=line_topology(2, cpu=3e-308),
+        services=[ServiceSpec(name="s", mean_exec_time_s=0.002, cpu_cost=10.0)],
+        strategy="none",
+        warmup_s=0.4,
+        sample_interval_ms=1.0,
+    )
+    with conftest.scripted_runs([(0.0015, 0)], [0.002], []):
+        with pytest.raises(sim.ConfigError, match="a series load is not finite"):
+            sim.run_scenario(cfg)
+    with conftest.scripted_runs([(0.0015, 0)], [0.002], []):
+        m = sim.run_scenario(dataclasses.replace(cfg, sample_interval_ms=0.0))
+    assert m.gross_executed == 1 and math.isfinite(m.tau)
+
+
 def test_sink_server_drops_when_not_executing():
     cfg = small_config(
         topology=line_topology(2, cpu=1.0),
@@ -288,6 +315,58 @@ def test_hop_diameter_is_computed_once_per_topology(monkeypatch):
     assert calls == [5]
     sim.run_scenario(small_config(strategy="none", topology=line_topology(6), ttl=None))
     assert calls == [5]
+
+
+def test_estimators_are_built_only_where_requests_arrive(monkeypatch):
+    built, decided = [], []
+    make, decide = sim.new_estimator, sim.decide_proactive
+
+    def counted_make(k):
+        built.append(make(k))
+        return built[-1]
+
+    def counted_decide(state, *args):
+        decided.append(state)
+        return decide(state, *args)
+
+    monkeypatch.setattr(sim, "new_estimator", counted_make)
+    monkeypatch.setattr(sim, "decide_proactive", counted_decide)
+    topo = generate_topology("scale_free", {"n": 60, "m": 2, "cpu": 3.0, "mem": 4.0}, seed=2)
+    cfg = small_config(strategy="proactive", topology=topo, horizon_s=0.05)
+    m = sim.run_scenario(cfg)
+    executors = len(topo.nodes) - 1  # every node but the sink server
+    assert m.gross_arrivals > 0
+    assert {id(e) for e in decided} == {id(e) for e in built}
+    assert 0 < len(built) < executors
+
+
+@pytest.mark.parametrize(
+    "rate, exec_s",
+    [
+        (400.0, 0.002),  # the sim-scalefree load: idle rows are shared
+        (20000.0, 0.02),  # busy enough to forward, reading lazily built feeds
+    ],
+)
+def test_scale_free_400_proactive_matches_the_push_gossip_loop(rate, exec_s):
+    topo = generate_topology("scale_free", {"n": 400, "m": 2, "cpu": 3.0, "mem": 4.0}, seed=0)
+    cfg = sim.ScenarioConfig(
+        topology=topo,
+        services=[ServiceSpec(name="task", mean_exec_time_s=exec_s)],
+        base_rate_per_s=rate,
+        horizon_s=0.1,
+        strategy="proactive",
+        jitters=[JitterSpec(30.0, 10.0, 4.0), JitterSpec(60.0, 10.0, 4.0)],
+        buffer_size=8,
+    )
+    m = sim.run_scenario(cfg)
+    assert m == conftest.reference_run_scenario(cfg)
+    assert sim._series_csv(m) == conftest.reference_series_csv(m)
+    assert sim._series_json(m) == conftest.reference_series_json(m)
+    distinct = len({id(row) for row in m.sample_loads})
+    if rate == 400.0:
+        assert distinct < len(m.sample_loads)
+    else:
+        assert m.forwarded > 0
 
 
 def test_export_json_roundtrips(tmp_path):
