@@ -44,7 +44,8 @@ class AppRecord:
     The size and counts pass the checks that ``parse_corpus`` applies, with
     its messages naming the app instead of a line, so that ``write_corpus``
     writes only what it reads back: integers (not bools), a non-negative
-    size, and counts of at least 1.
+    size, and counts of at least 1. ``parse_corpus`` has checked every value
+    by then and builds its records without these checks.
     """
 
     app_id: str
@@ -99,6 +100,16 @@ def _check_ids(apps: list[AppRecord]) -> None:
             seen.add(app_id)
 
 
+def _parsed_record(app_id: str, dex_size_bytes: int, packages: dict[str, int]) -> AppRecord:
+    """An ``AppRecord`` of values that ``parse_corpus`` has checked, built
+    without running the record checks a second time."""
+    record = object.__new__(AppRecord)
+    record.app_id = app_id
+    record.dex_size_bytes = dex_size_bytes
+    record.packages = packages
+    return record
+
+
 def parse_corpus(source) -> Corpus:
     """Read the tab-separated corpus format from a file (``Path``) or its
     text (``str``)."""
@@ -145,7 +156,7 @@ def parse_corpus(source) -> Corpus:
             if pkg in packages:
                 raise CorpusError(f"line {line_no}: duplicate package {pkg!r}")
             packages[pkg] = count
-        apps.append(AppRecord(app_id=app_id, dex_size_bytes=dex_size, packages=packages))
+        apps.append(_parsed_record(app_id, dex_size, packages))
     return Corpus(apps=apps)
 
 

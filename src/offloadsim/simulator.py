@@ -41,6 +41,7 @@ import statistics
 from collections import deque
 from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from pathlib import Path
 
 from .control import (
@@ -212,7 +213,9 @@ class RunMetrics:
     """Everything measured by one run (counts are post-warmup unless gross).
 
     Rows of ``sample_loads`` are read-only: consecutive rows between which
-    no load changed are the same list object.
+    no load changed are the same list object, and in consecutive distinct
+    rows an entry that no event rewrote is the same float object. The
+    series emitters re-render only the entries whose object changed.
     """
 
     strategy: str
@@ -636,19 +639,54 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[" + sep + ("," + sep).join(items) + "\n" + indent + "]"
 
 
+def _json_cell(_i: int, value: float) -> str:
+    text = repr(value)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _row_cells(rows, render_row, render_cell):
+    """Yield the rendered cells of each row, the same list while the next
+    row is the same list object.
+
+    The first row, and a row whose length differs from the previous row's,
+    is rendered in full by ``render_row(row)``. Any other row starts from a
+    copy of the previous row's cells and renders again, by
+    ``render_cell(i, value)``, only the cells whose float object changed.
+    The test is identity, not value, so 0.0 against -0.0, NaN and the
+    infinities always come out right whatever the rows share; only the
+    speed depends on it.
+    """
+    prev = None
+    cells: list[str] = []
+    for row in rows:
+        if row is not prev:
+            if prev is None or len(row) != len(prev):
+                cells = render_row(row)
+            else:
+                cells = cells.copy()
+                for i in compress(range(len(cells)), map(operator.is_not, prev, row)):
+                    cells[i] = render_cell(i, row[i])
+            prev = row
+        yield cells
+
+
 def _series_json(m: RunMetrics) -> str:
     """The run series, byte for byte ``_dump_json`` of ``{"node_ids": ...,
     "samples": [{"time_ms": t, "loads": row}, ...]}``, written directly:
     the json module's indenting encoder is pure Python and costs a few
-    times more on a series of 40k loads. A row is rendered once while the
-    next row is the same list object (by identity: ``0.0 == -0.0``)."""
+    times more on a series of 40k loads. A row's text is built once while
+    the next row is the same list object, from ``_row_cells``: a run keeps
+    a load that no event rewrote as the same float object in the next row,
+    and only the loads whose object changed are rendered again. The bytes
+    never depend on what the rows share."""
     samples = []
     row_text = ""
     prev = None
-    for t, row in zip(_json_floats(m.sample_times_ms), m.sample_loads):
-        if row is not prev:
-            row_text = '{\n      "loads": ' + _json_array(_json_floats(row), "      ")
-            prev = row
+    rows = _row_cells(m.sample_loads, _json_floats, _json_cell)
+    for t, cells in zip(_json_floats(m.sample_times_ms), rows):
+        if cells is not prev:
+            row_text = '{\n      "loads": ' + _json_array(cells, "      ")
+            prev = cells
         samples.append(row_text + ',\n      "time_ms": ' + t + "\n    }")
     return (
         '{\n  "node_ids": '
@@ -663,16 +701,18 @@ def _series_csv(m: RunMetrics) -> str:
     """The run series, byte for byte what ``csv.writer(lineterminator="\\n")``
     writes for the header and one ``[repr(t), node_id, repr(load)]`` row per
     sample and node: no float repr or int needs quoting. A row's
-    ``,node_id,load`` cells are rendered once while the next row is the
-    same list object (by identity: ``0.0 == -0.0``)."""
+    ``,node_id,load`` cells come from ``_row_cells``: a run keeps a load
+    that no event rewrote as the same float object in the next row, and
+    only the loads whose object changed are rendered again. The bytes
+    never depend on what the rows share."""
     out = ["time_ms,node_id,normalized_load\n"]
     ids = [f",{nid}," for nid in m.sample_node_ids]
-    cells: list[str] = []
-    prev = None
-    for t, row in zip(m.sample_times_ms, m.sample_loads):
-        if row is not prev:
-            cells = list(map(operator.concat, ids, map(repr, row)))
-            prev = row
+    rows = _row_cells(
+        m.sample_loads,
+        lambda row: list(map(operator.concat, ids, map(repr, row))),
+        lambda i, load: ids[i] + repr(load),
+    )
+    for t, cells in zip(m.sample_times_ms, rows):
         if cells:
             t_text = repr(t)
             out.append(t_text + ("\n" + t_text).join(cells) + "\n")
@@ -702,9 +742,9 @@ def export_metrics(metrics: RunMetrics, fmt: str, dest_dir, prefix: str = "run")
             "executed", "forwarded", "dropped", "gross_arrivals",
             "gross_executed", "gross_dropped",
         ]
-        summary = _summary_dict(metrics)
         w.writerow(keys)
-        w.writerow([repr(summary[k]) if isinstance(summary[k], float) else summary[k] for k in keys])
+        values = [getattr(metrics, k) for k in keys]
+        w.writerow([repr(v) if isinstance(v, float) else v for v in values])
         _write_text(summary_path, buf.getvalue())
         _write_text(series_path, _series_csv(metrics))
     return [summary_path, series_path]

@@ -457,6 +457,28 @@ class TestRecordChecks:
 
 
 class TestGeneratedCorpora:
+    @settings(max_examples=100, deadline=None)
+    @given(corpora(), st.sampled_from(["{}", "+{}", "0{}", " {} "]))
+    def test_parsed_corpus_equals_the_corpus_built_through_records(self, corpus, spell):
+        # The parser builds records without the record checks; every value
+        # it accepts must be one the checks accept, typed as they type it.
+        text = "".join(
+            f"{a.app_id}\t{spell.format(a.dex_size_bytes)}\t"
+            + ";".join(f"{p}={spell.format(c)}" for p, c in a.packages.items())
+            + "\n"
+            for a in corpus.apps
+        )
+        parsed = parse_corpus(text)
+        built = Corpus(
+            apps=[AppRecord(a.app_id, a.dex_size_bytes, dict(a.packages)) for a in parsed.apps]
+        )
+        assert parsed == built == corpus
+        for got, want in zip(parsed.apps, built.apps):
+            assert type(got) is AppRecord
+            assert vars(got) == vars(want)
+            assert type(got.dex_size_bytes) is int
+            assert list(map(type, got.packages.values())) == [int] * len(got.packages)
+
     @settings(max_examples=300, deadline=None)
     @given(corpora(), st.integers(1, 6))
     def test_one_pass_matches_the_multi_pass_reference(self, corpus, depth):

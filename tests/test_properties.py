@@ -197,27 +197,56 @@ def series_metrics(node_ids, times_ms, loads):
     )
 
 
+#: How a run may rewrite a load between two rows: to a new value, to an
+#: equal value in a fresh float object, or to -0.0, NaN or an infinity.
+REWRITES = ["new", "equal", "-0.0", "nan", "inf", "-inf"]
+
+
 @st.composite
 def series(draw):
-    """Rows may repeat one list object, back to back or apart, as runs share
-    unchanged rows; and a row may hold -0.0 where the row before it holds
-    0.0, which an emitter that reuses rows by value would print as 0.0."""
+    """Rows as runs make them, and rows no run makes:
+
+    - a row may repeat one list object, back to back or apart, as runs
+      share unchanged rows;
+    - a row may be a copy of the row before with a few cells rewritten
+      (``REWRITES``), as runs rewrite only the loads that changed;
+    - a row may hold -0.0 where the row before it holds 0.0, which an
+      emitter that compares cells by value would print as 0.0;
+    - a row may be ragged, its length differing from the row before it
+      and from the node ids.
+    """
     node_ids = draw(st.lists(st.integers(-5, 10**6), unique=True, max_size=6))
     value = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
-    times = draw(st.lists(value, max_size=5))
+    times = draw(st.lists(value, max_size=8))
     fresh = st.lists(value, min_size=len(node_ids), max_size=len(node_ids))
     loads = []
     while len(loads) < len(times):
-        how = draw(st.sampled_from(["fresh", "again", "earlier", "signed zero"]))
+        how = draw(st.sampled_from(["fresh", "again", "earlier", "patched", "signed zero", "ragged"]))
         if how == "again" and loads:
             loads.append(loads[-1])
         elif how == "earlier" and loads:
             loads.append(loads[draw(st.integers(0, len(loads) - 1))])
+        elif how == "patched" and loads and loads[-1]:
+            row = loads[-1].copy()
+            for _ in range(draw(st.integers(1, 3))):
+                k = draw(st.integers(0, len(row) - 1))
+                rewrite = draw(st.sampled_from(REWRITES))
+                if rewrite == "new":
+                    row[k] = draw(value)
+                elif rewrite == "equal":
+                    row[k] = float(repr(row[k]))
+                else:
+                    row[k] = float(rewrite)
+            loads.append(row)
         elif how == "signed zero" and node_ids:
             row = draw(fresh)
             k = draw(st.integers(0, len(node_ids) - 1))
             row[k] = 0.0
             loads += [row, [*row[:k], -0.0, *row[k + 1 :]]]
+        elif how == "ragged":
+            taken = {len(node_ids), len(loads[-1]) if loads else -1}
+            size = draw(st.sampled_from([k for k in range(len(node_ids) + 3) if k not in taken]))
+            loads.append(draw(st.lists(value, min_size=size, max_size=size)))
         else:
             loads.append(draw(fresh))
     return series_metrics(node_ids, times, loads[: len(times)])
@@ -236,6 +265,17 @@ def test_series_emitters_match_the_json_and_csv_modules(m):
 
 def test_series_emitters_on_edge_series():
     shared = [0.0, 1.0]
+    patched = [[0.0, 1.0, math.inf, math.nan]]
+    for k, rewritten in [
+        (1, 2.0),  # a new value
+        (1, float("2.0")),  # an equal value in a fresh float object
+        (0, -0.0),
+        (1, math.nan),
+        (2, -math.inf),
+        (2, math.inf),
+        (0, 0.0),
+    ]:
+        patched.append([*patched[-1][:k], rewritten, *patched[-1][k + 1 :]])
     for node_ids, times, loads in [
         ([], [], []),  # empty series without nodes
         ([0, 1, 2], [], []),  # empty series
@@ -244,5 +284,9 @@ def test_series_emitters_on_edge_series():
         (list(range(6)), SPECIAL_FLOATS, [SPECIAL_FLOATS] * 6),
         ([0, 1], [math.inf, -0.0], [[math.nan, -math.inf], [1e308, 1e308]]),
         ([0, 1], [0.0, 1.0, 2.0, 3.0], [shared, shared, [-0.0, 1.0], shared]),  # reuse
+        ([0, 1, 2, 3], [0.0] * len(patched), patched),  # copies with cells rewritten
+        # ragged rows of 1, 4, 4 (patched), 0, 1 and 1 loads for 3 nodes
+        ([0, 1, 2], [0.0] * 6, [[1.0], [1.0, 2.0, 3.0, 4.0], [5.0, 2.0, 3.0, 4.0], [], [0.5], [0.5]]),
+        ([0, 1, 2], [0.0] * 3, [[0.0, 1.0], [-0.0, 1.0], [-0.0, math.nan]]),  # ragged, then patched
     ]:
         assert_emitters_match_the_references(series_metrics(node_ids, times, loads))

@@ -1,8 +1,11 @@
 """End-to-end event-loop behavior: conservation, determinism, accounting."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
+import operator
 
 import pytest
 
@@ -369,6 +372,28 @@ def test_scale_free_400_proactive_matches_the_push_gossip_loop(rate, exec_s):
         assert m.forwarded > 0
 
 
+@pytest.mark.parametrize("strategy", sim.STRATEGIES)
+def test_consecutive_rows_share_every_load_that_no_event_rewrote(strategy):
+    # The series emitters re-render only the cells whose float object
+    # changed; a run that rebuilt the load vector would make them render
+    # every cell again, with the same bytes, and lose the gain unseen.
+    topo = generate_topology("scale_free", {"n": 400, "m": 2, "cpu": 3.0, "mem": 4.0}, seed=0)
+    cfg = sim.ScenarioConfig(
+        topology=topo,
+        services=[ServiceSpec(name="task", mean_exec_time_s=0.002)],
+        base_rate_per_s=400.0,
+        horizon_s=0.1,
+        strategy=strategy,
+        jitters=[JitterSpec(30.0, 10.0, 4.0), JitterSpec(60.0, 10.0, 4.0)],
+        gossip_period_ms=1.0,
+        sample_interval_ms=1.0,
+    )
+    rows = sim.run_scenario(cfg).sample_loads
+    changed = [sum(map(operator.is_not, a, b)) for a, b in zip(rows, rows[1:]) if a is not b]
+    assert len(changed) > 10
+    assert all(0 < count < 0.05 * len(topo.nodes) for count in changed)
+
+
 def test_export_json_roundtrips(tmp_path):
     m = sim.run_scenario(small_config())
     paths = sim.export_metrics(m, "json", tmp_path, prefix="demo")
@@ -378,6 +403,19 @@ def test_export_json_roundtrips(tmp_path):
     series = json.loads((tmp_path / "demo_series.json").read_text())
     assert len(series["samples"]) == len(m.sample_times_ms)
     assert [p.name for p in paths] == ["demo_summary.json", "demo_series.json"]
+
+
+@pytest.mark.parametrize("seed", [3, "a,b"])
+def test_csv_summary_holds_the_scalars_of_the_json_summary(tmp_path, seed):
+    m = dataclasses.replace(sim.run_scenario(small_config(strategy="proactive")), seed=seed)
+    summary = sim._summary_dict(m)
+    keys = [k for k in summary if not k.startswith("per_node_")]
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(keys)
+    w.writerow([repr(summary[k]) if isinstance(summary[k], float) else summary[k] for k in keys])
+    summary_path, _ = sim.export_metrics(m, "csv", tmp_path)
+    assert summary_path.read_text() == buf.getvalue()
 
 
 def test_export_bytes_stable(tmp_path):
