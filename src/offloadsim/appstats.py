@@ -41,11 +41,11 @@ _INT = frozenset([int])
 class AppRecord:
     """One app: identifier, dex size, and per-package class counts.
 
-    The size and counts pass the checks that ``parse_corpus`` applies, with
-    its messages naming the app instead of a line, so that ``write_corpus``
-    writes only what it reads back: integers (not bools), a non-negative
-    size, and counts of at least 1. ``parse_corpus`` has checked every value
-    by then and builds its records without these checks.
+    The size and counts pass ``_check_record``, the checks that
+    ``parse_corpus`` applies, so that ``write_corpus`` writes only what it
+    reads back; ``write_corpus`` runs them again, since fields may change
+    after construction. ``parse_corpus`` has checked every value by then and
+    builds its records without these checks.
     """
 
     app_id: str
@@ -53,21 +53,7 @@ class AppRecord:
     packages: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        size = self.dex_size_bytes
-        if type(size) is not int:
-            raise CorpusError(f"app {self.app_id!r}: dex size {size!r} is not an integer")
-        if size < 0:
-            raise CorpusError(f"app {self.app_id!r}: dex size must be non-negative")
-        counts = self.packages.values()
-        # C-level passes for the common case; a failure is traced in Python.
-        if counts and (not _INT.issuperset(map(type, counts)) or min(counts) < 1):
-            for count in counts:
-                if type(count) is not int:
-                    raise CorpusError(
-                        f"app {self.app_id!r}: class count {count!r} is not an integer"
-                    )
-                if count < 1:
-                    raise CorpusError(f"app {self.app_id!r}: class count must be at least 1")
+        _check_record(self)
 
     def total_classes(self) -> int:
         return sum(self.packages.values())
@@ -77,6 +63,25 @@ class AppRecord:
         if total == 0:
             raise CorpusError(f"app {self.app_id!r} declares zero classes")
         return self.dex_size_bytes / total
+
+
+def _check_record(app: AppRecord) -> None:
+    """Refuse, naming the app, what ``parse_corpus`` refuses in a line: a
+    size or count that is not an integer (a bool is not), a negative size,
+    or a count below 1."""
+    size = app.dex_size_bytes
+    if type(size) is not int:
+        raise CorpusError(f"app {app.app_id!r}: dex size {size!r} is not an integer")
+    if size < 0:
+        raise CorpusError(f"app {app.app_id!r}: dex size must be non-negative")
+    counts = app.packages.values()
+    # C-level passes for the common case; a failure is traced in Python.
+    if counts and (not _INT.issuperset(map(type, counts)) or min(counts) < 1):
+        for count in counts:
+            if type(count) is not int:
+                raise CorpusError(f"app {app.app_id!r}: class count {count!r} is not an integer")
+            if count < 1:
+                raise CorpusError(f"app {app.app_id!r}: class count must be at least 1")
 
 
 @dataclass
@@ -179,12 +184,15 @@ def write_corpus(corpus: Corpus, path) -> None:
     Raises ``CorpusError``, naming an app, for an id or package that the
     format cannot carry: one holding a tab, ``;``, ``=`` or any line break
     of ``str.splitlines``, an empty package, or an id that is empty, starts
-    with ``#`` or has surrounding whitespace. An app without packages is
-    written, and ``parse_corpus`` refuses it.
+    with ``#`` or has surrounding whitespace, and for a size or count that
+    fails the record checks (``_check_record``), which run again here since
+    a record's fields may have changed after construction. An app without
+    packages is written, and ``parse_corpus`` refuses it.
     """
     _check_ids(corpus.apps)
     lines = []
     for app in corpus.apps:
+        _check_record(app)
         app_id = app.app_id
         if not app_id or app_id[0] == "#" or app_id.strip() != app_id or "" in app.packages:
             raise _uncarried(app_id)

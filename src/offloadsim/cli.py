@@ -15,6 +15,7 @@ All outputs are byte-deterministic for identical arguments and inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -39,7 +40,10 @@ class CommandOutcome:
     artifacts: list[Path] = field(default_factory=list)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="offloadsim",
         description="Offloading simulator, call-graph partitioning, and corpus statistics.",

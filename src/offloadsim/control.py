@@ -1,4 +1,4 @@
-"""Admission strategies and load gossip.
+"""Admission rules and load gossip.
 
 Three congestion-control strategies decide what a node does with each
 incoming request:
@@ -9,59 +9,33 @@ incoming request:
   the scenario lets the server execute.
 * ``proactive``: admit with probability q from the node's estimator state;
   rejected requests go to the least-loaded executor neighbor (one TTL tick
-  per forward). Exhausted TTL falls back to execute-if-feasible.
+  per forward). Exhausted TTL falls back to execute-if-feasible. The rule
+  lives in the simulator's event loop, which draws once per arrival and
+  calls ``lightest_load_neighbor`` only for a rejected request.
 
 ``none`` and ``passive`` share one threshold rule, ``decide_threshold``;
 they differ only in the overflow decision a node takes at or above the
 threshold, which is fixed per node before a run (``DROP`` for ``none``,
-``passive_overflow`` for ``passive``). Forward targets are whatever node
-ids the caller's feeds use.
+``passive_overflow`` for ``passive``).
 
-Decisions are shared instances: ``EXECUTE``, ``DROP`` and one forward per
-target, so callers branch on ``dec is EXECUTE`` / ``dec is DROP`` and read
-a forward's ``target`` (which may be node 0).
+A decision is a plain int: ``EXECUTE`` (-1), ``DROP`` (-2), or otherwise
+the dense index of the node to forward to, which may be 0, so callers
+compare against the two codes and never read a target by its truth value.
 
 Load gossip is pulled: completions and heartbeats publish loads on
 ``LoadFeed``s, one per link delay, and ``lightest_load_neighbor`` reads
 them when a node forwards, holding the one staleness rule.
-
-Decisions depend only on their inputs (the RNG draw is passed in),
-so the simulator, the CLI, and the tests share one code path.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
-from dataclasses import dataclass
-from enum import Enum
 
-from .workload import EstimatorState
-
-
-class Action(Enum):
-    EXECUTE = "execute"
-    FORWARD = "forward"
-    DROP = "drop"
-
-
-@dataclass(frozen=True)
-class AdmissionDecision:
-    """Outcome of a strategy for one request at one node."""
-
-    action: Action
-    target: int | None = None  # receiving node for FORWARD
-
-    @staticmethod
-    @functools.cache
-    def forward(target: int) -> "AdmissionDecision":
-        """The one shared FORWARD decision to ``target``."""
-        return AdmissionDecision(Action.FORWARD, target)
-
-
-EXECUTE = AdmissionDecision(Action.EXECUTE)
-DROP = AdmissionDecision(Action.DROP)
+#: Decision codes. Any other decision is the dense index (>= 0) of the
+#: node to forward to.
+EXECUTE = -1
+DROP = -2
 
 
 class LoadFeed:
@@ -114,63 +88,24 @@ def lightest_load_neighbor(neighbors: list[tuple], now: float) -> int | None:
     return best_id
 
 
-def decide_threshold(
-    node_load: float, capacity_threshold: float, overflow: AdmissionDecision
-) -> AdmissionDecision:
+def decide_threshold(node_load: float, capacity_threshold: float, overflow: int) -> int:
     """Execute below the threshold; at or above it, take ``overflow``."""
     return EXECUTE if node_load < capacity_threshold else overflow
 
 
-def passive_overflow(
-    next_hop: int | None, server: int, server_executes: bool = False
-) -> AdmissionDecision:
+def passive_overflow(next_hop: int | None, server: int, server_executes: bool = False) -> int:
     """What a passive node does at or above threshold: forward to its next
     hop toward the server, or drop at the server and before a server that
     does not execute."""
     if next_hop is None or (next_hop == server and not server_executes):
         return DROP
-    return AdmissionDecision.forward(next_hop)
-
-
-def decide_proactive(
-    state: EstimatorState,
-    neighbors: list[tuple],
-    now: float,
-    cpu_capacity: float,
-    mem_capacity: float,
-    rng_draw: float,
-    ttl_remaining: int,
-    node_load: float,
-    capacity_threshold: float,
-    forwarding_enabled: bool = True,
-) -> AdmissionDecision:
-    """Probabilistic admission against the estimator's q.
-
-    The caller records the arrival into ``state`` first, then supplies one
-    uniform draw. TTL 0 means the request may travel no further: it executes
-    if the node is below threshold and drops otherwise. The same feasibility
-    fallback applies when no forwarding candidate exists.
-    """
-    if ttl_remaining <= 0:
-        return decide_threshold(node_load, capacity_threshold, DROP)
-    q = state.execution_probability(cpu_capacity, mem_capacity)
-    if rng_draw < q:
-        return EXECUTE
-    if not forwarding_enabled:
-        return DROP
-    target = lightest_load_neighbor(neighbors, now)
-    if target is None:
-        return decide_threshold(node_load, capacity_threshold, DROP)
-    return AdmissionDecision.forward(target)
+    return next_hop
 
 
 __all__ = [
     "DROP",
     "EXECUTE",
-    "Action",
-    "AdmissionDecision",
     "LoadFeed",
-    "decide_proactive",
     "decide_threshold",
     "lightest_load_neighbor",
     "passive_overflow",

@@ -4,7 +4,12 @@ Each node is a single-server FIFO queue: admitted requests wait their turn
 and hold the node for an exponentially distributed service time, so the
 instantaneous normalized load is (sum of cpu costs of requests in system)
 divided by cpu capacity. Strategies decide per arrival whether to execute,
-drop, or forward (see ``control``).
+drop, or forward (see ``control``): ``none`` and ``passive`` through
+``decide_threshold``, ``proactive`` in the event loop itself, which holds
+that rule. A decision is a plain int, ``EXECUTE``, ``DROP`` or the dense
+index of the node to forward to. Service times are drawn as
+``-log(1.0 - random()) / rate``, the expression ``random.expovariate``
+evaluates, so every draw comes from ``random()`` alone.
 
 Event ordering is a strict total order: time, then kind rank (completions
 before arrivals before heartbeats before samples), then node id, then a
@@ -42,14 +47,15 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
 from itertools import compress
+from math import log
 from pathlib import Path
 
 from .control import (
     DROP,
     EXECUTE,
     LoadFeed,
-    decide_proactive,
     decide_threshold,
+    lightest_load_neighbor,
     passive_overflow,
 )
 from .partition import _left_sum, _load_json, _non_negative, _positive, _write_text
@@ -137,6 +143,16 @@ class ScenarioConfig:
             raise ConfigError("topology declares no access points, nothing can arrive")
 
 
+def _typed(data: dict, key: str, default, types: tuple, what: str):
+    """``data[key]``, or ``default`` when absent, refused unless its type is
+    one of ``types`` exactly: a bool is not an integer, and neither is 2.0
+    or "2"."""
+    value = data.get(key, default)
+    if type(value) not in types:
+        raise ConfigError(f"{key} must be {what}, not {value!r}")
+    return value
+
+
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     """Build a config from parsed JSON (see docs/schemas/scenario.json)."""
     if not isinstance(data, dict):
@@ -181,15 +197,15 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConf
             strategy=data.get("strategy", "none"),
             load_multiplier=float(data.get("load_multiplier", 1.0)),
             jitters=jitters,
-            buffer_size=int(data.get("buffer_size", 128)),
-            ttl=int(data["ttl"]) if "ttl" in data and data["ttl"] is not None else None,
+            buffer_size=_typed(data, "buffer_size", 128, (int,), "an integer"),
+            ttl=_typed(data, "ttl", None, (int, type(None)), "an integer or null"),
             gossip_period_ms=float(data.get("gossip_period_ms", 1.0)),
             capacity_threshold=float(data.get("capacity_threshold", 1.0)),
             warmup_s=float(data["warmup_s"]) if data.get("warmup_s") is not None else None,
-            seed=data.get("seed", 0),
+            seed=_typed(data, "seed", 0, (int, str), "an integer or a string"),
             sample_interval_ms=float(data.get("sample_interval_ms", 1.0)),
-            server_executes=bool(data.get("server_executes", False)),
-            proactive_forwarding=bool(data.get("proactive_forwarding", True)),
+            server_executes=_typed(data, "server_executes", False, (bool,), "a boolean"),
+            proactive_forwarding=_typed(data, "proactive_forwarding", True, (bool,), "a boolean"),
             name=data.get("name", "custom"),
         )
     except ConfigError:
@@ -324,7 +340,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
 
     rng = random.Random(f"{cfg.seed}|sim")
     rng_random = rng.random
-    rng_expo = rng.expovariate
 
     arrivals = _iter_arrival_tuples(
         cfg.base_rate_per_s * cfg.load_multiplier,
@@ -402,26 +417,27 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                     # Pure sink: the server absorbs nothing unless configured to.
                     dec = DROP
                 elif proactive:
+                    # Admit with probability q. One draw per arrival, even
+                    # when the TTL is spent, so the stream never shifts.
                     est = estimators[i]
                     if est is None:
                         est = estimators[i] = new_estimator(buffer_size)
                     est.record_arrival(t)
-                    dec = decide_proactive(
-                        est,
-                        views[i],
-                        t,
-                        cpu_cap[i],
-                        mem_cap[i],
-                        rng_random(),
-                        req[3],
-                        loads[i],
-                        threshold,
-                        fwd_enabled,
-                    )
+                    u = rng_random()
+                    if req[3] <= 0:
+                        dec = decide_threshold(loads[i], threshold, DROP)
+                    elif u < est.execution_probability(cpu_cap[i], mem_cap[i]):
+                        dec = EXECUTE
+                    elif not fwd_enabled:
+                        dec = DROP
+                    else:
+                        dec = lightest_load_neighbor(views[i], t)
+                        if dec is None:
+                            dec = decide_threshold(loads[i], threshold, DROP)
                 else:
                     dec = decide_threshold(loads[i], threshold, overflow[i])
 
-                if dec is EXECUTE:
+                if dec == EXECUTE:
                     lt = last_t[i]
                     if lt < horizon:
                         hi = t if t < horizon else horizon
@@ -437,16 +453,16 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                         queue[i].append(req)
                     else:
                         busy[i] = True
-                        dur = rng_expo(svc_rate[req[0]])
+                        dur = -log(1.0 - rng_random()) / svc_rate[req[0]]
                         heappush(heap, (t + dur, _COMPLETION, i, seq, req, dur))
                         seq += 1
                     continue
-                if dec is DROP:
+                if dec == DROP:
                     gross_dropped += 1
                     if req[5]:
                         counted_drop += 1
                     continue
-                j = dec.target
+                j = dec
                 if proactive:
                     req[3] -= 1
             # One forward path for relays and strategies alike.
@@ -485,7 +501,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                     feed.publish(t, load)
             if queue[i]:
                 req = queue[i].popleft()
-                dur = rng_expo(svc_rate[req[0]])
+                dur = -log(1.0 - rng_random()) / svc_rate[req[0]]
                 heappush(heap, (t + dur, _COMPLETION, i, seq, req, dur))
                 seq += 1
             else:

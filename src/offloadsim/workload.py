@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from math import log
 
 from ._estimator_py import ARMA_WEIGHT
 from ._estimator_py import EstimatorCore as EstimatorState
@@ -196,7 +197,6 @@ def _iter_arrival_tuples(
         raise ValueError("arrival rate must be positive and finite in every rate segment")
 
     rng = random.Random(f"{seed}|arrivals")
-    expovariate = rng.expovariate
     uniform = rng.random
     getrandbits = rng.getrandbits
 
@@ -223,8 +223,9 @@ def _iter_arrival_tuples(
     while True:
         # The exponential gap is memoryless, so on crossing a rate boundary
         # the residual wait can be redrawn at the new rate without bias.
+        # The gap is ``expovariate(rate)`` written out: -log(1 - u) / rate.
         while True:
-            nxt = t + expovariate(rate)
+            nxt = t - log(1.0 - uniform()) / rate
             # The last segment ends at inf, which an infinite gap reaches.
             if nxt >= seg_end and seg_i < last_seg:
                 seg_i += 1

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import random
 import statistics
 import sys
@@ -18,13 +19,6 @@ import pytest
 
 from offloadsim import simulator as sim
 from offloadsim.appstats import CorpusError, OverlapReport
-from offloadsim.control import (
-    DROP,
-    Action,
-    AdmissionDecision,
-    decide_threshold,
-    passive_overflow,
-)
 from offloadsim.partition import CallGraph, ClassNode, MethodProfile, _left_sum, _positive
 from offloadsim.topology import NodeSpec, Topology
 from offloadsim.workload import _segment_boundaries, _validate_jitters, new_estimator
@@ -122,18 +116,53 @@ def scripted_runs(arrivals, durations, draws):
     """Inside the block, ``run_scenario`` and ``reference_run_scenario``
     take external arrivals at the given ``(time, k)`` pairs, at the k-th
     access point (modulo their number), and service times and admission
-    draws in order from ``durations`` and ``draws`` (then 1 ms and 0.0)."""
+    draws in order from ``durations`` and ``draws`` (then 1 ms and 0.0).
+    ``run_scenario`` takes both from ``random()``, which here returns a
+    ``Draw`` that tells the two uses apart."""
 
     class Scripted:
         def __init__(self, _seed):
             self.durations = iter(durations)
-            self.draws = iter(draws)
+            self.draws = deque(draws)
 
         def expovariate(self, _rate):
             return next(self.durations, 0.001)
 
         def random(self):
-            return next(self.draws, 0.0)
+            return Draw(self, self.draws.popleft() if self.draws else None)
+
+    class Draw:
+        """A ``random()`` result: compared against q, the admission draw it
+        took. Taken as ``1.0 - u``, which begins ``run_scenario``'s inline
+        service draw ``-log(1.0 - u) / rate``, it hands its admission draw
+        back and stands for the next service time instead."""
+
+        def __init__(self, script, value):
+            self.script = script
+            self.value = value
+
+        def __lt__(self, q):
+            return (0.0 if self.value is None else self.value) < q
+
+        def __rsub__(self, _one):
+            if self.value is not None:
+                self.script.draws.appendleft(self.value)
+            return ServiceTime(self.script.expovariate(None))
+
+    class ServiceTime:
+        """Goes through ``-log(x) / rate`` unchanged, as the duration."""
+
+        def __init__(self, duration):
+            self.duration = duration
+
+        def __neg__(self):
+            return self
+
+        def __truediv__(self, _rate):
+            return self.duration
+
+    def scripted_log(x):
+        return x if isinstance(x, ServiceTime) else math.log(x)
 
     def scripted_arrivals(*args):
         aps = args[-1]
@@ -147,6 +176,7 @@ def scripted_runs(arrivals, durations, draws):
             fake = types.SimpleNamespace(Random=Scripted)
             stack.enter_context(mock.patch.object(module, "random", fake))
             stack.enter_context(mock.patch.object(module, stream, scripted_arrivals))
+        stack.enter_context(mock.patch.object(sim, "log", scripted_log))
         yield
 
 
@@ -236,6 +266,25 @@ class ReferenceLoadTable:
         return True
 
 
+# Decisions of the reference loop, in its own codes: these two, or
+# ("forward", target).
+REF_EXECUTE = "execute"
+REF_DROP = "drop"
+
+
+def reference_decide_threshold(node_load, capacity_threshold, overflow):
+    """Execute below the threshold, else take ``overflow``."""
+    return REF_EXECUTE if node_load < capacity_threshold else overflow
+
+
+def reference_passive_overflow(next_hop, server, server_executes):
+    """Forward toward the server; drop at the end of the path and before a
+    server that does not execute."""
+    if next_hop is None or (next_hop == server and not server_executes):
+        return REF_DROP
+    return ("forward", next_hop)
+
+
 def reference_decide_proactive(
     state, table, cpu_capacity, mem_capacity, rng_draw, ttl_remaining, node_load,
     capacity_threshold, forwarding_enabled=True,
@@ -243,11 +292,11 @@ def reference_decide_proactive(
     """The proactive decision over a pushed table: forward to the lightest
     known neighbor, ties to the lowest id."""
     if ttl_remaining <= 0:
-        return decide_threshold(node_load, capacity_threshold, DROP)
+        return reference_decide_threshold(node_load, capacity_threshold, REF_DROP)
     if rng_draw < state.execution_probability(cpu_capacity, mem_capacity):
-        return AdmissionDecision(Action.EXECUTE)
+        return REF_EXECUTE
     if not forwarding_enabled:
-        return DROP
+        return REF_DROP
     best_id = None
     best_load = 0.0
     for nid, load in table.loads.items():
@@ -255,8 +304,8 @@ def reference_decide_proactive(
             best_id = nid
             best_load = load
     if best_id is None:
-        return decide_threshold(node_load, capacity_threshold, DROP)
-    return AdmissionDecision.forward(best_id)
+        return reference_decide_threshold(node_load, capacity_threshold, REF_DROP)
+    return ("forward", best_id)
 
 
 def reference_run_scenario(cfg):
@@ -300,9 +349,9 @@ def reference_run_scenario(cfg):
             next_hop[i] = idx_of[nh]
     # What none and passive do at or above the threshold, fixed per node.
     if strategy == "passive":
-        overflow = [passive_overflow(nh, server, server_executes) for nh in next_hop]
+        overflow = [reference_passive_overflow(nh, server, server_executes) for nh in next_hop]
     else:
-        overflow = [DROP] * n
+        overflow = [REF_DROP] * n
 
     svc_rate = [1.0 / s.mean_exec_time_s for s in cfg.services]
     svc_cpu = [s.cpu_cost for s in cfg.services]
@@ -422,7 +471,7 @@ def reference_run_scenario(cfg):
             else:
                 if not executor[i]:
                     # Pure sink: the server absorbs nothing unless configured to.
-                    dec = DROP
+                    dec = REF_DROP
                 elif proactive:
                     est = estimators[i]
                     est.record_arrival(t)
@@ -438,10 +487,11 @@ def reference_run_scenario(cfg):
                         fwd_enabled,
                     )
                 else:
-                    dec = decide_threshold(load_num[i] * inv_cap[i], threshold, overflow[i])
+                    dec = reference_decide_threshold(
+                        load_num[i] * inv_cap[i], threshold, overflow[i]
+                    )
 
-                act = dec.action
-                if act is Action.EXECUTE:
+                if dec == REF_EXECUTE:
                     lt = last_t[i]
                     if lt < horizon:
                         hi = t if t < horizon else horizon
@@ -457,12 +507,12 @@ def reference_run_scenario(cfg):
                         busy[i] = True
                         start_service(i, req, t)
                     continue
-                if act is Action.DROP:
+                if dec == REF_DROP:
                     gross_dropped += 1
                     if req[5]:
                         counted_drop += 1
                     continue
-                j = dec.target
+                j = dec[1]
                 if proactive:
                     req[3] -= 1
             # One forward path for relays and strategies alike.

@@ -339,6 +339,31 @@ class TestCorpusIO:
             write_corpus(corpus, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"dex_size_bytes": -3}, "dex size must be non-negative"),
+            ({"dex_size_bytes": 2.5}, "dex size 2.5 is not an integer"),
+            ({"com.x.z": 0}, "class count must be at least 1"),
+            ({"com.x.z": True}, "class count True is not an integer"),
+            ({"com.x.z": 0, "dex_size_bytes": -3}, "dex size must be non-negative"),
+        ],
+    )
+    def test_record_changed_after_construction_is_refused_at_write(
+        self, tmp_path, edit, message
+    ):
+        corpus = make_corpus(("fine", 100, {"com.one.app": 1}), ("a", 100, {"com.x.y": 1}))
+        changed = corpus.apps[1]
+        for key, value in edit.items():
+            if key == "dex_size_bytes":
+                changed.dex_size_bytes = value
+            else:
+                changed.packages[key] = value
+        path = tmp_path / "corpus.tsv"
+        with pytest.raises(CorpusError, match=re.escape(f"app 'a': {message}")):
+            write_corpus(corpus, path)
+        assert not path.exists()
+
     def test_missing_file_reports_the_path(self, tmp_path):
         with pytest.raises(CorpusError, match="cannot read"):
             parse_corpus(tmp_path / "absent.tsv")

@@ -154,6 +154,22 @@ class TestSimulate:
         assert "finite" in res.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("edit", [
+        {"proactive_forwarding": "false"},
+        {"server_executes": 1},
+        {"buffer_size": 12.9},
+        {"ttl": 2.5},
+        {"seed": [1, 2]},
+    ])
+    def test_config_value_of_the_wrong_type_is_a_usage_error(self, tmp_path, capsys, edit):
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps({**SCENARIO_DOC, **edit}))
+        outcome = cli.dispatch(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert outcome.exit_code == 2
+        (key,) = edit
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("param", ["cpu", "mem"])
     def test_subnormal_capacity_is_a_usage_error(self, tmp_path, param):
         gen = {"kind": "line", "n": 3, "seed": 1, param: 5e-324}
@@ -411,6 +427,42 @@ class TestParserBasics:
 
     def test_unknown_subcommand_is_a_usage_error(self):
         assert run_cli("frobnicate").returncode == 2
+
+    def test_one_parser_serves_every_dispatch_as_a_fresh_one_would(
+        self, tmp_path, inputs, capsys
+    ):
+        graph = ("--graph", inputs / "graph.json")
+        commands = [
+            ("appstats", "--corpus", inputs / "corpus.tsv", "--depth", 2),
+            ("partition", *graph, "--rules", inputs / "rules.json"),
+            ("simulate", "--preset", "fig3", "--seed", 2, "--format", "json", "--out", "OUT"),
+            ("decide", *graph, "--rtt-ms", "soon", "--bandwidth-bytes-per-s", 1e6),
+            ("simulate", "--help"),
+            ("appstats", "--corpus", inputs / "corpus.tsv", "--depth", 0),
+            ("decide", *graph, "--rtt-ms", 40, "--bandwidth-bytes-per-s", 250000),
+            ("simulate", "--config", inputs / "scenario.json", "--strategy", "proactive",
+             "--out", "OUT"),
+        ]
+
+        def dispatch_all(root, fresh):
+            results = []
+            for k, command in enumerate(commands):
+                if fresh:
+                    cli._build_parser.cache_clear()
+                out = root / str(k)
+                argv = [str(out) if arg == "OUT" else str(arg) for arg in command]
+                outcome = cli.dispatch(argv)
+                streams = capsys.readouterr()
+                files = {p.relative_to(out): p.read_bytes() for p in outcome.artifacts}
+                results.append((outcome.exit_code, streams.out, streams.err, files))
+            return results
+
+        cli._build_parser.cache_clear()
+        cached = dispatch_all(tmp_path / "cached", fresh=False)
+        assert cli._build_parser.cache_info().misses == 1
+        assert cached == dispatch_all(tmp_path / "fresh", fresh=True)
+        assert [r[0] for r in cached] == [0, 0, 0, 2, 0, 2, 0, 0]
+        assert "--strategy" in cached[4][1] and cached[3][2].startswith("usage:")
 
 
 # Exports a fig3 run whose seed is "cafe" with an acute e (escaped, so the

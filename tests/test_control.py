@@ -1,16 +1,18 @@
 """Per-node admission strategies and one-hop load exchange."""
 
 import collections
+import contextlib
 import dataclasses
 import math
-import random
 from unittest import mock
 
-import pytest
+import conftest
 
 from offloadsim import control as ct
 from offloadsim import simulator as sim
 from offloadsim import workload as wl
+from offloadsim.topology import NodeSpec, Topology
+from offloadsim.workload import ServiceSpec
 
 from test_workload import admit_q
 
@@ -20,20 +22,6 @@ NO_LOADS = collections.defaultdict(float)
 
 def beat_feed(delay):
     return ct.LoadFeed(delay, NO_LOADS)
-
-
-def warm_state(lam=4.0, mu=4.0, cpu=1.0, mem=0.0, k=2):
-    """A warmed estimator with chosen steady statistics."""
-    state = wl.new_estimator(k=k)
-    dt = 1.0 / lam
-    for i in range(k + 1):
-        wl.record_arrival(state, dt * i)
-    # One wrap with constant values plants mu at 0.5 * (0 + 1/t) and the
-    # averages at half the recorded demands.
-    wl.record_completion(state, 0.5 / mu, 2.0 * cpu, 2.0 * mem)
-    for _ in range(k - 1):
-        wl.record_completion(state, 0.5 / mu, 2.0 * cpu, 2.0 * mem)
-    return state
 
 
 def view_of(loads, now=0.0):
@@ -76,73 +64,70 @@ def passive(topo, node_id, load, server_executes=False):
     return ct.decide_threshold(load, 1.0, overflow)
 
 
+def counting_lookups(targets):
+    """Patch the simulator's ``lightest_load_neighbor`` to tally what each
+    lookup returns in the Counter ``targets``."""
+    lightest = sim.lightest_load_neighbor
+
+    def counted(view, now):
+        target = lightest(view, now)
+        targets[target] += 1
+        return target
+
+    return mock.patch.object(sim, "lightest_load_neighbor", counted)
+
+
 def test_none_strategy_threshold():
-    assert ct.decide_threshold(0.3, 1.0, ct.DROP).action is ct.Action.EXECUTE
-    assert ct.decide_threshold(1.2, 1.0, ct.DROP).action is ct.Action.DROP
+    assert ct.decide_threshold(0.3, 1.0, ct.DROP) == ct.EXECUTE
+    assert ct.decide_threshold(1.2, 1.0, ct.DROP) == ct.DROP
 
 
 def test_none_strategy_boundary_is_drop():
-    assert ct.decide_threshold(1.0, 1.0, ct.DROP).action is ct.Action.DROP
+    assert ct.decide_threshold(1.0, 1.0, ct.DROP) == ct.DROP
 
 
 def test_passive_under_load_executes(line4):
-    d = passive(line4, 1, 0.2)
-    assert d.action is ct.Action.EXECUTE
+    assert passive(line4, 1, 0.2) == ct.EXECUTE
 
 
 def test_passive_overloaded_forwards_along_path(line4):
-    d = passive(line4, 1, 1.5)
-    assert d.action is ct.Action.FORWARD
-    assert d.target == 2
+    assert passive(line4, 1, 1.5) == 2
 
 
 def test_passive_boundary_takes_the_overflow(line4):
-    assert passive(line4, 1, 1.0) is ct.AdmissionDecision.forward(2)
+    assert passive(line4, 1, 1.0) == 2
 
 
 def test_passive_last_hop_drops(line4):
     # Node 2 is the final in-network hop; the sink server does not execute.
-    d = passive(line4, 2, 1.5)
-    assert d.action is ct.Action.DROP
+    assert passive(line4, 2, 1.5) == ct.DROP
 
 
 def test_passive_last_hop_can_reach_executing_server(line4):
-    d = passive(line4, 2, 1.5, server_executes=True)
-    assert d.action is ct.Action.FORWARD
-    assert d.target == 3
+    assert passive(line4, 2, 1.5, server_executes=True) == 3
 
 
 def test_passive_at_server_drops(line4):
-    d = passive(line4, 3, 1.5, server_executes=True)
-    assert d.action is ct.Action.DROP
+    assert passive(line4, 3, 1.5, server_executes=True) == ct.DROP
 
 
 def test_forward_to_index_zero_is_a_forward():
     # Node 0 is a valid target and 0 is falsy: nothing may read a target
     # by its truth value.
     d = ct.passive_overflow(0, 3)
-    assert d.action is ct.Action.FORWARD and d.target == 0
-    assert ct.decide_threshold(1.5, 1.0, d) is d
+    assert d == 0
+    assert ct.decide_threshold(1.5, 1.0, d) == 0
     # On overload-line every node but the sink server executes, so node 1
     # forwards to node 0 (dense index 0) whenever 0 reads lightest; with no
-    # warmup and no relays, every forward decision counts as one forward.
+    # warmup and no relays, every target the loop looks up is one forward.
     cfg = dataclasses.replace(
         sim.preset_overload_line("proactive"), horizon_s=0.2, warmup_s=0.0, seed=1
     )
-    decisions = collections.Counter()
-
-    def counted(*args, **kwargs):
-        dec = ct.decide_proactive(*args, **kwargs)
-        decisions[dec] += 1
-        return dec
-
-    with mock.patch.object(sim, "decide_proactive", counted):
+    targets = collections.Counter()
+    with counting_lookups(targets):
         m = sim.run_scenario(cfg)
-    assert decisions[ct.AdmissionDecision.forward(0)] > 0
-    assert m.forwarded == sum(
-        k for dec, k in decisions.items() if dec.action is ct.Action.FORWARD
-    )
-    assert m.executed == decisions[ct.EXECUTE]
+    assert targets[0] > 0 and None not in targets
+    assert m.forwarded == sum(targets.values())
 
 
 def test_lightest_neighbor_argmin():
@@ -217,75 +202,126 @@ def test_one_delivery_pass_serves_every_reader():
     assert shows((1, feed, beats), 0.005, 0.7)
 
 
+class FixedQ:
+    """Estimator stand-in whose q depends only on the node's cpu capacity."""
+
+    def __init__(self, q_by_cpu):
+        self.q_by_cpu = q_by_cpu
+
+    def record_arrival(self, _t):
+        pass
+
+    def record_completion(self, *_demands):
+        pass
+
+    def execution_probability(self, cpu_capacity, _mem_capacity):
+        return self.q_by_cpu[cpu_capacity]
+
+
+def fork_config(neighbours=True, **overrides):
+    """Proactive scenario with arrivals at node 0 (cpu 1), linked to the
+    executors 1 and 2 (cpu 2, left out without ``neighbours``) and through
+    them, or directly, to the sink server 3; 1 ms links, no warmup."""
+    nodes = [NodeSpec(0, 1.0, 1.0, is_access_point=True), NodeSpec(3, 1.0, 1.0)]
+    edges = [(0, 3, 1.0)]
+    if neighbours:
+        nodes += [NodeSpec(1, 2.0, 1.0), NodeSpec(2, 2.0, 1.0)]
+        edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)]
+    base = dict(
+        topology=Topology(nodes, edges, server_id=3),
+        services=[ServiceSpec(name="s", mean_exec_time_s=0.002)],
+        base_rate_per_s=2000.0,
+        horizon_s=0.5,
+        strategy="proactive",
+        warmup_s=0.0,
+        ttl=4,
+        seed=5,
+    )
+    base.update(overrides)
+    return sim.ScenarioConfig(**base)
+
+
+def run_with_q(cfg, q0, arrivals=None, durations=(), draws=()):
+    """Run ``cfg`` with node 0 admitting at ``q0`` and nodes 1 and 2 at 1;
+    with ``arrivals`` (times in s), scripted as ``conftest.scripted_runs``."""
+    stub = mock.patch.object(sim, "new_estimator", lambda _k: FixedQ({1.0: q0, 2.0: 1.0}))
+    script = contextlib.nullcontext()
+    if arrivals is not None:
+        script = conftest.scripted_runs([(t, 0) for t in arrivals], durations, draws)
+    with stub, script:
+        return sim.run_scenario(cfg)
+
+
 def test_proactive_cold_state_executes():
-    state = wl.new_estimator(k=64)
-    view = silent_view([1])
-    d = ct.decide_proactive(state, view, 0.0, 1.0, 1.0, rng_draw=0.999,
-                            ttl_remaining=4, node_load=0.0, capacity_threshold=1.0)
-    assert d.action is ct.Action.EXECUTE
+    # Node 0 is far above its threshold, but a buffer larger than the run's
+    # arrivals keeps every estimator cold, so q is 1 and nothing forwards.
+    cfg = fork_config(buffer_size=4096)
+    m = sim.run_scenario(cfg)
+    assert 0 < m.gross_arrivals < cfg.buffer_size
+    assert m.forwarded == m.dropped == 0
+    assert m.per_node_executed[0] == m.executed == m.total_arrivals
+    assert sim.run_scenario(dataclasses.replace(cfg, buffer_size=16)).forwarded > 0
 
 
 def test_proactive_rejection_forwards_to_lightest():
-    state = warm_state(lam=4.0, mu=4.0, cpu=1.0)  # q = 0.5 at capacity 1
-    q = wl.execution_probability(state, 1.0, 1.0)
-    assert q == pytest.approx(0.5)
-    view = view_of({2: 0.1, 3: 0.4})
-    d = ct.decide_proactive(state, view, 0.0, 1.0, 1.0, rng_draw=0.7,
-                            ttl_remaining=4, node_load=0.2, capacity_threshold=1.0)
-    assert d.action is ct.Action.FORWARD
-    assert d.target == 2
+    # Node 0 rejects every request; each goes to the neighbour that
+    # lightest_load_neighbor names, which admits it.
+    targets = collections.Counter()
+    with counting_lookups(targets):
+        m = run_with_q(fork_config(), 0.0)
+    assert targets[1] > 0 and targets[2] > 0 and None not in targets
+    assert m.forwarded == m.executed == m.total_arrivals == sum(targets.values())
+    assert m.per_node_executed == {0: 0, 1: targets[1], 2: targets[2], 3: 0}
 
 
 def test_proactive_admission_below_q():
-    state = warm_state(lam=4.0, mu=4.0, cpu=1.0)
-    view = view_of({2: 0.1})
-    d = ct.decide_proactive(state, view, 0.0, 1.0, 1.0, rng_draw=0.3,
-                            ttl_remaining=4, node_load=0.2, capacity_threshold=1.0)
-    assert d.action is ct.Action.EXECUTE
+    # Draws at node 0 against q = 0.5: 0.3 and 0.4999 admit, 0.7 and 0.5
+    # forward; the forwarded requests draw 0.0 at a neighbour and run there.
+    m = run_with_q(
+        fork_config(),
+        0.5,
+        arrivals=[0.001, 0.005, 0.010, 0.015],
+        draws=[0.3, 0.7, 0.0, 0.4999, 0.5, 0.0],
+    )
+    assert m.per_node_executed[0] == 2
+    assert m.forwarded == 2 and m.executed == 4
 
 
 def test_proactive_exhausted_ttl_executes_when_feasible():
-    state = warm_state()
-    view = silent_view([2])
-    d = ct.decide_proactive(state, view, 0.0, 1.0, 1.0, rng_draw=0.99,
-                            ttl_remaining=0, node_load=0.2, capacity_threshold=1.0)
-    assert d.action is ct.Action.EXECUTE
-    d = ct.decide_proactive(state, view, 0.0, 1.0, 1.0, rng_draw=0.99,
-                            ttl_remaining=0, node_load=1.2, capacity_threshold=1.0)
-    assert d.action is ct.Action.DROP
+    # With TTL 0 nothing forwards, though node 0 rejects every draw: the
+    # first request runs for 50 ms and the second finds node 0 at its
+    # threshold and drops; the third arrives after the first is done.
+    m = run_with_q(
+        fork_config(ttl=0), 0.0, arrivals=[0.001, 0.002, 0.060], durations=[0.05]
+    )
+    assert m.forwarded == 0
+    assert m.per_node_executed[0] == 2 and m.dropped == 1
 
 
 def test_proactive_disabled_forwarding_drops_rejections():
-    state = warm_state()
-    view = silent_view([2])
-    d = ct.decide_proactive(state, view, 0.0, 1.0, 1.0, rng_draw=0.99,
-                            ttl_remaining=4, node_load=0.0, capacity_threshold=1.0,
-                            forwarding_enabled=False)
-    assert d.action is ct.Action.DROP
+    m = run_with_q(fork_config(proactive_forwarding=False), 0.0)
+    assert m.total_arrivals > 0
+    assert m.dropped == m.total_arrivals and m.forwarded == m.executed == 0
 
 
 def test_proactive_isolated_node_falls_back_to_threshold():
-    state = warm_state()
-    view = silent_view([])
-    d = ct.decide_proactive(state, view, 0.0, 1.0, 1.0, rng_draw=0.99,
-                            ttl_remaining=4, node_load=0.3, capacity_threshold=1.0)
-    assert d.action is ct.Action.EXECUTE
+    # Node 0 rejects every draw and has no executor neighbour, so it
+    # executes below its threshold and drops at it.
+    m = run_with_q(
+        fork_config(neighbours=False), 0.0, arrivals=[0.001, 0.002, 0.060], durations=[0.05]
+    )
+    assert m.forwarded == 0
+    assert m.per_node_executed[0] == 2 and m.dropped == 1
 
 
 def test_execute_fraction_converges_to_q():
-    state = warm_state(lam=4.0, mu=4.0, cpu=1.0)
-    q = wl.execution_probability(state, 1.0, 1.0)
-    view = silent_view([2])
-    rng = random.Random(17)
-    n = 20_000
-    executed = sum(
-        1
-        for _ in range(n)
-        if ct.decide_proactive(state, view, 0.0, 1.0, 1.0, rng.random(), 4, 0.0, 1.0).action
-        is ct.Action.EXECUTE
-    )
+    q = 0.3
+    m = run_with_q(fork_config(base_rate_per_s=40_000.0), q)
+    n = m.total_arrivals
     sigma = (n * q * (1 - q)) ** 0.5
-    assert abs(executed - n * q) < 3.0 * sigma
+    assert n > 10_000
+    assert abs(m.per_node_executed[0] - n * q) < 3.0 * sigma
+    assert m.forwarded == n - m.per_node_executed[0]
 
 
 def test_conservative_mode_lowers_admission():

@@ -321,25 +321,33 @@ def test_hop_diameter_is_computed_once_per_topology(monkeypatch):
 
 
 def test_estimators_are_built_only_where_requests_arrive(monkeypatch):
-    built, decided = [], []
-    make, decide = sim.new_estimator, sim.decide_proactive
+    built, arrived = [], []
+    make = sim.new_estimator
+
+    class Watched:
+        """An estimator that notes each arrival recorded into it."""
+
+        def __init__(self, core):
+            self.core = core
+
+        def record_arrival(self, t):
+            arrived.append(self)
+            self.core.record_arrival(t)
+
+        def __getattr__(self, name):
+            return getattr(self.core, name)
 
     def counted_make(k):
-        built.append(make(k))
+        built.append(Watched(make(k)))
         return built[-1]
 
-    def counted_decide(state, *args):
-        decided.append(state)
-        return decide(state, *args)
-
     monkeypatch.setattr(sim, "new_estimator", counted_make)
-    monkeypatch.setattr(sim, "decide_proactive", counted_decide)
     topo = generate_topology("scale_free", {"n": 60, "m": 2, "cpu": 3.0, "mem": 4.0}, seed=2)
     cfg = small_config(strategy="proactive", topology=topo, horizon_s=0.05)
     m = sim.run_scenario(cfg)
     executors = len(topo.nodes) - 1  # every node but the sink server
     assert m.gross_arrivals > 0
-    assert {id(e) for e in decided} == {id(e) for e in built}
+    assert {id(e) for e in arrived} == {id(e) for e in built}
     assert 0 < len(built) < executors
 
 
@@ -494,6 +502,51 @@ def test_jitter_overlap_message_matches_the_stream_check():
         list(_iter_arrival_tuples(100.0, 0.1, 0, jitters))
     assert str(from_config.value) == str(from_stream.value)
     assert "jitter windows overlap" in str(from_config.value)
+
+
+GENERATED_DOC = {
+    "name": "gen",
+    "topology": {"generate": {"kind": "line", "n": 3, "seed": 1}},
+    "services": [{"name": "s", "mean_exec_time_s": 0.001}],
+    "base_rate_per_s": 100.0,
+    "horizon_s": 0.2,
+    "strategy": "proactive",
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("proactive_forwarding", "false"),
+        ("proactive_forwarding", 0),
+        ("server_executes", "true"),
+        ("server_executes", None),
+        ("buffer_size", 12.9),
+        ("buffer_size", 12.0),
+        ("buffer_size", "12"),
+        ("buffer_size", True),
+        ("ttl", 2.5),
+        ("ttl", False),
+        ("seed", [1, 2]),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", None),
+    ],
+)
+def test_scenario_from_dict_refuses_a_value_of_the_wrong_type(key, value):
+    with pytest.raises(sim.ConfigError, match=f"^{key} must be"):
+        sim.scenario_from_dict({**GENERATED_DOC, key: value})
+
+
+def test_scenario_from_dict_keeps_values_of_the_declared_types():
+    cfg = sim.scenario_from_dict(
+        {**GENERATED_DOC, "proactive_forwarding": False, "server_executes": True,
+         "buffer_size": 12, "ttl": None, "seed": "a,b"}
+    )
+    assert (cfg.proactive_forwarding, cfg.server_executes) == (False, True)
+    assert (cfg.buffer_size, cfg.ttl, cfg.seed) == (12, None, "a,b")
+    cfg = sim.scenario_from_dict({**GENERATED_DOC, "ttl": 0, "seed": -4})
+    assert (cfg.ttl, cfg.seed, cfg.buffer_size, cfg.proactive_forwarding) == (0, -4, 128, True)
 
 
 def test_scenario_from_dict_with_generated_topology():

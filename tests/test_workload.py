@@ -570,6 +570,30 @@ def test_arrival_stream_matches_the_randrange_oracle(args):
     assert list(wl._iter_arrival_tuples(*args)) == list(reference_arrival_tuples(*args))
 
 
+# Positive finite rates: subnormal, normal, and near the largest double.
+POSITIVE_RATES = (
+    st.floats(min_value=5e-324, max_value=2.2250738585072009e-308)
+    | st.floats(min_value=1e-300, max_value=1e300)
+    | st.floats(min_value=1e300, allow_infinity=False)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**128) | st.text(max_size=8), POSITIVE_RATES, st.floats(0.0, 1e3))
+@example(0, 5e-324, 0.0)
+@example(1, 1.7976931348623157e308, 0.5)
+def test_inline_exponential_draw_is_expovariate_bit_for_bit(seed, rate, t):
+    # The simulator and the arrival stream write the draw out, in the
+    # arrival stream as t - log(1 - u) / rate; both must be the bits of
+    # expovariate, which evaluates -log(1.0 - random()) / rate.
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(4):
+        u = ours.random()
+        drawn = theirs.expovariate(rate)
+        assert (-math.log(1.0 - u) / rate).hex() == drawn.hex()
+        assert (t - math.log(1.0 - u) / rate).hex() == (t + drawn).hex()
+
+
 def test_estimator_memory_is_fixed_by_k():
     state = wl.new_estimator(k=32)
     rng = random.Random(5)
