@@ -1,7 +1,7 @@
 """Estimator core: the per-node arrival/service statistics.
 
-Keeps per-node arrival/completion statistics inside fixed circular buffers of
-size k and derives, in O(1) per event:
+Keeps the last k arrival timestamps in one circular buffer and the current
+completion window as three running sums, and derives, in O(1) per event:
 
 * the windowed mean arrival rate (k-1 intervals over the buffer span),
 * the smoothed historical rate and its positive increment (burst detector),
@@ -22,7 +22,7 @@ ARMA_WEIGHT = 0.5
 
 
 class EstimatorCore:
-    """Circular-buffer statistics for one node.
+    """Windowed statistics for one node.
 
     Not thread safe; one instance per simulated node. Timestamps are seconds
     and must be non-decreasing per stream.
@@ -31,14 +31,12 @@ class EstimatorCore:
     __slots__ = (
         "k",
         "buf_lambda",
-        "buf_mu",
-        "buf_cpu",
-        "buf_mem",
+        "sum_exec",
+        "sum_cpu",
+        "sum_mem",
         "arrival_index",
         "completion_index",
         "arrival_count",
-        "completion_count",
-        "arrival_wraps",
         "completion_wraps",
         "interval_sum",
         "last_arrival",
@@ -56,14 +54,12 @@ class EstimatorCore:
             raise ValueError("buffer size k must be at least 2")
         self.k = k
         self.buf_lambda = [NAN] * k
-        self.buf_mu = [NAN] * k
-        self.buf_cpu = [NAN] * k
-        self.buf_mem = [NAN] * k
+        self.sum_exec = 0.0
+        self.sum_cpu = 0.0
+        self.sum_mem = 0.0
         self.arrival_index = 0
         self.completion_index = 0
         self.arrival_count = 0
-        self.completion_count = 0
-        self.arrival_wraps = 0
         self.completion_wraps = 0
         self.interval_sum = 0.0
         self.last_arrival = NAN
@@ -117,8 +113,7 @@ class EstimatorCore:
         self.lambda_eff = lambda_hat + d
 
         if idx == 0:  # buffer wrapped on this arrival
-            self.arrival_wraps += 1
-            if self.arrival_wraps == 1:
+            if count == k:
                 # No defined prior for the historical rate; adopting the
                 # current estimate avoids a spurious burst signal at warm-up.
                 self.lambda_prev = lambda_hat
@@ -130,38 +125,25 @@ class EstimatorCore:
             raise ValueError("execution time must be positive")
         if cpu_cost < 0.0 or mem_cost < 0.0:
             raise ValueError("resource costs must be non-negative")
+        # The window sums add left to right from 0.0, in completion order.
+        self.sum_exec += exec_time
+        self.sum_cpu += cpu_cost
+        self.sum_mem += mem_cost
+        idx = self.completion_index + 1
         k = self.k
-        idx = self.completion_index
-        self.buf_mu[idx] = exec_time
-        self.buf_cpu[idx] = cpu_cost
-        self.buf_mem[idx] = mem_cost
-        self.completion_count += 1
-        idx += 1
-        if idx == k:
+        if idx == k:  # window full: fold its means into the smoothed stats
             idx = 0
-        self.completion_index = idx
-        if idx == 0:  # buffer full: fold window means into the smoothed stats
             self.completion_wraps += 1
-            # Plain left-to-right sums: the built-in sum() switched to
-            # compensated summation for floats in Python 3.12, which would
-            # make the smoothed stats depend on the interpreter version.
-            acc_mu = acc_cpu = acc_mem = 0.0
-            for e, c, m in zip(self.buf_mu, self.buf_cpu, self.buf_mem):
-                acc_mu += e
-                acc_cpu += c
-                acc_mem += m
-            self.mu = ARMA_WEIGHT * (self.mu + 1.0 / (acc_mu / k))
-            self.cpu_avg = ARMA_WEIGHT * (self.cpu_avg + acc_cpu / k)
-            self.mem_avg = ARMA_WEIGHT * (self.mem_avg + acc_mem / k)
+            self.mu = ARMA_WEIGHT * (self.mu + 1.0 / (self.sum_exec / k))
+            self.cpu_avg = ARMA_WEIGHT * (self.cpu_avg + self.sum_cpu / k)
+            self.mem_avg = ARMA_WEIGHT * (self.mem_avg + self.sum_mem / k)
+            self.sum_exec = self.sum_cpu = self.sum_mem = 0.0
+        self.completion_index = idx
 
     def mean_arrival_rate(self) -> float:
-        valid = self.arrival_count
-        if valid > self.k:
-            valid = self.k
-        if valid < 2:
+        if self.arrival_count < 2:
             raise ValueError("need at least two arrivals to estimate a rate")
-        s = self.interval_sum
-        return (valid - 1) / s if s > 0.0 else INF
+        return self.lambda_hat
 
     def execution_probability(self, cpu_capacity: float, mem_capacity: float) -> float:
         """Admission probability q in [0, 1]; 1.0 until both buffers carry a

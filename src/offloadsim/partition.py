@@ -52,6 +52,9 @@ from pathlib import Path
 #: Classes tagged with this (via rules or directly) must stay on the device.
 PINNED_TAG = "pinned"
 
+# The least modularity gain for which Louvain moves a vertex.
+_MIN_GAIN = 1e-12
+
 
 class CallGraphError(ValueError):
     """Raised for malformed call-graph input."""
@@ -65,6 +68,18 @@ def _non_negative(x: float) -> bool:
 def _positive(x: float) -> bool:
     """Finite and above zero (False for NaN and the infinities)."""
     return math.isfinite(x) and x > 0.0
+
+
+def _typed(data: dict, key: str, default, types: tuple, what: str, error: type):
+    """``data[key]``, or ``default`` when absent (required if ``default`` is
+    not of ``types``), refused with ``error`` unless of one of ``types``
+    exactly: a bool is not an integer, and neither is 2.0 or "2"."""
+    if type(data) is not dict:
+        raise error(f"expected an object holding {key}, not {data!r}")
+    value = data.get(key, default)
+    if type(value) not in types:
+        raise error(f"{key} must be {what}, not {value!r}" if key in data else f"{key} is required")
+    return value
 
 
 def _left_sum(values) -> float:
@@ -633,11 +648,11 @@ def _modularity(ix: _DenseIndex, clusters, total: float) -> float:
     return q
 
 
-def louvain_optimal(graph: CallGraph, min_gain: float = 1e-12) -> PartitionSet:
+def louvain_optimal(graph: CallGraph) -> PartitionSet:
     """Greedy modularity maximization (two-phase, hierarchical).
 
     Local sweeps visit vertices in ascending order and accept a move only
-    when it improves modularity by more than ``min_gain``; community ties
+    when it improves modularity by more than ``_MIN_GAIN``; community ties
     resolve to the lowest community id. Deterministic for a given graph.
     """
     n = len(graph.vertices)
@@ -681,7 +696,7 @@ def louvain_optimal(graph: CallGraph, min_gain: float = 1e-12) -> PartitionSet:
                     g = link[c] - comm_tot[c] * k[i] / w2
                     if g > best_g:
                         best_c, best_g = c, g
-                if best_c != ci and (best_g - stay) / total > min_gain:
+                if best_c != ci and (best_g - stay) / total > _MIN_GAIN:
                     comm[i] = best_c
                     comm_tot[best_c] += k[i]
                     moved = True

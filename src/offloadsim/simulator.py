@@ -45,6 +45,7 @@ import random
 import statistics
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import log
@@ -58,7 +59,7 @@ from .control import (
     lightest_load_neighbor,
     passive_overflow,
 )
-from .partition import _left_sum, _load_json, _non_negative, _positive, _write_text
+from .partition import _left_sum, _load_json, _non_negative, _positive, _typed, _write_text
 from .topology import NodeSpec, Topology, generate_topology, load_topology
 from .workload import (
     JitterSpec,
@@ -143,14 +144,11 @@ class ScenarioConfig:
             raise ConfigError("topology declares no access points, nothing can arrive")
 
 
-def _typed(data: dict, key: str, default, types: tuple, what: str):
-    """``data[key]``, or ``default`` when absent, refused unless its type is
-    one of ``types`` exactly: a bool is not an integer, and neither is 2.0
-    or "2"."""
-    value = data.get(key, default)
-    if type(value) not in types:
-        raise ConfigError(f"{key} must be {what}, not {value!r}")
-    return value
+_checked = partial(_typed, error=ConfigError)
+
+
+def _number(data: dict, key: str, default=None) -> float:
+    return float(_checked(data, key, default, (int, float), "a number"))
 
 
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
@@ -173,40 +171,40 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConf
             raise ConfigError("topology must specify 'file' or 'generate'")
         services = [
             ServiceSpec(
-                name=s.get("id", f"svc{i}"),
-                mean_exec_time_s=float(s["mean_exec_time_s"]),
-                cpu_cost=float(s.get("cpu_cost", 1.0)),
-                mem_cost=float(s.get("mem_cost", 0.0)),
-                popularity_weight=float(s.get("popularity_weight", 1.0)),
+                name=_checked(s, "id", f"svc{i}", (str,), "a string"),
+                mean_exec_time_s=_number(s, "mean_exec_time_s"),
+                cpu_cost=_number(s, "cpu_cost", 1.0),
+                mem_cost=_number(s, "mem_cost", 0.0),
+                popularity_weight=_number(s, "popularity_weight", 1.0),
             )
-            for i, s in enumerate(data["services"])
+            for i, s in enumerate(_checked(data, "services", None, (list,), "a list"))
         ]
         jitters = [
             JitterSpec(
-                start_ms=float(j["start_ms"]),
-                duration_ms=float(j["duration_ms"]),
-                rate_multiplier=float(j["rate_multiplier"]),
+                start_ms=_number(j, "start_ms"),
+                duration_ms=_number(j, "duration_ms"),
+                rate_multiplier=_number(j, "rate_multiplier"),
             )
-            for j in data.get("jitters", [])
+            for j in _checked(data, "jitters", [], (list,), "a list")
         ]
         cfg = ScenarioConfig(
             topology=topo,
             services=services,
-            base_rate_per_s=float(data["base_rate_per_s"]),
-            horizon_s=float(data["horizon_s"]),
+            base_rate_per_s=_number(data, "base_rate_per_s"),
+            horizon_s=_number(data, "horizon_s"),
             strategy=data.get("strategy", "none"),
-            load_multiplier=float(data.get("load_multiplier", 1.0)),
+            load_multiplier=_number(data, "load_multiplier", 1.0),
             jitters=jitters,
-            buffer_size=_typed(data, "buffer_size", 128, (int,), "an integer"),
-            ttl=_typed(data, "ttl", None, (int, type(None)), "an integer or null"),
-            gossip_period_ms=float(data.get("gossip_period_ms", 1.0)),
-            capacity_threshold=float(data.get("capacity_threshold", 1.0)),
-            warmup_s=float(data["warmup_s"]) if data.get("warmup_s") is not None else None,
-            seed=_typed(data, "seed", 0, (int, str), "an integer or a string"),
-            sample_interval_ms=float(data.get("sample_interval_ms", 1.0)),
-            server_executes=_typed(data, "server_executes", False, (bool,), "a boolean"),
-            proactive_forwarding=_typed(data, "proactive_forwarding", True, (bool,), "a boolean"),
-            name=data.get("name", "custom"),
+            buffer_size=_checked(data, "buffer_size", 128, (int,), "an integer"),
+            ttl=_checked(data, "ttl", None, (int, type(None)), "an integer or null"),
+            gossip_period_ms=_number(data, "gossip_period_ms", 1.0),
+            capacity_threshold=_number(data, "capacity_threshold", 1.0),
+            warmup_s=None if data.get("warmup_s") is None else _number(data, "warmup_s"),
+            seed=_checked(data, "seed", 0, (int, str), "an integer or a string"),
+            sample_interval_ms=_number(data, "sample_interval_ms", 1.0),
+            server_executes=_checked(data, "server_executes", False, (bool,), "a boolean"),
+            proactive_forwarding=_checked(data, "proactive_forwarding", True, (bool,), "a boolean"),
+            name=_checked(data, "name", "custom", (str,), "a string"),
         )
     except ConfigError:
         raise
@@ -375,7 +373,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
 
     nxt = next(arrivals, None)
     if nxt is not None:
-        heap.append((nxt[0], _ARRIVAL, nxt[2], seq, None, True))
+        heap.append((nxt[0], _ARRIVAL, nxt[2], seq, None))
         seq += 1
     if beats:
         hb_dt = cfg.gossip_period_ms / 1000.0
@@ -387,8 +385,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         seq += 1
     heapify(heap)
 
-    # Request payload layout: [service, origin, t_origin, ttl, acc_delay_s,
-    # counted, t_admitted]. Mutated in place across hops.
+    # Request payload layout: [service, ttl, acc_delay_s, counted,
+    # t_admitted]. Mutated in place across hops.
 
     while heap:
         ev = heappop(heap)
@@ -400,13 +398,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             req = ev[4]
             if req is None:
                 # External origination; schedule the next one right away.
-                req = [nxt[1], i, t, ttl0, 0.0, t >= warmup, 0.0]
+                req = [nxt[1], ttl0, 0.0, t >= warmup, 0.0]
                 gross_arrivals += 1
-                if req[5]:
+                if req[3]:
                     counted_total += 1
                 nxt = next(arrivals, None)
                 if nxt is not None:
-                    heappush(heap, (nxt[0], _ARRIVAL, nxt[2], seq, None, True))
+                    heappush(heap, (nxt[0], _ARRIVAL, nxt[2], seq, None))
                     seq += 1
 
             if is_relay[i]:
@@ -424,7 +422,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                         est = estimators[i] = new_estimator(buffer_size)
                     est.record_arrival(t)
                     u = rng_random()
-                    if req[3] <= 0:
+                    if req[1] <= 0:
                         dec = decide_threshold(loads[i], threshold, DROP)
                     elif u < est.execution_probability(cpu_cap[i], mem_cap[i]):
                         dec = EXECUTE
@@ -448,7 +446,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                     load_num[i] += svc_cpu[req[0]]
                     loads[i] = load_num[i] * inv_cap[i]
                     changed = True
-                    req[6] = t
+                    req[4] = t
                     if busy[i]:
                         queue[i].append(req)
                     else:
@@ -459,24 +457,23 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                     continue
                 if dec == DROP:
                     gross_dropped += 1
-                    if req[5]:
+                    if req[3]:
                         counted_drop += 1
                     continue
                 j = dec
                 if proactive:
-                    req[3] -= 1
+                    req[1] -= 1
             # One forward path for relays and strategies alike.
             d = delay[i][j]
-            req[4] += d
-            if req[5]:
+            req[2] += d
+            if req[3]:
                 counted_fwd += 1
-            heappush(heap, (t + d, _ARRIVAL, j, seq, req, False))
+            heappush(heap, (t + d, _ARRIVAL, j, seq, req))
             seq += 1
 
         elif kind == _COMPLETION:
             i = ev[2]
             req = ev[4]
-            dur = ev[5]
             lt = last_t[i]
             if lt < horizon:
                 hi = t if t < horizon else horizon
@@ -488,14 +485,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             loads[i] = load_num[i] * inv_cap[i]
             changed = True
             gross_executed += 1
-            if req[5]:
+            if req[3]:
                 counted_exec += 1
                 pne[i] += 1
-                lat_sum += (t - req[6]) + 2.0 * req[4]
-            # Only proactive runs keep estimators.
+                lat_sum += (t - req[4]) + 2.0 * req[2]
+            # Only proactive runs keep estimators; ev[5] is the service time.
             est = estimators[i]
             if est is not None:
-                est.record_completion(dur, svc_cpu[req[0]], svc_mem[req[0]])
+                est.record_completion(ev[5], svc_cpu[req[0]], svc_mem[req[0]])
                 load = loads[i]
                 for feed in feeds[i].values():
                     feed.publish(t, load)
@@ -544,7 +541,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             lo = lt if lt > warmup else warmup
             if horizon > lo:
                 acc[i] += loads[i] * (horizon - lo)
-            last_t[i] = horizon
 
     exec_nodes = [i for i in range(n) if executor[i]]
     tau = (

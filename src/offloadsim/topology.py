@@ -35,8 +35,9 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from functools import partial
 
-from .partition import _non_negative, _positive, _read_text, _write_text
+from .partition import _non_negative, _positive, _read_text, _typed, _write_text
 
 FLAG_EXECUTOR = 0
 FLAG_ACCESS_POINT = 1
@@ -319,10 +320,13 @@ def write_topology(topo: Topology, path) -> None:
     _write_text(path, "\n".join(out) + "\n")
 
 
+_integer = partial(_typed, types=(int,), what="an integer", error=TopologyError)
+
+
 def _uniform_specs(params: dict) -> tuple[float, float, float]:
-    cpu = float(params.get("cpu", 1.0))
-    mem = float(params.get("mem", 1.0))
-    delay = float(params.get("delay_ms", 1.0))
+    cpu = float(_typed(params, "cpu", 1.0, (int, float), "a number", TopologyError))
+    mem = float(_typed(params, "mem", 1.0, (int, float), "a number", TopologyError))
+    delay = float(_typed(params, "delay_ms", 1.0, (int, float), "a number", TopologyError))
     if not (_capacity(cpu) and _capacity(mem)):
         raise TopologyError("generator capacity and 1/capacity must be finite and > 0")
     if not _non_negative(delay):
@@ -358,12 +362,15 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
       degree node, access points default to the degree-one nodes (or the
       minimum-degree nodes when none exist). ``access_points`` in params
       caps how many are drawn (seeded sample).
+
+    Counts must be ints, and ``cpu``, ``mem`` and ``delay_ms`` numbers (not
+    bools or strings), or TopologyError is raised.
     """
     params = dict(params or {})
     cpu, mem, delay = _uniform_specs(params)
 
     if kind == "line":
-        n = int(params.get("n", 0))
+        n = _integer(params, "n", 0)
         if n < 1:
             raise TopologyError("line topology needs n >= 1")
         ids = list(range(n))
@@ -373,8 +380,8 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
         return _finalize(ids, edges, server, aps, cpu, mem)
 
     if kind == "grid":
-        w = int(params.get("width", 0))
-        h = int(params.get("height", 0))
+        w = _integer(params, "width", 0)
+        h = _integer(params, "height", 0)
         if w < 1 or h < 1 or w * h < 2:
             raise TopologyError("grid topology needs width*height >= 2")
         ids = list(range(w * h))
@@ -404,8 +411,8 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
         return _finalize(ids, edges, server, aps, cpu, mem)
 
     if kind == "tree":
-        b = int(params.get("branching", 0))
-        d = int(params.get("depth", -1))
+        b = _integer(params, "branching", 0)
+        d = _integer(params, "depth", -1)
         if b < 1 or d < 0:
             raise TopologyError("tree topology needs branching >= 1 and depth >= 0")
         ids = [0]
@@ -431,8 +438,8 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
         return _finalize(ids, edges, server, aps, cpu, mem)
 
     if kind == "scale_free":
-        n = int(params.get("n", 0))
-        m = int(params.get("m", 2))
+        n = _integer(params, "n", 0)
+        m = _integer(params, "m", 2)
         if n < 2:
             raise TopologyError("scale_free topology needs n >= 2")
         if m < 1 or m >= n:
@@ -465,9 +472,8 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
         if not pool:
             min_deg = min(degree[i] for i in ids if i != server)
             pool = sorted(i for i in ids if degree[i] == min_deg and i != server)
-        want = params.get("access_points")
-        if want is not None:
-            want = int(want)
+        if "access_points" in params:
+            want = _integer(params, "access_points", None)
             if want < 1 or want > len(pool):
                 raise TopologyError(
                     f"requested {want} access points, eligible pool has {len(pool)}"

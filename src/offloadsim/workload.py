@@ -33,7 +33,7 @@ def estimator_backend() -> str:
 
 
 def new_estimator(k: int = 128) -> EstimatorState:
-    """Fresh estimator with circular buffers of size k (k >= 2)."""
+    """Fresh estimator with a window of k arrivals and k completions (k >= 2)."""
     return EstimatorState(k)
 
 

@@ -15,6 +15,9 @@ offloadsim.
 * popularity shares and catalog means of random float service catalogs,
 * the mean and median unique-class fraction and the storage savings of
   synthetic app corpora at prefix depths 2 to 4,
+* the smoothed statistics (mu, cpu_avg, mem_avg, lambda_prev,
+  lambda_eff) of estimators fed long seeded arrival and completion
+  streams, so the running window sums are compared directly,
 * the first 300 arrivals of a stream with 5 access points, 3 weighted
   services and two surges. CPython promises reproducible output across
   versions only for ``random()``; the origin draw uses ``getrandbits``.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import random
 
 from offloadsim import decision
@@ -36,6 +40,7 @@ from offloadsim.workload import (
     ServiceSpec,
     _iter_arrival_tuples,
     catalog_means,
+    new_estimator,
     popularity,
 )
 
@@ -146,6 +151,25 @@ def corpus_values() -> dict[str, str]:
     return out
 
 
+def estimator_values() -> dict[str, str]:
+    out = {}
+    for seed in range(5):
+        rng = random.Random(seed)
+        state = new_estimator(16)
+        t = 0.0
+        for _ in range(20000):
+            if rng.random() < 0.55:
+                t += -math.log(1.0 - rng.random()) / 20.0
+                state.record_arrival(t)
+            else:
+                state.record_completion(
+                    rng.uniform(0.001, 0.5), rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)
+                )
+        for name in ("mu", "cpu_avg", "mem_avg", "lambda_prev", "lambda_eff"):
+            out[f"estimator|{seed}|{name}"] = repr(getattr(state, name))
+    return out
+
+
 def arrival_values() -> dict[str, str]:
     services = [
         ServiceSpec(name=f"s{i}", mean_exec_time_s=0.001, popularity_weight=w)
@@ -164,6 +188,7 @@ def values() -> dict[str, str]:
         **decision_values(),
         **catalog_values(),
         **corpus_values(),
+        **estimator_values(),
         **arrival_values(),
     }
 

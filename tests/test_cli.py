@@ -160,6 +160,8 @@ class TestSimulate:
         {"buffer_size": 12.9},
         {"ttl": 2.5},
         {"seed": [1, 2]},
+        {"horizon_s": "0.05"},
+        {"name": 7},
     ])
     def test_config_value_of_the_wrong_type_is_a_usage_error(self, tmp_path, capsys, edit):
         bad = tmp_path / "scenario.json"
@@ -168,6 +170,15 @@ class TestSimulate:
         assert outcome.exit_code == 2
         (key,) = edit
         assert capsys.readouterr().err.startswith(f"error: {key} must be")
+        assert not (tmp_path / "o").exists()
+
+    def test_generator_parameter_of_the_wrong_type_is_a_usage_error(self, tmp_path, capsys):
+        gen = {"kind": "line", "n": 4.7, "seed": 1}
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps({**SCENARIO_DOC, "topology": {"generate": gen}}))
+        outcome = cli.dispatch(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert outcome.exit_code == 2
+        assert "n must be an integer, not 4.7" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("param", ["cpu", "mem"])

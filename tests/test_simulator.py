@@ -6,6 +6,7 @@ import io
 import json
 import math
 import operator
+from pathlib import Path
 
 import pytest
 
@@ -547,6 +548,150 @@ def test_scenario_from_dict_keeps_values_of_the_declared_types():
     assert (cfg.buffer_size, cfg.ttl, cfg.seed) == (12, None, "a,b")
     cfg = sim.scenario_from_dict({**GENERATED_DOC, "ttl": 0, "seed": -4})
     assert (cfg.ttl, cfg.seed, cfg.buffer_size, cfg.proactive_forwarding) == (0, -4, 128, True)
+
+
+def _edit(doc, path, value):
+    """A deep copy of ``doc`` with ``value`` at ``path`` (keys and indices)."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[last] = value
+    return doc
+
+
+TYPED_DOC = {
+    **GENERATED_DOC,
+    "services": [{"id": "s", "mean_exec_time_s": 0.001}],
+    "jitters": [{"start_ms": 10.0, "duration_ms": 5.0, "rate_multiplier": 2.0}],
+}
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("horizon_s",), "0.05"),
+        (("base_rate_per_s",), True),
+        (("sample_interval_ms",), False),
+        (("load_multiplier",), None),
+        (("warmup_s",), "0.01"),
+        (("gossip_period_ms",), [1.0]),
+        (("capacity_threshold",), {"x": 1}),
+        (("name",), 7),
+        (("services", 0, "id"), 7),
+        (("services", 0, "mean_exec_time_s"), "0.001"),
+        (("services", 0, "cpu_cost"), True),
+        (("services", 0, "popularity_weight"), None),
+        (("jitters", 0, "start_ms"), "10"),
+        (("jitters", 0, "rate_multiplier"), False),
+        (("services",), {"id": "s", "mean_exec_time_s": 0.001}),
+        (("jitters",), "x"),
+    ],
+)
+def test_scenario_reader_refuses_numbers_and_names_of_the_wrong_type(path, value):
+    with pytest.raises(sim.ConfigError, match=f"^{path[-1]} must be"):
+        sim.scenario_from_dict(_edit(TYPED_DOC, path, value))
+
+
+@pytest.mark.parametrize("key, item", [("services", 5), ("jitters", "x"), ("jitters", None)])
+def test_scenario_reader_refuses_a_list_item_that_is_not_an_object(key, item):
+    # Read with .get(), such an item used to escape as an AttributeError.
+    with pytest.raises(sim.ConfigError, match=f"^expected an object holding .*, not {item!r}"):
+        sim.scenario_from_dict(_edit(TYPED_DOC, (key, 0), item))
+
+
+@pytest.mark.parametrize("key", ["horizon_s", "base_rate_per_s", "services"])
+def test_scenario_reader_names_a_missing_required_field(key):
+    doc = {k: v for k, v in TYPED_DOC.items() if k != key}
+    with pytest.raises(sim.ConfigError, match=f"^{key} is required$"):
+        sim.scenario_from_dict(doc)
+
+
+def test_scenario_reader_reads_int_numbers_as_floats():
+    as_ints = sim.scenario_from_dict(
+        {**TYPED_DOC, "horizon_s": 1, "base_rate_per_s": 100, "warmup_s": 0, "sample_interval_ms": 0}
+    )
+    as_floats = sim.scenario_from_dict(
+        {**TYPED_DOC, "horizon_s": 1.0, "base_rate_per_s": 100.0, "warmup_s": 0.0,
+         "sample_interval_ms": 0.0}
+    )
+    assert as_ints == as_floats
+    assert type(as_ints.horizon_s) is type(as_ints.warmup_s) is float
+
+
+SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "schemas" / "scenario.json").read_text()
+)
+
+# One valid value per JSON type: an int is a JSON number too, 2.5 is not an
+# integer. Each is inside the range of every field that declares its type.
+JSON_SAMPLES = {"integer": 3, "number": 2.5, "string": "3", "boolean": True, "null": None,
+                "array": [], "object": {}}
+
+
+def json_types(value):
+    if type(value) is bool:
+        return {"boolean"}
+    if type(value) is int:
+        return {"integer", "number"}
+    return {float: {"number"}, str: {"string"}, type(None): {"null"},
+            list: {"array"}, dict: {"object"}}[type(value)]
+
+
+def schema_typed_fields():
+    """(path, declared types) for every typed scalar field of the schema;
+    a generator parameter is placed in a topology kind that reads it."""
+    props = SCHEMA["properties"]
+    sections = [
+        ((), props),
+        (("services", 0), props["services"]["items"]["properties"]),
+        (("jitters", 0), props["jitters"]["items"]["properties"]),
+        (("topology", "generate"), props["topology"]["properties"]["generate"]["properties"]),
+    ]
+    for prefix, section in sections:
+        for key, spec in sorted(section.items()):
+            types = spec.get("type", [])
+            types = set(types) if isinstance(types, list) else {types}
+            if types and not types & {"array", "object"}:
+                path = prefix + (key,)
+                yield pytest.param(path, types, id=".".join(map(str, path)))
+
+
+GENERATOR_HOSTS = {
+    "width": {"kind": "grid", "width": 3, "height": 3},
+    "height": {"kind": "grid", "width": 3, "height": 3},
+    "branching": {"kind": "tree", "branching": 2, "depth": 2},
+    "depth": {"kind": "tree", "branching": 2, "depth": 2},
+    "m": {"kind": "scale_free", "n": 30},
+    "access_points": {"kind": "scale_free", "n": 30},
+    "n": {"kind": "scale_free", "n": 30},
+}
+
+
+@pytest.mark.parametrize("json_type", sorted(JSON_SAMPLES))
+@pytest.mark.parametrize("path, declared", list(schema_typed_fields()))
+def test_reader_accepts_exactly_the_schema_types(path, declared, json_type):
+    doc = {**TYPED_DOC, "horizon_s": 4.0}
+    if path[:2] == ("topology", "generate") and path[2] in GENERATOR_HOSTS:
+        doc["topology"] = {"generate": dict(GENERATOR_HOSTS[path[2]])}
+    value = JSON_SAMPLES[json_type]
+    doc = _edit(doc, path, value)
+    if json_types(value) & declared:
+        sim.scenario_from_dict(doc)
+    else:
+        with pytest.raises(sim.ConfigError, match=f"{path[-1]} must be"):
+            sim.scenario_from_dict(doc)
+
+
+def test_reader_fields_are_the_schema_fields():
+    props = SCHEMA["properties"]
+    fields = {f.name for f in dataclasses.fields(sim.ScenarioConfig)}
+    assert fields == set(props)
+    service = {f.name for f in dataclasses.fields(ServiceSpec)} - {"name"} | {"id"}
+    assert service == set(props["services"]["items"]["properties"])
+    jitter = {f.name for f in dataclasses.fields(JitterSpec)}
+    assert jitter == set(props["jitters"]["items"]["properties"])
 
 
 def test_scenario_from_dict_with_generated_topology():

@@ -120,6 +120,30 @@ def test_generator_rejects_non_finite(param, value):
         tp.generate_topology("line", {"n": 3, param: value})
 
 
+@pytest.mark.parametrize(
+    "kind, params, key",
+    [
+        ("line", {"n": 4.7}, "n"),
+        ("line", {"n": True}, "n"),
+        ("line", {"n": "4"}, "n"),
+        ("line", {"n": 3, "cpu": "2.5"}, "cpu"),
+        ("line", {"n": 3, "mem": False}, "mem"),
+        ("line", {"n": 3, "delay_ms": None}, "delay_ms"),
+        ("grid", {"width": 3.0, "height": 3}, "width"),
+        ("grid", {"width": 3, "height": "3"}, "height"),
+        ("tree", {"branching": 2, "depth": 1.5}, "depth"),
+        ("tree", {"branching": True, "depth": 2}, "branching"),
+        ("scale_free", {"n": 30, "m": 1.5}, "m"),
+        ("scale_free", {"n": 30, "access_points": 2.99}, "access_points"),
+        ("scale_free", {"n": 30, "access_points": None}, "access_points"),
+    ],
+)
+def test_generator_refuses_parameters_of_the_wrong_type(kind, params, key):
+    # int() would truncate 4.7 to 4 and True to 1, float() would read "2.5".
+    with pytest.raises(tp.TopologyError, match=f"^{key} must be an? (integer|number), not "):
+        tp.generate_topology(kind, params)
+
+
 # Positive and finite, but their reciprocals overflow to inf.
 SUBNORMAL = [5e-324, 1e-310]
 

@@ -602,8 +602,11 @@ def test_estimator_memory_is_fixed_by_k():
         t += rng.expovariate(10.0)
         wl.record_arrival(state, t)
         wl.record_completion(state, rng.uniform(0.01, 1.0), 1.0, 1.0)
-    assert len(list(state.buf_lambda)) == 32
-    assert len(list(state.buf_mu)) == 32
+    # One k-slot ring of arrival timestamps; every other slot is a scalar.
+    assert len(state.buf_lambda) == 32
+    for name in wl.EstimatorState.__slots__:
+        if name != "buf_lambda":
+            assert type(getattr(state, name)) in (int, float), name
     assert 0 <= state.arrival_index < 32
     assert 0 <= state.completion_index < 32
 
@@ -637,10 +640,20 @@ def test_interleaved_streams_keep_invariants(ops):
             assert wl.mean_arrival_rate(state) == pytest.approx(want, rel=1e-9)
 
 
+# The core's running window sums and the oracle buffers they replace.
+WINDOW_SUMS = {"sum_exec": "buf_mu", "sum_cpu": "buf_cpu", "sum_mem": "buf_mem"}
+
+
 def assert_same_core(got, want):
-    for name in wl.EstimatorState.__slots__:
+    shared = [name for name in wl.EstimatorState.__slots__ if hasattr(want, name)]
+    assert sorted(set(wl.EstimatorState.__slots__) - set(shared)) == sorted(WINDOW_SUMS)
+    for name in shared:
         # Compared by repr: NaN matches NaN, and every bit of a float counts.
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    # A running sum holds the oracle's window so far, added left to right.
+    for name, buf in WINDOW_SUMS.items():
+        window = getattr(want, buf)[: want.completion_index]
+        assert getattr(got, name).hex() == left_sum(window).hex(), name
     for caps in ((2.0, 2.0), (0.5, 3.0)):
         assert got.execution_probability(*caps) == want.execution_probability(*caps)
 
