@@ -171,9 +171,7 @@ def _cmd_simulate(args) -> CommandOutcome:
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         metrics = simulator_mod.run_scenario(cfg)
-        formats = ("csv", "json") if args.format == "both" else (args.format,)
-        for fmt in formats:
-            artifacts.extend(simulator_mod.export_metrics(metrics, fmt, args.out))
+        artifacts.extend(simulator_mod.export_metrics(metrics, args.format, args.out))
         line = (
             f"strategy={metrics.strategy} seed={metrics.seed} tau={metrics.tau!r} "
             f"phi_ms={metrics.phi_ms!r} psi={metrics.psi!r}\n"

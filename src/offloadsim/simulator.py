@@ -44,7 +44,7 @@ import operator
 import random
 import statistics
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import compress
@@ -60,7 +60,7 @@ from .control import (
     passive_overflow,
 )
 from .partition import _left_sum, _load_json, _non_negative, _positive, _typed, _write_text
-from .topology import NodeSpec, Topology, generate_topology, load_topology
+from .topology import GENERATOR_PARAMS, NodeSpec, Topology, generate_topology, load_topology
 from .workload import (
     JitterSpec,
     ServiceSpec,
@@ -146,26 +146,52 @@ class ScenarioConfig:
 
 _checked = partial(_typed, error=ConfigError)
 
+# The keys docs/schemas/scenario.json declares for each object.
+_SCENARIO_KEYS = frozenset(f.name for f in fields(ScenarioConfig))
+_GENERATE_KEYS = frozenset(("kind", "seed")) | GENERATOR_PARAMS
+_SERVICE_KEYS = frozenset(("id", "mean_exec_time_s", "cpu_cost", "mem_cost", "popularity_weight"))
+_JITTER_KEYS = frozenset(f.name for f in fields(JitterSpec))
+
 
 def _number(data: dict, key: str, default=None) -> float:
     return float(_checked(data, key, default, (int, float), "a number"))
+
+
+def _refuse_unknown(data, keys: frozenset, where: str) -> None:
+    """Refuse a key the schema does not declare: ignored, a misspelt field
+    would take its default. ``_typed`` refuses a value that is no object."""
+    if type(data) is dict and not data.keys() <= keys:
+        unknown = ", ".join(sorted(map(repr, data.keys() - keys)))
+        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+
+
+def _objects(data: dict, key: str, default, keys: frozenset) -> list:
+    """The list ``data[key]``, each of whose objects declares only ``keys``."""
+    items = _checked(data, key, default, (list,), "a list")
+    for i, item in enumerate(items):
+        _refuse_unknown(item, keys, f"{key}[{i}]")
+    return items
 
 
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     """Build a config from parsed JSON (see docs/schemas/scenario.json)."""
     if not isinstance(data, dict):
         raise ConfigError("scenario config must be a JSON object")
+    _refuse_unknown(data, _SCENARIO_KEYS, "the scenario")
     try:
         topo_spec = data["topology"]
+        _refuse_unknown(topo_spec, frozenset(("file", "generate")), "topology")
         if "file" in topo_spec:
             path = Path(topo_spec["file"])
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             topo = load_topology(path)
         elif "generate" in topo_spec:
+            _refuse_unknown(topo_spec["generate"], _GENERATE_KEYS, "topology.generate")
             gen = dict(topo_spec["generate"])
             kind = gen.pop("kind")
-            gen_seed = gen.pop("seed", 0)
+            gen_seed = _checked(gen, "seed", 0, (int, str), "an integer or a string")
+            gen.pop("seed", None)
             topo = generate_topology(kind, gen, seed=gen_seed)
         else:
             raise ConfigError("topology must specify 'file' or 'generate'")
@@ -177,7 +203,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConf
                 mem_cost=_number(s, "mem_cost", 0.0),
                 popularity_weight=_number(s, "popularity_weight", 1.0),
             )
-            for i, s in enumerate(_checked(data, "services", None, (list,), "a list"))
+            for i, s in enumerate(_objects(data, "services", None, _SERVICE_KEYS))
         ]
         jitters = [
             JitterSpec(
@@ -185,7 +211,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConf
                 duration_ms=_number(j, "duration_ms"),
                 rate_multiplier=_number(j, "rate_multiplier"),
             )
-            for j in _checked(data, "jitters", [], (list,), "a list")
+            for j in _objects(data, "jitters", [], _JITTER_KEYS)
         ]
         cfg = ScenarioConfig(
             topology=topo,
@@ -229,7 +255,8 @@ class RunMetrics:
     Rows of ``sample_loads`` are read-only: consecutive rows between which
     no load changed are the same list object, and in consecutive distinct
     rows an entry that no event rewrote is the same float object. The
-    series emitters re-render only the entries whose object changed.
+    series emitters re-render only the entries whose object changed, found
+    by one scan that the CSV and JSON files share.
     """
 
     strategy: str
@@ -287,14 +314,23 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     executor = [
         not is_relay[i] and (i != server or server_executes) for i in range(n)
     ]
-    # Link delays in seconds by dense index, read by every forward and by the
-    # gossip feeds.
-    delay = [{idx_of[m]: d_ms / 1000.0 for m, d_ms in topo.adj[nid].items()} for nid in ids]
+    # Link delays in seconds by dense index, only over the links a node can
+    # forward over: a relay's or passive node's next hop, or a proactive
+    # executor's links to executor neighbours (its gossip view).
+    delay: list[dict[int, float] | None] = [None] * n
     next_hop: list[int | None] = [None] * n
     for i, nid in enumerate(ids):
-        nh = topo.next_hop_toward_server(nid)
-        if nh is not None:
-            next_hop[i] = idx_of[nh]
+        if is_relay[i] or strategy == "passive":
+            nh = topo.next_hop_toward_server(nid)
+            if nh is not None:
+                j = next_hop[i] = idx_of[nh]
+                delay[i] = {j: topo.adj[nid][nh] / 1000.0}
+        elif proactive and executor[i]:
+            delay[i] = {
+                idx_of[m]: d_ms / 1000.0
+                for m, d_ms in topo.adj[nid].items()
+                if executor[idx_of[m]]
+            }
     # What none and passive do at or above the threshold, fixed per node.
     if strategy == "passive":
         overflow = [passive_overflow(nh, server, server_executes) for nh in next_hop]
@@ -327,14 +363,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         for i in range(n):
             if executor[i]:
                 for j, d in delay[i].items():
-                    if executor[j]:
-                        sent = feeds[j].get(d)
-                        if sent is None:
-                            sent = feeds[j][d] = LoadFeed(d)
-                        beat = beats.get(d)
-                        if beat is None:
-                            beat = beats[d] = LoadFeed(d, snap)
-                        views[i].append((j, sent, beat))
+                    sent = feeds[j].get(d)
+                    if sent is None:
+                        sent = feeds[j][d] = LoadFeed(d)
+                    beat = beats.get(d)
+                    if beat is None:
+                        beat = beats[d] = LoadFeed(d, snap)
+                    views[i].append((j, sent, beat))
 
     rng = random.Random(f"{cfg.seed}|sim")
     rng_random = rng.random
@@ -656,45 +691,52 @@ def _json_cell(_i: int, value: float) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
-def _row_cells(rows, render_row, render_cell):
-    """Yield the rendered cells of each row, the same list while the next
-    row is the same list object.
-
-    The first row, and a row whose length differs from the previous row's,
-    is rendered in full by ``render_row(row)``. Any other row starts from a
-    copy of the previous row's cells and renders again, by
-    ``render_cell(i, value)``, only the cells whose float object changed.
-    The test is identity, not value, so 0.0 against -0.0, NaN and the
-    infinities always come out right whatever the rows share; only the
-    speed depends on it.
-    """
+def _row_changes(rows) -> list:
+    """Per row, what both series emitters render again: None for the
+    previous row's list object, ``range(len(row))`` (all) for the first row
+    and after a length change, else the indices whose float object changed.
+    An identity test, so -0.0, NaN and the infinities always come out right;
+    only the speed depends on what the rows share."""
+    out = []
     prev = None
-    cells: list[str] = []
     for row in rows:
-        if row is not prev:
-            if prev is None or len(row) != len(prev):
-                cells = render_row(row)
-            else:
-                cells = cells.copy()
-                for i in compress(range(len(cells)), map(operator.is_not, prev, row)):
+        if row is prev:
+            out.append(None)
+        elif prev is None or len(row) != len(prev):
+            out.append(range(len(row)))
+        else:
+            out.append(list(compress(range(len(row)), map(operator.is_not, prev, row))))
+        prev = row
+    return out
+
+
+def _row_cells(rows, changes, render_row, render_cell):
+    """Yield each row's cells, the same list while the row repeats: in full
+    by ``render_row(row)``, or as a copy of the previous cells with the
+    ``changes`` entries rendered again by ``render_cell(i, value)``."""
+    cells: list[str] = []
+    for row, changed in zip(rows, changes):
+        if type(changed) is range:
+            cells = render_row(row)
+        elif changed is not None:
+            cells = cells.copy()
+            size = len(cells)  # CSV cells stop at the last node id
+            for i in changed:
+                if i < size:
                     cells[i] = render_cell(i, row[i])
-            prev = row
         yield cells
 
 
-def _series_json(m: RunMetrics) -> str:
+def _series_json(m: RunMetrics, changes: list) -> str:
     """The run series, byte for byte ``_dump_json`` of ``{"node_ids": ...,
     "samples": [{"time_ms": t, "loads": row}, ...]}``, written directly:
     the json module's indenting encoder is pure Python and costs a few
     times more on a series of 40k loads. A row's text is built once while
-    the next row is the same list object, from ``_row_cells``: a run keeps
-    a load that no event rewrote as the same float object in the next row,
-    and only the loads whose object changed are rendered again. The bytes
-    never depend on what the rows share."""
+    the next row is the same list object, from ``_row_cells``."""
     samples = []
     row_text = ""
     prev = None
-    rows = _row_cells(m.sample_loads, _json_floats, _json_cell)
+    rows = _row_cells(m.sample_loads, changes, _json_floats, _json_cell)
     for t, cells in zip(_json_floats(m.sample_times_ms), rows):
         if cells is not prev:
             row_text = '{\n      "loads": ' + _json_array(cells, "      ")
@@ -709,18 +751,16 @@ def _series_json(m: RunMetrics) -> str:
     )
 
 
-def _series_csv(m: RunMetrics) -> str:
+def _series_csv(m: RunMetrics, changes: list) -> str:
     """The run series, byte for byte what ``csv.writer(lineterminator="\\n")``
     writes for the header and one ``[repr(t), node_id, repr(load)]`` row per
     sample and node: no float repr or int needs quoting. A row's
-    ``,node_id,load`` cells come from ``_row_cells``: a run keeps a load
-    that no event rewrote as the same float object in the next row, and
-    only the loads whose object changed are rendered again. The bytes
-    never depend on what the rows share."""
+    ``,node_id,load`` cells come from ``_row_cells``."""
     out = ["time_ms,node_id,normalized_load\n"]
     ids = [f",{nid}," for nid in m.sample_node_ids]
     rows = _row_cells(
         m.sample_loads,
+        changes,
         lambda row: list(map(operator.concat, ids, map(repr, row))),
         lambda i, load: ids[i] + repr(load),
     )
@@ -732,34 +772,39 @@ def _series_csv(m: RunMetrics) -> str:
 
 
 def export_metrics(metrics: RunMetrics, fmt: str, dest_dir, prefix: str = "run") -> list[Path]:
-    """Write <prefix>_summary and <prefix>_series files; returns the paths.
+    """Write <prefix>_summary and <prefix>_series files in ``fmt``: "csv",
+    "json", or "both" (the CSV files, then the JSON files, from one scan of
+    the rows for changed loads); returns the paths.
 
     Output is byte-stable: repeated exports of the same run match exactly.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown export format {fmt!r} (use 'csv' or 'json')")
+    if fmt not in ("csv", "json", "both"):
+        raise ValueError(f"unknown export format {fmt!r} (use 'csv', 'json' or 'both')")
     dest = Path(dest_dir)
     dest.mkdir(parents=True, exist_ok=True)
-    summary_path = dest / f"{prefix}_summary.{fmt}"
-    series_path = dest / f"{prefix}_series.{fmt}"
-
-    if fmt == "json":
-        _write_text(summary_path, _dump_json(_summary_dict(metrics)))
-        _write_text(series_path, _series_json(metrics))
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        keys = [
-            "strategy", "seed", "tau", "phi_ms", "psi", "total_arrivals",
-            "executed", "forwarded", "dropped", "gross_arrivals",
-            "gross_executed", "gross_dropped",
-        ]
-        w.writerow(keys)
-        values = [getattr(metrics, k) for k in keys]
-        w.writerow([repr(v) if isinstance(v, float) else v for v in values])
-        _write_text(summary_path, buf.getvalue())
-        _write_text(series_path, _series_csv(metrics))
-    return [summary_path, series_path]
+    changes = _row_changes(metrics.sample_loads)
+    paths = []
+    for ext in ("csv", "json") if fmt == "both" else (fmt,):
+        summary_path = dest / f"{prefix}_summary.{ext}"
+        series_path = dest / f"{prefix}_series.{ext}"
+        if ext == "json":
+            _write_text(summary_path, _dump_json(_summary_dict(metrics)))
+            _write_text(series_path, _series_json(metrics, changes))
+        else:
+            buf = io.StringIO()
+            w = csv.writer(buf, lineterminator="\n")
+            keys = [
+                "strategy", "seed", "tau", "phi_ms", "psi", "total_arrivals",
+                "executed", "forwarded", "dropped", "gross_arrivals",
+                "gross_executed", "gross_dropped",
+            ]
+            w.writerow(keys)
+            values = [getattr(metrics, k) for k in keys]
+            w.writerow([repr(v) if isinstance(v, float) else v for v in values])
+            _write_text(summary_path, buf.getvalue())
+            _write_text(series_path, _series_csv(metrics, changes))
+        paths += [summary_path, series_path]
+    return paths
 
 
 def export_batch(runs: list[RunMetrics], dest_dir, prefix: str = "batch") -> Path:

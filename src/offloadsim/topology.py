@@ -32,10 +32,11 @@ Node lines are ``id cpu mem access_flag`` with flags 0 executor,
 
 from __future__ import annotations
 
-import heapq
+import math
 import random
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappop, heappush
 
 from .partition import _non_negative, _positive, _read_text, _typed, _write_text
 
@@ -71,7 +72,9 @@ class NodeSpec:
 
 
 class Topology:
-    """Immutable-by-convention network graph with precomputed routing."""
+    """Immutable-by-convention network graph in which every node reaches
+    the server. Routes and the hop diameter are computed on first read and
+    kept, so a run that reads neither pays for neither."""
 
     def __init__(self, nodes: list[NodeSpec], edges: list[tuple[int, int, float]], server_id: int):
         self.nodes: dict[int, NodeSpec] = {}
@@ -103,49 +106,66 @@ class Topology:
         for nid in self.adj:
             self.adj[nid] = dict(sorted(self.adj[nid].items()))
 
-        self.distance_to_server: dict[int, float] = {}
+        # Connectivity by a plain BFS from the server.
+        seen = {server_id}
+        order = [server_id]
+        for u in order:
+            for v in self.adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    order.append(v)
+        if len(seen) < len(self.nodes):
+            unreachable = sorted(n for n in self.nodes if n not in seen)
+            raise TopologyError(f"node(s) {unreachable} cannot reach the server {server_id}")
+        self._dist: dict[int, float] | None = None
         self._next_hop: dict[int, int | None] = {}
-        self._route()
         self._hop_diameter: int | None = None
 
     def _route(self) -> None:
         # Dijkstra on (delay, hops): the delay part is the plain shortest
         # delay, and the hop count orders nodes that zero-delay links leave
         # at equal delay.
-        inf = float("inf")
-        key = {nid: (inf, 0) for nid in self.nodes}
-        key[self.server_id] = (0.0, 0)
+        dist = dict.fromkeys(self.nodes, math.inf)
+        hops = dict.fromkeys(self.nodes, 0)
+        dist[self.server_id] = 0.0
         heap = [(0.0, 0, self.server_id)]
         while heap:
-            d, h, u = heapq.heappop(heap)
-            if (d, h) > key[u]:
+            d, h, u = heappop(heap)
+            if d > dist[u] or (d == dist[u] and h > hops[u]):
                 continue
+            h += 1
             for v, w in self.adj[u].items():
-                cand = (d + w, h + 1)
-                if cand < key[v]:
-                    key[v] = cand
-                    heapq.heappush(heap, (d + w, h + 1, v))
-        unreachable = sorted(n for n, k in key.items() if k[0] == inf)
-        if unreachable:
-            raise TopologyError(
-                f"node(s) {unreachable} cannot reach the server {self.server_id}"
-            )
-        dist = self.distance_to_server = {nid: k[0] for nid, k in key.items()}
+                dv = d + w
+                if dv < dist[v] or (dv == dist[v] and h < hops[v]):
+                    dist[v] = dv
+                    hops[v] = h
+                    heappush(heap, (dv, h, v))
         for nid in self.nodes:
             # Only neighbors strictly closer by (delay, hops) qualify, so
             # every route ends at the server.
+            d, h = dist[nid], hops[nid]
             best: tuple[float, int] | None = None
             for nb, w in self.adj[nid].items():
-                if key[nb] < key[nid]:
+                if dist[nb] < d or (dist[nb] == d and hops[nb] < h):
                     cand = (w + dist[nb], nb)
                     if best is None or cand < best:
                         best = cand
             self._next_hop[nid] = best[1] if best else None
+        self._dist = dist
+
+    @property
+    def distance_to_server(self) -> dict[int, float]:
+        """Shortest link delay (ms) from each node to the server (read-only)."""
+        if self._dist is None:
+            self._route()
+        return self._dist
 
     def next_hop_toward_server(self, node_id: int) -> int | None:
         """Neighbor on a delay-shortest path to the server; None at the server."""
         if node_id not in self.nodes:
             raise TopologyError(f"unknown node {node_id}")
+        if self._dist is None:
+            self._route()
         return self._next_hop[node_id]
 
     def edges(self) -> list[tuple[int, int, float]]:
@@ -322,6 +342,11 @@ def write_topology(topo: Topology, path) -> None:
 
 _integer = partial(_typed, types=(int,), what="an integer", error=TopologyError)
 
+#: The parameters ``generate_topology`` reads, over all kinds.
+GENERATOR_PARAMS = frozenset(
+    ("cpu", "mem", "delay_ms", "n", "width", "height", "branching", "depth", "m", "access_points")
+)
+
 
 def _uniform_specs(params: dict) -> tuple[float, float, float]:
     cpu = float(_typed(params, "cpu", 1.0, (int, float), "a number", TopologyError))
@@ -445,29 +470,37 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
         if m < 1 or m >= n:
             raise TopologyError("scale_free attachment m must satisfy 1 <= m < n")
         rng = random.Random(f"{seed}|topology")
+        getrandbits = rng.getrandbits
         ids = list(range(n))
-        edges_set: set[tuple[int, int]] = set()
+        edges = []
         # Preferential attachment over a repeated-endpoint urn, seeded with a
-        # small clique so early picks are well defined.
+        # small clique so early picks are well defined. A pick is
+        # ``randrange(len(urn))`` inlined: ``getrandbits`` of the length's
+        # bit length, redrawn until below the length.
         urn: list[int] = []
         seed_size = m + 1
         for u in range(seed_size):
             for v in range(u + 1, seed_size):
-                edges_set.add((u, v))
+                edges.append((u, v, delay))
                 urn.extend((u, v))
         for new in range(seed_size, n):
+            size = len(urn)
+            k = size.bit_length()
             targets: set[int] = set()
             while len(targets) < m:
-                targets.add(urn[rng.randrange(len(urn))])
+                r = getrandbits(k)
+                while r >= size:
+                    r = getrandbits(k)
+                targets.add(urn[r])
             for t in sorted(targets):
-                edges_set.add((t, new))
+                edges.append((t, new, delay))
                 urn.extend((t, new))
-        edges = [(u, v, delay) for u, v in sorted(edges_set)]
-        degree = {i: 0 for i in ids}
-        for u, v, _ in edges:
+        edges.sort()
+        # The urn holds each node once per incident edge.
+        degree = [0] * n
+        for u in urn:
             degree[u] += 1
-            degree[v] += 1
-        server = max(ids, key=lambda i: (degree[i], -i))
+        server = degree.index(max(degree))
         pool = sorted(i for i in ids if degree[i] == 1 and i != server)
         if not pool:
             min_deg = min(degree[i] for i in ids if i != server)
@@ -491,6 +524,7 @@ __all__ = [
     "FLAG_EXECUTOR",
     "FLAG_RELAY",
     "FLAG_RELAY_ACCESS_POINT",
+    "GENERATOR_PARAMS",
     "NodeSpec",
     "Topology",
     "TopologyError",

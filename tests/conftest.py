@@ -70,6 +70,37 @@ def route_to_server(topo, node_id):
     return path
 
 
+def reference_routes(adj, server_id):
+    """Delay to the server and next hop of every node of ``adj``, by
+    Dijkstra on tuple keys (delay, hops): the oracle for
+    ``Topology.distance_to_server`` and ``next_hop_toward_server``. A node
+    the server cannot reach keeps an infinite delay."""
+    inf = float("inf")
+    key = {nid: (inf, 0) for nid in adj}
+    key[server_id] = (0.0, 0)
+    heap = [(0.0, 0, server_id)]
+    while heap:
+        d, h, u = heappop(heap)
+        if (d, h) > key[u]:
+            continue
+        for v, w in adj[u].items():
+            cand = (d + w, h + 1)
+            if cand < key[v]:
+                key[v] = cand
+                heappush(heap, (d + w, h + 1, v))
+    dist = {nid: k[0] for nid, k in key.items()}
+    next_hop = {}
+    for nid in adj:
+        best = None
+        for nb, w in adj[nid].items():
+            if key[nb] < key[nid]:
+                cand = (w + dist[nb], nb)
+                if best is None or cand < best:
+                    best = cand
+        next_hop[nid] = best[1] if best else None
+    return dist, next_hop
+
+
 def reference_hop_diameter(topo):
     """Longest shortest path in hops by a dict BFS from every node: the
     oracle for ``Topology.hop_diameter``."""

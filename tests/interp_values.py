@@ -20,12 +20,15 @@ offloadsim.
   streams, so the running window sums are compared directly,
 * the first 300 arrivals of a stream with 5 access points, 3 weighted
   services and two surges. CPython promises reproducible output across
-  versions only for ``random()``; the origin draw uses ``getrandbits``.
+  versions only for ``random()``; the origin draw uses ``getrandbits``,
+* digests of 400-node scale-free topologies, whose attachment draw also
+  uses ``getrandbits``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -35,6 +38,7 @@ from offloadsim import decision
 from offloadsim.appstats import synth_corpus, unique_class_fraction
 from offloadsim.partition import CallGraph, ClassNode, MethodProfile, louvain_optimal, modularity
 from offloadsim.simulator import PRESETS, STRATEGIES, run_scenario
+from offloadsim.topology import generate_topology
 from offloadsim.workload import (
     JitterSpec,
     ServiceSpec,
@@ -181,6 +185,30 @@ def arrival_values() -> dict[str, str]:
     return {f"arrival|{k}": repr(arrival) for k, arrival in enumerate(first)}
 
 
+def topology_digest(topo) -> str:
+    """sha256 of a topology's edge list, server and access points."""
+    text = repr((topo.edges(), topo.server_id, topo.access_points()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: (seed, generator parameters) of the scale-free topologies whose digests
+#: ``test_topology.py`` pins and the interpreters must agree on.
+SCALE_FREE_CASES = [
+    (seed, params)
+    for seed in (0, 1, 2, 3, "s")
+    for params in ({"n": 400}, {"n": 400, "m": 3, "access_points": 5})
+]
+
+
+def topology_values() -> dict[str, str]:
+    return {
+        f"scale_free|{seed}|{sorted(params.items())}": topology_digest(
+            generate_topology("scale_free", params, seed=seed)
+        )
+        for seed, params in SCALE_FREE_CASES
+    }
+
+
 def values() -> dict[str, str]:
     return {
         **tau_values(),
@@ -190,6 +218,7 @@ def values() -> dict[str, str]:
         **corpus_values(),
         **estimator_values(),
         **arrival_values(),
+        **topology_values(),
     }
 
 

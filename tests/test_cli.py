@@ -37,7 +37,7 @@ GRAPH_DOC = {
 SCENARIO_DOC = {
     "name": "cli-smoke",
     "topology": {"generate": {"kind": "line", "n": 3, "seed": 1}},
-    "services": [{"name": "s", "mean_exec_time_s": 0.001}],
+    "services": [{"id": "s", "mean_exec_time_s": 0.001}],
     "base_rate_per_s": 100.0,
     "horizon_s": 0.1,
     "strategy": "passive",
@@ -140,7 +140,7 @@ class TestSimulate:
         {"base_rate_per_s": float("nan")},
         {"base_rate_per_s": float("inf")},
         {"jitters": [{"start_ms": 10.0, "duration_ms": 5.0, "rate_multiplier": float("inf")}]},
-        {"services": [{"name": "s", "mean_exec_time_s": float("nan")}]},
+        {"services": [{"id": "s", "mean_exec_time_s": float("nan")}]},
     ])
     def test_non_finite_scenario_is_a_usage_error(self, tmp_path, edit):
         bad = tmp_path / "scenario.json"
@@ -180,6 +180,45 @@ class TestSimulate:
         assert outcome.exit_code == 2
         assert "n must be an integer, not 4.7" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit, key, where", [
+        ({"stratgy": "proactive"}, "stratgy", "the scenario"),
+        ({"horizn_s": 9.0}, "horizn_s", "the scenario"),
+        ({"services": [{"id": "s", "mean_exec_time_s": 0.001, "cpu_cst": 2.0}]},
+         "cpu_cst", "services[0]"),
+        ({"jitters": [{"start_ms": 1.0, "duration_ms": 1.0, "rate_multiplier": 2.0, "rate": 3}]},
+         "rate", "jitters[0]"),
+        ({"topology": {"generate": {"kind": "line", "n": 3, "sed": 1}}},
+         "sed", "topology.generate"),
+        ({"topology": {"generate": {"kind": "line", "n": 3}, "seed": 1}}, "seed", "topology"),
+    ])
+    def test_unknown_config_key_is_a_usage_error(self, tmp_path, capsys, edit, key, where):
+        # Ignored, a misspelt key would run with the field's default.
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps({**SCENARIO_DOC, **edit}))
+        outcome = cli.dispatch(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert outcome.exit_code == 2
+        assert capsys.readouterr().err == f"error: unknown key(s) {key!r} in {where}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed, error", [
+        (1, None),
+        (1.0, "error: seed must be an integer or a string, not 1.0\n"),
+        (True, "error: seed must be an integer or a string, not True\n"),
+    ])
+    def test_generator_seed_is_an_integer_or_a_string(self, tmp_path, capsys, seed, error):
+        # The generator keys its RNG on str(seed): 1, 1.0 and true would
+        # build three different scale-free topologies.
+        gen = {"kind": "scale_free", "n": 30, "seed": seed}
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({**SCENARIO_DOC, "topology": {"generate": gen}}))
+        outcome = cli.dispatch(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if error is None:
+            assert outcome.exit_code == 0 and err == ""
+        else:
+            assert (outcome.exit_code, err) == (2, error)
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("param", ["cpu", "mem"])
     def test_subnormal_capacity_is_a_usage_error(self, tmp_path, param):

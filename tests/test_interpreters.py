@@ -3,7 +3,8 @@
 Python 3.12 made the built-in sum() compensate float rounding, so a sum()
 left in a metric path gives other bits there than on 3.11. CPython
 promises the same stream across versions only for ``random()``, and the
-arrival stream's origin draw uses ``getrandbits``. The script
+arrival stream's origin draw and the scale-free generator's attachment
+draw use ``getrandbits``. The script
 ``interp_values.py`` runs under each other interpreter in a subprocess and
 its reprs must equal the ones computed in this process.
 """

@@ -9,16 +9,21 @@ gossip period. The fast paths are checked against their references in
 ``conftest``: the pull-based gossip view against the push-gossip event
 loop (also on scripted runs whose events fall on a grid of exact times, so
 that many share an instant), the bit-parallel hop diameter against a BFS
-from every node, and the series emitters against ``json.dumps`` and
-``csv.writer``.
+from every node, the lazily computed routes against a Dijkstra on
+(delay, hops) tuple keys, and the series emitters against ``json.dumps``
+and ``csv.writer``.
 """
 
 import contextlib
 import dataclasses
 import math
+import re
 import signal
 import tempfile
+from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +33,7 @@ from offloadsim.workload import ServiceSpec
 
 from conftest import (
     reference_hop_diameter,
+    reference_routes,
     reference_run_scenario,
     reference_series_csv,
     reference_series_json,
@@ -164,7 +170,7 @@ def shaped_topologies(draw):
 
 
 @st.composite
-def connected_graphs(draw):
+def connected_graphs(draw, delays_ms=DELAYS_MS):
     """A random spanning tree plus random extra links, any node the server,
     one node upward."""
     n = draw(st.integers(1, 40))
@@ -173,7 +179,7 @@ def connected_graphs(draw):
         if u != v:
             links.add((min(u, v), max(u, v)))
     nodes = [tp.NodeSpec(i, 1.0, 1.0, is_access_point=i == 0) for i in range(n)]
-    edges = [(u, v, draw(st.sampled_from(DELAYS_MS))) for u, v in sorted(links)]
+    edges = [(u, v, draw(st.sampled_from(delays_ms))) for u, v in sorted(links)]
     return tp.Topology(nodes, edges, draw(st.integers(0, n - 1)))
 
 
@@ -181,6 +187,58 @@ def connected_graphs(draw):
 @given(st.one_of(topologies(), shaped_topologies(), connected_graphs()))
 def test_hop_diameter_matches_the_bfs_oracle(topo):
     assert topo.hop_diameter() == reference_hop_diameter(topo)
+
+
+# Links of 0 ms and links of one equal delay leave many nodes tied on
+# delay, so the hop count and the lowest-id rule decide their routes.
+TIED_DELAYS_MS = [0.0, 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        topologies(),
+        topologies(TIED_DELAYS_MS),
+        shaped_topologies(),
+        connected_graphs(),
+        connected_graphs(TIED_DELAYS_MS),
+    )
+)
+def test_routes_match_the_tuple_keyed_dijkstra(topo):
+    dist, next_hop = reference_routes(topo.adj, topo.server_id)
+    assert {nid: topo.next_hop_toward_server(nid) for nid in topo.nodes} == next_hop
+    assert topo.distance_to_server == dist
+
+
+def _no_routing(_topo):
+    raise AssertionError("routes were computed at construction")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(topologies(), connected_graphs()), st.data())
+def test_unreachable_nodes_are_refused_at_construction(topo, data):
+    # Drop some links; whatever the server no longer reaches is named in
+    # the error, built from the same links as a file or as a Topology.
+    edges = [e for e in topo.edges() if data.draw(st.booleans())]
+    adj = {nid: {} for nid in topo.nodes}
+    for u, v, w in edges:
+        adj[u][v] = adj[v][u] = w
+    dist, _ = reference_routes(adj, topo.server_id)
+    unreachable = sorted(nid for nid, d in dist.items() if d == math.inf)
+    nodes = list(topo.nodes.values())
+    text = "".join(
+        [f"nodes {len(nodes)} server {topo.server_id}\n"]
+        + [f"{s.id} {s.cpu_capacity!r} {s.mem_capacity!r} {tp._node_flag(s)}\n" for s in nodes]
+        + [f"{u} {v} {w!r}\n" for u, v, w in edges]
+    )
+    with mock.patch.object(tp.Topology, "_route", _no_routing):
+        for build in (lambda: tp.Topology(nodes, edges, topo.server_id), lambda: tp.load_topology(text)):
+            if unreachable:
+                message = f"node(s) {unreachable} cannot reach the server {topo.server_id}"
+                with pytest.raises(tp.TopologyError, match=f"^{re.escape(message)}$"):
+                    build()
+            else:
+                build()
 
 
 SPECIAL_FLOATS = [0.0, 3.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308]
@@ -253,8 +311,16 @@ def series(draw):
 
 
 def assert_emitters_match_the_references(m):
-    assert sim._series_json(m) == reference_series_json(m)
-    assert sim._series_csv(m) == reference_series_csv(m)
+    assert sim._series_json(m, sim._row_changes(m.sample_loads)) == reference_series_json(m)
+    assert sim._series_csv(m, sim._row_changes(m.sample_loads)) == reference_series_csv(m)
+    # One export in both formats, which scans the rows once for both, writes
+    # the files and bytes of a CSV export and a JSON export.
+    with tempfile.TemporaryDirectory() as out:
+        both = sim.export_metrics(m, "both", Path(out, "both"))
+        apart = [*sim.export_metrics(m, "csv", Path(out, "apart")),
+                 *sim.export_metrics(m, "json", Path(out, "apart"))]
+        assert [p.name for p in both] == [p.name for p in apart]
+        assert [p.read_bytes() for p in both] == [p.read_bytes() for p in apart]
 
 
 @settings(max_examples=300, deadline=None)

@@ -372,8 +372,8 @@ def test_scale_free_400_proactive_matches_the_push_gossip_loop(rate, exec_s):
     )
     m = sim.run_scenario(cfg)
     assert m == conftest.reference_run_scenario(cfg)
-    assert sim._series_csv(m) == conftest.reference_series_csv(m)
-    assert sim._series_json(m) == conftest.reference_series_json(m)
+    assert sim._series_csv(m, sim._row_changes(m.sample_loads)) == conftest.reference_series_csv(m)
+    assert sim._series_json(m, sim._row_changes(m.sample_loads)) == conftest.reference_series_json(m)
     distinct = len({id(row) for row in m.sample_loads})
     if rate == 400.0:
         assert distinct < len(m.sample_loads)
@@ -508,7 +508,7 @@ def test_jitter_overlap_message_matches_the_stream_check():
 GENERATED_DOC = {
     "name": "gen",
     "topology": {"generate": {"kind": "line", "n": 3, "seed": 1}},
-    "services": [{"name": "s", "mean_exec_time_s": 0.001}],
+    "services": [{"id": "s", "mean_exec_time_s": 0.001}],
     "base_rate_per_s": 100.0,
     "horizon_s": 0.2,
     "strategy": "proactive",
@@ -692,13 +692,53 @@ def test_reader_fields_are_the_schema_fields():
     assert service == set(props["services"]["items"]["properties"])
     jitter = {f.name for f in dataclasses.fields(JitterSpec)}
     assert jitter == set(props["jitters"]["items"]["properties"])
+    topology = props["topology"]
+    generate = topology["properties"]["generate"]
+    assert {"kind", "seed"} | tp.GENERATOR_PARAMS == set(generate["properties"])
+    # The reader refuses every key an object does not declare.
+    for obj in (SCHEMA, topology, generate, props["services"]["items"], props["jitters"]["items"]):
+        assert obj["additionalProperties"] is False
+
+
+@pytest.mark.parametrize(
+    "topology, strategy, reads",
+    [
+        (generate_topology("scale_free", {"n": 30}, seed=3), "none", 0),
+        (generate_topology("scale_free", {"n": 30}, seed=3), "proactive", 0),
+        (generate_topology("scale_free", {"n": 30}, seed=3), "passive", 30),
+        # fig3's access point, node 0, is a relay; passive reads all four.
+        (sim.preset_fig3().topology, "none", 1),
+        (sim.preset_fig3().topology, "proactive", 1),
+        (sim.preset_fig3().topology, "passive", 4),
+    ],
+)
+def test_runs_read_next_hops_only_for_relays_and_passive(monkeypatch, topology, strategy, reads):
+    calls = []
+    read = tp.Topology.next_hop_toward_server
+
+    def counted(topo, nid):
+        calls.append(nid)
+        return read(topo, nid)
+
+    monkeypatch.setattr(tp.Topology, "next_hop_toward_server", counted)
+    cfg = sim.ScenarioConfig(
+        topology=topology,
+        services=[ServiceSpec(name="s", mean_exec_time_s=0.002)],
+        base_rate_per_s=400.0,
+        horizon_s=0.05,
+        strategy=strategy,
+    )
+    m = sim.run_scenario(cfg)
+    assert len(calls) == reads
+    monkeypatch.undo()
+    assert m == conftest.reference_run_scenario(cfg)
 
 
 def test_scenario_from_dict_with_generated_topology():
     data = {
         "name": "gen",
         "topology": {"generate": {"kind": "line", "n": 3, "seed": 1}},
-        "services": [{"name": "s", "mean_exec_time_s": 0.001}],
+        "services": [{"id": "s", "mean_exec_time_s": 0.001}],
         "base_rate_per_s": 100.0,
         "horizon_s": 0.2,
         "strategy": "none",
@@ -717,7 +757,7 @@ def test_load_scenario_resolves_topology_path(tmp_path):
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(json.dumps({
         "topology": {"file": "net.topo"},
-        "services": [{"name": "s", "mean_exec_time_s": 0.001}],
+        "services": [{"id": "s", "mean_exec_time_s": 0.001}],
         "base_rate_per_s": 100.0,
         "horizon_s": 0.1,
     }))

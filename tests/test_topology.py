@@ -7,6 +7,7 @@ import pytest
 from offloadsim import topology as tp
 
 from conftest import line_topology, reference_hop_diameter, route_to_server
+from interp_values import SCALE_FREE_CASES, topology_digest
 
 LINE4 = """\
 # c - n1 - n2 - s, unit delays
@@ -239,6 +240,30 @@ def test_scale_free_deterministic():
     assert a == b
     c = tp.generate_topology("scale_free", {"n": 50}, seed=8)
     assert a != c
+
+
+# sha256 of (edges, server, access points), recorded from the generator
+# that drew through ``rng.randrange`` and kept the edges in a set.
+SCALE_FREE_DIGESTS = [
+    "75a341919e1d19872cfa29b463736dce7c433591ea2ed5c96392f29e193c800a",
+    "90037e408eabb0dfad2f1f026a280e6b57ba06c712678b522efab8a11a76b258",
+    "f20bf4c3959576b8061269c00d521010547e022104cb0c56e31fe8e5dafd75c0",
+    "0421ad21347272fcb78c4619127b80dc49854e0cb61086569113ada063f22598",
+    "fa8b26426d085565fabad5894a01bcaa71b1d76dadb5db45c16f32f64c7f64cc",
+    "6b94dc252d253aba3018e483bd5c977eb89a1613e2fd3c7cfe26a1edc26412c1",
+    "024812cafeca555a299cbd1aa43ad5c117ac954c8f82597627995af56ba9609b",
+    "944f7ab51c59265846d4aef16aefa637087b860dca5e94a890855bbbb16701f8",
+    "4d178973ce77b96b913b315cb0e536114a8ca463d5a0cddb58cd73979f332821",
+    "9060e4f675606f53966ddb24faa768d38079822fa752407353785d26104db4e0",
+]
+
+
+@pytest.mark.parametrize(
+    "seed, params, digest",
+    [(*case, digest) for case, digest in zip(SCALE_FREE_CASES, SCALE_FREE_DIGESTS, strict=True)],
+)
+def test_scale_free_topologies_are_pinned(seed, params, digest):
+    assert topology_digest(tp.generate_topology("scale_free", params, seed=seed)) == digest
 
 
 def test_scale_free_access_point_sampling():
