@@ -48,6 +48,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import compress
+from json.encoder import encode_basestring_ascii
 from math import log
 from pathlib import Path
 
@@ -670,20 +671,41 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_floats(values: list[float]) -> list[str]:
-    """Each value as the json module writes it: float.__repr__, except NaN
-    and the infinities."""
+    """Each float or int as the json module writes it: its repr, except
+    NaN and the infinities."""
     if math.isfinite(sum(values)):
         return list(map(repr, values))
     return [_JSON_NONFINITE.get(text, text) for text in map(repr, values)]
 
 
-def _json_array(items: list[str], indent: str) -> str:
+def _json_array(items: list[str], indent: str, brackets: str = "[]") -> str:
     """Item texts laid out as ``json.dumps(indent=2)`` lays out a list that
-    starts on a line indented by ``indent``."""
+    starts on a line indented by ``indent``, or with ``brackets="{}"`` an
+    object whose items are ``"key": value`` texts."""
     if not items:
-        return "[]"
+        return brackets
     sep = "\n" + indent + "  "
-    return "[" + sep + ("," + sep).join(items) + "\n" + indent + "]"
+    return brackets[0] + sep + ("," + sep).join(items) + "\n" + indent + brackets[1]
+
+
+def _json_object(obj: dict, indent: str) -> str:
+    """A dict of str keys and str, int or float values (or such dicts) as
+    ``json.dumps(sort_keys=True, indent=2)`` writes it: keys in string
+    order, strings by the json module's own escaper, numbers by
+    ``_json_floats``."""
+    keys = sorted(obj)
+    values = [obj[k] for k in keys]
+    if all(type(v) is float or type(v) is int for v in values):
+        texts = _json_floats(values)
+    else:
+        texts = [
+            _json_object(v, indent + "  ") if type(v) is dict
+            else encode_basestring_ascii(v) if type(v) is str
+            else _json_floats([v])[0]
+            for v in values
+        ]
+    items = [f"{k}: {t}" for k, t in zip(map(encode_basestring_ascii, keys), texts)]
+    return _json_array(items, indent, "{}")
 
 
 def _json_cell(_i: int, value: float) -> str:
@@ -788,7 +810,7 @@ def export_metrics(metrics: RunMetrics, fmt: str, dest_dir, prefix: str = "run")
         summary_path = dest / f"{prefix}_summary.{ext}"
         series_path = dest / f"{prefix}_series.{ext}"
         if ext == "json":
-            _write_text(summary_path, _dump_json(_summary_dict(metrics)))
+            _write_text(summary_path, _json_object(_summary_dict(metrics), "") + "\n")
             _write_text(series_path, _series_json(metrics, changes))
         else:
             buf = io.StringIO()

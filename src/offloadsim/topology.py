@@ -91,20 +91,38 @@ class Topology:
         self.server_id = server_id
 
         self.adj: dict[int, dict[int, float]] = {nid: {} for nid in self.nodes}
+        adj = self.adj
+        total = 0.0
+        # Edges given as strictly increasing (u, v) pairs with u < v, as the
+        # generators give them, fill every adjacency dict in neighbour-id
+        # order: a node's lower neighbours all come before its higher ones.
+        in_order = True
+        last = ()  # below every pair
         for u, v, delay in edges:
-            if u not in self.nodes or v not in self.nodes:
-                missing = u if u not in self.nodes else v
+            if u not in adj or v not in adj:
+                missing = u if u not in adj else v
                 raise TopologyError(f"edge ({u}, {v}) references unknown node {missing}")
             if u == v:
                 raise TopologyError(f"self-loop on node {u}")
             if not _non_negative(delay):
                 raise TopologyError(f"edge ({u}, {v}) needs a non-negative finite delay, got {delay}")
-            if v in self.adj[u]:
+            nbrs = adj[u]
+            if v in nbrs:
                 raise TopologyError(f"duplicate edge ({u}, {v})")
-            self.adj[u][v] = delay
-            self.adj[v][u] = delay
-        for nid in self.adj:
-            self.adj[nid] = dict(sorted(self.adj[nid].items()))
+            nbrs[v] = delay
+            adj[v][u] = delay
+            total += delay
+            if in_order:
+                pair = (u, v)
+                in_order = u < v and pair > last
+                last = pair
+        # Every shortest delay is a sum of distinct links, so a finite total
+        # keeps every route delay finite.
+        if not math.isfinite(total):
+            raise TopologyError("total link delay is not finite: the link delays sum past the float range")
+        if not in_order:
+            for nid in adj:
+                adj[nid] = dict(sorted(adj[nid].items()))
 
         # Connectivity by a plain BFS from the server.
         seen = {server_id}
@@ -244,13 +262,30 @@ def _node_flag(spec: NodeSpec) -> int:
     return FLAG_ACCESS_POINT if spec.is_access_point else FLAG_EXECUTOR
 
 
-def _spec_from_flag(nid: int, cpu: float, mem: float, flag: int, line_no: int) -> NodeSpec:
-    if flag not in (FLAG_EXECUTOR, FLAG_ACCESS_POINT, FLAG_RELAY_ACCESS_POINT, FLAG_RELAY):
-        raise TopologyError(f"line {line_no}: unknown access flag {flag}")
-    return NodeSpec(
+def _checked_spec(
+    nid: int, cpu: float, mem: float, is_access_point: bool = False, is_relay: bool = False
+) -> NodeSpec:
+    """A ``NodeSpec`` of capacities that the caller has checked, built
+    without running the capacity check a second time. It is frozen, and
+    equal and hash-equal to the one ``NodeSpec(...)`` builds."""
+    spec = object.__new__(NodeSpec)
+    spec.__dict__.update(
         id=nid,
         cpu_capacity=cpu,
         mem_capacity=mem,
+        is_access_point=is_access_point,
+        is_relay=is_relay,
+    )
+    return spec
+
+
+def _spec_from_flag(nid: int, cpu: float, mem: float, flag: int, line_no: int) -> NodeSpec:
+    if flag not in (FLAG_EXECUTOR, FLAG_ACCESS_POINT, FLAG_RELAY_ACCESS_POINT, FLAG_RELAY):
+        raise TopologyError(f"line {line_no}: unknown access flag {flag}")
+    return _checked_spec(
+        nid,
+        cpu,
+        mem,
         is_access_point=flag in (FLAG_ACCESS_POINT, FLAG_RELAY_ACCESS_POINT),
         is_relay=flag in (FLAG_RELAY_ACCESS_POINT, FLAG_RELAY),
     )
@@ -367,10 +402,8 @@ def _finalize(
     cpu: float,
     mem: float,
 ) -> Topology:
-    nodes = [
-        NodeSpec(id=i, cpu_capacity=cpu, mem_capacity=mem, is_access_point=i in aps)
-        for i in ids
-    ]
+    # _uniform_specs has checked the one capacity pair that all nodes share.
+    nodes = [_checked_spec(i, cpu, mem, i in aps) for i in ids]
     return Topology(nodes, edges, server)
 
 

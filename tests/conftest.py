@@ -131,6 +131,11 @@ def reference_series_json(m):
     return json.dumps(series, sort_keys=True, indent=2) + "\n"
 
 
+def reference_summary_json(m):
+    """A run's ``<prefix>_summary.json`` text through the json module."""
+    return json.dumps(sim._summary_dict(m), sort_keys=True, indent=2) + "\n"
+
+
 def reference_series_csv(m):
     """A run's ``<prefix>_series.csv`` text through the csv module."""
     buf = io.StringIO()

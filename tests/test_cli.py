@@ -230,6 +230,18 @@ class TestSimulate:
         assert "1/capacity" in res.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_link_delays_that_sum_past_the_float_range_are_a_usage_error(self, tmp_path, capsys):
+        topo = tmp_path / "overflow.topo"
+        topo.write_text(
+            "nodes 3 server 2\n0 1.0 1.0 1\n1 1.0 1.0 0\n2 1.0 1.0 0\n0 1 1e308\n1 2 1e308\n"
+        )
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({**SCENARIO_DOC, "topology": {"file": str(topo)}}))
+        outcome = cli.dispatch(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert outcome.exit_code == 2
+        assert "total link delay is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_capacity_whose_loads_overflow_is_a_usage_error(self, tmp_path):
         # 1/3e-308 is finite, but one request of cpu cost 10 overflows the load.
         gen = {"kind": "line", "n": 3, "seed": 1, "cpu": 3e-308}

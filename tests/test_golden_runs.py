@@ -1,6 +1,9 @@
 """Pinned outputs: the sha256 of ``repr(RunMetrics)`` for every preset ×
 strategy at seeds 1 and 2, and with ``server_executes=True`` or
-``proactive_forwarding=False`` at seed 1.
+``proactive_forwarding=False`` at seed 1; and the sha256 of each file that
+``export_metrics(m, "both")`` writes for the scale-free scenario the
+benchmark runs (400 nodes, 0.1 s, topology seeds 0-2, run seed one more)
+under every strategy, plus a run seed that is a string.
 
 A change to the event loop that claims to keep outputs identical must keep
 every digest. A change that means to move results updates the table and
@@ -72,3 +75,104 @@ def test_the_table_covers_every_preset_strategy_and_variant():
     assert set(DIGESTS) == {
         (p, s, v) for p in sim.PRESETS for s in sim.STRATEGIES for v in VARIANTS
     }
+
+
+def scalefree_scenario(instance: int) -> dict:
+    return {
+        "name": "scalefree-400",
+        "topology": {
+            "generate": {"kind": "scale_free", "n": 400, "m": 2, "cpu": 3.0, "mem": 4.0,
+                         "seed": instance}
+        },
+        "services": [{"id": "task", "mean_exec_time_s": 0.002}],
+        "base_rate_per_s": 400.0,
+        "horizon_s": 0.1,
+        "jitters": [
+            {"start_ms": 30.0, "duration_ms": 10.0, "rate_multiplier": 4.0},
+            {"start_ms": 60.0, "duration_ms": 10.0, "rate_multiplier": 4.0},
+        ],
+        "gossip_period_ms": 1.0,
+        "sample_interval_ms": 1.0,
+    }
+
+
+#: A run seed that the JSON and CSV summaries must escape or quote.
+STRING_SEED = 'q"b\\s\x01\u00e9\u2028'
+
+#: (topology seed, strategy, run seed) -> sha256 of run_summary.csv,
+#: run_series.csv, run_summary.json and run_series.json.
+EXPORT_DIGESTS = {
+    (0, "none", 1): (
+        "c4def07b30ce06ffde752d2bcb656a1c3981159a23afdf8891cd12a6edd8f33c",
+        "83f8c11998c3c06002232f1c5720fd1ea8005eb764966c07076cd6e651d8663c",
+        "9948c388eb9653a31caa6f4ca54d5d6142cc8666941aaa6a1de76620d02d1056",
+        "f4f740925d2c9cfcd0b91a6597598c929db8ef300013093779fc5123709823fc",
+    ),
+    (0, "passive", 1): (
+        "b480f691a4bbe8a556756fdeb03b3bb840352a1cb60b22ea54d7e3db97cb670a",
+        "83f8c11998c3c06002232f1c5720fd1ea8005eb764966c07076cd6e651d8663c",
+        "97919a4fdf096efae6643ebdf8fa70fd59c9b559f60f2f4ef6a1e8d65326744d",
+        "f4f740925d2c9cfcd0b91a6597598c929db8ef300013093779fc5123709823fc",
+    ),
+    (0, "proactive", 1): (
+        "f685117907f779955bc70cd011a04757f18a75a9f4993a2af5d650c2909c8ece",
+        "51a191723a0d1af59416d1b13f67358d4a1ca194b1d8dec2ebbe85d810c80fb9",
+        "12bc4534eff896533e368b8d2f589bf5b120144108b1b8fbd612bd88144c7676",
+        "ed9d5c857995921fc6ca7f504ed222d248e57f0bc6c1cb37c7cef5f622160ff0",
+    ),
+    (1, "none", 2): (
+        "b634fb894ba9cd798238b93c2a4e07fdf32afcdd93e7228dc45ee3a7c7f98f2a",
+        "691bf5a1a47de07847362196ee6b2770e93673d167b3a85aa5a0c1724664c493",
+        "51bc6c8c07b6434b9eeeacfca2be11e57237501f7e12f475571991f7d2dfcca9",
+        "eda070b3cc9fd25db7db16a55214c8a0a53d9f6bb5910513629bc7ccb9b988f2",
+    ),
+    (1, "passive", 2): (
+        "bc03547b910ffbf3f083d09ad817278bc2acab3a04451f7efa15e012d6c5ec7f",
+        "691bf5a1a47de07847362196ee6b2770e93673d167b3a85aa5a0c1724664c493",
+        "fdd98b774d76e61a0ab8cce8903ee46864647c6f6eec8346c4132063d38b41a2",
+        "eda070b3cc9fd25db7db16a55214c8a0a53d9f6bb5910513629bc7ccb9b988f2",
+    ),
+    (1, "proactive", 2): (
+        "a364556a547cab1438b3a769fa9f642c84ce5aa1d93a2082c6078f890169a29f",
+        "5a188cbf53c64fb67dc9cbe10cfe4c8fca35201dee65748241f9c83e89cec481",
+        "7f3d7823fe80316f4563820d99876f3b746756963d99fe34ce161de004c4e222",
+        "9027be52398cf9325c548505f0a019fab998996ecc1d4e475f7acf83146ba216",
+    ),
+    (2, "none", 3): (
+        "59e342c021719298ccfc402b01336eddcf65c79f1d01349686b904abc3b90cef",
+        "1f77ebc78bc064188dcbe312a5747d7c7399abd208a67420e9133e567150fa46",
+        "c91bca23604635f48f4c3db1fa3252939941749a3aa01745af8b0d0df4137e84",
+        "31a4be3caa06b76165c5ec8fd8cded7a0fa68d6ddbad576b0efd8d3d7a6975aa",
+    ),
+    (2, "passive", 3): (
+        "02f41c96fec5e3a85c90db4ff54a917c02e88d98dc3a85b5d76dd655f6145fd7",
+        "1f77ebc78bc064188dcbe312a5747d7c7399abd208a67420e9133e567150fa46",
+        "b864f1af72f5906b281d668aca32da0de7944ce04f0148ea166e6df57e6d8ee0",
+        "31a4be3caa06b76165c5ec8fd8cded7a0fa68d6ddbad576b0efd8d3d7a6975aa",
+    ),
+    (2, "proactive", 3): (
+        "17f6e0804abe12e8f338ecc74157f6e977cc6d303ef25079abb2fbf44c38ab22",
+        "cc6c9bc2e51f60cc1d445aad266e9ba67abb4c77949e95b3c4bad8be6dd30b82",
+        "44f05c36353ec71e859a98a12ca1736ac2c6c5635cdcc95bd1047bf27f6b42a8",
+        "a158d3e97463b0a95b1f28b0f4824a343a6fb1ff2ce9e91da4400cce089dfa87",
+    ),
+    (1, "proactive", STRING_SEED): (
+        "673ee90166c0fceb1d9baea8079d5540596c5c63d748570284f23a141684c019",
+        "39f62885a555de6e02904df5a81f90236f18f03700b17ab283e7fc7b00abf2b9",
+        "08a925f98e63acb0814676aa3c0af52f158cccabef2e3acf98e7d320fa823ba3",
+        "9833f2e76a567a713f600c1de35c07b3b8cfec215cc6973e6b9efb40baac701b",
+    ),
+}
+
+
+@pytest.mark.parametrize("instance,strategy,seed", list(EXPORT_DIGESTS))
+def test_scale_free_exports_match_the_pinned_digests(instance, strategy, seed, tmp_path):
+    cfg = dataclasses.replace(
+        sim.scenario_from_dict(scalefree_scenario(instance)), strategy=strategy, seed=seed
+    )
+    paths = sim.export_metrics(sim.run_scenario(cfg), "both", tmp_path)
+    assert [p.name for p in paths] == [
+        "run_summary.csv", "run_series.csv", "run_summary.json", "run_series.json",
+    ]
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+    assert digests == EXPORT_DIGESTS[instance, strategy, seed]

@@ -10,8 +10,10 @@ gossip period. The fast paths are checked against their references in
 loop (also on scripted runs whose events fall on a grid of exact times, so
 that many share an instant), the bit-parallel hop diameter against a BFS
 from every node, the lazily computed routes against a Dijkstra on
-(delay, hops) tuple keys, and the series emitters against ``json.dumps``
-and ``csv.writer``.
+(delay, hops) tuple keys, the series and summary emitters against
+``json.dumps`` and ``csv.writer``, the adjacency order of generated
+topologies against a re-sort of the same links, and the specs generators
+build unchecked against checked ones.
 """
 
 import contextlib
@@ -37,6 +39,7 @@ from conftest import (
     reference_run_scenario,
     reference_series_csv,
     reference_series_json,
+    reference_summary_json,
     route_to_server,
     scripted_runs,
 )
@@ -356,3 +359,121 @@ def test_series_emitters_on_edge_series():
         ([0, 1, 2], [0.0] * 3, [[0.0, 1.0], [-0.0, 1.0], [-0.0, math.nan]]),  # ragged, then patched
     ]:
         assert_emitters_match_the_references(series_metrics(node_ids, times, loads))
+
+
+#: Seed text that the summary must escape: quotes, backslashes, control
+#: characters, non-ASCII letters, a line separator and an astral character.
+SEED_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters())
+)
+
+#: Node ids whose string order is not their numeric order: 2 sorts after 10,
+#: and negatives sort before their digits.
+NODE_IDS = st.lists(st.one_of(st.sampled_from([-10, -2, -1, 0, 1, 2, 10, 100]), st.integers()),
+                    unique=True, max_size=8)
+
+
+@st.composite
+def summaries(draw):
+    """RunMetrics with every summary field drawn: seeds of either type,
+    floats that json spells apart (NaN, the infinities, -0.0, subnormals)
+    and per-node maps, possibly empty, over ``NODE_IDS``."""
+    number = st.one_of(st.sampled_from([*SPECIAL_FLOATS, -0.0, 1e-310, math.nan, -math.inf]),
+                       st.floats())
+    count = st.integers(-(2**70), 2**70)
+    ids = draw(NODE_IDS)
+    return sim.RunMetrics(
+        strategy=draw(st.one_of(st.sampled_from(sim.STRATEGIES), SEED_TEXT)),
+        seed=draw(st.one_of(st.integers(), SEED_TEXT)),
+        tau=draw(number), phi_ms=draw(number), psi=draw(number),
+        total_arrivals=draw(count), executed=draw(count), forwarded=draw(count),
+        dropped=draw(count),
+        per_node_mean_load={i: draw(number) for i in ids},
+        per_node_executed={i: draw(count) for i in ids},
+        gross_arrivals=draw(count), gross_executed=draw(count), gross_dropped=draw(count),
+        sample_node_ids=[], sample_times_ms=[], sample_loads=[],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(summaries())
+def test_summary_emitter_matches_the_json_module(m):
+    with tempfile.TemporaryDirectory() as out:
+        summary, _ = sim.export_metrics(m, "json", out)
+        assert summary.read_bytes() == reference_summary_json(m).encode()
+
+
+def test_summary_emitter_on_edge_summaries():
+    base = series_metrics([], [], [])
+    for edit in [
+        {},  # empty per-node maps
+        {"seed": 'a"b\\c\x01\u00e9\u2028'},
+        {"tau": math.nan, "phi_ms": math.inf, "psi": -math.inf},
+        {"tau": -0.0, "phi_ms": 5e-324, "psi": 1.7976931348623157e308},
+        {"per_node_mean_load": {10: 0.5, 2: math.nan, -1: -0.0}, "per_node_executed": {10: 3, 2: 0, -1: 1}},
+        {"per_node_mean_load": {1: 1e300, 2: 1e300}, "per_node_executed": {1: 2**64, 2: -5}},
+        # ids of a hand-built topology need not be ints
+        {"per_node_mean_load": {'a"b': 0.5, "\u00e9\\": 1.0}, "per_node_executed": {'a"b': 1, "\u00e9\\": 0}},
+    ]:
+        m = dataclasses.replace(base, **edit)
+        assert sim._json_object(sim._summary_dict(m), "") + "\n" == reference_summary_json(m)
+
+
+GENERATOR_CASES = [
+    ("line", {"n": 1}),
+    ("line", {"n": 7}),
+    ("grid", {"width": 4, "height": 3}),
+    ("grid", {"width": 1, "height": 5}),
+    ("tree", {"branching": 3, "depth": 3}),
+    ("tree", {"branching": 1, "depth": 4}),
+    ("scale_free", {"n": 40, "m": 1}),
+    ("scale_free", {"n": 60, "m": 3}),
+]
+
+
+@st.composite
+def generated_topologies(draw):
+    kind, params = draw(st.sampled_from(GENERATOR_CASES))
+    params = {**params, "delay_ms": draw(st.sampled_from([0.0, 1.0, 2.5]))}
+    return tp.generate_topology(kind, params, seed=draw(st.integers(0, 50)))
+
+
+def adjacency_order(topo):
+    return {nid: list(nbrs.items()) for nid, nbrs in topo.adj.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(generated_topologies(), connected_graphs()), st.data())
+def test_adjacency_is_in_neighbour_order_whatever_the_link_order(topo, data):
+    # Topology.__eq__ ignores dict order, so the order itself is compared:
+    # the in-order links a generator gives against the same links with some
+    # endpoints swapped, then shuffled, or sorted by (u, v) as given (in
+    # order but for u > v), or sorted by u alone (v out of order).
+    swaps = data.draw(st.booleans())
+    edges = [
+        (v, u, w) if swaps and data.draw(st.booleans()) else (u, v, w)
+        for u, v, w in data.draw(st.permutations(topo.edges()))
+    ]
+    order = data.draw(st.sampled_from(["shuffled", "by (u, v)", "by u"]))
+    if order == "by (u, v)":
+        edges.sort()
+    elif order == "by u":
+        edges.sort(key=lambda e: e[0])
+    rebuilt = tp.Topology(list(topo.nodes.values()), edges, topo.server_id)
+    assert adjacency_order(rebuilt) == adjacency_order(topo)
+    assert all(list(nbrs) == sorted(nbrs) for nbrs in topo.adj.values())
+
+
+@pytest.mark.parametrize("kind, params", GENERATOR_CASES)
+def test_generated_specs_are_the_checked_specs(kind, params, tmp_path):
+    topo = tp.generate_topology(kind, params, seed=3)
+    path = tmp_path / "topo.txt"
+    tp.write_topology(topo, path)
+    for built in (topo, tp.load_topology(path)):
+        for spec in built.nodes.values():
+            checked = tp.NodeSpec(**dataclasses.asdict(spec))
+            assert type(spec) is tp.NodeSpec
+            assert (spec, hash(spec), repr(spec)) == (checked, hash(checked), repr(checked))
+            assert vars(spec) == vars(checked)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                spec.cpu_capacity = 0.0

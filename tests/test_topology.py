@@ -69,6 +69,28 @@ def test_disconnected_graph_rejected():
         tp.Topology(specs, [(0, 1, 1.0)], server_id=2)
 
 
+# Each delay is finite, but a route over both sums past the float range.
+OVERFLOWING_DELAYS = """\
+nodes 3 server 2
+0 1.0 1.0 1
+1 1.0 1.0 0
+2 1.0 1.0 0
+0 1 1e308
+1 2 1e308
+"""
+
+
+def test_link_delays_that_sum_past_the_float_range_are_refused():
+    specs = [tp.NodeSpec(i, 1.0, 1.0) for i in range(3)]
+    for build in (
+        lambda: tp.Topology(specs, [(0, 1, 1e308), (1, 2, 1e308)], server_id=2),
+        lambda: tp.load_topology(OVERFLOWING_DELAYS),
+    ):
+        with pytest.raises(tp.TopologyError, match="^total link delay is not finite"):
+            build()
+    tp.Topology(specs, [(0, 1, 1e308), (1, 2, 7e307)], server_id=2)
+
+
 def test_two_servers_impossible_by_construction():
     # server_id is a single field, so the invariant is structural; an
     # unknown id must still be caught.
