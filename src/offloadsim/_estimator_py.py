@@ -1,16 +1,20 @@
 """Estimator core: the per-node arrival/service statistics.
 
-Keeps the last k arrival timestamps in one circular buffer and the current
-completion window as three running sums, and derives, in O(1) per event:
+Keeps the last k arrival timestamps in one circular buffer, filled by
+appending until it holds k of them, and the current completion window as
+three running sums, and derives, in O(1) per event:
 
 * the windowed mean arrival rate (k-1 intervals over the buffer span),
 * the smoothed historical rate and its positive increment (burst detector),
 * the smoothed service rate and mean per-request cpu/memory demand,
 * the admission probability q used by the proactive strategy.
 
-``record_arrival`` and ``execution_probability`` run once per proactive
-arrival, so they work on locals and inline their helpers; every float
-operation and its order is part of the simulator's byte-identical output.
+An estimator knows its node's cpu and memory capacities, so the headroom
+factor of q changes only where the mean demands do, at the completion
+window's fold, and ``record_arrival`` returns q: a proactive arrival costs
+one call. It works on locals and inlines its helpers; every float operation
+and its order is part of the simulator's byte-identical output.
+``execution_probability`` gives the same q for any capacities.
 """
 
 import math
@@ -21,8 +25,17 @@ INF = float("inf")
 ARMA_WEIGHT = 0.5
 
 
+def _headroom(cpu_capacity: float, mem_capacity: float, cpu_avg: float, mem_avg: float) -> float:
+    """The smaller of the cpu and memory headroom ratios of q."""
+    headroom = cpu_capacity / (cpu_capacity + cpu_avg)
+    mem_headroom = mem_capacity / (mem_capacity + mem_avg)
+    if mem_headroom < headroom:
+        headroom = mem_headroom
+    return headroom
+
+
 class EstimatorCore:
-    """Windowed statistics for one node.
+    """Windowed statistics for one node with the given capacities.
 
     Not thread safe; one instance per simulated node. Timestamps are seconds
     and must be non-decreasing per stream.
@@ -47,13 +60,18 @@ class EstimatorCore:
         "mu",
         "cpu_avg",
         "mem_avg",
+        "cpu_capacity",
+        "mem_capacity",
+        "headroom",
     )
 
-    def __init__(self, k: int = 128):
+    def __init__(self, k: int = 128, cpu_capacity: float = 1.0, mem_capacity: float = 1.0):
         if k < 2:
             raise ValueError("buffer size k must be at least 2")
+        if not (cpu_capacity > 0.0 and mem_capacity > 0.0):
+            raise ValueError("capacities must be positive")
         self.k = k
-        self.buf_lambda = [NAN] * k
+        self.buf_lambda = []
         self.sum_exec = 0.0
         self.sum_cpu = 0.0
         self.sum_mem = 0.0
@@ -70,8 +88,13 @@ class EstimatorCore:
         self.mu = 0.0
         self.cpu_avg = 0.0
         self.mem_avg = 0.0
+        self.cpu_capacity = cpu_capacity
+        self.mem_capacity = mem_capacity
+        self.headroom = _headroom(cpu_capacity, mem_capacity, 0.0, 0.0)
 
-    def record_arrival(self, timestamp: float) -> None:
+    def record_arrival(self, timestamp: float) -> float:
+        """Push one arrival and return q for this node's capacities, the
+        bits ``execution_probability(cpu_capacity, mem_capacity)`` gives."""
         k = self.k
         count = self.arrival_count
         idx = self.arrival_index
@@ -92,7 +115,10 @@ class EstimatorCore:
             else:
                 s += z
             self.interval_sum = s
-        buf[idx] = timestamp
+        if count < k:  # idx == count: the buffer grows to k stamps
+            buf.append(timestamp)
+        else:
+            buf[idx] = timestamp
         self.last_arrival = timestamp
         count += 1
         self.arrival_count = count
@@ -110,7 +136,7 @@ class EstimatorCore:
         if not d > 0.0:
             d = 0.0
         self.delta_lambda = d
-        self.lambda_eff = lambda_hat + d
+        lambda_eff = self.lambda_eff = lambda_hat + d
 
         if idx == 0:  # buffer wrapped on this arrival
             if count == k:
@@ -119,6 +145,17 @@ class EstimatorCore:
                 self.lambda_prev = lambda_hat
             else:
                 self.lambda_prev = ARMA_WEIGHT * (self.lambda_prev + lambda_hat)
+
+        # ``execution_probability`` for the node's own capacities, whose
+        # check the constructor made.
+        if count < k or self.completion_wraps < 1 or lambda_eff <= 0.0:
+            return 1.0
+        q = self.headroom * (self.mu / lambda_eff)
+        if q >= 1.0:
+            return 1.0
+        if q <= 0.0:
+            return 0.0
+        return q
 
     def record_completion(self, exec_time: float, cpu_cost: float, mem_cost: float) -> None:
         if exec_time <= 0.0 or math.isnan(exec_time):
@@ -135,8 +172,9 @@ class EstimatorCore:
             idx = 0
             self.completion_wraps += 1
             self.mu = ARMA_WEIGHT * (self.mu + 1.0 / (self.sum_exec / k))
-            self.cpu_avg = ARMA_WEIGHT * (self.cpu_avg + self.sum_cpu / k)
-            self.mem_avg = ARMA_WEIGHT * (self.mem_avg + self.sum_mem / k)
+            cpu_avg = self.cpu_avg = ARMA_WEIGHT * (self.cpu_avg + self.sum_cpu / k)
+            mem_avg = self.mem_avg = ARMA_WEIGHT * (self.mem_avg + self.sum_mem / k)
+            self.headroom = _headroom(self.cpu_capacity, self.mem_capacity, cpu_avg, mem_avg)
             self.sum_exec = self.sum_cpu = self.sum_mem = 0.0
         self.completion_index = idx
 
@@ -162,11 +200,9 @@ class EstimatorCore:
         lambda_eff = self.lambda_eff
         if lambda_eff <= 0.0:
             return 1.0
-        headroom = cpu_capacity / (cpu_capacity + self.cpu_avg)
-        mem_headroom = mem_capacity / (mem_capacity + self.mem_avg)
-        if mem_headroom < headroom:
-            headroom = mem_headroom
-        q = headroom * (self.mu / lambda_eff)
+        q = _headroom(cpu_capacity, mem_capacity, self.cpu_avg, self.mem_avg) * (
+            self.mu / lambda_eff
+        )
         if q >= 1.0:
             return 1.0
         if q <= 0.0:

@@ -10,8 +10,10 @@ incoming request:
 * ``proactive``: admit with probability q from the node's estimator state;
   rejected requests go to the least-loaded executor neighbor (one TTL tick
   per forward). Exhausted TTL falls back to execute-if-feasible. The rule
-  lives in the simulator's event loop, which draws once per arrival and
-  calls ``lightest_load_neighbor`` only for a rejected request.
+  lives in the simulator's event loop, which draws once per arrival and,
+  for a rejected request, forwards a node with one executor neighbour
+  straight to it and calls ``lightest_load_neighbor`` only for a node with
+  two or more.
 
 ``none`` and ``passive`` share one threshold rule, ``decide_threshold``;
 they differ only in the overflow decision a node takes at or above the
@@ -24,7 +26,8 @@ compare against the two codes and never read a target by its truth value.
 
 Load gossip is pulled: completions and heartbeats publish loads on
 ``LoadFeed``s, one per link delay, and ``lightest_load_neighbor`` reads
-them when a node forwards, holding the one staleness rule.
+them when a node forwards, holding the one staleness rule. Only views with
+a choice are built, so a run in which no node has one publishes nothing.
 """
 
 from __future__ import annotations
@@ -59,8 +62,11 @@ class LoadFeed:
         return self.latest
 
     def publish(self, now: float, value) -> None:
-        self.deliver(now)
-        self.in_flight.append((now + self.delay, (now, value)))
+        # ``deliver(now)`` inline: publishing lands what is due first.
+        in_flight = self.in_flight
+        while in_flight and in_flight[0][0] <= now:
+            self.latest = in_flight.popleft()[1]
+        in_flight.append((now + self.delay, (now, value)))
 
 
 def lightest_load_neighbor(neighbors: list[tuple], now: float) -> int | None:

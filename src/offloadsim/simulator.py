@@ -6,10 +6,13 @@ instantaneous normalized load is (sum of cpu costs of requests in system)
 divided by cpu capacity. Strategies decide per arrival whether to execute,
 drop, or forward (see ``control``): ``none`` and ``passive`` through
 ``decide_threshold``, ``proactive`` in the event loop itself, which holds
-that rule. A decision is a plain int, ``EXECUTE``, ``DROP`` or the dense
-index of the node to forward to. Service times are drawn as
-``-log(1.0 - random()) / rate``, the expression ``random.expovariate``
-evaluates, so every draw comes from ``random()`` alone.
+that rule: one estimator call per arrival records it and returns q, and a
+rejected request goes to the node's only executor neighbour, or to the
+lightest in its gossip view when it has two or more. A decision is a plain
+int, ``EXECUTE``, ``DROP`` or the dense index of the node to forward to.
+Service times are drawn as ``-log(1.0 - random()) / rate``, the expression
+``random.expovariate`` evaluates, so every draw comes from ``random()``
+alone.
 
 Event ordering is a strict total order: time, then kind rank (completions
 before arrivals before heartbeats before samples), then node id, then a
@@ -21,7 +24,10 @@ Gossip deliveries are not events: completions and heartbeats publish on
 feeds that deliver a publication at p over a link of delay d at p + d (see
 ``control``). A node forwarding at t sees exactly the publications already
 made that land by t. So over a 0 ms link a completion reaches arrivals at
-its own instant, and a heartbeat, which runs after them, does not.
+its own instant, and a heartbeat, which runs after them, does not. Feeds
+exist only for views with two or more candidates, and heartbeats run only
+when some feed does; deliveries are lazy, so a feed nobody reads changes
+nothing a later read sees.
 
 Metrics (collected over [warmup, horizon), then settled so every admitted
 request finishes):
@@ -351,26 +357,37 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     snap = [0.0] * n
     changed = False
 
-    # Estimators are built at an executor's first proactive arrival.
+    # Estimators are built at an executor's first proactive arrival, with
+    # its capacities, and return its q from ``record_arrival``.
     estimators = [None] * n
     buffer_size = cfg.buffer_size
-    # Gossip feeds: per executor, one for its completions per delay of its
-    # links to executor neighbours; one per delay shared by heartbeats. A
-    # view lists (neighbour, its feed, the heartbeat feed) in id order.
+    # Where a proactive executor forwards a rejected request: ``target[i]``
+    # is its only executor neighbour, else ``views[i]`` lists (neighbour,
+    # its feed, the heartbeat feed) in id order for two or more, and with
+    # none both stay None. Gossip feeds are built only for views, which are
+    # the only readers: per executor, one for its completions per delay of
+    # its links to viewing neighbours; one per delay shared by heartbeats.
+    target: list[int | None] = [None] * n
+    views: list[list[tuple] | None] = [None] * n
     feeds: list[dict[float, LoadFeed]] = [{} for _ in range(n)]
     beats: dict[float, LoadFeed] = {}
-    views: list[list[tuple]] = [[] for _ in range(n)]
-    if proactive:
+    if proactive and fwd_enabled:
         for i in range(n):
-            if executor[i]:
-                for j, d in delay[i].items():
+            if not executor[i]:
+                continue
+            links = delay[i]
+            if len(links) == 1:
+                (target[i],) = links
+            elif links:
+                view = views[i] = []
+                for j, d in links.items():
                     sent = feeds[j].get(d)
                     if sent is None:
                         sent = feeds[j][d] = LoadFeed(d)
                     beat = beats.get(d)
                     if beat is None:
                         beat = beats[d] = LoadFeed(d, snap)
-                    views[i].append((j, sent, beat))
+                    view.append((j, sent, beat))
 
     rng = random.Random(f"{cfg.seed}|sim")
     rng_random = rng.random
@@ -455,19 +472,23 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                     # when the TTL is spent, so the stream never shifts.
                     est = estimators[i]
                     if est is None:
-                        est = estimators[i] = new_estimator(buffer_size)
-                    est.record_arrival(t)
+                        est = estimators[i] = new_estimator(buffer_size, cpu_cap[i], mem_cap[i])
+                    q = est.record_arrival(t)
                     u = rng_random()
                     if req[1] <= 0:
                         dec = decide_threshold(loads[i], threshold, DROP)
-                    elif u < est.execution_probability(cpu_cap[i], mem_cap[i]):
+                    elif u < q:
                         dec = EXECUTE
                     elif not fwd_enabled:
                         dec = DROP
                     else:
-                        dec = lightest_load_neighbor(views[i], t)
+                        dec = target[i]
                         if dec is None:
-                            dec = decide_threshold(loads[i], threshold, DROP)
+                            view = views[i]
+                            if view is None:
+                                dec = decide_threshold(loads[i], threshold, DROP)
+                            else:
+                                dec = lightest_load_neighbor(view, t)
                 else:
                     dec = decide_threshold(loads[i], threshold, overflow[i])
 

@@ -5,7 +5,9 @@ Two halves live here:
 * ``EstimatorState`` plus the functional wrappers (``record_arrival``,
   ``mean_arrival_rate``, ``record_completion``, ``execution_probability``,
   ``expected_queue_length``). The state class is the pure-Python
-  ``EstimatorCore`` from ``_estimator_py``.
+  ``EstimatorCore`` from ``_estimator_py``; the simulator calls its
+  ``record_arrival`` method, which also returns q for the node's own
+  capacities.
 
 * The request source: a service catalog with popularity weights and
   ``poisson_stream``, which samples (possibly jittered) Poisson arrival
@@ -32,9 +34,13 @@ def estimator_backend() -> str:
     return "pure-python"
 
 
-def new_estimator(k: int = 128) -> EstimatorState:
-    """Fresh estimator with a window of k arrivals and k completions (k >= 2)."""
-    return EstimatorState(k)
+def new_estimator(
+    k: int = 128, cpu_capacity: float = 1.0, mem_capacity: float = 1.0
+) -> EstimatorState:
+    """Fresh estimator with a window of k arrivals and k completions (k >= 2)
+    for a node of the given (positive) capacities, for which its
+    ``record_arrival`` method returns q."""
+    return EstimatorState(k, cpu_capacity, mem_capacity)
 
 
 def record_arrival(state: EstimatorState, timestamp: float) -> EstimatorState:

@@ -17,7 +17,8 @@ offloadsim.
   synthetic app corpora at prefix depths 2 to 4,
 * the smoothed statistics (mu, cpu_avg, mem_avg, lambda_prev,
   lambda_eff) of estimators fed long seeded arrival and completion
-  streams, so the running window sums are compared directly,
+  streams, so the running window sums are compared directly, and a
+  sha256 of the reprs of every q their ``record_arrival`` returned,
 * the first 300 arrivals of a stream with 5 access points, 3 weighted
   services and two surges. CPython promises reproducible output across
   versions only for ``random()``; the origin draw uses ``getrandbits``,
@@ -159,18 +160,20 @@ def estimator_values() -> dict[str, str]:
     out = {}
     for seed in range(5):
         rng = random.Random(seed)
-        state = new_estimator(16)
+        state = new_estimator(16, 3.0, 0.5)
         t = 0.0
+        qs = []
         for _ in range(20000):
             if rng.random() < 0.55:
                 t += -math.log(1.0 - rng.random()) / 20.0
-                state.record_arrival(t)
+                qs.append(state.record_arrival(t))
             else:
                 state.record_completion(
                     rng.uniform(0.001, 0.5), rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)
                 )
         for name in ("mu", "cpu_avg", "mem_avg", "lambda_prev", "lambda_eff"):
             out[f"estimator|{seed}|{name}"] = repr(getattr(state, name))
+        out[f"estimator|{seed}|q"] = hashlib.sha256(" ".join(map(repr, qs)).encode()).hexdigest()
     return out
 
 

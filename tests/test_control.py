@@ -11,7 +11,7 @@ import conftest
 from offloadsim import control as ct
 from offloadsim import simulator as sim
 from offloadsim import workload as wl
-from offloadsim.topology import NodeSpec, Topology
+from offloadsim.topology import NodeSpec, Topology, generate_topology
 from offloadsim.workload import ServiceSpec
 
 from test_workload import admit_q
@@ -77,6 +77,20 @@ def counting_lookups(targets):
     return mock.patch.object(sim, "lightest_load_neighbor", counted)
 
 
+def counting_forwards(targets):
+    """Patch the simulator's ``heappush`` to tally, in the Counter
+    ``targets``, the node each forward sends a request to: a forward pushes
+    an arrival that carries its request, an external arrival carries None."""
+    push = sim.heappush
+
+    def counted(heap, ev):
+        if ev[1] == sim._ARRIVAL and ev[4] is not None:
+            targets[ev[2]] += 1
+        push(heap, ev)
+
+    return mock.patch.object(sim, "heappush", counted)
+
+
 def test_none_strategy_threshold():
     assert ct.decide_threshold(0.3, 1.0, ct.DROP) == ct.EXECUTE
     assert ct.decide_threshold(1.2, 1.0, ct.DROP) == ct.DROP
@@ -117,17 +131,32 @@ def test_forward_to_index_zero_is_a_forward():
     d = ct.passive_overflow(0, 3)
     assert d == 0
     assert ct.decide_threshold(1.5, 1.0, d) == 0
-    # On overload-line every node but the sink server executes, so node 1
-    # forwards to node 0 (dense index 0) whenever 0 reads lightest; with no
-    # warmup and no relays, every target the loop looks up is one forward.
+    # On overload-line every node but the sink server executes. Nodes 0 and
+    # 2 each have node 1 as their only executor neighbour and forward to it
+    # without a lookup; node 1 looks up the lighter of 0 and 2, and forwards
+    # to node 0 (dense index 0) whenever 0 reads lightest. With no warmup
+    # and no relays, every forward is counted, and each is one lookup or one
+    # single-candidate forward.
     cfg = dataclasses.replace(
         sim.preset_overload_line("proactive"), horizon_s=0.2, warmup_s=0.0, seed=1
     )
-    targets = collections.Counter()
-    with counting_lookups(targets):
+    looked_up, sent = collections.Counter(), collections.Counter()
+    with counting_lookups(looked_up), counting_forwards(sent):
         m = sim.run_scenario(cfg)
-    assert targets[0] > 0 and None not in targets
-    assert m.forwarded == sum(targets.values())
+    assert looked_up[0] > 0 and set(looked_up) == {0, 2}
+    # The forwards to 0 and 2 are node 1's lookups; those to 1 take none.
+    assert sent[1] > 0 and sent == looked_up + collections.Counter({1: sent[1]})
+    assert m.forwarded == sum(sent.values())
+    # On a 3-node line node 1's only executor neighbour is node 0 (node 2
+    # is the server): every forward to index 0 is a single-candidate one.
+    line3 = generate_topology("line", {"n": 3, "cpu": 3.0, "mem": 4.0})
+    cfg = dataclasses.replace(cfg, topology=line3)
+    looked_up, sent = collections.Counter(), collections.Counter()
+    with counting_lookups(looked_up), counting_forwards(sent):
+        m = sim.run_scenario(cfg)
+    assert not looked_up
+    assert sent[0] > 0 and sent[1] > 0 and set(sent) == {0, 1}
+    assert m.forwarded == sum(sent.values())
 
 
 def test_lightest_neighbor_argmin():
@@ -203,19 +232,17 @@ def test_one_delivery_pass_serves_every_reader():
 
 
 class FixedQ:
-    """Estimator stand-in whose q depends only on the node's cpu capacity."""
+    """Estimator stand-in that returns the same q for every arrival. It has
+    no ``execution_probability``: the loop takes q from ``record_arrival``."""
 
-    def __init__(self, q_by_cpu):
-        self.q_by_cpu = q_by_cpu
+    def __init__(self, q):
+        self.q = q
 
     def record_arrival(self, _t):
-        pass
+        return self.q
 
     def record_completion(self, *_demands):
         pass
-
-    def execution_probability(self, cpu_capacity, _mem_capacity):
-        return self.q_by_cpu[cpu_capacity]
 
 
 def fork_config(neighbours=True, **overrides):
@@ -242,9 +269,13 @@ def fork_config(neighbours=True, **overrides):
 
 
 def run_with_q(cfg, q0, arrivals=None, durations=(), draws=()):
-    """Run ``cfg`` with node 0 admitting at ``q0`` and nodes 1 and 2 at 1;
-    with ``arrivals`` (times in s), scripted as ``conftest.scripted_runs``."""
-    stub = mock.patch.object(sim, "new_estimator", lambda _k: FixedQ({1.0: q0, 2.0: 1.0}))
+    """Run ``cfg`` with node 0 admitting at ``q0`` and nodes 1 and 2 at 1,
+    told apart by the cpu capacity each estimator is built with; with
+    ``arrivals`` (times in s), scripted as ``conftest.scripted_runs``."""
+    q_by_cpu = {1.0: q0, 2.0: 1.0}
+    stub = mock.patch.object(
+        sim, "new_estimator", lambda _k, cpu_capacity, _mem: FixedQ(q_by_cpu[cpu_capacity])
+    )
     script = contextlib.nullcontext()
     if arrivals is not None:
         script = conftest.scripted_runs([(t, 0) for t in arrivals], durations, draws)

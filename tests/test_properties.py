@@ -8,7 +8,9 @@ strategy, ``server_executes``, ``proactive_forwarding``, the TTL and the
 gossip period. The fast paths are checked against their references in
 ``conftest``: the pull-based gossip view against the push-gossip event
 loop (also on scripted runs whose events fall on a grid of exact times, so
-that many share an instant), the bit-parallel hop diameter against a BFS
+that many share an instant, and on pinned single-candidate, mixed and tree
+shapes, whose gossip feeds and heartbeats must exist only where a node has
+a choice of neighbour), the bit-parallel hop diameter against a BFS
 from every node, the lazily computed routes against a Dijkstra on
 (delay, hops) tuple keys, the series and summary emitters against
 ``json.dumps`` and ``csv.writer``, the adjacency order of generated
@@ -26,7 +28,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from offloadsim import simulator as sim
@@ -125,11 +127,86 @@ def test_generated_scenarios_terminate_conserve_and_repeat(cfg):
         assert json_series.read_bytes() == reference_series_json(m).encode()
 
 
+def busy_proactive(kind, params):
+    """A proactive run on a generated topology, loaded enough to forward."""
+    return sim.ScenarioConfig(
+        topology=tp.generate_topology(kind, params),
+        services=[ServiceSpec(name="s", mean_exec_time_s=0.002)],
+        base_rate_per_s=4000.0,
+        horizon_s=0.05,
+        strategy="proactive",
+        buffer_size=2,
+        ttl=4,
+        gossip_period_ms=0.5,
+        seed=7,
+        sample_interval_ms=5.0,
+    )
+
+
+# Pinned shapes of the proactive forward targets: every view a single
+# candidate (a 3-node line: nodes 0 and 1 see only each other), mixed
+# (a 4-node line: node 1 chooses between 0 and 2, which see only node 1),
+# and a tree whose leaves see only their parent while inner nodes choose.
+SINGLE_CANDIDATES = busy_proactive("line", {"n": 3})
+MIXED_CANDIDATES = busy_proactive("line", {"n": 4})
+TREE_LEAVES = busy_proactive("tree", {"branching": 2, "depth": 2})
+
+
 @settings(max_examples=150, deadline=None)
+@example(SINGLE_CANDIDATES)
+@example(MIXED_CANDIDATES)
+@example(TREE_LEAVES)
 @given(scenarios(strategies=("proactive",)))
 def test_pull_gossip_matches_the_push_gossip_loop(cfg):
     with time_limit(30):
         assert sim.run_scenario(cfg) == reference_run_scenario(cfg)
+
+
+def candidate_counts(cfg) -> dict:
+    """Per executor, the number of executor neighbours it may forward to."""
+    topo = cfg.topology
+
+    def executes(nid):
+        return not topo.nodes[nid].is_relay and (nid != topo.server_id or cfg.server_executes)
+
+    return {nid: sum(map(executes, topo.adj[nid])) for nid in topo.nodes if executes(nid)}
+
+
+@settings(max_examples=100, deadline=None)
+@example(SINGLE_CANDIDATES)
+@example(MIXED_CANDIDATES)
+@example(TREE_LEAVES)
+@example(sim.preset_fig3("proactive"))
+@given(scenarios(strategies=("proactive",)))
+def test_gossip_is_built_and_sent_only_where_a_node_has_a_choice(cfg):
+    # A node with one executor neighbour forwards to it without reading
+    # gossip, so feeds exist only when some node chooses among two or more,
+    # and heartbeats run only when there are feeds to publish on (the
+    # first is queued at set-up, each later one pushed by the one before).
+    built, beats = [], []
+    make, push = sim.LoadFeed, sim.heappush
+
+    def made(*args):
+        built.append(make(*args))
+        return built[-1]
+
+    def pushed(heap, ev):
+        if ev[1] == sim._HEARTBEAT:
+            beats.append(ev[0])
+        push(heap, ev)
+
+    with time_limit(30), mock.patch.object(sim, "LoadFeed", made), mock.patch.object(
+        sim, "heappush", pushed
+    ):
+        sim.run_scenario(cfg)
+    counts = candidate_counts(cfg)
+    choice = cfg.proactive_forwarding and any(c >= 2 for c in counts.values())
+    assert bool(built) == choice
+    assert bool(beats) == (choice and 2 * (cfg.gossip_period_ms / 1000.0) < cfg.horizon_s)
+    if cfg is SINGLE_CANDIDATES or cfg.name == "fig3":
+        assert counts and max(counts.values()) == 1
+    elif cfg is MIXED_CANDIDATES or cfg is TREE_LEAVES:
+        assert 1 in counts.values() and max(counts.values()) >= 2
 
 
 # 2**-10 s in ms: sums of multiples of it are exact, so scripted runs on

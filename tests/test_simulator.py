@@ -333,13 +333,13 @@ def test_estimators_are_built_only_where_requests_arrive(monkeypatch):
 
         def record_arrival(self, t):
             arrived.append(self)
-            self.core.record_arrival(t)
+            return self.core.record_arrival(t)
 
         def __getattr__(self, name):
             return getattr(self.core, name)
 
-    def counted_make(k):
-        built.append(Watched(make(k)))
+    def counted_make(*args):
+        built.append(Watched(make(*args)))
         return built[-1]
 
     monkeypatch.setattr(sim, "new_estimator", counted_make)
@@ -350,6 +350,8 @@ def test_estimators_are_built_only_where_requests_arrive(monkeypatch):
     assert m.gross_arrivals > 0
     assert {id(e) for e in arrived} == {id(e) for e in built}
     assert 0 < len(built) < executors
+    # Each is built for its node's capacities (every node has cpu 3, mem 4).
+    assert {(e.k, e.cpu_capacity, e.mem_capacity) for e in built} == {(cfg.buffer_size, 3.0, 4.0)}
 
 
 @pytest.mark.parametrize(

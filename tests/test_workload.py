@@ -7,15 +7,19 @@ admission probability, and a plain transcription of the estimator core
 (``ReferenceCore``) that the optimized core must replay bit for bit.
 """
 
+import dataclasses
 import math
 import operator
 import random
+import tracemalloc
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from offloadsim import simulator as sim
 from offloadsim import workload as wl
 
 from conftest import reference_arrival_tuples
@@ -642,19 +646,34 @@ def test_interleaved_streams_keep_invariants(ops):
 
 # The core's running window sums and the oracle buffers they replace.
 WINDOW_SUMS = {"sum_exec": "buf_mu", "sum_cpu": "buf_cpu", "sum_mem": "buf_mem"}
+# The core's slots the oracle has no counterpart for: the node's capacities
+# and the headroom factor of q that each fold derives from them.
+CAPACITY_SLOTS = ("cpu_capacity", "mem_capacity", "headroom")
 
 
 def assert_same_core(got, want):
-    shared = [name for name in wl.EstimatorState.__slots__ if hasattr(want, name)]
-    assert sorted(set(wl.EstimatorState.__slots__) - set(shared)) == sorted(WINDOW_SUMS)
+    slots = wl.EstimatorState.__slots__
+    shared = [name for name in slots if hasattr(want, name) and name != "buf_lambda"]
+    assert sorted(set(slots) - set(shared)) == sorted(
+        ["buf_lambda", *WINDOW_SUMS, *CAPACITY_SLOTS]
+    )
     for name in shared:
         # Compared by repr: NaN matches NaN, and every bit of a float counts.
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    # The core's arrival buffer holds the stamps seen so far, up to k; the
+    # oracle's k slots start as NaN.
+    filled = min(want.arrival_count, want.k)
+    assert len(got.buf_lambda) == filled
+    assert repr(got.buf_lambda) == repr(want.buf_lambda[:filled])
+    assert all(math.isnan(x) for x in want.buf_lambda[filled:])
     # A running sum holds the oracle's window so far, added left to right.
     for name, buf in WINDOW_SUMS.items():
         window = getattr(want, buf)[: want.completion_index]
         assert getattr(got, name).hex() == left_sum(window).hex(), name
-    for caps in ((2.0, 2.0), (0.5, 3.0)):
+    cpu, mem = got.cpu_capacity, got.mem_capacity
+    headroom = min(cpu / (cpu + want.cpu_avg), mem / (mem + want.mem_avg))
+    assert repr(got.headroom) == repr(headroom)
+    for caps in ((2.0, 2.0), (0.5, 3.0), (cpu, mem)):
         assert got.execution_probability(*caps) == want.execution_probability(*caps)
 
 
@@ -708,6 +727,95 @@ def test_core_replays_reference_bit_for_bit(k, ops):
             core.record_completion(*op[1:])
             ref.record_completion(*op[1:])
         assert_same_core(core, ref)
+
+
+capacities = st.one_of(
+    st.sampled_from([1.0, 3.0, 4.0]),
+    st.floats(min_value=5e-324, max_value=1e308, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+# k=2 with zero gaps (lambda = inf, so q = 0 once warm) and zero mean demands.
+@example(2, 1.0, 1.0, [("arrival", 0.0)] * 3 + [("completion", 0.01, 0.0, 0.0)] * 2
+         + [("arrival", 0.0)] * 3 + [("arrival", 0.25)] * 3)
+# Cold throughout: fewer arrivals than k.
+@example(8, 3.0, 4.0, [("arrival", 0.1)] * 7 + [("completion", 0.01, 1.0, 1.0)] * 9)
+@example(16, 3.0, 4.0, seeded_ops(1234, 4000))
+@example(3, 0.5, 2.0, seeded_ops(99, 1000))
+@given(
+    st.integers(min_value=2, max_value=16),
+    capacities,
+    capacities,
+    st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("arrival"),
+                st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5)),
+            ),
+            st.tuples(
+                st.just("completion"),
+                st.floats(min_value=1e-4, max_value=0.5),
+                st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+                st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+            ),
+        ),
+        max_size=400,
+    ),
+)
+def test_record_arrival_returns_the_q_of_execution_probability(k, cpu, mem, ops):
+    core = wl.new_estimator(k, cpu, mem)
+    ref = ReferenceCore(k)
+    t = 0.0
+    for op in ops:
+        if op[0] == "arrival":
+            t += op[1]
+            q = core.record_arrival(t)
+            ref.record_arrival(t)
+            # By repr, so every bit counts and a NaN q would match only NaN.
+            assert repr(q) == repr(core.execution_probability(cpu, mem))
+            assert repr(q) == repr(ref.execution_probability(cpu, mem))
+        else:
+            core.record_completion(*op[1:])
+            ref.record_completion(*op[1:])
+    assert_same_core(core, ref)
+
+
+def test_estimator_capacities_must_be_positive():
+    for cpu, mem in ((0.0, 1.0), (1.0, -1.0), (NAN, 1.0), (1.0, NAN)):
+        with pytest.raises(ValueError, match="capacities must be positive"):
+            wl.new_estimator(4, cpu, mem)
+
+
+def test_arrival_buffer_grows_with_the_arrivals_seen():
+    state = wl.new_estimator(k=10**6)
+    assert state.buf_lambda == []
+    for n in range(1, 301):
+        state.record_arrival(0.001 * n)
+        assert len(state.buf_lambda) == n
+    assert state.buf_lambda == [0.001 * n for n in range(1, 301)]
+    # A proactive run whose buffer outlasts its arrivals keeps every
+    # estimator cold, at the metrics of any such buffer, and allocates for
+    # the stamps it saw, not for k of them (8 MB per estimator at k=10**6).
+    built = []
+
+    def watched(*args):
+        built.append(wl.new_estimator(*args))
+        return built[-1]
+
+    cfg = sim.preset_fig3("proactive")
+    tracemalloc.start()
+    try:
+        with mock.patch.object(sim, "new_estimator", watched):
+            m = sim.run_scenario(dataclasses.replace(cfg, buffer_size=10**6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m == sim.run_scenario(dataclasses.replace(cfg, buffer_size=1000))
+    assert 0 < m.gross_arrivals < 1000
+    assert built and all(len(e.buf_lambda) == e.arrival_count for e in built)
+    assert sum(e.arrival_count for e in built) >= m.gross_arrivals
+    assert peak < 2**22
 
 
 # On Python 3.12+, sum() gives other bits for mu at seeds 0 and 6, for
