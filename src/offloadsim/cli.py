@@ -290,3 +290,7 @@ __all__ = [
     "dispatch",
     "main",
 ]
+
+
+if __name__ == "__main__":
+    main()

@@ -17,7 +17,7 @@ offload and finally to keeping everything local.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .partition import (
     PINNED_TAG,
@@ -27,7 +27,9 @@ from .partition import (
     _left_sum,
     _load_json,
     _non_negative,
+    _number,
     _positive,
+    _refuse_unknown,
 )
 
 
@@ -71,18 +73,12 @@ class EnergyModel:
 
 def load_energy_model(source) -> EnergyModel:
     """Energy model from a JSON file (``Path``), JSON text (``str``), or
-    parsed dict; missing keys fall back to 0."""
-    data = source if isinstance(source, dict) else _load_json(source, "energy model", DecisionError)
-    if not isinstance(data, dict):
-        raise DecisionError("energy model must be a JSON object")
-    try:
-        return EnergyModel(
-            energy_per_tx_byte_j=float(data.get("energy_per_tx_byte_j", 0.0)),
-            energy_per_rx_byte_j=float(data.get("energy_per_rx_byte_j", 0.0)),
-            energy_idle_per_s_j=float(data.get("energy_idle_per_s_j", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise DecisionError(f"malformed energy model: {exc}") from exc
+    parsed dict (see docs/schemas/energymodel.json); missing keys fall back
+    to 0."""
+    data = _load_json(source, "energy model", dict, DecisionError)
+    keys = [f.name for f in fields(EnergyModel)]
+    _refuse_unknown(data, frozenset(keys), "the energy model", DecisionError)
+    return EnergyModel(*(_number(data, key, 0.0, DecisionError) for key in keys))
 
 
 @dataclass

@@ -82,6 +82,40 @@ def _typed(data: dict, key: str, default, types: tuple, what: str, error: type):
     return value
 
 
+def _number(data: dict, key: str, default, error: type) -> float:
+    """``_typed`` for a JSON number, as a float: the one place where input
+    numbers become floats. An integer past the float range raises ``error``."""
+    value = _typed(data, key, default, (int, float), "a number", error)
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{key} must be a number within the float range") from None
+
+
+def _refuse_unknown(data, keys: frozenset, where: str, error: type) -> None:
+    """Refuse a key the schema does not declare: ignored, a misspelt field
+    would take its default. ``_typed`` refuses a value that is no object."""
+    if type(data) is dict and not data.keys() <= keys:
+        unknown = ", ".join(sorted(map(repr, data.keys() - keys)))
+        raise error(f"unknown key(s) {unknown} in {where}")
+
+
+def _objects(data: dict, key: str, default, keys: frozenset, error: type) -> list:
+    """The list ``data[key]``, each of whose objects declares only ``keys``."""
+    items = _typed(data, key, default, (list,), "a list", error)
+    for i, item in enumerate(items):
+        _refuse_unknown(item, keys, f"{key}[{i}]", error)
+    return items
+
+
+def _strings(data: dict, key: str, error: type) -> list:
+    """The list of strings ``data[key]``, empty when absent."""
+    items = _typed(data, key, [], (list,), "a list of strings", error)
+    if not all(type(item) is str for item in items):
+        raise error(f"{key} must be a list of strings, not {items!r}")
+    return items
+
+
 def _left_sum(values) -> float:
     """Float sum added left to right from 0.0. The built-in sum() adds
     floats with compensation since Python 3.12, so its bits depend on the
@@ -189,70 +223,66 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _load_json(source, what: str, error: type[ValueError] = CallGraphError):
-    """Parse JSON input read by ``_read_text``."""
+def _load_json(source, what: str, kind: type, error: type[ValueError]):
+    """The JSON document of type ``kind`` (``dict`` or ``list``) that
+    ``source`` is, or that ``_read_text`` reads from it; else ``error``."""
+    if type(source) is kind:
+        return source
+    where = f" {source}" if isinstance(source, Path) else ""
     try:
-        return json.loads(_read_text(source, what, error))
+        data = json.loads(_read_text(source, what, error))
     except json.JSONDecodeError as exc:
-        where = f" {source}" if isinstance(source, Path) else ""
         raise error(f"{what}{where} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise error(f"{what}{where} is nested too deeply to parse") from None
+    if type(data) is not kind:
+        raise error(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
+    return data
+
+
+# The keys docs/schemas/callgraph.json and tagrules.json declare.
+_VERTEX_KEYS = frozenset(("name", "tags", "methods"))
+_METHOD_KEYS = frozenset(
+    ("name", "invocations", "t_local_ms", "in_bytes", "out_bytes", "energy_mj", "cpu_scale_hint")
+)
+_EDGE_KEYS = frozenset(("a", "b", "weight"))
+_RULE_KEYS = frozenset(("prefix", "tag"))
 
 
 def build_call_graph(source) -> CallGraph:
     """Load a call graph from a JSON file (``Path``), JSON text (``str``), or
-    parsed dict.
+    parsed dict (see docs/schemas/callgraph.json).
 
     Input schema: ``vertices`` is a list of ``{name, tags, methods}`` where
-    each method carries ``name, invocations, t_local_ms, in_bytes,
-    out_bytes, energy_mj`` (and optional ``cpu_scale_hint``); ``edges`` is a
-    list of ``{a, b, weight}``. Times and energies convert to seconds and
+    each method carries ``name, invocations, t_local_ms`` (and optional
+    ``in_bytes, out_bytes, energy_mj`` and ``cpu_scale_hint``); ``edges`` is
+    a list of ``{a, b, weight}``. Times and energies convert to seconds and
     joules internally.
     """
-    data = source if isinstance(source, dict) else _load_json(source, "call graph")
-
+    error = CallGraphError
+    data = _load_json(source, "call graph", dict, error)
+    _refuse_unknown(data, frozenset(("vertices", "edges")), "the call graph", error)
     graph = CallGraph()
-    try:
-        vertices = data["vertices"]
-        edges = data.get("edges", [])
-    except (TypeError, KeyError) as exc:
-        raise CallGraphError("call graph needs 'vertices' and 'edges' lists") from exc
-    for key, what, entries in (("vertices", "vertex", vertices), ("edges", "edge", edges)):
-        if not isinstance(entries, list):
-            raise CallGraphError(
-                f"call graph {key!r} must be a list, not {type(entries).__name__}"
+    for v in _objects(data, "vertices", None, _VERTEX_KEYS, error):
+        name = _typed(v, "name", None, (str,), "a string", error)
+        tags = set(_strings(v, "tags", error))
+        methods = [
+            MethodProfile(
+                name=_typed(m, "name", None, (str,), "a string", error),
+                invocations=_number(m, "invocations", None, error),
+                t_local_s=_number(m, "t_local_ms", None, error) / 1000.0,
+                in_bytes=_number(m, "in_bytes", 0.0, error),
+                out_bytes=_number(m, "out_bytes", 0.0, error),
+                energy_local_j=_number(m, "energy_mj", 0.0, error) / 1000.0,
+                cpu_scale_hint=_number(m, "cpu_scale_hint", 1.0, error),
             )
-        for entry in entries:
-            if not isinstance(entry, dict):
-                raise CallGraphError(f"malformed {what} entry {entry!r}: not an object")
-    for v in vertices:
-        if not isinstance(v.get("name"), str):
-            raise CallGraphError(f"malformed vertex entry {v!r}: 'name' must be a string")
-        tags = v.get("tags", [])
-        if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
-            raise CallGraphError(f"malformed vertex entry {v!r}: 'tags' must be a list of strings")
-        try:
-            methods = [
-                MethodProfile(
-                    name=m["name"],
-                    invocations=float(m["invocations"]),
-                    t_local_s=float(m["t_local_ms"]) / 1000.0,
-                    in_bytes=float(m.get("in_bytes", 0.0)),
-                    out_bytes=float(m.get("out_bytes", 0.0)),
-                    energy_local_j=float(m.get("energy_mj", 0.0)) / 1000.0,
-                    cpu_scale_hint=float(m.get("cpu_scale_hint", 1.0)),
-                )
-                for m in v.get("methods", [])
-            ]
-            graph.add_class(
-                ClassNode(name=v["name"], tags=set(tags), methods=methods)
-            )
-        except (TypeError, KeyError) as exc:
-            raise CallGraphError(f"malformed vertex entry {v!r}: {exc}") from exc
-    for e in edges:
-        try:
-            graph.add_call(e["a"], e["b"], float(e["weight"]))
-        except (TypeError, KeyError) as exc:
-            raise CallGraphError(f"malformed edge entry {e!r}: {exc}") from exc
+            for m in _objects(v, "methods", [], _METHOD_KEYS, error)
+        ]
+        graph.add_class(ClassNode(name=name, tags=tags, methods=methods))
+    for e in _objects(data, "edges", [], _EDGE_KEYS, error):
+        a = _typed(e, "a", None, (str,), "a string", error)
+        b = _typed(e, "b", None, (str,), "a string", error)
+        graph.add_call(a, b, _number(e, "weight", None, error))
     return graph
 
 
@@ -266,22 +296,14 @@ class TagRule:
 
 def load_tag_rules(source) -> list[TagRule]:
     """Rules come as a JSON list of {prefix, tag} objects, read from a file
-    (``Path``), parsed from JSON text (``str``), or given as a list."""
-    if isinstance(source, (list, tuple)):
-        entries = source
-    else:
-        entries = _load_json(source, "tag rules")
-        if not isinstance(entries, list):
-            raise CallGraphError("tag rules must be a JSON list")
+    (``Path``), parsed from JSON text (``str``), or given as a parsed list
+    (see docs/schemas/tagrules.json)."""
+    error = CallGraphError
     rules = []
-    for e in entries:
-        if isinstance(e, TagRule):
-            rules.append(e)
-            continue
-        try:
-            rules.append(TagRule(prefix=e["prefix"], tag=e["tag"]))
-        except (TypeError, KeyError) as exc:
-            raise CallGraphError(f"malformed tag rule {e!r}") from exc
+    for i, e in enumerate(_load_json(source, "tag rules", list, error)):
+        _refuse_unknown(e, _RULE_KEYS, f"tag rules[{i}]", error)
+        prefix = _typed(e, "prefix", None, (str,), "a string", error)
+        rules.append(TagRule(prefix, _typed(e, "tag", None, (str,), "a string", error)))
     return rules
 
 

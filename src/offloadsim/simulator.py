@@ -66,7 +66,8 @@ from .control import (
     lightest_load_neighbor,
     passive_overflow,
 )
-from .partition import _left_sum, _load_json, _non_negative, _positive, _typed, _write_text
+from .partition import _left_sum, _load_json, _non_negative, _positive, _write_text
+from .partition import _number, _objects, _refuse_unknown, _typed
 from .topology import GENERATOR_PARAMS, NodeSpec, Topology, generate_topology, load_topology
 from .workload import (
     JitterSpec,
@@ -152,32 +153,15 @@ class ScenarioConfig:
 
 
 _checked = partial(_typed, error=ConfigError)
+_number = partial(_number, error=ConfigError)
+_refuse_unknown = partial(_refuse_unknown, error=ConfigError)
+_objects = partial(_objects, error=ConfigError)
 
 # The keys docs/schemas/scenario.json declares for each object.
 _SCENARIO_KEYS = frozenset(f.name for f in fields(ScenarioConfig))
 _GENERATE_KEYS = frozenset(("kind", "seed")) | GENERATOR_PARAMS
 _SERVICE_KEYS = frozenset(("id", "mean_exec_time_s", "cpu_cost", "mem_cost", "popularity_weight"))
 _JITTER_KEYS = frozenset(f.name for f in fields(JitterSpec))
-
-
-def _number(data: dict, key: str, default=None) -> float:
-    return float(_checked(data, key, default, (int, float), "a number"))
-
-
-def _refuse_unknown(data, keys: frozenset, where: str) -> None:
-    """Refuse a key the schema does not declare: ignored, a misspelt field
-    would take its default. ``_typed`` refuses a value that is no object."""
-    if type(data) is dict and not data.keys() <= keys:
-        unknown = ", ".join(sorted(map(repr, data.keys() - keys)))
-        raise ConfigError(f"unknown key(s) {unknown} in {where}")
-
-
-def _objects(data: dict, key: str, default, keys: frozenset) -> list:
-    """The list ``data[key]``, each of whose objects declares only ``keys``."""
-    items = _checked(data, key, default, (list,), "a list")
-    for i, item in enumerate(items):
-        _refuse_unknown(item, keys, f"{key}[{i}]")
-    return items
 
 
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
@@ -205,7 +189,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConf
         services = [
             ServiceSpec(
                 name=_checked(s, "id", f"svc{i}", (str,), "a string"),
-                mean_exec_time_s=_number(s, "mean_exec_time_s"),
+                mean_exec_time_s=_number(s, "mean_exec_time_s", None),
                 cpu_cost=_number(s, "cpu_cost", 1.0),
                 mem_cost=_number(s, "mem_cost", 0.0),
                 popularity_weight=_number(s, "popularity_weight", 1.0),
@@ -214,17 +198,17 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConf
         ]
         jitters = [
             JitterSpec(
-                start_ms=_number(j, "start_ms"),
-                duration_ms=_number(j, "duration_ms"),
-                rate_multiplier=_number(j, "rate_multiplier"),
+                start_ms=_number(j, "start_ms", None),
+                duration_ms=_number(j, "duration_ms", None),
+                rate_multiplier=_number(j, "rate_multiplier", None),
             )
             for j in _objects(data, "jitters", [], _JITTER_KEYS)
         ]
         cfg = ScenarioConfig(
             topology=topo,
             services=services,
-            base_rate_per_s=_number(data, "base_rate_per_s"),
-            horizon_s=_number(data, "horizon_s"),
+            base_rate_per_s=_number(data, "base_rate_per_s", None),
+            horizon_s=_number(data, "horizon_s", None),
             strategy=data.get("strategy", "none"),
             load_multiplier=_number(data, "load_multiplier", 1.0),
             jitters=jitters,
@@ -232,7 +216,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConf
             ttl=_checked(data, "ttl", None, (int, type(None)), "an integer or null"),
             gossip_period_ms=_number(data, "gossip_period_ms", 1.0),
             capacity_threshold=_number(data, "capacity_threshold", 1.0),
-            warmup_s=None if data.get("warmup_s") is None else _number(data, "warmup_s"),
+            warmup_s=None if data.get("warmup_s") is None else _number(data, "warmup_s", None),
             seed=_checked(data, "seed", 0, (int, str), "an integer or a string"),
             sample_interval_ms=_number(data, "sample_interval_ms", 1.0),
             server_executes=_checked(data, "server_executes", False, (bool,), "a boolean"),
@@ -251,7 +235,7 @@ def load_scenario(path) -> ScenarioConfig:
     """Scenario config from a JSON file; a topology file it names resolves
     against the config's directory."""
     path = Path(path)
-    data = _load_json(path, "scenario config", ConfigError)
+    data = _load_json(path, "scenario config", dict, ConfigError)
     return scenario_from_dict(data, base_dir=path.parent)
 
 

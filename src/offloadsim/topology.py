@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
-from functools import partial
 from heapq import heappop, heappush
 
-from .partition import _non_negative, _positive, _read_text, _typed, _write_text
+from .partition import _non_negative, _number, _positive, _read_text, _typed, _write_text
 
 FLAG_EXECUTOR = 0
 FLAG_ACCESS_POINT = 1
@@ -375,7 +375,13 @@ def write_topology(topo: Topology, path) -> None:
     _write_text(path, "\n".join(out) + "\n")
 
 
-_integer = partial(_typed, types=(int,), what="an integer", error=TopologyError)
+def _integer(params: dict, key: str, default) -> int:
+    """A count: an int (``_typed``) no larger than ``sys.maxsize``, so that
+    ``range`` and list sizes can hold it."""
+    value = _typed(params, key, default, (int,), "an integer", TopologyError)
+    if value > sys.maxsize:
+        raise TopologyError(f"{key} must be an integer no larger than {sys.maxsize}")
+    return value
 
 #: The parameters ``generate_topology`` reads, over all kinds.
 GENERATOR_PARAMS = frozenset(
@@ -384,9 +390,9 @@ GENERATOR_PARAMS = frozenset(
 
 
 def _uniform_specs(params: dict) -> tuple[float, float, float]:
-    cpu = float(_typed(params, "cpu", 1.0, (int, float), "a number", TopologyError))
-    mem = float(_typed(params, "mem", 1.0, (int, float), "a number", TopologyError))
-    delay = float(_typed(params, "delay_ms", 1.0, (int, float), "a number", TopologyError))
+    cpu = _number(params, "cpu", 1.0, TopologyError)
+    mem = _number(params, "mem", 1.0, TopologyError)
+    delay = _number(params, "delay_ms", 1.0, TopologyError)
     if not (_capacity(cpu) and _capacity(mem)):
         raise TopologyError("generator capacity and 1/capacity must be finite and > 0")
     if not _non_negative(delay):
@@ -421,8 +427,9 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
       minimum-degree nodes when none exist). ``access_points`` in params
       caps how many are drawn (seeded sample).
 
-    Counts must be ints, and ``cpu``, ``mem`` and ``delay_ms`` numbers (not
-    bools or strings), or TopologyError is raised.
+    Counts must be ints no larger than ``sys.maxsize``, and ``cpu``,
+    ``mem`` and ``delay_ms`` numbers within the float range (not bools or
+    strings), or TopologyError is raised.
     """
     params = dict(params or {})
     cpu, mem, delay = _uniform_specs(params)

@@ -59,6 +59,17 @@ def line4():
     return line_topology(4)
 
 
+def edit_doc(doc, path, value):
+    """A deep copy of ``doc`` with ``value`` at ``path`` (keys and indices)."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[last] = value
+    return doc
+
+
 def route_to_server(topo, node_id):
     """The next-hop chain from ``node_id``; fails on a loop or a dead end
     instead of following it forever."""

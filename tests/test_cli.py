@@ -14,7 +14,7 @@ import offloadsim
 from offloadsim import cli
 from offloadsim.topology import generate_topology
 
-from conftest import route_to_server
+from conftest import edit_doc, route_to_server
 
 GRAPH_DOC = {
     "vertices": [
@@ -82,6 +82,19 @@ class TestSimulate:
         for name in ("run_summary.json", "run_series.json",
                      "run_summary.csv", "run_series.csv"):
             assert (out / name).exists()
+
+    def test_cli_module_runs_as_a_script(self, tmp_path):
+        out = tmp_path / "run"
+        res = subprocess.run(
+            [sys.executable, "-m", "offloadsim.cli", "simulate", "--preset", "fig3",
+             "--seed", "1", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("strategy=proactive seed=1 ")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "run_series.csv", "run_series.json", "run_summary.csv", "run_summary.json",
+        ]
 
     def test_config_file_with_single_format(self, tmp_path, inputs):
         out = tmp_path / "run"
@@ -359,16 +372,18 @@ def malformed_graph_docs():
     misread, each with what the error should name."""
     vertex = dict(GRAPH_DOC["vertices"][0])
     return {
-        "vertex-is-a-string": ({"vertices": ["A"], "edges": []}, "not an object"),
-        "vertices-is-an-object": ({"vertices": {"A": {}}, "edges": []}, "must be a list"),
-        "edge-is-a-string": ({**GRAPH_DOC, "edges": ["A"]}, "not an object"),
-        "edges-is-a-number": ({**GRAPH_DOC, "edges": 5}, "must be a list"),
+        "vertex-is-a-string": (
+            {"vertices": ["A"], "edges": []}, "expected an object holding name, not 'A'"
+        ),
+        "vertices-is-an-object": ({"vertices": {"A": {}}, "edges": []}, "vertices must be a list"),
+        "edge-is-a-string": ({**GRAPH_DOC, "edges": ["A"]}, "expected an object holding a"),
+        "edges-is-a-number": ({**GRAPH_DOC, "edges": 5}, "edges must be a list"),
         "name-is-a-number": (
-            {"vertices": [vertex, {"name": 5}], "edges": []}, "'name' must be a string"
+            {"vertices": [vertex, {"name": 5}], "edges": []}, "name must be a string, not 5"
         ),
         "tags-is-a-string": (
             {"vertices": [{**vertex, "tags": "pinned"}], "edges": []},
-            "'tags' must be a list of strings",
+            "tags must be a list of strings",
         ),
     }
 
@@ -426,6 +441,110 @@ class TestMalformedGraphs:
         payload = json.loads(out)
         assert math.isfinite(payload["natural_modularity"])
         assert all(math.isfinite(s["modularity"]) for s in payload["sets"])
+
+
+SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+
+# A valid document per JSON input that holds every field its schema
+# declares, and item 0 of every array, so that each can be edited in place.
+FULL_DOCS = {
+    "callgraph": {
+        "vertices": [
+            {"name": "a.A", "tags": ["t"], "methods": [
+                {"name": "m", "invocations": 1, "t_local_ms": 1.0, "in_bytes": 1,
+                 "out_bytes": 1, "energy_mj": 1.0, "cpu_scale_hint": 1.0}]},
+            {"name": "b.B"},
+        ],
+        "edges": [{"a": "a.A", "b": "b.B", "weight": 1}],
+    },
+    "tagrules": [{"prefix": "a", "tag": "pinned"}],
+    "energymodel": {"energy_per_tx_byte_j": 0.0, "energy_per_rx_byte_j": 0.0,
+                    "energy_idle_per_s_j": 0.0},
+    "scenario": {
+        **SCENARIO_DOC,
+        "topology": {"generate": {"kind": "line", "n": 3, "seed": 1, "cpu": 1.0, "mem": 1.0,
+                                  "delay_ms": 1.0}},
+        "jitters": [{"start_ms": 10.0, "duration_ms": 5.0, "rate_multiplier": 2.0}],
+        "warmup_s": 0.01,
+    },
+}
+
+# An integer of 401 digits: a JSON number, but past the float range.
+HUGE = 10**400
+
+
+def schema_fields(spec, path=()):
+    """(path, declared types) of the document ``spec`` describes and of
+    every field below it, through each object's properties and item 0 of
+    each array."""
+    types = spec.get("type", [])
+    yield path, set(types) if isinstance(types, list) else {types}
+    for key, sub in sorted(spec.get("properties", {}).items()):
+        yield from schema_fields(sub, path + (key,))
+    if "items" in spec:
+        yield from schema_fields(spec["items"], path + (0,))
+
+
+def bad_inputs():
+    """(input, path, value, what the error says) for every field of
+    callgraph.json, tagrules.json and energymodel.json: a bool and a string
+    where a number is declared, a number where a string is, an undeclared
+    key in every object, and an integer past the float range in every
+    number field of all four inputs."""
+    for name in ("callgraph", "tagrules", "energymodel", "scenario"):
+        schema = json.loads((SCHEMAS / f"{name}.json").read_text())
+        for path, types in schema_fields(schema):
+            where = ".".join(map(str, path)) or "top"
+            if "number" in types:
+                yield pytest.param(name, path, HUGE, "must be a number within the float range",
+                                   id=f"{name}:{where}=401-digits")
+            if name == "scenario":
+                continue
+            if "number" in types:
+                yield pytest.param(name, path, True, "must be a number, not True",
+                                   id=f"{name}:{where}=true")
+                yield pytest.param(name, path, "2", "must be a number, not '2'",
+                                   id=f"{name}:{where}='2'")
+            if "string" in types:
+                yield pytest.param(name, path, 5, "must be", id=f"{name}:{where}=5")
+            if "object" in types:
+                yield pytest.param(name, path + ("undeclared",), 1, "unknown key(s) 'undeclared'",
+                                   id=f"{name}:{where}.undeclared")
+
+
+class TestSchemaTypedInputs:
+    """Every field of the call graph, tag rules and energy model is read as
+    its schema declares, through the same reader as the scenario's."""
+
+    def argv(self, tmp_path, name, doc):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        graph = tmp_path / "graph.json"
+        if name != "callgraph":
+            graph.write_text(json.dumps(FULL_DOCS["callgraph"]))
+        return {
+            "callgraph": ["partition", "--graph", str(path)],
+            "tagrules": ["partition", "--graph", str(graph), "--rules", str(path)],
+            "energymodel": ["decide", "--graph", str(graph), "--rtt-ms", "10",
+                            "--bandwidth-bytes-per-s", "1e6", "--energy-model", str(path)],
+            "scenario": ["simulate", "--config", str(path), "--out", str(tmp_path / "o")],
+        }[name]
+
+    @pytest.mark.parametrize("name", sorted(FULL_DOCS))
+    def test_full_documents_are_valid(self, capsys, tmp_path, name):
+        assert cli.dispatch(self.argv(tmp_path, name, FULL_DOCS[name])).exit_code == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("name, path, value, message", list(bad_inputs()))
+    def test_field_off_its_schema_is_a_usage_error(
+        self, capsys, tmp_path, name, path, value, message
+    ):
+        doc = edit_doc(FULL_DOCS[name], path, value)
+        code = cli.dispatch(self.argv(tmp_path, name, doc)).exit_code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestDecide:

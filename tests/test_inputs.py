@@ -140,3 +140,23 @@ def test_cli_unreadable_input_is_a_usage_error(tmp_path, monkeypatch, capsys, ar
     outcome = cli.dispatch(argv)
     assert outcome.exit_code == cli.EXIT_CONFIG
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["partition", "--graph", "deep.json"], "call graph"),
+        (["partition", "--graph", "graph.json", "--rules", "deep.json"], "tag rules"),
+        (["simulate", "--config", "deep.json", "--out", "out"], "scenario config"),
+        (["decide", "--graph", "graph.json", "--rtt-ms", "10", "--bandwidth-bytes-per-s", "1e6",
+          "--energy-model", "deep.json"], "energy model"),
+    ],
+    ids=["graph", "rules", "config", "energy-model"],
+)
+def test_cli_deeply_nested_json_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, what):
+    # json.loads raises RecursionError on it.
+    _write_inputs(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    monkeypatch.chdir(tmp_path)
+    assert cli.dispatch(argv).exit_code == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: {what} deep.json is nested too deeply to parse\n")

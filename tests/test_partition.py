@@ -532,13 +532,20 @@ def test_build_call_graph_rejects_bad_documents():
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ({"vertices": ["A"], "edges": []}, "not an object"),
-        ({"vertices": {"A": {}}, "edges": []}, "'vertices' must be a list"),
-        ({"vertices": [{"name": "A"}], "edges": [["A", "B", 1]]}, "not an object"),
-        ({"vertices": [{"name": "A"}], "edges": 5}, "'edges' must be a list"),
-        ({"vertices": [{"name": "A"}, {"name": 5}], "edges": []}, "'name' must be a string"),
-        ({"vertices": [{"name": "A", "tags": "pinned"}]}, "'tags' must be a list of strings"),
-        ({"vertices": [{"name": "A", "tags": ["pinned", 1]}]}, "'tags' must be a list"),
+        pytest.param({"vertices": ["A"], "edges": []}, "expected an object holding name",
+                     id="doc0-not an object"),
+        pytest.param({"vertices": {"A": {}}, "edges": []}, "vertices must be a list",
+                     id="doc1-'vertices' must be a list"),
+        pytest.param({"vertices": [{"name": "A"}], "edges": [["A", "B", 1]]},
+                     "expected an object holding a", id="doc2-not an object"),
+        pytest.param({"vertices": [{"name": "A"}], "edges": 5}, "edges must be a list",
+                     id="doc3-'edges' must be a list"),
+        pytest.param({"vertices": [{"name": "A"}, {"name": 5}], "edges": []},
+                     "name must be a string", id="doc4-'name' must be a string"),
+        pytest.param({"vertices": [{"name": "A", "tags": "pinned"}]},
+                     "tags must be a list of strings", id="doc5-'tags' must be a list of strings"),
+        pytest.param({"vertices": [{"name": "A", "tags": ["pinned", 1]}]},
+                     "tags must be a list", id="doc6-'tags' must be a list"),
     ],
 )
 def test_build_call_graph_rejects_malformed_entries(doc, message):

@@ -552,17 +552,6 @@ def test_scenario_from_dict_keeps_values_of_the_declared_types():
     assert (cfg.ttl, cfg.seed, cfg.buffer_size, cfg.proactive_forwarding) == (0, -4, 128, True)
 
 
-def _edit(doc, path, value):
-    """A deep copy of ``doc`` with ``value`` at ``path`` (keys and indices)."""
-    doc = json.loads(json.dumps(doc))
-    *parents, last = path
-    node = doc
-    for step in parents:
-        node = node[step]
-    node[last] = value
-    return doc
-
-
 TYPED_DOC = {
     **GENERATED_DOC,
     "services": [{"id": "s", "mean_exec_time_s": 0.001}],
@@ -593,14 +582,14 @@ TYPED_DOC = {
 )
 def test_scenario_reader_refuses_numbers_and_names_of_the_wrong_type(path, value):
     with pytest.raises(sim.ConfigError, match=f"^{path[-1]} must be"):
-        sim.scenario_from_dict(_edit(TYPED_DOC, path, value))
+        sim.scenario_from_dict(conftest.edit_doc(TYPED_DOC, path, value))
 
 
 @pytest.mark.parametrize("key, item", [("services", 5), ("jitters", "x"), ("jitters", None)])
 def test_scenario_reader_refuses_a_list_item_that_is_not_an_object(key, item):
     # Read with .get(), such an item used to escape as an AttributeError.
     with pytest.raises(sim.ConfigError, match=f"^expected an object holding .*, not {item!r}"):
-        sim.scenario_from_dict(_edit(TYPED_DOC, (key, 0), item))
+        sim.scenario_from_dict(conftest.edit_doc(TYPED_DOC, (key, 0), item))
 
 
 @pytest.mark.parametrize("key", ["horizon_s", "base_rate_per_s", "services"])
@@ -678,7 +667,7 @@ def test_reader_accepts_exactly_the_schema_types(path, declared, json_type):
     if path[:2] == ("topology", "generate") and path[2] in GENERATOR_HOSTS:
         doc["topology"] = {"generate": dict(GENERATOR_HOSTS[path[2]])}
     value = JSON_SAMPLES[json_type]
-    doc = _edit(doc, path, value)
+    doc = conftest.edit_doc(doc, path, value)
     if json_types(value) & declared:
         sim.scenario_from_dict(doc)
     else:

@@ -1,6 +1,7 @@
 """Network descriptions: edge-list parsing, validation, routing, generators."""
 
 import math
+import sys
 
 import pytest
 
@@ -165,6 +166,13 @@ def test_generator_refuses_parameters_of_the_wrong_type(kind, params, key):
     # int() would truncate 4.7 to 4 and True to 1, float() would read "2.5".
     with pytest.raises(tp.TopologyError, match=f"^{key} must be an? (integer|number), not "):
         tp.generate_topology(kind, params)
+
+
+def test_generator_refuses_a_count_past_sys_maxsize():
+    # list(range(n)) cannot hold a count past sys.maxsize.
+    message = f"^n must be an integer no larger than {sys.maxsize}$"
+    with pytest.raises(tp.TopologyError, match=message):
+        tp.generate_topology("line", {"n": 10**20})
 
 
 # Positive and finite, but their reciprocals overflow to inf.
