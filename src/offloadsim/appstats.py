@@ -247,15 +247,23 @@ class _Tally:
     by_key: dict[str, int]
 
 
-def _overlap(corpus: Corpus, depth: int) -> tuple[list[_Tally], dict[str, list[str]]]:
+def _overlap(corpus: Corpus, depth: int) -> tuple[list[_Tally], dict[str, list[str]], float]:
     """Classify every package once. Returns one tally per app (corpus
-    order) and the keys held by two or more apps, in key order, each with
-    its sorted holder ids."""
+    order), the keys held by two or more apps, in key order, each with
+    its sorted holder ids, and the corpus's total dex bytes as a float.
+
+    Here the report first turns sizes into floats. A corpus whose total
+    dex size lies past the float range is refused; every app's size, and
+    so its per-class size, is at most that total."""
     if depth < 1:
         raise CorpusError("prefix depth must be at least 1")
     if not corpus.apps:
         raise CorpusError("corpus holds no apps")
     _check_ids(corpus.apps)
+    try:
+        naive = float(sum(app.dex_size_bytes for app in corpus.apps))
+    except OverflowError:
+        raise CorpusError("total dex size must be within the float range") from None
     rows: list[tuple[AppRecord, int, dict[str, int]]] = []
     holders: dict[str, list[str]] = {}
     keys: dict[str, str | None] = {}  # library paths recur across apps
@@ -283,11 +291,10 @@ def _overlap(corpus: Corpus, depth: int) -> tuple[list[_Tally], dict[str, list[s
         # per_class_size raises the error for an app without classes.
         size = app.dex_size_bytes / total if total else app.per_class_size()
         tallies.append(_Tally(app, total, size, unique, by_key))
-    return tallies, shared
+    return tallies, shared, naive
 
 
-def _savings(tallies: list[_Tally], shared: dict[str, list[str]]) -> float:
-    naive = float(sum(t.app.dex_size_bytes for t in tallies))
+def _savings(tallies: list[_Tally], shared: dict[str, list[str]], naive: float) -> float:
     if naive == 0.0:
         return 0.0
     dedup = 0.0
@@ -306,7 +313,7 @@ def _savings(tallies: list[_Tally], shared: dict[str, list[str]]) -> float:
 def unique_class_fraction(corpus: Corpus, depth: int) -> OverlapReport:
     """Percentage of each app's classes that no other app shares at
     prefix depth N, plus the corpus storage savings at that depth."""
-    tallies, shared = _overlap(corpus, depth)
+    tallies, shared, naive = _overlap(corpus, depth)
     per_app = {t.app.app_id: 100.0 * t.unique / t.total for t in tallies}
     values = list(per_app.values())
     return OverlapReport(
@@ -314,7 +321,7 @@ def unique_class_fraction(corpus: Corpus, depth: int) -> OverlapReport:
         per_app_unique_fraction=per_app,
         mean_unique_fraction=statistics.fmean(values),
         median_unique_fraction=statistics.median(values),
-        storage_savings=_savings(tallies, shared),
+        storage_savings=_savings(tallies, shared, naive),
     )
 
 

@@ -12,7 +12,9 @@ the cuts that reach N + 1, and one cut sequence yields every offload set.
 Betweenness sums over source vertices, and a vertex's shortest paths stay
 inside its component, so after a cut only the component that lost the
 edge is rescored; every other edge keeps the score it already had, which
-is the same float a rescoring of the whole graph would give.
+is the same float a rescoring of the whole graph would give. That
+rescoring waits until the next cut asks for it, so the cut that gives a
+caller its last component list is never scored after.
 
 The pass, betweenness, modularity and Louvain run on a dense index built
 once per call: int ids in sorted name order, list adjacency, edge ids and
@@ -31,10 +33,14 @@ is kept, so every float comes out with the same bits:
 The unweighted pass keeps no predecessor lists. A vertex's predecessors
 are its neighbours one hop nearer the source, and each (predecessor,
 vertex) pair adds its share to its own ``delta`` entry and its own edge
-score. So rescanning neighbours in the backward pass, still in reverse
-visit order, adds the same floats in the same order. The weighted pass
-keeps them, because the ``1e-12`` tie rule decides a predecessor when a
-vertex is reached, against the tentative distance of that moment.
+score. So rescanning each vertex's ``(neighbour, edge id)`` arcs in the
+backward pass, still in reverse visit order, adds the same floats in the
+same order. That sweep also resets each vertex's distance as it leaves
+it: the predecessors it still reads sit one level nearer the source,
+earlier in the visit order, and are not reset yet. The weighted pass
+keeps predecessor lists, because the ``1e-12`` tie rule decides a
+predecessor when a vertex is reached, against the tentative distance of
+that moment.
 
 All algorithms here are deterministic: vertex sweeps run in sorted name
 order, betweenness ties remove the lexicographically smallest edge, and
@@ -303,7 +309,10 @@ def load_tag_rules(source) -> list[TagRule]:
     for i, e in enumerate(_load_json(source, "tag rules", list, error)):
         _refuse_unknown(e, _RULE_KEYS, f"tag rules[{i}]", error)
         prefix = _typed(e, "prefix", None, (str,), "a string", error)
-        rules.append(TagRule(prefix, _typed(e, "tag", None, (str,), "a string", error)))
+        tag = _typed(e, "tag", None, (str,), "a string", error)
+        if not prefix or not tag:
+            raise error(f"tag rules[{i}]: {'tag' if prefix else 'prefix'} must not be empty")
+        rules.append(TagRule(prefix, tag))
     return rules
 
 
@@ -360,12 +369,13 @@ def _dense_index(graph: CallGraph) -> _DenseIndex:
 
 
 def _betweenness_graph(ix: _DenseIndex, weighted: bool):
-    """``edges``, ``nbrs``, ``eids`` and ``lens`` for a betweenness pass.
+    """``edges``, ``nbrs``, ``arcs`` and ``lens`` for a betweenness pass.
 
     ``edges`` lists the ``(a, b)`` pairs with ``a < b`` in sorted order, so
     ascending edge ids scan pairs as sorted names would. ``nbrs`` is a copy
-    of the index adjacency the pass may cut; ``eids`` and ``lens`` (path
-    length ``1.0 / weight``) run parallel to it. A weighted pass whose
+    of the index adjacency the pass may cut; ``arcs`` holds each vertex's
+    ``(neighbour, edge id)`` pairs and ``lens`` its path lengths
+    ``1.0 / weight``, both parallel to it. A weighted pass whose
     paths of up to n - 1 edges could sum past the largest float is refused
     here, since the ``1e-12`` tie test would then compare ``inf - inf``.
     """
@@ -377,8 +387,8 @@ def _betweenness_graph(ix: _DenseIndex, weighted: bool):
             if a < b:
                 eid_of[a * n + b] = len(edges)
                 edges.append((a, b))
-    eids = [
-        [eid_of[a * n + b] if a < b else eid_of[b * n + a] for b in vs]
+    arcs = [
+        [(b, eid_of[a * n + b] if a < b else eid_of[b * n + a]) for b in vs]
         for a, vs in enumerate(ix.nbrs)
     ]
     lens = [[1.0 / w for w in ws] for ws in ix.weights]
@@ -389,7 +399,7 @@ def _betweenness_graph(ix: _DenseIndex, weighted: bool):
                 f"edge weight {lightest!r} is too small for weighted betweenness: "
                 f"paths of up to {n - 1} edges of length 1/weight overflow"
             )
-    return edges, [list(vs) for vs in ix.nbrs], eids, lens
+    return edges, [list(vs) for vs in ix.nbrs], arcs, lens
 
 
 def _components(sources, nbrs: list[list[int]]) -> list[list[int]]:
@@ -421,14 +431,15 @@ def _source_arrays(n: int) -> tuple[list, list, list, list, list]:
 
 
 def _edge_betweenness(
-    sources, nbrs: list[list[int]], eids: list[list[int]], lens: list[list[float]],
-    score: list[float], arrays: tuple, weighted: bool,
+    sources, nbrs: list[list[int]], arcs: list[list[tuple[int, int]]],
+    lens: list[list[float]], score: list[float], arrays: tuple, weighted: bool,
 ) -> None:
     """Brandes's per-source accumulation over the component(s) of
     ``sources`` (ascending ids). Overwrites ``score[e]`` of every edge in
     them: zeroed, summed over sources in order, then halved."""
     sigma, delta, dist, found, preds = arrays
-    live = [e for u in sources for v, e in zip(nbrs[u], eids[u]) if u < v]
+    heappush, heappop = heapq.heappush, heapq.heappop
+    live = [e for u in sources for v, e in arcs[u] if u < v]
     for e in live:
         score[e] = 0.0
     for s in sources:
@@ -451,17 +462,20 @@ def _edge_betweenness(
                         order.append(v)
                     elif dv == du1:
                         sigma[v] += su
-            for w in order[:0:-1]:
+            # Predecessors come earlier in the visit order, so each vertex
+            # is reset as the sweep leaves it; the source ends the sweep.
+            for w in reversed(order):
                 dp = dist[w] - 1
+                dist[w] = -1
+                if w == s:
+                    break
                 sw = sigma[w]
                 cw = 1.0 + delta[w]
-                for u, e in zip(nbrs[w], eids[w]):
+                for u, e in arcs[w]:
                     if dist[u] == dp:
                         share = sigma[u] / sw * cw
                         score[e] += share
                         delta[u] += share
-            for v in order:
-                dist[v] = -1
         else:
             # Strong edges are short paths: length is the inverse weight.
             # Paths within 1e-12 tie, decided when a vertex is reached, so
@@ -472,13 +486,13 @@ def _edge_betweenness(
             order = []
             heap = [(0.0, s)]
             while heap:
-                d, u = heapq.heappop(heap)
+                d, u = heappop(heap)
                 if dist[u] >= 0:
                     continue
                 dist[u] = d
                 order.append(u)
                 su = sigma[u]
-                for v, ln, e in zip(nbrs[u], lens[u], eids[u]):
+                for (v, e), ln in zip(arcs[u], lens[u]):
                     if dist[v] >= 0:
                         continue
                     nd = d + ln
@@ -488,7 +502,7 @@ def _edge_betweenness(
                         sigma[v] = su
                         delta[v] = 0.0
                         preds[v] = [(u, e)]
-                        heapq.heappush(heap, (nd, v))
+                        heappush(heap, (nd, v))
                     elif -1e-12 <= nd - old <= 1e-12:
                         sigma[v] += su
                         preds[v].append((u, e))
@@ -515,9 +529,9 @@ def edge_betweenness(graph: CallGraph, weighted: bool = False) -> dict[tuple[str
     """
     ix = _dense_index(graph)
     n = len(ix.names)
-    edges, nbrs, eids, lens = _betweenness_graph(ix, weighted)
+    edges, nbrs, arcs, lens = _betweenness_graph(ix, weighted)
     score = [0.0] * len(edges)
-    _edge_betweenness(range(n), nbrs, eids, lens, score, _source_arrays(n), weighted)
+    _edge_betweenness(range(n), nbrs, arcs, lens, score, _source_arrays(n), weighted)
     names = ix.names
     return {(names[a], names[b]): sc for (a, b), sc in zip(edges, score)}
 
@@ -557,11 +571,14 @@ def _divisive_pass(ix: _DenseIndex, weighted: bool, trace: list | None = None):
     splits a component, until no edge is left. Each cut takes the
     highest-betweenness edge; a scan over ascending edge ids with a strict
     ``1e-12`` margin resolves score ties to the lexicographically smallest
-    pair. After a cut only the component that lost the edge is rescored.
-    ``trace`` (if given) collects the cut edges by name, in order.
+    pair. After a cut only the component that lost the edge is rescored,
+    at the top of the next cut, so nothing is scored after the cut whose
+    component list a caller reads last. A cut deletes the edge's entry
+    from ``nbrs``, ``arcs`` and ``lens`` at both ends. ``trace`` (if
+    given) collects the cut edges by name, in order.
     """
     n = len(ix.names)
-    edges, nbrs, eids, lens = _betweenness_graph(ix, weighted)
+    edges, nbrs, arcs, lens = _betweenness_graph(ix, weighted)
     comps = _components(range(n), nbrs)
     yield comps
     component_of: list[list[int]] = [[]] * n
@@ -570,9 +587,14 @@ def _divisive_pass(ix: _DenseIndex, weighted: bool, trace: list | None = None):
             component_of[v] = comp
     score = [0.0] * len(edges)
     arrays = _source_arrays(n)
-    _edge_betweenness(range(n), nbrs, eids, lens, score, arrays, weighted)
     live = list(range(len(edges)))
+    # The first cut scores every edge, each later one only the component
+    # that lost the previous cut's edge.
+    comp = range(n)
     while live:
+        # Components are sorted, so sources run in the order a whole-graph
+        # pass would visit them and each rescored edge gets the same float.
+        _edge_betweenness(comp, nbrs, arcs, lens, score, arrays, weighted)
         best, best_score = -1, -1.0
         for e in live:
             sc = score[e]
@@ -582,13 +604,10 @@ def _divisive_pass(ix: _DenseIndex, weighted: bool, trace: list | None = None):
         a, b = edges[best]
         for u, v in ((a, b), (b, a)):
             k = nbrs[u].index(v)
-            del nbrs[u][k], eids[u][k], lens[u][k]
+            del nbrs[u][k], arcs[u][k], lens[u][k]
         if trace is not None:
             trace.append((ix.names[a], ix.names[b]))
-        # Components are sorted, so sources run in the order a whole-graph
-        # pass would visit them and each rescored edge gets the same float.
         comp = component_of[a]
-        _edge_betweenness(comp, nbrs, eids, lens, score, arrays, weighted)
         parts = _components(comp, nbrs)
         if len(parts) > 1:
             comps = sorted([c for c in comps if c is not comp] + parts, key=lambda c: c[0])

@@ -170,17 +170,18 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConf
         raise ConfigError("scenario config must be a JSON object")
     _refuse_unknown(data, _SCENARIO_KEYS, "the scenario")
     try:
-        topo_spec = data["topology"]
+        topo_spec = _checked(data, "topology", None, (dict,), "an object")
         _refuse_unknown(topo_spec, frozenset(("file", "generate")), "topology")
         if "file" in topo_spec:
-            path = Path(topo_spec["file"])
+            path = Path(_checked(topo_spec, "file", None, (str,), "a string"))
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             topo = load_topology(path)
         elif "generate" in topo_spec:
-            _refuse_unknown(topo_spec["generate"], _GENERATE_KEYS, "topology.generate")
-            gen = dict(topo_spec["generate"])
-            kind = gen.pop("kind")
+            gen = dict(_checked(topo_spec, "generate", None, (dict,), "an object"))
+            _refuse_unknown(gen, _GENERATE_KEYS, "topology.generate")
+            kind = _checked(gen, "kind", None, (str,), "a string")
+            del gen["kind"]
             gen_seed = _checked(gen, "seed", 0, (int, str), "an integer or a string")
             gen.pop("seed", None)
             topo = generate_topology(kind, gen, seed=gen_seed)

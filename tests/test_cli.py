@@ -194,6 +194,23 @@ class TestSimulate:
         assert "n must be an integer, not 4.7" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("topology, message", [
+        (5, "topology must be an object, not 5"),
+        ({"file": 5}, "file must be a string, not 5"),
+        ({"generate": 5}, "generate must be an object, not 5"),
+        ({"generate": {}}, "kind is required"),
+        ({"generate": {"kind": 5}}, "kind must be a string, not 5"),
+    ])
+    def test_topology_field_of_the_wrong_type_is_a_usage_error(
+        self, tmp_path, capsys, topology, message
+    ):
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps({**SCENARIO_DOC, "topology": topology}))
+        outcome = cli.dispatch(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert outcome.exit_code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("edit, key, where", [
         ({"stratgy": "proactive"}, "stratgy", "the scenario"),
         ({"horizn_s": 9.0}, "horizn_s", "the scenario"),
@@ -546,6 +563,14 @@ class TestSchemaTypedInputs:
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("field", ["prefix", "tag"])
+    def test_empty_tag_rule_field_is_a_usage_error(self, capsys, tmp_path, field):
+        doc = edit_doc(FULL_DOCS["tagrules"], (0, field), "")
+        code = cli.dispatch(self.argv(tmp_path, "tagrules", doc)).exit_code
+        assert (code, capsys.readouterr()) == (
+            2, ("", f"error: tag rules[0]: {field} must not be empty\n")
+        )
+
 
 class TestDecide:
     def test_verdict_reports_chosen_partition(self, inputs):
@@ -595,6 +620,23 @@ class TestAppstats:
         res = run_cli("appstats", "--corpus", inputs / "corpus.tsv", "--depth", 0)
         assert res.returncode == 2
         assert res.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("sizes", [
+        # One dex size of 401 digits, which the per-class size divides.
+        (HUGE, 10),
+        # Two sizes in the float range whose total, the savings base, is not.
+        (10**308, 10**308),
+    ], ids=["401-digit-size", "total-past-float-range"])
+    def test_sizes_past_the_float_range_are_a_usage_error(self, capsys, tmp_path, sizes):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(
+            f"appA\t{sizes[0]}\tcom.a.x=3;lib.core=4\n"
+            f"appB\t{sizes[1]}\tcom.b.y=1;lib.core=4\n"
+        )
+        code = cli.dispatch(["appstats", "--corpus", str(path), "--depth", "2"]).exit_code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: total dex size must be within the float range\n"
 
 
 class TestParserBasics:

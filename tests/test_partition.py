@@ -735,6 +735,37 @@ def test_enumerate_partition_sets_share_no_lists():
     assert len(set(cluster_ids)) == len(cluster_ids)
 
 
+def ring_of_cliques(k=4, size=4):
+    """``k`` cliques of ``size`` classes, each joined to the next by one edge."""
+    groups = [[f"c{i}v{j}" for j in range(size)] for i in range(k)]
+    edges = [(a, b, 1.0) for grp in groups for a, b in itertools.combinations(grp, 2)]
+    edges += [(groups[i][0], groups[(i + 1) % k][1], 1.0) for i in range(k)]
+    return make_graph(edges)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_divisive_pass_scores_only_what_a_cut_reads(weighted, monkeypatch):
+    # One entry per betweenness pass, the number of its sources. The first
+    # three cuts each score all 16 classes (the third rescores the ring the
+    # second cut split in two), the fourth only the half the third cut
+    # split. No pass follows the cut that gives the caller its last set.
+    passes = []
+    kernel = pt._edge_betweenness
+
+    def counted(sources, *args):
+        passes.append(len(sources))
+        kernel(sources, *args)
+
+    monkeypatch.setattr(pt, "_edge_betweenness", counted)
+    g = ring_of_cliques()
+    sets = pt.enumerate_partition_sets(g, weighted, natural=4)
+    assert [sorted(map(len, p.clusters)) for p in sets] == [[8, 8], [4, 4, 8], [4, 4, 4, 4]]
+    assert passes == [16, 16, 16, 8]
+    passes.clear()
+    assert pt.girvan_newman(g, 2, weighted).n_clusters == 2
+    assert passes == [16, 16]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "field", ["invocations", "t_local_s", "in_bytes", "out_bytes", "energy_local_j",
