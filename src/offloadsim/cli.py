@@ -31,6 +31,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+# The most seeds one ``--seeds`` sweep may name, checked before any list of
+# them is built.
+MAX_SWEEP_SEEDS = 10_000
+
 
 @dataclass
 class CommandOutcome:
@@ -140,11 +144,21 @@ def _parse_seed_sweep(spec: str) -> list[int]:
             raise ConfigError(f"malformed seed range {spec!r}") from None
         if hi < lo:
             raise ConfigError(f"empty seed range {spec!r}")
+        _check_sweep_size(hi - lo + 1)
         return list(range(lo, hi + 1))
+    chunks = [chunk for chunk in spec.split(",") if chunk.strip()]
+    _check_sweep_size(len(chunks))
     try:
-        return [int(chunk) for chunk in spec.split(",") if chunk.strip()]
+        return [int(chunk) for chunk in chunks]
     except ValueError:
         raise ConfigError(f"malformed seed list {spec!r}") from None
+
+
+def _check_sweep_size(count: int) -> None:
+    if count > MAX_SWEEP_SEEDS:
+        raise ConfigError(
+            f"seed sweep names {count} seeds, more than the limit of {MAX_SWEEP_SEEDS}"
+        )
 
 
 def _cmd_simulate(args) -> CommandOutcome:

@@ -172,12 +172,14 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConf
     try:
         topo_spec = _checked(data, "topology", None, (dict,), "an object")
         _refuse_unknown(topo_spec, frozenset(("file", "generate")), "topology")
+        if len(topo_spec) != 1:
+            raise ConfigError("topology must specify exactly one of 'file' or 'generate'")
         if "file" in topo_spec:
             path = Path(_checked(topo_spec, "file", None, (str,), "a string"))
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             topo = load_topology(path)
-        elif "generate" in topo_spec:
+        else:
             gen = dict(_checked(topo_spec, "generate", None, (dict,), "an object"))
             _refuse_unknown(gen, _GENERATE_KEYS, "topology.generate")
             kind = _checked(gen, "kind", None, (str,), "a string")
@@ -185,8 +187,6 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConf
             gen_seed = _checked(gen, "seed", 0, (int, str), "an integer or a string")
             gen.pop("seed", None)
             topo = generate_topology(kind, gen, seed=gen_seed)
-        else:
-            raise ConfigError("topology must specify 'file' or 'generate'")
         services = [
             ServiceSpec(
                 name=_checked(s, "id", f"svc{i}", (str,), "a string"),
@@ -287,9 +287,21 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     horizon = cfg.horizon_s
     warmup = cfg.resolved_warmup()
     proactive = strategy == "proactive"
-    # Only proactive forwarding spends TTL; the default TTL is twice the hop
-    # diameter, which the topology computes once and keeps.
-    ttl0 = cfg.resolved_ttl() if proactive else None
+    # Only proactive forwarding spends TTL. A request counts the hops it has
+    # taken and its TTL is spent once that count reaches ``ttl``. An explicit
+    # TTL is exact from the start. The default, twice the hop diameter,
+    # starts at a lower bound of it: 2, since a connected topology of two or
+    # more nodes has a diameter of at least 1, or 0 for a single node. Only
+    # a request whose count reaches the bound has ``resolve_ttl`` compute the
+    # diameter, so a run in which none does never computes it.
+    ttl_exact = cfg.ttl is not None
+    ttl = cfg.ttl if ttl_exact else (2 if len(topo.nodes) > 1 else 0)
+
+    def resolve_ttl() -> int:
+        nonlocal ttl_exact
+        ttl_exact = True
+        return cfg.resolved_ttl()
+
     server_executes = cfg.server_executes
     fwd_enabled = cfg.proactive_forwarding
     threshold = cfg.capacity_threshold
@@ -423,8 +435,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         seq += 1
     heapify(heap)
 
-    # Request payload layout: [service, ttl, acc_delay_s, counted,
-    # t_admitted]. Mutated in place across hops.
+    # Request payload layout: [service, hops, acc_delay_s, counted,
+    # t_admitted], where hops counts proactive forwards taken. Mutated in
+    # place across hops.
 
     while heap:
         ev = heappop(heap)
@@ -436,7 +449,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             req = ev[4]
             if req is None:
                 # External origination; schedule the next one right away.
-                req = [nxt[1], ttl0, 0.0, t >= warmup, 0.0]
+                req = [nxt[1], 0, 0.0, t >= warmup, 0.0]
                 gross_arrivals += 1
                 if req[3]:
                     counted_total += 1
@@ -454,13 +467,15 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                     dec = DROP
                 elif proactive:
                     # Admit with probability q. One draw per arrival, even
-                    # when the TTL is spent, so the stream never shifts.
+                    # when the TTL is spent, so the stream never shifts. A
+                    # count at the default TTL's lower bound resolves the
+                    # exact TTL and is tested against it.
                     est = estimators[i]
                     if est is None:
                         est = estimators[i] = new_estimator(buffer_size, cpu_cap[i], mem_cap[i])
                     q = est.record_arrival(t)
                     u = rng_random()
-                    if req[1] <= 0:
+                    if req[1] >= ttl and (ttl_exact or req[1] >= (ttl := resolve_ttl())):
                         dec = decide_threshold(loads[i], threshold, DROP)
                     elif u < q:
                         dec = EXECUTE
@@ -504,7 +519,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                     continue
                 j = dec
                 if proactive:
-                    req[1] -= 1
+                    req[1] += 1
             # One forward path for relays and strategies alike.
             d = delay[i][j]
             req[2] += d

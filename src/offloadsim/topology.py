@@ -206,8 +206,9 @@ class Topology:
         """Longest shortest path in hops (unit edge weights), by an exact
         all-sources bit-parallel BFS (Akiba, Iwata & Yoshida, SIGMOD 2013).
 
-        Computed on first use and kept: a default-TTL proactive sweep asks
-        once per seed, while ``none``, ``passive`` and loading never ask.
+        Computed on first use and kept per topology. Only a default-TTL
+        proactive run asks, and only once some request's hop count reaches
+        2, the TTL's lower bound; ``none``, ``passive`` and loading never ask.
         """
         if self._hop_diameter is None:
             self._hop_diameter = _bit_parallel_diameter(self.adj)

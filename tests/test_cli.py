@@ -12,7 +12,7 @@ import pytest
 
 import offloadsim
 from offloadsim import cli
-from offloadsim.topology import generate_topology
+from offloadsim.topology import generate_topology, write_topology
 
 from conftest import edit_doc, route_to_server
 
@@ -149,6 +149,45 @@ class TestSimulate:
                       "--seeds", "a..b", "--out", tmp_path / "o")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("spec, count", [
+        ("0..1000000000000", 1000000000001),
+        (f"5..{cli.MAX_SWEEP_SEEDS + 5}", cli.MAX_SWEEP_SEEDS + 1),
+        (",".join(["7"] * (cli.MAX_SWEEP_SEEDS + 1)), cli.MAX_SWEEP_SEEDS + 1),
+    ])
+    def test_seed_sweep_above_the_cap_is_refused_before_any_run(
+        self, tmp_path, capsys, monkeypatch, inputs, spec, count
+    ):
+        # range() is patched too: a refusal that came after building the
+        # list of a 10**12-seed range would fail here instead of allocating.
+        def unreachable(*args):
+            raise AssertionError("the sweep was built or run")
+
+        monkeypatch.setattr(cli.simulator_mod, "run_batch", unreachable)
+        monkeypatch.setattr(cli, "range", unreachable, raising=False)
+        outcome = cli.dispatch(["simulate", "--config", str(inputs / "scenario.json"),
+                                "--seeds", spec, "--out", str(tmp_path / "o")])
+        assert outcome.exit_code == 2
+        assert capsys.readouterr().err == (
+            f"error: seed sweep names {count} seeds, more than the limit of "
+            f"{cli.MAX_SWEEP_SEEDS}\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_sweep_at_the_cap_runs_every_seed(self, tmp_path, monkeypatch, inputs):
+        swept = []
+        run_batch = cli.simulator_mod.run_batch
+
+        def counted(cfg, seeds):
+            swept.append(seeds)
+            return run_batch(cfg, seeds[:1])
+
+        monkeypatch.setattr(cli.simulator_mod, "run_batch", counted)
+        outcome = cli.dispatch(["simulate", "--config", str(inputs / "scenario.json"),
+                                "--seeds", f"1..{cli.MAX_SWEEP_SEEDS}",
+                                "--out", str(tmp_path / "o")])
+        assert outcome.exit_code == 0
+        assert swept == [list(range(1, cli.MAX_SWEEP_SEEDS + 1))]
+
     @pytest.mark.parametrize("edit", [
         {"base_rate_per_s": float("nan")},
         {"base_rate_per_s": float("inf")},
@@ -209,6 +248,21 @@ class TestSimulate:
         outcome = cli.dispatch(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert outcome.exit_code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("topology", [
+        {},
+        {"file": "line.topo", "generate": {"kind": "line", "n": 5}},
+    ])
+    def test_topology_names_exactly_one_of_file_or_generate(self, tmp_path, capsys, topology):
+        write_topology(generate_topology("line", {"n": 2}), tmp_path / "line.topo")
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps({**SCENARIO_DOC, "topology": topology}))
+        outcome = cli.dispatch(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert outcome.exit_code == 2
+        assert capsys.readouterr().err == (
+            "error: topology must specify exactly one of 'file' or 'generate'\n"
+        )
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("edit, key, where", [

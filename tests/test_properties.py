@@ -10,8 +10,10 @@ gossip period. The fast paths are checked against their references in
 loop (also on scripted runs whose events fall on a grid of exact times, so
 that many share an instant, and on pinned single-candidate, mixed and tree
 shapes, whose gossip feeds and heartbeats must exist only where a node has
-a choice of neighbour), the bit-parallel hop diameter against a BFS
-from every node, the lazily computed routes against a Dijkstra on
+a choice of neighbour), the default-TTL run, which computes the hop
+diameter only once a request's hop count reaches a lower bound of the TTL,
+against the run with the explicit TTL of twice the diameter, the
+bit-parallel hop diameter against a BFS from every node, the lazily computed routes against a Dijkstra on
 (delay, hops) tuple keys, the series and summary emitters against
 ``json.dumps`` and ``csv.writer``, the adjacency order of generated
 topologies against a re-sort of the same links, and the specs generators
@@ -28,7 +30,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from offloadsim import simulator as sim
@@ -232,6 +234,48 @@ def test_pull_gossip_matches_the_push_gossip_loop_on_tied_instants(
         [(k * TICK_S, ap) for k, ap in arrivals], [k * TICK_S for k in ticks], draws
     ):
         assert sim.run_scenario(cfg) == reference_run_scenario(cfg)
+
+
+@st.composite
+def busy_default_ttl_scenarios(draw):
+    """Proactive runs with the default TTL on a single node or a generated
+    topology, loaded so that many requests are forwarded until their TTL
+    is spent."""
+    single = st.builds(tp.generate_topology, st.just("line"), st.just({"n": 1}))
+    return sim.ScenarioConfig(
+        topology=draw(st.one_of(single, topologies())),
+        services=[ServiceSpec(name="s", mean_exec_time_s=draw(st.sampled_from([0.002, 0.01])))],
+        base_rate_per_s=draw(st.sampled_from([2000.0, 8000.0])),
+        horizon_s=0.05,
+        strategy="proactive",
+        buffer_size=draw(st.integers(2, 4)),
+        gossip_period_ms=draw(st.sampled_from([0.5, 1.0])),
+        server_executes=draw(st.booleans()),
+        proactive_forwarding=draw(st.booleans()),
+        sample_interval_ms=5.0,
+        seed=draw(st.integers(0, 1000)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@example(dataclasses.replace(busy_proactive("line", {"n": 6}), ttl=None))
+@given(busy_default_ttl_scenarios())
+def test_default_ttl_run_equals_the_explicit_twice_diameter_run(cfg):
+    # The default-TTL run goes first, on a topology that has not computed
+    # its diameter, so that it starts from the lower bound.
+    computed = []
+    diameter = tp._bit_parallel_diameter
+
+    def counted(adj):
+        computed.append(len(adj))
+        return diameter(adj)
+
+    with time_limit(30), mock.patch.object(tp, "_bit_parallel_diameter", counted):
+        lazy = sim.run_scenario(cfg)
+    event("diameter computed" if computed else "diameter not computed")
+    explicit = dataclasses.replace(cfg, ttl=2 * cfg.topology.hop_diameter())
+    with time_limit(30):
+        assert lazy == sim.run_scenario(explicit)
 
 
 @st.composite

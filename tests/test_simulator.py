@@ -321,6 +321,53 @@ def test_hop_diameter_is_computed_once_per_topology(monkeypatch):
     assert calls == [5]
 
 
+def scale_free_proactive(**overrides):
+    """A lightly loaded scale-free run shaped like the benchmark's: n=400,
+    m=2, two 4x surges, 1 ms gossip and sampling, and the default TTL."""
+    doc = {
+        "topology": {"generate": {"kind": "scale_free", "n": 400, "m": 2,
+                                  "cpu": 3.0, "mem": 4.0, "seed": 0}},
+        "services": [{"id": "task", "mean_exec_time_s": 0.002}],
+        "base_rate_per_s": 400.0,
+        "horizon_s": 0.1,
+        "jitters": [
+            {"start_ms": 30.0, "duration_ms": 10.0, "rate_multiplier": 4.0},
+            {"start_ms": 60.0, "duration_ms": 10.0, "rate_multiplier": 4.0},
+        ],
+        "strategy": "proactive",
+        **overrides,
+    }
+    return sim.scenario_from_dict(doc)
+
+
+def test_default_ttl_run_without_a_second_hop_computes_no_diameter(monkeypatch):
+    calls = []
+    diameter = tp._bit_parallel_diameter
+
+    def counted(adj):
+        calls.append(len(adj))
+        return diameter(adj)
+
+    monkeypatch.setattr(tp, "_bit_parallel_diameter", counted)
+    lazy = sim.run_scenario(scale_free_proactive())
+    assert calls == []
+    explicit = scale_free_proactive()
+    explicit.ttl = 2 * explicit.topology.hop_diameter()
+    assert calls == [400]
+    assert lazy == sim.run_scenario(explicit)
+    assert calls == [400]
+
+
+def test_single_node_default_ttl_is_spent_at_once():
+    lone = Topology([NodeSpec(0, 1.0, 1.0, is_access_point=True)], [], 0)
+    lazy = sim.run_scenario(small_config(
+        topology=lone, strategy="proactive", server_executes=True, ttl=None))
+    spent = sim.run_scenario(small_config(
+        topology=lone, strategy="proactive", server_executes=True, ttl=0))
+    assert lazy == spent
+    assert lazy.executed > 0
+
+
 def test_estimators_are_built_only_where_requests_arrive(monkeypatch):
     built, arrived = [], []
     make = sim.new_estimator
