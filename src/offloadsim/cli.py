@@ -71,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     seeds.add_argument("--seed", type=int, help="RNG seed for a single run")
     seeds.add_argument(
         "--seeds",
-        help="seed sweep: 'A..B' (inclusive) or comma-separated list",
+        help="seed sweep: 'A..B' (inclusive) or comma-separated list; "
+        "one that starts with a negative seed takes the '=' form, as in --seeds=-2..1",
     )
     sim.add_argument("--out", type=Path, required=True, help="output directory")
     sim.add_argument(

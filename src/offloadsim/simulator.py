@@ -18,7 +18,8 @@ Event ordering is a strict total order: time, then kind rank (completions
 before arrivals before heartbeats before samples), then node id, then a
 global sequence number. Simultaneous events therefore replay identically
 for a given seed, and a scenario config plus seed fully determines every
-metric byte.
+metric byte. The next external arrival waits beside the event heap rather
+than in it, and the loop takes whichever of the two sorts first.
 
 Gossip deliveries are not events: completions and heartbeats publish on
 feeds that deliver a publication at p over a link of delay d at p + d (see
@@ -79,11 +80,17 @@ from .workload import (
 
 STRATEGIES = ("none", "passive", "proactive")
 
-# Event kind ranks; lower processes first at equal timestamps.
+# Event kind ranks; lower processes first at equal timestamps. ``_END``
+# ranks the sentinel ``(inf, _END)`` at the bottom of the event heap, which
+# sorts after every real event, a completion that overflows to inf among
+# them. ``_NO_ARRIVAL`` stands in for the next external arrival once the
+# stream is exhausted; it sorts after that sentinel, so it is never taken.
 _COMPLETION = 0
 _ARRIVAL = 1
 _HEARTBEAT = 2
 _SAMPLE = 3
+_END = 4
+_NO_ARRIVAL = (math.inf, _END + 1)
 
 
 class ConfigError(ValueError):
@@ -418,12 +425,19 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     sample_times: list[float] = []
     sample_rows: list[list[float]] = []
 
-    heap: list[tuple] = []
+    # The external arrival stream comes in time order, so its next arrival
+    # waits beside the heap as ``ext``, an event in heap-key form, and each
+    # turn takes whichever of it and the heap's least event sorts first.
+    # Every key carries a unique ``seq``, so this is the order one heap
+    # holding both would pop. The heap's sentinel ends the loop.
+    heap: list[tuple] = [(math.inf, _END)]
     seq = 0
 
     nxt = next(arrivals, None)
-    if nxt is not None:
-        heap.append((nxt[0], _ARRIVAL, nxt[2], seq, None))
+    if nxt is None:
+        ext = _NO_ARRIVAL
+    else:
+        ext = (nxt[0], _ARRIVAL, nxt[2], seq, None)
         seq += 1
     if beats:
         hb_dt = cfg.gossip_period_ms / 1000.0
@@ -439,8 +453,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     # t_admitted], where hops counts proactive forwards taken. Mutated in
     # place across hops.
 
-    while heap:
-        ev = heappop(heap)
+    while True:
+        ev = heappop(heap) if heap[0] < ext else ext
         t = ev[0]
         kind = ev[1]
 
@@ -448,14 +462,16 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             i = ev[2]
             req = ev[4]
             if req is None:
-                # External origination; schedule the next one right away.
+                # External origination; the next one waits beside the heap.
                 req = [nxt[1], 0, 0.0, t >= warmup, 0.0]
                 gross_arrivals += 1
                 if req[3]:
                     counted_total += 1
                 nxt = next(arrivals, None)
-                if nxt is not None:
-                    heappush(heap, (nxt[0], _ARRIVAL, nxt[2], seq, None))
+                if nxt is None:
+                    ext = _NO_ARRIVAL
+                else:
+                    ext = (nxt[0], _ARRIVAL, nxt[2], seq, None)
                     seq += 1
 
             if is_relay[i]:
@@ -582,6 +598,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             if t_next <= horizon + 1e-12:
                 heappush(heap, (t_next, _SAMPLE, -1, seq))
                 seq += 1
+
+        else:
+            # The heap's sentinel: every event has run.
+            break
 
     if gross_executed + gross_dropped != gross_arrivals:
         raise RuntimeError(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import log
 
@@ -111,11 +112,17 @@ class ServiceSpec:
             )
 
 
+def _check_total_weight(total: float) -> None:
+    if total <= 0.0:
+        raise ValueError("popularity weights must not all be zero")
+    if total == math.inf:
+        raise ValueError("popularity weights must sum to a finite total")
+
+
 def popularity(services: list[ServiceSpec]) -> list[float]:
     """Normalized popularity shares (sums to 1)."""
     total = _left_sum(s.popularity_weight for s in services)
-    if total <= 0.0:
-        raise ValueError("popularity weights must not all be zero")
+    _check_total_weight(total)
     return [s.popularity_weight / total for s in services]
 
 
@@ -206,14 +213,18 @@ def _iter_arrival_tuples(
     uniform = rng.random
     getrandbits = rng.getrandbits
 
+    # A service is picked as the first whose cumulative weight exceeds
+    # u * total_w, the count of edges at or below it. The last edge is inf
+    # so that the pick is clamped to the last index: for a subnormal total
+    # u * total_w can round up to total_w and pass every finite edge.
     cum: list[float] = []
     total_w = 0.0
     if services is not None:
         for s in services:
             total_w += s.popularity_weight
             cum.append(total_w)
-        if total_w <= 0.0:
-            raise ValueError("popularity weights must not all be zero")
+        _check_total_weight(total_w)
+        cum[-1] = math.inf
     if access_points is not None and not access_points:
         raise ValueError("access point list must not be empty")
     n_ap = len(access_points) if access_points is not None else 0
@@ -226,29 +237,22 @@ def _iter_arrival_tuples(
     # The current segment's rate, and where the next segment starts.
     rate = rate_per_s * segs[0][1]
     seg_end = segs[1][0] if last_seg else math.inf
+    svc = 0
     while True:
         # The exponential gap is memoryless, so on crossing a rate boundary
         # the residual wait can be redrawn at the new rate without bias.
         # The gap is ``expovariate(rate)`` written out: -log(1 - u) / rate.
-        while True:
-            nxt = t - log(1.0 - uniform()) / rate
-            # The last segment ends at inf, which an infinite gap reaches.
-            if nxt >= seg_end and seg_i < last_seg:
-                seg_i += 1
-                t = seg_end
-                rate = rate_per_s * segs[seg_i][1]
-                seg_end = segs[seg_i + 1][0] if seg_i < last_seg else math.inf
-                continue
-            t = nxt
-            break
+        t -= log(1.0 - uniform()) / rate
+        # The last segment ends at inf, which an infinite gap reaches.
+        while t >= seg_end and seg_i < last_seg:
+            seg_i += 1
+            rate = rate_per_s * segs[seg_i][1]
+            t = seg_end - log(1.0 - uniform()) / rate
+            seg_end = segs[seg_i + 1][0] if seg_i < last_seg else math.inf
         if t >= horizon_s:
             return
-        svc = 0
         if cum:
-            u = uniform() * total_w
-            for svc, edge in enumerate(cum):
-                if u < edge:
-                    break
+            svc = bisect_right(cum, uniform() * total_w)
         if n_ap:
             r = getrandbits(k_ap)
             while r >= n_ap:

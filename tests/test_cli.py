@@ -188,6 +188,33 @@ class TestSimulate:
         assert outcome.exit_code == 0
         assert swept == [list(range(1, cli.MAX_SWEEP_SEEDS + 1))]
 
+    def test_negative_seed_sweep_takes_the_equals_form(self, tmp_path, capsys, inputs):
+        # argparse reads "-2..1" after a space as an option, not a value.
+        scenario = str(inputs / "scenario.json")
+        outcome = cli.dispatch(["simulate", "--config", scenario,
+                                "--seeds", "-2..1", "--out", str(tmp_path / "a")])
+        assert outcome.exit_code == 2
+        assert "argument --seeds: expected one argument" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        outcome = cli.dispatch(["simulate", "--config", scenario,
+                                "--seeds=-2..1", "--out", str(tmp_path / "b")])
+        assert outcome.exit_code == 0
+        assert capsys.readouterr().out.startswith("runs=4 ")
+        payload = json.loads((tmp_path / "b" / "batch_summary.json").read_text())
+        assert [r["seed"] for r in payload["per_seed"]] == [-2, -1, 0, 1]
+
+    def test_popularity_weights_whose_sum_overflows_are_a_usage_error(self, tmp_path, capsys):
+        services = [{"id": name, "mean_exec_time_s": 0.001, "popularity_weight": 1e308}
+                    for name in ("a", "b")]
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({**SCENARIO_DOC, "services": services}))
+        outcome = cli.dispatch(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert outcome.exit_code == 2
+        assert capsys.readouterr().err == (
+            "error: popularity weights must sum to a finite total\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("edit", [
         {"base_rate_per_s": float("nan")},
         {"base_rate_per_s": float("inf")},

@@ -10,14 +10,17 @@ gossip period. The fast paths are checked against their references in
 loop (also on scripted runs whose events fall on a grid of exact times, so
 that many share an instant, and on pinned single-candidate, mixed and tree
 shapes, whose gossip feeds and heartbeats must exist only where a node has
-a choice of neighbour), the default-TTL run, which computes the hop
-diameter only once a request's hop count reaches a lower bound of the TTL,
-against the run with the explicit TTL of twice the diameter, the
-bit-parallel hop diameter against a BFS from every node, the lazily computed routes against a Dijkstra on
-(delay, hops) tuple keys, the series and summary emitters against
-``json.dumps`` and ``csv.writer``, the adjacency order of generated
-topologies against a re-sort of the same links, and the specs generators
-build unchecked against checked ones.
+a choice of neighbour), the ``none`` and ``passive`` runs against the same
+loop on that grid, where an external arrival, which waits beside the heap,
+ties with completions, forwards and samples, the default-TTL run, which
+computes the hop diameter only once a request's hop count reaches a lower
+bound of the TTL, against the run with the explicit TTL of twice the
+diameter, the bit-parallel hop diameter against a BFS from every node,
+the lazily computed routes against a Dijkstra on (delay, hops) tuple
+keys, the series and summary emitters against ``json.dumps`` and
+``csv.writer``, the adjacency order of generated topologies against a
+re-sort of the same links, and the specs generators build unchecked
+against checked ones.
 """
 
 import contextlib
@@ -232,6 +235,26 @@ def test_pull_gossip_matches_the_push_gossip_loop_on_tied_instants(
     cfg = dataclasses.replace(cfg, gossip_period_ms=period_ms, buffer_size=2)
     with time_limit(30), scripted_runs(
         [(k * TICK_S, ap) for k, ap in arrivals], [k * TICK_S for k in ticks], draws
+    ):
+        assert sim.run_scenario(cfg) == reference_run_scenario(cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scenarios(strategies=("none", "passive"), delays_ms=[0.0, TICK_MS, 2 * TICK_MS]),
+    st.sampled_from([0.0, TICK_MS, 4 * TICK_MS]),
+    st.lists(st.tuples(st.integers(0, 19), st.integers(0, 10)), min_size=20, max_size=80),
+    st.lists(st.integers(1, 4), min_size=20, max_size=80),
+)
+def test_threshold_strategies_match_the_one_heap_loop_on_tied_instants(
+    cfg, sample_ms, arrivals, ticks
+):
+    # External arrivals wait beside the heap; on the grid they tie with
+    # completions, forwards and samples, and must be taken where one heap
+    # holding every event would pop them.
+    cfg = dataclasses.replace(cfg, sample_interval_ms=sample_ms)
+    with time_limit(30), scripted_runs(
+        [(k * TICK_S, ap) for k, ap in arrivals], [k * TICK_S for k in ticks], []
     ):
         assert sim.run_scenario(cfg) == reference_run_scenario(cfg)
 

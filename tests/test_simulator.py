@@ -810,6 +810,50 @@ def test_presets_run_and_validate():
         assert cfg.name == name
 
 
+@pytest.mark.parametrize("strategy", sim.STRATEGIES)
+@pytest.mark.parametrize("preset", sorted(sim.PRESETS))
+def test_external_arrivals_wait_beside_the_heap(monkeypatch, preset, strategy):
+    # The next external arrival waits beside the event heap, so every
+    # arrival pushed is a forward, which carries its request, and the run
+    # still takes every arrival of the stream.
+    cfg = sim.PRESETS[preset](strategy)
+    push = sim.heappush
+    external = []
+
+    def counted(heap, ev):
+        if ev[1] == sim._ARRIVAL and ev[4] is None:
+            external.append(ev)
+        push(heap, ev)
+
+    monkeypatch.setattr(sim, "heappush", counted)
+    m = sim.run_scenario(cfg)
+    assert external == []
+    stream = _iter_arrival_tuples(
+        cfg.base_rate_per_s * cfg.load_multiplier,
+        cfg.horizon_s,
+        cfg.seed,
+        cfg.jitters,
+        cfg.services,
+        sorted(cfg.topology.access_points()),
+    )
+    assert m.gross_arrivals == sum(1 for _ in stream) > 0
+
+
+def test_popularity_weights_whose_sum_overflows_are_refused_before_any_event(monkeypatch):
+    services = [
+        ServiceSpec(name=name, mean_exec_time_s=0.002, popularity_weight=1e308)
+        for name in ("a", "b")
+    ]
+
+    def unreachable(*args):
+        raise AssertionError("an event was scheduled")
+
+    monkeypatch.setattr(sim, "heappush", unreachable)
+    monkeypatch.setattr(sim, "heappop", unreachable)
+    with pytest.raises(ValueError, match="popularity weights must sum to a finite total"):
+        sim.run_scenario(small_config(services=services))
+
+
 def test_fig3_preset_shape():
     cfg = sim.preset_fig3()
     assert len(cfg.topology.nodes) == 4

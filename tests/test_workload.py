@@ -452,6 +452,24 @@ def test_popularity_normalizes(weights):
     assert all(p > 0.0 for p in probs)
 
 
+def test_popularity_weights_whose_sum_overflows_are_refused():
+    # Each weight is finite but their sum is not, so every draw would land
+    # past the first edge, on the last service.
+    services = [
+        wl.ServiceSpec(name=name, mean_exec_time_s=0.001, popularity_weight=1e308)
+        for name in ("a", "b")
+    ]
+    with pytest.raises(ValueError, match="popularity weights must sum to a finite total"):
+        wl.popularity(services)
+    with pytest.raises(ValueError, match="popularity weights must sum to a finite total"):
+        next(wl.iter_poisson_arrivals(100.0, 1.0, seed=1, services=services))
+    # The largest weights whose sum is finite still split the draws.
+    services[1] = dataclasses.replace(services[1], popularity_weight=7e307)
+    assert wl.popularity(services) == pytest.approx([1e308 / 1.7e308, 7e307 / 1.7e308])
+    picks = {a.service_index for a in wl.poisson_stream(1000.0, 0.1, seed=1, services=services)}
+    assert picks == {0, 1}
+
+
 def test_catalog_means_weighted():
     services = [
         wl.ServiceSpec(name="a", mean_exec_time_s=1.0, cpu_cost=1.0, popularity_weight=3.0),
@@ -571,6 +589,50 @@ def arrival_inputs(draw):
 @example((1000.0, 0.15, 0, [wl.JitterSpec(40.0, 10.0, 6.0), wl.JitterSpec(70.0, 10.0, 6.0)],
           None, [0, 1, 2, 3, 4]))
 def test_arrival_stream_matches_the_randrange_oracle(args):
+    assert list(wl._iter_arrival_tuples(*args)) == list(reference_arrival_tuples(*args))
+
+
+# Zero, subnormal and normal popularity weights. With a subnormal total,
+# u * total can round up to the total and pass every cumulative edge.
+EDGE_WEIGHTS = st.sampled_from([0.0, 5e-324, 1e-320, 2.2250738585072014e-308]) | st.floats(
+    min_value=0.01, max_value=10.0
+)
+
+
+@st.composite
+def edge_arrival_inputs(draw):
+    """Arguments of ``_iter_arrival_tuples`` at the edges of the service
+    pick and the segment crossing: 1-5 services with zero (trailing ones
+    too), unequal and subnormal weights, 1-7 access points, and surge
+    windows of at most a few ms, some back to back, at base rates whose
+    mean gap spans several of them, so that one gap crosses more than one
+    boundary."""
+    weights = draw(st.lists(EDGE_WEIGHTS, min_size=1, max_size=5).filter(any))
+    services = [
+        wl.ServiceSpec(name=f"s{i}", mean_exec_time_s=0.001, popularity_weight=w)
+        for i, w in enumerate(weights)
+    ]
+    jitters = []
+    start_ms = draw(st.floats(min_value=0.0, max_value=5.0))
+    for _ in range(draw(st.integers(1, 8))):
+        duration_ms = draw(st.floats(min_value=0.05, max_value=3.0))
+        mult = draw(st.floats(min_value=0.05, max_value=20.0))
+        jitters.append(wl.JitterSpec(start_ms, duration_ms, mult))
+        start_ms += duration_ms + draw(st.sampled_from([0.0, 0.0, 0.5, 2.0]))
+    access_points = draw(st.lists(st.integers(0, 50), min_size=1, max_size=7))
+    rate = draw(st.floats(min_value=20.0, max_value=2000.0))
+    horizon_s = draw(st.floats(min_value=0.005, max_value=0.05))
+    seed = draw(st.integers(0, 2**16))
+    return rate, horizon_s, seed, jitters, services, access_points
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_arrival_inputs())
+@example((50.0, 0.03, 1, [wl.JitterSpec(1.0, 1.0, 1.0), wl.JitterSpec(2.0, 1.0, 0.1),
+                          wl.JitterSpec(3.0, 0.5, 1.0)],
+          [wl.ServiceSpec(name=f"s{i}", mean_exec_time_s=0.001, popularity_weight=w)
+           for i, w in enumerate([5e-324, 0.0, 0.0])], [3, 1]))
+def test_bisected_pick_and_crossings_match_the_oracle(args):
     assert list(wl._iter_arrival_tuples(*args)) == list(reference_arrival_tuples(*args))
 
 
