@@ -35,13 +35,14 @@ class CorpusError(ValueError):
 
 
 _INT = frozenset([int])
+_STR = frozenset([str])
 
 
 @dataclass
 class AppRecord:
     """One app: identifier, dex size, and per-package class counts.
 
-    The size and counts pass ``_check_record``, the checks that
+    The id, packages, size and counts pass ``_check_record``, the checks that
     ``parse_corpus`` applies, so that ``write_corpus`` writes only what it
     reads back; ``write_corpus`` runs them again, since fields may change
     after construction. ``parse_corpus`` has checked every value by then and
@@ -66,16 +67,21 @@ class AppRecord:
 
 
 def _check_record(app: AppRecord) -> None:
-    """Refuse, naming the app, what ``parse_corpus`` refuses in a line: a
-    size or count that is not an integer (a bool is not), a negative size,
-    or a count below 1."""
+    """Refuse, naming the app, what ``parse_corpus`` refuses in a line: an
+    id or package that is not a string, a size or count that is not an
+    integer (a bool is not), a negative size, or a count below 1."""
+    if type(app.app_id) is not str:
+        raise CorpusError(f"app id {app.app_id!r} is not a string")
+    # C-level passes for the common case; a failure is traced in Python.
+    if not _STR.issuperset(map(type, app.packages)):
+        bad = next(p for p in app.packages if type(p) is not str)
+        raise CorpusError(f"app {app.app_id!r}: package {bad!r} is not a string")
     size = app.dex_size_bytes
     if type(size) is not int:
         raise CorpusError(f"app {app.app_id!r}: dex size {size!r} is not an integer")
     if size < 0:
         raise CorpusError(f"app {app.app_id!r}: dex size must be non-negative")
     counts = app.packages.values()
-    # C-level passes for the common case; a failure is traced in Python.
     if counts and (not _INT.issuperset(map(type, counts)) or min(counts) < 1):
         for count in counts:
             if type(count) is not int:
@@ -184,10 +190,10 @@ def write_corpus(corpus: Corpus, path) -> None:
     Raises ``CorpusError``, naming an app, for an id or package that the
     format cannot carry: one holding a tab, ``;``, ``=`` or any line break
     of ``str.splitlines``, an empty package, or an id that is empty, starts
-    with ``#`` or has surrounding whitespace, and for a size or count that
-    fails the record checks (``_check_record``), which run again here since
-    a record's fields may have changed after construction. An app without
-    packages is written, and ``parse_corpus`` refuses it.
+    with ``#`` or has surrounding whitespace, and for an id, package, size
+    or count that fails the record checks (``_check_record``), which run
+    again here since a record's fields may have changed after construction.
+    An app without packages is written, and ``parse_corpus`` refuses it.
     """
     _check_ids(corpus.apps)
     lines = []
@@ -380,44 +386,107 @@ def synth_corpus(
     Each app draws every pool library independently with
     ``inclusion_prob``, then adds deep app-private packages and optionally
     obfuscated ones. Same seed, same corpus.
+
+    Raises ``CorpusError``, naming the parameter or library, for a count
+    that is not an integer (a bool is not) or is negative, fewer than one
+    app, a probability outside [0, 1], parameters under which an app can
+    draw no package (no private or obfuscated packages, and a pool that is
+    empty or drawn with a probability below 1), and a pool entry whose
+    class count is not an integer of at least 1, whose path is empty, holds
+    what a corpus file cannot carry, or repeats an earlier entry's.
+
+    Each bounded integer is ``randrange``'s own draw written out, as
+    CPython's ``_randbelow`` makes it: ``getrandbits`` of the width's bit
+    length, redrawn until below the width (3 for the extra depth of a
+    private package, 56, 71 and 621 for ``randint(5, 60)``,
+    ``randint(10, 80)`` and ``randint(280, 900)``), in the order the calls
+    made them, so the corpus is the one those calls give.
     """
-    if n_apps < 1:
-        raise CorpusError("need at least one app")
-    if not 0.0 <= inclusion_prob <= 1.0:
-        raise CorpusError("inclusion probability must lie in [0, 1]")
+    _check_count("n_apps", n_apps, 1)
+    _check_count("private_packages", private_packages, 0)
+    _check_count("obfuscated_packages", obfuscated_packages, 0)
+    if type(inclusion_prob) not in (int, float) or not 0.0 <= inclusion_prob <= 1.0:
+        raise CorpusError(f"inclusion_prob {inclusion_prob!r} must be a number in [0, 1]")
     if library_pool is None:
         library_pool = [LibrarySpec(p, c) for p, c in DEFAULT_LIBRARY_POOL]
-    rng = random.Random(f"{seed}|corpus")
-    apps: list[AppRecord] = []
-    placements: dict[str, list[str]] = {lib.path: [] for lib in library_pool}
-    for i in range(n_apps):
-        app_id = f"app{i:04d}"
-        packages: dict[str, int] = {}
-        for lib in library_pool:
-            if rng.random() < inclusion_prob:
-                packages[lib.path] = lib.class_count
-                placements[lib.path].append(app_id)
-        for j in range(private_packages):
-            depth_extra = rng.randrange(3)
-            pkg = f"com.vendor{i:04d}.app.feature{j}"
-            for extra in range(depth_extra):
-                pkg += f".part{extra}"
-            packages[pkg] = rng.randint(5, 60)
-        for j in range(obfuscated_packages):
-            seg1 = chr(ord("a") + (i + j) % 16)
-            seg2 = chr(ord("a") + (i * 7 + j * 3) % 16)
-            packages[f"{seg1}.{seg2}.impl{i}_{j}"] = rng.randint(10, 80)
-        bytes_per_class = rng.randint(280, 900)
-        total = sum(packages.values())
-        apps.append(
-            AppRecord(
-                app_id=app_id,
-                dex_size_bytes=total * bytes_per_class,
-                packages=packages,
-            )
+    pool = _checked_pool(library_pool)
+    if not (private_packages or obfuscated_packages or (pool and inclusion_prob == 1.0)):
+        raise CorpusError(
+            "an app can draw no package: private_packages and obfuscated_packages are 0"
+            " and the library pool is empty or inclusion_prob is below 1"
         )
+    rng = random.Random(f"{seed}|corpus")
+    uniform = rng.random
+    getrandbits = rng.getrandbits
+    placements: dict[str, list[str]] = {path: [] for path in pool}
+    libraries = [(path, count, placements[path]) for path, count in pool.items()]
+    # A private package's name after its vendor, by its 0 to 2 extra segments.
+    tails = [
+        (f".app.feature{j}", f".app.feature{j}.part0", f".app.feature{j}.part0.part1")
+        for j in range(private_packages)
+    ]
+    obfuscated = range(obfuscated_packages)
+    apps: list[AppRecord] = []
+    for i in range(n_apps):
+        num = f"{i:04d}"
+        app_id = "app" + num
+        packages: dict[str, int] = {}
+        for path, count, holders in libraries:
+            if uniform() < inclusion_prob:
+                packages[path] = count
+                holders.append(app_id)
+        vendor = "com.vendor" + num
+        for tail in tails:
+            extra = getrandbits(2)
+            while extra >= 3:
+                extra = getrandbits(2)
+            r = getrandbits(6)
+            while r >= 56:
+                r = getrandbits(6)
+            packages[vendor + tail[extra]] = 5 + r
+        for j in obfuscated:
+            r = getrandbits(7)
+            while r >= 71:
+                r = getrandbits(7)
+            seg1 = _LETTERS[(i + j) % 16]
+            seg2 = _LETTERS[(i * 7 + j * 3) % 16]
+            packages[f"{seg1}.{seg2}.impl{i}_{j}"] = 10 + r
+        r = getrandbits(10)
+        while r >= 621:
+            r = getrandbits(10)
+        apps.append(AppRecord(app_id, sum(packages.values()) * (280 + r), packages))
+    # Ids sort in index order only below 10,000 apps.
     placements = {p: sorted(a) for p, a in placements.items()}
     return SynthCorpus(corpus=Corpus(apps=apps), placements=placements)
+
+
+#: The segments of obfuscated package names.
+_LETTERS = "abcdefghijklmnop"
+
+
+def _check_count(name: str, value, least: int) -> None:
+    if type(value) is not int:
+        raise CorpusError(f"{name} {value!r} is not an integer")
+    if value < least:
+        raise CorpusError(f"{name} must be at least {least}, got {value}")
+
+
+def _checked_pool(library_pool) -> dict[str, int]:
+    """Path to class count of each pool entry, in pool order, once each
+    entry is one that a written corpus carries."""
+    pool: dict[str, int] = {}
+    for lib in library_pool:
+        if not isinstance(lib, LibrarySpec):
+            raise CorpusError(f"library pool entry {lib!r} is not a LibrarySpec")
+        path, count = lib.path, lib.class_count
+        if type(path) is not str or not path or _holds_uncarried(path):
+            raise CorpusError(f"library {path!r}: a corpus file cannot carry its path")
+        if type(count) is not int or count < 1:
+            raise CorpusError(f"library {path!r}: class count {count!r} is not an integer >= 1")
+        if path in pool:
+            raise CorpusError(f"library {path!r} appears twice in the pool")
+        pool[path] = count
+    return pool
 
 
 __all__ = [

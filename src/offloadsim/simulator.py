@@ -97,6 +97,14 @@ class ConfigError(ValueError):
     """Raised for invalid scenario configurations."""
 
 
+#: The most sample rows, or heartbeats, that a scenario may plan:
+#: ``horizon_s * 1000 / sample_interval_ms`` and, for a proactive run with
+#: forwarding on, ``horizon_s * 1000 / gossip_period_ms``. The presets plan
+#: at most 2,500 of each; the cap lies far below 2**53, past which
+#: ``t + period == t`` and a periodic event would stop the clock.
+MAX_PERIODIC_EVENTS = 10**8
+
+
 _OVERFLOW = "loads overflow, cpu capacities are too small for the service cpu costs"
 
 
@@ -151,6 +159,17 @@ class ScenarioConfig:
             raise ConfigError("ttl must be non-negative")
         if not _non_negative(self.sample_interval_ms):
             raise ConfigError("sample_interval_ms must be non-negative and finite")
+        periods = [("sample_interval_ms", "sample rows")]
+        if self.strategy == "proactive" and self.proactive_forwarding:
+            periods.append(("gossip_period_ms", "heartbeats"))
+        for name, events in periods:
+            period = getattr(self, name)
+            planned = self.horizon_s * 1000.0 / period if period > 0.0 else 0.0
+            if planned > MAX_PERIODIC_EVENTS:
+                raise ConfigError(
+                    f"{name} {period!r} plans {planned:.9g} {events} over horizon_s"
+                    f" {self.horizon_s!r}, more than the cap of {MAX_PERIODIC_EVENTS:,}"
+                )
         try:
             _validate_jitters(self.jitters)
         except ValueError as exc:

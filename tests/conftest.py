@@ -18,7 +18,15 @@ from unittest import mock
 import pytest
 
 from offloadsim import simulator as sim
-from offloadsim.appstats import CorpusError, OverlapReport
+from offloadsim.appstats import (
+    DEFAULT_LIBRARY_POOL,
+    AppRecord,
+    Corpus,
+    CorpusError,
+    LibrarySpec,
+    OverlapReport,
+    SynthCorpus,
+)
 from offloadsim.partition import CallGraph, ClassNode, MethodProfile, _left_sum, _positive
 from offloadsim.topology import NodeSpec, Topology
 from offloadsim.workload import _segment_boundaries, _validate_jitters, new_estimator
@@ -745,3 +753,54 @@ def reference_unique_class_fraction(corpus, depth):
         median_unique_fraction=statistics.median(values),
         storage_savings=reference_storage_savings(corpus, depth),
     )
+
+
+def reference_synth_corpus(
+    n_apps,
+    library_pool=None,
+    inclusion_prob=0.35,
+    private_packages=4,
+    obfuscated_packages=1,
+    seed=0,
+):
+    """The corpus generator as first written, with ``randrange`` and
+    ``randint`` draws and per-package f-strings: the oracle for
+    ``synth_corpus``, which must give the same apps and placements. It
+    checks only the app count and the probability."""
+    if n_apps < 1:
+        raise CorpusError("need at least one app")
+    if not 0.0 <= inclusion_prob <= 1.0:
+        raise CorpusError("inclusion probability must lie in [0, 1]")
+    if library_pool is None:
+        library_pool = [LibrarySpec(p, c) for p, c in DEFAULT_LIBRARY_POOL]
+    rng = random.Random(f"{seed}|corpus")
+    apps = []
+    placements = {lib.path: [] for lib in library_pool}
+    for i in range(n_apps):
+        app_id = f"app{i:04d}"
+        packages = {}
+        for lib in library_pool:
+            if rng.random() < inclusion_prob:
+                packages[lib.path] = lib.class_count
+                placements[lib.path].append(app_id)
+        for j in range(private_packages):
+            depth_extra = rng.randrange(3)
+            pkg = f"com.vendor{i:04d}.app.feature{j}"
+            for extra in range(depth_extra):
+                pkg += f".part{extra}"
+            packages[pkg] = rng.randint(5, 60)
+        for j in range(obfuscated_packages):
+            seg1 = chr(ord("a") + (i + j) % 16)
+            seg2 = chr(ord("a") + (i * 7 + j * 3) % 16)
+            packages[f"{seg1}.{seg2}.impl{i}_{j}"] = rng.randint(10, 80)
+        bytes_per_class = rng.randint(280, 900)
+        total = sum(packages.values())
+        apps.append(
+            AppRecord(
+                app_id=app_id,
+                dex_size_bytes=total * bytes_per_class,
+                packages=packages,
+            )
+        )
+    placements = {p: sorted(a) for p, a in placements.items()}
+    return SynthCorpus(corpus=Corpus(apps=apps), placements=placements)

@@ -15,6 +15,9 @@ offloadsim.
 * popularity shares and catalog means of random float service catalogs,
 * the mean and median unique-class fraction and the storage savings of
   synthetic app corpora at prefix depths 2 to 4,
+* sha256 digests of the bytes ``write_corpus`` writes, and of the
+  placements, for synthetic corpora over a few seeds and pools, whose
+  bounded integers are drawn with ``getrandbits``,
 * the smoothed statistics (mu, cpu_avg, mem_avg, lambda_prev,
   lambda_eff) of estimators fed long seeded arrival and completion
   streams, so the running window sums are compared directly, and a
@@ -34,9 +37,11 @@ import itertools
 import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 from offloadsim import decision
-from offloadsim.appstats import synth_corpus, unique_class_fraction
+from offloadsim.appstats import LibrarySpec, synth_corpus, unique_class_fraction, write_corpus
 from offloadsim.partition import CallGraph, ClassNode, MethodProfile, louvain_optimal, modularity
 from offloadsim.simulator import PRESETS, STRATEGIES, run_scenario
 from offloadsim.topology import generate_topology
@@ -156,6 +161,38 @@ def corpus_values() -> dict[str, str]:
     return out
 
 
+#: (seed, synth_corpus keyword arguments) of the corpora whose written
+#: bytes and placements the interpreters must agree on.
+CORPUS_CASES = [
+    (0, {"n_apps": 200}),
+    ("s", {"n_apps": 200}),
+    (7, {"n_apps": 120, "inclusion_prob": 0.8, "private_packages": 6, "obfuscated_packages": 3}),
+    (
+        3,
+        {
+            "n_apps": 150,
+            "library_pool": [LibrarySpec("org.shared.lib", 40), LibrarySpec("a.b.impl0_0", 9)],
+            "inclusion_prob": 1.0,
+            "private_packages": 0,
+            "obfuscated_packages": 2,
+        },
+    ),
+]
+
+
+def written_corpus_values() -> dict[str, str]:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.tsv"
+        for k, (seed, kwargs) in enumerate(CORPUS_CASES):
+            synth = synth_corpus(seed=seed, **kwargs)
+            write_corpus(synth.corpus, path)
+            placements = repr(list(synth.placements.items())).encode()
+            out[f"corpus_file|{k}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            out[f"corpus_placements|{k}"] = hashlib.sha256(placements).hexdigest()
+    return out
+
+
 def estimator_values() -> dict[str, str]:
     out = {}
     for seed in range(5):
@@ -219,6 +256,7 @@ def values() -> dict[str, str]:
         **decision_values(),
         **catalog_values(),
         **corpus_values(),
+        **written_corpus_values(),
         **estimator_values(),
         **arrival_values(),
         **topology_values(),

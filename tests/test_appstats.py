@@ -23,7 +23,7 @@ from offloadsim.appstats import (
     write_corpus,
 )
 
-from conftest import reference_prefix, reference_unique_class_fraction
+from conftest import reference_prefix, reference_synth_corpus, reference_unique_class_fraction
 
 
 def savings_by_hand(corpus, depth):
@@ -263,6 +263,145 @@ class TestSynthesis:
         with pytest.raises(CorpusError):
             synth_corpus(3, inclusion_prob=1.5)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_apps": 2.5}, "n_apps 2.5 is not an integer"),
+            ({"n_apps": True}, "n_apps True is not an integer"),
+            ({"n_apps": 0}, "n_apps must be at least 1"),
+            ({"private_packages": -3}, "private_packages must be at least 0"),
+            ({"private_packages": 1.0}, "private_packages 1.0 is not an integer"),
+            ({"obfuscated_packages": -1}, "obfuscated_packages must be at least 0"),
+            ({"obfuscated_packages": False}, "obfuscated_packages False is not an integer"),
+            ({"inclusion_prob": float("nan")}, "inclusion_prob nan must be a number"),
+            ({"inclusion_prob": "0.5"}, "inclusion_prob '0.5' must be a number"),
+            ({"inclusion_prob": True}, "inclusion_prob True must be a number"),
+            ({"library_pool": [("com.x.y", 3)]}, "entry ('com.x.y', 3) is not a LibrarySpec"),
+            ({"library_pool": [LibrarySpec("com.x.y", 0)], "inclusion_prob": 0.0},
+             "library 'com.x.y': class count 0 is not an integer >= 1"),
+            ({"library_pool": [LibrarySpec("com.x.y", 2.0)]}, "library 'com.x.y': class count"),
+            ({"library_pool": [LibrarySpec("com.x.y", True)]}, "library 'com.x.y': class count"),
+            ({"library_pool": [LibrarySpec("", 3)]}, "library '': a corpus file cannot carry"),
+            ({"library_pool": [LibrarySpec("com.x;y", 3)]}, "library 'com.x;y': a corpus file"),
+            ({"library_pool": [LibrarySpec("com.x\ny", 3)]}, "library 'com.x\\ny': a corpus"),
+            ({"library_pool": [LibrarySpec(7, 3)]}, "library 7: a corpus file cannot carry"),
+            ({"library_pool": [LibrarySpec("com.x.y", 3), LibrarySpec("com.x.y", 4)]},
+             "library 'com.x.y' appears twice in the pool"),
+            ({"private_packages": 0, "obfuscated_packages": 0, "inclusion_prob": 0.0},
+             "an app can draw no package"),
+            ({"private_packages": 0, "obfuscated_packages": 0, "inclusion_prob": 0.99},
+             "an app can draw no package"),
+            ({"private_packages": 0, "obfuscated_packages": 0, "inclusion_prob": 1.0,
+              "library_pool": []}, "an app can draw no package"),
+        ],
+    )
+    def test_what_the_writer_or_parser_would_refuse_is_refused_at_once(self, kwargs, message):
+        kwargs = {"n_apps": 3, **kwargs}
+        with pytest.raises(CorpusError, match=re.escape(message)):
+            synth_corpus(**kwargs)
+
+    def test_a_certain_pool_draw_alone_makes_every_app(self):
+        pool = [LibrarySpec("org.shared.lib", 5)]
+        synth = synth_corpus(
+            3, library_pool=pool, inclusion_prob=1, private_packages=0, obfuscated_packages=0
+        )
+        assert [a.packages for a in synth.corpus.apps] == [{"org.shared.lib": 5}] * 3
+
+
+def synth_fields(synth):
+    """Apps as (id, size, package items) and placements as items, so that
+    a comparison covers every order."""
+    apps = [(a.app_id, a.dex_size_bytes, list(a.packages.items())) for a in synth.corpus.apps]
+    return apps, list(synth.placements.items())
+
+
+# Pool paths built from these segments collide with generated private
+# ("com.vendor0000.app.feature0") and obfuscated ("a.b.impl0_0") names.
+POOL_SEGMENTS = ["com", "org", "vendor0000", "vendor0001", "app", "feature0", "part0", "a", "b",
+                 "impl0_0", "lib"]
+
+
+def draws_every_app_a_package(library_pool, inclusion_prob, private, obfuscated):
+    return bool(private or obfuscated or (library_pool != [] and inclusion_prob == 1.0))
+
+
+class TestSynthesisOracle:
+    """``synth_corpus`` gives the corpus of the original generator, which
+    drew with ``randrange`` and ``randint``, apps, packages and placements
+    in the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.one_of(
+            st.none(),
+            st.just([]),
+            st.lists(
+                st.builds(
+                    LibrarySpec,
+                    st.lists(st.sampled_from(POOL_SEGMENTS), min_size=1, max_size=5).map(".".join),
+                    st.integers(1, 600),
+                ),
+                max_size=8,
+                unique_by=lambda lib: lib.path,
+            ),
+        ),
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=6)),
+    )
+    def test_matches_the_original_generator(
+        self, n_apps, library_pool, inclusion_prob, private, obfuscated, seed
+    ):
+        kwargs = dict(
+            library_pool=library_pool,
+            inclusion_prob=inclusion_prob,
+            private_packages=private,
+            obfuscated_packages=obfuscated,
+            seed=seed,
+        )
+        if not draws_every_app_a_package(library_pool, inclusion_prob, private, obfuscated):
+            with pytest.raises(CorpusError, match="an app can draw no package"):
+                synth_corpus(n_apps, **kwargs)
+            return
+        got = synth_fields(synth_corpus(n_apps, **kwargs))
+        assert got == synth_fields(reference_synth_corpus(n_apps, **kwargs))
+
+    @pytest.mark.parametrize("n_apps, seed", [(2500, 23), (10_001, "ten thousand and one")])
+    def test_large_seeded_corpora_match_the_original_generator(self, n_apps, seed):
+        # Past 9,999 apps the ids take five digits and sort out of index
+        # order, so the placements must be sorted.
+        got = synth_fields(synth_corpus(n_apps, seed=seed))
+        assert got == synth_fields(reference_synth_corpus(n_apps, seed=seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.lists(
+            st.builds(LibrarySpec, st.text(alphabet="ab.", min_size=1, max_size=6),
+                      st.integers(1, 9)),
+            max_size=4,
+            unique_by=lambda lib: lib.path,
+        ),
+        st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.integers(0, 99),
+    )
+    def test_an_accepted_corpus_is_written_read_and_reported(
+        self, n_apps, library_pool, inclusion_prob, private, obfuscated, seed
+    ):
+        if not draws_every_app_a_package(library_pool, inclusion_prob, private, obfuscated):
+            return
+        synth = synth_corpus(n_apps, library_pool, inclusion_prob, private, obfuscated, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.tsv"
+            write_corpus(synth.corpus, path)
+            assert parse_corpus(path).apps == synth.corpus.apps
+        for depth in (1, 3):
+            unique_class_fraction(synth.corpus, depth)
+
 
 class TestCorpusIO:
     def test_round_trip_preserves_every_app(self, tmp_path):
@@ -468,6 +607,27 @@ class TestRecordChecks:
         assert str(parsed.value).removeprefix("line 1: ") == str(built.value).removeprefix(
             "app 'a': "
         )
+
+    @pytest.mark.parametrize(
+        "app_id, packages, message",
+        [
+            ("a", {1: 5}, "app 'a': package 1 is not a string"),
+            ("a", {"com.x.y": 2, b"com.x.z": 5}, "app 'a': package b'com.x.z' is not a string"),
+            (7, {"com.x.y": 5}, "app id 7 is not a string"),
+            (None, {"com.x.y": 5}, "app id None is not a string"),
+        ],
+    )
+    def test_non_string_id_or_package_is_refused(self, tmp_path, app_id, packages, message):
+        with pytest.raises(CorpusError, match=re.escape(message)):
+            AppRecord(app_id, 10, packages)
+        # The same values set after construction are refused at write.
+        corpus = make_corpus(("fine", 100, {"com.one.app": 1}), ("a", 10, {"com.x.y": 5}))
+        corpus.apps[1].app_id = app_id
+        corpus.apps[1].packages = packages
+        path = tmp_path / "corpus.tsv"
+        with pytest.raises(CorpusError, match=re.escape(message)):
+            write_corpus(corpus, path)
+        assert not path.exists()
 
     def test_duplicate_id_appended_after_construction_is_refused(self, tmp_path):
         corpus = make_corpus(("a", 100, {"com.one.app": 1}), ("b", 100, {"com.one.app": 2}))

@@ -12,6 +12,7 @@ import pytest
 
 import offloadsim
 from offloadsim import cli
+from offloadsim.simulator import MAX_PERIODIC_EVENTS
 from offloadsim.topology import generate_topology, write_topology
 
 from conftest import edit_doc, route_to_server
@@ -231,6 +232,27 @@ class TestSimulate:
         )
         assert res.returncode == 2
         assert "finite" in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"sample_interval_ms": 1e-9}, "sample_interval_ms"),
+        ({"strategy": "proactive", "gossip_period_ms": 1e-9,
+          "topology": {"generate": {"kind": "grid", "width": 3, "height": 3}}},
+         "gossip_period_ms"),
+    ])
+    def test_tiny_period_is_refused_before_any_event(self, tmp_path, edit, field):
+        # Both plan 10**12 events over a 1 s horizon; without the cap they
+        # run for hours.
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps({**SCENARIO_DOC, "horizon_s": 1.0, **edit}))
+        res = subprocess.run(
+            [sys.executable, "-m", "offloadsim", "simulate", "--config", str(bad),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"error: {field} 1e-09 plans 1e+12 ")
+        assert f"the cap of {MAX_PERIODIC_EVENTS:,}" in res.stderr
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("edit", [

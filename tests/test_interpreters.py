@@ -3,8 +3,9 @@
 Python 3.12 made the built-in sum() compensate float rounding, so a sum()
 left in a metric path gives other bits there than on 3.11. CPython
 promises the same stream across versions only for ``random()``, and the
-arrival stream's origin draw and the scale-free generator's attachment
-draw use ``getrandbits``. The script
+arrival stream's origin draw, the scale-free generator's attachment draw
+and the corpus generator's bounded integers use ``getrandbits``: the
+written bytes of synthetic corpora are compared by digest. The script
 ``interp_values.py`` runs under each other interpreter in a subprocess and
 its reprs must equal the ones computed in this process.
 """

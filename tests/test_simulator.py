@@ -541,6 +541,64 @@ def test_config_validation_rejects_non_finite(field, value):
         small_config(**{field: value}).validate()
 
 
+@pytest.mark.parametrize(
+    "overrides, field, events",
+    [
+        ({"sample_interval_ms": 1e-9, "horizon_s": 1.0}, "sample_interval_ms",
+         "1e+12 sample rows"),
+        ({"strategy": "proactive", "gossip_period_ms": 1e-9, "horizon_s": 1.0},
+         "gossip_period_ms", "1e+12 heartbeats"),
+        # horizon_s * 1000 overflows to inf.
+        ({"horizon_s": 1e306, "warmup_s": 0.0}, "sample_interval_ms", "inf sample rows"),
+        # One past the cap: 1000 * horizon_s / period = 100,000,001.
+        ({"horizon_s": 100_000.001, "sample_interval_ms": 1.0}, "sample_interval_ms",
+         "100000001 sample rows"),
+    ],
+)
+def test_periodic_events_past_the_cap_are_refused(overrides, field, events):
+    with pytest.raises(sim.ConfigError) as refused:
+        small_config(**overrides).validate()
+    message = str(refused.value)
+    assert message.startswith(f"{field} ")
+    assert events in message
+    assert message.endswith(f"more than the cap of {sim.MAX_PERIODIC_EVENTS:,}")
+
+
+def test_periodic_events_at_the_cap_pass():
+    assert 100_000.0 * 1000.0 / 1.0 == sim.MAX_PERIODIC_EVENTS
+    small_config(horizon_s=100_000.0, sample_interval_ms=1.0, strategy="proactive",
+                 gossip_period_ms=1.0).validate()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"strategy": "passive"},
+        {"strategy": "none"},
+        {"strategy": "proactive", "proactive_forwarding": False},
+    ],
+)
+def test_heartbeats_count_only_when_a_run_can_schedule_them(overrides):
+    small_config(gossip_period_ms=1e-9, **overrides).validate()
+    small_config(sample_interval_ms=0.0, horizon_s=1e300, **overrides).validate()
+
+
+def test_the_schema_states_the_cap():
+    schema = json.loads((Path(__file__).parents[1] / "docs/schemas/scenario.json").read_text())
+    for field in ("sample_interval_ms", "gossip_period_ms"):
+        description = schema["properties"][field]["description"]
+        assert f"{sim.MAX_PERIODIC_EVENTS:,}" in description
+
+
+def test_every_preset_plans_far_fewer_periodic_events_than_the_cap():
+    for make in sim.PRESETS.values():
+        for strategy in sim.STRATEGIES:
+            cfg = make(strategy)
+            for period in (cfg.sample_interval_ms, cfg.gossip_period_ms):
+                if period > 0.0:
+                    assert cfg.horizon_s * 1000.0 / period <= sim.MAX_PERIODIC_EVENTS / 1000
+
+
 def test_jitter_overlap_message_matches_the_stream_check():
     jitters = [
         JitterSpec(start_ms=0.0, duration_ms=20.0, rate_multiplier=2.0),
