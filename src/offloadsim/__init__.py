@@ -6,6 +6,7 @@ Subpackages by concern:
 * ``workload``: arrival streams and per-node rate/service estimation
 * ``control``: admission strategies (none, passive, proactive) and gossip
 * ``simulator``: discrete-event engine, presets, metrics, exports
+* ``emit``: the JSON writer behind every output, and the series rows
 * ``partition``: call graphs, betweenness clustering, modularity
 * ``decision``: offload validity gates and partition selection
 * ``appstats``: package overlap and dedup storage savings

@@ -26,6 +26,8 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter, itemgetter
 
 from .partition import _read_text, _write_text
 
@@ -241,22 +243,13 @@ class OverlapReport:
     storage_savings: float
 
 
-@dataclass
-class _Tally:
-    """One app: classes in all, bytes per class, classes no other app
-    shares, count per key."""
-
-    app: AppRecord
-    total: int
-    class_size: float
-    unique: int
-    by_key: dict[str, int]
-
-
-def _overlap(corpus: Corpus, depth: int) -> tuple[list[_Tally], dict[str, list[str]], float]:
+def _overlap(corpus: Corpus, depth: int) -> tuple[list[tuple], dict[str, list[str]], float]:
     """Classify every package once. Returns one tally per app (corpus
-    order), the keys held by two or more apps, in key order, each with
-    its sorted holder ids, and the corpus's total dex bytes as a float.
+    order), the keys held by two or more apps, in key order, each with its
+    holder ids in corpus order, and the corpus's total dex bytes as a float.
+    A tally is the tuple ``(app_id, total, class_size, unique, by_key)``:
+    classes in all, bytes per class, classes no other app shares, count
+    per key.
 
     Here the report first turns sizes into floats. A corpus whose total
     dex size lies past the float range is refused; every app's size, and
@@ -267,7 +260,7 @@ def _overlap(corpus: Corpus, depth: int) -> tuple[list[_Tally], dict[str, list[s
         raise CorpusError("corpus holds no apps")
     _check_ids(corpus.apps)
     try:
-        naive = float(sum(app.dex_size_bytes for app in corpus.apps))
+        naive = float(sum(map(attrgetter("dex_size_bytes"), corpus.apps)))
     except OverflowError:
         raise CorpusError("total dex size must be within the float range") from None
     rows: list[tuple[AppRecord, int, dict[str, int]]] = []
@@ -287,31 +280,40 @@ def _overlap(corpus: Corpus, depth: int) -> tuple[list[_Tally], dict[str, list[s
                 by_key[key] += count
             else:
                 by_key[key] = count
-                holders.setdefault(key, []).append(app.app_id)
+                held = holders.get(key)
+                if held is None:
+                    holders[key] = [app.app_id]
+                else:
+                    held.append(app.app_id)
         rows.append((app, private, by_key))
-    shared = {k: sorted(h) for k, h in sorted(holders.items()) if len(h) >= 2}
+    shared = {k: h for k, h in sorted(holders.items()) if len(h) >= 2}
+    is_shared = shared.__contains__
     tallies = []
     for app, private, by_key in rows:
-        unique = private + sum(c for k, c in by_key.items() if k not in shared)
-        total = app.total_classes()
+        counts = by_key.values()
+        keyed = sum(counts)
+        total = private + keyed
         # per_class_size raises the error for an app without classes.
         size = app.dex_size_bytes / total if total else app.per_class_size()
-        tallies.append(_Tally(app, total, size, unique, by_key))
+        unique = private + keyed - sum(compress(counts, map(is_shared, by_key)))
+        tallies.append((app.app_id, total, size, unique, by_key))
     return tallies, shared, naive
 
 
-def _savings(tallies: list[_Tally], shared: dict[str, list[str]], naive: float) -> float:
+def _savings(tallies: list[tuple], shared: dict[str, list[str]], naive: float) -> float:
     if naive == 0.0:
         return 0.0
     dedup = 0.0
-    for tally in tallies:
-        dedup += tally.unique * tally.class_size
-    by_id = {t.app.app_id: t for t in tallies}
+    for _, _, size, unique, _ in tallies:
+        dedup += unique * size
+    sizes = {t[0]: t[2] for t in tallies}
+    by_keys = {t[0]: t[4] for t in tallies}
     for key, ids in shared.items():
-        # Largest per-class size wins, then larger count; max() keeps the
-        # first (smallest id) of remaining ties since holders are sorted.
-        keeper = max((by_id[a] for a in ids), key=lambda t: (t.class_size, t.by_key[key]))
-        dedup += keeper.by_key[key] * keeper.class_size
+        # The copy kept is the holder's with the largest per-class size, then
+        # the larger count; holders that tie on both price it alike.
+        counts = map(itemgetter(key), map(by_keys.__getitem__, ids))
+        size, count = max(zip(map(sizes.__getitem__, ids), counts))
+        dedup += count * size
     saving = 1.0 - dedup / naive
     return saving if saving > 0.0 else 0.0
 
@@ -320,7 +322,7 @@ def unique_class_fraction(corpus: Corpus, depth: int) -> OverlapReport:
     """Percentage of each app's classes that no other app shares at
     prefix depth N, plus the corpus storage savings at that depth."""
     tallies, shared, naive = _overlap(corpus, depth)
-    per_app = {t.app.app_id: 100.0 * t.unique / t.total for t in tallies}
+    per_app = {app_id: 100.0 * unique / total for app_id, total, _, unique, _ in tallies}
     values = list(per_app.values())
     return OverlapReport(
         depth=depth,
@@ -337,7 +339,7 @@ def storage_savings(corpus: Corpus, depth: int) -> float:
     Every app must declare at least one class (sizes are prorated per
     class). For each shared prefix group exactly one copy is kept, priced
     at the holder with the largest per-class size (ties prefer the larger
-    class count, then the smallest app id).
+    class count; holders equal in both price it alike).
     """
     return _savings(*_overlap(corpus, depth))
 

@@ -24,8 +24,9 @@ from . import appstats as appstats_mod
 from . import decision as decision_mod
 from . import partition as partition_mod
 from . import simulator as simulator_mod
+from .emit import json_text
 from .partition import _write_text
-from .simulator import ConfigError, _dump_json
+from .simulator import ConfigError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, out: Path | None, artifacts: list[Path]) -> None:
-    text = _dump_json(payload)
+    text = json_text(payload)
     if out is None:
         sys.stdout.write(text)
     else:

@@ -45,17 +45,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-import operator
 import random
 import statistics
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from heapq import heapify, heappop, heappush
-from itertools import compress
-from json.encoder import encode_basestring_ascii
 from math import log
 from pathlib import Path
 
@@ -67,6 +63,7 @@ from .control import (
     lightest_load_neighbor,
     passive_overflow,
 )
+from .emit import _row_changes, _series_csv, _series_json, json_text
 from .partition import _left_sum, _load_json, _non_negative, _positive, _write_text
 from .partition import _number, _objects, _refuse_unknown, _typed
 from .topology import GENERATOR_PARAMS, NodeSpec, Topology, generate_topology, load_topology
@@ -103,6 +100,21 @@ class ConfigError(ValueError):
 #: at most 2,500 of each; the cap lies far below 2**53, past which
 #: ``t + period == t`` and a periodic event would stop the clock.
 MAX_PERIODIC_EVENTS = 10**8
+
+#: The most external arrivals that a scenario may expect: the integral of
+#: ``base_rate_per_s * load_multiplier`` over ``[0, horizon_s)``, each
+#: jitter's multiplier applied over its window. The presets expect at most
+#: 20,000; at a few hundred thousand arrivals a second, a run at the cap
+#: takes minutes.
+MAX_PLANNED_ARRIVALS = 10**8
+
+# What each count of ``planned_work`` is, by the field that sets it, and
+# its cap.
+_PLAN_CAPS = {
+    "sample_interval_ms": ("sample rows", MAX_PERIODIC_EVENTS),
+    "gossip_period_ms": ("heartbeats", MAX_PERIODIC_EVENTS),
+    "base_rate_per_s": ("external arrivals", MAX_PLANNED_ARRIVALS),
+}
 
 
 _OVERFLOW = "loads overflow, cpu capacities are too small for the service cpu costs"
@@ -159,16 +171,12 @@ class ScenarioConfig:
             raise ConfigError("ttl must be non-negative")
         if not _non_negative(self.sample_interval_ms):
             raise ConfigError("sample_interval_ms must be non-negative and finite")
-        periods = [("sample_interval_ms", "sample rows")]
-        if self.strategy == "proactive" and self.proactive_forwarding:
-            periods.append(("gossip_period_ms", "heartbeats"))
-        for name, events in periods:
-            period = getattr(self, name)
-            planned = self.horizon_s * 1000.0 / period if period > 0.0 else 0.0
-            if planned > MAX_PERIODIC_EVENTS:
+        for name, planned in planned_work(self).items():
+            events, cap = _PLAN_CAPS[name]
+            if planned > cap:
                 raise ConfigError(
-                    f"{name} {period!r} plans {planned:.9g} {events} over horizon_s"
-                    f" {self.horizon_s!r}, more than the cap of {MAX_PERIODIC_EVENTS:,}"
+                    f"{name} {getattr(self, name)!r} plans {planned:.9g} {events} over horizon_s"
+                    f" {self.horizon_s!r}, more than the cap of {cap:,}"
                 )
         try:
             _validate_jitters(self.jitters)
@@ -176,6 +184,32 @@ class ScenarioConfig:
             raise ConfigError(str(exc)) from exc
         if not self.topology.access_points():
             raise ConfigError("topology declares no access points, nothing can arrive")
+
+
+def planned_work(cfg: ScenarioConfig) -> dict[str, float]:
+    """The work a scenario plans before any event runs, by the field that
+    sets it: ``sample_interval_ms``, the sample rows; ``gossip_period_ms``,
+    the heartbeats (none unless a proactive run forwards); and
+    ``base_rate_per_s``, the expected external arrivals, the integral of
+    ``base_rate_per_s * load_multiplier`` over ``[0, horizon_s)`` with each
+    jitter's multiplier applied over its window. A count that overflows is
+    inf."""
+    horizon = cfg.horizon_s
+    plan = {}
+    for name, runs in (
+        ("sample_interval_ms", True),
+        ("gossip_period_ms", cfg.strategy == "proactive" and cfg.proactive_forwarding),
+    ):
+        period = getattr(cfg, name)
+        plan[name] = horizon * 1000.0 / period if runs and period > 0.0 else 0.0
+    # Seconds at multiplier 1, plus each jitter's extra over its window.
+    weighted = horizon
+    for j in cfg.jitters:
+        inside = min(j.end_ms / 1000.0, horizon) - j.start_ms / 1000.0
+        if inside > 0.0:
+            weighted += (j.rate_multiplier - 1.0) * inside
+    plan["base_rate_per_s"] = cfg.base_rate_per_s * cfg.load_multiplier * weighted
+    return plan
 
 
 _checked = partial(_typed, error=ConfigError)
@@ -722,137 +756,6 @@ def _summary_dict(m: RunMetrics) -> dict:
     }
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-# How the json module spells the float reprs that are not JSON numbers.
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(values: list[float]) -> list[str]:
-    """Each float or int as the json module writes it: its repr, except
-    NaN and the infinities."""
-    if math.isfinite(sum(values)):
-        return list(map(repr, values))
-    return [_JSON_NONFINITE.get(text, text) for text in map(repr, values)]
-
-
-def _json_array(items: list[str], indent: str, brackets: str = "[]") -> str:
-    """Item texts laid out as ``json.dumps(indent=2)`` lays out a list that
-    starts on a line indented by ``indent``, or with ``brackets="{}"`` an
-    object whose items are ``"key": value`` texts."""
-    if not items:
-        return brackets
-    sep = "\n" + indent + "  "
-    return brackets[0] + sep + ("," + sep).join(items) + "\n" + indent + brackets[1]
-
-
-def _json_object(obj: dict, indent: str) -> str:
-    """A dict of str keys and str, int or float values (or such dicts) as
-    ``json.dumps(sort_keys=True, indent=2)`` writes it: keys in string
-    order, strings by the json module's own escaper, numbers by
-    ``_json_floats``."""
-    keys = sorted(obj)
-    values = [obj[k] for k in keys]
-    if all(type(v) is float or type(v) is int for v in values):
-        texts = _json_floats(values)
-    else:
-        texts = [
-            _json_object(v, indent + "  ") if type(v) is dict
-            else encode_basestring_ascii(v) if type(v) is str
-            else _json_floats([v])[0]
-            for v in values
-        ]
-    items = [f"{k}: {t}" for k, t in zip(map(encode_basestring_ascii, keys), texts)]
-    return _json_array(items, indent, "{}")
-
-
-def _json_cell(_i: int, value: float) -> str:
-    text = repr(value)
-    return _JSON_NONFINITE.get(text, text)
-
-
-def _row_changes(rows) -> list:
-    """Per row, what both series emitters render again: None for the
-    previous row's list object, ``range(len(row))`` (all) for the first row
-    and after a length change, else the indices whose float object changed.
-    An identity test, so -0.0, NaN and the infinities always come out right;
-    only the speed depends on what the rows share."""
-    out = []
-    prev = None
-    for row in rows:
-        if row is prev:
-            out.append(None)
-        elif prev is None or len(row) != len(prev):
-            out.append(range(len(row)))
-        else:
-            out.append(list(compress(range(len(row)), map(operator.is_not, prev, row))))
-        prev = row
-    return out
-
-
-def _row_cells(rows, changes, render_row, render_cell):
-    """Yield each row's cells, the same list while the row repeats: in full
-    by ``render_row(row)``, or as a copy of the previous cells with the
-    ``changes`` entries rendered again by ``render_cell(i, value)``."""
-    cells: list[str] = []
-    for row, changed in zip(rows, changes):
-        if type(changed) is range:
-            cells = render_row(row)
-        elif changed is not None:
-            cells = cells.copy()
-            size = len(cells)  # CSV cells stop at the last node id
-            for i in changed:
-                if i < size:
-                    cells[i] = render_cell(i, row[i])
-        yield cells
-
-
-def _series_json(m: RunMetrics, changes: list) -> str:
-    """The run series, byte for byte ``_dump_json`` of ``{"node_ids": ...,
-    "samples": [{"time_ms": t, "loads": row}, ...]}``, written directly:
-    the json module's indenting encoder is pure Python and costs a few
-    times more on a series of 40k loads. A row's text is built once while
-    the next row is the same list object, from ``_row_cells``."""
-    samples = []
-    row_text = ""
-    prev = None
-    rows = _row_cells(m.sample_loads, changes, _json_floats, _json_cell)
-    for t, cells in zip(_json_floats(m.sample_times_ms), rows):
-        if cells is not prev:
-            row_text = '{\n      "loads": ' + _json_array(cells, "      ")
-            prev = cells
-        samples.append(row_text + ',\n      "time_ms": ' + t + "\n    }")
-    return (
-        '{\n  "node_ids": '
-        + _json_array(list(map(repr, m.sample_node_ids)), "  ")
-        + ',\n  "samples": '
-        + _json_array(samples, "  ")
-        + "\n}\n"
-    )
-
-
-def _series_csv(m: RunMetrics, changes: list) -> str:
-    """The run series, byte for byte what ``csv.writer(lineterminator="\\n")``
-    writes for the header and one ``[repr(t), node_id, repr(load)]`` row per
-    sample and node: no float repr or int needs quoting. A row's
-    ``,node_id,load`` cells come from ``_row_cells``."""
-    out = ["time_ms,node_id,normalized_load\n"]
-    ids = [f",{nid}," for nid in m.sample_node_ids]
-    rows = _row_cells(
-        m.sample_loads,
-        changes,
-        lambda row: list(map(operator.concat, ids, map(repr, row))),
-        lambda i, load: ids[i] + repr(load),
-    )
-    for t, cells in zip(m.sample_times_ms, rows):
-        if cells:
-            t_text = repr(t)
-            out.append(t_text + ("\n" + t_text).join(cells) + "\n")
-    return "".join(out)
-
-
 def export_metrics(metrics: RunMetrics, fmt: str, dest_dir, prefix: str = "run") -> list[Path]:
     """Write <prefix>_summary and <prefix>_series files in ``fmt``: "csv",
     "json", or "both" (the CSV files, then the JSON files, from one scan of
@@ -870,7 +773,7 @@ def export_metrics(metrics: RunMetrics, fmt: str, dest_dir, prefix: str = "run")
         summary_path = dest / f"{prefix}_summary.{ext}"
         series_path = dest / f"{prefix}_series.{ext}"
         if ext == "json":
-            _write_text(summary_path, _json_object(_summary_dict(metrics), "") + "\n")
+            _write_text(summary_path, json_text(_summary_dict(metrics)))
             _write_text(series_path, _series_json(metrics, changes))
         else:
             buf = io.StringIO()
@@ -898,7 +801,7 @@ def export_batch(runs: list[RunMetrics], dest_dir, prefix: str = "batch") -> Pat
         "per_seed": [_summary_dict(r) for r in runs],
     }
     out = dest / f"{prefix}_summary.json"
-    _write_text(out, _dump_json(payload))
+    _write_text(out, json_text(payload))
     return out
 
 

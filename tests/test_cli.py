@@ -12,7 +12,7 @@ import pytest
 
 import offloadsim
 from offloadsim import cli
-from offloadsim.simulator import MAX_PERIODIC_EVENTS
+from offloadsim.simulator import MAX_PERIODIC_EVENTS, MAX_PLANNED_ARRIVALS
 from offloadsim.topology import generate_topology, write_topology
 
 from conftest import edit_doc, route_to_server
@@ -107,6 +107,28 @@ class TestSimulate:
         summary = json.loads((out / "run_summary.json").read_text())
         assert summary["seed"] == 2
         assert summary["strategy"] == "passive"
+
+    @pytest.mark.parametrize("fmt", ["json", "both"])
+    def test_seed_past_the_float_range_is_written_as_json_writes_it(self, tmp_path, capsys, fmt):
+        out = tmp_path / "run"
+        argv = ["simulate", "--preset", "fig3", "--seed", str(HUGE), "--format", fmt,
+                "--out", str(out)]
+        assert cli.dispatch(argv).exit_code == 0
+        text = (out / "run_summary.json").read_text()
+        summary = json.loads(text)
+        assert summary["seed"] == HUGE
+        assert text == json.dumps(summary, sort_keys=True, indent=2) + "\n"
+
+    def test_sweep_of_seeds_past_the_float_range_is_written_as_json_writes_it(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "sweep"
+        argv = ["simulate", "--preset", "fig3", "--seeds", f"{HUGE},{HUGE + 1}", "--out", str(out)]
+        assert cli.dispatch(argv).exit_code == 0
+        text = (out / "batch_summary.json").read_text()
+        payload = json.loads(text)
+        assert [r["seed"] for r in payload["per_seed"]] == [HUGE, HUGE + 1]
+        assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def test_strategy_flag_overrides_the_scenario(self, tmp_path, inputs):
         res = run_cli("simulate", "--config", inputs / "scenario.json",
@@ -253,6 +275,38 @@ class TestSimulate:
         assert res.returncode == 2
         assert res.stderr.startswith(f"error: {field} 1e-09 plans 1e+12 ")
         assert f"the cap of {MAX_PERIODIC_EVENTS:,}" in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit, planned", [
+        ({}, "1e+12"),
+        ({"base_rate_per_s": 1000.0,
+          "jitters": [{"start_ms": 0.0, "duration_ms": 1000.0, "rate_multiplier": 1e9}]},
+         "1e+12"),
+    ])
+    def test_planned_arrivals_past_the_cap_are_refused_before_any_event(
+        self, tmp_path, edit, planned
+    ):
+        # Without the cap the first probe still ran after 8 s.
+        doc = {
+            "topology": {"generate": {"kind": "line", "n": 3}},
+            "services": [{"id": "t", "mean_exec_time_s": 0.001}],
+            "base_rate_per_s": 1e12,
+            "horizon_s": 1.0,
+            "sample_interval_ms": 0,
+            **edit,
+        }
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(doc))
+        res = subprocess.run(
+            [sys.executable, "-m", "offloadsim", "simulate", "--config", str(bad),
+             "--strategy", "none", "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert res.returncode == 2
+        assert res.stderr == (
+            f"error: base_rate_per_s {doc['base_rate_per_s']!r} plans {planned} external"
+            f" arrivals over horizon_s 1.0, more than the cap of {MAX_PLANNED_ARRIVALS:,}\n"
+        )
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("edit", [
@@ -740,6 +794,22 @@ class TestAppstats:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err == "error: total dex size must be within the float range\n"
+
+    def test_depth_past_the_float_range_is_written_as_json_writes_it(self, capsys, inputs):
+        argv = ["appstats", "--corpus", str(inputs / "corpus.tsv"), "--depth", str(HUGE)]
+        assert cli.dispatch(argv).exit_code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        # No package is that deep, so every class is private to its app.
+        expected = {
+            "apps": 3,
+            "depth": HUGE,
+            "mean_unique_fraction": 100.0,
+            "median_unique_fraction": 100.0,
+            "storage_savings": 0.0,
+            "per_app_unique_fraction": {"appA": 100.0, "appB": 100.0, "appC": 100.0},
+        }
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 class TestParserBasics:

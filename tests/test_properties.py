@@ -17,14 +17,17 @@ computes the hop diameter only once a request's hop count reaches a lower
 bound of the TTL, against the run with the explicit TTL of twice the
 diameter, the bit-parallel hop diameter against a BFS from every node,
 the lazily computed routes against a Dijkstra on (delay, hops) tuple
-keys, the series and summary emitters against ``json.dumps`` and
-``csv.writer``, the adjacency order of generated topologies against a
-re-sort of the same links, and the specs generators build unchecked
-against checked ones.
+keys, the series and summary emitters and every CLI report against
+``json.dumps`` and ``csv.writer``, the adjacency order of generated
+topologies against a re-sort of the same links, and the specs generators
+build unchecked against checked ones.
 """
 
+import ast
 import contextlib
 import dataclasses
+import io
+import json
 import math
 import re
 import signal
@@ -36,8 +39,11 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from offloadsim import cli
 from offloadsim import simulator as sim
 from offloadsim import topology as tp
+from offloadsim.appstats import synth_corpus, write_corpus
+from offloadsim.emit import _json_object, _row_changes, _series_csv, _series_json, json_text
 from offloadsim.workload import ServiceSpec
 
 from conftest import (
@@ -458,8 +464,8 @@ def series(draw):
 
 
 def assert_emitters_match_the_references(m):
-    assert sim._series_json(m, sim._row_changes(m.sample_loads)) == reference_series_json(m)
-    assert sim._series_csv(m, sim._row_changes(m.sample_loads)) == reference_series_csv(m)
+    assert _series_json(m, _row_changes(m.sample_loads)) == reference_series_json(m)
+    assert _series_csv(m, _row_changes(m.sample_loads)) == reference_series_csv(m)
     # One export in both formats, which scans the rows once for both, writes
     # the files and bytes of a CSV export and a JSON export.
     with tempfile.TemporaryDirectory() as out:
@@ -503,6 +509,13 @@ def test_series_emitters_on_edge_series():
         ([0, 1, 2], [0.0] * 3, [[0.0, 1.0], [-0.0, 1.0], [-0.0, math.nan]]),  # ragged, then patched
     ]:
         assert_emitters_match_the_references(series_metrics(node_ids, times, loads))
+
+
+def test_series_json_writes_node_ids_of_a_hand_built_topology_as_json():
+    # Node ids need not be ints; a str id is a JSON string, escaped.
+    for node_ids in (["a", "b"], ['q"\\', "caf\u00e9"], [10**400]):
+        m = series_metrics(node_ids, [0.0, 1.0], [[0.5] * len(node_ids)] * 2)
+        assert _series_json(m, _row_changes(m.sample_loads)) == reference_series_json(m)
 
 
 #: Seed text that the summary must escape: quotes, backslashes, control
@@ -560,7 +573,203 @@ def test_summary_emitter_on_edge_summaries():
         {"per_node_mean_load": {'a"b': 0.5, "\u00e9\\": 1.0}, "per_node_executed": {'a"b': 1, "\u00e9\\": 0}},
     ]:
         m = dataclasses.replace(base, **edit)
-        assert sim._json_object(sim._summary_dict(m), "") + "\n" == reference_summary_json(m)
+        assert _json_object(sim._summary_dict(m), "") + "\n" == reference_summary_json(m)
+
+
+def json_dumps_text(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+#: Scalars the json module spells apart: null, true and false, ints past
+#: the float range, NaN, the infinities, -0.0, subnormals, and strings that
+#: need escapes or hold non-ASCII characters.
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400), 2**53 + 1, 0]),
+    st.floats(),
+    st.sampled_from([*SPECIAL_FLOATS, math.nan, math.inf, -math.inf, -0.0]),
+    SEED_TEXT,
+)
+
+
+def json_containers(inner):
+    """Lists and str-keyed dicts of ``inner``, empty ones included, and the
+    runs of floats alone or ints alone that the emitter renders in one pass."""
+    return st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(SEED_TEXT, inner, max_size=5),
+        st.lists(st.floats(), max_size=5),
+        st.dictionaries(SEED_TEXT, st.one_of(st.integers(), st.just(10**400)), max_size=5),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.recursive(JSON_SCALARS, json_containers, max_leaves=40))
+@example([])
+@example({})
+@example({"a": [], "b": {}, "c": [[]], "d": [{}]})
+@example([True, False, None, 10**400, -0.0, math.nan, math.inf, -math.inf])
+@example({"é": {'q"\\': ["\x00 \U0001f600"]}})
+def test_json_text_matches_the_json_module(payload):
+    assert json_text(payload) == json_dumps_text(payload)
+
+
+@pytest.mark.parametrize("value", [(1, 2), {1: "a"}, {"a": object()}, 1j, b"x"])
+def test_json_text_refuses_what_it_cannot_write(value):
+    with pytest.raises(TypeError):
+        json_text(value)
+
+
+def emitted_payloads(argv):
+    """Run ``argv`` through ``cli.dispatch``; returns the exit code and each
+    payload written as JSON with its text."""
+    written = []
+
+    def record(payload):
+        text = json_text(payload)
+        written.append((payload, text))
+        return text
+
+    with (mock.patch.object(cli, "json_text", record),
+          mock.patch.object(sim, "json_text", record),
+          contextlib.redirect_stdout(io.StringIO())):
+        code = cli.dispatch(list(map(str, argv))).exit_code
+    return code, written
+
+
+def assert_payloads_match_the_json_module(argv):
+    code, written = emitted_payloads(argv)
+    assert code == 0
+    assert len(written) == 1
+    payload, text = written[0]
+    assert text == json_dumps_text(payload)
+    return payload
+
+
+#: Class names that the reports write: escapes, non-ASCII and astral
+#: characters, and one that the tag rule below pins.
+CLASS_NAMES = ["core.Heavy", "core.Mate", "ui.Main", "café.Bar", 'q"uo\\te.X',
+               "line sep.Y", "astral.\U0001f600", "util.Helper"]
+
+
+@st.composite
+def call_graph_docs(draw):
+    names = draw(st.lists(st.sampled_from(CLASS_NAMES), min_size=1, max_size=6, unique=True))
+    number = st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e6))
+    vertices = [
+        {"name": name, "methods": [
+            {"name": f"m{k}", "invocations": draw(number), "t_local_ms": draw(number),
+             "in_bytes": draw(number), "out_bytes": draw(number), "energy_mj": draw(number)}
+            for k in range(draw(st.integers(0, 2)))
+        ]}
+        for name in names
+    ]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    edges = [
+        {"a": a, "b": b, "weight": draw(st.one_of(st.integers(1, 20), st.floats(0.5, 20.0)))}
+        for a, b in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs
+    ] if pairs else []
+    return {"vertices": vertices, "edges": edges}
+
+
+@settings(max_examples=60, deadline=None)
+@given(call_graph_docs(), st.booleans(), st.sampled_from([("5", "5e6", "4"), ("200", "1e5", "1")]))
+def test_partition_and_decide_reports_match_the_json_module(doc, weighted, link):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp, "graph.json")
+        graph.write_text(json.dumps(doc))
+        rules = Path(tmp, "rules.json")
+        rules.write_text(json.dumps([{"prefix": "ui", "tag": "pinned"}]))
+        files = ["--graph", graph, "--rules", rules]
+        assert_payloads_match_the_json_module(
+            ["partition", *files, *(["--weighted"] if weighted else [])])
+        rtt, bandwidth, speedup = link
+        verdict = assert_payloads_match_the_json_module(
+            ["decide", *files, "--rtt-ms", rtt, "--bandwidth-bytes-per-s", bandwidth,
+             "--cpu-speedup", speedup])
+        event(f"chosen_N is {type(verdict['chosen_N']).__name__}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 10**6), st.integers(1, 4))
+def test_appstats_reports_match_the_json_module(n_apps, seed, depth):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "corpus.tsv")
+        write_corpus(synth_corpus(n_apps, seed=seed).corpus, path)
+        assert_payloads_match_the_json_module(
+            ["appstats", "--corpus", path, "--depth", depth])
+
+
+#: Two planted modules, the second pinned by the ``ui`` rule.
+CALL_GRAPH = {
+    "vertices": [
+        {"name": name, "methods": [
+            {"name": "work", "invocations": 10, "t_local_ms": 50.0,
+             "in_bytes": 100, "out_bytes": 100, "energy_mj": 1.0}]}
+        for name in ["core.Heavy", "core.Mate", "ui.Main", "util.A", "util.B"]
+    ],
+    "edges": [
+        {"a": "core.Heavy", "b": "core.Mate", "weight": 8},
+        {"a": "core.Mate", "b": "ui.Main", "weight": 1},
+        {"a": "ui.Main", "b": "util.A", "weight": 1},
+        {"a": "util.A", "b": "util.B", "weight": 5},
+    ],
+}
+
+
+def test_every_cli_payload_shape_matches_the_json_module(tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(CALL_GRAPH))
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps([{"prefix": "ui", "tag": "pinned"}]))
+    files = ["--graph", graph, "--rules", rules]
+    report = assert_payloads_match_the_json_module(["partition", *files])
+    assert report["sets"] and all(type(ok) is bool for s in report["sets"] for ok in s["offloadable"])
+    chosen = assert_payloads_match_the_json_module(
+        ["decide", *files, "--rtt-ms", 5, "--bandwidth-bytes-per-s", 5e6, "--cpu-speedup", 4])
+    assert type(chosen["chosen_N"]) is int
+    local = assert_payloads_match_the_json_module(
+        ["decide", *files, "--rtt-ms", 200, "--bandwidth-bytes-per-s", 1e5])
+    assert (local["chosen_N"], local["local_only"]) == (None, True)
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("café\t1000\tlib.core.alpha=4;own.pkg.x=6\n"
+                      'q"uote\t2000\tlib.core.beta=5;own.pkg.y=5\n')
+    stats = assert_payloads_match_the_json_module(["appstats", "--corpus", corpus, "--depth", 2])
+    assert list(stats["per_app_unique_fraction"]) == ["café", 'q"uote']
+    batch = assert_payloads_match_the_json_module(
+        ["simulate", "--preset", "fig3", "--seeds", f"{10**400},-1", "--out", tmp_path / "o"])
+    assert [run["seed"] for run in batch["per_seed"]] == [10**400, -1]
+
+
+def json_writer_calls(tree):
+    """Calls of ``json.dump``/``json.dumps``, or of either imported by name."""
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "json"
+        for alias in node.names if alias.name in ("dump", "dumps")
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in ("dump", "dumps")
+                and isinstance(func.value, ast.Name) and func.value.id == "json"):
+            yield f"json.{func.attr}"
+        elif isinstance(func, ast.Name) and func.id in imported:
+            yield func.id
+
+
+def test_no_module_calls_the_json_writers():
+    # Every JSON output goes through offloadsim.emit.json_text.
+    assert list(json_writer_calls(ast.parse("json.dumps(x)\nfrom json import dump\ndump(x, f)"))) \
+        == ["json.dumps", "dump"]
+    paths = sorted(Path(sim.__file__).parent.glob("*.py"))
+    assert len(paths) > 5
+    for path in paths:
+        calls = list(json_writer_calls(ast.parse(path.read_text())))
+        assert not calls, f"{path.name} calls {calls}"
 
 
 GENERATOR_CASES = [

@@ -14,6 +14,7 @@ import conftest
 
 from offloadsim import simulator as sim
 from offloadsim import topology as tp
+from offloadsim.emit import _row_changes, _series_csv, _series_json
 from offloadsim.topology import NodeSpec, Topology, generate_topology
 from offloadsim.workload import JitterSpec, ServiceSpec, _iter_arrival_tuples
 
@@ -421,8 +422,8 @@ def test_scale_free_400_proactive_matches_the_push_gossip_loop(rate, exec_s):
     )
     m = sim.run_scenario(cfg)
     assert m == conftest.reference_run_scenario(cfg)
-    assert sim._series_csv(m, sim._row_changes(m.sample_loads)) == conftest.reference_series_csv(m)
-    assert sim._series_json(m, sim._row_changes(m.sample_loads)) == conftest.reference_series_json(m)
+    assert _series_csv(m, _row_changes(m.sample_loads)) == conftest.reference_series_csv(m)
+    assert _series_json(m, _row_changes(m.sample_loads)) == conftest.reference_series_json(m)
     distinct = len({id(row) for row in m.sample_loads})
     if rate == 400.0:
         assert distinct < len(m.sample_loads)
@@ -580,7 +581,9 @@ def test_periodic_events_at_the_cap_pass():
 )
 def test_heartbeats_count_only_when_a_run_can_schedule_them(overrides):
     small_config(gossip_period_ms=1e-9, **overrides).validate()
-    small_config(sample_interval_ms=0.0, horizon_s=1e300, **overrides).validate()
+    # A rate low enough that the 1e300 s horizon expects a single arrival.
+    small_config(sample_interval_ms=0.0, horizon_s=1e300, base_rate_per_s=1e-300,
+                 **overrides).validate()
 
 
 def test_the_schema_states_the_cap():
@@ -597,6 +600,76 @@ def test_every_preset_plans_far_fewer_periodic_events_than_the_cap():
             for period in (cfg.sample_interval_ms, cfg.gossip_period_ms):
                 if period > 0.0:
                     assert cfg.horizon_s * 1000.0 / period <= sim.MAX_PERIODIC_EVENTS / 1000
+
+
+#: A scenario that expects 10**12 external arrivals in one second; without
+#: the cap it runs without end.
+ARRIVAL_PROBE = {
+    "topology": {"generate": {"kind": "line", "n": 3}},
+    "services": [{"id": "t", "mean_exec_time_s": 0.001}],
+    "base_rate_per_s": 1e12,
+    "horizon_s": 1.0,
+    "sample_interval_ms": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "edit, planned",
+    [
+        ({}, "1e+12"),
+        # 1000/s over 1 s, and 1e9 times that over a 100 ms window.
+        ({"base_rate_per_s": 1000.0,
+          "jitters": [{"start_ms": 500.0, "duration_ms": 100.0, "rate_multiplier": 1e9}]},
+         "1.00000001e+11"),
+        # The load multiplier scales the rate; an overflowing product is inf.
+        ({"base_rate_per_s": 1e200, "load_multiplier": 1e200}, "inf"),
+    ],
+)
+def test_planned_arrivals_past_the_cap_are_refused(edit, planned):
+    doc = {**ARRIVAL_PROBE, **edit}
+    with pytest.raises(sim.ConfigError) as refused:
+        sim.scenario_from_dict(doc)
+    assert str(refused.value) == (
+        f"base_rate_per_s {doc['base_rate_per_s']!r} plans {planned} external arrivals over"
+        f" horizon_s 1.0, more than the cap of {sim.MAX_PLANNED_ARRIVALS:,}"
+    )
+
+
+def test_planned_work_integrates_the_rate_over_the_jitter_windows():
+    # 1000/s x 2 over 1 s, plus x3 over 100 ms, x0.5 over 200 ms and x5 over
+    # the 50 ms of a window that the horizon cuts; a window past the
+    # horizon adds nothing.
+    cfg = small_config(
+        base_rate_per_s=1000.0, load_multiplier=2.0, horizon_s=1.0, strategy="proactive",
+        gossip_period_ms=4.0, sample_interval_ms=0.0,
+        jitters=[JitterSpec(100.0, 100.0, 3.0), JitterSpec(300.0, 200.0, 0.5),
+                 JitterSpec(950.0, 100.0, 5.0), JitterSpec(2000.0, 10.0, 1e9)],
+    )
+    plan = sim.planned_work(cfg)
+    assert plan == {
+        "sample_interval_ms": 0.0,
+        "gossip_period_ms": 250.0,
+        "base_rate_per_s": pytest.approx(2000.0 * (1.0 + 2.0 * 0.1 - 0.5 * 0.2 + 4.0 * 0.05)),
+    }
+
+
+def test_planned_arrivals_at_the_cap_pass():
+    small_config(base_rate_per_s=1e8, horizon_s=1.0, sample_interval_ms=0.0).validate()
+    with pytest.raises(sim.ConfigError):
+        small_config(base_rate_per_s=1.0000001e8, horizon_s=1.0, sample_interval_ms=0.0).validate()
+
+
+def test_the_schema_states_the_arrival_cap():
+    schema = json.loads((Path(__file__).parents[1] / "docs/schemas/scenario.json").read_text())
+    description = schema["properties"]["base_rate_per_s"]["description"]
+    assert f"{sim.MAX_PLANNED_ARRIVALS:,}" in description
+
+
+def test_every_preset_expects_far_fewer_arrivals_than_the_cap():
+    for make in sim.PRESETS.values():
+        for strategy in sim.STRATEGIES:
+            plan = sim.planned_work(make(strategy))
+            assert plan["base_rate_per_s"] <= sim.MAX_PLANNED_ARRIVALS / 1000
 
 
 def test_jitter_overlap_message_matches_the_stream_check():
