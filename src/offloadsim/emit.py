@@ -15,6 +15,8 @@ files from one scan of the rows for changed loads (``_row_changes``).
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import operator
 from itertools import compress
@@ -162,14 +164,31 @@ def _series_json(m, changes: list) -> str:
     )
 
 
+def _csv_id_cells(node_ids: list) -> list[str]:
+    """``,node_id,`` for each id, quoted as ``csv.writer(lineterminator=
+    "\\n")`` quotes a middle cell. An int needs no quoting, so an all-int
+    list skips the writer."""
+    if set(map(type, node_ids)) <= _INT:
+        return [f",{nid}," for nid in node_ids]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for nid in node_ids:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(("", nid, ""))
+        cells.append(buf.getvalue()[:-1])
+    return cells
+
+
 def _series_csv(m, changes: list) -> str:
     """The series of a run ``m``, byte for byte what
     ``csv.writer(lineterminator="\\n")`` writes for the header and one
     ``[repr(t), node_id, repr(load)]`` row per sample and node: no float
-    repr or int needs quoting. A row's ``,node_id,load`` cells come from
-    ``_row_cells``."""
+    repr needs quoting, and each node id is quoted once, by the writer
+    itself. A row's ``,node_id,load`` cells come from ``_row_cells``."""
     out = ["time_ms,node_id,normalized_load\n"]
-    ids = [f",{nid}," for nid in m.sample_node_ids]
+    ids = _csv_id_cells(m.sample_node_ids)
     rows = _row_cells(
         m.sample_loads,
         changes,

@@ -384,6 +384,33 @@ def _integer(params: dict, key: str, default) -> int:
         raise TopologyError(f"{key} must be an integer no larger than {sys.maxsize}")
     return value
 
+#: The most nodes ``generate_topology`` builds. A 10^6-node line already
+#: takes seconds and hundreds of MiB to build, so a larger count is refused
+#: from the parameters, before anything is built.
+MAX_GENERATED_NODES = 10**6
+
+
+def _check_size(nodes: int, params: str) -> None:
+    if nodes > MAX_GENERATED_NODES:
+        raise TopologyError(
+            f"{params} gives more than MAX_GENERATED_NODES = {MAX_GENERATED_NODES} nodes"
+        )
+
+
+def _tree_size(b: int, d: int) -> int:
+    """1 + b + ... + b^d, summed only until it passes the cap: ``b ** d``
+    for a depth near ``sys.maxsize`` would not finish."""
+    if b == 1:
+        return d + 1
+    size = level = 1
+    for _ in range(d):
+        level *= b
+        size += level
+        if size > MAX_GENERATED_NODES:
+            break
+    return size
+
+
 #: The parameters ``generate_topology`` reads, over all kinds.
 GENERATOR_PARAMS = frozenset(
     ("cpu", "mem", "delay_ms", "n", "width", "height", "branching", "depth", "m", "access_points")
@@ -430,7 +457,8 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
 
     Counts must be ints no larger than ``sys.maxsize``, and ``cpu``,
     ``mem`` and ``delay_ms`` numbers within the float range (not bools or
-    strings), or TopologyError is raised.
+    strings), or TopologyError is raised. So is a node count over
+    ``MAX_GENERATED_NODES``, before anything is built.
     """
     params = dict(params or {})
     cpu, mem, delay = _uniform_specs(params)
@@ -439,6 +467,7 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
         n = _integer(params, "n", 0)
         if n < 1:
             raise TopologyError("line topology needs n >= 1")
+        _check_size(n, f"line n = {n}")
         ids = list(range(n))
         edges = [(i, i + 1, delay) for i in range(n - 1)]
         server = n - 1
@@ -450,6 +479,7 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
         h = _integer(params, "height", 0)
         if w < 1 or h < 1 or w * h < 2:
             raise TopologyError("grid topology needs width*height >= 2")
+        _check_size(w * h, f"grid width * height = {w} * {h}")
         ids = list(range(w * h))
         edges = []
         for r in range(h):
@@ -481,6 +511,7 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
         d = _integer(params, "depth", -1)
         if b < 1 or d < 0:
             raise TopologyError("tree topology needs branching >= 1 and depth >= 0")
+        _check_size(_tree_size(b, d), f"tree branching = {b}, depth = {d}")
         ids = [0]
         edges = []
         frontier = [0]
@@ -508,6 +539,7 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
         m = _integer(params, "m", 2)
         if n < 2:
             raise TopologyError("scale_free topology needs n >= 2")
+        _check_size(n, f"scale_free n = {n}")
         if m < 1 or m >= n:
             raise TopologyError("scale_free attachment m must satisfy 1 <= m < n")
         rng = random.Random(f"{seed}|topology")
@@ -566,6 +598,7 @@ __all__ = [
     "FLAG_RELAY",
     "FLAG_RELAY_ACCESS_POINT",
     "GENERATOR_PARAMS",
+    "MAX_GENERATED_NODES",
     "NodeSpec",
     "Topology",
     "TopologyError",

@@ -336,6 +336,32 @@ class TestSimulate:
         assert "n must be an integer, not 4.7" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("gen, params", [
+        ({"kind": "line", "n": 10**12}, "line n = 1000000000000"),
+        ({"kind": "grid", "width": 10**6, "height": 10**6},
+         "grid width * height = 1000000 * 1000000"),
+        ({"kind": "tree", "branching": 10, "depth": 12}, "tree branching = 10, depth = 12"),
+        ({"kind": "tree", "branching": 2, "depth": sys.maxsize},
+         f"tree branching = 2, depth = {sys.maxsize}"),
+        ({"kind": "tree", "branching": 1, "depth": sys.maxsize},
+         f"tree branching = 1, depth = {sys.maxsize}"),
+        ({"kind": "scale_free", "n": 10**6 + 1}, "scale_free n = 1000001"),
+    ])
+    def test_generated_topology_over_the_node_cap_is_a_usage_error(
+        self, tmp_path, capsys, gen, params
+    ):
+        # Built, each would exhaust memory or never finish; the count is
+        # computed from the parameters first.
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps({**SCENARIO_DOC, "topology": {"generate": gen}}))
+        outcome = cli.dispatch(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert outcome.exit_code == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid scenario config: {params} gives more than "
+            "MAX_GENERATED_NODES = 1000000 nodes\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("topology, message", [
         (5, "topology must be an object, not 5"),
         ({"file": 5}, "file must be a string, not 5"),

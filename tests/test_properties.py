@@ -1,6 +1,7 @@
 """Generated scenarios: every run terminates, conserves requests, gives
-finite metrics, repeats bit for bit under one seed, and exports the bytes
-of the json and csv modules.
+finite metrics, repeats bit for bit under one seed, processes no more
+events than ``simulator.planned_work`` and the forwards and completions it
+causes allow, and exports the bytes of the json and csv modules.
 
 Topologies are small lines, grids, trees and scale-free graphs with random
 relay flags and per-link delays of 0 ms or more; scenarios vary the
@@ -32,6 +33,8 @@ import math
 import re
 import signal
 import tempfile
+from collections import Counter
+from heapq import heappop
 from pathlib import Path
 from unittest import mock
 
@@ -44,7 +47,7 @@ from offloadsim import simulator as sim
 from offloadsim import topology as tp
 from offloadsim.appstats import synth_corpus, write_corpus
 from offloadsim.emit import _json_object, _row_changes, _series_csv, _series_json, json_text
-from offloadsim.workload import ServiceSpec
+from offloadsim.workload import JitterSpec, ServiceSpec
 
 from conftest import (
     reference_hop_diameter,
@@ -77,8 +80,8 @@ def time_limit(seconds):
 
 
 @st.composite
-def topologies(draw, delays_ms=DELAYS_MS):
-    kind = draw(st.sampled_from(["line", "grid", "tree", "scale_free"]))
+def topologies(draw, delays_ms=DELAYS_MS, kinds=("line", "grid", "tree", "scale_free")):
+    kind = draw(st.sampled_from(kinds))
     if kind == "line":
         params = {"n": draw(st.integers(2, 6))}
     elif kind == "grid":
@@ -136,6 +139,74 @@ def test_generated_scenarios_terminate_conserve_and_repeat(cfg):
         _, json_series = sim.export_metrics(m, "json", out)
         assert csv_series.read_bytes() == reference_series_csv(m).encode()
         assert json_series.read_bytes() == reference_series_json(m).encode()
+
+
+@st.composite
+def planned_scenarios(draw):
+    """Scenarios on small lines, grids and trees with random relay flags and
+    delays, periods, rates and up to two jitter windows, measured from t = 0
+    so that ``forwarded`` counts every forward."""
+    horizon_s = draw(st.floats(0.005, 0.1))
+    jitters = []
+    start_ms = draw(st.floats(0.0, 1200.0 * horizon_s))
+    for _ in range(draw(st.integers(0, 2))):
+        jitters.append(JitterSpec(
+            start_ms, draw(st.floats(0.1, 30.0)), draw(st.floats(0.05, 8.0))
+        ))
+        start_ms = jitters[-1].end_ms + draw(st.floats(0.0, 20.0))
+    period_ms = st.floats(0.1, 20.0)
+    return sim.ScenarioConfig(
+        topology=draw(topologies(kinds=("line", "grid", "tree"))),
+        services=[
+            ServiceSpec(name="s", mean_exec_time_s=draw(st.sampled_from([0.0005, 0.002, 0.01])))
+        ],
+        base_rate_per_s=draw(st.floats(1.0, 3000.0)),
+        horizon_s=horizon_s,
+        strategy=draw(st.sampled_from(["proactive", "passive", "none"])),
+        load_multiplier=draw(st.floats(0.25, 2.0)),
+        jitters=jitters,
+        buffer_size=draw(st.integers(2, 8)),
+        gossip_period_ms=draw(period_ms),
+        warmup_s=0.0,
+        seed=draw(st.integers(0, 1000)),
+        sample_interval_ms=draw(st.one_of(st.just(0.0), period_ms)),
+        server_executes=draw(st.booleans()),
+        proactive_forwarding=draw(st.sampled_from([True, False])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(planned_scenarios())
+def test_planned_work_bounds_the_events_of_a_run(cfg):
+    plan = sim.planned_work(cfg)
+    pops = Counter()
+
+    def counting_heappop(heap):
+        ev = heappop(heap)
+        pops[ev[1]] += 1
+        return ev
+
+    with mock.patch.object(sim, "heappop", counting_heappop), time_limit(30):
+        m = sim.run_scenario(cfg)
+    samples = pops[sim._SAMPLE]
+    heartbeats = pops[sim._HEARTBEAT]
+    assert pops[sim._END] == 1
+    assert samples == len(m.sample_loads)
+    if cfg.sample_interval_ms:
+        # The loop samples through horizon_s + 1e-12 s, which absorbs the
+        # drift of summed periods, so a row may fall that far (1e-9 ms)
+        # past the planned horizon.
+        assert samples <= plan["sample_interval_ms"] + 1 + 1e-9 / cfg.sample_interval_ms
+    else:
+        assert samples == 0
+    assert heartbeats <= math.ceil(plan["gossip_period_ms"])
+    # External arrivals wait beside the heap; every other event is popped.
+    assert pops.total() - 1 == m.forwarded + m.gross_executed + heartbeats + samples
+    # Bernstein's inequality for a Poisson count X of mean lam gives
+    # P(X >= lam + t) <= exp(-t^2 / (2 (lam + t/3))), below e^-30 for
+    # t = 10 sqrt(lam) + 20 at every lam >= 0.
+    lam = plan["base_rate_per_s"]
+    assert m.gross_arrivals <= lam + 10.0 * math.sqrt(lam) + 20.0
 
 
 def busy_proactive(kind, params):
@@ -516,6 +587,15 @@ def test_series_json_writes_node_ids_of_a_hand_built_topology_as_json():
     for node_ids in (["a", "b"], ['q"\\', "caf\u00e9"], [10**400]):
         m = series_metrics(node_ids, [0.0, 1.0], [[0.5] * len(node_ids)] * 2)
         assert _series_json(m, _row_changes(m.sample_loads)) == reference_series_json(m)
+
+
+def test_series_csv_quotes_node_ids_of_a_hand_built_topology():
+    # The JSON test's ids, plus ids holding the delimiter, a quote, line
+    # breaks and nothing, which csv.writer quotes (or not) in its own way.
+    for node_ids in (["a", "b"], ['q"\\', "caf\u00e9"], [10**400],
+                     ["a,b", 'q"'], ["line\nbreak", "cr\rid", ""], [True, 2.5, -1]):
+        m = series_metrics(node_ids, [0.0, 1.0], [[0.5] * len(node_ids)] * 2)
+        assert _series_csv(m, _row_changes(m.sample_loads)) == reference_series_csv(m)
 
 
 #: Seed text that the summary must escape: quotes, backslashes, control

@@ -175,6 +175,26 @@ def test_generator_refuses_a_count_past_sys_maxsize():
         tp.generate_topology("line", {"n": 10**20})
 
 
+# (kind, params within a cap of 10 nodes, params past it); all but the
+# last tree pair sit at the cap and one node past it.
+CAPPED_SIZES = [
+    ("line", {"n": 10}, {"n": 11}),
+    ("grid", {"width": 2, "height": 5}, {"width": 1, "height": 11}),
+    ("tree", {"branching": 1, "depth": 9}, {"branching": 1, "depth": 10}),
+    ("tree", {"branching": 9, "depth": 1}, {"branching": 10, "depth": 1}),
+    ("tree", {"branching": 2, "depth": 2}, {"branching": 2, "depth": 3}),
+    ("scale_free", {"n": 10}, {"n": 11}),
+]
+
+
+@pytest.mark.parametrize("kind, at_cap, past_cap", CAPPED_SIZES)
+def test_generator_builds_at_most_the_node_cap(monkeypatch, kind, at_cap, past_cap):
+    monkeypatch.setattr(tp, "MAX_GENERATED_NODES", 10)
+    assert len(tp.generate_topology(kind, at_cap).nodes) <= 10
+    with pytest.raises(tp.TopologyError, match=r"gives more than MAX_GENERATED_NODES = 10 nodes$"):
+        tp.generate_topology(kind, past_cap)
+
+
 # Positive and finite, but their reciprocals overflow to inf.
 SUBNORMAL = [5e-324, 1e-310]
 

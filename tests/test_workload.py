@@ -424,21 +424,21 @@ def test_jitter_spec_rejects_non_finite(field, value):
         wl.JitterSpec(**kwargs)
 
 
-# Only the first draw is requested: without the check an infinite rate
-# yields zero gaps forever, so asking for the whole stream would hang.
+# The rate is checked before the first draw: without the check an infinite
+# rate yields zero gaps forever, so the stream would never end.
 @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0])
 def test_stream_rejects_a_rate_that_is_not_finite_and_positive(rate):
     with pytest.raises(ValueError, match="finite"):
-        next(wl.iter_poisson_arrivals(rate, 0.1, seed=1))
+        wl.poisson_stream(rate, 0.1, seed=1)
 
 
 def test_stream_rejects_a_rate_product_that_overflows():
     # Every factor is finite; base rate times load multiplier is not.
     with pytest.raises(ValueError, match="finite"):
-        next(wl.iter_poisson_arrivals(1e300 * 1e300, 0.1, seed=1))
+        wl.poisson_stream(1e300 * 1e300, 0.1, seed=1)
     jit = [wl.JitterSpec(start_ms=10.0, duration_ms=5.0, rate_multiplier=1e300)]
     with pytest.raises(ValueError, match="finite"):
-        next(wl.iter_poisson_arrivals(1e10, 0.1, seed=1, jitters=jit))
+        wl.poisson_stream(1e10, 0.1, seed=1, jitters=jit)
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=8))
@@ -462,7 +462,7 @@ def test_popularity_weights_whose_sum_overflows_are_refused():
     with pytest.raises(ValueError, match="popularity weights must sum to a finite total"):
         wl.popularity(services)
     with pytest.raises(ValueError, match="popularity weights must sum to a finite total"):
-        next(wl.iter_poisson_arrivals(100.0, 1.0, seed=1, services=services))
+        wl.poisson_stream(100.0, 1.0, seed=1, services=services)
     # The largest weights whose sum is finite still split the draws.
     services[1] = dataclasses.replace(services[1], popularity_weight=7e307)
     assert wl.popularity(services) == pytest.approx([1e308 / 1.7e308, 7e307 / 1.7e308])
@@ -841,6 +841,28 @@ def test_record_arrival_returns_the_q_of_execution_probability(k, cpu, mem, ops)
             core.record_completion(*op[1:])
             ref.record_completion(*op[1:])
     assert_same_core(core, ref)
+
+
+def test_module_functions_are_the_estimator_methods():
+    assert wl.record_arrival is wl.EstimatorState.record_arrival
+    assert wl.record_completion is wl.EstimatorState.record_completion
+    assert wl.execution_probability is wl.EstimatorState.execution_probability
+    assert not hasattr(wl, "iter_poisson_arrivals")
+    # Called as a function, record_arrival returns the method's q: the
+    # q execution_probability gives for the state's own capacities.
+    state = wl.new_estimator(16, 3.0, 4.0)
+    t = 0.0
+    qs = []
+    for op in seeded_ops(1234, 4000):
+        if op[0] == "arrival":
+            t += op[1]
+            q = wl.record_arrival(state, t)
+            assert repr(q) == repr(wl.execution_probability(state, 3.0, 4.0))
+            qs.append(q)
+        else:
+            assert wl.record_completion(state, *op[1:]) is None
+    # The stream warms the estimator, so q leaves 1.0.
+    assert min(qs) < 1.0
 
 
 def test_estimator_capacities_must_be_positive():
