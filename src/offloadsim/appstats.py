@@ -24,12 +24,14 @@ one-character segment; ``is_obfuscated_package`` reads the same test.
 from __future__ import annotations
 
 import random
+import re
 import statistics
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import attrgetter, itemgetter
 
-from .partition import _read_text, _write_text
+from ._inputs import _read_text
+from .emit import _write_text
 
 
 class CorpusError(ValueError):
@@ -395,7 +397,9 @@ def synth_corpus(
     draw no package (no private or obfuscated packages, and a pool that is
     empty or drawn with a probability below 1), and a pool entry whose
     class count is not an integer of at least 1, whose path is empty, holds
-    what a corpus file cannot carry, or repeats an earlier entry's.
+    what a corpus file cannot carry, repeats an earlier entry's, or is one
+    that the generator may give an app's own package under these
+    parameters.
 
     Each bounded integer is ``randrange``'s own draw written out, as
     CPython's ``_randbelow`` makes it: ``getrandbits`` of the width's bit
@@ -411,7 +415,7 @@ def synth_corpus(
         raise CorpusError(f"inclusion_prob {inclusion_prob!r} must be a number in [0, 1]")
     if library_pool is None:
         library_pool = [LibrarySpec(p, c) for p, c in DEFAULT_LIBRARY_POOL]
-    pool = _checked_pool(library_pool)
+    pool = _checked_pool(library_pool, n_apps, private_packages, obfuscated_packages)
     if not (private_packages or obfuscated_packages or (pool and inclusion_prob == 1.0)):
         raise CorpusError(
             "an app can draw no package: private_packages and obfuscated_packages are 0"
@@ -473,9 +477,32 @@ def _check_count(name: str, value, least: int) -> None:
         raise CorpusError(f"{name} must be at least {least}, got {value}")
 
 
-def _checked_pool(library_pool) -> dict[str, int]:
+# The package names synth_corpus gives an app of its own: the app's
+# index, then the package's index among its private or obfuscated ones.
+_PRIVATE_PATH = re.compile(r"com\.vendor([0-9]+)\.app\.feature([0-9]+)(\.part0|\.part0\.part1)?")
+_OBFUSCATED_PATH = re.compile(r"[a-p]\.[a-p]\.impl([0-9]+)_([0-9]+)")
+
+
+def _generating_app(path: str, n_apps: int, private: int, obfuscated: int) -> int | None:
+    """The index of an app that synth_corpus may give a package of its own
+    named ``path`` under these parameters, or None."""
+    for pattern, bound in ((_PRIVATE_PATH, private), (_OBFUSCATED_PATH, obfuscated)):
+        m = pattern.fullmatch(path)
+        # Any index that may be below its bound is short enough for int().
+        if m and max(len(m[1]), len(m[2])) <= 4 + len(str(max(n_apps, bound))):
+            i, j = int(m[1]), int(m[2])
+            pkg = f"com.vendor{i:04d}.app.feature{j}"
+            names = (pkg, pkg + ".part0", pkg + ".part0.part1")
+            obf = f"{_LETTERS[(i + j) % 16]}.{_LETTERS[(i * 7 + j * 3) % 16]}.impl{i}_{j}"
+            if i < n_apps and j < bound and path in (*names, obf):
+                return i
+    return None
+
+
+def _checked_pool(library_pool, n_apps: int, private: int, obfuscated: int) -> dict[str, int]:
     """Path to class count of each pool entry, in pool order, once each
-    entry is one that a written corpus carries."""
+    entry is one that a written corpus carries and that no app's own
+    package can overwrite."""
     pool: dict[str, int] = {}
     for lib in library_pool:
         if not isinstance(lib, LibrarySpec):
@@ -487,6 +514,9 @@ def _checked_pool(library_pool) -> dict[str, int]:
             raise CorpusError(f"library {path!r}: class count {count!r} is not an integer >= 1")
         if path in pool:
             raise CorpusError(f"library {path!r} appears twice in the pool")
+        i = _generating_app(path, n_apps, private, obfuscated)
+        if i is not None:
+            raise CorpusError(f"library {path!r}: app{i:04d} may draw a package of that name")
         pool[path] = count
     return pool
 

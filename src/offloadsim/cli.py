@@ -24,8 +24,7 @@ from . import appstats as appstats_mod
 from . import decision as decision_mod
 from . import partition as partition_mod
 from . import simulator as simulator_mod
-from .emit import json_text
-from .partition import _write_text
+from .emit import _write_text, json_text
 from .simulator import ConfigError
 
 EXIT_OK = 0

@@ -17,20 +17,10 @@ offload and finally to keeping everything local.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-from .partition import (
-    PINNED_TAG,
-    CallGraph,
-    MethodProfile,
-    PartitionSet,
-    _left_sum,
-    _load_json,
-    _non_negative,
-    _number,
-    _positive,
-    _refuse_unknown,
-)
+from ._inputs import _left_sum, _load_json, _non_negative, _number, _positive, _refuse_unknown
+from .partition import PINNED_TAG, CallGraph, MethodProfile, PartitionSet
 
 
 class DecisionError(ValueError):
@@ -176,31 +166,6 @@ def class_valid_energy(
 
 
 @dataclass
-class LatencyWindow:
-    """Sliding window over the last few RTT observations (capacity 3)."""
-
-    capacity: int = 3
-    samples: list[float] = field(default_factory=list)
-    updated_at: float | None = None
-
-    def rtt_estimate(self) -> float:
-        if not self.samples:
-            raise DecisionError("latency window holds no samples yet")
-        return _left_sum(self.samples) / len(self.samples)
-
-
-def update_latency_window(window: LatencyWindow, rtt_s: float, now: float) -> LatencyWindow:
-    """Record one RTT probe, evicting the oldest beyond the capacity."""
-    if rtt_s < 0.0:
-        raise DecisionError("rtt sample must be non-negative")
-    window.samples.append(rtt_s)
-    if len(window.samples) > window.capacity:
-        del window.samples[: len(window.samples) - window.capacity]
-    window.updated_at = now
-    return window
-
-
-@dataclass
 class OffloadVerdict:
     """Outcome of partition selection."""
 
@@ -319,7 +284,6 @@ __all__ = [
     "ClassProfile",
     "DecisionError",
     "EnergyModel",
-    "LatencyWindow",
     "NetworkConditions",
     "OffloadVerdict",
     "build_class_profile",
@@ -327,5 +291,4 @@ __all__ = [
     "class_valid_time",
     "load_energy_model",
     "select_partition",
-    "update_latency_window",
 ]

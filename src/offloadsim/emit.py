@@ -9,6 +9,7 @@ escaper, ints by ``int.__repr__`` whatever their size, floats by their repr
 except NaN and the infinities. It is written directly, because with an
 indent the json module runs its pure-Python encoder.
 
+``_write_text`` writes every output file as UTF-8 with ``\n`` line ends.
 The series writers render a run's sample rows for the CSV and JSON series
 files from one scan of the rows for changed loads (``_row_changes``).
 """
@@ -27,6 +28,13 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 _FLOAT = {float}
 _INT = {int}
+
+
+def _write_text(path, text: str) -> None:
+    """Text output for every writer: UTF-8 with ``\\n`` line ends whatever
+    the locale and platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def json_text(payload) -> str:

@@ -55,6 +55,8 @@ from heapq import heapify, heappop, heappush
 from math import log
 from pathlib import Path
 
+from ._inputs import _left_sum, _load_json, _non_negative, _number, _objects, _positive
+from ._inputs import _refuse_unknown, _typed
 from .control import (
     DROP,
     EXECUTE,
@@ -63,10 +65,9 @@ from .control import (
     lightest_load_neighbor,
     passive_overflow,
 )
-from .emit import _row_changes, _series_csv, _series_json, json_text
-from .partition import _left_sum, _load_json, _non_negative, _positive, _write_text
-from .partition import _number, _objects, _refuse_unknown, _typed
-from .topology import GENERATOR_PARAMS, NodeSpec, Topology, generate_topology, load_topology
+from .emit import _row_changes, _series_csv, _series_json, _write_text, json_text
+from .topology import GENERATOR_PARAMS, KIND_PARAMS, NodeSpec, Topology, generate_topology
+from .topology import load_topology
 from .workload import (
     JitterSpec,
     ServiceSpec,
@@ -193,7 +194,12 @@ def planned_work(cfg: ScenarioConfig) -> dict[str, float]:
     ``base_rate_per_s``, the expected external arrivals, the integral of
     ``base_rate_per_s * load_multiplier`` over ``[0, horizon_s)`` with each
     jitter's multiplier applied over its window. A count that overflows is
-    inf."""
+    inf.
+
+    The sample rows planned are ``horizon_s * 1000 / sample_interval_ms``.
+    A run also takes the row at t = 0, and samples while the summed periods
+    stay within ``horizon_s + 1e-12``, so by rounding it may take more rows
+    than this plan plus one."""
     horizon = cfg.horizon_s
     plan = {}
     for name, runs in (
@@ -219,7 +225,7 @@ _objects = partial(_objects, error=ConfigError)
 
 # The keys docs/schemas/scenario.json declares for each object.
 _SCENARIO_KEYS = frozenset(f.name for f in fields(ScenarioConfig))
-_GENERATE_KEYS = frozenset(("kind", "seed")) | GENERATOR_PARAMS
+_GENERATE_KEYS = frozenset(("kind", "seed"))
 _SERVICE_KEYS = frozenset(("id", "mean_exec_time_s", "cpu_cost", "mem_cost", "popularity_weight"))
 _JITTER_KEYS = frozenset(f.name for f in fields(JitterSpec))
 
@@ -241,8 +247,10 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> ScenarioConf
             topo = load_topology(path)
         else:
             gen = dict(_checked(topo_spec, "generate", None, (dict,), "an object"))
-            _refuse_unknown(gen, _GENERATE_KEYS, "topology.generate")
             kind = _checked(gen, "kind", None, (str,), "a string")
+            # A key that the kind does not read is refused, as a misspelt one is.
+            params = KIND_PARAMS.get(kind, GENERATOR_PARAMS)
+            _refuse_unknown(gen, _GENERATE_KEYS | params, "topology.generate")
             del gen["kind"]
             gen_seed = _checked(gen, "seed", 0, (int, str), "an integer or a string")
             gen.pop("seed", None)

@@ -38,7 +38,8 @@ import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .partition import _non_negative, _number, _positive, _read_text, _typed, _write_text
+from ._inputs import _non_negative, _number, _positive, _read_text, _typed
+from .emit import _write_text
 
 FLAG_EXECUTOR = 0
 FLAG_ACCESS_POINT = 1
@@ -196,11 +197,6 @@ class Topology:
 
     def access_points(self) -> list[int]:
         return [nid for nid, n in self.nodes.items() if n.is_access_point]
-
-    def executor_ids(self) -> list[int]:
-        """Nodes that run an admission strategy (relays and the sink excluded;
-        the server is included because scenarios may let it execute)."""
-        return [nid for nid, n in self.nodes.items() if not n.is_relay]
 
     def hop_diameter(self) -> int:
         """Longest shortest path in hops (unit edge weights), by an exact
@@ -411,10 +407,19 @@ def _tree_size(b: int, d: int) -> int:
     return size
 
 
+#: The parameters ``generate_topology`` reads for each kind.
+KIND_PARAMS = {
+    kind: frozenset(("cpu", "mem", "delay_ms", *params))
+    for kind, params in (
+        ("line", ("n",)),
+        ("grid", ("width", "height")),
+        ("tree", ("branching", "depth")),
+        ("scale_free", ("n", "m", "access_points")),
+    )
+}
+
 #: The parameters ``generate_topology`` reads, over all kinds.
-GENERATOR_PARAMS = frozenset(
-    ("cpu", "mem", "delay_ms", "n", "width", "height", "branching", "depth", "m", "access_points")
-)
+GENERATOR_PARAMS = frozenset().union(*KIND_PARAMS.values())
 
 
 def _uniform_specs(params: dict) -> tuple[float, float, float]:
@@ -598,6 +603,7 @@ __all__ = [
     "FLAG_RELAY",
     "FLAG_RELAY_ACCESS_POINT",
     "GENERATOR_PARAMS",
+    "KIND_PARAMS",
     "MAX_GENERATED_NODES",
     "NodeSpec",
     "Topology",

@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import log
 
-from .partition import _left_sum, _non_negative, _positive
+from ._inputs import _left_sum, _non_negative, _positive
 
 ARMA_WEIGHT = 0.5
 
@@ -242,18 +242,6 @@ def mean_arrival_rate(state: EstimatorState) -> float:
     return state.lambda_hat
 
 
-def expected_queue_length(rho: float) -> float:
-    """Stationary mean number in system for utilization rho = lambda/mu.
-
-    rho >= 1 has no stationary regime; inf signals the unstable case.
-    """
-    if rho < 0.0:
-        raise ValueError("utilization must be non-negative")
-    if rho >= 1.0:
-        return math.inf
-    return rho / (1.0 - rho)
-
-
 @dataclass(frozen=True)
 class ServiceSpec:
     """One entry of the service catalog offered by executor nodes."""
@@ -291,14 +279,6 @@ def popularity(services: list[ServiceSpec]) -> list[float]:
     total = _left_sum(s.popularity_weight for s in services)
     _check_total_weight(total)
     return [s.popularity_weight / total for s in services]
-
-
-def catalog_means(services: list[ServiceSpec]) -> tuple[float, float]:
-    """Popularity-weighted mean cpu and memory demand of the catalog."""
-    shares = popularity(services)
-    cpu = _left_sum(p * s.cpu_cost for p, s in zip(shares, services))
-    mem = _left_sum(p * s.mem_cost for p, s in zip(shares, services))
-    return cpu, mem
 
 
 @dataclass(frozen=True)
@@ -456,10 +436,8 @@ __all__ = [
     "EstimatorState",
     "JitterSpec",
     "ServiceSpec",
-    "catalog_means",
     "estimator_backend",
     "execution_probability",
-    "expected_queue_length",
     "mean_arrival_rate",
     "new_estimator",
     "poisson_stream",

@@ -27,7 +27,8 @@ from offloadsim.appstats import (
     OverlapReport,
     SynthCorpus,
 )
-from offloadsim.partition import CallGraph, ClassNode, MethodProfile, _left_sum, _positive
+from offloadsim._inputs import _left_sum, _positive
+from offloadsim.partition import CallGraph, ClassNode, MethodProfile
 from offloadsim.topology import NodeSpec, Topology
 from offloadsim.workload import _segment_boundaries, _validate_jitters, new_estimator
 

@@ -10,9 +10,8 @@ offloadsim.
 * Louvain modularity, and the modularity of a fixed split, on 20 random
   call graphs with float edge weights,
 * the decision gates' method frequencies and time/energy verdicts for each
-  class of those graphs, given random float invocation counts, and the
-  RTT estimate of random float latency windows,
-* popularity shares and catalog means of random float service catalogs,
+  class of those graphs, given random float invocation counts,
+* popularity shares of random float service catalogs,
 * the mean and median unique-class fraction and the storage savings of
   synthetic app corpora at prefix depths 2 to 4,
 * sha256 digests of the bytes ``write_corpus`` writes, and of the
@@ -49,7 +48,6 @@ from offloadsim.workload import (
     JitterSpec,
     ServiceSpec,
     _iter_arrival_tuples,
-    catalog_means,
     new_estimator,
     popularity,
 )
@@ -122,11 +120,6 @@ def decision_values() -> dict[str, str]:
             )
             out[f"freq|{seed}|{name}"] = repr(decision._frequencies(prof))
             out[f"gates|{seed}|{name}"] = repr(verdict)
-        rng = random.Random(seed)
-        window = decision.LatencyWindow()
-        for k in range(3):
-            decision.update_latency_window(window, rng.uniform(1e-3, 0.1), float(k))
-        out[f"rtt|{seed}"] = repr(window.rtt_estimate())
     return out
 
 
@@ -145,7 +138,6 @@ def catalog_values() -> dict[str, str]:
             for i in range(rng.randint(3, 12))
         ]
         out[f"popularity|{seed}"] = repr(popularity(services))
-        out[f"catalog|{seed}"] = repr(catalog_means(services))
     return out
 
 

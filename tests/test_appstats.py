@@ -14,6 +14,7 @@ from offloadsim.appstats import (
     Corpus,
     CorpusError,
     LibrarySpec,
+    _generating_app,
     _shared_key,
     is_obfuscated_package,
     parse_corpus,
@@ -287,6 +288,13 @@ class TestSynthesis:
             ({"library_pool": [LibrarySpec(7, 3)]}, "library 7: a corpus file cannot carry"),
             ({"library_pool": [LibrarySpec("com.x.y", 3), LibrarySpec("com.x.y", 4)]},
              "library 'com.x.y' appears twice in the pool"),
+            ({"library_pool": [LibrarySpec("com.vendor0000.app.feature0", 500)],
+              "inclusion_prob": 1.0, "private_packages": 1, "obfuscated_packages": 0},
+             "library 'com.vendor0000.app.feature0': app0000 may draw a package of that name"),
+            ({"library_pool": [LibrarySpec("b.h.impl1_0", 7)], "obfuscated_packages": 1},
+             "library 'b.h.impl1_0': app0001 may draw a package of that name"),
+            ({"library_pool": [LibrarySpec("com.vendor0002.app.feature3.part0.part1", 7)]},
+             "library 'com.vendor0002.app.feature3.part0.part1': app0002 may draw"),
             ({"private_packages": 0, "obfuscated_packages": 0, "inclusion_prob": 0.0},
              "an app can draw no package"),
             ({"private_packages": 0, "obfuscated_packages": 0, "inclusion_prob": 0.99},
@@ -299,6 +307,35 @@ class TestSynthesis:
         kwargs = {"n_apps": 3, **kwargs}
         with pytest.raises(CorpusError, match=re.escape(message)):
             synth_corpus(**kwargs)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "a.b.impl0_0",  # app 0's obfuscated package is a.a.impl0_0
+            "com.vendor0003.app.feature0",  # past the last app
+            "com.vendor0000.app.feature4",  # past the last private package
+            "com.vendor0000.app.feature0.part1",  # the extra segments run part0, part1
+            "com.vendor000.app.feature0",  # ids take four digits
+            "com.vendor0000.app.feature00",
+            "b.h.impl01_0",
+            "a.a.impl0_1",  # app 0 has one obfuscated package
+        ],
+    )
+    def test_a_pool_path_no_app_generates_is_kept(self, path):
+        synth = synth_corpus(3, library_pool=[LibrarySpec(path, 9)], inclusion_prob=1.0)
+        assert synth.placements == {path: ["app0000", "app0001", "app0002"]}
+        assert all(a.packages[path] == 9 for a in synth.corpus.apps)
+
+    def test_ids_past_four_digits_are_matched_exactly(self):
+        pool = [LibrarySpec("com.vendor10000.app.feature0", 3)]
+        with pytest.raises(CorpusError, match="app10000 may draw a package of that name"):
+            synth_corpus(10_001, library_pool=pool)
+        with pytest.raises(CorpusError, match="app10000 may draw"):
+            synth_corpus(10_001, library_pool=[LibrarySpec("a.a.impl10000_0", 3)])
+        for path in ("com.vendor010000.app.feature0", "a.a.impl010000_0", "a.a.impl10000_1",
+                     "com.vendor" + "1" * 5000 + ".app.feature0", "a.a.impl0_" + "0" * 5000):
+            assert _generating_app(path, 10_001, 4, 1) is None
+        assert _generating_app("com.vendor10000.app.feature0", 10_000, 4, 1) is None
 
     def test_a_certain_pool_draw_alone_makes_every_app(self):
         pool = [LibrarySpec("org.shared.lib", 5)]
@@ -315,14 +352,29 @@ def synth_fields(synth):
     return apps, list(synth.placements.items())
 
 
-# Pool paths built from these segments collide with generated private
-# ("com.vendor0000.app.feature0") and obfuscated ("a.b.impl0_0") names.
+# Pool paths built from these segments may equal generated private
+# ("com.vendor0000.app.feature0") or obfuscated ("a.a.impl0_0") names, which
+# synth_corpus refuses; "a.b.impl0_0" is a name no app generates.
 POOL_SEGMENTS = ["com", "org", "vendor0000", "vendor0001", "app", "feature0", "part0", "a", "b",
                  "impl0_0", "lib"]
 
 
 def draws_every_app_a_package(library_pool, inclusion_prob, private, obfuscated):
     return bool(private or obfuscated or (library_pool != [] and inclusion_prob == 1.0))
+
+
+def generated_names(n_apps, private, obfuscated):
+    """Every package name the original generator can give an app of its own."""
+    names = set()
+    for i in range(n_apps):
+        for j in range(private):
+            pkg = f"com.vendor{i:04d}.app.feature{j}"
+            names.update((pkg, pkg + ".part0", pkg + ".part0.part1"))
+        for j in range(obfuscated):
+            seg1 = chr(ord("a") + (i + j) % 16)
+            seg2 = chr(ord("a") + (i * 7 + j * 3) % 16)
+            names.add(f"{seg1}.{seg2}.impl{i}_{j}")
+    return names
 
 
 class TestSynthesisOracle:
@@ -363,6 +415,12 @@ class TestSynthesisOracle:
         )
         if not draws_every_app_a_package(library_pool, inclusion_prob, private, obfuscated):
             with pytest.raises(CorpusError, match="an app can draw no package"):
+                synth_corpus(n_apps, **kwargs)
+            return
+        generated = generated_names(n_apps, private, obfuscated)
+        if any(lib.path in generated for lib in library_pool or ()):
+            # The original generator overwrote such a library in its app.
+            with pytest.raises(CorpusError, match="may draw a package of that name"):
                 synth_corpus(n_apps, **kwargs)
             return
         got = synth_fields(synth_corpus(n_apps, **kwargs))

@@ -335,40 +335,6 @@ def test_verdict_serialization_key():
     assert d["local_only"] is False
 
 
-def test_latency_window_rolls():
-    w = dc.LatencyWindow()
-    for ms, t in ((0.010, 1.0), (0.020, 2.0), (0.030, 3.0)):
-        dc.update_latency_window(w, ms, t)
-    assert w.rtt_estimate() == pytest.approx(0.020)
-    dc.update_latency_window(w, 0.040, 4.0)
-    assert w.samples == [0.020, 0.030, 0.040]
-    assert w.rtt_estimate() == pytest.approx(0.030)
-
-
-def test_latency_window_single_sample():
-    w = dc.LatencyWindow()
-    dc.update_latency_window(w, 0.025, 1.0)
-    assert w.rtt_estimate() == pytest.approx(0.025)
-
-
-def test_latency_window_empty_errors():
-    with pytest.raises(dc.DecisionError):
-        dc.LatencyWindow().rtt_estimate()
-
-
-def test_latency_window_full_reflection_needs_capacity_samples():
-    w = dc.LatencyWindow()
-    for t in range(3):
-        dc.update_latency_window(w, 0.010, float(t))
-    # True RTT steps to 40 ms; the estimate only reaches it after the
-    # window has fully turned over.
-    for i in range(3):
-        dc.update_latency_window(w, 0.040, 3.0 + i)
-        if i < 2:
-            assert w.rtt_estimate() < 0.040
-    assert w.rtt_estimate() == pytest.approx(0.040)
-
-
 def test_energy_model_loading(tmp_path):
     doc = '{"energy_per_tx_byte_j": 1e-7, "energy_per_rx_byte_j": 5e-8, "energy_idle_per_s_j": 0.2}'
     path = tmp_path / "energy.json"

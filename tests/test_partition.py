@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offloadsim import partition as pt
+from offloadsim._inputs import _left_sum
 
 from conftest import make_graph
 
@@ -829,4 +830,4 @@ def test_weight_sums_add_left_to_right():
     g = make_graph([("a", "b", 1.0), ("a", "c", 1e-16), ("a", "d", 1e-16)])
     assert g.total_weight() == 1.0
     assert g.degree_weight("a") == 1.0
-    assert pt._left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert _left_sum([1e16, 1.0, -1e16]) == 0.0

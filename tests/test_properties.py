@@ -30,8 +30,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import signal
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from heapq import heappop
@@ -850,6 +853,55 @@ def test_no_module_calls_the_json_writers():
     for path in paths:
         calls = list(json_writer_calls(ast.parse(path.read_text())))
         assert not calls, f"{path.name} calls {calls}"
+
+
+def package_imports(tree):
+    """(module, name) for each name that a module of the package imports
+    from the package: the module's name within the package, and the name
+    imported from it, or None for the whole module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("offloadsim."):
+                    yield alias.name.removeprefix("offloadsim."), None
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "offloadsim":
+                    continue
+                module = module.removeprefix("offloadsim").removeprefix(".")
+            for alias in node.names:
+                yield (module, alias.name) if module else (alias.name, None)
+
+
+def test_the_package_is_layered():
+    # Input reading and output text are leaves, and the simulator stack
+    # reads its input without loading the call-graph partitioner.
+    example = "from .partition import A\nfrom . import emit as e\nimport offloadsim.cli\n" \
+              "from offloadsim._inputs import b\nimport json\nfrom json import dumps"
+    assert list(package_imports(ast.parse(example))) == [
+        ("partition", "A"), ("emit", None), ("cli", None), ("_inputs", "b")
+    ]
+    paths = sorted(Path(sim.__file__).parent.glob("*.py"))
+    imports = {path.stem: list(package_imports(ast.parse(path.read_text()))) for path in paths}
+    for leaf in ("_inputs", "emit"):
+        assert imports[leaf] == [], f"{leaf} imports {imports[leaf]}"
+    for module, found in imports.items():
+        private = [name for m, name in found if m == "partition" and (name or "").startswith("_")]
+        assert not private, f"{module} imports {private} from partition"
+    for module in ("workload", "topology", "control", "simulator", "appstats"):
+        assert "partition" not in {m for m, _ in imports[module]}, f"{module} imports partition"
+
+
+def test_importing_the_simulator_stack_leaves_the_partitioner_unloaded():
+    code = (
+        "import sys, offloadsim.simulator, offloadsim.appstats\n"
+        "print('offloadsim.partition' in sys.modules, 'offloadsim.workload' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sim.__file__).parent.parent))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False True\n"
 
 
 GENERATOR_CASES = [

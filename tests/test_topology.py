@@ -331,7 +331,6 @@ def test_relay_flag_roundtrip(tmp_path):
     topo = tp.load_topology(text)
     assert topo.nodes[0].is_relay
     assert topo.nodes[0].is_access_point
-    assert 0 not in topo.executor_ids()
     path = tmp_path / "relay.topo"
     tp.write_topology(topo, path)
     assert tp.load_topology(path) == topo

@@ -317,16 +317,6 @@ def test_invalid_completions_rejected():
         wl.record_completion(state, 1.0, -0.5, 0.0)
 
 
-def test_queue_length_substitutions():
-    assert wl.expected_queue_length(0.5) == pytest.approx(1.0)
-    assert wl.expected_queue_length(0.0) == 0.0
-    assert wl.expected_queue_length(0.9) == pytest.approx(9.0)
-    assert wl.expected_queue_length(1.0) == math.inf
-    assert wl.expected_queue_length(3.0) == math.inf
-    with pytest.raises(ValueError):
-        wl.expected_queue_length(-0.1)
-
-
 def test_execution_probability_substitution():
     # Drive a real state to lambda_eff=4, mu=4, cpu_avg=2, mem_avg=0. The
     # third arrival keeps the spacing so the smoothed baseline has settled
@@ -468,16 +458,6 @@ def test_popularity_weights_whose_sum_overflows_are_refused():
     assert wl.popularity(services) == pytest.approx([1e308 / 1.7e308, 7e307 / 1.7e308])
     picks = {a.service_index for a in wl.poisson_stream(1000.0, 0.1, seed=1, services=services)}
     assert picks == {0, 1}
-
-
-def test_catalog_means_weighted():
-    services = [
-        wl.ServiceSpec(name="a", mean_exec_time_s=1.0, cpu_cost=1.0, popularity_weight=3.0),
-        wl.ServiceSpec(name="b", mean_exec_time_s=2.0, cpu_cost=2.0, popularity_weight=1.0),
-    ]
-    cpu, mem = wl.catalog_means(services)
-    assert cpu == pytest.approx(0.75 * 1.0 + 0.25 * 2.0)
-    assert mem == pytest.approx(0.0)
 
 
 def test_jitter_spec_validation():
