@@ -1,6 +1,6 @@
 """In-network computation offloading toolkit.
 
-Subpackages by concern:
+Modules by concern:
 
 * ``_inputs``: the input reading and number checks behind every loader
 * ``topology``: network graphs, roles, shortest-path routing

@@ -185,38 +185,6 @@ class OffloadVerdict:
         }
 
 
-def _class_verdict(
-    graph: CallGraph, name: str, members: set[str], cond: NetworkConditions, model: EnergyModel
-) -> dict[str, bool]:
-    """Both gates for one class offloaded together with ``members``."""
-    prof = build_class_profile(graph, name, members)
-    return {"time": class_valid_time(prof, cond), "energy": class_valid_energy(prof, cond, model)}
-
-
-def _evaluate_pset(
-    graph: CallGraph,
-    pset: PartitionSet,
-    cond: NetworkConditions,
-    model: EnergyModel,
-) -> tuple[list[list[str]], int, dict[str, dict[str, bool]]]:
-    surviving: list[list[str]] = []
-    offloadable_count = 0
-    validity: dict[str, dict[str, bool]] = {}
-    for cluster, ok in zip(pset.clusters, pset.offloadable):
-        if not ok:
-            continue
-        offloadable_count += 1
-        members = set(cluster)
-        cluster_ok = True
-        for name in cluster:
-            verdict = validity[name] = _class_verdict(graph, name, members, cond, model)
-            if not (verdict["time"] and verdict["energy"]):
-                cluster_ok = False
-        if cluster_ok:
-            surviving.append(cluster)
-    return surviving, offloadable_count, validity
-
-
 def select_partition(
     sets: list[PartitionSet],
     graph: CallGraph,
@@ -232,45 +200,52 @@ def select_partition(
     ``mode="all"`` demands every offloadable cluster passes). If no
     partition qualifies, each unpinned class is tried alone (boundary
     status from its degree); if that fails too, everything stays local.
+
+    A class's gates depend only on its methods and on whether an edge
+    leaves its cluster, so each class is judged at most once per boundary
+    status.
     """
     if mode not in ("any", "all"):
         raise DecisionError(f"unknown selection mode {mode!r}")
     model = model or EnergyModel()
 
-    for pset in sorted(sets, key=lambda p: p.n_clusters):
-        surviving, offloadable_count, validity = _evaluate_pset(graph, pset, cond, model)
-        selected: list[list[str]] | None = None
-        if mode == "any" and surviving:
-            selected = surviving
-        elif mode == "all" and offloadable_count and len(surviving) == offloadable_count:
-            selected = surviving
-        if selected is not None:
-            classes = sorted(name for cluster in selected for name in cluster)
+    def candidates():
+        """(cluster count, offloadable clusters, rule) in walk order; the
+        singleton fallback comes last, with cluster count None, and needs
+        one passing class."""
+        for pset in sorted(sets, key=lambda p: p.n_clusters):
+            offloadable = [c for c, ok in zip(pset.clusters, pset.offloadable) if ok]
+            yield pset.n_clusters, offloadable, mode
+        nodes = graph.vertices
+        yield None, [[name] for name in sorted(nodes) if PINNED_TAG not in nodes[name].tags], "any"
+
+    judged: dict[tuple[str, bool], tuple[bool, bool]] = {}
+    for n_clusters, clusters, rule in candidates():
+        validity: dict[str, dict[str, bool]] = {}
+        surviving: list[list[str]] = []
+        for cluster in clusters:
+            members = set(cluster)
+            for name in cluster:
+                # ``get``: an unknown name misses, and build_class_profile refuses it.
+                key = (name, any(nb not in members for nb in graph.adj.get(name, ())))
+                if key not in judged:
+                    prof = build_class_profile(graph, name, members)
+                    judged[key] = (
+                        class_valid_time(prof, cond),
+                        class_valid_energy(prof, cond, model),
+                    )
+                time_ok, energy_ok = judged[key]
+                validity[name] = {"time": time_ok, "energy": energy_ok}
+            if all(all(validity[name].values()) for name in cluster):
+                surviving.append(cluster)
+        if surviving and (rule == "any" or len(surviving) == len(clusters)):
             return OffloadVerdict(
                 local_only=False,
-                chosen_n=pset.n_clusters,
-                offload_classes=classes,
+                chosen_n=n_clusters,
+                offload_classes=sorted(name for cluster in surviving for name in cluster),
                 per_class_validity=validity,
-                source="partition",
+                source="singleton-fallback" if n_clusters is None else "partition",
             )
-
-    validity = {}
-    chosen: list[str] = []
-    for name in sorted(graph.vertices):
-        node = graph.vertices[name]
-        if PINNED_TAG in node.tags:
-            continue
-        verdict = validity[name] = _class_verdict(graph, name, {name}, cond, model)
-        if verdict["time"] and verdict["energy"]:
-            chosen.append(name)
-    if chosen:
-        return OffloadVerdict(
-            local_only=False,
-            chosen_n=None,
-            offload_classes=chosen,
-            per_class_validity=validity,
-            source="singleton-fallback",
-        )
     return OffloadVerdict(
         local_only=True,
         chosen_n=None,

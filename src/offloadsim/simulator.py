@@ -745,20 +745,17 @@ def aggregate_metrics(runs: list[RunMetrics]) -> dict:
     }
 
 
+# The scalar fields of a run summary, in the order both formats write them.
+_SUMMARY_FIELDS = (
+    "strategy", "seed", "tau", "phi_ms", "psi", "total_arrivals",
+    "executed", "forwarded", "dropped", "gross_arrivals",
+    "gross_executed", "gross_dropped",
+)
+
+
 def _summary_dict(m: RunMetrics) -> dict:
     return {
-        "strategy": m.strategy,
-        "seed": m.seed,
-        "tau": m.tau,
-        "phi_ms": m.phi_ms,
-        "psi": m.psi,
-        "total_arrivals": m.total_arrivals,
-        "executed": m.executed,
-        "forwarded": m.forwarded,
-        "dropped": m.dropped,
-        "gross_arrivals": m.gross_arrivals,
-        "gross_executed": m.gross_executed,
-        "gross_dropped": m.gross_dropped,
+        **{k: getattr(m, k) for k in _SUMMARY_FIELDS},
         "per_node_mean_load": {str(k): v for k, v in m.per_node_mean_load.items()},
         "per_node_executed": {str(k): v for k, v in m.per_node_executed.items()},
     }
@@ -786,13 +783,8 @@ def export_metrics(metrics: RunMetrics, fmt: str, dest_dir, prefix: str = "run")
         else:
             buf = io.StringIO()
             w = csv.writer(buf, lineterminator="\n")
-            keys = [
-                "strategy", "seed", "tau", "phi_ms", "psi", "total_arrivals",
-                "executed", "forwarded", "dropped", "gross_arrivals",
-                "gross_executed", "gross_dropped",
-            ]
-            w.writerow(keys)
-            values = [getattr(metrics, k) for k in keys]
+            w.writerow(_SUMMARY_FIELDS)
+            values = [getattr(metrics, k) for k in _SUMMARY_FIELDS]
             w.writerow([repr(v) if isinstance(v, float) else v for v in values])
             _write_text(summary_path, buf.getvalue())
             _write_text(series_path, _series_csv(metrics, changes))

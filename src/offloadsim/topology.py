@@ -452,7 +452,8 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
     * ``line``: n nodes in a chain; server at one end, access point at the
       other (a single node is both).
     * ``grid``: width x height lattice; server at corner (0, 0), access
-      points on the remaining perimeter.
+      points on the remaining perimeter (only the far end when the grid is
+      one node wide, as a line's).
     * ``tree``: complete b-ary tree of given depth, breadth-first ids;
       server is the highest-id leaf, other leaves are access points.
     * ``scale_free``: preferential-attachment graph; server is the highest
@@ -495,13 +496,8 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
                 if r + 1 < h:
                     edges.append((nid, nid + w, delay))
         server = 0
-        degree = {i: 0 for i in ids}
-        for u, v, _ in edges:
-            degree[u] += 1
-            degree[v] += 1
-        leafs = {i for i in ids if degree[i] == 1 and i != server}
-        if leafs:
-            aps = leafs
+        if w == 1 or h == 1:  # a line: its far end is the one leaf besides the server
+            aps = {w * h - 1}
         else:
             aps = {
                 r * w + c

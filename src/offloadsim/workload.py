@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import log
 
-from ._inputs import _left_sum, _non_negative, _positive
+from ._inputs import _non_negative, _positive
 
 ARMA_WEIGHT = 0.5
 
@@ -274,13 +274,6 @@ def _check_total_weight(total: float) -> None:
         raise ValueError("popularity weights must sum to a finite total")
 
 
-def popularity(services: list[ServiceSpec]) -> list[float]:
-    """Normalized popularity shares (sums to 1)."""
-    total = _left_sum(s.popularity_weight for s in services)
-    _check_total_weight(total)
-    return [s.popularity_weight / total for s in services]
-
-
 @dataclass(frozen=True)
 class JitterSpec:
     """A rate surge window: inside [start, start+duration) the Poisson rate
@@ -441,7 +434,6 @@ __all__ = [
     "mean_arrival_rate",
     "new_estimator",
     "poisson_stream",
-    "popularity",
     "record_arrival",
     "record_completion",
 ]

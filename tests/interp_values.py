@@ -11,7 +11,6 @@ offloadsim.
   call graphs with float edge weights,
 * the decision gates' method frequencies and time/energy verdicts for each
   class of those graphs, given random float invocation counts,
-* popularity shares of random float service catalogs,
 * the mean and median unique-class fraction and the storage savings of
   synthetic app corpora at prefix depths 2 to 4,
 * sha256 digests of the bytes ``write_corpus`` writes, and of the
@@ -49,7 +48,6 @@ from offloadsim.workload import (
     ServiceSpec,
     _iter_arrival_tuples,
     new_estimator,
-    popularity,
 )
 
 
@@ -120,24 +118,6 @@ def decision_values() -> dict[str, str]:
             )
             out[f"freq|{seed}|{name}"] = repr(decision._frequencies(prof))
             out[f"gates|{seed}|{name}"] = repr(verdict)
-    return out
-
-
-def catalog_values() -> dict[str, str]:
-    out = {}
-    for seed in range(20):
-        rng = random.Random(seed)
-        services = [
-            ServiceSpec(
-                name=f"s{i}",
-                mean_exec_time_s=0.001,
-                cpu_cost=rng.uniform(0.1, 2.0),
-                mem_cost=rng.uniform(0.0, 1.0),
-                popularity_weight=rng.uniform(0.01, 10.0),
-            )
-            for i in range(rng.randint(3, 12))
-        ]
-        out[f"popularity|{seed}"] = repr(popularity(services))
     return out
 
 
@@ -246,7 +226,6 @@ def values() -> dict[str, str]:
         **tau_values(),
         **modularity_values(),
         **decision_values(),
-        **catalog_values(),
         **corpus_values(),
         **written_corpus_values(),
         **estimator_values(),

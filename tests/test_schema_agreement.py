@@ -2,7 +2,9 @@
 topology may take, on the parameters each generator kind takes, and on the
 bounds of a few fields: the schema (Draft 2020-12, checked by
 ``jsonschema``) refuses a scenario document exactly when the reader raises
-``ConfigError``."""
+``ConfigError``. The checks that compare two fields, which JSON Schema
+cannot state, are the exception: the schema accepts those documents and
+``simulate`` exits 2 on them."""
 
 import json
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from offloadsim import cli
 from offloadsim import simulator as sim
 from offloadsim.topology import KIND_PARAMS, generate_topology, write_topology
 
@@ -63,6 +66,28 @@ FIELD_FORMS = {
 }
 
 
+# scenario edits that only a comparison of two fields refuses, and the
+# reader's error (the README lists these checks)
+CROSS_FIELD_FORMS = {
+    "scale_free m = n": (
+        {"topology": {"generate": {"kind": "scale_free", "n": 3, "m": 3}}},
+        "scale_free attachment m must satisfy 1 <= m < n",
+    ),
+    "warmup_s = horizon_s": ({"warmup_s": 0.1}, "warmup must lie inside [0, horizon)"),
+    "overlapping jitters": (
+        {"jitters": [
+            {"start_ms": 0, "duration_ms": 50, "rate_multiplier": 2.0},
+            {"start_ms": 25, "duration_ms": 50, "rate_multiplier": 2.0},
+        ]},
+        "jitter windows overlap",
+    ),
+    "access_points over the pool": (
+        {"topology": {"generate": {"kind": "scale_free", "n": 50, "m": 2, "access_points": 50}}},
+        "access points, eligible pool has",
+    ),
+}
+
+
 @pytest.mark.parametrize("name", ["scenario", "callgraph", "tagrules", "energymodel"])
 def test_each_schema_is_a_valid_draft_2020_12_schema(name):
     jsonschema.Draft202012Validator.check_schema(json.loads((SCHEMAS / f"{name}.json").read_text()))
@@ -100,3 +125,15 @@ def test_schema_refuses_a_topology_form_exactly_when_the_reader_does(tmp_path, f
 def test_schema_refuses_a_field_value_exactly_when_the_reader_does(tmp_path, form):
     edit, refused = FIELD_FORMS[form]
     agree(tmp_path, {**BASE_DOC, "topology": {"generate": GENERATE}, **edit}, refused)
+
+
+@pytest.mark.parametrize("form", sorted(CROSS_FIELD_FORMS))
+def test_a_cross_field_check_refuses_a_schema_valid_scenario(tmp_path, capsys, form):
+    edit, error = CROSS_FIELD_FORMS[form]
+    doc = {**BASE_DOC, "topology": {"generate": GENERATE}, **edit}
+    assert VALIDATOR.is_valid(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.dispatch(argv).exit_code == 2
+    assert error in capsys.readouterr().err

@@ -277,6 +277,28 @@ def test_grid_generator_structure():
     assert len(topo.edges()) == 4
 
 
+def test_grid_access_points_are_its_leaves_or_else_its_perimeter():
+    """The degree-one nodes other than the server; with none, the perimeter
+    less the server."""
+    for w in range(1, 9):
+        for h in range(1, 9):
+            if w * h < 2:
+                continue
+            topo = tp.generate_topology("grid", {"width": w, "height": h})
+            degree = dict.fromkeys(topo.nodes, 0)
+            for u, v, _ in topo.edges():
+                degree[u] += 1
+                degree[v] += 1
+            leaves = [i for i in sorted(degree) if degree[i] == 1 and i != topo.server_id]
+            perimeter = [
+                r * w + c
+                for r in range(h)
+                for c in range(w)
+                if (r in (0, h - 1) or c in (0, w - 1)) and r * w + c != topo.server_id
+            ]
+            assert sorted(topo.access_points()) == (leaves or perimeter), (w, h)
+
+
 def test_tree_generator_connected():
     topo = tp.generate_topology("tree", {"depth": 3, "branching": 2})
     assert len(topo.nodes) == 15

@@ -391,9 +391,9 @@ def test_service_spec_validation():
         wl.ServiceSpec(name="bad", mean_exec_time_s=1.0, cpu_cost=-1.0)
     with pytest.raises(ValueError):
         wl.ServiceSpec(name="bad", mean_exec_time_s=1.0, popularity_weight=-1.0)
-    with pytest.raises(ValueError):
-        wl.popularity([wl.ServiceSpec(name="z", mean_exec_time_s=1.0,
-                                      popularity_weight=0.0)])
+    with pytest.raises(ValueError, match="popularity weights must not all be zero"):
+        wl.poisson_stream(100.0, 1.0, seed=1, services=[
+            wl.ServiceSpec(name="z", mean_exec_time_s=1.0, popularity_weight=0.0)])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -431,17 +431,6 @@ def test_stream_rejects_a_rate_product_that_overflows():
         wl.poisson_stream(1e10, 0.1, seed=1, jitters=jit)
 
 
-@given(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=8))
-def test_popularity_normalizes(weights):
-    services = [
-        wl.ServiceSpec(name=f"s{i}", mean_exec_time_s=1.0, popularity_weight=w)
-        for i, w in enumerate(weights)
-    ]
-    probs = wl.popularity(services)
-    assert sum(probs) == pytest.approx(1.0)
-    assert all(p > 0.0 for p in probs)
-
-
 def test_popularity_weights_whose_sum_overflows_are_refused():
     # Each weight is finite but their sum is not, so every draw would land
     # past the first edge, on the last service.
@@ -450,12 +439,9 @@ def test_popularity_weights_whose_sum_overflows_are_refused():
         for name in ("a", "b")
     ]
     with pytest.raises(ValueError, match="popularity weights must sum to a finite total"):
-        wl.popularity(services)
-    with pytest.raises(ValueError, match="popularity weights must sum to a finite total"):
         wl.poisson_stream(100.0, 1.0, seed=1, services=services)
     # The largest weights whose sum is finite still split the draws.
     services[1] = dataclasses.replace(services[1], popularity_weight=7e307)
-    assert wl.popularity(services) == pytest.approx([1e308 / 1.7e308, 7e307 / 1.7e308])
     picks = {a.service_index for a in wl.poisson_stream(1000.0, 0.1, seed=1, services=services)}
     assert picks == {0, 1}
 
