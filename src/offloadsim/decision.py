@@ -5,10 +5,12 @@ method's share of the class's invocations. A cluster is offloadable only if
 every member class passes both gates:
 
 * time: local execution must cost strictly more than remote execution plus
-  the transfer penalty paid by boundary methods (round trip and payload
-  bytes over the link),
-* energy: local execution must drain strictly more than transmitting the
-  boundary payloads and idling while waiting for results.
+  the transfer penalty paid by a boundary class (round trip and payload
+  bytes over the link, per method call),
+* energy: local execution must drain strictly more than a boundary class
+  spends transmitting payloads and idling while waiting for results.
+
+A class is on the boundary when a call-graph edge leaves its cluster.
 
 ``select_partition`` walks candidate partitions from coarse to fine and
 returns the first one offering a valid cluster, falling back to single-class
@@ -73,34 +75,26 @@ def load_energy_model(source) -> EnergyModel:
 
 @dataclass
 class ClassProfile:
-    """One class prepared for validity checks: methods plus which of them
-    cross the cluster boundary (and therefore pay transfer costs)."""
+    """One class prepared for validity checks: its methods, and whether the
+    class crosses the cluster boundary (and so pays transfer costs)."""
 
     name: str
     methods: list[MethodProfile]
-    boundary_flags: list[bool]
-
-    def __post_init__(self):
-        if len(self.methods) != len(self.boundary_flags):
-            raise DecisionError(
-                f"class {self.name!r}: one boundary flag per method required"
-            )
+    boundary: bool
 
 
 def build_class_profile(graph: CallGraph, name: str, cluster: set[str]) -> ClassProfile:
     """Profile a class relative to a candidate cluster.
 
     The call graph is class granular, so boundary status is per class: any
-    edge leaving the cluster marks every method of the class as boundary.
+    edge leaving the cluster puts the class on the boundary.
     """
     if name not in graph.vertices:
         raise DecisionError(f"unknown class {name!r}")
-    node = graph.vertices[name]
-    is_boundary = any(nb not in cluster for nb in graph.adj[name])
     return ClassProfile(
         name=name,
-        methods=list(node.methods),
-        boundary_flags=[is_boundary] * len(node.methods),
+        methods=list(graph.vertices[name].methods),
+        boundary=any(nb not in cluster for nb in graph.adj[name]),
     )
 
 
@@ -126,10 +120,10 @@ def class_valid_time(profile: ClassProfile, cond: NetworkConditions) -> bool:
     """
     if not profile.methods:
         return False
-    freqs = _frequencies(profile)
+    boundary = profile.boundary
     local = 0.0
     remote = 0.0
-    for f, m, boundary in zip(freqs, profile.methods, profile.boundary_flags):
+    for f, m in zip(_frequencies(profile), profile.methods):
         local += f * m.t_local_s
         remote += f * _offload_time(m, cond)
         if boundary:
@@ -142,24 +136,26 @@ def class_valid_energy(
 ) -> bool:
     """Strict energy gate: offloading must drain the battery strictly less.
 
-    Boundary methods pay to transmit inputs, receive outputs, and idle for
-    the round trip plus remote execution. When neither side consumes any
-    energy at all the gate passes vacuously (no energy signal to act on).
+    A boundary class pays, per method call, to transmit inputs, receive
+    outputs, and idle for the round trip plus remote execution. A class off
+    the boundary pays nothing, and local energy is never negative, so it
+    passes. When neither side consumes any energy at all the gate passes
+    vacuously (no energy signal to act on).
     """
     if not profile.methods:
         return False
-    freqs = _frequencies(profile)
+    if not profile.boundary:
+        return True
     local = 0.0
     remote = 0.0
-    for f, m, boundary in zip(freqs, profile.methods, profile.boundary_flags):
+    for f, m in zip(_frequencies(profile), profile.methods):
         local += f * m.energy_local_j
-        if boundary:
-            wait = _transfer_time(m, cond) + _offload_time(m, cond)
-            remote += f * (
-                m.in_bytes * model.energy_per_tx_byte_j
-                + m.out_bytes * model.energy_per_rx_byte_j
-                + wait * model.energy_idle_per_s_j
-            )
+        wait = _transfer_time(m, cond) + _offload_time(m, cond)
+        remote += f * (
+            m.in_bytes * model.energy_per_tx_byte_j
+            + m.out_bytes * model.energy_per_rx_byte_j
+            + wait * model.energy_idle_per_s_j
+        )
     if local == 0.0 and remote == 0.0:
         return True
     return local > remote

@@ -387,8 +387,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         not is_relay[i] and (i != server or server_executes) for i in range(n)
     ]
     # Link delays in seconds by dense index, only over the links a node can
-    # forward over: a relay's or passive node's next hop, or a proactive
-    # executor's links to executor neighbours (its gossip view).
+    # forward over: a relay's or passive node's next hop, or, with forwarding
+    # on, a proactive executor's links to executor neighbours (its gossip view).
     delay: list[dict[int, float] | None] = [None] * n
     next_hop: list[int | None] = [None] * n
     for i, nid in enumerate(ids):
@@ -397,7 +397,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             if nh is not None:
                 j = next_hop[i] = idx_of[nh]
                 delay[i] = {j: topo.adj[nid][nh] / 1000.0}
-        elif proactive and executor[i]:
+        elif proactive and fwd_enabled and executor[i]:
             delay[i] = {
                 idx_of[m]: d_ms / 1000.0
                 for m, d_ms in topo.adj[nid].items()

@@ -20,11 +20,11 @@ def straight_line_time_valid(profile, cond):
     weighted remote time plus boundary transfer costs."""
     total_inv = sum(m.invocations for m in profile.methods)
     local = remote = 0.0
-    for m, boundary in zip(profile.methods, profile.boundary_flags):
+    for m in profile.methods:
         f = m.invocations / total_inv if total_inv > 0 else 0.0
         local += f * m.t_local_s
         remote += f * (m.t_local_s / (cond.cpu_speedup * m.cpu_scale_hint))
-        if boundary:
+        if profile.boundary:
             remote += f * (
                 cond.rtt_s + (m.in_bytes + m.out_bytes) / cond.bandwidth_bytes_per_s
             )
@@ -34,10 +34,10 @@ def straight_line_time_valid(profile, cond):
 def straight_line_energy_valid(profile, cond, model):
     total_inv = sum(m.invocations for m in profile.methods)
     local = remote = 0.0
-    for m, boundary in zip(profile.methods, profile.boundary_flags):
+    for m in profile.methods:
         f = m.invocations / total_inv if total_inv > 0 else 0.0
         local += f * m.energy_local_j
-        if boundary:
+        if profile.boundary:
             wait = (
                 cond.rtt_s
                 + (m.in_bytes + m.out_bytes) / cond.bandwidth_bytes_per_s
@@ -63,7 +63,7 @@ def one_method_profile(t_local_ms, rtt_ms=15.0, in_bytes=0.0, out_bytes=0.0,
             in_bytes=in_bytes, out_bytes=out_bytes,
             energy_local_j=energy_mj / 1000.0,
         )],
-        boundary_flags=[boundary],
+        boundary=boundary,
     )
     cond = dc.NetworkConditions(
         rtt_s=rtt_ms / 1000.0, bandwidth_bytes_per_s=1e9, cpu_speedup=speedup
@@ -93,15 +93,16 @@ def test_heavy_method_compensates_trivial_one():
         MethodProfile(name="heavy", invocations=9.0, t_local_s=0.050),
         MethodProfile(name="tostring", invocations=1.0, t_local_s=0.0001),
     ]
-    prof = dc.ClassProfile(name="C", methods=methods, boundary_flags=[True, True])
+    prof = dc.ClassProfile(name="C", methods=methods, boundary=True)
     cond = dc.NetworkConditions(rtt_s=0.015, bandwidth_bytes_per_s=1e9, cpu_speedup=10.0)
-    solo = dc.ClassProfile(name="T", methods=[methods[1]], boundary_flags=[True])
+    solo = dc.ClassProfile(name="T", methods=[methods[1]], boundary=True)
     assert dc.class_valid_time(solo, cond) is False
     assert dc.class_valid_time(prof, cond) is True
 
 
-def test_empty_profile_never_valid():
-    prof = dc.ClassProfile(name="C", methods=[], boundary_flags=[])
+@pytest.mark.parametrize("boundary", [True, False])
+def test_empty_profile_never_valid(boundary):
+    prof = dc.ClassProfile(name="C", methods=[], boundary=boundary)
     cond = dc.NetworkConditions(rtt_s=0.01, bandwidth_bytes_per_s=1e6, cpu_speedup=2.0)
     assert dc.class_valid_time(prof, cond) is False
     assert dc.class_valid_energy(prof, cond, dc.EnergyModel()) is False
@@ -173,8 +174,7 @@ def random_profile(rng):
         )
         for i in range(n)
     ]
-    flags = [rng.random() < 0.6 for _ in range(n)]
-    return dc.ClassProfile(name="C", methods=methods, boundary_flags=flags)
+    return dc.ClassProfile(name="C", methods=methods, boundary=rng.random() < 0.6)
 
 
 def test_gates_match_straight_line_oracle():
@@ -229,19 +229,10 @@ def test_perfect_network_validates_positive_work():
     prof = dc.ClassProfile(
         name="C",
         methods=[MethodProfile(name="m", invocations=3.0, t_local_s=0.01)],
-        boundary_flags=[True],
+        boundary=True,
     )
     cond = dc.NetworkConditions(rtt_s=0.0, bandwidth_bytes_per_s=1e12, cpu_speedup=4.0)
     assert dc.class_valid_time(prof, cond) is True
-
-
-def test_profile_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        dc.ClassProfile(
-            name="C",
-            methods=[MethodProfile(name="m", invocations=1.0, t_local_s=0.01)],
-            boundary_flags=[],
-        )
 
 
 def offload_graph(heavy_ms=200.0):
@@ -349,6 +340,6 @@ def test_build_class_profile_boundary_detection():
     cluster = {"core.Worker", "core.Helper"}
     prof = dc.build_class_profile(g, "core.Worker", cluster)
     # Worker talks to ui.Screen outside the cluster, so it is boundary.
-    assert all(prof.boundary_flags)
+    assert prof.boundary is True
     helper = dc.build_class_profile(g, "core.Helper", cluster)
-    assert not any(helper.boundary_flags)
+    assert helper.boundary is False
