@@ -22,6 +22,13 @@ def _positive(x: float) -> bool:
     return math.isfinite(x) and x > 0.0
 
 
+def _invertible(x: float) -> bool:
+    """Positive and finite with a finite reciprocal: a node capacity or a
+    mean service time, which the simulator divides by. A subnormal one
+    passes ``_positive`` but makes the quotient infinite."""
+    return _positive(x) and _positive(1.0 / x)
+
+
 def _typed(data: dict, key: str, default, types: tuple, what: str, error: type):
     """``data[key]``, or ``default`` when absent (required if ``default`` is
     not of ``types``), refused with ``error`` unless of one of ``types``

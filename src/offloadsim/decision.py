@@ -78,7 +78,6 @@ class ClassProfile:
     """One class prepared for validity checks: its methods, and whether the
     class crosses the cluster boundary (and so pays transfer costs)."""
 
-    name: str
     methods: list[MethodProfile]
     boundary: bool
 
@@ -92,7 +91,6 @@ def build_class_profile(graph: CallGraph, name: str, cluster: set[str]) -> Class
     if name not in graph.vertices:
         raise DecisionError(f"unknown class {name!r}")
     return ClassProfile(
-        name=name,
         methods=list(graph.vertices[name].methods),
         boundary=any(nb not in cluster for nb in graph.adj[name]),
     )

@@ -1,18 +1,19 @@
 """Discrete-event simulator for in-network request offloading.
 
-Each node is a single-server FIFO queue: admitted requests wait their turn
-and hold the node for an exponentially distributed service time, so the
-instantaneous normalized load is (sum of cpu costs of requests in system)
-divided by cpu capacity. Strategies decide per arrival whether to execute,
-drop, or forward (see ``control``): ``none`` and ``passive`` through
-``decide_threshold``, ``proactive`` in the event loop itself, which holds
-that rule: one estimator call per arrival records it and returns q, and a
-rejected request goes to the node's only executor neighbour, or to the
-lightest in its gossip view when it has two or more. A decision is a plain
-int, ``EXECUTE``, ``DROP`` or the dense index of the node to forward to.
-Service times are drawn as ``-log(1.0 - random()) / rate``, the expression
-``random.expovariate`` evaluates, so every draw comes from ``random()``
-alone.
+Each node is a single-server FIFO queue whose head is the request in
+service, held for an exponentially distributed service time; the others
+wait their turn. The normalized load is (sum of cpu costs of requests in
+system) divided by cpu capacity, and it changes at one site in the loop,
+for admissions and completions alike. Strategies decide per arrival
+whether to execute, drop, or forward (see ``control``): ``none`` and
+``passive`` through ``decide_threshold``, ``proactive`` in the event loop
+itself, which holds that rule: one estimator call per arrival records it
+and returns q, and a rejected request goes to the node's only executor
+neighbour, or to the lightest in its gossip view when it has two or more.
+A decision is a plain int, ``EXECUTE``, ``DROP`` or the dense index of the
+node to forward to. Service starts at one site too, and its time is drawn
+as ``-log(1.0 - random()) / rate``, the expression ``random.expovariate``
+evaluates, so every draw comes from ``random()`` alone.
 
 Event ordering is a strict total order: time, then kind rank (completions
 before arrivals before heartbeats before samples), then node id, then a
@@ -466,8 +467,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         aps,
     )
 
+    # Each node's FIFO queue. Its head is the request in service.
     queue = [deque() for _ in range(n)]
-    busy = [False] * n
     load_num = [0.0] * n
     acc = [0.0] * n
     last_t = [0.0] * n
@@ -537,106 +538,71 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
 
             if is_relay[i]:
                 # Ingress plumbing: push toward the server, TTL untouched.
-                j = next_hop[i]
-            else:
-                if not executor[i]:
-                    # Pure sink: the server absorbs nothing unless configured to.
+                dec = next_hop[i]
+            elif not executor[i]:
+                # Pure sink: the server absorbs nothing unless configured to.
+                dec = DROP
+            elif proactive:
+                # Admit with probability q. One draw per arrival, even
+                # when the TTL is spent, so the stream never shifts. A
+                # count at the default TTL's lower bound resolves the
+                # exact TTL and is tested against it.
+                est = estimators[i]
+                if est is None:
+                    est = estimators[i] = new_estimator(buffer_size, cpu_cap[i], mem_cap[i])
+                q = est.record_arrival(t)
+                u = rng_random()
+                if req[1] >= ttl and (ttl_exact or req[1] >= (ttl := resolve_ttl())):
+                    dec = decide_threshold(loads[i], threshold, DROP)
+                elif u < q:
+                    dec = EXECUTE
+                elif not fwd_enabled:
                     dec = DROP
-                elif proactive:
-                    # Admit with probability q. One draw per arrival, even
-                    # when the TTL is spent, so the stream never shifts. A
-                    # count at the default TTL's lower bound resolves the
-                    # exact TTL and is tested against it.
-                    est = estimators[i]
-                    if est is None:
-                        est = estimators[i] = new_estimator(buffer_size, cpu_cap[i], mem_cap[i])
-                    q = est.record_arrival(t)
-                    u = rng_random()
-                    if req[1] >= ttl and (ttl_exact or req[1] >= (ttl := resolve_ttl())):
-                        dec = decide_threshold(loads[i], threshold, DROP)
-                    elif u < q:
-                        dec = EXECUTE
-                    elif not fwd_enabled:
-                        dec = DROP
-                    else:
-                        dec = target[i]
-                        if dec is None:
-                            view = views[i]
-                            if view is None:
-                                dec = decide_threshold(loads[i], threshold, DROP)
-                            else:
-                                dec = lightest_load_neighbor(view, t)
                 else:
-                    dec = decide_threshold(loads[i], threshold, overflow[i])
+                    dec = target[i]
+                    if dec is None:
+                        view = views[i]
+                        if view is None:
+                            dec = decide_threshold(loads[i], threshold, DROP)
+                        else:
+                            dec = lightest_load_neighbor(view, t)
+            else:
+                dec = decide_threshold(loads[i], threshold, overflow[i])
 
-                if dec == EXECUTE:
-                    lt = last_t[i]
-                    if lt < horizon:
-                        hi = t if t < horizon else horizon
-                        lo = lt if lt > warmup else warmup
-                        if hi > lo:
-                            acc[i] += loads[i] * (hi - lo)
-                    last_t[i] = t
-                    load_num[i] += svc_cpu[req[0]]
-                    loads[i] = load_num[i] * inv_cap[i]
-                    changed = True
-                    req[4] = t
-                    if busy[i]:
-                        queue[i].append(req)
-                    else:
-                        busy[i] = True
-                        dur = -log(1.0 - rng_random()) / svc_rate[req[0]]
-                        heappush(heap, (t + dur, _COMPLETION, i, seq, req, dur))
-                        seq += 1
-                    continue
-                if dec == DROP:
-                    gross_dropped += 1
-                    if req[3]:
-                        counted_drop += 1
-                    continue
-                j = dec
-                if proactive:
+            if dec == EXECUTE:
+                # Admission: the request joins the tail of the queue.
+                req[4] = t
+                fifo = queue[i]
+                fifo.append(req)
+                cost = svc_cpu[req[0]]
+            elif dec == DROP:
+                gross_dropped += 1
+                if req[3]:
+                    counted_drop += 1
+                continue
+            else:
+                # One forward path for relays and strategies alike.
+                if proactive and not is_relay[i]:
                     req[1] += 1
-            # One forward path for relays and strategies alike.
-            d = delay[i][j]
-            req[2] += d
-            if req[3]:
-                counted_fwd += 1
-            heappush(heap, (t + d, _ARRIVAL, j, seq, req))
-            seq += 1
+                d = delay[i][dec]
+                req[2] += d
+                if req[3]:
+                    counted_fwd += 1
+                heappush(heap, (t + d, _ARRIVAL, dec, seq, req))
+                seq += 1
+                continue
 
         elif kind == _COMPLETION:
+            # The head of the queue leaves service.
             i = ev[2]
-            req = ev[4]
-            lt = last_t[i]
-            if lt < horizon:
-                hi = t if t < horizon else horizon
-                lo = lt if lt > warmup else warmup
-                if hi > lo:
-                    acc[i] += loads[i] * (hi - lo)
-            last_t[i] = t
-            load_num[i] -= svc_cpu[req[0]]
-            loads[i] = load_num[i] * inv_cap[i]
-            changed = True
+            fifo = queue[i]
+            req = fifo.popleft()
+            cost = -svc_cpu[req[0]]
             gross_executed += 1
             if req[3]:
                 counted_exec += 1
                 pne[i] += 1
                 lat_sum += (t - req[4]) + 2.0 * req[2]
-            # Only proactive runs keep estimators; ev[5] is the service time.
-            est = estimators[i]
-            if est is not None:
-                est.record_completion(ev[5], svc_cpu[req[0]], svc_mem[req[0]])
-                load = loads[i]
-                for feed in feeds[i].values():
-                    feed.publish(t, load)
-            if queue[i]:
-                req = queue[i].popleft()
-                dur = -log(1.0 - rng_random()) / svc_rate[req[0]]
-                heappush(heap, (t + dur, _COMPLETION, i, seq, req, dur))
-                seq += 1
-            else:
-                busy[i] = False
 
         elif kind == _HEARTBEAT:
             if changed:
@@ -648,6 +614,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             if t_next < horizon:
                 heappush(heap, (t_next, _HEARTBEAT, -1, seq))
                 seq += 1
+            continue
 
         elif kind == _SAMPLE:
             sample_times.append(t * 1000.0)
@@ -659,10 +626,42 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             if t_next <= horizon + 1e-12:
                 heappush(heap, (t_next, _SAMPLE, -1, seq))
                 seq += 1
+            continue
 
         else:
             # The heap's sentinel: every event has run.
             break
+
+        # The one site where a node's load changes: an admission adds the
+        # request's cpu cost and a completion adds its negation, which is
+        # bit for bit the subtraction. The integral runs up to t first.
+        lt = last_t[i]
+        if lt < horizon:
+            hi = t if t < horizon else horizon
+            lo = lt if lt > warmup else warmup
+            if hi > lo:
+                acc[i] += loads[i] * (hi - lo)
+        last_t[i] = t
+        load_num[i] += cost
+        loads[i] = load_num[i] * inv_cap[i]
+        changed = True
+        if kind == _COMPLETION:
+            # Only proactive runs keep estimators; ev[4] is the service time.
+            est = estimators[i]
+            if est is not None:
+                est.record_completion(ev[4], svc_cpu[req[0]], svc_mem[req[0]])
+                load = loads[i]
+                for feed in feeds[i].values():
+                    feed.publish(t, load)
+            if not fifo:
+                continue
+        elif len(fifo) > 1:
+            # The admitted request waits behind the one in service.
+            continue
+        # The one site where service starts: the new head of the queue.
+        dur = -log(1.0 - rng_random()) / svc_rate[fifo[0][0]]
+        heappush(heap, (t + dur, _COMPLETION, i, seq, dur))
+        seq += 1
 
     if gross_executed + gross_dropped != gross_arrivals:
         raise RuntimeError(

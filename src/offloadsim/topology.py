@@ -38,7 +38,7 @@ import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from ._inputs import _non_negative, _number, _positive, _read_text, _typed
+from ._inputs import _invertible, _non_negative, _number, _read_text, _typed
 from .emit import _write_text
 
 FLAG_EXECUTOR = 0
@@ -49,12 +49,6 @@ FLAG_RELAY = 3
 
 class TopologyError(ValueError):
     """Raised for malformed or inconsistent topology descriptions."""
-
-
-def _capacity(x: float) -> bool:
-    """Positive and finite with a finite reciprocal (the simulator's loads
-    divide by it; a subnormal capacity would make them infinite)."""
-    return _positive(x) and _positive(1.0 / x)
 
 
 @dataclass(frozen=True)
@@ -68,7 +62,7 @@ class NodeSpec:
     is_relay: bool = False
 
     def __post_init__(self):
-        if not (_capacity(self.cpu_capacity) and _capacity(self.mem_capacity)):
+        if not (_invertible(self.cpu_capacity) and _invertible(self.mem_capacity)):
             raise TopologyError(f"node {self.id}: capacity and 1/capacity must be finite and > 0")
 
 
@@ -332,7 +326,7 @@ def load_topology(source) -> Topology:
             flag = int(fields[3])
         except ValueError:
             raise TopologyError(f"line {line_no}: malformed node fields in {body!r}") from None
-        if not (_capacity(cpu) and _capacity(mem)):
+        if not (_invertible(cpu) and _invertible(mem)):
             raise TopologyError(
                 f"line {line_no}: node {nid} capacity and 1/capacity must be finite and > 0"
             )
@@ -426,7 +420,7 @@ def _uniform_specs(params: dict) -> tuple[float, float, float]:
     cpu = _number(params, "cpu", 1.0, TopologyError)
     mem = _number(params, "mem", 1.0, TopologyError)
     delay = _number(params, "delay_ms", 1.0, TopologyError)
-    if not (_capacity(cpu) and _capacity(mem)):
+    if not (_invertible(cpu) and _invertible(mem)):
         raise TopologyError("generator capacity and 1/capacity must be finite and > 0")
     if not _non_negative(delay):
         raise TopologyError("generator delay must be non-negative and finite")

@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import log
 
-from ._inputs import _non_negative, _positive
+from ._inputs import _invertible, _non_negative, _positive
 
 ARMA_WEIGHT = 0.5
 
@@ -253,9 +253,10 @@ class ServiceSpec:
     popularity_weight: float = 1.0
 
     def __post_init__(self):
-        if not _positive(self.mean_exec_time_s):
+        if not _invertible(self.mean_exec_time_s):
             raise ValueError(
-                f"service {self.name!r}: mean_exec_time_s must be positive and finite"
+                f"service {self.name!r}: mean_exec_time_s and its reciprocal must be"
+                " positive and finite"
             )
         if not (_non_negative(self.cpu_cost) and _non_negative(self.mem_cost)):
             raise ValueError(

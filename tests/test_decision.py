@@ -57,7 +57,6 @@ def one_method_profile(t_local_ms, rtt_ms=15.0, in_bytes=0.0, out_bytes=0.0,
                        invocations=1.0, boundary=True, speedup=10.0,
                        energy_mj=0.0):
     prof = dc.ClassProfile(
-        name="C",
         methods=[MethodProfile(
             name="m", invocations=invocations, t_local_s=t_local_ms / 1000.0,
             in_bytes=in_bytes, out_bytes=out_bytes,
@@ -93,16 +92,16 @@ def test_heavy_method_compensates_trivial_one():
         MethodProfile(name="heavy", invocations=9.0, t_local_s=0.050),
         MethodProfile(name="tostring", invocations=1.0, t_local_s=0.0001),
     ]
-    prof = dc.ClassProfile(name="C", methods=methods, boundary=True)
+    prof = dc.ClassProfile(methods=methods, boundary=True)
     cond = dc.NetworkConditions(rtt_s=0.015, bandwidth_bytes_per_s=1e9, cpu_speedup=10.0)
-    solo = dc.ClassProfile(name="T", methods=[methods[1]], boundary=True)
+    solo = dc.ClassProfile(methods=[methods[1]], boundary=True)
     assert dc.class_valid_time(solo, cond) is False
     assert dc.class_valid_time(prof, cond) is True
 
 
 @pytest.mark.parametrize("boundary", [True, False])
 def test_empty_profile_never_valid(boundary):
-    prof = dc.ClassProfile(name="C", methods=[], boundary=boundary)
+    prof = dc.ClassProfile(methods=[], boundary=boundary)
     cond = dc.NetworkConditions(rtt_s=0.01, bandwidth_bytes_per_s=1e6, cpu_speedup=2.0)
     assert dc.class_valid_time(prof, cond) is False
     assert dc.class_valid_energy(prof, cond, dc.EnergyModel()) is False
@@ -174,7 +173,7 @@ def random_profile(rng):
         )
         for i in range(n)
     ]
-    return dc.ClassProfile(name="C", methods=methods, boundary=rng.random() < 0.6)
+    return dc.ClassProfile(methods=methods, boundary=rng.random() < 0.6)
 
 
 def test_gates_match_straight_line_oracle():
@@ -227,7 +226,6 @@ def test_more_bandwidth_never_hurts(bw_lo, bw_hi, payload):
 
 def test_perfect_network_validates_positive_work():
     prof = dc.ClassProfile(
-        name="C",
         methods=[MethodProfile(name="m", invocations=3.0, t_local_s=0.01)],
         boundary=True,
     )

@@ -181,13 +181,13 @@ def test_each_class_is_judged_at_most_once_per_boundary_status(monkeypatch):
     graph = profiled("ring-8x10")
     sets = pt.enumerate_partition_sets(graph)
     calls = []
-    judge = dc.class_valid_time
+    build = dc.build_class_profile
 
-    def counting(profile, cond):
-        calls.append(profile.name)
-        return judge(profile, cond)
+    def counting(graph, name, cluster):
+        calls.append(name)
+        return build(graph, name, cluster)
 
-    monkeypatch.setattr(dc, "class_valid_time", counting)
+    monkeypatch.setattr(dc, "build_class_profile", counting)
     cond = dc.NetworkConditions(rtt_s=0.4, bandwidth_bytes_per_s=1e4, cpu_speedup=1.0)
     assert dc.select_partition(sets, graph, cond, ENERGY).source == "local-only"
     # The fallback judges every unpinned class, and nothing judges more.

@@ -104,11 +104,22 @@ def topologies(draw, delays_ms=DELAYS_MS, kinds=("line", "grid", "tree", "scale_
 
 @st.composite
 def scenarios(draw, strategies=sim.STRATEGIES, delays_ms=DELAYS_MS):
+    """Scenarios with a catalog of one to three services whose costs mix
+    zero, fractional and heavy cpu with and without memory, so a load change
+    may be 0.0 and q may see memory headroom."""
+    services = [
+        ServiceSpec(
+            name=f"s{k}",
+            mean_exec_time_s=draw(st.sampled_from([0.0005, 0.002, 0.01])),
+            cpu_cost=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+            mem_cost=draw(st.sampled_from([0.0, 2.0])),
+            popularity_weight=draw(st.sampled_from([0.5, 1.0, 4.0])),
+        )
+        for k in range(draw(st.integers(1, 3)))
+    ]
     return sim.ScenarioConfig(
         topology=draw(topologies(delays_ms)),
-        services=[
-            ServiceSpec(name="s", mean_exec_time_s=draw(st.sampled_from([0.0005, 0.002, 0.01])))
-        ],
+        services=services,
         base_rate_per_s=draw(st.sampled_from([200.0, 1000.0, 4000.0])),
         horizon_s=draw(st.sampled_from([0.02, 0.05])),
         strategy=draw(st.sampled_from(strategies)),

@@ -7,7 +7,9 @@ agree with ``build_call_graph``, ``load_tag_rules`` and
 ``load_energy_model`` on a table of forms each. On every form the schema
 (Draft 2020-12, checked by ``jsonschema``) refuses a document exactly when
 the reader raises. The checks that JSON Schema cannot state are the
-exception: the schema accepts those documents and the CLI exits 2 on them.
+exception: the schema accepts those documents and the CLI exits 2 on them,
+among them a subnormal mean service time or generator capacity, whose
+reciprocal overflows.
 Every ``default`` a schema declares is the value its reader gives an
 omitted key."""
 
@@ -99,6 +101,24 @@ CROSS_FIELD_FORMS = {
     "access_points over the pool": (
         {"topology": {"generate": {"kind": "scale_free", "n": 50, "m": 2, "access_points": 50}}},
         "access points, eligible pool has",
+    ),
+}
+
+# scenario edits that only the reciprocal rule refuses: a subnormal mean
+# service time or generator capacity is positive, but the simulator divides
+# by it and its reciprocal overflows; and the reader's error
+RECIPROCAL_FORMS = {
+    "service mean_exec_time_s 1e-320": (
+        {"services": [{"id": "s", "mean_exec_time_s": 1e-320}]},
+        "mean_exec_time_s and its reciprocal must be positive and finite",
+    ),
+    "generator cpu 1e-320": (
+        {"topology": {"generate": {**GENERATE, "cpu": 1e-320}}},
+        "generator capacity and 1/capacity must be finite and > 0",
+    ),
+    "generator mem 1e-320": (
+        {"topology": {"generate": {**GENERATE, "mem": 1e-320}}},
+        "generator capacity and 1/capacity must be finite and > 0",
     ),
 }
 
@@ -304,6 +324,22 @@ def test_a_cross_field_check_refuses_a_schema_valid_scenario(tmp_path, capsys, f
     argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
     assert cli.dispatch(argv).exit_code == 2
     assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy", sim.STRATEGIES)
+@pytest.mark.parametrize("form", sorted(RECIPROCAL_FORMS))
+def test_a_reciprocal_that_overflows_refuses_a_schema_valid_scenario(
+    tmp_path, capsys, form, strategy
+):
+    edit, error = RECIPROCAL_FORMS[form]
+    doc = {**BASE_DOC, "topology": {"generate": GENERATE}, "strategy": strategy, **edit}
+    assert VALIDATOR.is_valid(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.dispatch(argv).exit_code == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
