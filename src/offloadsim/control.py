@@ -18,7 +18,9 @@ incoming request:
 ``none`` and ``passive`` share one threshold rule, ``decide_threshold``;
 they differ only in the overflow decision a node takes at or above the
 threshold, which is fixed per node before a run (``DROP`` for ``none``,
-``passive_overflow`` for ``passive``).
+``passive_overflow`` for ``passive``). Relays and the sink take the same
+rule with a threshold of -inf: a relay's overflow is its next hop, the
+sink's is ``DROP``.
 
 A decision is a plain int: ``EXECUTE`` (-1), ``DROP`` (-2), or otherwise
 the dense index of the node to forward to, which may be 0, so callers
@@ -95,7 +97,11 @@ def lightest_load_neighbor(neighbors: list[tuple], now: float) -> int | None:
 
 
 def decide_threshold(node_load: float, capacity_threshold: float, overflow: int) -> int:
-    """Execute below the threshold; at or above it, take ``overflow``."""
+    """Execute below the threshold; at or above it, take ``overflow``.
+
+    The simulator passes a threshold of -inf for relays and the sink, which
+    never execute, so they always take ``overflow``: ``x < -inf`` is False
+    for every float, NaN included."""
     return EXECUTE if node_load < capacity_threshold else overflow
 
 

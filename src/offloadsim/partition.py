@@ -139,9 +139,6 @@ class CallGraph:
     def total_weight(self) -> float:
         return _left_sum(w for _, _, w in self.edge_list())
 
-    def degree_weight(self, name: str) -> float:
-        return _left_sum(self.adj[name].values())
-
 
 # The keys docs/schemas/callgraph.json and tagrules.json declare.
 _VERTEX_KEYS = frozenset(("name", "tags", "methods"))
@@ -239,7 +236,8 @@ class _DenseIndex:
     """A call graph on int ids. Ids follow sorted name order, so comparing
     ids orders vertices as comparing names does. Each vertex's neighbours
     keep the insertion order of ``graph.adj``, with a parallel list of
-    edge weights; ``degree`` holds each vertex's ``degree_weight``."""
+    edge weights; ``degree`` holds each vertex's summed edge weight, added
+    left to right."""
 
     names: list[str]
     id_of: dict[str, int]

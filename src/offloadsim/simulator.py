@@ -4,9 +4,12 @@ Each node is a single-server FIFO queue whose head is the request in
 service, held for an exponentially distributed service time; the others
 wait their turn. The normalized load is (sum of cpu costs of requests in
 system) divided by cpu capacity, and it changes at one site in the loop,
-for admissions and completions alike. Strategies decide per arrival
-whether to execute, drop, or forward (see ``control``): ``none`` and
-``passive`` through ``decide_threshold``, ``proactive`` in the event loop
+for admissions and completions alike. Each node's rule is fixed in one
+set-up pass over the nodes. Every arrival is decided by
+``decide_threshold`` (see ``control``) with the node's limit and overflow,
+except at a proactive executor: relays take a limit of -inf and their next
+hop as overflow, the sink -inf and ``DROP``, and ``none`` and ``passive``
+executors the capacity threshold. ``proactive`` lives in the event loop
 itself, which holds that rule: one estimator call per arrival records it
 and returns q, and a rejected request goes to the node's only executor
 neighbour, or to the lightest in its gossip view when it has two or more.
@@ -372,7 +375,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         return cfg.resolved_ttl()
 
     server_executes = cfg.server_executes
-    fwd_enabled = cfg.proactive_forwarding
     threshold = cfg.capacity_threshold
 
     ids = sorted(topo.nodes)
@@ -387,28 +389,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     executor = [
         not is_relay[i] and (i != server or server_executes) for i in range(n)
     ]
-    # Link delays in seconds by dense index, only over the links a node can
-    # forward over: a relay's or passive node's next hop, or, with forwarding
-    # on, a proactive executor's links to executor neighbours (its gossip view).
-    delay: list[dict[int, float] | None] = [None] * n
-    next_hop: list[int | None] = [None] * n
-    for i, nid in enumerate(ids):
-        if is_relay[i] or strategy == "passive":
-            nh = topo.next_hop_toward_server(nid)
-            if nh is not None:
-                j = next_hop[i] = idx_of[nh]
-                delay[i] = {j: topo.adj[nid][nh] / 1000.0}
-        elif proactive and fwd_enabled and executor[i]:
-            delay[i] = {
-                idx_of[m]: d_ms / 1000.0
-                for m, d_ms in topo.adj[nid].items()
-                if executor[idx_of[m]]
-            }
-    # What none and passive do at or above the threshold, fixed per node.
-    if strategy == "passive":
-        overflow = [passive_overflow(nh, server, server_executes) for nh in next_hop]
-    else:
-        overflow = [DROP] * n
 
     svc_rate = [1.0 / s.mean_exec_time_s for s in cfg.services]
     svc_cpu = [s.cpu_cost for s in cfg.services]
@@ -427,21 +407,50 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     # its capacities, and return its q from ``record_arrival``.
     estimators = [None] * n
     buffer_size = cfg.buffer_size
-    # Where a proactive executor forwards a rejected request: ``target[i]``
-    # is its only executor neighbour, else ``views[i]`` lists (neighbour,
-    # its feed, the heartbeat feed) in id order for two or more, and with
-    # none both stay None. Gossip feeds are built only for views, which are
-    # the only readers: per executor, one for its completions per delay of
-    # its links to viewing neighbours; one per delay shared by heartbeats.
+
+    # What each node does, fixed in one pass over the nodes. Every arrival
+    # but a proactive executor's, and that one's two fallbacks, is decided by
+    # ``decide_threshold(loads[i], limit[i], overflow[i])``. ``limit`` is the
+    # threshold for an executor and -inf for relays and the sink, which never
+    # execute: ``x < -inf`` is False even for NaN. ``overflow`` is a relay's
+    # next hop, a passive node's ``passive_overflow`` and otherwise DROP.
+    # ``delay`` holds link delays in seconds by dense index, only over the
+    # links a node can forward over: a relay's or passive node's next hop,
+    # or, with forwarding on, a proactive executor's links to executor
+    # neighbours (its gossip view). Where a proactive executor forwards a
+    # rejected request: ``target[i]`` is its only executor neighbour, or DROP
+    # without forwarding, else ``views[i]`` lists (neighbour, its feed, the
+    # heartbeat feed) in id order for two or more, and with none both stay
+    # None. Gossip feeds are built only for views, which are the only
+    # readers: per executor, one for its completions per delay of its links
+    # to viewing neighbours; one per delay shared by heartbeats, which start
+    # from ``snap``.
+    limit = [-math.inf] * n
+    overflow = [DROP] * n
+    delay: list[dict[int, float] | None] = [None] * n
     target: list[int | None] = [None] * n
     views: list[list[tuple] | None] = [None] * n
     feeds: list[dict[float, LoadFeed]] = [{} for _ in range(n)]
     beats: dict[float, LoadFeed] = {}
-    if proactive and fwd_enabled:
-        for i in range(n):
-            if not executor[i]:
+    for i, nid in enumerate(ids):
+        if executor[i]:
+            limit[i] = threshold
+        if is_relay[i] or strategy == "passive":
+            nh = topo.next_hop_toward_server(nid)
+            j = None
+            if nh is not None:
+                j = idx_of[nh]
+                delay[i] = {j: topo.adj[nid][nh] / 1000.0}
+            overflow[i] = j if is_relay[i] else passive_overflow(j, server, server_executes)
+        elif proactive and executor[i]:
+            if not cfg.proactive_forwarding:
+                target[i] = DROP
                 continue
-            links = delay[i]
+            links = delay[i] = {
+                idx_of[m]: d_ms / 1000.0
+                for m, d_ms in topo.adj[nid].items()
+                if executor[idx_of[m]]
+            }
             if len(links) == 1:
                 (target[i],) = links
             elif links:
@@ -536,13 +545,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                     ext = (nxt[0], _ARRIVAL, nxt[2], seq, None)
                     seq += 1
 
-            if is_relay[i]:
-                # Ingress plumbing: push toward the server, TTL untouched.
-                dec = next_hop[i]
-            elif not executor[i]:
-                # Pure sink: the server absorbs nothing unless configured to.
-                dec = DROP
-            elif proactive:
+            if proactive and executor[i]:
                 # Admit with probability q. One draw per arrival, even
                 # when the TTL is spent, so the stream never shifts. A
                 # count at the default TTL's lower bound resolves the
@@ -553,21 +556,21 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 q = est.record_arrival(t)
                 u = rng_random()
                 if req[1] >= ttl and (ttl_exact or req[1] >= (ttl := resolve_ttl())):
-                    dec = decide_threshold(loads[i], threshold, DROP)
+                    dec = decide_threshold(loads[i], limit[i], overflow[i])
                 elif u < q:
                     dec = EXECUTE
-                elif not fwd_enabled:
-                    dec = DROP
                 else:
                     dec = target[i]
                     if dec is None:
                         view = views[i]
                         if view is None:
-                            dec = decide_threshold(loads[i], threshold, DROP)
+                            dec = decide_threshold(loads[i], limit[i], overflow[i])
                         else:
                             dec = lightest_load_neighbor(view, t)
             else:
-                dec = decide_threshold(loads[i], threshold, overflow[i])
+                # Relays forward, the sink drops, and none and passive
+                # executors take the threshold rule.
+                dec = decide_threshold(loads[i], limit[i], overflow[i])
 
             if dec == EXECUTE:
                 # Admission: the request joins the tail of the queue.
@@ -582,7 +585,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 continue
             else:
                 # One forward path for relays and strategies alike.
-                if proactive and not is_relay[i]:
+                if proactive and executor[i]:
                     req[1] += 1
                 d = delay[i][dec]
                 req[2] += d
@@ -604,33 +607,30 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 pne[i] += 1
                 lat_sum += (t - req[4]) + 2.0 * req[2]
 
-        elif kind == _HEARTBEAT:
-            if changed:
-                snap = loads.copy()
-                changed = False
-            for feed in beats.values():
-                feed.publish(t, snap)
-            t_next = t + hb_dt
-            if t_next < horizon:
-                heappush(heap, (t_next, _HEARTBEAT, -1, seq))
-                seq += 1
-            continue
-
-        elif kind == _SAMPLE:
-            sample_times.append(t * 1000.0)
-            if changed:
-                snap = loads.copy()
-                changed = False
-            sample_rows.append(snap)
-            t_next = t + sample_dt
-            if t_next <= horizon + 1e-12:
-                heappush(heap, (t_next, _SAMPLE, -1, seq))
-                seq += 1
-            continue
-
-        else:
+        elif kind == _END:
             # The heap's sentinel: every event has run.
             break
+
+        else:
+            # A heartbeat or a sample: both read the loads as of ``snap``.
+            if changed:
+                snap = loads.copy()
+                changed = False
+            if kind == _HEARTBEAT:
+                for feed in beats.values():
+                    feed.publish(t, snap)
+                t_next = t + hb_dt
+                if t_next < horizon:
+                    heappush(heap, (t_next, _HEARTBEAT, -1, seq))
+                    seq += 1
+            else:
+                sample_times.append(t * 1000.0)
+                sample_rows.append(snap)
+                t_next = t + sample_dt
+                if t_next <= horizon + 1e-12:
+                    heappush(heap, (t_next, _SAMPLE, -1, seq))
+                    seq += 1
+            continue
 
         # The one site where a node's load changes: an admission adds the
         # request's cpu cost and a completion adds its negation, which is

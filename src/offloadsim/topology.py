@@ -247,10 +247,18 @@ def _bit_parallel_diameter(adj: dict[int, dict[int, float]]) -> int:
         level += 1
 
 
+#: Each access flag's role: (is access point, is relay).
+_FLAG_ROLES = {
+    FLAG_EXECUTOR: (False, False),
+    FLAG_ACCESS_POINT: (True, False),
+    FLAG_RELAY_ACCESS_POINT: (True, True),
+    FLAG_RELAY: (False, True),
+}
+_ROLE_FLAGS = {role: flag for flag, role in _FLAG_ROLES.items()}
+
+
 def _node_flag(spec: NodeSpec) -> int:
-    if spec.is_relay:
-        return FLAG_RELAY_ACCESS_POINT if spec.is_access_point else FLAG_RELAY
-    return FLAG_ACCESS_POINT if spec.is_access_point else FLAG_EXECUTOR
+    return _ROLE_FLAGS[spec.is_access_point, spec.is_relay]
 
 
 def _checked_spec(
@@ -271,15 +279,10 @@ def _checked_spec(
 
 
 def _spec_from_flag(nid: int, cpu: float, mem: float, flag: int, line_no: int) -> NodeSpec:
-    if flag not in (FLAG_EXECUTOR, FLAG_ACCESS_POINT, FLAG_RELAY_ACCESS_POINT, FLAG_RELAY):
+    role = _FLAG_ROLES.get(flag)
+    if role is None:
         raise TopologyError(f"line {line_no}: unknown access flag {flag}")
-    return _checked_spec(
-        nid,
-        cpu,
-        mem,
-        is_access_point=flag in (FLAG_ACCESS_POINT, FLAG_RELAY_ACCESS_POINT),
-        is_relay=flag in (FLAG_RELAY_ACCESS_POINT, FLAG_RELAY),
-    )
+    return _checked_spec(nid, cpu, mem, *role)
 
 
 def load_topology(source) -> Topology:
@@ -355,7 +358,14 @@ def load_topology(source) -> Topology:
 
 
 def write_topology(topo: Topology, path) -> None:
-    """Serialize in the edge-list format (round-trips through load_topology)."""
+    """Serialize in the edge-list format (round-trips through load_topology).
+
+    Raises ``TopologyError``, naming the node, for an id that the format
+    cannot carry: one whose type is not ``int`` (a ``bool`` is not), checked
+    before the file is opened."""
+    for nid in (*topo.nodes, topo.server_id):
+        if type(nid) is not int:
+            raise TopologyError(f"node {nid!r}: the edge-list format carries only int ids")
     out = [f"nodes {len(topo.nodes)} server {topo.server_id}"]
     for nid, spec in topo.nodes.items():
         out.append(
@@ -428,15 +438,16 @@ def _uniform_specs(params: dict) -> tuple[float, float, float]:
 
 
 def _finalize(
-    ids: list[int],
+    count: int,
     edges: list[tuple[int, int, float]],
     server: int,
     aps: set[int],
     cpu: float,
     mem: float,
 ) -> Topology:
-    # _uniform_specs has checked the one capacity pair that all nodes share.
-    nodes = [_checked_spec(i, cpu, mem, i in aps) for i in ids]
+    # Nodes 0 .. count - 1. _uniform_specs has checked the one capacity
+    # pair that all nodes share.
+    nodes = [_checked_spec(i, cpu, mem, i in aps) for i in range(count)]
     return Topology(nodes, edges, server)
 
 
@@ -468,11 +479,10 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
         if n < 1:
             raise TopologyError("line topology needs n >= 1")
         _check_size(n, f"line n = {n}")
-        ids = list(range(n))
         edges = [(i, i + 1, delay) for i in range(n - 1)]
         server = n - 1
         aps = {0}  # with n == 1 the lone server doubles as the access point
-        return _finalize(ids, edges, server, aps, cpu, mem)
+        return _finalize(n, edges, server, aps, cpu, mem)
 
     if kind == "grid":
         w = _integer(params, "width", 0)
@@ -480,7 +490,6 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
         if w < 1 or h < 1 or w * h < 2:
             raise TopologyError("grid topology needs width*height >= 2")
         _check_size(w * h, f"grid width * height = {w} * {h}")
-        ids = list(range(w * h))
         edges = []
         for r in range(h):
             for c in range(w):
@@ -499,7 +508,7 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
                 for c in range(w)
                 if (r in (0, h - 1) or c in (0, w - 1)) and r * w + c != server
             }
-        return _finalize(ids, edges, server, aps, cpu, mem)
+        return _finalize(w * h, edges, server, aps, cpu, mem)
 
     if kind == "tree":
         b = _integer(params, "branching", 0)
@@ -507,7 +516,6 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
         if b < 1 or d < 0:
             raise TopologyError("tree topology needs branching >= 1 and depth >= 0")
         _check_size(_tree_size(b, d), f"tree branching = {b}, depth = {d}")
-        ids = [0]
         edges = []
         frontier = [0]
         next_id = 1
@@ -519,7 +527,6 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
                     new_frontier.append(next_id)
                     next_id += 1
             frontier = new_frontier
-        ids = list(range(next_id))
         server = next_id - 1  # deepest, highest-numbered leaf (max eccentricity)
         if d == 0:
             aps = {0}
@@ -527,7 +534,7 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
             aps = set(frontier) - {server}
             if not aps:  # b == 1 chains have a single leaf; use the root end
                 aps = {0}
-        return _finalize(ids, edges, server, aps, cpu, mem)
+        return _finalize(next_id, edges, server, aps, cpu, mem)
 
     if kind == "scale_free":
         n = _integer(params, "n", 0)
@@ -539,7 +546,6 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
             raise TopologyError("scale_free attachment m must satisfy 1 <= m < n")
         rng = random.Random(f"{seed}|topology")
         getrandbits = rng.getrandbits
-        ids = list(range(n))
         edges = []
         # Preferential attachment over a repeated-endpoint urn, seeded with a
         # small clique so early picks are well defined. A pick is
@@ -569,10 +575,10 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
         for u in urn:
             degree[u] += 1
         server = degree.index(max(degree))
-        pool = sorted(i for i in ids if degree[i] == 1 and i != server)
+        pool = sorted(i for i in range(n) if degree[i] == 1 and i != server)
         if not pool:
-            min_deg = min(degree[i] for i in ids if i != server)
-            pool = sorted(i for i in ids if degree[i] == min_deg and i != server)
+            min_deg = min(degree[i] for i in range(n) if i != server)
+            pool = sorted(i for i in range(n) if degree[i] == min_deg and i != server)
         if "access_points" in params:
             want = _integer(params, "access_points", None)
             if want < 1 or want > len(pool):
@@ -582,7 +588,7 @@ def generate_topology(kind: str, params: dict | None = None, seed=0) -> Topology
             aps = set(rng.sample(pool, want))
         else:
             aps = set(pool)
-        return _finalize(ids, edges, server, aps, cpu, mem)
+        return _finalize(n, edges, server, aps, cpu, mem)
 
     raise TopologyError(f"unknown topology kind {kind!r}")
 

@@ -106,7 +106,9 @@ def topologies(draw, delays_ms=DELAYS_MS, kinds=("line", "grid", "tree", "scale_
 def scenarios(draw, strategies=sim.STRATEGIES, delays_ms=DELAYS_MS):
     """Scenarios with a catalog of one to three services whose costs mix
     zero, fractional and heavy cpu with and without memory, so a load change
-    may be 0.0 and q may see memory headroom."""
+    may be 0.0 and q may see memory headroom, and a capacity threshold of
+    0.5, 1.0 or 2.0, so the threshold rule is compared at more than one
+    limit."""
     services = [
         ServiceSpec(
             name=f"s{k}",
@@ -126,6 +128,7 @@ def scenarios(draw, strategies=sim.STRATEGIES, delays_ms=DELAYS_MS):
         buffer_size=draw(st.integers(2, 8)),
         ttl=draw(st.one_of(st.none(), st.integers(0, 4))),
         gossip_period_ms=draw(st.sampled_from([0.5, 1.0, 5.0, 100.0])),
+        capacity_threshold=draw(st.sampled_from([0.5, 1.0, 2.0])),
         server_executes=draw(st.booleans()),
         proactive_forwarding=draw(st.booleans()),
         sample_interval_ms=draw(st.sampled_from([0.0, 5.0])),

@@ -1,6 +1,7 @@
 """Network descriptions: edge-list parsing, validation, routing, generators."""
 
 import math
+import re
 import sys
 
 import pytest
@@ -356,6 +357,22 @@ def test_relay_flag_roundtrip(tmp_path):
     path = tmp_path / "relay.topo"
     tp.write_topology(topo, path)
     assert tp.load_topology(path) == topo
+
+
+@pytest.mark.parametrize("bad", ["a", True, 1.5])
+def test_write_refuses_an_id_the_format_cannot_carry(tmp_path, bad):
+    # A hand-built topology may hold ids that load_topology cannot read
+    # back; the writer names the node and creates no file.
+    ids = [bad, "b"] if isinstance(bad, str) else [0, bad]
+    topo = tp.Topology(
+        [tp.NodeSpec(nid, 1.0, 1.0, is_access_point=(k == 0)) for k, nid in enumerate(ids)],
+        [(ids[0], ids[1], 1.0)],
+        server_id=ids[1],
+    )
+    path = tmp_path / "bad.topo"
+    with pytest.raises(tp.TopologyError, match=f"^node {re.escape(repr(bad))}: "):
+        tp.write_topology(topo, path)
+    assert not path.exists()
 
 
 def test_hop_diameter():
