@@ -20,9 +20,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import appstats as appstats_mod
-from . import decision as decision_mod
-from . import partition as partition_mod
+# ``simulate`` needs only the simulator stack, so the other commands import
+# their modules in their handlers.
 from . import simulator as simulator_mod
 from .emit import _write_text, json_text
 from .simulator import ConfigError
@@ -197,7 +196,9 @@ def _cmd_simulate(args) -> CommandOutcome:
     return CommandOutcome(EXIT_OK, artifacts)
 
 
-def _load_graph(args) -> partition_mod.CallGraph:
+def _load_graph(args):
+    from . import partition as partition_mod
+
     graph = partition_mod.build_call_graph(args.graph)
     if args.rules is not None:
         rules = partition_mod.load_tag_rules(args.rules)
@@ -206,6 +207,8 @@ def _load_graph(args) -> partition_mod.CallGraph:
 
 
 def _cmd_partition(args) -> CommandOutcome:
+    from . import partition as partition_mod
+
     graph = _load_graph(args)
     natural = partition_mod.louvain_optimal(graph)
     sets = partition_mod.enumerate_partition_sets(
@@ -231,6 +234,8 @@ def _cmd_partition(args) -> CommandOutcome:
 
 
 def _cmd_decide(args) -> CommandOutcome:
+    from . import decision as decision_mod, partition as partition_mod
+
     graph = _load_graph(args)
     cond = decision_mod.NetworkConditions(
         rtt_s=args.rtt_ms / 1000.0,
@@ -250,6 +255,8 @@ def _cmd_decide(args) -> CommandOutcome:
 
 
 def _cmd_appstats(args) -> CommandOutcome:
+    from . import appstats as appstats_mod
+
     corpus = appstats_mod.parse_corpus(args.corpus)
     report = appstats_mod.unique_class_fraction(corpus, args.depth)
     payload = {

@@ -75,8 +75,8 @@ from .topology import load_topology
 from .workload import (
     JitterSpec,
     ServiceSpec,
+    _arrival_inputs,
     _iter_arrival_tuples,
-    _validate_jitters,
     new_estimator,
 )
 
@@ -156,8 +156,6 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r} (choose from {STRATEGIES})")
-        if not self.services:
-            raise ConfigError("at least one service must be defined")
         for name in (
             "base_rate_per_s",
             "load_multiplier",
@@ -176,19 +174,22 @@ class ScenarioConfig:
             raise ConfigError("ttl must be non-negative")
         if not _non_negative(self.sample_interval_ms):
             raise ConfigError("sample_interval_ms must be non-negative and finite")
-        for name, planned in planned_work(self).items():
-            events, cap = _PLAN_CAPS[name]
-            if planned > cap:
-                raise ConfigError(
-                    f"{name} {getattr(self, name)!r} plans {planned:.9g} {events} over horizon_s"
-                    f" {self.horizon_s!r}, more than the cap of {cap:,}"
-                )
+        # Overlapping jitter windows, a plan past a cap and every refusal of
+        # the arrival stream's checks, in that order, raise a ConfigError. The
+        # caps come first, so an overflowing rate is refused as a plan.
         try:
-            _validate_jitters(self.jitters)
+            for name, planned in planned_work(self).items():
+                events, cap = _PLAN_CAPS[name]
+                if planned > cap:
+                    raise ValueError(
+                        f"{name} {getattr(self, name)!r} plans {planned:.9g} {events} over"
+                        f" horizon_s {self.horizon_s!r}, more than the cap of {cap:,}"
+                    )
+            rate = self.base_rate_per_s * self.load_multiplier
+            aps = self.topology.access_points()
+            _arrival_inputs(rate, self.horizon_s, self.jitters, self.services, aps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not self.topology.access_points():
-            raise ConfigError("topology declares no access points, nothing can arrive")
 
 
 def planned_work(cfg: ScenarioConfig) -> dict[str, float]:
@@ -196,9 +197,9 @@ def planned_work(cfg: ScenarioConfig) -> dict[str, float]:
     sets it: ``sample_interval_ms``, the sample rows; ``gossip_period_ms``,
     the heartbeats (none unless a proactive run forwards); and
     ``base_rate_per_s``, the expected external arrivals, the integral of
-    ``base_rate_per_s * load_multiplier`` over ``[0, horizon_s)`` with each
-    jitter's multiplier applied over its window. A count that overflows is
-    inf.
+    ``base_rate_per_s * load_multiplier`` over the arrival stream's rate
+    segments in ``[0, horizon_s)``. A count that overflows is inf; jitter
+    windows that overlap raise ``ValueError``.
 
     The sample rows planned are ``horizon_s * 1000 / sample_interval_ms``.
     A run also takes the row at t = 0, and samples while the summed periods
@@ -212,12 +213,12 @@ def planned_work(cfg: ScenarioConfig) -> dict[str, float]:
     ):
         period = getattr(cfg, name)
         plan[name] = horizon * 1000.0 / period if runs and period > 0.0 else 0.0
-    # Seconds at multiplier 1, plus each jitter's extra over its window.
-    weighted = horizon
-    for j in cfg.jitters:
-        inside = min(j.end_ms / 1000.0, horizon) - j.start_ms / 1000.0
-        if inside > 0.0:
-            weighted += (j.rate_multiplier - 1.0) * inside
+    # Each of the stream's rate segments lasts until the next one starts or
+    # the horizon. At a unit rate their check refuses only overlapping
+    # jitter windows, and the caps judge the rate.
+    segs, _, _ = _arrival_inputs(1.0, horizon, cfg.jitters)
+    ends = [start for start, _ in segs[1:]] + [horizon]
+    weighted = _left_sum(mult * (end - start) for (start, mult), end in zip(segs, ends))
     plan["base_rate_per_s"] = cfg.base_rate_per_s * cfg.load_multiplier * weighted
     return plan
 

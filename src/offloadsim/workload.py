@@ -268,13 +268,6 @@ class ServiceSpec:
             )
 
 
-def _check_total_weight(total: float) -> None:
-    if total <= 0.0:
-        raise ValueError("popularity weights must not all be zero")
-    if total == math.inf:
-        raise ValueError("popularity weights must sum to a finite total")
-
-
 @dataclass(frozen=True)
 class JitterSpec:
     """A rate surge window: inside [start, start+duration) the Poisson rate
@@ -332,29 +325,15 @@ def _segment_boundaries(jitters: list[JitterSpec], horizon_s: float) -> list[tup
     return segs
 
 
-def _iter_arrival_tuples(
-    rate_per_s: float,
-    horizon_s: float,
-    seed,
-    jitters: list[JitterSpec] | None = None,
-    services: list[ServiceSpec] | None = None,
-    access_points: list[int] | None = None,
-):
-    """Yields raw (time_s, service_index, origin) tuples; shared core of
-    ``poisson_stream`` and the simulator's hot loop. Every argument is
-    checked before the first tuple is drawn."""
+def _arrival_inputs(rate_per_s, horizon_s, jitters=None, services=None, access_points=None):
+    """The arrival stream's argument checks, shared with ``ScenarioConfig.validate``;
+    returns the rate segments, the cumulative popularity weights and their total."""
     if not _positive(horizon_s):
         raise ValueError("horizon must be positive and finite")
-    jitters = _validate_jitters(list(jitters or []))
-    segs = _segment_boundaries(jitters, horizon_s)
+    segs = _segment_boundaries(_validate_jitters(list(jitters or [])), horizon_s)
     # An infinite rate draws zero gaps forever; finite factors can overflow.
     if not all(_positive(rate_per_s * mult) for _, mult in segs):
         raise ValueError("arrival rate must be positive and finite in every rate segment")
-
-    rng = random.Random(f"{seed}|arrivals")
-    uniform = rng.random
-    getrandbits = rng.getrandbits
-
     # A service is picked as the first whose cumulative weight exceeds
     # u * total_w, the count of edges at or below it. The last edge is inf
     # so that the pick is clamped to the last index: for a subnormal total
@@ -365,10 +344,31 @@ def _iter_arrival_tuples(
         for s in services:
             total_w += s.popularity_weight
             cum.append(total_w)
-        _check_total_weight(total_w)
+        if total_w <= 0.0:
+            raise ValueError("popularity weights must not all be zero")
+        if total_w == math.inf:
+            raise ValueError("popularity weights must sum to a finite total")
         cum[-1] = math.inf
     if access_points is not None and not access_points:
         raise ValueError("access point list must not be empty")
+    return segs, cum, total_w
+
+
+def _iter_arrival_tuples(
+    rate_per_s: float,
+    horizon_s: float,
+    seed,
+    jitters: list[JitterSpec] | None = None,
+    services: list[ServiceSpec] | None = None,
+    access_points: list[int] | None = None,
+):
+    """Yields raw (time_s, service_index, origin) tuples; shared core of
+    ``poisson_stream`` and the simulator's hot loop. ``_arrival_inputs``
+    checks every argument before the first tuple is drawn."""
+    segs, cum, total_w = _arrival_inputs(rate_per_s, horizon_s, jitters, services, access_points)
+    rng = random.Random(f"{seed}|arrivals")
+    uniform = rng.random
+    getrandbits = rng.getrandbits
     n_ap = len(access_points) if access_points is not None else 0
     k_ap = n_ap.bit_length()
 

@@ -1,6 +1,8 @@
 """Pinned outputs: the sha256 of ``repr(RunMetrics)`` for every preset ×
 strategy at seeds 1 and 2, and with ``server_executes=True`` or
-``proactive_forwarding=False`` at seed 1; and the sha256 of each file that
+``proactive_forwarding=False`` at seed 1; for fig3's proactive scenario
+with the default TTL and the server executing on topologies of hop
+diameter 1; and the sha256 of each file that
 ``export_metrics(m, "both")`` writes for the scale-free scenario the
 benchmark runs (400 nodes, 0.1 s, topology seeds 0-2, run seed one more)
 under every strategy, plus a run seed that is a string.
@@ -16,6 +18,7 @@ import hashlib
 import pytest
 
 from offloadsim import simulator as sim
+from offloadsim.topology import generate_topology
 
 VARIANTS = {
     "1": {"seed": 1},
@@ -75,6 +78,41 @@ def test_the_table_covers_every_preset_strategy_and_variant():
     assert set(DIGESTS) == {
         (p, s, v) for p in sim.PRESETS for s in sim.STRATEGIES for v in VARIANTS
     }
+
+
+# Topologies of hop diameter 1, on which the default TTL's lower bound of 2
+# is the TTL itself: a request's second forward spends it without the
+# diameter being computed first.
+DIAMETER_ONE = {
+    "line-2": ("line", {"n": 2}),
+    "scale_free-3": ("scale_free", {"n": 3, "m": 2}),
+}
+
+# (topology, load multiplier) -> sha256 of repr(RunMetrics) for fig3's
+# proactive scenario at seed 1 with ttl=None and server_executes=True.
+DEFAULT_TTL_DIGESTS = {
+    ("line-2", 1.0): "2a3dc9870e8eb94fe60cfd82411563dfbc50d0ea0f18dc637c59d9dfbca2f379",
+    ("line-2", 8.0): "0e6ae9214365a34dba08d3c323d4a3ce9ddb73ebee42e929b52d30df0fb5042a",
+    ("scale_free-3", 1.0): "3dcd78ebcfb94d36f12899250943ecb568b29db8179978076453d1939f94eee0",
+    ("scale_free-3", 8.0): "48e5a88c7077ec2142081488396f254c3aab45d17c961774c59380dcc75c47d0",
+}
+
+
+@pytest.mark.parametrize("topology,load", sorted(DEFAULT_TTL_DIGESTS))
+def test_default_ttl_runs_on_diameter_one_topologies_match_the_pinned_digest(topology, load):
+    kind, params = DIAMETER_ONE[topology]
+    cfg = dataclasses.replace(
+        sim.preset_fig3("proactive"),
+        topology=generate_topology(kind, params),
+        ttl=None,
+        server_executes=True,
+        load_multiplier=load,
+        seed=1,
+    )
+    m = sim.run_scenario(cfg)
+    assert cfg.resolved_ttl() == 2
+    assert m.forwarded > 0
+    assert hashlib.sha256(repr(m).encode()).hexdigest() == DEFAULT_TTL_DIGESTS[topology, load]
 
 
 def scalefree_scenario(instance: int) -> dict:

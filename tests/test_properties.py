@@ -106,18 +106,24 @@ def topologies(draw, delays_ms=DELAYS_MS, kinds=("line", "grid", "tree", "scale_
 def scenarios(draw, strategies=sim.STRATEGIES, delays_ms=DELAYS_MS):
     """Scenarios with a catalog of one to three services whose costs mix
     zero, fractional and heavy cpu with and without memory, so a load change
-    may be 0.0 and q may see memory headroom, and a capacity threshold of
-    0.5, 1.0 or 2.0, so the threshold rule is compared at more than one
-    limit."""
+    may be 0.0 and q may see memory headroom, and whose popularity weights
+    may be 0.0 for some services but not for all, so some may never be
+    picked; and a capacity threshold of 0.5, 1.0 or 2.0, so the threshold
+    rule is compared at more than one limit."""
+    count = draw(st.integers(1, 3))
+    weights = draw(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 4.0]), min_size=count, max_size=count)
+        .filter(any)
+    )
     services = [
         ServiceSpec(
             name=f"s{k}",
             mean_exec_time_s=draw(st.sampled_from([0.0005, 0.002, 0.01])),
             cpu_cost=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])),
             mem_cost=draw(st.sampled_from([0.0, 2.0])),
-            popularity_weight=draw(st.sampled_from([0.5, 1.0, 4.0])),
+            popularity_weight=weight,
         )
-        for k in range(draw(st.integers(1, 3)))
+        for k, weight in enumerate(weights)
     ]
     return sim.ScenarioConfig(
         topology=draw(topologies(delays_ms)),
@@ -916,6 +922,16 @@ def test_importing_the_simulator_stack_leaves_the_partitioner_unloaded():
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False True\n"
+    # The CLI imports the analysis modules in the handlers that use them, so
+    # ``simulate`` loads only the simulator stack.
+    code = (
+        "import sys, offloadsim.cli\n"
+        "print([m for m in ('appstats', 'decision', 'partition', 'simulator')"
+        " if 'offloadsim.' + m in sys.modules])"
+    )
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "['simulator']\n"
 
 
 GENERATOR_CASES = [

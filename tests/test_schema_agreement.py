@@ -104,6 +104,21 @@ CROSS_FIELD_FORMS = {
     ),
 }
 
+# scenario edits that only the arrival stream's checks refuse, and the
+# reader's error: JSON Schema cannot state a sum of weights, nor a product
+# of the base rate and a jitter's multiplier (the surge below plans about
+# 1e7 arrivals, under the cap)
+ARRIVAL_FORMS = {
+    "popularity weights all zero": (
+        {"services": [{"id": "s", "mean_exec_time_s": 0.001, "popularity_weight": 0.0}]},
+        "popularity weights must not all be zero",
+    ),
+    "segment rate overflows": (
+        {"jitters": [{"start_ms": 0.0, "duration_ms": 1e-300, "rate_multiplier": 1e308}]},
+        "arrival rate must be positive and finite in every rate segment",
+    ),
+}
+
 # scenario edits that only the reciprocal rule refuses: a subnormal mean
 # service time or generator capacity is positive, but the simulator divides
 # by it and its reciprocal overflows; and the reader's error
@@ -324,6 +339,28 @@ def test_a_cross_field_check_refuses_a_schema_valid_scenario(tmp_path, capsys, f
     argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
     assert cli.dispatch(argv).exit_code == 2
     assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", sorted(ARRIVAL_FORMS))
+def test_an_arrival_check_refuses_a_schema_valid_scenario_at_load(
+    tmp_path, capsys, monkeypatch, form
+):
+    edit, error = ARRIVAL_FORMS[form]
+    doc = {**BASE_DOC, "topology": {"generate": GENERATE}, **edit}
+    assert VALIDATOR.is_valid(doc)
+    with pytest.raises(sim.ConfigError, match=error):
+        sim.scenario_from_dict(doc)
+
+    def unreachable(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(sim, "run_scenario", unreachable)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.dispatch(argv).exit_code == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("strategy", sim.STRATEGIES)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import operator
+import statistics
 from pathlib import Path
 
 import pytest
@@ -300,9 +301,12 @@ def test_run_batch_sweeps_seeds():
     assert [r.seed for r in runs] == [1, 2, 3]
     agg = sim.aggregate_metrics(runs)
     assert agg["runs"] == 3
-    assert agg["tau"]["std"] >= 0.0
-    assert agg["psi"]["mean"] == pytest.approx(
-        sum(r.psi for r in runs) / 3)
+    # The mean and the sample (not the population) standard deviation.
+    for key in ("tau", "phi_ms", "psi"):
+        values = [getattr(r, key) for r in runs]
+        assert len(set(values)) > 1
+        assert agg[key] == {"mean": statistics.fmean(values), "std": statistics.stdev(values)}
+    assert sim.aggregate_metrics(runs[:1])["tau"]["std"] == 0.0
 
 
 def test_hop_diameter_is_computed_once_per_topology(monkeypatch):
@@ -670,6 +674,38 @@ def test_every_preset_expects_far_fewer_arrivals_than_the_cap():
         for strategy in sim.STRATEGIES:
             plan = sim.planned_work(make(strategy))
             assert plan["base_rate_per_s"] <= sim.MAX_PLANNED_ARRIVALS / 1000
+
+
+#: Inputs that only the arrival stream's checks refuse, as edits of
+#: ``small_config``, and the stream's error: popularity weights that are all
+#: zero, and a surge whose rate overflows over a window too short for the
+#: arrival cap to see (it plans about 4e7 arrivals).
+ARRIVAL_REFUSALS = {
+    "zero popularity": (
+        {"services": [ServiceSpec(name="s", mean_exec_time_s=0.002, popularity_weight=0.0)]},
+        "popularity weights must not all be zero",
+    ),
+    "segment rate overflow": (
+        {"jitters": [JitterSpec(start_ms=0.0, duration_ms=1e-300, rate_multiplier=1e308)]},
+        "arrival rate must be positive and finite in every rate segment",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(ARRIVAL_REFUSALS))
+def test_a_run_is_refused_by_the_stream_checks_before_any_route(monkeypatch, refusal):
+    edit, error = ARRIVAL_REFUSALS[refusal]
+    cfg = small_config(strategy="passive", **edit)
+    assert sim.planned_work(cfg)["base_rate_per_s"] < sim.MAX_PLANNED_ARRIVALS
+    with pytest.raises(sim.ConfigError, match=error):
+        cfg.validate()
+
+    def unreachable(self, node_id):
+        raise AssertionError("set-up asked for a route")
+
+    monkeypatch.setattr(Topology, "next_hop_toward_server", unreachable)
+    with pytest.raises(sim.ConfigError, match=error):
+        sim.run_scenario(cfg)
 
 
 def test_jitter_overlap_message_matches_the_stream_check():
