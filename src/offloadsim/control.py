@@ -17,10 +17,11 @@ incoming request:
 
 ``none`` and ``passive`` share one threshold rule, ``decide_threshold``;
 they differ only in the overflow decision a node takes at or above the
-threshold, which is fixed per node before a run (``DROP`` for ``none``,
-``passive_overflow`` for ``passive``). Relays and the sink take the same
-rule with a threshold of -inf: a relay's overflow is its next hop, the
-sink's is ``DROP``.
+threshold: ``DROP`` for ``none``, fixed before a run, and for ``passive``
+the ``passive_overflow`` built at the node's first arrival at or above the
+threshold. Relays and the sink take the same rule with a threshold of
+-inf: a relay's overflow is its next hop, built at its first arrival, and
+the sink's is ``DROP``.
 
 A decision is a plain int: ``EXECUTE`` (-1), ``DROP`` (-2), or otherwise
 the dense index of the node to forward to, which may be 0, so callers
@@ -28,8 +29,14 @@ compare against the two codes and never read a target by its truth value.
 
 Load gossip is pulled: completions and heartbeats publish loads on
 ``LoadFeed``s, one per link delay, and ``lightest_load_neighbor`` reads
-them when a node forwards, holding the one staleness rule. Only views with
-a choice are built, so a run in which no node has one publishes nothing.
+them when a node forwards, holding the one staleness rule. A node's view
+is built by ``gossip_view`` at its first rejected request, and only at a
+node with a choice of two or more neighbours, so a run in which no node
+has one publishes nothing. Every publisher that a view may read keeps a
+record from before its first publication: a feed over the slowest link
+that reads it, which keeps only what that link can still deliver. A view's
+feed over a faster link is derived from the record when first needed, and
+from then on delivers what a feed built before the run would have.
 """
 
 from __future__ import annotations
@@ -70,6 +77,17 @@ class LoadFeed:
             self.latest = in_flight.popleft()[1]
         in_flight.append((now + self.delay, (now, value)))
 
+    def over(self, delay: float) -> LoadFeed:
+        """The same publications over a link of ``delay``, no slower than
+        this feed's, as a feed that took every one of them would deliver
+        them from now on. ``latest`` has landed over the faster link too,
+        and each publication in flight lands at ``published_at + delay``,
+        computed as ``publish`` computes it."""
+        feed = LoadFeed(delay)
+        feed.latest = self.latest
+        feed.in_flight.extend((pub[0] + delay, pub) for _, pub in self.in_flight)
+        return feed
+
 
 def lightest_load_neighbor(neighbors: list[tuple], now: float) -> int | None:
     """Neighbor with the smallest load visible at ``now`` (ties to the
@@ -96,6 +114,24 @@ def lightest_load_neighbor(neighbors: list[tuple], now: float) -> int | None:
     return best_id
 
 
+def gossip_view(links: dict[int, float], feeds: list, beats: list[LoadFeed]) -> list[tuple]:
+    """The ``(neighbour, completion feed, heartbeat feed)`` triples that
+    ``lightest_load_neighbor`` reads for a node choosing among ``links``
+    (neighbour: link delay, in id order). ``feeds[j]`` lists neighbour j's
+    completion feeds and ``beats`` the heartbeat feeds, each list headed by
+    its record, over the slowest link that reads it. A feed over another
+    delay is derived from the record once, and then shared."""
+    return [(j, _feed_over(feeds[j], d), _feed_over(beats, d)) for j, d in links.items()]
+
+
+def _feed_over(feeds: list[LoadFeed], delay: float) -> LoadFeed:
+    for feed in feeds:
+        if feed.delay == delay:
+            return feed
+    feeds.append(feeds[0].over(delay))
+    return feeds[-1]
+
+
 def decide_threshold(node_load: float, capacity_threshold: float, overflow: int) -> int:
     """Execute below the threshold; at or above it, take ``overflow``.
 
@@ -119,6 +155,7 @@ __all__ = [
     "EXECUTE",
     "LoadFeed",
     "decide_threshold",
+    "gossip_view",
     "lightest_load_neighbor",
     "passive_overflow",
 ]

@@ -4,15 +4,21 @@ Each node is a single-server FIFO queue whose head is the request in
 service, held for an exponentially distributed service time; the others
 wait their turn. The normalized load is (sum of cpu costs of requests in
 system) divided by cpu capacity, and it changes at one site in the loop,
-for admissions and completions alike. Each node's rule is fixed in one
-set-up pass over the nodes. Every arrival is decided by
+for admissions and completions alike. Every arrival is decided by
 ``decide_threshold`` (see ``control``) with the node's limit and overflow,
 except at a proactive executor: relays take a limit of -inf and their next
 hop as overflow, the sink -inf and ``DROP``, and ``none`` and ``passive``
-executors the capacity threshold. ``proactive`` lives in the event loop
-itself, which holds that rule: one estimator call per arrival records it
-and returns q, and a rejected request goes to the node's only executor
-neighbour, or to the lightest in its gossip view when it has two or more.
+executors the capacity threshold. Set-up fixes only each node's limit and,
+under proactive forwarding, its count of executor neighbours. The rest of
+a node's rule is built at its first need: a relay's next hop at its first
+arrival, a passive executor's at its first arrival at or above the
+threshold, and a proactive executor's forward target or gossip view at its
+first rejected request. So routes are computed only in a run that forwards,
+and a node that never acts costs only its entries in per-node lists.
+``proactive`` lives in the event loop itself, which holds that rule: one
+estimator call per arrival records it and returns q, and a rejected
+request goes to the node's only executor neighbour, or to the lightest in
+its gossip view when it has two or more.
 A decision is a plain int, ``EXECUTE``, ``DROP`` or the dense index of the
 node to forward to. Service starts at one site too, and its time is drawn
 as ``-log(1.0 - random()) / rate``, the expression ``random.expovariate``
@@ -29,10 +35,12 @@ Gossip deliveries are not events: completions and heartbeats publish on
 feeds that deliver a publication at p over a link of delay d at p + d (see
 ``control``). A node forwarding at t sees exactly the publications already
 made that land by t. So over a 0 ms link a completion reaches arrivals at
-its own instant, and a heartbeat, which runs after them, does not. Feeds
-exist only for views with two or more candidates, and heartbeats run only
-when some feed does; deliveries are lazy, so a feed nobody reads changes
-nothing a later read sees.
+its own instant, and a heartbeat, which runs after them, does not.
+Heartbeats run only when some node has two or more executor neighbours to
+choose from. Every publisher that such a node may read keeps a record from
+before its first publication, so a view built late reads what one built
+before the run would have; deliveries are lazy, so a feed nobody reads
+changes nothing a later read sees.
 
 Metrics (collected over [warmup, horizon), then settled so every admitted
 request finishes):
@@ -56,6 +64,7 @@ from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import log
 from pathlib import Path
 
@@ -66,6 +75,7 @@ from .control import (
     EXECUTE,
     LoadFeed,
     decide_threshold,
+    gossip_view,
     lightest_load_neighbor,
     passive_overflow,
 )
@@ -93,6 +103,10 @@ _HEARTBEAT = 2
 _SAMPLE = 3
 _END = 4
 _NO_ARRIVAL = (math.inf, _END + 1)
+
+# The overflow of a relay or passive executor until its first need builds
+# it: neither ``EXECUTE``, ``DROP`` nor a node index.
+_UNBUILT = -3
 
 
 class ConfigError(ValueError):
@@ -409,61 +423,88 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     estimators = [None] * n
     buffer_size = cfg.buffer_size
 
-    # What each node does, fixed in one pass over the nodes. Every arrival
-    # but a proactive executor's, and that one's two fallbacks, is decided by
-    # ``decide_threshold(loads[i], limit[i], overflow[i])``. ``limit`` is the
-    # threshold for an executor and -inf for relays and the sink, which never
-    # execute: ``x < -inf`` is False even for NaN. ``overflow`` is a relay's
-    # next hop, a passive node's ``passive_overflow`` and otherwise DROP.
-    # ``delay`` holds link delays in seconds by dense index, only over the
-    # links a node can forward over: a relay's or passive node's next hop,
-    # or, with forwarding on, a proactive executor's links to executor
-    # neighbours (its gossip view). Where a proactive executor forwards a
-    # rejected request: ``target[i]`` is its only executor neighbour, or DROP
-    # without forwarding, else ``views[i]`` lists (neighbour, its feed, the
-    # heartbeat feed) in id order for two or more, and with none both stay
-    # None. Gossip feeds are built only for views, which are the only
-    # readers: per executor, one for its completions per delay of its links
-    # to viewing neighbours; one per delay shared by heartbeats, which start
-    # from ``snap``.
+    # What each node does. Every arrival but a proactive executor's, and
+    # that one's two fallbacks, is decided by ``decide_threshold(loads[i],
+    # limit[i], overflow[i])``. ``limit`` is the threshold for an executor
+    # and -inf for relays and the sink, which never execute: ``x < -inf`` is
+    # False even for NaN. ``overflow`` is DROP for the sink and for ``none``
+    # and proactive executors; a relay's next hop and a passive executor's
+    # ``passive_overflow`` are built at the node's first need, so until then
+    # it is ``_UNBUILT``. Set-up fixes only these, and under proactive
+    # forwarding ``choices``, each executor's count of executor neighbours;
+    # ``build`` fixes the rest of a node's rule when it first needs it.
     limit = [-math.inf] * n
     overflow = [DROP] * n
-    delay: list[dict[int, float] | None] = [None] * n
-    target: list[int | None] = [None] * n
-    views: list[list[tuple] | None] = [None] * n
-    feeds: list[dict[float, LoadFeed]] = [{} for _ in range(n)]
-    beats: dict[float, LoadFeed] = {}
-    for i, nid in enumerate(ids):
+    for i in range(n):
         if executor[i]:
             limit[i] = threshold
-        if is_relay[i] or strategy == "passive":
+        if (is_relay[i] or strategy == "passive") and i != server:
+            overflow[i] = _UNBUILT
+    # ``delay[i]`` holds link delays in seconds by dense index over the
+    # links node i forwards over: a relay's or passive node's next hop, or a
+    # proactive executor's links to executor neighbours. Where a proactive
+    # executor forwards a rejected request: ``target[i]`` is its only
+    # executor neighbour, or DROP without forwarding, else ``views[i]`` is
+    # its ``gossip_view`` when it has two or more; with none both stay None.
+    delay: list[dict[int, float] | None] = [None] * n
+    target: list[int | None] = [DROP if proactive and not cfg.proactive_forwarding else None] * n
+    views: list[list[tuple] | None] = [None] * n
+    # Gossip feeds, read only by views. ``feeds[j]`` lists what executor j's
+    # completions publish on, and ``beats`` what heartbeats publish on, each
+    # headed by a record opened before the first publication: heartbeats'
+    # at set-up, over the slowest link of the topology and starting from
+    # ``snap``; j's at its first arrival or when a view first reads it, and
+    # only if a neighbour with a choice may read it, over the slowest such
+    # link. Heartbeats run only when some node has a choice.
+    feeds: list = [()] * n
+    beats: list[LoadFeed] = []
+    choices = [0] * n
+    if proactive and cfg.proactive_forwarding:
+        # Degrees less non-executor neighbours; ``adj`` lists nodes in id order.
+        choices = list(map(len, topo.adj.values()))
+        others = [k for k in range(n) if not executor[k]]
+        for k in others:
+            for m in topo.adj[ids[k]]:
+                choices[idx_of[m]] -= 1
+        for k in others:
+            choices[k] = 0
+        if max(choices) >= 2:
+            slowest = max(chain.from_iterable(map(dict.values, topo.adj.values())))
+            beats.append(LoadFeed(slowest / 1000.0, snap))
+
+    def open_record(j: int) -> None:
+        # Unless no neighbour with a choice can read j.
+        slowest = max(
+            (d_ms for m, d_ms in topo.adj[ids[j]].items() if choices[idx_of[m]] >= 2),
+            default=None,
+        )
+        if slowest is not None:
+            feeds[j] = [LoadFeed(slowest / 1000.0)]
+
+    def build(i: int, t: float) -> int:
+        # Node i's forwarding, at its first need at t: a relay's first
+        # arrival, a passive executor's first at or above the threshold, or
+        # a proactive executor's first rejected request. Returns where that
+        # request goes.
+        nid = ids[i]
+        if not (proactive and executor[i]):
             nh = topo.next_hop_toward_server(nid)
-            j = None
-            if nh is not None:
-                j = idx_of[nh]
-                delay[i] = {j: topo.adj[nid][nh] / 1000.0}
-            overflow[i] = j if is_relay[i] else passive_overflow(j, server, server_executes)
-        elif proactive and executor[i]:
-            if not cfg.proactive_forwarding:
-                target[i] = DROP
-                continue
-            links = delay[i] = {
-                idx_of[m]: d_ms / 1000.0
-                for m, d_ms in topo.adj[nid].items()
-                if executor[idx_of[m]]
-            }
-            if len(links) == 1:
-                (target[i],) = links
-            elif links:
-                view = views[i] = []
-                for j, d in links.items():
-                    sent = feeds[j].get(d)
-                    if sent is None:
-                        sent = feeds[j][d] = LoadFeed(d)
-                    beat = beats.get(d)
-                    if beat is None:
-                        beat = beats[d] = LoadFeed(d, snap)
-                    view.append((j, sent, beat))
+            j = idx_of[nh]
+            delay[i] = {j: topo.adj[nid][nh] / 1000.0}
+            dec = overflow[i] = j if is_relay[i] else passive_overflow(j, server, server_executes)
+            return dec
+        links = delay[i] = {
+            idx_of[m]: d_ms / 1000.0 for m, d_ms in topo.adj[nid].items() if executor[idx_of[m]]
+        }
+        if len(links) == 1:
+            (dec,) = links
+            target[i] = dec
+            return dec
+        for j in links:
+            if not feeds[j]:
+                open_record(j)
+        view = views[i] = gossip_view(links, feeds, beats)
+        return lightest_load_neighbor(view, t)
 
     rng = random.Random(f"{cfg.seed}|sim")
     rng_random = rng.random
@@ -554,6 +595,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 est = estimators[i]
                 if est is None:
                     est = estimators[i] = new_estimator(buffer_size, cpu_cap[i], mem_cap[i])
+                    if beats and not feeds[i]:
+                        open_record(i)
                 q = est.record_arrival(t)
                 u = rng_random()
                 if req[1] >= ttl and (ttl_exact or req[1] >= (ttl := resolve_ttl())):
@@ -565,7 +608,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                     if dec is None:
                         view = views[i]
                         if view is None:
-                            dec = decide_threshold(loads[i], limit[i], overflow[i])
+                            # The first rejection builds the target or
+                            # view of a node with executor neighbours.
+                            if choices[i]:
+                                dec = build(i, t)
+                            else:
+                                dec = decide_threshold(loads[i], limit[i], overflow[i])
                         else:
                             dec = lightest_load_neighbor(view, t)
             else:
@@ -579,7 +627,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 fifo = queue[i]
                 fifo.append(req)
                 cost = svc_cpu[req[0]]
-            elif dec == DROP:
+            elif dec == DROP or (dec == _UNBUILT and (dec := build(i, t)) == DROP):
+                # A relay or passive node builds its overflow at its first
+                # need; a passive node before a server that does not
+                # execute drops.
                 gross_dropped += 1
                 if req[3]:
                     counted_drop += 1
@@ -618,7 +669,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 snap = loads.copy()
                 changed = False
             if kind == _HEARTBEAT:
-                for feed in beats.values():
+                for feed in beats:
                     feed.publish(t, snap)
                 t_next = t + hb_dt
                 if t_next < horizon:
@@ -652,7 +703,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             if est is not None:
                 est.record_completion(ev[4], svc_cpu[req[0]], svc_mem[req[0]])
                 load = loads[i]
-                for feed in feeds[i].values():
+                for feed in feeds[i]:
                     feed.publish(t, load)
             if not fifo:
                 continue

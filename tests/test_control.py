@@ -231,6 +231,30 @@ def test_one_delivery_pass_serves_every_reader():
     assert shows((1, feed, beats), 0.005, 0.7)
 
 
+def test_a_feed_derived_from_a_slower_record_delivers_what_a_feed_built_first_does():
+    # A record over 6 ticks takes a publication every other tick; a feed
+    # over 0 to 6 ticks is derived from it at each tick, after that tick's
+    # publication, and then read at every half tick beside a feed over the
+    # same delay that took every publication from the start.
+    tick = 2.0**-10
+    for ticks in range(7):
+        for split in range(16):
+            record, whole = ct.LoadFeed(6 * tick), ct.LoadFeed(ticks * tick)
+            derived = None
+            for k in range(24):
+                t = k * tick
+                if k % 2 == 0:
+                    for feed in (record, whole, derived):
+                        if feed is not None:
+                            feed.publish(t, float(k))
+                if k == split:
+                    derived = record.over(ticks * tick)
+                if derived is not None:
+                    for now in (t, t + tick / 2):
+                        assert derived.deliver(now) == whole.deliver(now)
+            assert derived.delay == whole.delay
+
+
 class FixedQ:
     """Estimator stand-in that returns the same q for every arrival. It has
     no ``execution_probability``: the loop takes q from ``record_arrival``."""

@@ -7,13 +7,19 @@ Topologies are small lines, grids, trees and scale-free graphs with random
 relay flags and per-link delays of 0 ms or more; scenarios vary the
 strategy, ``server_executes``, ``proactive_forwarding``, the TTL and the
 gossip period. The fast paths are checked against their references in
-``conftest``: the pull-based gossip view against the push-gossip event
-loop (also on scripted runs whose events fall on a grid of exact times, so
-that many share an instant, and on pinned single-candidate, mixed and tree
-shapes, whose gossip feeds and heartbeats must exist only where a node has
-a choice of neighbour), the ``none`` and ``passive`` runs against the same
-loop on that grid, where an external arrival, which waits beside the heap,
-ties with completions, forwards and samples, the default-TTL run, which
+``conftest``: every strategy, whose nodes build their routes, targets and
+views at their first need, against the eager event loop at loads from
+idle to 8x overload; the pull-based gossip view against the push-gossip
+event loop (also on scripted runs whose events fall on a grid of exact
+times, so that many share an instant, on scripted views first built while
+a completion is in flight, as it lands, and after older ones have been
+dropped, and on pinned single-candidate, mixed and tree shapes, whose
+gossip feeds and heartbeats must exist only where a node has a choice of
+neighbour, and whose views only where such a node rejected a request, as
+on a lightly loaded scale-free run, which builds no route and no view),
+the ``none`` and ``passive`` runs against the same loop on that grid,
+where an external arrival, which waits beside the heap, ties with
+completions, forwards and samples, the default-TTL run, which
 computes the hop diameter only once a request's hop count reaches a lower
 bound of the TTL, against the run with the explicit TTL of twice the
 diameter, the bit-parallel hop diameter against a BFS from every node,
@@ -164,6 +170,17 @@ def test_generated_scenarios_terminate_conserve_and_repeat(cfg):
         assert json_series.read_bytes() == reference_series_json(m).encode()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(scenarios(delays_ms=[0.0]), scenarios()), st.sampled_from([0.05, 1.0, 8.0]))
+def test_every_strategy_matches_the_eager_loop_from_idle_to_overload(cfg, load):
+    # A node builds its route, forward target or gossip view at its first
+    # need, which falls early, late or never as the load runs from idle to
+    # 8x overload; the reference builds every one before the first event.
+    cfg = dataclasses.replace(cfg, load_multiplier=load)
+    with time_limit(30):
+        assert sim.run_scenario(cfg) == reference_run_scenario(cfg)
+
+
 @st.composite
 def planned_scenarios(draw):
     """Scenarios on small lines, grids and trees with random relay flags and
@@ -288,8 +305,11 @@ def test_gossip_is_built_and_sent_only_where_a_node_has_a_choice(cfg):
     # gossip, so feeds exist only when some node chooses among two or more,
     # and heartbeats run only when there are feeds to publish on (the
     # first is queued at set-up, each later one pushed by the one before).
-    built, beats = [], []
+    # A node's view, the only reader of feeds, is built at its first
+    # rejected request and read at once, and never built again.
+    built, beats, log = [], [], []
     make, push = sim.LoadFeed, sim.heappush
+    view_of, lightest = sim.gossip_view, sim.lightest_load_neighbor
 
     def made(*args):
         built.append(make(*args))
@@ -300,18 +320,42 @@ def test_gossip_is_built_and_sent_only_where_a_node_has_a_choice(cfg):
             beats.append(ev[0])
         push(heap, ev)
 
-    with time_limit(30), mock.patch.object(sim, "LoadFeed", made), mock.patch.object(
-        sim, "heappush", pushed
+    def viewed(*args):
+        log.append(("built", view_of(*args)))
+        return log[-1][1]
+
+    def read(view, now):
+        log.append(("read", view))
+        return lightest(view, now)
+
+    with time_limit(30), mock.patch.multiple(
+        sim, LoadFeed=made, heappush=pushed, gossip_view=viewed, lightest_load_neighbor=read
     ):
         sim.run_scenario(cfg)
     counts = candidate_counts(cfg)
     choice = cfg.proactive_forwarding and any(c >= 2 for c in counts.values())
     assert bool(built) == choice
     assert bool(beats) == (choice and 2 * (cfg.gossip_period_ms / 1000.0) < cfg.horizon_s)
+    views = [view for what, view in log if what == "built"]
+    choosers = {
+        tuple(m for m in sorted(cfg.topology.adj[nid]) if m in counts)
+        for nid, c in counts.items()
+        if c >= 2
+    }
+    ids = sorted(cfg.topology.nodes)
+    assert len(views) <= sum(c >= 2 for c in counts.values())
+    assert len({id(view) for view in views}) == len(views)
+    for k, (what, view) in enumerate(log):
+        if what == "built":
+            assert log[k + 1] == ("read", view)
+            assert tuple(ids[j] for j, _, _ in view) in choosers
+        else:
+            assert any(view is v for v in views)
     if cfg is SINGLE_CANDIDATES or cfg.name == "fig3":
         assert counts and max(counts.values()) == 1
     elif cfg is MIXED_CANDIDATES or cfg is TREE_LEAVES:
         assert 1 in counts.values() and max(counts.values()) >= 2
+        assert views
 
 
 # 2**-10 s in ms: sums of multiples of it are exact, so scripted runs on
@@ -357,6 +401,139 @@ def test_threshold_strategies_match_the_one_heap_loop_on_tied_instants(
         [(k * TICK_S, ap) for k, ap in arrivals], [k * TICK_S for k in ticks], []
     ):
         assert sim.run_scenario(cfg) == reference_run_scenario(cfg)
+
+
+def diamond(link_ms, gossip_period_ms, cpu_2):
+    """Executors 0 to 3, all access points, around a sink server 4; node 2
+    has ``cpu_2`` cpu and the others 1.0. Node 0 chooses between 1 and 2
+    over links of ``link_ms``. Node 3 reads node 1 over a slower link (4
+    ticks), so node 1's record runs over that link and node 0's feed of it
+    is derived; the server's link (5 ticks) is the slowest, so the
+    heartbeat record runs over it."""
+    nodes = [tp.NodeSpec(i, cpu_2 if i == 2 else 1.0, 1.0, is_access_point=i < 4) for i in range(5)]
+    edges = [
+        (0, 1, link_ms), (0, 2, link_ms), (1, 3, 4 * TICK_MS), (2, 3, 4 * TICK_MS),
+        (3, 4, 5 * TICK_MS),
+    ]
+    return sim.ScenarioConfig(
+        topology=tp.Topology(nodes, edges, 4),
+        services=[ServiceSpec(name="s", mean_exec_time_s=0.001)],
+        base_rate_per_s=1000.0,
+        horizon_s=0.05,
+        strategy="proactive",
+        buffer_size=2,
+        ttl=4,
+        gossip_period_ms=gossip_period_ms,
+        warmup_s=0.0,
+        sample_interval_ms=0.0,
+    )
+
+
+# A node's first rejected request builds its view: the nodes that take
+# requests at tick 0, service ticks in start order, the gossip period,
+# node 2's cpu, the node that rejects (0 unless named), and by the link's
+# ticks the tick of that request and the neighbour it picks. Node 1 serves
+# queued requests from tick 0; node 2 stays idle, or holds two requests.
+# "in flight": node 1's first completion (tick 2, load 2) has landed over
+#   a 0 ms link but is still in flight over 3 ticks, so node 1 reads 0.0
+#   and wins the tie by its lower id.
+# "lands": the view is built at the instant that completion lands.
+# "latest": node 1 completes at ticks 1 to 8 (load 7 down to 0) and
+#   heartbeats run every tick; only the latest landed publication counts:
+#   the tick-6 completion (load 2) over 3 ticks, behind which node 1's
+#   record has dropped the older ones and holds two still in flight, and
+#   the tick-8 heartbeat (load 0) over 0 ms. Node 2 reads 2 and loses the
+#   tie, so reading node 1's older tick-5 completion (load 3) would pick
+#   node 2.
+# "not the next": as "latest", but node 2 reads 1.0, so reading node 1's
+#   tick-7 completion (load 1) before it lands would pick node 1.
+# "slowest reader": as "latest", but node 3 rejects, reading both over 4
+#   ticks, the delay of node 1's record. Only the tick-5 completion (load
+#   3) and heartbeat have landed, so node 3 picks node 2; a record that
+#   had dropped what has landed over a faster link would show node 1 at
+#   load 0.
+LATEST = ([1] * 8 + [2] * 2, [1, 20] + [1] * 7, TICK_MS)
+VIEW_CASES = {
+    "in flight": ([1] * 3, [2, 10, 10], 100.0, 1.0, 0, {0: (3, 2), 3: (3, 1)}),
+    "lands": ([1] * 3, [2, 10, 10], 100.0, 1.0, 0, {0: (2, 2), 3: (5, 2)}),
+    "latest": (*LATEST, 1.0, 0, {0: (9, 1), 3: (9, 1)}),
+    "not the next": (*LATEST, 2.0, 0, {0: (9, 1), 3: (9, 2)}),
+    "slowest reader": (*LATEST, 1.0, 3, {0: (9, 2), 3: (9, 2)}),
+}
+
+
+@pytest.mark.parametrize("link_ticks", [0, 3])
+@pytest.mark.parametrize("case", VIEW_CASES)
+def test_a_view_built_late_reads_what_a_view_built_at_set_up_reads(case, link_ticks):
+    at_zero, durations, period_ms, cpu_2, chooser, expected = VIEW_CASES[case]
+    tick, picked = expected[link_ticks]
+    cfg = diamond(link_ticks * TICK_MS, period_ms, cpu_2)
+    reads = []
+    lightest = sim.lightest_load_neighbor
+
+    def read(view, now):
+        reads.append((now, lightest(view, now)))
+        return reads[-1][1]
+
+    # The chooser's request is the first to draw past 0.0, so it is rejected.
+    arrivals = [(0.0, k) for k in at_zero] + [(tick * TICK_S, chooser)]
+    draws = [0.0] * len(at_zero) + [1.0]
+    with time_limit(30), scripted_runs(arrivals, [k * TICK_S for k in durations], draws):
+        with mock.patch.object(sim, "lightest_load_neighbor", read):
+            m = sim.run_scenario(cfg)
+        assert m == reference_run_scenario(cfg)
+    assert reads[0] == (tick * TICK_S, picked)
+
+
+def lightly_loaded_scale_free(strategy):
+    """A scenario of the shape of the scale-free benchmark: 400 nodes
+    attached two links at a time, 400 requests a second with two 4x surges
+    over 0.1 s, and 1 ms gossip and sampling. No node reaches its
+    threshold or rejects a request."""
+    return sim.scenario_from_dict({
+        "topology": {"generate": {"kind": "scale_free", "n": 400, "m": 2, "cpu": 3.0, "mem": 4.0}},
+        "services": [{"id": "task", "mean_exec_time_s": 0.002}],
+        "base_rate_per_s": 400.0,
+        "horizon_s": 0.1,
+        "jitters": [
+            {"start_ms": 30.0, "duration_ms": 10.0, "rate_multiplier": 4.0},
+            {"start_ms": 60.0, "duration_ms": 10.0, "rate_multiplier": 4.0},
+        ],
+        "gossip_period_ms": 1.0,
+        "sample_interval_ms": 1.0,
+        "strategy": strategy,
+    })
+
+
+def test_a_run_that_forwards_nothing_builds_no_route_and_no_view():
+    def refuse(_topo):
+        raise AssertionError("routes computed in a run that forwards nothing")
+
+    views, beats = [], []
+    push = sim.heappush
+
+    def pushed(heap, ev):
+        if ev[1] == sim._HEARTBEAT:
+            beats.append(ev[0])
+        push(heap, ev)
+
+    passive = lightly_loaded_scale_free("passive")
+    proactive = lightly_loaded_scale_free("proactive")
+    with time_limit(30), mock.patch.object(tp.Topology, "_route", refuse):
+        assert sim.run_scenario(passive).forwarded == 0
+        with mock.patch.multiple(sim, gossip_view=views.append, heappush=pushed):
+            assert sim.run_scenario(proactive).forwarded == 0
+    assert views == []
+    # Heartbeats run as before: some node has a choice, so one runs every
+    # period within the horizon. The first is queued at set-up, and each
+    # later one is pushed by the one before.
+    assert max(candidate_counts(proactive).values()) >= 2
+    period, due = proactive.gossip_period_ms / 1000.0, []
+    t = period
+    while t < proactive.horizon_s:
+        due.append(t)
+        t += period
+    assert len(due) > 90 and beats == due[1:]
 
 
 @st.composite

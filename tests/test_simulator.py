@@ -906,18 +906,24 @@ def test_reader_fields_are_the_schema_fields():
 
 
 @pytest.mark.parametrize(
-    "topology, strategy, reads",
+    "topology, strategy, rate, reads",
     [
-        (generate_topology("scale_free", {"n": 30}, seed=3), "none", 0),
-        (generate_topology("scale_free", {"n": 30}, seed=3), "proactive", 0),
-        (generate_topology("scale_free", {"n": 30}, seed=3), "passive", 30),
-        # fig3's access point, node 0, is a relay; passive reads all four.
-        (sim.preset_fig3().topology, "none", 1),
-        (sim.preset_fig3().topology, "proactive", 1),
-        (sim.preset_fig3().topology, "passive", 4),
+        (generate_topology("scale_free", {"n": 30}, seed=3), "none", 400.0, []),
+        (generate_topology("scale_free", {"n": 30}, seed=3), "proactive", 400.0, []),
+        # One passive node reaches the threshold at this load.
+        (generate_topology("scale_free", {"n": 30}, seed=3), "passive", 400.0, [18]),
+        # fig3's access point, node 0, is a relay; it reads at its first
+        # arrival under every strategy, and passive nodes 1 and 2 only once
+        # the load brings them to the threshold. The sink never reads.
+        (sim.preset_fig3().topology, "none", 400.0, [0]),
+        (sim.preset_fig3().topology, "proactive", 400.0, [0]),
+        (sim.preset_fig3().topology, "passive", 400.0, [0]),
+        (sim.preset_fig3().topology, "passive", 4000.0, [0, 1, 2]),
     ],
 )
-def test_runs_read_next_hops_only_for_relays_and_passive(monkeypatch, topology, strategy, reads):
+def test_runs_read_next_hops_only_for_relays_and_passive(
+    monkeypatch, topology, strategy, rate, reads
+):
     calls = []
     read = tp.Topology.next_hop_toward_server
 
@@ -929,12 +935,12 @@ def test_runs_read_next_hops_only_for_relays_and_passive(monkeypatch, topology, 
     cfg = sim.ScenarioConfig(
         topology=topology,
         services=[ServiceSpec(name="s", mean_exec_time_s=0.002)],
-        base_rate_per_s=400.0,
+        base_rate_per_s=rate,
         horizon_s=0.05,
         strategy=strategy,
     )
     m = sim.run_scenario(cfg)
-    assert len(calls) == reads
+    assert calls == reads
     monkeypatch.undo()
     assert m == conftest.reference_run_scenario(cfg)
 
