@@ -24,7 +24,6 @@ one-character segment; ``is_obfuscated_package`` reads the same test.
 from __future__ import annotations
 
 import random
-import re
 import statistics
 from dataclasses import dataclass, field
 from itertools import compress
@@ -346,7 +345,8 @@ def storage_savings(corpus: Corpus, depth: int) -> float:
     return _savings(*_overlap(corpus, depth))
 
 
-#: Library paths used when synth_corpus gets no explicit pool.
+#: The libraries synth_corpus draws from, as (path, class count) pairs. No
+#: path is a name the generator gives an app's own package.
 DEFAULT_LIBRARY_POOL = [
     ("com.google.gms.ads.internal", 420),
     ("com.google.gms.common.util", 160),
@@ -360,13 +360,13 @@ DEFAULT_LIBRARY_POOL = [
     ("androidx.appcompat.widget", 480),
 ]
 
-
-@dataclass(frozen=True)
-class LibrarySpec:
-    """A shareable library package for corpus synthesis."""
-
-    path: str
-    class_count: int
+#: The chance that an app holds each pool library.
+_INCLUSION_PROB = 0.35
+#: Each app's own packages: deep private ones, then obfuscated ones.
+_PRIVATE_PACKAGES = 4
+_OBFUSCATED_PACKAGES = 1
+#: The segments of obfuscated package names.
+_LETTERS = "abcdefghijklmnop"
 
 
 @dataclass
@@ -377,29 +377,13 @@ class SynthCorpus:
     placements: dict[str, list[str]]  # library path -> sorted holder app ids
 
 
-def synth_corpus(
-    n_apps: int,
-    library_pool: list[LibrarySpec] | None = None,
-    inclusion_prob: float = 0.35,
-    private_packages: int = 4,
-    obfuscated_packages: int = 1,
-    seed=0,
-) -> SynthCorpus:
+def synth_corpus(n_apps: int, seed=0) -> SynthCorpus:
     """Generate a corpus with known shared-library structure.
 
-    Each app draws every pool library independently with
-    ``inclusion_prob``, then adds deep app-private packages and optionally
-    obfuscated ones. Same seed, same corpus.
-
-    Raises ``CorpusError``, naming the parameter or library, for a count
-    that is not an integer (a bool is not) or is negative, fewer than one
-    app, a probability outside [0, 1], parameters under which an app can
-    draw no package (no private or obfuscated packages, and a pool that is
-    empty or drawn with a probability below 1), and a pool entry whose
-    class count is not an integer of at least 1, whose path is empty, holds
-    what a corpus file cannot carry, repeats an earlier entry's, or is one
-    that the generator may give an app's own package under these
-    parameters.
+    Each app draws every ``DEFAULT_LIBRARY_POOL`` library independently
+    with probability 0.35, then adds 4 deep app-private packages and 1
+    obfuscated one. Same seed, same corpus. Raises ``CorpusError`` for an
+    app count that is not an integer (a bool is not) or is below 1.
 
     Each bounded integer is ``randrange``'s own draw written out, as
     CPython's ``_randbelow`` makes it: ``getrandbits`` of the width's bit
@@ -408,37 +392,28 @@ def synth_corpus(
     ``randint(10, 80)`` and ``randint(280, 900)``), in the order the calls
     made them, so the corpus is the one those calls give.
     """
-    _check_count("n_apps", n_apps, 1)
-    _check_count("private_packages", private_packages, 0)
-    _check_count("obfuscated_packages", obfuscated_packages, 0)
-    if type(inclusion_prob) not in (int, float) or not 0.0 <= inclusion_prob <= 1.0:
-        raise CorpusError(f"inclusion_prob {inclusion_prob!r} must be a number in [0, 1]")
-    if library_pool is None:
-        library_pool = [LibrarySpec(p, c) for p, c in DEFAULT_LIBRARY_POOL]
-    pool = _checked_pool(library_pool, n_apps, private_packages, obfuscated_packages)
-    if not (private_packages or obfuscated_packages or (pool and inclusion_prob == 1.0)):
-        raise CorpusError(
-            "an app can draw no package: private_packages and obfuscated_packages are 0"
-            " and the library pool is empty or inclusion_prob is below 1"
-        )
+    if type(n_apps) is not int:
+        raise CorpusError(f"n_apps {n_apps!r} is not an integer")
+    if n_apps < 1:
+        raise CorpusError(f"n_apps must be at least 1, got {n_apps}")
     rng = random.Random(f"{seed}|corpus")
     uniform = rng.random
     getrandbits = rng.getrandbits
-    placements: dict[str, list[str]] = {path: [] for path in pool}
-    libraries = [(path, count, placements[path]) for path, count in pool.items()]
+    placements: dict[str, list[str]] = {path: [] for path, _ in DEFAULT_LIBRARY_POOL}
+    libraries = [(path, count, placements[path]) for path, count in DEFAULT_LIBRARY_POOL]
     # A private package's name after its vendor, by its 0 to 2 extra segments.
     tails = [
         (f".app.feature{j}", f".app.feature{j}.part0", f".app.feature{j}.part0.part1")
-        for j in range(private_packages)
+        for j in range(_PRIVATE_PACKAGES)
     ]
-    obfuscated = range(obfuscated_packages)
+    obfuscated = range(_OBFUSCATED_PACKAGES)
     apps: list[AppRecord] = []
     for i in range(n_apps):
         num = f"{i:04d}"
         app_id = "app" + num
         packages: dict[str, int] = {}
         for path, count, holders in libraries:
-            if uniform() < inclusion_prob:
+            if uniform() < _INCLUSION_PROB:
                 packages[path] = count
                 holders.append(app_id)
         vendor = "com.vendor" + num
@@ -466,67 +441,11 @@ def synth_corpus(
     return SynthCorpus(corpus=Corpus(apps=apps), placements=placements)
 
 
-#: The segments of obfuscated package names.
-_LETTERS = "abcdefghijklmnop"
-
-
-def _check_count(name: str, value, least: int) -> None:
-    if type(value) is not int:
-        raise CorpusError(f"{name} {value!r} is not an integer")
-    if value < least:
-        raise CorpusError(f"{name} must be at least {least}, got {value}")
-
-
-# The package names synth_corpus gives an app of its own: the app's
-# index, then the package's index among its private or obfuscated ones.
-_PRIVATE_PATH = re.compile(r"com\.vendor([0-9]+)\.app\.feature([0-9]+)(\.part0|\.part0\.part1)?")
-_OBFUSCATED_PATH = re.compile(r"[a-p]\.[a-p]\.impl([0-9]+)_([0-9]+)")
-
-
-def _generating_app(path: str, n_apps: int, private: int, obfuscated: int) -> int | None:
-    """The index of an app that synth_corpus may give a package of its own
-    named ``path`` under these parameters, or None."""
-    for pattern, bound in ((_PRIVATE_PATH, private), (_OBFUSCATED_PATH, obfuscated)):
-        m = pattern.fullmatch(path)
-        # Any index that may be below its bound is short enough for int().
-        if m and max(len(m[1]), len(m[2])) <= 4 + len(str(max(n_apps, bound))):
-            i, j = int(m[1]), int(m[2])
-            pkg = f"com.vendor{i:04d}.app.feature{j}"
-            names = (pkg, pkg + ".part0", pkg + ".part0.part1")
-            obf = f"{_LETTERS[(i + j) % 16]}.{_LETTERS[(i * 7 + j * 3) % 16]}.impl{i}_{j}"
-            if i < n_apps and j < bound and path in (*names, obf):
-                return i
-    return None
-
-
-def _checked_pool(library_pool, n_apps: int, private: int, obfuscated: int) -> dict[str, int]:
-    """Path to class count of each pool entry, in pool order, once each
-    entry is one that a written corpus carries and that no app's own
-    package can overwrite."""
-    pool: dict[str, int] = {}
-    for lib in library_pool:
-        if not isinstance(lib, LibrarySpec):
-            raise CorpusError(f"library pool entry {lib!r} is not a LibrarySpec")
-        path, count = lib.path, lib.class_count
-        if type(path) is not str or not path or _holds_uncarried(path):
-            raise CorpusError(f"library {path!r}: a corpus file cannot carry its path")
-        if type(count) is not int or count < 1:
-            raise CorpusError(f"library {path!r}: class count {count!r} is not an integer >= 1")
-        if path in pool:
-            raise CorpusError(f"library {path!r} appears twice in the pool")
-        i = _generating_app(path, n_apps, private, obfuscated)
-        if i is not None:
-            raise CorpusError(f"library {path!r}: app{i:04d} may draw a package of that name")
-        pool[path] = count
-    return pool
-
-
 __all__ = [
     "AppRecord",
     "Corpus",
     "CorpusError",
     "DEFAULT_LIBRARY_POOL",
-    "LibrarySpec",
     "OverlapReport",
     "SynthCorpus",
     "is_obfuscated_package",

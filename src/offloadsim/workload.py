@@ -1,11 +1,12 @@
 """Request workload model and per-node arrival/service estimation.
 
-* ``EstimatorState``: one node's windowed arrival rate and its positive
-  increment (the burst detector), the smoothed service rate and mean
-  cpu/memory demand, and the proactive strategy's admission probability
-  q, each in O(1) per event. The module functions ``record_arrival``,
-  ``record_completion`` and ``execution_probability`` are its methods,
-  called with the state first.
+* ``EstimatorState``: one node's windowed arrival rate and its effective
+  rate, which adds the rate's positive increment over the historical rate
+  (the burst detector; the increment itself is not kept), the smoothed
+  service rate and mean cpu/memory demand, and the proactive strategy's
+  admission probability q, each in O(1) per event. The module functions
+  ``record_arrival``, ``record_completion`` and ``execution_probability``
+  are its methods, called with the state first.
 
 * The request source: a service catalog with popularity weights and
   ``poisson_stream``, which samples (possibly jittered) Poisson arrival
@@ -61,7 +62,6 @@ class EstimatorState:
         "last_arrival",
         "lambda_hat",
         "lambda_prev",
-        "delta_lambda",
         "lambda_eff",
         "mu",
         "cpu_avg",
@@ -89,7 +89,6 @@ class EstimatorState:
         self.last_arrival = math.nan
         self.lambda_hat = 0.0
         self.lambda_prev = 0.0
-        self.delta_lambda = 0.0
         self.lambda_eff = 0.0
         self.mu = 0.0
         self.cpu_avg = 0.0
@@ -141,7 +140,6 @@ class EstimatorState:
         d = lambda_hat - self.lambda_prev
         if not d > 0.0:
             d = 0.0
-        self.delta_lambda = d
         lambda_eff = self.lambda_eff = lambda_hat + d
 
         if idx == 0:  # buffer wrapped on this arrival

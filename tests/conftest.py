@@ -23,7 +23,6 @@ from offloadsim.appstats import (
     AppRecord,
     Corpus,
     CorpusError,
-    LibrarySpec,
     OverlapReport,
     SynthCorpus,
 )
@@ -766,24 +765,25 @@ def reference_synth_corpus(
 ):
     """The corpus generator as first written, with ``randrange`` and
     ``randint`` draws and per-package f-strings: the oracle for
-    ``synth_corpus``, which must give the same apps and placements. It
-    checks only the app count and the probability."""
+    ``synth_corpus``, which must give the same apps and placements. The
+    pool is a list of (path, class count) pairs. It checks only the app
+    count and the probability."""
     if n_apps < 1:
         raise CorpusError("need at least one app")
     if not 0.0 <= inclusion_prob <= 1.0:
         raise CorpusError("inclusion probability must lie in [0, 1]")
     if library_pool is None:
-        library_pool = [LibrarySpec(p, c) for p, c in DEFAULT_LIBRARY_POOL]
+        library_pool = DEFAULT_LIBRARY_POOL
     rng = random.Random(f"{seed}|corpus")
     apps = []
-    placements = {lib.path: [] for lib in library_pool}
+    placements = {path: [] for path, _ in library_pool}
     for i in range(n_apps):
         app_id = f"app{i:04d}"
         packages = {}
-        for lib in library_pool:
+        for path, class_count in library_pool:
             if rng.random() < inclusion_prob:
-                packages[lib.path] = lib.class_count
-                placements[lib.path].append(app_id)
+                packages[path] = class_count
+                placements[path].append(app_id)
         for j in range(private_packages):
             depth_extra = rng.randrange(3)
             pkg = f"com.vendor{i:04d}.app.feature{j}"

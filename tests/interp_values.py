@@ -14,7 +14,7 @@ offloadsim.
 * the mean and median unique-class fraction and the storage savings of
   synthetic app corpora at prefix depths 2 to 4,
 * sha256 digests of the bytes ``write_corpus`` writes, and of the
-  placements, for synthetic corpora over a few seeds and pools, whose
+  placements, for synthetic corpora over two seeds, whose
   bounded integers are drawn with ``getrandbits``,
 * the smoothed statistics (mu, cpu_avg, mem_avg, lambda_prev,
   lambda_eff) of estimators fed long seeded arrival and completion
@@ -39,7 +39,7 @@ import tempfile
 from pathlib import Path
 
 from offloadsim import decision
-from offloadsim.appstats import LibrarySpec, synth_corpus, unique_class_fraction, write_corpus
+from offloadsim.appstats import synth_corpus, unique_class_fraction, write_corpus
 from offloadsim.partition import CallGraph, ClassNode, MethodProfile, louvain_optimal, modularity
 from offloadsim.simulator import PRESETS, STRATEGIES, run_scenario
 from offloadsim.topology import generate_topology
@@ -133,31 +133,17 @@ def corpus_values() -> dict[str, str]:
     return out
 
 
-#: (seed, synth_corpus keyword arguments) of the corpora whose written
-#: bytes and placements the interpreters must agree on.
-CORPUS_CASES = [
-    (0, {"n_apps": 200}),
-    ("s", {"n_apps": 200}),
-    (7, {"n_apps": 120, "inclusion_prob": 0.8, "private_packages": 6, "obfuscated_packages": 3}),
-    (
-        3,
-        {
-            "n_apps": 150,
-            "library_pool": [LibrarySpec("org.shared.lib", 40), LibrarySpec("a.b.impl0_0", 9)],
-            "inclusion_prob": 1.0,
-            "private_packages": 0,
-            "obfuscated_packages": 2,
-        },
-    ),
-]
+#: (seed, app count) of the corpora whose written bytes and placements the
+#: interpreters must agree on.
+CORPUS_CASES = [(0, 200), ("s", 200)]
 
 
 def written_corpus_values() -> dict[str, str]:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.tsv"
-        for k, (seed, kwargs) in enumerate(CORPUS_CASES):
-            synth = synth_corpus(seed=seed, **kwargs)
+        for k, (seed, n_apps) in enumerate(CORPUS_CASES):
+            synth = synth_corpus(n_apps, seed=seed)
             write_corpus(synth.corpus, path)
             placements = repr(list(synth.placements.items())).encode()
             out[f"corpus_file|{k}"] = hashlib.sha256(path.read_bytes()).hexdigest()

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from offloadsim.appstats import (
     AppRecord,
     Corpus,
+    DEFAULT_LIBRARY_POOL,
     CorpusError,
-    LibrarySpec,
-    _generating_app,
     _shared_key,
     is_obfuscated_package,
     parse_corpus,
@@ -211,7 +210,7 @@ class TestStorageSavings:
             assert got == pytest.approx(savings_by_hand(synth.corpus, depth), rel=1e-12)
 
     def test_savings_stay_in_unit_interval(self):
-        synth = synth_corpus(30, inclusion_prob=0.8, seed=17)
+        synth = synth_corpus(30, seed=17)
         for depth in range(1, 9):
             value = storage_savings(synth.corpus, depth=depth)
             assert 0.0 <= value < 1.0
@@ -241,28 +240,9 @@ class TestSynthesis:
                 else:
                     assert path not in app.packages
 
-    def test_empty_pool_leaves_every_app_unique(self):
-        synth = synth_corpus(6, library_pool=[], obfuscated_packages=0, seed=5)
-        report = unique_class_fraction(synth.corpus, depth=2)
-        assert all(v == 100.0 for v in report.per_app_unique_fraction.values())
-        assert report.storage_savings == 0.0
-
-    def test_forced_library_is_shared_up_to_its_depth(self):
-        pool = [LibrarySpec("org.shared.lib.core", 40)]
-        synth = synth_corpus(4, library_pool=pool, inclusion_prob=1.0,
-                             obfuscated_packages=0, seed=9)
-        assert synth.placements["org.shared.lib.core"] == [a.app_id for a in synth.corpus.apps]
-        for depth in (1, 2, 3, 4):
-            report = unique_class_fraction(synth.corpus, depth=depth)
-            assert all(v < 100.0 for v in report.per_app_unique_fraction.values())
-        deeper = unique_class_fraction(synth.corpus, depth=5)
-        assert all(v == 100.0 for v in deeper.per_app_unique_fraction.values())
-
-    def test_app_count_and_probability_validated(self):
+    def test_app_count_validated(self):
         with pytest.raises(CorpusError):
             synth_corpus(0)
-        with pytest.raises(CorpusError):
-            synth_corpus(3, inclusion_prob=1.5)
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -270,37 +250,6 @@ class TestSynthesis:
             ({"n_apps": 2.5}, "n_apps 2.5 is not an integer"),
             ({"n_apps": True}, "n_apps True is not an integer"),
             ({"n_apps": 0}, "n_apps must be at least 1"),
-            ({"private_packages": -3}, "private_packages must be at least 0"),
-            ({"private_packages": 1.0}, "private_packages 1.0 is not an integer"),
-            ({"obfuscated_packages": -1}, "obfuscated_packages must be at least 0"),
-            ({"obfuscated_packages": False}, "obfuscated_packages False is not an integer"),
-            ({"inclusion_prob": float("nan")}, "inclusion_prob nan must be a number"),
-            ({"inclusion_prob": "0.5"}, "inclusion_prob '0.5' must be a number"),
-            ({"inclusion_prob": True}, "inclusion_prob True must be a number"),
-            ({"library_pool": [("com.x.y", 3)]}, "entry ('com.x.y', 3) is not a LibrarySpec"),
-            ({"library_pool": [LibrarySpec("com.x.y", 0)], "inclusion_prob": 0.0},
-             "library 'com.x.y': class count 0 is not an integer >= 1"),
-            ({"library_pool": [LibrarySpec("com.x.y", 2.0)]}, "library 'com.x.y': class count"),
-            ({"library_pool": [LibrarySpec("com.x.y", True)]}, "library 'com.x.y': class count"),
-            ({"library_pool": [LibrarySpec("", 3)]}, "library '': a corpus file cannot carry"),
-            ({"library_pool": [LibrarySpec("com.x;y", 3)]}, "library 'com.x;y': a corpus file"),
-            ({"library_pool": [LibrarySpec("com.x\ny", 3)]}, "library 'com.x\\ny': a corpus"),
-            ({"library_pool": [LibrarySpec(7, 3)]}, "library 7: a corpus file cannot carry"),
-            ({"library_pool": [LibrarySpec("com.x.y", 3), LibrarySpec("com.x.y", 4)]},
-             "library 'com.x.y' appears twice in the pool"),
-            ({"library_pool": [LibrarySpec("com.vendor0000.app.feature0", 500)],
-              "inclusion_prob": 1.0, "private_packages": 1, "obfuscated_packages": 0},
-             "library 'com.vendor0000.app.feature0': app0000 may draw a package of that name"),
-            ({"library_pool": [LibrarySpec("b.h.impl1_0", 7)], "obfuscated_packages": 1},
-             "library 'b.h.impl1_0': app0001 may draw a package of that name"),
-            ({"library_pool": [LibrarySpec("com.vendor0002.app.feature3.part0.part1", 7)]},
-             "library 'com.vendor0002.app.feature3.part0.part1': app0002 may draw"),
-            ({"private_packages": 0, "obfuscated_packages": 0, "inclusion_prob": 0.0},
-             "an app can draw no package"),
-            ({"private_packages": 0, "obfuscated_packages": 0, "inclusion_prob": 0.99},
-             "an app can draw no package"),
-            ({"private_packages": 0, "obfuscated_packages": 0, "inclusion_prob": 1.0,
-              "library_pool": []}, "an app can draw no package"),
         ],
     )
     def test_what_the_writer_or_parser_would_refuse_is_refused_at_once(self, kwargs, message):
@@ -308,41 +257,24 @@ class TestSynthesis:
         with pytest.raises(CorpusError, match=re.escape(message)):
             synth_corpus(**kwargs)
 
-    @pytest.mark.parametrize(
-        "path",
-        [
-            "a.b.impl0_0",  # app 0's obfuscated package is a.a.impl0_0
-            "com.vendor0003.app.feature0",  # past the last app
-            "com.vendor0000.app.feature4",  # past the last private package
-            "com.vendor0000.app.feature0.part1",  # the extra segments run part0, part1
-            "com.vendor000.app.feature0",  # ids take four digits
-            "com.vendor0000.app.feature00",
-            "b.h.impl01_0",
-            "a.a.impl0_1",  # app 0 has one obfuscated package
-        ],
-    )
-    def test_a_pool_path_no_app_generates_is_kept(self, path):
-        synth = synth_corpus(3, library_pool=[LibrarySpec(path, 9)], inclusion_prob=1.0)
-        assert synth.placements == {path: ["app0000", "app0001", "app0002"]}
-        assert all(a.packages[path] == 9 for a in synth.corpus.apps)
-
-    def test_ids_past_four_digits_are_matched_exactly(self):
-        pool = [LibrarySpec("com.vendor10000.app.feature0", 3)]
-        with pytest.raises(CorpusError, match="app10000 may draw a package of that name"):
-            synth_corpus(10_001, library_pool=pool)
-        with pytest.raises(CorpusError, match="app10000 may draw"):
-            synth_corpus(10_001, library_pool=[LibrarySpec("a.a.impl10000_0", 3)])
-        for path in ("com.vendor010000.app.feature0", "a.a.impl010000_0", "a.a.impl10000_1",
-                     "com.vendor" + "1" * 5000 + ".app.feature0", "a.a.impl0_" + "0" * 5000):
-            assert _generating_app(path, 10_001, 4, 1) is None
-        assert _generating_app("com.vendor10000.app.feature0", 10_000, 4, 1) is None
-
-    def test_a_certain_pool_draw_alone_makes_every_app(self):
-        pool = [LibrarySpec("org.shared.lib", 5)]
-        synth = synth_corpus(
-            3, library_pool=pool, inclusion_prob=1, private_packages=0, obfuscated_packages=0
-        )
-        assert [a.packages for a in synth.corpus.apps] == [{"org.shared.lib": 5}] * 3
+    @pytest.mark.parametrize("seed", [0, 1, 23, 2**70, "ten thousand and one"])
+    def test_own_packages_never_displace_a_library(self, seed):
+        # Past 9,999 apps the ids, and so the generated names, take five
+        # digits. An own package named like a library would overwrite it.
+        pool = dict(DEFAULT_LIBRARY_POOL)
+        synth = synth_corpus(10_012, seed=seed)
+        placed = {path: set(ids) for path, ids in synth.placements.items()}
+        found = {path: [] for path in pool}
+        for app in synth.corpus.apps:
+            held = {path for path, ids in placed.items() if app.app_id in ids}
+            libraries = [path for path in app.packages if path in pool]
+            assert set(libraries) == held
+            assert len(app.packages) == len(held) + 4 + 1
+            for path in libraries:
+                assert app.packages[path] == pool[path]
+                found[path].append(app.app_id)
+        assert synth.corpus.apps[-1].app_id == "app10011"
+        assert synth.placements == {path: sorted(ids) for path, ids in found.items()}
 
 
 def synth_fields(synth):
@@ -350,31 +282,6 @@ def synth_fields(synth):
     a comparison covers every order."""
     apps = [(a.app_id, a.dex_size_bytes, list(a.packages.items())) for a in synth.corpus.apps]
     return apps, list(synth.placements.items())
-
-
-# Pool paths built from these segments may equal generated private
-# ("com.vendor0000.app.feature0") or obfuscated ("a.a.impl0_0") names, which
-# synth_corpus refuses; "a.b.impl0_0" is a name no app generates.
-POOL_SEGMENTS = ["com", "org", "vendor0000", "vendor0001", "app", "feature0", "part0", "a", "b",
-                 "impl0_0", "lib"]
-
-
-def draws_every_app_a_package(library_pool, inclusion_prob, private, obfuscated):
-    return bool(private or obfuscated or (library_pool != [] and inclusion_prob == 1.0))
-
-
-def generated_names(n_apps, private, obfuscated):
-    """Every package name the original generator can give an app of its own."""
-    names = set()
-    for i in range(n_apps):
-        for j in range(private):
-            pkg = f"com.vendor{i:04d}.app.feature{j}"
-            names.update((pkg, pkg + ".part0", pkg + ".part0.part1"))
-        for j in range(obfuscated):
-            seg1 = chr(ord("a") + (i + j) % 16)
-            seg2 = chr(ord("a") + (i * 7 + j * 3) % 16)
-            names.add(f"{seg1}.{seg2}.impl{i}_{j}")
-    return names
 
 
 class TestSynthesisOracle:
@@ -385,46 +292,11 @@ class TestSynthesisOracle:
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 60),
-        st.one_of(
-            st.none(),
-            st.just([]),
-            st.lists(
-                st.builds(
-                    LibrarySpec,
-                    st.lists(st.sampled_from(POOL_SEGMENTS), min_size=1, max_size=5).map(".".join),
-                    st.integers(1, 600),
-                ),
-                max_size=8,
-                unique_by=lambda lib: lib.path,
-            ),
-        ),
-        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
-        st.integers(0, 6),
-        st.integers(0, 6),
         st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=6)),
     )
-    def test_matches_the_original_generator(
-        self, n_apps, library_pool, inclusion_prob, private, obfuscated, seed
-    ):
-        kwargs = dict(
-            library_pool=library_pool,
-            inclusion_prob=inclusion_prob,
-            private_packages=private,
-            obfuscated_packages=obfuscated,
-            seed=seed,
-        )
-        if not draws_every_app_a_package(library_pool, inclusion_prob, private, obfuscated):
-            with pytest.raises(CorpusError, match="an app can draw no package"):
-                synth_corpus(n_apps, **kwargs)
-            return
-        generated = generated_names(n_apps, private, obfuscated)
-        if any(lib.path in generated for lib in library_pool or ()):
-            # The original generator overwrote such a library in its app.
-            with pytest.raises(CorpusError, match="may draw a package of that name"):
-                synth_corpus(n_apps, **kwargs)
-            return
-        got = synth_fields(synth_corpus(n_apps, **kwargs))
-        assert got == synth_fields(reference_synth_corpus(n_apps, **kwargs))
+    def test_matches_the_original_generator(self, n_apps, seed):
+        got = synth_fields(synth_corpus(n_apps, seed=seed))
+        assert got == synth_fields(reference_synth_corpus(n_apps, seed=seed))
 
     @pytest.mark.parametrize("n_apps, seed", [(2500, 23), (10_001, "ten thousand and one")])
     def test_large_seeded_corpora_match_the_original_generator(self, n_apps, seed):
@@ -434,25 +306,9 @@ class TestSynthesisOracle:
         assert got == synth_fields(reference_synth_corpus(n_apps, seed=seed))
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 12),
-        st.lists(
-            st.builds(LibrarySpec, st.text(alphabet="ab.", min_size=1, max_size=6),
-                      st.integers(1, 9)),
-            max_size=4,
-            unique_by=lambda lib: lib.path,
-        ),
-        st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
-        st.integers(0, 2),
-        st.integers(0, 2),
-        st.integers(0, 99),
-    )
-    def test_an_accepted_corpus_is_written_read_and_reported(
-        self, n_apps, library_pool, inclusion_prob, private, obfuscated, seed
-    ):
-        if not draws_every_app_a_package(library_pool, inclusion_prob, private, obfuscated):
-            return
-        synth = synth_corpus(n_apps, library_pool, inclusion_prob, private, obfuscated, seed)
+    @given(st.integers(1, 12), st.integers(0, 99))
+    def test_an_accepted_corpus_is_written_read_and_reported(self, n_apps, seed):
+        synth = synth_corpus(n_apps, seed=seed)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.tsv"
             write_corpus(synth.corpus, path)

@@ -392,7 +392,7 @@ def test_conservative_mode_lowers_admission():
     for _ in range(5):
         wl.record_arrival(state, t)
         t += 0.01
-    assert state.delta_lambda > 0.0
+    assert state.lambda_eff > state.lambda_hat
     q_conservative = wl.execution_probability(state, 1.0, 1.0)
     q_plain = admit_q(state.lambda_hat, state.mu, state.cpu_avg, state.mem_avg, 1.0, 1.0)
     assert q_conservative <= q_plain

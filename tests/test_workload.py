@@ -264,14 +264,15 @@ def test_burst_raises_delta_lambda():
     for _ in range(16):
         wl.record_arrival(state, t)
         t += 1.0
-    assert state.delta_lambda == pytest.approx(0.0, abs=1e-9)
+    assert state.lambda_eff - state.lambda_hat == pytest.approx(0.0, abs=1e-9)
     before = state.lambda_hat
     for _ in range(6):
         wl.record_arrival(state, t)
         t += 0.05
     assert state.lambda_hat > before
-    assert state.delta_lambda > 0.0
-    assert state.lambda_eff == pytest.approx(state.lambda_hat + state.delta_lambda)
+    # No wrap since the last fold, so the increment is over lambda_prev.
+    assert state.lambda_eff > state.lambda_hat
+    assert state.lambda_eff == pytest.approx(2.0 * state.lambda_hat - state.lambda_prev)
 
 
 def test_cold_completion_window_example():
@@ -665,7 +666,7 @@ def test_interleaved_streams_keep_invariants(ops):
             stamps.append(t)
         else:
             wl.record_completion(state, x, x, x / 2.0)
-        assert state.delta_lambda >= 0.0
+        assert state.lambda_eff >= state.lambda_hat
         assert 0.0 <= wl.execution_probability(state, 1.0, 1.0) <= 1.0
         if len(stamps) >= 2:
             want = rescan_rate(stamps, 8)
