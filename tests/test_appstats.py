@@ -14,6 +14,7 @@ from offloadsim.appstats import (
     Corpus,
     DEFAULT_LIBRARY_POOL,
     CorpusError,
+    _overlap,
     _shared_key,
     is_obfuscated_package,
     parse_corpus,
@@ -250,12 +251,62 @@ class TestSynthesis:
             ({"n_apps": 2.5}, "n_apps 2.5 is not an integer"),
             ({"n_apps": True}, "n_apps True is not an integer"),
             ({"n_apps": 0}, "n_apps must be at least 1"),
+            ({"n_apps": -1}, "n_apps must be at least 1, got -1"),
+            ({"n_apps": 3.0}, "n_apps 3.0 is not an integer"),
+            ({"n_apps": "3"}, "n_apps '3' is not an integer"),
+            ({"n_apps": None}, "n_apps None is not an integer"),
         ],
     )
     def test_what_the_writer_or_parser_would_refuse_is_refused_at_once(self, kwargs, message):
         kwargs = {"n_apps": 3, **kwargs}
         with pytest.raises(CorpusError, match=re.escape(message)):
             synth_corpus(**kwargs)
+
+    @pytest.mark.parametrize("path, count", DEFAULT_LIBRARY_POOL)
+    def test_each_pool_library_is_drawn_at_its_rate_with_its_count(self, path, count):
+        synth = synth_corpus(5000, seed=5)
+        holders = [a.app_id for a in synth.corpus.apps if path in a.packages]
+        assert synth.placements[path] == holders
+        assert all(a.packages[path] == count for a in synth.corpus.apps if path in a.packages)
+        # Independent draws at 0.35: 1750 holders expected, sd 33.7.
+        assert abs(len(holders) - 1750) <= 5 * 33.7
+
+    @pytest.mark.parametrize("path", [path for path, _ in DEFAULT_LIBRARY_POOL])
+    def test_a_pool_library_is_shared_up_to_its_depth(self, path):
+        synth = synth_corpus(200, seed=9)
+        holders = synth.placements[path]
+        assert len(holders) >= 2
+        depth = len(path.split("."))
+        for k in range(1, depth):
+            _, shared, _ = _overlap(synth.corpus, k)
+            assert set(holders) <= set(shared[_shared_key(path, k)])
+        # At its own depth the library's group is its holders alone: no
+        # own package and no other library falls in it.
+        _, shared, _ = _overlap(synth.corpus, depth)
+        assert shared[path] == holders
+        _, shared, _ = _overlap(synth.corpus, depth + 1)
+        assert not [key for key in shared if key.startswith(path + ".")]
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5, 6, 7])
+    def test_an_app_is_unique_unless_a_library_prefix_is_shared(self, depth):
+        # From depth 2 an app's own packages start with its own vendor, so
+        # only a library whose prefix another app also holds is shared.
+        synth = synth_corpus(400, seed=3)
+        by_prefix = {}
+        for path, ids in synth.placements.items():
+            key = _shared_key(path, depth)
+            if key is not None:
+                by_prefix.setdefault(key, set()).update(ids)
+        report = unique_class_fraction(synth.corpus, depth)
+        bare = 0
+        for app in synth.corpus.apps:
+            keys = [_shared_key(path, depth) for path in app.packages if path in synth.placements]
+            shared = any(len(by_prefix.get(key, ())) >= 2 for key in keys if key is not None)
+            assert (report.per_app_unique_fraction[app.app_id] < 100.0) == shared
+            bare += not keys
+        assert bare > 0  # apps that drew no library are entirely unique
+        if depth > 5:  # deeper than every pool path
+            assert report.storage_savings == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 23, 2**70, "ten thousand and one"])
     def test_own_packages_never_displace_a_library(self, seed):
