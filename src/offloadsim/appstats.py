@@ -362,9 +362,6 @@ DEFAULT_LIBRARY_POOL = [
 
 #: The chance that an app holds each pool library.
 _INCLUSION_PROB = 0.35
-#: Each app's own packages: deep private ones, then obfuscated ones.
-_PRIVATE_PACKAGES = 4
-_OBFUSCATED_PACKAGES = 1
 #: The segments of obfuscated package names.
 _LETTERS = "abcdefghijklmnop"
 
@@ -404,9 +401,8 @@ def synth_corpus(n_apps: int, seed=0) -> SynthCorpus:
     # A private package's name after its vendor, by its 0 to 2 extra segments.
     tails = [
         (f".app.feature{j}", f".app.feature{j}.part0", f".app.feature{j}.part0.part1")
-        for j in range(_PRIVATE_PACKAGES)
+        for j in range(4)
     ]
-    obfuscated = range(_OBFUSCATED_PACKAGES)
     apps: list[AppRecord] = []
     for i in range(n_apps):
         num = f"{i:04d}"
@@ -425,13 +421,12 @@ def synth_corpus(n_apps: int, seed=0) -> SynthCorpus:
             while r >= 56:
                 r = getrandbits(6)
             packages[vendor + tail[extra]] = 5 + r
-        for j in obfuscated:
+        r = getrandbits(7)
+        while r >= 71:
             r = getrandbits(7)
-            while r >= 71:
-                r = getrandbits(7)
-            seg1 = _LETTERS[(i + j) % 16]
-            seg2 = _LETTERS[(i * 7 + j * 3) % 16]
-            packages[f"{seg1}.{seg2}.impl{i}_{j}"] = 10 + r
+        seg1 = _LETTERS[i % 16]
+        seg2 = _LETTERS[i * 7 % 16]
+        packages[f"{seg1}.{seg2}.impl{i}_0"] = 10 + r
         r = getrandbits(10)
         while r >= 621:
             r = getrandbits(10)

@@ -755,45 +755,34 @@ def reference_unique_class_fraction(corpus, depth):
     )
 
 
-def reference_synth_corpus(
-    n_apps,
-    library_pool=None,
-    inclusion_prob=0.35,
-    private_packages=4,
-    obfuscated_packages=1,
-    seed=0,
-):
+def reference_synth_corpus(n_apps, seed=0):
     """The corpus generator as first written, with ``randrange`` and
     ``randint`` draws and per-package f-strings: the oracle for
-    ``synth_corpus``, which must give the same apps and placements. The
-    pool is a list of (path, class count) pairs. It checks only the app
-    count and the probability."""
+    ``synth_corpus``, which must give the same apps and placements. Each
+    app draws every ``DEFAULT_LIBRARY_POOL`` library with probability
+    0.35, then adds 4 private packages and 1 obfuscated one. It checks
+    only the app count."""
     if n_apps < 1:
         raise CorpusError("need at least one app")
-    if not 0.0 <= inclusion_prob <= 1.0:
-        raise CorpusError("inclusion probability must lie in [0, 1]")
-    if library_pool is None:
-        library_pool = DEFAULT_LIBRARY_POOL
     rng = random.Random(f"{seed}|corpus")
     apps = []
-    placements = {path: [] for path, _ in library_pool}
+    placements = {path: [] for path, _ in DEFAULT_LIBRARY_POOL}
     for i in range(n_apps):
         app_id = f"app{i:04d}"
         packages = {}
-        for path, class_count in library_pool:
-            if rng.random() < inclusion_prob:
+        for path, class_count in DEFAULT_LIBRARY_POOL:
+            if rng.random() < 0.35:
                 packages[path] = class_count
                 placements[path].append(app_id)
-        for j in range(private_packages):
+        for j in range(4):
             depth_extra = rng.randrange(3)
             pkg = f"com.vendor{i:04d}.app.feature{j}"
             for extra in range(depth_extra):
                 pkg += f".part{extra}"
             packages[pkg] = rng.randint(5, 60)
-        for j in range(obfuscated_packages):
-            seg1 = chr(ord("a") + (i + j) % 16)
-            seg2 = chr(ord("a") + (i * 7 + j * 3) % 16)
-            packages[f"{seg1}.{seg2}.impl{i}_{j}"] = rng.randint(10, 80)
+        seg1 = chr(ord("a") + i % 16)
+        seg2 = chr(ord("a") + i * 7 % 16)
+        packages[f"{seg1}.{seg2}.impl{i}_0"] = rng.randint(10, 80)
         bytes_per_class = rng.randint(280, 900)
         total = sum(packages.values())
         apps.append(

@@ -6,8 +6,10 @@ mutant the runner copies the checkout (without ``.git`` and caches) to a
 temporary directory outside it, applies the substitution there, and runs
 the listed files with ``-x``. Only if they pass does it run the whole
 suite. A mutant that the whole suite lets pass survives, and any survivor
-fails the runner. Before the first mutant it runs every listed file on the
-unmutated copy, since a failure there would pass for a kill.
+fails the runner. So does a mutant that only the whole suite kills: that
+run has no unmutated baseline, and the entry's killers need mending.
+Before the first mutant it runs every listed file on the unmutated copy,
+since a failure there would pass for a kill.
 
 An equivalent mutant, one that no input can tell apart from the library,
 stays in the list with its reason; the runner checks only that its text is
@@ -15,18 +17,15 @@ still there.
 
 Run from the repository root, with pytest and hypothesis installed::
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named ones
-    python tests/mutants.py --list
+    python tests/mutants.py
 
-It exits 1 if a mutant survives, the unmutated copy fails, or an entry's
-text is missing or not unique. Property tests run with a fixed hypothesis
+It exits 1 if a mutant survives or is killed by the whole suite only, the
+unmutated copy fails, or an entry's text is missing or not unique. Property tests run with a fixed hypothesis
 seed, so a kill repeats.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -109,8 +108,8 @@ MUTANTS = [
     Mutant(
         "obfuscated-first-letter",
         "src/offloadsim/appstats.py",
-        "seg1 = _LETTERS[(i + j) % 16]",
-        "seg1 = _LETTERS[(i + j + 1) % 16]",
+        "seg1 = _LETTERS[i % 16]",
+        "seg1 = _LETTERS[(i + 1) % 16]",
         ("tests/test_appstats.py",),
     ),
     Mutant(
@@ -139,6 +138,12 @@ def _pytest(copy: Path, files: list[str]) -> subprocess.CompletedProcess:
 def _last_line(run: subprocess.CompletedProcess) -> str:
     lines = (run.stdout + run.stderr).strip().splitlines()
     return lines[-1] if lines else ""
+
+
+def _failures(run: subprocess.CompletedProcess) -> str:
+    """The short summary's FAILED and ERROR lines, else the last line."""
+    lines = [line for line in run.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return "; ".join(lines) or _last_line(run)
 
 
 def _substituted(m: Mutant) -> str:
@@ -182,8 +187,9 @@ def run(mutants: list[Mutant]) -> int:
                 failed += 1
                 print(f"{m.name}: error in {' '.join(m.killers)}: {_last_line(listed)}")
             elif full.returncode == 1:
+                failed += 1
                 print(f"{m.name}: killed by the whole suite only, in {took:.1f} s;"
-                      f" its listed files miss it: {_last_line(full)}")
+                      f" list its killer among the entry's files: {_failures(full)}")
             else:
                 failed += 1
                 state = "SURVIVED" if full.returncode == 0 else "error"
@@ -191,22 +197,8 @@ def run(mutants: list[Mutant]) -> int:
     return 1 if failed else 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="print the mutants and exit")
-    args = parser.parse_args(argv)
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in by_name]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [by_name[n] for n in args.names] or MUTANTS
-    if args.list:
-        for m in chosen:
-            mark = " (equivalent)" if m.equivalent else ""
-            print(f"{m.name}{mark}: {m.path}, killed by {' '.join(m.killers)}")
-        return 0
-    return run(chosen)
+def main() -> int:
+    return run(MUTANTS)
 
 
 if __name__ == "__main__":
