@@ -92,17 +92,20 @@ from .workload import (
 
 STRATEGIES = ("none", "passive", "proactive")
 
-# Event kind ranks; lower processes first at equal timestamps. ``_END``
-# ranks the sentinel ``(inf, _END)`` at the bottom of the event heap, which
-# sorts after every real event, a completion that overflows to inf among
-# them. ``_NO_ARRIVAL`` stands in for the next external arrival once the
-# stream is exhausted; it sorts after that sentinel, so it is never taken.
+# Event kind ranks; lower processes first at equal timestamps. Every event
+# is a 5-tuple ``(t, kind, node, seq, payload)``, so the loop unpacks each
+# one the same way; heartbeats and samples have node -1 and payload None.
+# ``_END`` ranks ``_SENTINEL`` at the bottom of the event heap, which sorts
+# after every real event, a completion that overflows to inf among them.
+# ``_NO_ARRIVAL`` stands in for the next external arrival once the stream
+# is exhausted; it sorts after that sentinel, so it is never taken.
 _COMPLETION = 0
 _ARRIVAL = 1
 _HEARTBEAT = 2
 _SAMPLE = 3
 _END = 4
-_NO_ARRIVAL = (math.inf, _END + 1)
+_SENTINEL = (math.inf, _END, -1, -1, None)
+_NO_ARRIVAL = (math.inf, _END + 1, -1, -1, None)
 
 # The overflow of a relay or passive executor until its first need builds
 # it: neither ``EXECUTE``, ``DROP`` nor a node index.
@@ -543,7 +546,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     # turn takes whichever of it and the heap's least event sorts first.
     # Every key carries a unique ``seq``, so this is the order one heap
     # holding both would pop. The heap's sentinel ends the loop.
-    heap: list[tuple] = [(math.inf, _END)]
+    heap: list[tuple] = [_SENTINEL]
     seq = 0
 
     nxt = next(arrivals, None)
@@ -555,10 +558,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     if beats:
         hb_dt = cfg.gossip_period_ms / 1000.0
         if hb_dt < horizon:
-            heap.append((hb_dt, _HEARTBEAT, -1, seq))
+            heap.append((hb_dt, _HEARTBEAT, -1, seq, None))
             seq += 1
     if sample_dt > 0.0:
-        heap.append((0.0, _SAMPLE, -1, seq))
+        heap.append((0.0, _SAMPLE, -1, seq, None))
         seq += 1
     heapify(heap)
 
@@ -567,13 +570,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     # place across hops.
 
     while True:
-        ev = heappop(heap) if heap[0] < ext else ext
-        t = ev[0]
-        kind = ev[1]
+        # The payload is an arrival's request, None for an external one, or
+        # a completion's service time.
+        t, kind, i, _, req = heappop(heap) if heap[0] < ext else ext
 
         if kind == _ARRIVAL:
-            i = ev[2]
-            req = ev[4]
             if req is None:
                 # External origination; the next one waits beside the heap.
                 req = [nxt[1], 0, 0.0, t >= warmup, 0.0]
@@ -587,7 +588,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                     ext = (nxt[0], _ARRIVAL, nxt[2], seq, None)
                     seq += 1
 
-            if proactive and executor[i]:
+            by_q = proactive and executor[i]
+            if by_q:
                 # Admit with probability q. One draw per arrival, even
                 # when the TTL is spent, so the stream never shifts. A
                 # count at the default TTL's lower bound resolves the
@@ -637,7 +639,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 continue
             else:
                 # One forward path for relays and strategies alike.
-                if proactive and executor[i]:
+                if by_q:
                     req[1] += 1
                 d = delay[i][dec]
                 req[2] += d
@@ -648,8 +650,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                 continue
 
         elif kind == _COMPLETION:
-            # The head of the queue leaves service.
-            i = ev[2]
+            # The head of the queue leaves service, after ``dur``.
+            dur = req
             fifo = queue[i]
             req = fifo.popleft()
             cost = -svc_cpu[req[0]]
@@ -673,14 +675,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
                     feed.publish(t, snap)
                 t_next = t + hb_dt
                 if t_next < horizon:
-                    heappush(heap, (t_next, _HEARTBEAT, -1, seq))
+                    heappush(heap, (t_next, _HEARTBEAT, -1, seq, None))
                     seq += 1
             else:
                 sample_times.append(t * 1000.0)
                 sample_rows.append(snap)
                 t_next = t + sample_dt
                 if t_next <= horizon + 1e-12:
-                    heappush(heap, (t_next, _SAMPLE, -1, seq))
+                    heappush(heap, (t_next, _SAMPLE, -1, seq, None))
                     seq += 1
             continue
 
@@ -698,10 +700,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
         loads[i] = load_num[i] * inv_cap[i]
         changed = True
         if kind == _COMPLETION:
-            # Only proactive runs keep estimators; ev[4] is the service time.
+            # Only proactive runs keep estimators.
             est = estimators[i]
             if est is not None:
-                est.record_completion(ev[4], svc_cpu[req[0]], svc_mem[req[0]])
+                est.record_completion(dur, svc_cpu[req[0]], svc_mem[req[0]])
                 load = loads[i]
                 for feed in feeds[i]:
                     feed.publish(t, load)

@@ -6,7 +6,14 @@
   service rate and mean cpu/memory demand, and the proactive strategy's
   admission probability q, each in O(1) per event. The module functions
   ``record_arrival``, ``record_completion`` and ``execution_probability``
-  are its methods, called with the state first.
+  are its methods, called with the state first. ``record_arrival`` has a
+  fill path, which appends until the window holds k stamps and returns
+  q = 1 before the arrival that fills it, and a full-window path, which
+  overwrites the oldest stamp, finds the next slot once by
+  compare-and-wrap and runs no fill-phase test; every slot gets the bits
+  of a plain one-path transcription. A NaN or infinite timestamp, one
+  below the last, an execution time that is not positive and a negative
+  or NaN cost raise ``ValueError`` and change nothing.
 
 * The request source: a service catalog with popularity weights and
   ``poisson_stream``, which samples (possibly jittered) Poisson arrival
@@ -26,6 +33,7 @@ from math import log
 from ._inputs import _invertible, _non_negative, _positive
 
 ARMA_WEIGHT = 0.5
+_INF = math.inf
 
 
 def _headroom(cpu_capacity: float, mem_capacity: float, cpu_avg: float, mem_avg: float) -> float:
@@ -37,6 +45,13 @@ def _headroom(cpu_capacity: float, mem_capacity: float, cpu_avg: float, mem_avg:
     return headroom
 
 
+def _refused_timestamp(timestamp: float, last: float | None) -> ValueError:
+    """The error for an arrival timestamp ``record_arrival`` refuses."""
+    if not -_INF < timestamp < _INF:
+        return ValueError(f"arrival timestamps must be finite, not {timestamp!r}")
+    return ValueError(f"arrival timestamps must be non-decreasing ({timestamp!r} after {last!r})")
+
+
 class EstimatorState:
     """Windowed statistics for one node with the given capacities: the last
     k arrival timestamps in one circular buffer, filled by appending until
@@ -45,7 +60,7 @@ class EstimatorState:
     operation and its order is part of the simulator's byte-identical output.
 
     Not thread safe; one instance per simulated node. Timestamps are seconds
-    and must be non-decreasing per stream.
+    and must be finite and non-decreasing per stream.
     """
 
     __slots__ = (
@@ -99,60 +114,69 @@ class EstimatorState:
 
     def record_arrival(self, timestamp: float) -> float:
         """Push one arrival and return q for this node's capacities, the
-        bits ``execution_probability(cpu_capacity, mem_capacity)`` gives."""
-        k = self.k
+        bits ``execution_probability(cpu_capacity, mem_capacity)`` gives.
+
+        Raises ValueError, and changes nothing, for a timestamp that is not
+        finite or is below the last one."""
         count = self.arrival_count
-        idx = self.arrival_index
-        buf = self.buf_lambda
-        last = self.last_arrival
-        s = self.interval_sum
-        if count > 0:
-            if timestamp < last:
-                raise ValueError(
-                    f"arrival timestamps must be non-decreasing "
-                    f"({timestamp!r} after {last!r})"
-                )
-            z = timestamp - last
-            if count >= k:
-                # Slot idx holds the oldest timestamp; evicting it removes the
-                # interval between it and its successor from the window sum.
-                s += z - (buf[(idx + 1) % k] - buf[idx])
-            else:
-                s += z
-            self.interval_sum = s
-        if count < k:  # idx == count: the buffer grows to k stamps
-            buf.append(timestamp)
-        else:
+        k = self.k
+        if count >= k:
+            # Full window: the stamp in slot idx is the oldest and the next
+            # slot holds the one after it. ``not >=`` refuses NaN too.
+            if not timestamp >= self.last_arrival or timestamp == _INF:
+                raise _refused_timestamp(timestamp, self.last_arrival)
+            idx = self.arrival_index
+            nxt = idx + 1
+            if nxt == k:
+                nxt = 0
+            buf = self.buf_lambda
+            # Evicting slot idx removes the interval between it and its
+            # successor from the window sum.
+            s = self.interval_sum = self.interval_sum + (
+                timestamp - self.last_arrival - (buf[nxt] - buf[idx])
+            )
             buf[idx] = timestamp
-        self.last_arrival = timestamp
-        count += 1
-        self.arrival_count = count
-        idx += 1
-        if idx == k:
-            idx = 0
-        self.arrival_index = idx
-
-        lambda_hat = self.lambda_hat
-        if count >= 2:
-            valid = count if count < k else k
-            lambda_hat = (valid - 1) / s if s > 0.0 else math.inf
-            self.lambda_hat = lambda_hat
-        d = lambda_hat - self.lambda_prev
-        if not d > 0.0:
-            d = 0.0
-        lambda_eff = self.lambda_eff = lambda_hat + d
-
-        if idx == 0:  # buffer wrapped on this arrival
-            if count == k:
-                # No defined prior for the historical rate; adopting the
-                # current estimate avoids a spurious burst signal at warm-up.
-                self.lambda_prev = lambda_hat
-            else:
+            self.last_arrival = timestamp
+            self.arrival_count = count + 1
+            self.arrival_index = nxt
+            lambda_hat = self.lambda_hat = (k - 1) / s if s > 0.0 else _INF
+            d = lambda_hat - self.lambda_prev
+            if not d > 0.0:
+                d = 0.0
+            lambda_eff = self.lambda_eff = lambda_hat + d
+            if not nxt:  # the buffer wraps: fold the rate into the history
                 self.lambda_prev = ARMA_WEIGHT * (self.lambda_prev + lambda_hat)
+        else:
+            # Filling: the buffer grows to k stamps, and q is 1.0 until the
+            # arrival that fills it. The historical rate is 0.0 until the
+            # first wrap, so the burst increment is the whole rate.
+            if count:
+                last = self.last_arrival
+                if not timestamp >= last or timestamp == _INF:
+                    raise _refused_timestamp(timestamp, last)
+                s = self.interval_sum = self.interval_sum + (timestamp - last)
+            elif not -_INF < timestamp < _INF:
+                raise _refused_timestamp(timestamp, None)
+            self.buf_lambda.append(timestamp)
+            self.last_arrival = timestamp
+            count += 1
+            self.arrival_count = count
+            lambda_hat = self.lambda_hat
+            if count >= 2:
+                lambda_hat = self.lambda_hat = (count - 1) / s if s > 0.0 else _INF
+            lambda_eff = self.lambda_eff = lambda_hat + lambda_hat
+            if count < k:
+                self.arrival_index = count
+                return 1.0
+            # The first wrap. No defined prior for the historical rate;
+            # adopting the current estimate avoids a spurious burst signal
+            # at warm-up.
+            self.arrival_index = 0
+            self.lambda_prev = lambda_hat
 
         # ``execution_probability`` for the node's own capacities, whose
         # check the constructor made.
-        if count < k or self.completion_wraps < 1 or lambda_eff <= 0.0:
+        if not self.completion_wraps or lambda_eff <= 0.0:
             return 1.0
         q = self.headroom * (self.mu / lambda_eff)
         if q >= 1.0:
@@ -162,9 +186,12 @@ class EstimatorState:
         return q
 
     def record_completion(self, exec_time: float, cpu_cost: float, mem_cost: float) -> None:
-        if exec_time <= 0.0 or math.isnan(exec_time):
+        """Push one completion. Raises ValueError, and changes nothing, for
+        an execution time that is not positive or a cost that is negative,
+        NaN among them."""
+        if not exec_time > 0.0:
             raise ValueError("execution time must be positive")
-        if cpu_cost < 0.0 or mem_cost < 0.0:
+        if not (cpu_cost >= 0.0 and mem_cost >= 0.0):
             raise ValueError("resource costs must be non-negative")
         # The window sums add left to right from 0.0, in completion order.
         self.sum_exec += exec_time

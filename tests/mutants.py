@@ -99,6 +99,41 @@ MUTANTS = [
         ("tests/test_workload.py",),
     ),
     Mutant(
+        "full-window-evicts-wrong-slot",
+        "src/offloadsim/workload.py",
+        "(buf[nxt] - buf[idx])",
+        "(buf[idx - 1] - buf[idx])",
+        ("tests/test_workload.py",),
+    ),
+    Mutant(
+        "full-window-boundary-by-one",
+        "src/offloadsim/workload.py",
+        "if count >= k:",
+        "if count > k:",
+        ("tests/test_workload.py",),
+    ),
+    Mutant(
+        "full-window-skips-arma-fold",
+        "src/offloadsim/workload.py",
+        "self.lambda_prev = ARMA_WEIGHT * (self.lambda_prev + lambda_hat)",
+        "pass",
+        ("tests/test_workload.py",),
+    ),
+    Mutant(
+        "full-window-keeps-nan-stamp",
+        "src/offloadsim/workload.py",
+        "if not timestamp >= self.last_arrival or timestamp == _INF:",
+        "if timestamp < self.last_arrival or timestamp == _INF:",
+        ("tests/test_workload.py",),
+    ),
+    Mutant(
+        "completion-keeps-nan-exec-time",
+        "src/offloadsim/workload.py",
+        "if not exec_time > 0.0:",
+        "if exec_time <= 0.0:",
+        ("tests/test_workload.py",),
+    ),
+    Mutant(
         "private-count-bound",
         "src/offloadsim/appstats.py",
         "while r >= 56:",

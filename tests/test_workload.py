@@ -224,13 +224,6 @@ def test_single_arrival_signals_warmup():
         wl.mean_arrival_rate(state)
 
 
-def test_decreasing_timestamps_rejected():
-    state = wl.new_estimator(k=8)
-    wl.record_arrival(state, 2.0)
-    with pytest.raises(ValueError):
-        wl.record_arrival(state, 1.5)
-
-
 def test_tiny_buffer_rejected():
     with pytest.raises(ValueError):
         wl.new_estimator(k=1)
@@ -310,12 +303,53 @@ def test_completion_smoothing_matches_replay_oracle():
         assert state.mem_avg == pytest.approx(replay.mem_avg, rel=1e-12, abs=1e-15)
 
 
-def test_invalid_completions_rejected():
-    state = wl.new_estimator(k=4)
-    with pytest.raises(ValueError):
-        wl.record_completion(state, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        wl.record_completion(state, 1.0, -0.5, 0.0)
+def estimator_in(phase, k):
+    """A k-window estimator cold, filling (k - 1 arrivals and completions)
+    or full (2k + 1 of each: both windows wrapped, mid-window again)."""
+    state = wl.new_estimator(k, 2.0, 3.0)
+    n = {"cold": 0, "filling": k - 1, "full": 2 * k + 1}[phase]
+    for j in range(n):
+        state.record_arrival(0.25 * j)
+        state.record_completion(0.1 + 0.01 * j, 0.5, 0.25)
+    return state
+
+
+# Each refused call, by the state the estimator is in when it is made. A
+# cold estimator has no last stamp, so no stamp is decreasing there.
+REFUSED_ARRIVALS = {"nan": NAN, "inf": INF, "-inf": -INF, "decreasing": -1.0}
+REFUSED_COMPLETIONS = {
+    "zero-exec": (0.0, 1.0, 1.0),
+    "negative-exec": (-0.5, 1.0, 1.0),
+    "nan-exec": (NAN, 1.0, 1.0),
+    "negative-cpu": (0.5, -1.0, 1.0),
+    "nan-cpu": (0.5, NAN, 1.0),
+    "negative-mem": (0.5, 1.0, -1.0),
+    "nan-mem": (0.5, 1.0, NAN),
+}
+REFUSALS = [
+    (phase, call, case)
+    for phase in ("cold", "filling", "full")
+    for call, cases in (("arrival", REFUSED_ARRIVALS), ("completion", REFUSED_COMPLETIONS))
+    for case in cases
+    if (phase, case) != ("cold", "decreasing")
+]
+
+
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("phase, call, case", REFUSALS)
+def test_a_refused_call_changes_nothing(k, phase, call, case):
+    state = estimator_in(phase, k)
+    before = {name: repr(getattr(state, name)) for name in wl.EstimatorState.__slots__}
+    if call == "arrival":
+        match = "non-decreasing" if case == "decreasing" else "must be finite"
+        with pytest.raises(ValueError, match=match):
+            state.record_arrival(REFUSED_ARRIVALS[case])
+    else:
+        match = "execution time must be positive" if case.endswith("exec") else "resource costs"
+        with pytest.raises(ValueError, match=match):
+            state.record_completion(*REFUSED_COMPLETIONS[case])
+    after = {name: repr(getattr(state, name)) for name in wl.EstimatorState.__slots__}
+    assert after == before
 
 
 def test_execution_probability_substitution():
