@@ -10,8 +10,11 @@ except NaN and the infinities. It is written directly, because with an
 indent the json module runs its pure-Python encoder.
 
 ``_write_text`` writes every output file as UTF-8 with ``\n`` line ends.
-The series writers render a run's sample rows for the CSV and JSON series
-files from one scan of the rows for changed loads (``_row_changes``).
+It writes over an existing file in place and then cuts a regular file to
+the length written, so the file keeps its inode, mode and links; a pipe or
+device is written the same way and not cut. The series writers render a
+run's sample rows for the CSV and JSON series files from one scan of the
+rows for changed loads (``_row_changes``), and join each file's text once.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import csv
 import io
 import math
 import operator
+import os
+import stat
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 
@@ -30,11 +35,23 @@ _FLOAT = {float}
 _INT = {int}
 
 
+def _open_in_place(path, flags: int) -> int:
+    """``open(path, "w")``'s descriptor without ``O_TRUNC``: an existing
+    file is written over from its start, and a new one gets ``0o666`` less
+    the umask."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_text(path, text: str) -> None:
     """Text output for every writer: UTF-8 with ``\\n`` line ends whatever
-    the locale and platform."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    the locale and platform. The old bytes are written over, not truncated
+    first, and a regular file is then cut to the length written; a pipe or
+    device cannot be cut and is not. A write that fails partway can leave
+    old bytes after the new ones."""
+    with open(path, "w", encoding="utf-8", newline="\n", opener=_open_in_place) as fh:
         fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def json_text(payload) -> str:
@@ -153,23 +170,24 @@ def _series_json(m, changes: list) -> str:
     """The series of a run ``m`` (a ``RunMetrics``), byte for byte
     ``json_text({"node_ids": ..., "samples": [{"time_ms": t, "loads": row},
     ...]})``, with each row's text built once while the next row is the
-    same list object, from ``_row_cells``."""
-    samples = []
+    same list object, from ``_row_cells``, and every piece joined once."""
+    out = [
+        '{\n  "node_ids": ',
+        _json_array(_json_texts(m.sample_node_ids, "  "), "  "),
+        ',\n  "samples": ',
+    ]
+    sep = "[\n    "
     row_text = ""
     prev = None
     rows = _row_cells(m.sample_loads, changes, _json_floats, _json_cell)
     for t, cells in zip(_json_floats(m.sample_times_ms), rows):
         if cells is not prev:
-            row_text = '{\n      "loads": ' + _json_array(cells, "      ")
+            row_text = '{\n      "loads": ' + _json_array(cells, "      ") + ',\n      "time_ms": '
             prev = cells
-        samples.append(row_text + ',\n      "time_ms": ' + t + "\n    }")
-    return (
-        '{\n  "node_ids": '
-        + _json_array(_json_texts(m.sample_node_ids, "  "), "  ")
-        + ',\n  "samples": '
-        + _json_array(samples, "  ")
-        + "\n}\n"
-    )
+        out += (sep, row_text, t, "\n    }")
+        sep = ",\n    "
+    out.append("[]\n}\n" if prev is None else "\n  ]\n}\n")  # None: no samples
+    return "".join(out)
 
 
 def _csv_id_cells(node_ids: list) -> list[str]:
@@ -206,5 +224,5 @@ def _series_csv(m, changes: list) -> str:
     for t, cells in zip(m.sample_times_ms, rows):
         if cells:
             t_text = repr(t)
-            out.append(t_text + ("\n" + t_text).join(cells) + "\n")
+            out += (t_text, ("\n" + t_text).join(cells), "\n")
     return "".join(out)

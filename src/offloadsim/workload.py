@@ -187,20 +187,26 @@ class EstimatorState:
 
     def record_completion(self, exec_time: float, cpu_cost: float, mem_cost: float) -> None:
         """Push one completion. Raises ValueError, and changes nothing, for
-        an execution time that is not positive or a cost that is negative,
-        NaN among them."""
-        if not exec_time > 0.0:
-            raise ValueError("execution time must be positive")
-        if not (cpu_cost >= 0.0 and mem_cost >= 0.0):
-            raise ValueError("resource costs must be non-negative")
+        an execution time that is not positive and finite or a cost that is
+        not finite and non-negative, NaN among them."""
+        # One test on the common path. The exact tests run only when it
+        # fails, so finite values whose sum overflows still pass.
+        if not (
+            exec_time > 0.0 and cpu_cost >= 0.0 and mem_cost >= 0.0
+            and exec_time + cpu_cost + mem_cost < _INF
+        ):
+            if not 0.0 < exec_time < _INF:
+                raise ValueError("execution time must be positive and finite")
+            if not (0.0 <= cpu_cost < _INF and 0.0 <= mem_cost < _INF):
+                raise ValueError("resource costs must be finite and non-negative")
         # The window sums add left to right from 0.0, in completion order.
         self.sum_exec += exec_time
         self.sum_cpu += cpu_cost
         self.sum_mem += mem_cost
         idx = self.completion_index + 1
-        k = self.k
-        if idx == k:  # window full: fold its means into the smoothed stats
+        if idx == self.k:  # window full: fold its means into the smoothed stats
             idx = 0
+            k = self.k
             self.completion_wraps += 1
             self.mu = ARMA_WEIGHT * (self.mu + 1.0 / (self.sum_exec / k))
             cpu_avg = self.cpu_avg = ARMA_WEIGHT * (self.cpu_avg + self.sum_cpu / k)

@@ -129,9 +129,51 @@ MUTANTS = [
     Mutant(
         "completion-keeps-nan-exec-time",
         "src/offloadsim/workload.py",
-        "if not exec_time > 0.0:",
-        "if exec_time <= 0.0:",
+        "if not 0.0 < exec_time < _INF:",
+        "if exec_time <= 0.0 or exec_time == _INF:",
         ("tests/test_workload.py",),
+    ),
+    Mutant(
+        "completion-accepts-inf-exec-time",
+        "src/offloadsim/workload.py",
+        "if not 0.0 < exec_time < _INF:",
+        "if not 0.0 < exec_time:",
+        ("tests/test_workload.py",),
+    ),
+    Mutant(
+        "completion-accepts-inf-cost",
+        "src/offloadsim/workload.py",
+        "0.0 <= cpu_cost < _INF and",
+        "0.0 <= cpu_cost and",
+        ("tests/test_workload.py",),
+    ),
+    Mutant(
+        "completion-guard-skips-the-sum",
+        "src/offloadsim/workload.py",
+        "            and exec_time + cpu_cost + mem_cost < _INF\n",
+        "",
+        ("tests/test_workload.py",),
+    ),
+    Mutant(
+        "time-gate-passes-a-tie",
+        "src/offloadsim/decision.py",
+        "            remote += f * _transfer_time(m, cond)\n    return local > remote",
+        "            remote += f * _transfer_time(m, cond)\n    return local >= remote",
+        ("tests/test_decision.py",),
+    ),
+    Mutant(
+        "energy-gate-passes-a-tie",
+        "src/offloadsim/decision.py",
+        "        return True\n    return local > remote",
+        "        return True\n    return local >= remote",
+        ("tests/test_decision.py",),
+    ),
+    Mutant(
+        "writer-skips-the-cut",
+        "src/offloadsim/emit.py",
+        "            fh.truncate()",
+        "            pass",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "private-count-bound",

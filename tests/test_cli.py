@@ -4,6 +4,7 @@ in process through ``cli.dispatch`` where only exit codes and streams matter."""
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 import offloadsim
 from offloadsim import cli
+from offloadsim.emit import _write_text
 from offloadsim.simulator import MAX_PERIODIC_EVENTS, MAX_PLANNED_ARRIVALS
 from offloadsim.topology import generate_topology, write_topology
 
@@ -558,13 +560,26 @@ class TestPartition:
         assert res.returncode == 2
         assert res.stdout == ""
 
-    def test_unwritable_output_is_a_runtime_error(self, tmp_path, inputs):
+    @pytest.mark.parametrize("where", ["under-a-file", "a-directory"])
+    def test_unwritable_output_is_a_runtime_error(self, tmp_path, inputs, where):
         blocker = tmp_path / "blocker"
-        blocker.write_text("occupied")
-        res = run_cli("partition", "--graph", inputs / "graph.json",
-                      "--out", blocker / "report.json")
+        if where == "under-a-file":
+            blocker.write_text("occupied")
+            out = blocker / "report.json"
+        else:
+            blocker.mkdir()
+            out = blocker
+        res = run_cli("partition", "--graph", inputs / "graph.json", "--out", out)
         assert res.returncode == 3
         assert res.stderr.startswith("runtime error:")
+
+    def test_report_to_a_device_or_a_pipe_is_written_uncut(self, inputs):
+        piped = run_cli("partition", "--graph", inputs / "graph.json")
+        res = run_cli("partition", "--graph", inputs / "graph.json", "--out", os.devnull)
+        assert (res.returncode, res.stdout, res.stderr) == (0, "", "")
+        if os.path.exists("/dev/stdout"):  # the captured stdout is a pipe
+            res = run_cli("partition", "--graph", inputs / "graph.json", "--out", "/dev/stdout")
+            assert (res.returncode, res.stdout, res.stderr) == (0, piped.stdout, "")
 
 
 def malformed_graph_docs():
@@ -933,3 +948,53 @@ class TestOutputEncoding:
         assert ascii_locale == utf8
         assert "café".encode() in utf8["run_summary.csv"]
         assert all(b"\r" not in data for data in utf8.values())
+
+
+class TestOutputFiles:
+    """The one writer writes over an existing file in place and cuts it to
+    the length written, so a file keeps its inode, mode and links."""
+
+    def test_shorter_outputs_over_longer_ones_match_a_fresh_directory(self, tmp_path):
+        def simulate(preset, out):
+            argv = ["simulate", "--preset", preset, "--seed", "1", "--out", str(out)]
+            assert cli.dispatch(argv).exit_code == 0
+            return {p.name: p.stat() for p in out.iterdir()}
+
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        before = simulate("fig3", reused)
+        after = simulate("overload-line", reused)
+        simulate("overload-line", fresh)
+        assert after["run_series.csv"].st_size < before["run_series.csv"].st_size
+        assert after["run_series.json"].st_size < before["run_series.json"].st_size
+        assert {name: st.st_ino for name, st in after.items()} == {
+            name: st.st_ino for name, st in before.items()
+        }
+        assert {p.name: p.read_bytes() for p in reused.iterdir()} == {
+            p.name: p.read_bytes() for p in fresh.iterdir()
+        }
+
+    def test_a_symlink_is_followed_and_a_hard_link_stays_shared(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old text, longer than the new one\n")
+        link, twin = tmp_path / "link.json", tmp_path / "twin.json"
+        link.symlink_to(target)
+        os.link(target, twin)
+        _write_text(link, "{}\n")
+        assert link.is_symlink()
+        assert target.read_bytes() == twin.read_bytes() == b"{}\n"
+
+    def test_an_existing_file_keeps_its_mode_and_a_new_one_gets_open_mode(self, tmp_path):
+        kept = tmp_path / "kept.json"
+        kept.write_text("old text, longer than the new one\n")
+        kept.chmod(0o604)
+        _write_text(kept, "{}\n")
+        assert (stat.S_IMODE(kept.stat().st_mode), kept.read_text()) == (0o604, "{}\n")
+        umask = os.umask(0o027)
+        try:
+            _write_text(tmp_path / "new.json", "{}\n")
+            with open(tmp_path / "by_open.json", "w"):
+                pass
+        finally:
+            os.umask(umask)
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("new.json", "by_open.json")]
+        assert modes == [0o640, 0o640]

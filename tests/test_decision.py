@@ -87,6 +87,33 @@ def test_tie_means_stay_local():
     assert dc.class_valid_time(prof, cond) is False
 
 
+def exact_tie_class(energy_local_j=0.96875):
+    """A boundary class whose local and remote sides are equal and non-zero
+    in both gates, with every term exact in binary. Time: 1.25 s local
+    against 1.25 / 5 s remote plus a 0.25 s round trip and 6 bytes at
+    8 bytes/s. Energy: 4 bytes sent at 1/16 J, 2 received at 1/8 J and the
+    1.25 s wait at 3/8 J/s add up to 31/32 J."""
+    prof = dc.ClassProfile(
+        methods=[MethodProfile(name="m", invocations=1.0, t_local_s=1.25, in_bytes=4.0,
+                               out_bytes=2.0, energy_local_j=energy_local_j)],
+        boundary=True,
+    )
+    cond = dc.NetworkConditions(rtt_s=0.25, bandwidth_bytes_per_s=8.0, cpu_speedup=5.0)
+    model = dc.EnergyModel(energy_per_tx_byte_j=0.0625, energy_per_rx_byte_j=0.125,
+                           energy_idle_per_s_j=0.375)
+    return prof, cond, model
+
+
+def test_exact_ties_fail_both_gates():
+    prof, cond, model = exact_tie_class()
+    assert straight_line_time_valid(prof, cond) is False
+    assert dc.class_valid_time(prof, cond) is False
+    assert straight_line_energy_valid(prof, cond, model) is False
+    assert dc.class_valid_energy(prof, cond, model) is False
+    prof, cond, model = exact_tie_class(math.nextafter(0.96875, math.inf))
+    assert dc.class_valid_energy(prof, cond, model) is True
+
+
 def test_heavy_method_compensates_trivial_one():
     methods = [
         MethodProfile(name="heavy", invocations=9.0, t_local_s=0.050),

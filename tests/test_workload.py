@@ -321,10 +321,13 @@ REFUSED_COMPLETIONS = {
     "zero-exec": (0.0, 1.0, 1.0),
     "negative-exec": (-0.5, 1.0, 1.0),
     "nan-exec": (NAN, 1.0, 1.0),
+    "inf-exec": (INF, 1.0, 1.0),
     "negative-cpu": (0.5, -1.0, 1.0),
     "nan-cpu": (0.5, NAN, 1.0),
+    "inf-cpu": (0.5, INF, 1.0),
     "negative-mem": (0.5, 1.0, -1.0),
     "nan-mem": (0.5, 1.0, NAN),
+    "inf-mem": (0.5, 1.0, INF),
 }
 REFUSALS = [
     (phase, call, case)
@@ -345,11 +348,19 @@ def test_a_refused_call_changes_nothing(k, phase, call, case):
         with pytest.raises(ValueError, match=match):
             state.record_arrival(REFUSED_ARRIVALS[case])
     else:
-        match = "execution time must be positive" if case.endswith("exec") else "resource costs"
+        match = "execution time must be positive and finite" if case.endswith("exec") else (
+            "resource costs must be finite and non-negative"
+        )
         with pytest.raises(ValueError, match=match):
             state.record_completion(*REFUSED_COMPLETIONS[case])
     after = {name: repr(getattr(state, name)) for name in wl.EstimatorState.__slots__}
     assert after == before
+
+
+def test_finite_completion_whose_sum_overflows_is_taken():
+    state = estimator_in("cold", 8)
+    state.record_completion(1e308, 1e308, 1e308)
+    assert (state.completion_index, state.sum_exec, state.sum_cpu) == (1, 1e308, 1e308)
 
 
 def test_execution_probability_substitution():
