@@ -416,21 +416,6 @@ def _edge_betweenness(
         score[e] /= 2.0
 
 
-def edge_betweenness(graph: CallGraph, weighted: bool = False) -> dict[tuple[str, str], float]:
-    """Shortest-path edge betweenness (fraction-weighted over tie paths).
-
-    Unweighted hop counting by default; ``weighted=True`` treats heavier
-    edges as shorter (length 1/weight).
-    """
-    ix = _dense_index(graph)
-    n = len(ix.names)
-    edges, nbrs, arcs, lens = _betweenness_graph(ix, weighted)
-    score = [0.0] * len(edges)
-    _edge_betweenness(range(n), nbrs, arcs, lens, score, _source_arrays(n), weighted)
-    names = ix.names
-    return {(names[a], names[b]): sc for (a, b), sc in zip(edges, score)}
-
-
 @dataclass
 class PartitionSet:
     """One clustering of the call graph into candidate offload units."""
@@ -729,7 +714,6 @@ __all__ = [
     "TagRule",
     "apply_tag_rules",
     "build_call_graph",
-    "edge_betweenness",
     "enumerate_partition_sets",
     "girvan_newman",
     "load_tag_rules",

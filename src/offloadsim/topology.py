@@ -130,7 +130,6 @@ class Topology:
         if len(seen) < len(self.nodes):
             unreachable = sorted(n for n in self.nodes if n not in seen)
             raise TopologyError(f"node(s) {unreachable} cannot reach the server {server_id}")
-        self._dist: dict[int, float] | None = None
         self._next_hop: dict[int, int | None] = {}
         self._hop_diameter: int | None = None
 
@@ -164,20 +163,12 @@ class Topology:
                     if best is None or cand < best:
                         best = cand
             self._next_hop[nid] = best[1] if best else None
-        self._dist = dist
-
-    @property
-    def distance_to_server(self) -> dict[int, float]:
-        """Shortest link delay (ms) from each node to the server (read-only)."""
-        if self._dist is None:
-            self._route()
-        return self._dist
 
     def next_hop_toward_server(self, node_id: int) -> int | None:
         """Neighbor on a delay-shortest path to the server; None at the server."""
         if node_id not in self.nodes:
             raise TopologyError(f"unknown node {node_id}")
-        if self._dist is None:
+        if not self._next_hop:
             self._route()
         return self._next_hop[node_id]
 

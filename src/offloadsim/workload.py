@@ -4,9 +4,7 @@
   rate, which adds the rate's positive increment over the historical rate
   (the burst detector; the increment itself is not kept), the smoothed
   service rate and mean cpu/memory demand, and the proactive strategy's
-  admission probability q, each in O(1) per event. The module functions
-  ``record_arrival``, ``record_completion`` and ``execution_probability``
-  are its methods, called with the state first. ``record_arrival`` has a
+  admission probability q, each in O(1) per event. ``record_arrival`` has a
   fill path, which appends until the window holds k stamps and returns
   q = 1 before the arrival that fills it, and a full-window path, which
   overwrites the oldest stamp, finds the next slot once by
@@ -16,10 +14,11 @@
   or NaN cost raise ``ValueError`` and change nothing.
 
 * The request source: a service catalog with popularity weights and
-  ``poisson_stream``, which samples (possibly jittered) Poisson arrival
-  times, service picks, and origin access points from a seeded RNG. The
-  origin draw is ``randrange``'s own, inlined: ``getrandbits`` of the
-  count's bit length, redrawn until below the access point count.
+  ``_iter_arrival_tuples``, which samples (possibly jittered) Poisson
+  arrival times, service picks, and origin access points from a seeded
+  RNG for the simulator's loop. The origin draw is ``randrange``'s own,
+  inlined: ``getrandbits`` of the count's bit length, redrawn until below
+  the access point count.
 """
 
 from __future__ import annotations
@@ -242,11 +241,6 @@ class EstimatorState:
         return q
 
 
-record_arrival = EstimatorState.record_arrival
-record_completion = EstimatorState.record_completion
-execution_probability = EstimatorState.execution_probability
-
-
 def estimator_backend() -> str:
     """Name of the estimator implementation, which the benchmark harness
     stamps on every record. There is one, in pure Python."""
@@ -260,17 +254,6 @@ def new_estimator(
     for a node of the given (positive) capacities, for which its
     ``record_arrival`` method returns q."""
     return EstimatorState(k, cpu_capacity, mem_capacity)
-
-
-def mean_arrival_rate(state: EstimatorState) -> float:
-    """Windowed mean rate: (valid-1) intervals over the buffer span.
-
-    Raises ValueError until two arrivals have been seen; identical
-    timestamps across the whole window yield inf.
-    """
-    if state.arrival_count < 2:
-        raise ValueError("need at least two arrivals to estimate a rate")
-    return state.lambda_hat
 
 
 @dataclass(frozen=True)
@@ -332,15 +315,6 @@ def _validate_jitters(jitters: list[JitterSpec]) -> list[JitterSpec]:
     return ordered
 
 
-@dataclass
-class ArrivalEvent:
-    """One external request arrival produced by the stream."""
-
-    time_s: float
-    service_index: int
-    origin: int
-
-
 def _segment_boundaries(jitters: list[JitterSpec], horizon_s: float) -> list[tuple[float, float]]:
     """Piecewise-constant rate segments as (start_s, multiplier)."""
     segs: list[tuple[float, float]] = [(0.0, 1.0)]
@@ -389,28 +363,26 @@ def _iter_arrival_tuples(
     rate_per_s: float,
     horizon_s: float,
     seed,
-    jitters: list[JitterSpec] | None = None,
-    services: list[ServiceSpec] | None = None,
-    access_points: list[int] | None = None,
+    jitters: list[JitterSpec],
+    services: list[ServiceSpec],
+    access_points: list[int],
 ):
-    """Yields raw (time_s, service_index, origin) tuples; shared core of
-    ``poisson_stream`` and the simulator's hot loop. ``_arrival_inputs``
-    checks every argument before the first tuple is drawn."""
+    """Yields raw (time_s, service_index, origin) tuples for the simulator's
+    loop. ``_arrival_inputs`` checks every argument before the first tuple
+    is drawn, so an empty service or access point list is refused."""
     segs, cum, total_w = _arrival_inputs(rate_per_s, horizon_s, jitters, services, access_points)
     rng = random.Random(f"{seed}|arrivals")
     uniform = rng.random
     getrandbits = rng.getrandbits
-    n_ap = len(access_points) if access_points is not None else 0
+    n_ap = len(access_points)
     k_ap = n_ap.bit_length()
 
     t = 0.0
-    origin = 0
     seg_i = 0
     last_seg = len(segs) - 1
     # The current segment's rate, and where the next segment starts.
     rate = rate_per_s * segs[0][1]
     seg_end = segs[1][0] if last_seg else math.inf
-    svc = 0
     while True:
         # The exponential gap is memoryless, so on crossing a rate boundary
         # the residual wait can be redrawn at the new rate without bias.
@@ -424,48 +396,18 @@ def _iter_arrival_tuples(
             seg_end = segs[seg_i + 1][0] if seg_i < last_seg else math.inf
         if t >= horizon_s:
             return
-        if cum:
-            svc = bisect_right(cum, uniform() * total_w)
-        if n_ap:
+        svc = bisect_right(cum, uniform() * total_w)
+        r = getrandbits(k_ap)
+        while r >= n_ap:
             r = getrandbits(k_ap)
-            while r >= n_ap:
-                r = getrandbits(k_ap)
-            origin = access_points[r]
-        yield (t, svc, origin)
-
-
-def poisson_stream(
-    rate_per_s: float,
-    horizon_s: float,
-    seed,
-    jitters: list[JitterSpec] | None = None,
-    services: list[ServiceSpec] | None = None,
-    access_points: list[int] | None = None,
-) -> list[ArrivalEvent]:
-    """Materialized arrival list over [0, horizon).
-
-    Same seed and arguments always reproduce the identical list; jitter
-    windows multiply the base rate while active and must not overlap.
-    """
-    return [
-        ArrivalEvent(t, svc, origin)
-        for t, svc, origin in _iter_arrival_tuples(
-            rate_per_s, horizon_s, seed, jitters, services, access_points
-        )
-    ]
+        yield (t, svc, access_points[r])
 
 
 __all__ = [
     "ARMA_WEIGHT",
-    "ArrivalEvent",
     "EstimatorState",
     "JitterSpec",
     "ServiceSpec",
     "estimator_backend",
-    "execution_probability",
-    "mean_arrival_rate",
     "new_estimator",
-    "poisson_stream",
-    "record_arrival",
-    "record_completion",
 ]

@@ -6,12 +6,14 @@ import csv
 import io
 import json
 import math
+import operator
 import random
 import statistics
 import sys
 import types
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from unittest import mock
 
@@ -29,7 +31,7 @@ from offloadsim.appstats import (
 from offloadsim._inputs import _left_sum, _positive
 from offloadsim.partition import CallGraph, ClassNode, MethodProfile
 from offloadsim.topology import NodeSpec, Topology
-from offloadsim.workload import _segment_boundaries, _validate_jitters, new_estimator
+from offloadsim.workload import _segment_boundaries, _validate_jitters
 
 
 def make_graph(edges, isolated=(), methods=None, tags=None):
@@ -91,9 +93,9 @@ def route_to_server(topo, node_id):
 
 def reference_routes(adj, server_id):
     """Delay to the server and next hop of every node of ``adj``, by
-    Dijkstra on tuple keys (delay, hops): the oracle for
-    ``Topology.distance_to_server`` and ``next_hop_toward_server``. A node
-    the server cannot reach keeps an infinite delay."""
+    Dijkstra on tuple keys (delay, hops): the oracle for the routes
+    ``Topology.next_hop_toward_server`` follows. A node the server cannot
+    reach keeps an infinite delay."""
     inf = float("inf")
     key = {nid: (inf, 0) for nid in adj}
     key[server_id] = (0.0, 0)
@@ -235,15 +237,13 @@ def scripted_runs(arrivals, durations, draws):
         yield
 
 
-def reference_arrival_tuples(
-    rate_per_s, horizon_s, seed, jitters=None, services=None, access_points=None
-):
+def reference_arrival_tuples(rate_per_s, horizon_s, seed, jitters, services, access_points):
     """The arrival stream with ``randrange`` origins and the segment's rate
     looked up and multiplied on every draw: the oracle for
     ``workload._iter_arrival_tuples``."""
     if not _positive(horizon_s):
         raise ValueError("horizon must be positive and finite")
-    jitters = _validate_jitters(list(jitters or []))
+    jitters = _validate_jitters(list(jitters))
     segs = _segment_boundaries(jitters, horizon_s)
     if not all(_positive(rate_per_s * mult) for _, mult in segs):
         raise ValueError("arrival rate must be positive and finite in every rate segment")
@@ -251,15 +251,13 @@ def reference_arrival_tuples(
     rng = random.Random(f"{seed}|arrivals")
     cum = []
     total_w = 0.0
-    if services is not None:
-        for s in services:
-            total_w += s.popularity_weight
-            cum.append(total_w)
-        if total_w <= 0.0:
-            raise ValueError("popularity weights must not all be zero")
-    if access_points is not None and not access_points:
+    for s in services:
+        total_w += s.popularity_weight
+        cum.append(total_w)
+    if total_w <= 0.0:
+        raise ValueError("popularity weights must not all be zero")
+    if not access_points:
         raise ValueError("access point list must not be empty")
-    n_ap = len(access_points) if access_points is not None else 0
 
     t = 0.0
     seg_i = 0
@@ -275,14 +273,141 @@ def reference_arrival_tuples(
             break
         if t >= horizon_s:
             return
-        svc = 0
-        if cum:
-            u = rng.random() * total_w
-            for svc, edge in enumerate(cum):
-                if u < edge:
-                    break
-        origin = access_points[rng.randrange(n_ap)] if n_ap else 0
-        yield (t, svc, origin)
+        u = rng.random() * total_w
+        for svc, edge in enumerate(cum):
+            if u < edge:
+                break
+        yield (t, svc, access_points[rng.randrange(len(access_points))])
+
+
+def left_sum(values):
+    """Left-to-right float sum; the same bits as the built-in ``sum`` of
+    floats before Python 3.12, which switched to compensated summation."""
+    return reduce(operator.add, values, 0.0)
+
+
+def reference_admission_probability(
+    lambda_eff, mu, cpu_avg, mem_avg, cpu_capacity, mem_capacity
+):
+    """The closed form as a free function, written for reading."""
+    if cpu_capacity <= 0.0 or mem_capacity <= 0.0:
+        raise ValueError("capacities must be positive")
+    if lambda_eff <= 0.0:
+        return 1.0
+    headroom = min(
+        cpu_capacity / (cpu_capacity + cpu_avg),
+        mem_capacity / (mem_capacity + mem_avg),
+    )
+    q = headroom * (mu / lambda_eff)
+    if q >= 1.0:
+        return 1.0
+    if q <= 0.0:
+        return 0.0
+    return q
+
+
+class ReferenceCore:
+    """The estimator core written plainly: attribute updates in place, a
+    separate warm-up predicate and a free-function closed form. The window
+    sums use ``left_sum`` so the oracle means the same on every Python. The
+    oracle for ``workload.EstimatorState``, and the estimator of
+    ``reference_run_scenario``."""
+
+    def __init__(self, k):
+        if k < 2:
+            raise ValueError("buffer size k must be at least 2")
+        self.k = k
+        self.buf_lambda = [math.nan] * k
+        self.buf_mu = [math.nan] * k
+        self.buf_cpu = [math.nan] * k
+        self.buf_mem = [math.nan] * k
+        self.arrival_index = 0
+        self.completion_index = 0
+        self.arrival_count = 0
+        self.completion_count = 0
+        self.arrival_wraps = 0
+        self.completion_wraps = 0
+        self.interval_sum = 0.0
+        self.last_arrival = math.nan
+        self.lambda_hat = 0.0
+        self.lambda_prev = 0.0
+        self.delta_lambda = 0.0
+        self.lambda_eff = 0.0
+        self.mu = 0.0
+        self.cpu_avg = 0.0
+        self.mem_avg = 0.0
+
+    def record_arrival(self, timestamp):
+        k = self.k
+        count = self.arrival_count
+        idx = self.arrival_index
+        if count > 0:
+            if timestamp < self.last_arrival:
+                raise ValueError("arrival timestamps must be non-decreasing")
+            z = timestamp - self.last_arrival
+            if count >= k:
+                buf = self.buf_lambda
+                y = buf[(idx + 1) % k] - buf[idx]
+                self.interval_sum += z - y
+            else:
+                self.interval_sum += z
+        self.buf_lambda[idx] = timestamp
+        self.last_arrival = timestamp
+        self.arrival_count = count + 1
+        idx += 1
+        if idx == k:
+            idx = 0
+        self.arrival_index = idx
+
+        valid = count + 1
+        if valid > k:
+            valid = k
+        if valid >= 2:
+            s = self.interval_sum
+            self.lambda_hat = (valid - 1) / s if s > 0.0 else math.inf
+        d = self.lambda_hat - self.lambda_prev
+        self.delta_lambda = d if d > 0.0 else 0.0
+        self.lambda_eff = self.lambda_hat + self.delta_lambda
+
+        if idx == 0:
+            self.arrival_wraps += 1
+            if self.arrival_wraps == 1:
+                self.lambda_prev = self.lambda_hat
+            else:
+                self.lambda_prev = 0.5 * (self.lambda_prev + self.lambda_hat)
+
+    def record_completion(self, exec_time, cpu_cost, mem_cost):
+        if exec_time <= 0.0 or math.isnan(exec_time):
+            raise ValueError("execution time must be positive")
+        if cpu_cost < 0.0 or mem_cost < 0.0:
+            raise ValueError("resource costs must be non-negative")
+        k = self.k
+        idx = self.completion_index
+        self.buf_mu[idx] = exec_time
+        self.buf_cpu[idx] = cpu_cost
+        self.buf_mem[idx] = mem_cost
+        self.completion_count += 1
+        idx += 1
+        if idx == k:
+            idx = 0
+        self.completion_index = idx
+        if idx == 0:
+            self.completion_wraps += 1
+            mean_exec = left_sum(self.buf_mu) / k
+            self.mu = 0.5 * (self.mu + 1.0 / mean_exec)
+            self.cpu_avg = 0.5 * (self.cpu_avg + left_sum(self.buf_cpu) / k)
+            self.mem_avg = 0.5 * (self.mem_avg + left_sum(self.buf_mem) / k)
+
+    def is_warm(self):
+        return self.arrival_count >= self.k and self.completion_wraps >= 1
+
+    def execution_probability(self, cpu_capacity, mem_capacity):
+        if not self.is_warm():
+            return 1.0
+        return reference_admission_probability(
+            self.lambda_eff, self.mu, self.cpu_avg, self.mem_avg,
+            cpu_capacity, mem_capacity,
+        )
 
 
 # Event kind ranks of the push-gossip loop; lower processes first at equal
@@ -421,7 +546,7 @@ def reference_run_scenario(cfg):
     if proactive:
         for i in range(n):
             if executor[i]:
-                estimators[i] = new_estimator(cfg.buffer_size)
+                estimators[i] = ReferenceCore(cfg.buffer_size)
                 tables[i] = ReferenceLoadTable.seeded(j for j in delay[i] if executor[j])
         # Gossip events carry (receiver's ReferenceLoadTable.apply, sender)
         # pairs, grouped by link delay. Calling the stored bound method

@@ -155,6 +155,31 @@ MUTANTS = [
         ("tests/test_workload.py",),
     ),
     Mutant(
+        "divisive-pass-yields-after-every-cut",
+        "src/offloadsim/partition.py",
+        "if len(parts) > 1:",
+        "if len(parts) >= 1:",
+        ("tests/test_partition.py",),
+    ),
+    Mutant(
+        "route-takes-an-equal-hop-neighbour",
+        "src/offloadsim/topology.py",
+        "(dist[nb] == d and hops[nb] < h)",
+        "(dist[nb] == d and hops[nb] <= h)",
+        ("tests/test_topology.py",),
+    ),
+    Mutant(
+        "route-ties-to-the-last-candidate",
+        "src/offloadsim/topology.py",
+        "if best is None or cand < best:",
+        "if best is None or cand <= best:",
+        ("tests/test_topology.py",),
+        equivalent=(
+            "candidates are (delay, neighbour id) pairs and a node's neighbour ids are"
+            " distinct, so no two candidates are equal"
+        ),
+    ),
+    Mutant(
         "time-gate-passes-a-tie",
         "src/offloadsim/decision.py",
         "            remote += f * _transfer_time(m, cond)\n    return local > remote",

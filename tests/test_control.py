@@ -385,15 +385,15 @@ def test_conservative_mode_lowers_admission():
     state = wl.new_estimator(k=8)
     t = 0.0
     for _ in range(16):
-        wl.record_arrival(state, t)
+        state.record_arrival(t)
         t += 0.25
     for _ in range(8):
-        wl.record_completion(state, 0.125, 1.0, 0.0)
+        state.record_completion(0.125, 1.0, 0.0)
     for _ in range(5):
-        wl.record_arrival(state, t)
+        state.record_arrival(t)
         t += 0.01
     assert state.lambda_eff > state.lambda_hat
-    q_conservative = wl.execution_probability(state, 1.0, 1.0)
+    q_conservative = state.execution_probability(1.0, 1.0)
     q_plain = admit_q(state.lambda_hat, state.mu, state.cpu_avg, state.mem_avg, 1.0, 1.0)
     assert q_conservative <= q_plain
 

@@ -125,6 +125,18 @@ def reference_components(names, adj):
     return comps
 
 
+def betweenness(graph, weighted=False):
+    """``pt._edge_betweenness`` over the whole of ``graph``, as the first
+    cut of the divisive pass scores it, keyed by name pair."""
+    ix = pt._dense_index(graph)
+    n = len(ix.names)
+    edges, nbrs, arcs, lens = pt._betweenness_graph(ix, weighted)
+    score = [0.0] * len(edges)
+    pt._edge_betweenness(range(n), nbrs, arcs, lens, score, pt._source_arrays(n), weighted)
+    names = ix.names
+    return {(names[a], names[b]): sc for (a, b), sc in zip(edges, score)}
+
+
 def reference_edge_betweenness(names, adj, weighted):
     """Brandes's accumulation over name-keyed dicts with predecessor lists:
     the kernel the dense ``_edge_betweenness`` replaced, and the oracle its
@@ -291,19 +303,19 @@ def test_tag_rule_requires_dot_boundary():
 
 def test_betweenness_single_edge():
     g = make_graph([("A", "B", 1.0)])
-    assert pt.edge_betweenness(g) == {("A", "B"): 1.0}
+    assert betweenness(g) == {("A", "B"): 1.0}
 
 
 def test_betweenness_star_symmetric():
     g = make_graph([("hub", "a", 1.0), ("hub", "b", 1.0), ("hub", "c", 1.0)])
-    scores = pt.edge_betweenness(g)
+    scores = betweenness(g)
     values = set(scores.values())
     assert len(values) == 1
 
 
 def test_bridge_dominates_betweenness():
     g, _, _, bridge = two_cliques_with_bridge()
-    scores = pt.edge_betweenness(g)
+    scores = betweenness(g)
     key = tuple(sorted(bridge))
     top = max(scores.values())
     assert scores[key] == top
@@ -315,7 +327,7 @@ def test_betweenness_matches_brute_force():
     for trial in range(25):
         g = random_graph(rng, rng.randint(2, 7))
         want = brute_force_betweenness(g.names(), g.adj)
-        got = pt.edge_betweenness(g)
+        got = betweenness(g)
         assert set(got) == set(want)
         for key in want:
             assert got[key] == pytest.approx(want[key], rel=1e-9, abs=1e-9)
@@ -568,7 +580,7 @@ def test_weights_whose_modularity_terms_overflow_are_rejected(weight):
         with pytest.raises(pt.CallGraphError, match="total edge weight W = .* overflow"):
             run(g)
     # Betweenness forms no modularity term, so it still runs.
-    assert pt.edge_betweenness(g, weighted=True)[("a", "b")] == 3.0
+    assert betweenness(g, weighted=True)[("a", "b")] == 3.0
 
 
 def test_largest_weights_below_the_bound_keep_modularity_finite():
@@ -591,26 +603,26 @@ def test_weighted_betweenness_refuses_path_lengths_that_overflow():
     # the tie test is NaN, which miscounted this ring as 3, 2, 2, 1.
     g = four_cycle(1e-308)
     for run in (
-        lambda g: pt.edge_betweenness(g, weighted=True),
+        lambda g: betweenness(g, weighted=True),
         lambda g: pt.girvan_newman(g, 2, weighted=True),
         lambda g: pt.enumerate_partition_sets(g, weighted=True, natural=2),
     ):
         with pytest.raises(pt.CallGraphError, match="too small for weighted betweenness"):
             run(g)
     # Hop counting sums no lengths.
-    assert set(pt.edge_betweenness(g).values()) == {2.0}
+    assert set(betweenness(g).values()) == {2.0}
 
 
 def test_weighted_betweenness_with_tiny_finite_path_lengths_is_exact():
-    assert set(pt.edge_betweenness(four_cycle(1e-300), weighted=True).values()) == {2.0}
+    assert set(betweenness(four_cycle(1e-300), weighted=True).values()) == {2.0}
 
 
 def test_weighted_betweenness_mode_differs():
     # Heavy edges are short in the weighted metric, so the weighted mode
     # must route around the light (long) edge.
     g = make_graph([("A", "B", 10.0), ("B", "C", 10.0), ("A", "C", 1.0)])
-    hop = pt.edge_betweenness(g, weighted=False)
-    wtd = pt.edge_betweenness(g, weighted=True)
+    hop = betweenness(g, weighted=False)
+    wtd = betweenness(g, weighted=True)
     assert hop[("A", "C")] == pytest.approx(1.0)
     assert wtd[("A", "C")] < hop[("A", "C")]
 
@@ -682,7 +694,7 @@ def shuffled_weight_cases(draw):
 def test_betweenness_equals_dict_kernel_exactly(case):
     g, weighted = case
     want = reference_edge_betweenness(g.names(), g.adj, weighted)
-    assert pt.edge_betweenness(g, weighted) == want
+    assert betweenness(g, weighted) == want
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -696,7 +708,7 @@ def test_betweenness_equals_dict_kernel_on_larger_graphs(weighted):
         g = make_graph([(b, a, w) if rng.random() < 0.5 else (a, b, w) for a, b, w in edges],
                        isolated=[f"v{i}" for i in range(n)])
         want = reference_edge_betweenness(g.names(), g.adj, weighted)
-        assert pt.edge_betweenness(g, weighted) == want
+        assert betweenness(g, weighted) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -765,6 +777,26 @@ def test_divisive_pass_scores_only_what_a_cut_reads(weighted, monkeypatch):
     passes.clear()
     assert pt.girvan_newman(g, 2, weighted).n_clusters == 2
     assert passes == [16, 16]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(divisive_cases(), shuffled_weight_cases()))
+def test_divisive_pass_yields_the_uncut_graph_then_only_after_a_split(case):
+    # A cut splits at most one component in two, so after the uncut graph
+    # each yield has one component more than the last, up to one per class.
+    g, weighted = case
+    names = g.names()
+    counts = [len(comps) for comps in pt._divisive_pass(pt._dense_index(g), weighted)]
+    first = len(reference_components(names, g.adj))
+    assert counts == list(range(first, len(names) + 1))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_divisive_pass_skips_cuts_that_split_nothing(weighted):
+    # The first cut opens the ring of cliques without splitting it.
+    g = ring_of_cliques()
+    counts = [len(comps) for comps in pt._divisive_pass(pt._dense_index(g), weighted)]
+    assert counts == list(range(1, 17))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

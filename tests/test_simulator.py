@@ -713,10 +713,11 @@ def test_jitter_overlap_message_matches_the_stream_check():
         JitterSpec(start_ms=0.0, duration_ms=20.0, rate_multiplier=2.0),
         JitterSpec(start_ms=10.0, duration_ms=20.0, rate_multiplier=2.0),
     ]
+    cfg = small_config(jitters=jitters)
     with pytest.raises(sim.ConfigError) as from_config:
-        small_config(jitters=jitters).validate()
+        cfg.validate()
     with pytest.raises(ValueError) as from_stream:
-        list(_iter_arrival_tuples(100.0, 0.1, 0, jitters))
+        list(_iter_arrival_tuples(100.0, 0.1, 0, jitters, cfg.services, [0]))
     assert str(from_config.value) == str(from_stream.value)
     assert "jitter windows overlap" in str(from_config.value)
 

@@ -8,7 +8,7 @@ import pytest
 
 from offloadsim import topology as tp
 
-from conftest import line_topology, reference_hop_diameter, route_to_server
+from conftest import line_topology, reference_hop_diameter, reference_routes, route_to_server
 from interp_values import SCALE_FREE_CASES, topology_digest
 
 LINE4 = """\
@@ -427,10 +427,12 @@ def test_mixed_delay_routes_are_shortest_and_loop_free():
     nodes = [tp.NodeSpec(i, 1.0, 1.0, is_access_point=(i == 0)) for i in range(5)]
     edges = [(0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0), (2, 3, 1.0), (3, 4, 0.0), (0, 4, 5.0)]
     topo = tp.Topology(nodes, edges, server_id=4)
-    assert topo.distance_to_server == {0: 1.0, 1: 1.0, 2: 1.0, 3: 0.0, 4: 0.0}
+    dist, next_hop = reference_routes(topo.adj, topo.server_id)
+    assert dist == {0: 1.0, 1: 1.0, 2: 1.0, 3: 0.0, 4: 0.0}
+    assert {nid: topo.next_hop_toward_server(nid) for nid in topo.nodes} == next_hop
     assert route_to_server(topo, 0) == [0, 2, 3, 4]
     assert route_to_server(topo, 1) == [1, 2, 3, 4]
     for nid in topo.nodes:
         nxt = topo.next_hop_toward_server(nid)
         if nxt is not None:
-            assert topo.distance_to_server[nid] == topo.adj[nid][nxt] + topo.distance_to_server[nxt]
+            assert dist[nid] == topo.adj[nid][nxt] + dist[nxt]

@@ -4,15 +4,15 @@ Every derived quantity is checked against a deliberately naive oracle: a
 full window re-scan for the mean rate, a chunked list replay for the
 smoothed completion stats, a straight transcription of the closed-form
 admission probability, and a plain transcription of the estimator core
-(``ReferenceCore``) that the optimized core must replay bit for bit.
+(``conftest.ReferenceCore``) that the optimized core must replay bit for
+bit. The arrival stream is checked through ``_iter_arrival_tuples``, the
+one the simulator runs, whose tuples are (time_s, service_index, origin).
 """
 
 import dataclasses
 import math
-import operator
 import random
 import tracemalloc
-from functools import reduce
 from unittest import mock
 
 import pytest
@@ -22,138 +22,10 @@ from hypothesis import strategies as st
 from offloadsim import simulator as sim
 from offloadsim import workload as wl
 
-from conftest import reference_arrival_tuples
+from conftest import ReferenceCore, left_sum, reference_arrival_tuples
 
 INF = math.inf
 NAN = math.nan
-
-
-def left_sum(values):
-    """Left-to-right float sum; the same bits as the built-in ``sum`` of
-    floats before Python 3.12, which switched to compensated summation."""
-    return reduce(operator.add, values, 0.0)
-
-
-def reference_admission_probability(
-    lambda_eff, mu, cpu_avg, mem_avg, cpu_capacity, mem_capacity
-):
-    """The closed form as a free function, written for reading."""
-    if cpu_capacity <= 0.0 or mem_capacity <= 0.0:
-        raise ValueError("capacities must be positive")
-    if lambda_eff <= 0.0:
-        return 1.0
-    headroom = min(
-        cpu_capacity / (cpu_capacity + cpu_avg),
-        mem_capacity / (mem_capacity + mem_avg),
-    )
-    q = headroom * (mu / lambda_eff)
-    if q >= 1.0:
-        return 1.0
-    if q <= 0.0:
-        return 0.0
-    return q
-
-
-class ReferenceCore:
-    """The estimator core written plainly: attribute updates in place, a
-    separate warm-up predicate and a free-function closed form. The window
-    sums use ``left_sum`` so the oracle means the same on every Python."""
-
-    def __init__(self, k):
-        if k < 2:
-            raise ValueError("buffer size k must be at least 2")
-        self.k = k
-        self.buf_lambda = [NAN] * k
-        self.buf_mu = [NAN] * k
-        self.buf_cpu = [NAN] * k
-        self.buf_mem = [NAN] * k
-        self.arrival_index = 0
-        self.completion_index = 0
-        self.arrival_count = 0
-        self.completion_count = 0
-        self.arrival_wraps = 0
-        self.completion_wraps = 0
-        self.interval_sum = 0.0
-        self.last_arrival = NAN
-        self.lambda_hat = 0.0
-        self.lambda_prev = 0.0
-        self.delta_lambda = 0.0
-        self.lambda_eff = 0.0
-        self.mu = 0.0
-        self.cpu_avg = 0.0
-        self.mem_avg = 0.0
-
-    def record_arrival(self, timestamp):
-        k = self.k
-        count = self.arrival_count
-        idx = self.arrival_index
-        if count > 0:
-            if timestamp < self.last_arrival:
-                raise ValueError("arrival timestamps must be non-decreasing")
-            z = timestamp - self.last_arrival
-            if count >= k:
-                buf = self.buf_lambda
-                y = buf[(idx + 1) % k] - buf[idx]
-                self.interval_sum += z - y
-            else:
-                self.interval_sum += z
-        self.buf_lambda[idx] = timestamp
-        self.last_arrival = timestamp
-        self.arrival_count = count + 1
-        idx += 1
-        if idx == k:
-            idx = 0
-        self.arrival_index = idx
-
-        valid = count + 1
-        if valid > k:
-            valid = k
-        if valid >= 2:
-            s = self.interval_sum
-            self.lambda_hat = (valid - 1) / s if s > 0.0 else INF
-        d = self.lambda_hat - self.lambda_prev
-        self.delta_lambda = d if d > 0.0 else 0.0
-        self.lambda_eff = self.lambda_hat + self.delta_lambda
-
-        if idx == 0:
-            self.arrival_wraps += 1
-            if self.arrival_wraps == 1:
-                self.lambda_prev = self.lambda_hat
-            else:
-                self.lambda_prev = 0.5 * (self.lambda_prev + self.lambda_hat)
-
-    def record_completion(self, exec_time, cpu_cost, mem_cost):
-        if exec_time <= 0.0 or math.isnan(exec_time):
-            raise ValueError("execution time must be positive")
-        if cpu_cost < 0.0 or mem_cost < 0.0:
-            raise ValueError("resource costs must be non-negative")
-        k = self.k
-        idx = self.completion_index
-        self.buf_mu[idx] = exec_time
-        self.buf_cpu[idx] = cpu_cost
-        self.buf_mem[idx] = mem_cost
-        self.completion_count += 1
-        idx += 1
-        if idx == k:
-            idx = 0
-        self.completion_index = idx
-        if idx == 0:
-            self.completion_wraps += 1
-            mean_exec = left_sum(self.buf_mu) / k
-            self.mu = 0.5 * (self.mu + 1.0 / mean_exec)
-            self.cpu_avg = 0.5 * (self.cpu_avg + left_sum(self.buf_cpu) / k)
-            self.mem_avg = 0.5 * (self.mem_avg + left_sum(self.buf_mem) / k)
-
-    def is_warm(self):
-        return self.arrival_count >= self.k and self.completion_wraps >= 1
-
-    def execution_probability(self, cpu_capacity, mem_capacity):
-        if not self.is_warm():
-            return 1.0
-        return reference_admission_probability(
-            self.lambda_eff, self.mu, self.cpu_avg, self.mem_avg,
-            cpu_capacity, mem_capacity,
-        )
 
 
 def admit_q(lambda_eff, mu, cpu_avg, mem_avg, cpu_capacity, mem_capacity):
@@ -165,7 +37,7 @@ def admit_q(lambda_eff, mu, cpu_avg, mem_avg, cpu_capacity, mem_capacity):
     state.mu = mu
     state.cpu_avg = cpu_avg
     state.mem_avg = mem_avg
-    return wl.execution_probability(state, cpu_capacity, mem_capacity)
+    return state.execution_probability(cpu_capacity, mem_capacity)
 
 
 def rescan_rate(timestamps, k):
@@ -206,22 +78,15 @@ def q_closed_form(lambda_eff, mu, cpu_avg, mem_avg, cpu_cap, mem_cap):
 def test_unit_spacing_gives_unit_rate():
     st8 = wl.new_estimator(k=4)
     for t in (0.0, 1.0, 2.0, 3.0):
-        wl.record_arrival(st8, t)
-    assert wl.mean_arrival_rate(st8) == pytest.approx(1.0)
+        st8.record_arrival(t)
+    assert st8.lambda_hat == pytest.approx(1.0)
 
 
 def test_half_second_spacing_gives_two_per_second():
     state = wl.new_estimator(k=8)
     for i in range(8):
-        wl.record_arrival(state, 0.5 * i)
-    assert wl.mean_arrival_rate(state) == pytest.approx(2.0)
-
-
-def test_single_arrival_signals_warmup():
-    state = wl.new_estimator(k=8)
-    wl.record_arrival(state, 1.0)
-    with pytest.raises(ValueError):
-        wl.mean_arrival_rate(state)
+        state.record_arrival(0.5 * i)
+    assert state.lambda_hat == pytest.approx(2.0)
 
 
 def test_tiny_buffer_rejected():
@@ -237,17 +102,17 @@ def test_incremental_rate_matches_rescan_oracle():
     for _ in range(2000):
         t += rng.expovariate(3.0)
         stamps.append(t)
-        wl.record_arrival(state, t)
+        state.record_arrival(t)
         if len(stamps) >= 2:
             expected = rescan_rate(stamps, 16)
-            assert wl.mean_arrival_rate(state) == pytest.approx(expected, rel=1e-9)
+            assert state.lambda_hat == pytest.approx(expected, rel=1e-9)
 
 
 def test_rate_with_identical_timestamps_is_infinite():
     state = wl.new_estimator(k=4)
     for _ in range(4):
-        wl.record_arrival(state, 5.0)
-    assert wl.mean_arrival_rate(state) == math.inf
+        state.record_arrival(5.0)
+    assert state.lambda_hat == math.inf
 
 
 def test_burst_raises_delta_lambda():
@@ -255,12 +120,12 @@ def test_burst_raises_delta_lambda():
     t = 0.0
     # Two full windows of steady traffic settle lambda_prev near 1.0.
     for _ in range(16):
-        wl.record_arrival(state, t)
+        state.record_arrival(t)
         t += 1.0
     assert state.lambda_eff - state.lambda_hat == pytest.approx(0.0, abs=1e-9)
     before = state.lambda_hat
     for _ in range(6):
-        wl.record_arrival(state, t)
+        state.record_arrival(t)
         t += 0.05
     assert state.lambda_hat > before
     # No wrap since the last fold, so the increment is over lambda_prev.
@@ -271,18 +136,18 @@ def test_burst_raises_delta_lambda():
 def test_cold_completion_window_example():
     # First wrap folds against the cold prior of zero.
     state = wl.new_estimator(k=2)
-    wl.record_completion(state, 0.5, 0.0, 0.0)
-    wl.record_completion(state, 0.5, 0.0, 0.0)
+    state.record_completion(0.5, 0.0, 0.0)
+    state.record_completion(0.5, 0.0, 0.0)
     assert state.mu == pytest.approx(1.0)
 
 
 def test_completion_fixed_point():
     state = wl.new_estimator(k=2)
-    wl.record_completion(state, 0.5, 0.0, 0.0)
-    wl.record_completion(state, 0.5, 0.0, 0.0)
+    state.record_completion(0.5, 0.0, 0.0)
+    state.record_completion(0.5, 0.0, 0.0)
     assert state.mu == pytest.approx(1.0)
-    wl.record_completion(state, 1.0, 0.0, 0.0)
-    wl.record_completion(state, 1.0, 0.0, 0.0)
+    state.record_completion(1.0, 0.0, 0.0)
+    state.record_completion(1.0, 0.0, 0.0)
     # mu = 0.5 * (1 + 1/1) stays at the fixed point.
     assert state.mu == pytest.approx(1.0)
 
@@ -296,7 +161,7 @@ def test_completion_smoothing_matches_replay_oracle():
         e = rng.uniform(0.01, 2.0)
         c = rng.uniform(0.0, 4.0)
         m = rng.uniform(0.0, 1.0)
-        wl.record_completion(state, e, c, m)
+        state.record_completion(e, c, m)
         replay.complete(e, c, m)
         assert state.mu == pytest.approx(replay.mu, rel=1e-12, abs=1e-15)
         assert state.cpu_avg == pytest.approx(replay.cpu_avg, rel=1e-12, abs=1e-15)
@@ -368,23 +233,23 @@ def test_execution_probability_substitution():
     # third arrival keeps the spacing so the smoothed baseline has settled
     # and the burst increment is zero.
     state = wl.new_estimator(k=2)
-    wl.record_arrival(state, 0.0)
-    wl.record_arrival(state, 0.25)
-    wl.record_arrival(state, 0.5)
-    wl.record_completion(state, 0.125, 4.0, 0.0)
-    wl.record_completion(state, 0.125, 4.0, 0.0)
+    state.record_arrival(0.0)
+    state.record_arrival(0.25)
+    state.record_arrival(0.5)
+    state.record_completion(0.125, 4.0, 0.0)
+    state.record_completion(0.125, 4.0, 0.0)
     assert state.lambda_eff == pytest.approx(4.0)
     assert state.mu == pytest.approx(4.0)
     assert state.cpu_avg == pytest.approx(2.0)
-    q = wl.execution_probability(state, cpu_capacity=2.0, mem_capacity=1.0)
+    q = state.execution_probability(cpu_capacity=2.0, mem_capacity=1.0)
     assert q == pytest.approx(0.5)
 
 
 def test_execution_probability_cold_state_accepts_everything():
     state = wl.new_estimator(k=8)
-    assert wl.execution_probability(state, 1.0, 1.0) == 1.0
-    wl.record_arrival(state, 0.0)
-    assert wl.execution_probability(state, 1.0, 1.0) == 1.0
+    assert state.execution_probability(1.0, 1.0) == 1.0
+    state.record_arrival(0.0)
+    assert state.execution_probability(1.0, 1.0) == 1.0
 
 
 def test_underutilized_probability_caps_at_one():
@@ -430,6 +295,18 @@ def test_conservative_rate_never_raises_admission():
         assert conservative <= plain + 1e-12
 
 
+# One service and one access point, for streams whose picks do not matter.
+SVC = [wl.ServiceSpec(name="s", mean_exec_time_s=0.001)]
+
+
+def arrivals(rate, horizon_s, seed, jitters=(), services=SVC, access_points=(0,)):
+    """The simulator's arrival stream as a list of (time_s, service_index,
+    origin) tuples."""
+    return list(wl._iter_arrival_tuples(
+        rate, horizon_s, seed, list(jitters), services, list(access_points)
+    ))
+
+
 def test_service_spec_validation():
     with pytest.raises(ValueError):
         wl.ServiceSpec(name="bad", mean_exec_time_s=0.0)
@@ -438,8 +315,15 @@ def test_service_spec_validation():
     with pytest.raises(ValueError):
         wl.ServiceSpec(name="bad", mean_exec_time_s=1.0, popularity_weight=-1.0)
     with pytest.raises(ValueError, match="popularity weights must not all be zero"):
-        wl.poisson_stream(100.0, 1.0, seed=1, services=[
+        arrivals(100.0, 1.0, 1, services=[
             wl.ServiceSpec(name="z", mean_exec_time_s=1.0, popularity_weight=0.0)])
+
+
+def test_stream_refuses_empty_service_and_access_point_lists():
+    with pytest.raises(ValueError, match="popularity weights must not all be zero"):
+        arrivals(100.0, 1.0, 1, services=[])
+    with pytest.raises(ValueError, match="access point list must not be empty"):
+        arrivals(100.0, 1.0, 1, access_points=[])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -465,16 +349,16 @@ def test_jitter_spec_rejects_non_finite(field, value):
 @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0])
 def test_stream_rejects_a_rate_that_is_not_finite_and_positive(rate):
     with pytest.raises(ValueError, match="finite"):
-        wl.poisson_stream(rate, 0.1, seed=1)
+        arrivals(rate, 0.1, 1)
 
 
 def test_stream_rejects_a_rate_product_that_overflows():
     # Every factor is finite; base rate times load multiplier is not.
     with pytest.raises(ValueError, match="finite"):
-        wl.poisson_stream(1e300 * 1e300, 0.1, seed=1)
+        arrivals(1e300 * 1e300, 0.1, 1)
     jit = [wl.JitterSpec(start_ms=10.0, duration_ms=5.0, rate_multiplier=1e300)]
     with pytest.raises(ValueError, match="finite"):
-        wl.poisson_stream(1e10, 0.1, seed=1, jitters=jit)
+        arrivals(1e10, 0.1, 1, jitters=jit)
 
 
 def test_popularity_weights_whose_sum_overflows_are_refused():
@@ -485,10 +369,10 @@ def test_popularity_weights_whose_sum_overflows_are_refused():
         for name in ("a", "b")
     ]
     with pytest.raises(ValueError, match="popularity weights must sum to a finite total"):
-        wl.poisson_stream(100.0, 1.0, seed=1, services=services)
+        arrivals(100.0, 1.0, 1, services=services)
     # The largest weights whose sum is finite still split the draws.
     services[1] = dataclasses.replace(services[1], popularity_weight=7e307)
-    picks = {a.service_index for a in wl.poisson_stream(1000.0, 0.1, seed=1, services=services)}
+    picks = {a[1] for a in arrivals(1000.0, 0.1, 1, services=services)}
     assert picks == {0, 1}
 
 
@@ -506,29 +390,22 @@ def test_overlapping_jitters_rejected():
         wl.JitterSpec(start_ms=40.0, duration_ms=10.0, rate_multiplier=6.0),
         wl.JitterSpec(start_ms=45.0, duration_ms=10.0, rate_multiplier=6.0),
     ]
-    svc = [wl.ServiceSpec(name="s", mean_exec_time_s=0.001)]
     with pytest.raises(ValueError):
-        wl.poisson_stream(1000.0, 0.1, seed=1, jitters=jitters, services=svc,
-                          access_points=[0])
+        arrivals(1000.0, 0.1, 1, jitters=jitters)
 
 
 def test_poisson_counts_within_three_sigma():
-    svc = [wl.ServiceSpec(name="s", mean_exec_time_s=0.001)]
     mean, sigma = 10_000.0, 100.0
     for seed in range(6):
-        events = wl.poisson_stream(1000.0, 10.0, seed=seed, jitters=[],
-                                   services=svc, access_points=[0])
-        assert abs(len(events) - mean) < 3.0 * sigma
+        assert abs(len(arrivals(1000.0, 10.0, seed)) - mean) < 3.0 * sigma
 
 
 def test_jitter_window_carries_sixfold_rate():
-    svc = [wl.ServiceSpec(name="s", mean_exec_time_s=0.001)]
     jit = [wl.JitterSpec(start_ms=40.0, duration_ms=10.0, rate_multiplier=6.0)]
     counts = []
     for seed in range(40):
-        events = wl.poisson_stream(1000.0, 0.15, seed=seed, jitters=jit,
-                                   services=svc, access_points=[0])
-        counts.append(sum(1 for e in events if 0.040 <= e.time_s < 0.050))
+        events = arrivals(1000.0, 0.15, seed, jitters=jit)
+        counts.append(sum(1 for e in events if 0.040 <= e[0] < 0.050))
     mean = sum(counts) / len(counts)
     # Expected about 60 arrivals in the boosted window; tolerance is three
     # standard errors of the 40-seed mean.
@@ -541,38 +418,29 @@ def test_same_seed_reproduces_event_list():
         wl.ServiceSpec(name="b", mean_exec_time_s=0.002, popularity_weight=1.0),
     ]
     jit = [wl.JitterSpec(start_ms=10.0, duration_ms=5.0, rate_multiplier=3.0)]
-    a = wl.poisson_stream(500.0, 0.2, seed=11, jitters=jit, services=svc,
-                          access_points=[0, 3])
-    b = wl.poisson_stream(500.0, 0.2, seed=11, jitters=jit, services=svc,
-                          access_points=[0, 3])
-    assert a == b
+    a = arrivals(500.0, 0.2, 11, jitters=jit, services=svc, access_points=[0, 3])
+    b = arrivals(500.0, 0.2, 11, jitters=jit, services=svc, access_points=[0, 3])
+    assert a and a == b
 
 
 def test_different_seeds_differ():
-    svc = [wl.ServiceSpec(name="s", mean_exec_time_s=0.001)]
-    a = wl.poisson_stream(500.0, 0.2, seed=1, jitters=[], services=svc,
-                          access_points=[0])
-    b = wl.poisson_stream(500.0, 0.2, seed=2, jitters=[], services=svc,
-                          access_points=[0])
-    assert a != b
+    assert arrivals(500.0, 0.2, 1) != arrivals(500.0, 0.2, 2)
 
 
 def test_arrivals_sorted_and_bounded():
-    svc = [wl.ServiceSpec(name="s", mean_exec_time_s=0.001)]
-    events = wl.poisson_stream(2000.0, 0.5, seed=3, jitters=[], services=svc,
-                               access_points=[1, 2])
-    times = [e.time_s for e in events]
+    events = arrivals(2000.0, 0.5, 3, access_points=[1, 2])
+    times = [e[0] for e in events]
     assert times == sorted(times)
     assert all(0.0 <= t < 0.5 for t in times)
-    assert all(e.origin in (1, 2) for e in events)
+    assert all(e[2] in (1, 2) for e in events)
 
 
 @st.composite
 def arrival_inputs(draw):
     """Arguments of ``_iter_arrival_tuples``: surges a few ms apart (some
     back to back, some past the horizon) at rates that put many draws on
-    each side of every boundary, 1-7 weighted services or none, and 1-9
-    access points (mostly not a power of two) or none."""
+    each side of every boundary, 1-7 weighted services, and 1-9 access
+    points (mostly not a power of two)."""
     horizon_s = draw(st.floats(min_value=0.02, max_value=0.1))
     jitters = []
     start_ms = 0.0
@@ -582,15 +450,13 @@ def arrival_inputs(draw):
         mult = draw(st.floats(min_value=0.05, max_value=10.0))
         jitters.append(wl.JitterSpec(start_ms, duration_ms, mult))
         start_ms += duration_ms
-    services = draw(st.none() | st.lists(
+    services = draw(st.lists(
         st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=7
     ).map(lambda ws: [
         wl.ServiceSpec(name=f"s{i}", mean_exec_time_s=0.001, popularity_weight=w)
         for i, w in enumerate(ws)
     ]))
-    access_points = draw(st.none() | st.lists(
-        st.integers(0, 50), min_size=1, max_size=9
-    ))
+    access_points = draw(st.lists(st.integers(0, 50), min_size=1, max_size=9))
     rate = draw(st.floats(min_value=200.0, max_value=5000.0))
     seed = draw(st.integers(0, 2**16))
     return rate, horizon_s, seed, jitters, services, access_points
@@ -599,7 +465,7 @@ def arrival_inputs(draw):
 @settings(max_examples=150, deadline=None)
 @given(arrival_inputs())
 @example((1000.0, 0.15, 0, [wl.JitterSpec(40.0, 10.0, 6.0), wl.JitterSpec(70.0, 10.0, 6.0)],
-          None, [0, 1, 2, 3, 4]))
+          SVC, [0, 1, 2, 3, 4]))
 def test_arrival_stream_matches_the_randrange_oracle(args):
     assert list(wl._iter_arrival_tuples(*args)) == list(reference_arrival_tuples(*args))
 
@@ -678,8 +544,8 @@ def test_estimator_memory_is_fixed_by_k():
     t = 0.0
     for _ in range(5000):
         t += rng.expovariate(10.0)
-        wl.record_arrival(state, t)
-        wl.record_completion(state, rng.uniform(0.01, 1.0), 1.0, 1.0)
+        state.record_arrival(t)
+        state.record_completion(rng.uniform(0.01, 1.0), 1.0, 1.0)
     # One k-slot ring of arrival timestamps; every other slot is a scalar.
     assert len(state.buf_lambda) == 32
     for name in wl.EstimatorState.__slots__:
@@ -707,15 +573,15 @@ def test_interleaved_streams_keep_invariants(ops):
     for kind, x in ops:
         if kind == "arrival":
             t += x
-            wl.record_arrival(state, t)
+            state.record_arrival(t)
             stamps.append(t)
         else:
-            wl.record_completion(state, x, x, x / 2.0)
+            state.record_completion(x, x, x / 2.0)
         assert state.lambda_eff >= state.lambda_hat
-        assert 0.0 <= wl.execution_probability(state, 1.0, 1.0) <= 1.0
+        assert 0.0 <= state.execution_probability(1.0, 1.0) <= 1.0
         if len(stamps) >= 2:
             want = rescan_rate(stamps, 8)
-            assert wl.mean_arrival_rate(state) == pytest.approx(want, rel=1e-9)
+            assert state.lambda_hat == pytest.approx(want, rel=1e-9)
 
 
 # The core's running window sums and the oracle buffers they replace.
@@ -855,28 +721,6 @@ def test_record_arrival_returns_the_q_of_execution_probability(k, cpu, mem, ops)
     assert_same_core(core, ref)
 
 
-def test_module_functions_are_the_estimator_methods():
-    assert wl.record_arrival is wl.EstimatorState.record_arrival
-    assert wl.record_completion is wl.EstimatorState.record_completion
-    assert wl.execution_probability is wl.EstimatorState.execution_probability
-    assert not hasattr(wl, "iter_poisson_arrivals")
-    # Called as a function, record_arrival returns the method's q: the
-    # q execution_probability gives for the state's own capacities.
-    state = wl.new_estimator(16, 3.0, 4.0)
-    t = 0.0
-    qs = []
-    for op in seeded_ops(1234, 4000):
-        if op[0] == "arrival":
-            t += op[1]
-            q = wl.record_arrival(state, t)
-            assert repr(q) == repr(wl.execution_probability(state, 3.0, 4.0))
-            qs.append(q)
-        else:
-            assert wl.record_completion(state, *op[1:]) is None
-    # The stream warms the estimator, so q leaves 1.0.
-    assert min(qs) < 1.0
-
-
 def test_estimator_capacities_must_be_positive():
     for cpu, mem in ((0.0, 1.0), (1.0, -1.0), (NAN, 1.0), (1.0, NAN)):
         with pytest.raises(ValueError, match="capacities must be positive"):
@@ -928,7 +772,7 @@ def test_window_means_add_left_to_right(seed):
             for _ in range(k)
         ]
         for exec_time, cpu, mem in window:
-            wl.record_completion(state, exec_time, cpu, mem)
+            state.record_completion(exec_time, cpu, mem)
         mu = 0.5 * (mu + 1.0 / (left_sum(w[0] for w in window) / k))
         cpu_avg = 0.5 * (cpu_avg + left_sum(w[1] for w in window) / k)
         mem_avg = 0.5 * (mem_avg + left_sum(w[2] for w in window) / k)
