@@ -11,14 +11,18 @@ Corpus line format (tab separated)::
 
     app_id<TAB>dex_size_bytes<TAB>com.foo.bar=12;com.foo.util=3
 
-Savings model: keeping one copy per shared prefix group (the copy priced at
-the sharer with the largest per-class size) against the naive sum of all
-dex sizes.
+Savings model: keeping one copy per shared prefix group against the naive
+sum of all dex sizes. Sizes are prorated per class, so every app must
+declare a class. The copy kept is priced at the sharer with the largest
+per-class size; ties prefer the larger class count, and sharers equal in
+both price it alike.
 
-Both statistics read one pass over the corpus that maps each distinct
-package path once to its shared key (``_shared_key``), which splits the
-path once and tests it with one C-level scan of the segment lengths for a
-one-character segment; ``is_obfuscated_package`` reads the same test.
+``unique_class_fraction`` reports both statistics from one pass over the
+corpus that maps each distinct package path once to its shared key
+(``_shared_key``), which splits the path once and tests it with one C-level
+scan of the segment lengths for a one-character segment. A path with a
+one-character segment is obfuscated and has no key at any depth; an empty
+segment, as in ``com..lib``, is not one.
 """
 
 from __future__ import annotations
@@ -58,15 +62,6 @@ class AppRecord:
 
     def __post_init__(self):
         _check_record(self)
-
-    def total_classes(self) -> int:
-        return sum(self.packages.values())
-
-    def per_class_size(self) -> float:
-        total = self.total_classes()
-        if total == 0:
-            raise CorpusError(f"app {self.app_id!r} declares zero classes")
-        return self.dex_size_bytes / total
 
 
 def _check_record(app: AppRecord) -> None:
@@ -214,13 +209,6 @@ def write_corpus(corpus: Corpus, path) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def is_obfuscated_package(path: str) -> bool:
-    """A package is considered obfuscated when any segment is one character
-    (an empty segment, as in ``com..lib``, is not)."""
-    # Every path has a first segment, so only obfuscation leaves no key.
-    return _shared_key(path, 1) is None
-
-
 def _shared_key(path: str, depth: int) -> str | None:
     """First ``depth`` segments of a package, or None when it can never
     match across apps (obfuscated, or shallower than ``depth``)."""
@@ -294,8 +282,9 @@ def _overlap(corpus: Corpus, depth: int) -> tuple[list[tuple], dict[str, list[st
         counts = by_key.values()
         keyed = sum(counts)
         total = private + keyed
-        # per_class_size raises the error for an app without classes.
-        size = app.dex_size_bytes / total if total else app.per_class_size()
+        if not total:
+            raise CorpusError(f"app {app.app_id!r} declares zero classes")
+        size = app.dex_size_bytes / total
         unique = private + keyed - sum(compress(counts, map(is_shared, by_key)))
         tallies.append((app.app_id, total, size, unique, by_key))
     return tallies, shared, naive
@@ -332,17 +321,6 @@ def unique_class_fraction(corpus: Corpus, depth: int) -> OverlapReport:
         median_unique_fraction=statistics.median(values),
         storage_savings=_savings(tallies, shared, naive),
     )
-
-
-def storage_savings(corpus: Corpus, depth: int) -> float:
-    """Fraction of total dex bytes saved by deduplicating shared prefixes.
-
-    Every app must declare at least one class (sizes are prorated per
-    class). For each shared prefix group exactly one copy is kept, priced
-    at the holder with the largest per-class size (ties prefer the larger
-    class count; holders equal in both price it alike).
-    """
-    return _savings(*_overlap(corpus, depth))
 
 
 #: The libraries synth_corpus draws from, as (path, class count) pairs. No
@@ -443,9 +421,7 @@ __all__ = [
     "DEFAULT_LIBRARY_POOL",
     "OverlapReport",
     "SynthCorpus",
-    "is_obfuscated_package",
     "parse_corpus",
-    "storage_savings",
     "synth_corpus",
     "unique_class_fraction",
     "write_corpus",

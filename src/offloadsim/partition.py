@@ -240,7 +240,6 @@ class _DenseIndex:
     left to right."""
 
     names: list[str]
-    id_of: dict[str, int]
     nbrs: list[list[int]]
     weights: list[list[float]]
     degree: list[float]
@@ -256,7 +255,6 @@ def _dense_index(graph: CallGraph) -> _DenseIndex:
     weights = [list(graph.adj[v].values()) for v in names]
     return _DenseIndex(
         names=names,
-        id_of=id_of,
         nbrs=[[id_of[u] for u in graph.adj[v]] for v in names],
         weights=weights,
         degree=[_left_sum(ws) for ws in weights],
@@ -427,19 +425,19 @@ class PartitionSet:
 
 
 def _partition_set(
-    graph: CallGraph, clusters: list[list[str]], ix: _DenseIndex, total: float
+    graph: CallGraph, comps: list[list[int]], ix: _DenseIndex, total: float
 ) -> PartitionSet:
-    """``ix`` and ``total`` are the graph's dense index and its
-    ``_modularity_total``."""
-    offloadable = [
-        all(PINNED_TAG not in graph.vertices[v].tags for v in cluster)
-        for cluster in clusters
-    ]
+    """The set of a full partition ``comps`` of the graph's ids. ``ix`` and
+    ``total`` are the graph's dense index and its ``_modularity_total``."""
+    clusters = ix.named(comps)
+    vertices = graph.vertices
     return PartitionSet(
         n_clusters=len(clusters),
         clusters=clusters,
-        modularity=_modularity(ix, clusters, total),
-        offloadable=offloadable,
+        modularity=_modularity(ix, comps, total),
+        offloadable=[
+            all(PINNED_TAG not in vertices[v].tags for v in cluster) for cluster in clusters
+        ],
     )
 
 
@@ -516,7 +514,7 @@ def girvan_newman(
     total = _modularity_total(graph)
     # Cutting every edge leaves one component per class, so this ends.
     comps = next(c for c in _divisive_pass(ix, weighted, trace) if len(c) >= n_clusters)
-    return _partition_set(graph, ix.named(comps), ix, total)
+    return _partition_set(graph, comps, ix, total)
 
 
 def _modularity_total(graph: CallGraph) -> float:
@@ -533,34 +531,21 @@ def _modularity_total(graph: CallGraph) -> float:
     return total
 
 
-def modularity(graph: CallGraph, clusters) -> float:
-    """Weighted Newman modularity of a full partition of the vertices."""
-    return _modularity(_dense_index(graph), clusters, _modularity_total(graph))
-
-
-def _modularity(ix: _DenseIndex, clusters, total: float) -> float:
-    id_of = ix.id_of
-    assigned = [-1] * len(ix.names)
-    for ci, cluster in enumerate(clusters):
-        for v in cluster:
-            i = id_of.get(v)
-            if i is None:
-                raise CallGraphError(f"partition references unknown class {v!r}")
-            if assigned[i] >= 0:
-                raise CallGraphError(f"class {v!r} appears in more than one cluster")
-            assigned[i] = ci
-    missing = [name for name, ci in zip(ix.names, assigned) if ci < 0]
-    if missing:
-        raise CallGraphError(f"partition does not cover class(es) {missing}")
+def _modularity(ix: _DenseIndex, comps: list[list[int]], total: float) -> float:
+    """Weighted Newman modularity of ``comps``, a full partition of the ids
+    (every caller builds one: components, Louvain groups or singletons)."""
     if total == 0.0:
         return 0.0
+    assigned = [0] * len(ix.names)
+    for ci, comp in enumerate(comps):
+        for i in comp:
+            assigned[i] = ci
     nbrs, weights, degree = ix.nbrs, ix.weights, ix.degree
     q = 0.0
-    for ci, cluster in enumerate(clusters):
+    for ci, comp in enumerate(comps):
         w_in = 0.0
         w_tot = 0.0
-        for v in cluster:
-            i = id_of[v]
+        for i in comp:
             w_tot += degree[i]
             for u, w in zip(nbrs[i], weights[i]):
                 if assigned[u] == ci and i < u:
@@ -580,10 +565,9 @@ def louvain_optimal(graph: CallGraph) -> PartitionSet:
     if n == 0:
         raise CallGraphError("cannot partition an empty graph")
     ix = _dense_index(graph)
-    names = ix.names
     total = _modularity_total(graph)
     if total == 0.0:
-        return _partition_set(graph, [[v] for v in names], ix, total)
+        return _partition_set(graph, [[i] for i in range(n)], ix, total)
     w2 = 2.0 * total
 
     # Index-space working copy; aggregation introduces self-loops.
@@ -656,11 +640,11 @@ def louvain_optimal(graph: CallGraph) -> PartitionSet:
         if new_size == 1:
             break
 
-    groups: dict[int, list[str]] = {}
-    for v, c in zip(names, membership):
-        groups.setdefault(c, []).append(v)
-    clusters = sorted((sorted(g) for g in groups.values()), key=lambda c: c[0])
-    return _partition_set(graph, clusters, ix, total)
+    # Ids run in ascending order, so each group comes out sorted.
+    groups: dict[int, list[int]] = {}
+    for i, c in enumerate(membership):
+        groups.setdefault(c, []).append(i)
+    return _partition_set(graph, sorted(groups.values(), key=lambda c: c[0]), ix, total)
 
 
 def enumerate_partition_sets(
@@ -685,7 +669,7 @@ def enumerate_partition_sets(
     for comps in _divisive_pass(ix, weighted):
         while n <= min(len(comps), upper):
             # Sets share no lists, even where N repeats one component list.
-            sets.append(_partition_set(graph, ix.named(comps), ix, total))
+            sets.append(_partition_set(graph, comps, ix, total))
             n += 1
         if n > upper:
             break
@@ -718,6 +702,5 @@ __all__ = [
     "girvan_newman",
     "load_tag_rules",
     "louvain_optimal",
-    "modularity",
     "offloadable_fraction",
 ]

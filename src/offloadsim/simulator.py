@@ -87,6 +87,8 @@ from .workload import (
     ServiceSpec,
     _arrival_inputs,
     _iter_arrival_tuples,
+    _segment_boundaries,
+    _validate_jitters,
     new_estimator,
 )
 
@@ -216,7 +218,8 @@ def planned_work(cfg: ScenarioConfig) -> dict[str, float]:
     ``base_rate_per_s``, the expected external arrivals, the integral of
     ``base_rate_per_s * load_multiplier`` over the arrival stream's rate
     segments in ``[0, horizon_s)``. A count that overflows is inf; jitter
-    windows that overlap raise ``ValueError``.
+    windows that overlap raise ``ValueError``. ``horizon_s`` is taken as
+    positive and finite, which ``validate`` checks before it plans.
 
     The sample rows planned are ``horizon_s * 1000 / sample_interval_ms``.
     A run also takes the row at t = 0, and samples while the summed periods
@@ -231,9 +234,8 @@ def planned_work(cfg: ScenarioConfig) -> dict[str, float]:
         period = getattr(cfg, name)
         plan[name] = horizon * 1000.0 / period if runs and period > 0.0 else 0.0
     # Each of the stream's rate segments lasts until the next one starts or
-    # the horizon. At a unit rate their check refuses only overlapping
-    # jitter windows, and the caps judge the rate.
-    segs, _, _ = _arrival_inputs(1.0, horizon, cfg.jitters)
+    # the horizon; the caps judge the rate.
+    segs = _segment_boundaries(_validate_jitters(cfg.jitters), horizon)
     ends = [start for start, _ in segs[1:]] + [horizon]
     weighted = _left_sum(mult * (end - start) for (start, mult), end in zip(segs, ends))
     plan["base_rate_per_s"] = cfg.base_rate_per_s * cfg.load_multiplier * weighted

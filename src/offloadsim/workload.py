@@ -316,7 +316,9 @@ def _validate_jitters(jitters: list[JitterSpec]) -> list[JitterSpec]:
 
 
 def _segment_boundaries(jitters: list[JitterSpec], horizon_s: float) -> list[tuple[float, float]]:
-    """Piecewise-constant rate segments as (start_s, multiplier)."""
+    """Piecewise-constant rate segments as (start_s, multiplier), in start
+    order: ``jitters`` come sorted and apart from ``_validate_jitters``, and
+    dividing by 1000 keeps their order."""
     segs: list[tuple[float, float]] = [(0.0, 1.0)]
     for j in jitters:
         start = j.start_ms / 1000.0
@@ -326,16 +328,15 @@ def _segment_boundaries(jitters: list[JitterSpec], horizon_s: float) -> list[tup
         segs.append((start, j.rate_multiplier))
         if end < horizon_s:
             segs.append((end, 1.0))
-    segs.sort(key=lambda t: t[0])
     return segs
 
 
-def _arrival_inputs(rate_per_s, horizon_s, jitters=None, services=None, access_points=None):
+def _arrival_inputs(rate_per_s, horizon_s, jitters, services, access_points):
     """The arrival stream's argument checks, shared with ``ScenarioConfig.validate``;
     returns the rate segments, the cumulative popularity weights and their total."""
     if not _positive(horizon_s):
         raise ValueError("horizon must be positive and finite")
-    segs = _segment_boundaries(_validate_jitters(list(jitters or [])), horizon_s)
+    segs = _segment_boundaries(_validate_jitters(jitters), horizon_s)
     # An infinite rate draws zero gaps forever; finite factors can overflow.
     if not all(_positive(rate_per_s * mult) for _, mult in segs):
         raise ValueError("arrival rate must be positive and finite in every rate segment")
@@ -345,16 +346,15 @@ def _arrival_inputs(rate_per_s, horizon_s, jitters=None, services=None, access_p
     # u * total_w can round up to total_w and pass every finite edge.
     cum: list[float] = []
     total_w = 0.0
-    if services is not None:
-        for s in services:
-            total_w += s.popularity_weight
-            cum.append(total_w)
-        if total_w <= 0.0:
-            raise ValueError("popularity weights must not all be zero")
-        if total_w == math.inf:
-            raise ValueError("popularity weights must sum to a finite total")
-        cum[-1] = math.inf
-    if access_points is not None and not access_points:
+    for s in services:
+        total_w += s.popularity_weight
+        cum.append(total_w)
+    if total_w <= 0.0:
+        raise ValueError("popularity weights must not all be zero")
+    if total_w == math.inf:
+        raise ValueError("popularity weights must sum to a finite total")
+    cum[-1] = math.inf
+    if not access_points:
         raise ValueError("access point list must not be empty")
     return segs, cum, total_w
 

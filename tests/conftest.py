@@ -31,7 +31,6 @@ from offloadsim.appstats import (
 from offloadsim._inputs import _left_sum, _positive
 from offloadsim.partition import CallGraph, ClassNode, MethodProfile
 from offloadsim.topology import NodeSpec, Topology
-from offloadsim.workload import _segment_boundaries, _validate_jitters
 
 
 def make_graph(edges, isolated=(), methods=None, tags=None):
@@ -52,6 +51,27 @@ def make_graph(edges, isolated=(), methods=None, tags=None):
     for u, v, w in edges:
         g.add_call(u, v, w)
     return g
+
+
+def reference_modularity(edges, clusters):
+    """Direct textbook evaluation of weighted modularity, from (u, v,
+    weight) triples and a full partition of the names: the oracle for
+    ``PartitionSet.modularity``."""
+    total = sum(w for _, _, w in edges)
+    if total == 0.0:
+        return 0.0
+    member = {}
+    for i, cluster in enumerate(clusters):
+        for name in cluster:
+            member[name] = i
+    q = 0.0
+    for i, cluster in enumerate(clusters):
+        w_in = sum(w for u, v, w in edges if member[u] == i and member[v] == i)
+        w_tot = sum(w for u, v, w in edges if member[u] == i) + sum(
+            w for u, v, w in edges if member[v] == i
+        )
+        q += w_in / total - (w_tot / (2.0 * total)) ** 2
+    return q
 
 
 def line_topology(n, cpu=1.0, mem=1.0, delay=1.0):
@@ -240,11 +260,21 @@ def scripted_runs(arrivals, durations, draws):
 def reference_arrival_tuples(rate_per_s, horizon_s, seed, jitters, services, access_points):
     """The arrival stream with ``randrange`` origins and the segment's rate
     looked up and multiplied on every draw: the oracle for
-    ``workload._iter_arrival_tuples``."""
+    ``workload._iter_arrival_tuples``, for jitter windows that do not
+    overlap. Its segment list is written here: each surge, in start order,
+    that starts inside the horizon, then the base rate again from its end
+    if that is inside too, all sorted by start."""
     if not _positive(horizon_s):
         raise ValueError("horizon must be positive and finite")
-    jitters = _validate_jitters(list(jitters))
-    segs = _segment_boundaries(jitters, horizon_s)
+    segs = [(0.0, 1.0)]
+    for j in sorted(jitters, key=lambda j: j.start_ms):
+        start = j.start_ms / 1000.0
+        end = (j.start_ms + j.duration_ms) / 1000.0
+        if start < horizon_s:
+            segs.append((start, j.rate_multiplier))
+            if end < horizon_s:
+                segs.append((end, 1.0))
+    segs.sort(key=lambda seg: seg[0])
     if not all(_positive(rate_per_s * mult) for _, mult in segs):
         raise ValueError("arrival rate must be positive and finite in every rate segment")
 
@@ -829,7 +859,12 @@ def reference_storage_savings(corpus, depth):
         raise CorpusError("prefix depth must be at least 1")
     if not corpus.apps:
         raise CorpusError("corpus holds no apps")
-    sizes = {app.app_id: app.per_class_size() for app in corpus.apps}
+    sizes = {}
+    for app in corpus.apps:
+        classes = sum(app.packages.values())
+        if classes == 0:
+            raise CorpusError(f"app {app.app_id!r} declares zero classes")
+        sizes[app.app_id] = app.dex_size_bytes / classes
     naive = float(sum(app.dex_size_bytes for app in corpus.apps))
     if naive == 0.0:
         return 0.0
@@ -869,7 +904,7 @@ def reference_unique_class_fraction(corpus, depth):
             pre = reference_prefix(pkg, depth)
             if pre is None or pre not in shared:
                 unique += count
-        per_app[app.app_id] = 100.0 * unique / app.total_classes()
+        per_app[app.app_id] = 100.0 * unique / sum(app.packages.values())
     values = list(per_app.values())
     return OverlapReport(
         depth=depth,

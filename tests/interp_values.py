@@ -7,8 +7,8 @@ offloadsim.
 
 * tau for every preset x strategy at seeds 1..3, the overload presets cut
   to a 0.4 s horizon (0.1 s warmup) to keep the check quick,
-* Louvain modularity, and the modularity of a fixed split, on 20 random
-  call graphs with float edge weights,
+* Louvain modularity, and the modularity of the two-cluster Girvan-Newman
+  split, on 20 random call graphs with float edge weights,
 * the decision gates' method frequencies and time/energy verdicts for each
   class of those graphs, given random float invocation counts,
 * the mean and median unique-class fraction and the storage savings of
@@ -40,7 +40,7 @@ from pathlib import Path
 
 from offloadsim import decision
 from offloadsim.appstats import synth_corpus, unique_class_fraction, write_corpus
-from offloadsim.partition import CallGraph, ClassNode, MethodProfile, louvain_optimal, modularity
+from offloadsim.partition import CallGraph, ClassNode, MethodProfile, girvan_newman, louvain_optimal
 from offloadsim.simulator import PRESETS, STRATEGIES, run_scenario
 from offloadsim.topology import generate_topology
 from offloadsim.workload import (
@@ -93,10 +93,8 @@ def modularity_values() -> dict[str, str]:
     out = {}
     for seed in range(20):
         graph = float_weighted_graph(seed)
-        names = graph.names()
-        half = len(names) // 2
         out[f"louvain|{seed}"] = repr(louvain_optimal(graph).modularity)
-        out[f"split|{seed}"] = repr(modularity(graph, [names[:half], names[half:]]))
+        out[f"split|{seed}"] = repr(girvan_newman(graph, 2).modularity)
     return out
 
 

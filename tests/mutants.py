@@ -201,6 +201,48 @@ MUTANTS = [
         ("tests/test_cli.py",),
     ),
     Mutant(
+        "shared-key-refuses-exact-depth",
+        "src/offloadsim/appstats.py",
+        "if len(segments) < depth or",
+        "if len(segments) <= depth or",
+        ("tests/test_appstats.py",),
+    ),
+    Mutant(
+        "shared-key-needs-three-holders",
+        "src/offloadsim/appstats.py",
+        "len(h) >= 2",
+        "len(h) > 2",
+        ("tests/test_appstats.py",),
+    ),
+    Mutant(
+        "savings-keeps-the-smallest-copy",
+        "src/offloadsim/appstats.py",
+        "size, count = max(zip(",
+        "size, count = min(zip(",
+        ("tests/test_appstats.py",),
+    ),
+    Mutant(
+        "modularity-drops-the-half",
+        "src/offloadsim/partition.py",
+        "(w_tot / (2.0 * total)) ** 2",
+        "(w_tot / total) ** 2",
+        ("tests/test_partition.py",),
+    ),
+    Mutant(
+        "service-pick-unclamped",
+        "src/offloadsim/workload.py",
+        "cum[-1] = math.inf",
+        "pass",
+        ("tests/test_workload.py",),
+    ),
+    Mutant(
+        "surge-outlasts-its-window",
+        "src/offloadsim/workload.py",
+        "segs.append((end, 1.0))",
+        "segs.append((end, j.rate_multiplier))",
+        ("tests/test_workload.py",),
+    ),
+    Mutant(
         "private-count-bound",
         "src/offloadsim/appstats.py",
         "while r >= 56:",

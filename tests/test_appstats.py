@@ -16,15 +16,18 @@ from offloadsim.appstats import (
     CorpusError,
     _overlap,
     _shared_key,
-    is_obfuscated_package,
     parse_corpus,
-    storage_savings,
     synth_corpus,
     unique_class_fraction,
     write_corpus,
 )
 
-from conftest import reference_prefix, reference_synth_corpus, reference_unique_class_fraction
+from conftest import (
+    reference_prefix,
+    reference_storage_savings,
+    reference_synth_corpus,
+    reference_unique_class_fraction,
+)
 
 
 def savings_by_hand(corpus, depth):
@@ -67,25 +70,31 @@ def make_corpus(*apps):
     return Corpus(apps=[AppRecord(app_id=i, dex_size_bytes=s, packages=p) for i, s, p in apps])
 
 
+def obfuscated(path):
+    """Every path has a first segment, so only obfuscation leaves it no
+    shared key at depth 1."""
+    return _shared_key(path, 1) is None
+
+
 class TestObfuscationFilter:
     def test_single_letter_segment_flags_path(self):
-        assert is_obfuscated_package("a.b.c")
+        assert obfuscated("a.b.c")
 
     def test_real_package_passes(self):
-        assert not is_obfuscated_package("com.facebook.katana")
+        assert not obfuscated("com.facebook.katana")
 
     def test_one_short_segment_is_enough(self):
-        assert is_obfuscated_package("com.a.analytics")
+        assert obfuscated("com.a.analytics")
 
     def test_empty_segment_is_not_obfuscated(self):
-        assert not is_obfuscated_package("com..lib")
+        assert not obfuscated("com..lib")
         assert _shared_key("com..lib", 2) == "com."
 
     @settings(max_examples=500, deadline=None)
     @given(st.text(alphabet="ab.", max_size=12), st.integers(1, 6))
     def test_scan_matches_the_per_segment_generator(self, path, depth):
         assert _shared_key(path, depth) == reference_prefix(path, depth)
-        assert is_obfuscated_package(path) == any(len(s) == 1 for s in path.split("."))
+        assert obfuscated(path) == any(len(s) == 1 for s in path.split("."))
 
 
 class TestUniqueFractions:
@@ -143,10 +152,10 @@ class TestUniqueFractions:
         assert all(v == 100.0 for v in report.per_app_unique_fraction.values())
         assert report.storage_savings == 0.0
 
-    def test_report_carries_the_matching_savings(self):
+    def test_report_carries_the_reference_savings(self):
         synth = synth_corpus(12, seed=4)
         report = unique_class_fraction(synth.corpus, depth=3)
-        assert report.storage_savings == storage_savings(synth.corpus, depth=3)
+        assert report.storage_savings == reference_storage_savings(synth.corpus, depth=3)
 
     def test_depth_must_be_positive(self):
         corpus = make_corpus(("x", 100, {"com.x.app": 1}))
@@ -175,14 +184,16 @@ class TestStorageSavings:
             ("left", 900, {"com.left.app": 9}),
             ("right", 700, {"org.right.app": 7}),
         )
-        assert storage_savings(corpus, depth=2) == 0.0
+        savings = unique_class_fraction(corpus, depth=2).storage_savings
+        assert savings == 0.0
 
     def test_identical_twin_apps_save_half(self):
         corpus = make_corpus(
             ("twin1", 1000, {"org.lib.core": 10}),
             ("twin2", 1000, {"org.lib.core": 10}),
         )
-        assert storage_savings(corpus, depth=2) == pytest.approx(0.5, abs=1e-12)
+        savings = unique_class_fraction(corpus, depth=2).storage_savings
+        assert savings == pytest.approx(0.5, abs=1e-12)
 
     def test_planted_corpus_matches_hand_arithmetic(self):
         # naive 3800; dedup keeps appB's copy of lib.core (5 * 200) plus
@@ -192,7 +203,8 @@ class TestStorageSavings:
             ("appB", 2000, {"lib.core.beta": 5, "bvendor.own.stuff": 5}),
             ("appC", 800, {"cvendor.deep.pkg": 8}),
         )
-        assert storage_savings(corpus, depth=2) == pytest.approx(2 / 19, abs=1e-9)
+        savings = unique_class_fraction(corpus, depth=2).storage_savings
+        assert savings == pytest.approx(2 / 19, abs=1e-9)
 
     def test_size_tie_keeps_the_larger_holder(self):
         # Equal per-class sizes, so the copy with 7 classes is kept:
@@ -201,25 +213,26 @@ class TestStorageSavings:
             ("alpha", 400, {"sharedlib.util": 3, "paone.xfeature": 1}),
             ("beta", 800, {"sharedlib.util": 7, "pbtwo.yfeature": 1}),
         )
-        assert storage_savings(corpus, depth=2) == pytest.approx(0.25, abs=1e-12)
+        savings = unique_class_fraction(corpus, depth=2).storage_savings
+        assert savings == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_synthetic_corpora_match_independent_pricing(self, seed):
         synth = synth_corpus(24, seed=seed)
         for depth in (2, 3, 4, 5):
-            got = storage_savings(synth.corpus, depth=depth)
+            got = unique_class_fraction(synth.corpus, depth=depth).storage_savings
             assert got == pytest.approx(savings_by_hand(synth.corpus, depth), rel=1e-12)
 
     def test_savings_stay_in_unit_interval(self):
         synth = synth_corpus(30, seed=17)
         for depth in range(1, 9):
-            value = storage_savings(synth.corpus, depth=depth)
+            value = unique_class_fraction(synth.corpus, depth=depth).storage_savings
             assert 0.0 <= value < 1.0
 
     def test_zero_class_app_is_rejected(self):
         bad = Corpus(apps=[AppRecord(app_id="hollow", dex_size_bytes=100, packages={})])
         with pytest.raises(CorpusError, match="zero classes"):
-            storage_savings(bad, depth=2)
+            unique_class_fraction(bad, depth=2)
 
 
 class TestSynthesis:
@@ -597,9 +610,8 @@ class TestRecordChecks:
     def test_duplicate_id_appended_after_construction_is_refused(self, tmp_path):
         corpus = make_corpus(("a", 100, {"com.one.app": 1}), ("b", 100, {"com.one.app": 2}))
         corpus.apps.append(AppRecord("a", 50, {"com.two.app": 3}))
-        for report in (unique_class_fraction, storage_savings):
-            with pytest.raises(CorpusError, match="duplicate app id 'a'"):
-                report(corpus, 2)
+        with pytest.raises(CorpusError, match="duplicate app id 'a'"):
+            unique_class_fraction(corpus, 2)
         path = tmp_path / "corpus.tsv"
         with pytest.raises(CorpusError, match="duplicate app id 'a'"):
             write_corpus(corpus, path)
@@ -641,7 +653,6 @@ class TestGeneratedCorpora:
         assert got.mean_unique_fraction == want.mean_unique_fraction
         assert got.median_unique_fraction == want.median_unique_fraction
         assert got.storage_savings == want.storage_savings
-        assert storage_savings(corpus, depth) == want.storage_savings
 
     @settings(max_examples=100, deadline=None)
     @given(corpora(), st.integers(1, 6))
@@ -675,8 +686,6 @@ class TestGeneratedCorpora:
         corpus.apps.insert(at, AppRecord(app_id="hollow", dex_size_bytes=100, packages={}))
         with pytest.raises(CorpusError, match="zero classes"):
             unique_class_fraction(corpus, depth)
-        with pytest.raises(CorpusError, match="zero classes"):
-            storage_savings(corpus, depth)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.tsv"
             write_corpus(corpus, path)

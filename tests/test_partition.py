@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from offloadsim import partition as pt
 from offloadsim._inputs import _left_sum
 
-from conftest import make_graph
+from conftest import make_graph, reference_modularity
 
 
 def brute_force_betweenness(names, adj):
@@ -68,25 +68,6 @@ def brute_force_betweenness(names, adj):
                 key = (u, v) if u < v else (v, u)
                 scores[key] += share
     return scores
-
-
-def modularity_by_hand(edges, clusters):
-    """Direct textbook evaluation of weighted modularity."""
-    total = sum(w for _, _, w in edges)
-    if total == 0.0:
-        return 0.0
-    member = {}
-    for i, cluster in enumerate(clusters):
-        for name in cluster:
-            member[name] = i
-    q = 0.0
-    for i, cluster in enumerate(clusters):
-        w_in = sum(w for u, v, w in edges if member[u] == i and member[v] == i)
-        w_tot = sum(w for u, v, w in edges if member[u] == i) + sum(
-            w for u, v, w in edges if member[v] == i
-        )
-        q += w_in / total - (w_tot / (2.0 * total)) ** 2
-    return q
 
 
 def all_set_partitions(items):
@@ -220,6 +201,8 @@ def reference_girvan_newman(graph, n_clusters, weighted=False, trace=None):
         if trace is not None:
             trace.append(best_edge)
         comps = reference_components(names, work)
+    id_of = {v: i for i, v in enumerate(names)}
+    comps = [[id_of[v] for v in comp] for comp in comps]
     return pt._partition_set(graph, comps, pt._dense_index(graph), pt._modularity_total(graph))
 
 
@@ -375,45 +358,47 @@ def test_girvan_newman_bad_cluster_count():
 
 
 def test_modularity_single_cluster_is_zero():
+    # A path through every class is one component, uncut at N = 1.
     rng = random.Random(5)
     for _ in range(10):
-        g = random_graph(rng, rng.randint(2, 6))
-        assert pt.modularity(g, [g.names()]) == pytest.approx(0.0, abs=1e-12)
+        names = [f"v{i}" for i in range(rng.randint(2, 6))]
+        rng.shuffle(names)
+        g = make_graph([(a, b, float(rng.randint(1, 5))) for a, b in zip(names, names[1:])])
+        pset = pt.girvan_newman(g, 1)
+        assert pset.clusters == [g.names()]
+        assert pset.modularity == pytest.approx(0.0, abs=1e-12)
 
 
 def test_modularity_two_disconnected_cliques_split():
     edges = []
     for grp in (["a0", "a1", "a2"], ["b0", "b1", "b2"]):
         edges.extend((x, y, 1.0) for x, y in itertools.combinations(grp, 2))
-    g = make_graph(edges)
-    q = pt.modularity(g, [["a0", "a1", "a2"], ["b0", "b1", "b2"]])
-    assert q == pytest.approx(0.5)
+    pset = pt.girvan_newman(make_graph(edges), 2)
+    assert pset.clusters == [["a0", "a1", "a2"], ["b0", "b1", "b2"]]
+    assert pset.modularity == pytest.approx(0.5)
 
 
 def test_modularity_matches_hand_formula():
+    # Every set the commands score: each N of one divisive pass, Louvain's
+    # optimum and each single-N clustering, weighted and not.
     rng = random.Random(77)
     for _ in range(30):
         g = random_graph(rng, rng.randint(2, 6))
-        names = g.names()
-        blocks = {}
-        for name in names:
-            blocks.setdefault(rng.randrange(3), []).append(name)
-        clusters = [b for b in blocks.values() if b]
-        want = modularity_by_hand(g.edge_list(), clusters)
-        assert pt.modularity(g, clusters) == pytest.approx(want, abs=1e-12)
-
-
-def test_modularity_requires_full_cover():
-    g = make_graph([("A", "B", 1.0), ("B", "C", 1.0)])
-    with pytest.raises(pt.CallGraphError):
-        pt.modularity(g, [["A", "B"]])
-    with pytest.raises(pt.CallGraphError):
-        pt.modularity(g, [["A", "B"], ["B", "C"]])
+        edges = g.edge_list()
+        sets = [pt.louvain_optimal(g)]
+        for weighted in (False, True):
+            sets += pt.enumerate_partition_sets(g, weighted, natural=len(g.vertices))
+            sets += [pt.girvan_newman(g, n, weighted) for n in range(1, len(g.vertices) + 1)]
+        for pset in sets:
+            want = reference_modularity(edges, pset.clusters)
+            assert pset.modularity == pytest.approx(want, abs=1e-12)
 
 
 def test_modularity_edgeless_graph_is_zero():
     g = make_graph([], isolated=["A", "B"])
-    assert pt.modularity(g, [["A"], ["B"]]) == 0.0
+    for pset in (pt.girvan_newman(g, 2), pt.louvain_optimal(g)):
+        assert pset.clusters == [["A"], ["B"]]
+        assert pset.modularity == 0.0
 
 
 def test_louvain_splits_disconnected_cliques():
@@ -434,7 +419,7 @@ def test_louvain_matches_exhaustive_maximum():
         g = random_graph(rng, rng.randint(3, 6), p=0.5)
         edges = g.edge_list()
         best = max(
-            modularity_by_hand(edges, clusters)
+            reference_modularity(edges, clusters)
             for clusters in all_set_partitions(g.names())
         )
         got = pt.louvain_optimal(g).modularity
@@ -457,7 +442,7 @@ def test_louvain_never_below_singleton_floor():
     rng = random.Random(3)
     for _ in range(10):
         g = random_graph(rng, rng.randint(2, 7))
-        singleton_q = pt.modularity(g, [[n] for n in g.names()])
+        singleton_q = reference_modularity(g.edge_list(), [[n] for n in g.names()])
         assert pt.louvain_optimal(g).modularity >= singleton_q - 1e-12
 
 
@@ -573,7 +558,6 @@ def test_weights_whose_modularity_terms_overflow_are_rejected(weight):
     g = make_graph([("a", "b", weight), ("b", "c", weight), ("c", "d", 1.0)])
     for run in (
         pt.louvain_optimal,
-        lambda g: pt.modularity(g, [["a", "b"], ["c", "d"]]),
         lambda g: pt.enumerate_partition_sets(g, natural=3),
         lambda g: pt.girvan_newman(g, 2),
     ):
