@@ -5,9 +5,9 @@ service, held for an exponentially distributed service time; the others
 wait their turn. The normalized load is (sum of cpu costs of requests in
 system) divided by cpu capacity, and it changes at one site in the loop,
 for admissions and completions alike. Every arrival is decided by
-``decide_threshold`` (see ``control``) with the node's limit and overflow,
-except at a proactive executor: relays take a limit of -inf and their next
-hop as overflow, the sink -inf and ``DROP``, and ``none`` and ``passive``
+``decide_threshold`` with the node's limit and overflow, except at a
+proactive executor: relays take a limit of -inf and their next hop as
+overflow, the sink -inf and ``DROP``, and ``none`` and ``passive``
 executors the capacity threshold. Set-up fixes only each node's limit and,
 under proactive forwarding, its count of executor neighbours. The rest of
 a node's rule is built at its first need: a relay's next hop at its first
@@ -19,10 +19,12 @@ and a node that never acts costs only its entries in per-node lists.
 estimator call per arrival records it and returns q, and a rejected
 request goes to the node's only executor neighbour, or to the lightest in
 its gossip view when it has two or more.
-A decision is a plain int, ``EXECUTE``, ``DROP`` or the dense index of the
-node to forward to. Service starts at one site too, and its time is drawn
-as ``-log(1.0 - random()) / rate``, the expression ``random.expovariate``
-evaluates, so every draw comes from ``random()`` alone.
+A decision is a plain int: ``EXECUTE`` (-1), ``DROP`` (-2), or otherwise the
+dense index of the node to forward to, which may be 0, so the loop compares
+against the two codes and never reads a target by its truth value. Service
+starts at one site too, and its time is drawn as ``-log(1.0 - random()) /
+rate``, the expression ``random.expovariate`` evaluates, so every draw comes
+from ``random()`` alone.
 
 Event ordering is a strict total order: time, then kind rank (completions
 before arrivals before heartbeats before samples), then node id, then a
@@ -32,15 +34,23 @@ metric byte. The next external arrival waits beside the event heap rather
 than in it, and the loop takes whichever of the two sorts first.
 
 Gossip deliveries are not events: completions and heartbeats publish on
-feeds that deliver a publication at p over a link of delay d at p + d (see
-``control``). A node forwarding at t sees exactly the publications already
-made that land by t. So over a 0 ms link a completion reaches arrivals at
-its own instant, and a heartbeat, which runs after them, does not.
-Heartbeats run only when some node has two or more executor neighbours to
-choose from. Every publisher that such a node may read keeps a record from
-before its first publication, so a view built late reads what one built
-before the run would have; deliveries are lazy, so a feed nobody reads
-changes nothing a later read sees.
+``LoadFeed``s, one per link delay, that deliver a publication at p over a
+link of delay d at p + d. A node forwarding at t sees exactly the
+publications already made that land by t. So over a 0 ms link a completion
+reaches arrivals at its own instant, and a heartbeat, which runs after
+them, does not. ``lightest_load_neighbor`` holds the one staleness rule,
+and its tie rule, that at equal publication times the heartbeat wins only
+over a link that delivers at once, rests on the kind order: completions
+run before heartbeats at one instant, so a heartbeat at a completion's
+instant was published after it. Heartbeats run only when some node has two
+or more executor neighbours to choose from. Every publisher that such a
+node may read keeps a record from before its first publication: a feed
+over the slowest link that reads it, first in the publisher's list of
+feeds, which keeps only what that link can still deliver. A feed over a
+faster link is derived from the record when a view first needs it and is
+then shared, so a view built late reads what one built before the run
+would have; deliveries are lazy, so a feed nobody reads changes nothing a
+later read sees.
 
 Metrics (collected over [warmup, horizon), then settled so every admitted
 request finishes):
@@ -70,15 +80,6 @@ from pathlib import Path
 
 from ._inputs import _left_sum, _load_json, _non_negative, _number, _objects, _positive
 from ._inputs import _refuse_unknown, _typed
-from .control import (
-    DROP,
-    EXECUTE,
-    LoadFeed,
-    decide_threshold,
-    gossip_view,
-    lightest_load_neighbor,
-    passive_overflow,
-)
 from .emit import _row_changes, _series_csv, _series_json, _write_text, json_text
 from .topology import GENERATOR_PARAMS, KIND_PARAMS, NodeSpec, Topology, generate_topology
 from .topology import load_topology
@@ -109,6 +110,10 @@ _END = 4
 _SENTINEL = (math.inf, _END, -1, -1, None)
 _NO_ARRIVAL = (math.inf, _END + 1, -1, -1, None)
 
+#: Decision codes. Any other decision is the dense index (>= 0) of the
+#: node to forward to.
+EXECUTE = -1
+DROP = -2
 # The overflow of a relay or passive executor until its first need builds
 # it: neither ``EXECUTE``, ``DROP`` nor a node index.
 _UNBUILT = -3
@@ -187,8 +192,10 @@ class ScenarioConfig:
         w = self.resolved_warmup()
         if not 0.0 <= w < self.horizon_s:
             raise ConfigError("warmup must lie inside [0, horizon)")
-        if self.buffer_size < 2:
+        if isinstance(self.buffer_size, (int, float)) and self.buffer_size < 2:
             raise ConfigError("estimator buffer_size must be at least 2")
+        if type(self.buffer_size) is not int:
+            raise ConfigError(f"estimator buffer_size must be an integer, not {self.buffer_size!r}")
         if self.ttl is not None and self.ttl < 0:
             raise ConfigError("ttl must be non-negative")
         if not _non_negative(self.sample_interval_ms):
@@ -362,6 +369,97 @@ class RunMetrics:
     sample_loads: list[list[float]]
 
 
+class LoadFeed:
+    """Publications of one source over links of one delay. ``deliver(now)``
+    is the latest ``(published_at, value)`` landed by ``now`` (at first
+    ``(-inf, initial)``: 0.0, or all-zero loads for heartbeats). Each lands
+    at published_at + delay, in order as time only moves forward, and
+    whoever touches the feed first, reader or publisher, delivers for all."""
+
+    __slots__ = ("delay", "latest", "in_flight")
+
+    def __init__(self, delay: float, initial=0.0):
+        self.delay = delay
+        self.latest = (-math.inf, initial)
+        self.in_flight: deque = deque()
+
+    def deliver(self, now: float) -> tuple:
+        in_flight = self.in_flight
+        while in_flight and in_flight[0][0] <= now:
+            self.latest = in_flight.popleft()[1]
+        return self.latest
+
+    def publish(self, now: float, value) -> None:
+        # ``deliver(now)`` inline: publishing lands what is due first.
+        in_flight = self.in_flight
+        while in_flight and in_flight[0][0] <= now:
+            self.latest = in_flight.popleft()[1]
+        in_flight.append((now + self.delay, (now, value)))
+
+    def over(self, delay: float) -> LoadFeed:
+        """The same publications over a link of ``delay``, no slower than
+        this feed's, as a feed that took every one of them would deliver
+        them from now on. ``latest`` has landed over the faster link too,
+        and each publication in flight lands at ``published_at + delay``,
+        computed as ``publish`` computes it."""
+        feed = LoadFeed(delay)
+        feed.latest = self.latest
+        feed.in_flight.extend((pub[0] + delay, pub) for _, pub in self.in_flight)
+        return feed
+
+
+def lightest_load_neighbor(neighbors: list[tuple], now: float) -> int | None:
+    """Neighbor with the smallest load visible at ``now`` (ties to the
+    lowest id) from ``(neighbor, completion feed, heartbeat feed)`` triples
+    in id order; None signals no forwarding candidates.
+
+    The one staleness rule: of a neighbour's latest delivered completion
+    (p) and heartbeat (h), the later wins. At h == p the heartbeat, which
+    ran after the completion, wins only over a link that delivers at once
+    (h + delay == h); otherwise both land together, heartbeats first."""
+    best_id: int | None = None
+    best_load = 0.0
+    for nid, sent, beats in neighbors:
+        # Skip the delivery pass when nothing has landed by now.
+        due = sent.in_flight
+        p, load = sent.deliver(now) if due and due[0][0] <= now else sent.latest
+        due = beats.in_flight
+        h, loads = beats.deliver(now) if due and due[0][0] <= now else beats.latest
+        if h > p or (h == p and h + beats.delay == h):
+            load = loads[nid]
+        if best_id is None or load < best_load:
+            best_id = nid
+            best_load = load
+    return best_id
+
+
+def gossip_view(links: dict[int, float], feeds: list, beats: list[LoadFeed]) -> list[tuple]:
+    """The ``(neighbour, completion feed, heartbeat feed)`` triples that
+    ``lightest_load_neighbor`` reads for a node choosing among ``links``
+    (neighbour: link delay, in id order). ``feeds[j]`` lists neighbour j's
+    completion feeds and ``beats`` the heartbeat feeds, each list headed by
+    its record, over the slowest link that reads it. A feed over another
+    delay is derived from the record once, and then shared."""
+    return [(j, _feed_over(feeds[j], d), _feed_over(beats, d)) for j, d in links.items()]
+
+
+def _feed_over(feeds: list[LoadFeed], delay: float) -> LoadFeed:
+    for feed in feeds:
+        if feed.delay == delay:
+            return feed
+    feeds.append(feeds[0].over(delay))
+    return feeds[-1]
+
+
+def decide_threshold(node_load: float, capacity_threshold: float, overflow: int) -> int:
+    """Execute below the threshold; at or above it, take ``overflow``.
+
+    The simulator passes a threshold of -inf for relays and the sink, which
+    never execute, so they always take ``overflow``: ``x < -inf`` is False
+    for every float, NaN included."""
+    return EXECUTE if node_load < capacity_threshold else overflow
+
+
 def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     """Execute one scenario to settlement and return its metrics.
 
@@ -431,11 +529,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
     # What each node does. Every arrival but a proactive executor's, and
     # that one's two fallbacks, is decided by ``decide_threshold(loads[i],
     # limit[i], overflow[i])``. ``limit`` is the threshold for an executor
-    # and -inf for relays and the sink, which never execute: ``x < -inf`` is
-    # False even for NaN. ``overflow`` is DROP for the sink and for ``none``
-    # and proactive executors; a relay's next hop and a passive executor's
-    # ``passive_overflow`` are built at the node's first need, so until then
-    # it is ``_UNBUILT``. Set-up fixes only these, and under proactive
+    # and -inf for relays and the sink, which never execute. ``overflow`` is
+    # DROP for the sink and for ``none`` and proactive executors. A relay's
+    # overflow is its next hop; a passive executor's is its next hop too,
+    # but DROP before a server that does not execute. Both are built at the
+    # node's first need, so until then they are ``_UNBUILT``. Set-up fixes only these, and under proactive
     # forwarding ``choices``, each executor's count of executor neighbours;
     # ``build`` fixes the rest of a node's rule when it first needs it.
     limit = [-math.inf] * n
@@ -496,7 +594,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunMetrics:
             nh = topo.next_hop_toward_server(nid)
             j = idx_of[nh]
             delay[i] = {j: topo.adj[nid][nh] / 1000.0}
-            dec = overflow[i] = j if is_relay[i] else passive_overflow(j, server, server_executes)
+            dec = overflow[i] = j if is_relay[i] or j != server or server_executes else DROP
             return dec
         links = delay[i] = {
             idx_of[m]: d_ms / 1000.0 for m, d_ms in topo.adj[nid].items() if executor[idx_of[m]]

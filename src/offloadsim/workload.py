@@ -86,8 +86,11 @@ class EstimatorState:
     )
 
     def __init__(self, k: int = 128, cpu_capacity: float = 1.0, mem_capacity: float = 1.0):
-        if k < 2:
+        # A k that is not an int would run the ring index past the buffer.
+        if isinstance(k, (int, float)) and k < 2:
             raise ValueError("buffer size k must be at least 2")
+        if type(k) is not int:
+            raise ValueError(f"buffer size k must be an int, not {k!r}")
         if not (cpu_capacity > 0.0 and mem_capacity > 0.0):
             raise ValueError("capacities must be positive")
         self.k = k

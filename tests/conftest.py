@@ -174,7 +174,23 @@ def reference_series_json(m):
 
 def reference_summary_json(m):
     """A run's ``<prefix>_summary.json`` text through the json module."""
-    return json.dumps(sim._summary_dict(m), sort_keys=True, indent=2) + "\n"
+    summary = {
+        "strategy": m.strategy,
+        "seed": m.seed,
+        "tau": m.tau,
+        "phi_ms": m.phi_ms,
+        "psi": m.psi,
+        "total_arrivals": m.total_arrivals,
+        "executed": m.executed,
+        "forwarded": m.forwarded,
+        "dropped": m.dropped,
+        "gross_arrivals": m.gross_arrivals,
+        "gross_executed": m.gross_executed,
+        "gross_dropped": m.gross_dropped,
+        "per_node_mean_load": {str(k): v for k, v in m.per_node_mean_load.items()},
+        "per_node_executed": {str(k): v for k, v in m.per_node_executed.items()},
+    }
+    return json.dumps(summary, sort_keys=True, indent=2) + "\n"
 
 
 def reference_series_csv(m):
@@ -531,8 +547,10 @@ def reference_run_scenario(cfg):
     warmup = cfg.resolved_warmup()
     proactive = strategy == "proactive"
     # Only proactive forwarding spends TTL; the default TTL is twice the hop
-    # diameter, which the topology computes once and keeps.
-    ttl0 = cfg.resolved_ttl() if proactive else None
+    # diameter.
+    ttl0 = None
+    if proactive:
+        ttl0 = 2 * reference_hop_diameter(topo) if cfg.ttl is None else cfg.ttl
     server_executes = cfg.server_executes
     fwd_enabled = cfg.proactive_forwarding
     threshold = cfg.capacity_threshold
@@ -553,10 +571,9 @@ def reference_run_scenario(cfg):
     # gossip groups.
     delay = [{idx_of[m]: d_ms / 1000.0 for m, d_ms in topo.adj[nid].items()} for nid in ids]
     next_hop: list[int | None] = [None] * n
-    for i, nid in enumerate(ids):
-        nh = topo.next_hop_toward_server(nid)
+    for nid, nh in reference_routes(topo.adj, topo.server_id)[1].items():
         if nh is not None:
-            next_hop[i] = idx_of[nh]
+            next_hop[idx_of[nid]] = idx_of[nh]
     # What none and passive do at or above the threshold, fixed per node.
     if strategy == "passive":
         overflow = [reference_passive_overflow(nh, server, server_executes) for nh in next_hop]

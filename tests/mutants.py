@@ -68,14 +68,14 @@ MUTANTS = [
     ),
     Mutant(
         "threshold-at-or-below",
-        "src/offloadsim/control.py",
+        "src/offloadsim/simulator.py",
         "return EXECUTE if node_load < capacity_threshold else overflow",
         "return EXECUTE if node_load <= capacity_threshold else overflow",
         ("tests/test_control.py",),
     ),
     Mutant(
         "feed-delivers-late",
-        "src/offloadsim/control.py",
+        "src/offloadsim/simulator.py",
         "def deliver(self, now: float) -> tuple:\n"
         "        in_flight = self.in_flight\n"
         "        while in_flight and in_flight[0][0] <= now:",
@@ -90,6 +90,92 @@ MUTANTS = [
         "lat_sum += (t - req[4]) + 2.0 * req[2]",
         "lat_sum += (t - req[4]) + req[2]",
         ("tests/test_golden_runs.py",),
+    ),
+    Mutant(
+        "gossip-tie-goes-to-the-heartbeat",
+        "src/offloadsim/simulator.py",
+        "if h > p or (h == p and h + beats.delay == h):",
+        "if h >= p or (h == p and h + beats.delay == h):",
+        ("tests/test_control.py",),
+    ),
+    Mutant(
+        "lightest-tie-goes-to-the-higher-id",
+        "src/offloadsim/simulator.py",
+        "if best_id is None or load < best_load:",
+        "if best_id is None or load <= best_load:",
+        ("tests/test_control.py",),
+    ),
+    Mutant(
+        "derived-feed-keeps-the-record-delay",
+        "src/offloadsim/simulator.py",
+        "(pub[0] + delay, pub)",
+        "(pub[0] + self.delay, pub)",
+        ("tests/test_control.py",),
+    ),
+    Mutant(
+        "passive-drops-before-an-executing-server",
+        "src/offloadsim/simulator.py",
+        "j if is_relay[i] or j != server or server_executes else DROP",
+        "j if is_relay[i] or j != server else DROP",
+        ("tests/test_control.py",),
+    ),
+    Mutant(
+        "forward-spends-two-hops",
+        "src/offloadsim/simulator.py",
+        "req[1] += 1",
+        "req[1] += 2",
+        ("tests/test_golden_runs.py",),
+    ),
+    Mutant(
+        "ttl-spent-one-hop-late",
+        "src/offloadsim/simulator.py",
+        "if req[1] >= ttl and",
+        "if req[1] > ttl and",
+        ("tests/test_control.py",),
+    ),
+    Mutant(
+        "loop-integral-ignores-warmup",
+        "src/offloadsim/simulator.py",
+        "hi = t if t < horizon else horizon\n"
+        "            lo = lt if lt > warmup else warmup",
+        "hi = t if t < horizon else horizon\n"
+        "            lo = lt",
+        ("tests/test_acceptance.py",),
+    ),
+    Mutant(
+        "origination-at-warmup-not-counted",
+        "src/offloadsim/simulator.py",
+        "req = [nxt[1], 0, 0.0, t >= warmup, 0.0]",
+        "req = [nxt[1], 0, 0.0, t > warmup, 0.0]",
+        ("tests/test_properties.py",),
+    ),
+    Mutant(
+        "sample-at-horizon-skipped",
+        "src/offloadsim/simulator.py",
+        "if t_next <= horizon + 1e-12:",
+        "if t_next < horizon + 1e-12:",
+        ("tests/test_simulator.py",),
+    ),
+    Mutant(
+        "snapshot-aliases-the-live-loads",
+        "src/offloadsim/simulator.py",
+        "snap = loads.copy()",
+        "snap = loads",
+        ("tests/test_acceptance.py",),
+    ),
+    Mutant(
+        "heartbeats-need-three-choices",
+        "src/offloadsim/simulator.py",
+        "if max(choices) >= 2:",
+        "if max(choices) >= 3:",
+        ("tests/test_acceptance.py",),
+    ),
+    Mutant(
+        "route-without-the-hop-tie-break",
+        "src/offloadsim/topology.py",
+        "if dv < dist[v] or (dv == dist[v] and h < hops[v]):",
+        "if dv < dist[v]:",
+        ("tests/test_topology.py",),
     ),
     Mutant(
         "burst-increment-keeps-nan",

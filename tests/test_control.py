@@ -7,8 +7,8 @@ import math
 from unittest import mock
 
 import conftest
+import pytest
 
-from offloadsim import control as ct
 from offloadsim import simulator as sim
 from offloadsim import workload as wl
 from offloadsim.topology import NodeSpec, Topology, generate_topology
@@ -21,7 +21,7 @@ NO_LOADS = collections.defaultdict(float)
 
 
 def beat_feed(delay):
-    return ct.LoadFeed(delay, NO_LOADS)
+    return sim.LoadFeed(delay, NO_LOADS)
 
 
 def view_of(loads, now=0.0):
@@ -30,7 +30,7 @@ def view_of(loads, now=0.0):
     beats = beat_feed(0.0)
     links = []
     for nid, load in sorted(loads.items()):
-        feed = ct.LoadFeed(0.0)
+        feed = sim.LoadFeed(0.0)
         feed.publish(now, load)
         links.append((nid, feed, beats))
     return links
@@ -39,29 +39,20 @@ def view_of(loads, now=0.0):
 def silent_view(neighbor_ids):
     """Feed triples of neighbours from which nothing has been delivered."""
     beats = beat_feed(0.0)
-    return [(nid, ct.LoadFeed(0.0), beats) for nid in sorted(neighbor_ids)]
+    return [(nid, sim.LoadFeed(0.0), beats) for nid in sorted(neighbor_ids)]
 
 
 def at_most(link, now, load):
     """Whether the neighbour of ``link`` reads at most ``load`` at ``now``:
     it wins against a higher-id probe neighbour that shows ``load``."""
     (probe,) = view_of({99: load}, now=-1.0)
-    return ct.lightest_load_neighbor([link, probe], now) == link[0]
+    return sim.lightest_load_neighbor([link, probe], now) == link[0]
 
 
 def shows(link, now, load):
     """Whether the neighbour of ``link`` reads exactly ``load`` at ``now``."""
     below = math.nextafter(load, -math.inf)
     return at_most(link, now, load) and not at_most(link, now, below)
-
-
-def passive(topo, node_id, load, server_executes=False):
-    """The passive strategy at one node: the threshold rule with the node's
-    overflow decision."""
-    overflow = ct.passive_overflow(
-        topo.next_hop_toward_server(node_id), topo.server_id, server_executes
-    )
-    return ct.decide_threshold(load, 1.0, overflow)
 
 
 def counting_lookups(targets):
@@ -91,46 +82,80 @@ def counting_forwards(targets):
     return mock.patch.object(sim, "heappush", counted)
 
 
+def passive_run(topo, arrivals, threshold=1.0, server_executes=False):
+    """A passive run on ``topo`` with ``arrivals`` external arrivals 1 ms
+    apart, each held in service for 1 s, so on a topology of cpu 1 every
+    admitted request keeps its node at load 1.0 for the rest of the run.
+    Returns the metrics and a Counter of the forwards by target."""
+    cfg = sim.ScenarioConfig(
+        topology=topo,
+        services=[ServiceSpec(name="s", mean_exec_time_s=0.001)],
+        base_rate_per_s=1000.0,
+        horizon_s=0.1,
+        strategy="passive",
+        warmup_s=0.0,
+        capacity_threshold=threshold,
+        server_executes=server_executes,
+    )
+    script = [(0.001 * (k + 1), 0) for k in range(arrivals)]
+    sent = collections.Counter()
+    with conftest.scripted_runs(script, [1.0] * arrivals, []), counting_forwards(sent):
+        m = sim.run_scenario(cfg)
+    assert m.executed + m.dropped == m.total_arrivals == arrivals
+    assert m.forwarded == sum(sent.values())
+    return m, sent
+
+
 def test_none_strategy_threshold():
-    assert ct.decide_threshold(0.3, 1.0, ct.DROP) == ct.EXECUTE
-    assert ct.decide_threshold(1.2, 1.0, ct.DROP) == ct.DROP
+    assert sim.decide_threshold(0.3, 1.0, sim.DROP) == sim.EXECUTE
+    assert sim.decide_threshold(1.2, 1.0, sim.DROP) == sim.DROP
 
 
 def test_none_strategy_boundary_is_drop():
-    assert ct.decide_threshold(1.0, 1.0, ct.DROP) == ct.DROP
+    assert sim.decide_threshold(1.0, 1.0, sim.DROP) == sim.DROP
 
 
-def test_passive_under_load_executes(line4):
-    assert passive(line4, 1, 0.2) == ct.EXECUTE
-
-
-def test_passive_overloaded_forwards_along_path(line4):
-    assert passive(line4, 1, 1.5) == 2
-
-
-def test_passive_boundary_takes_the_overflow(line4):
-    assert passive(line4, 1, 1.0) == 2
+@pytest.mark.parametrize("threshold", [1.0, 0.75])
+def test_passive_executes_below_the_threshold_and_forwards_at_and_above(line4, threshold):
+    # Node 0 runs the first request; at load 1.0, at or above the
+    # threshold, it forwards the next three to node 1. Node 1 runs the
+    # second and forwards the other two to node 2, which runs the third.
+    m, sent = passive_run(line4, 4, threshold)
+    assert m.per_node_executed == {0: 1, 1: 1, 2: 1, 3: 0}
+    assert sent == {1: 3, 2: 2}
 
 
 def test_passive_last_hop_drops(line4):
-    # Node 2 is the final in-network hop; the sink server does not execute.
-    assert passive(line4, 2, 1.5) == ct.DROP
+    # The fourth request finds nodes 0, 1 and 2 loaded; node 2 drops it.
+    m, sent = passive_run(line4, 4)
+    assert m.dropped == 1 and 3 not in sent
 
 
 def test_passive_last_hop_can_reach_executing_server(line4):
-    assert passive(line4, 2, 1.5, server_executes=True) == 3
+    m, sent = passive_run(line4, 4, server_executes=True)
+    assert m.per_node_executed == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert m.dropped == 0 and sent == {1: 3, 2: 2, 3: 1}
 
 
 def test_passive_at_server_drops(line4):
-    assert passive(line4, 3, 1.5, server_executes=True) == ct.DROP
+    # An executing server at the threshold takes the DROP overflow it gets
+    # at set-up: the fifth request reaches it and is dropped there.
+    m, sent = passive_run(line4, 5, server_executes=True)
+    assert m.per_node_executed == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert m.dropped == 1 and sent == {1: 4, 2: 3, 3: 2}
 
 
-def test_forward_to_index_zero_is_a_forward():
+def test_forward_to_index_zero_is_a_forward(line4):
     # Node 0 is a valid target and 0 is falsy: nothing may read a target
     # by its truth value.
-    d = ct.passive_overflow(0, 3)
-    assert d == 0
-    assert ct.decide_threshold(1.5, 1.0, d) == 0
+    assert sim.decide_threshold(1.5, 1.0, 0) == 0
+    # line4 turned around: arrivals at node 3, and node 0 the server, which
+    # executes. The fourth request finds nodes 3, 2 and 1 loaded, and node
+    # 1 forwards it to the server, index 0.
+    specs = [dataclasses.replace(s, is_access_point=s.id == 3) for s in line4.nodes.values()]
+    m, sent = passive_run(Topology(specs, line4.edges(), server_id=0), 4, server_executes=True)
+    assert m.per_node_executed == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert sent == {2: 3, 1: 2, 0: 1}
     # On overload-line every node but the sink server executes. Nodes 0 and
     # 2 each have node 1 as their only executor neighbour and forward to it
     # without a lookup; node 1 looks up the lighter of 0 and 2, and forwards
@@ -160,25 +185,25 @@ def test_forward_to_index_zero_is_a_forward():
 
 
 def test_lightest_neighbor_argmin():
-    assert ct.lightest_load_neighbor(view_of({5: 0.9, 2: 0.1}), 0.0) == 2
+    assert sim.lightest_load_neighbor(view_of({5: 0.9, 2: 0.1}), 0.0) == 2
 
 
 def test_lightest_neighbor_tie_breaks_low_id():
-    assert ct.lightest_load_neighbor(view_of({7: 0.5, 3: 0.5}), 0.0) == 3
+    assert sim.lightest_load_neighbor(view_of({7: 0.5, 3: 0.5}), 0.0) == 3
 
 
 def test_no_neighbors_signalled():
-    assert ct.lightest_load_neighbor(silent_view([]), 0.0) is None
+    assert sim.lightest_load_neighbor(silent_view([]), 0.0) is None
 
 
 def test_silent_neighbours_read_zero():
     view = silent_view([4, 2])
     assert all(shows(link, 1.0, 0.0) for link in view)
-    assert ct.lightest_load_neighbor(view, 1.0) == 2
+    assert sim.lightest_load_neighbor(view, 1.0) == 2
 
 
 def test_gossip_delay_accounting():
-    feed, beats = ct.LoadFeed(0.005), beat_feed(0.005)
+    feed, beats = sim.LoadFeed(0.005), beat_feed(0.005)
     link = (4, feed, beats)
     feed.publish(0.010, 0.42)
     assert shows(link, 0.0149, 0.0)
@@ -191,7 +216,7 @@ def test_stale_gossip_ignored():
     # The heartbeat lands after the completion was published, but it was
     # published earlier, so once the completion lands its load stands.
     for delay in (0.0, 0.001):
-        feed, beats = ct.LoadFeed(delay), beat_feed(delay)
+        feed, beats = sim.LoadFeed(delay), beat_feed(delay)
         link = (4, feed, beats)
         beats.publish(0.010, {4: 0.9})
         feed.publish(0.020, 0.5)
@@ -205,7 +230,7 @@ def test_equal_timestamp_gossip_accepted():
     # first, so the completion stands; over a link that delivers at once it
     # applies last and wins.
     for delay, seen in [(0.001, 0.6), (0.0, 0.9), (1e-20, 0.9)]:
-        feed, beats = ct.LoadFeed(delay), beat_feed(delay)
+        feed, beats = sim.LoadFeed(delay), beat_feed(delay)
         feed.publish(0.020, 0.5)
         feed.publish(0.020, 0.6)
         beats.publish(0.020, {4: 0.9})
@@ -213,7 +238,7 @@ def test_equal_timestamp_gossip_accepted():
 
 
 def test_feed_delivers_in_order_and_keeps_only_what_is_in_flight():
-    feed = ct.LoadFeed(0.003)
+    feed = sim.LoadFeed(0.003)
     for k in range(100):
         feed.publish(k * 0.001, float(k))
     # Publishing delivers what has landed, so only the last three (at
@@ -224,7 +249,7 @@ def test_feed_delivers_in_order_and_keeps_only_what_is_in_flight():
 
 
 def test_one_delivery_pass_serves_every_reader():
-    feed, beats = ct.LoadFeed(0.002), beat_feed(0.002)
+    feed, beats = sim.LoadFeed(0.002), beat_feed(0.002)
     feed.publish(0.0, 0.7)
     assert shows((1, feed, beats), 0.005, 0.7)
     assert not feed.in_flight
@@ -239,7 +264,7 @@ def test_a_feed_derived_from_a_slower_record_delivers_what_a_feed_built_first_do
     tick = 2.0**-10
     for ticks in range(7):
         for split in range(16):
-            record, whole = ct.LoadFeed(6 * tick), ct.LoadFeed(ticks * tick)
+            record, whole = sim.LoadFeed(6 * tick), sim.LoadFeed(ticks * tick)
             derived = None
             for k in range(24):
                 t = k * tick
@@ -402,9 +427,9 @@ def test_gossip_from_unknown_sender_ignored():
     # Node 9 publishes and shows up in heartbeat snapshots, but it is not a
     # neighbour, so the view never offers it.
     beats = beat_feed(0.0)
-    mine, stranger = ct.LoadFeed(0.0), ct.LoadFeed(0.0)
+    mine, stranger = sim.LoadFeed(0.0), sim.LoadFeed(0.0)
     mine.publish(0.001, 0.8)
     stranger.publish(0.001, 0.0)
     beats.publish(0.001, {2: 0.8, 9: 0.0})
-    assert ct.lightest_load_neighbor([(2, mine, beats)], math.inf) == 2
+    assert sim.lightest_load_neighbor([(2, mine, beats)], math.inf) == 2
     assert shows((2, mine, beats), math.inf, 0.8)

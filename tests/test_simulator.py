@@ -511,6 +511,18 @@ def test_zero_drop_summary_has_zero_psi_column(tmp_path):
     assert float(psi_value) == 0.0
 
 
+def test_the_last_sample_may_land_up_to_1e_12_past_the_horizon():
+    # Rows are taken while the summed periods stay within horizon_s + 1e-12:
+    # a period of exactly that length takes a second row, one float longer
+    # does not.
+    cfg = small_config(horizon_s=0.001, sample_interval_ms=1.000000001)
+    assert cfg.sample_interval_ms / 1000.0 == cfg.horizon_s + 1e-12
+    assert len(sim.run_scenario(cfg).sample_times_ms) == 2
+    longer = math.nextafter(cfg.sample_interval_ms, math.inf)
+    assert len(sim.run_scenario(small_config(horizon_s=0.001, sample_interval_ms=longer))
+               .sample_times_ms) == 1
+
+
 def test_sample_series_shape():
     cfg = small_config(sample_interval_ms=100.0, horizon_s=0.5)
     m = sim.run_scenario(cfg)
@@ -533,6 +545,24 @@ def test_config_validation_raises_config_error():
             JitterSpec(start_ms=0.0, duration_ms=20.0, rate_multiplier=2.0),
             JitterSpec(start_ms=10.0, duration_ms=20.0, rate_multiplier=2.0),
         ]).validate()
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [(1, "at least 2"), (1.5, "at least 2"), (True, "at least 2"), (2.5, "an integer"),
+     (64.5, "an integer"), (12.0, "an integer"), ("12", "an integer"), (None, "an integer")],
+)
+def test_config_validation_refuses_a_buffer_size_that_is_not_an_int_of_at_least_2(value, error):
+    # A config built in code reaches only validate, which refuses the value
+    # before any event runs: a buffer of 2.5 used to run its ring index past
+    # the list mid-run.
+    cfg = dataclasses.replace(
+        sim.preset_overload_line("proactive"), buffer_size=value, horizon_s=0.3, warmup_s=0.0
+    )
+    with pytest.raises(sim.ConfigError, match=f"^estimator buffer_size must be {error}"):
+        cfg.validate()
+    with pytest.raises(sim.ConfigError, match=f"^estimator buffer_size must be {error}"):
+        sim.run_scenario(cfg)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

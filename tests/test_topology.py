@@ -421,6 +421,20 @@ def test_zero_delay_routes_reach_the_server(kind, params):
         assert len(route_to_server(topo, nid)) - 1 <= len(topo.nodes)
 
 
+def test_a_fewer_hop_path_found_later_still_orders_equal_delay_nodes():
+    # Node 4 is first reached at delay 1.0 in 4 hops (0-1-2-3-4), then at
+    # the same delay in 2 (0-5-4, the last link free). Node 7 sits at delay
+    # 1.0 in 3 hops (0-8-9-7), and node 6 joins 4 and 7 by free links. Only
+    # with 4's hop count lowered to 2 does 6 route through 4, not 7.
+    nodes = [tp.NodeSpec(i, 1.0, 1.0, is_access_point=(i == 6)) for i in range(10)]
+    edges = [(0, 1, 0.25), (1, 2, 0.25), (2, 3, 0.25), (3, 4, 0.25), (0, 5, 1.0),
+             (4, 5, 0.0), (4, 6, 0.0), (6, 7, 0.0), (0, 8, 0.5), (8, 9, 0.5), (7, 9, 0.0)]
+    topo = tp.Topology(nodes, edges, server_id=0)
+    _, next_hop = reference_routes(topo.adj, topo.server_id)
+    assert {nid: topo.next_hop_toward_server(nid) for nid in topo.nodes} == next_hop
+    assert route_to_server(topo, 6) == [6, 4, 3, 2, 1, 0]
+
+
 def test_mixed_delay_routes_are_shortest_and_loop_free():
     # A zero-delay triangle hangs off a one-hop link to the server; every
     # node in it is at delay 1.0, so only the hop count orders them.

@@ -94,6 +94,13 @@ def test_tiny_buffer_rejected():
         wl.new_estimator(k=1)
 
 
+@pytest.mark.parametrize("k", [2.5, 64.5, 128.0, "12", None])
+def test_a_buffer_size_that_is_not_an_int_is_rejected(k):
+    # Over a k that is not an int the ring index would run past the buffer.
+    with pytest.raises(ValueError, match="^buffer size k must be an int"):
+        wl.EstimatorState(k)
+
+
 def test_incremental_rate_matches_rescan_oracle():
     rng = random.Random(42)
     state = wl.new_estimator(k=16)
