@@ -73,34 +73,11 @@ def load_energy_model(source) -> EnergyModel:
     return EnergyModel(*(_number(data, key, 0.0, DecisionError) for key in keys))
 
 
-@dataclass
-class ClassProfile:
-    """One class prepared for validity checks: its methods, and whether the
-    class crosses the cluster boundary (and so pays transfer costs)."""
-
-    methods: list[MethodProfile]
-    boundary: bool
-
-
-def build_class_profile(graph: CallGraph, name: str, cluster: set[str]) -> ClassProfile:
-    """Profile a class relative to a candidate cluster.
-
-    The call graph is class granular, so boundary status is per class: any
-    edge leaving the cluster puts the class on the boundary.
-    """
-    if name not in graph.vertices:
-        raise DecisionError(f"unknown class {name!r}")
-    return ClassProfile(
-        methods=list(graph.vertices[name].methods),
-        boundary=any(nb not in cluster for nb in graph.adj[name]),
-    )
-
-
-def _frequencies(profile: ClassProfile) -> list[float]:
-    total = _left_sum(m.invocations for m in profile.methods)
+def _frequencies(methods: list[MethodProfile]) -> list[float]:
+    total = _left_sum(m.invocations for m in methods)
     if total <= 0.0:
-        return [0.0] * len(profile.methods)
-    return [m.invocations / total for m in profile.methods]
+        return [0.0] * len(methods)
+    return [m.invocations / total for m in methods]
 
 
 def _offload_time(m: MethodProfile, cond: NetworkConditions) -> float:
@@ -111,17 +88,19 @@ def _transfer_time(m: MethodProfile, cond: NetworkConditions) -> float:
     return cond.rtt_s + (m.in_bytes + m.out_bytes) / cond.bandwidth_bytes_per_s
 
 
-def class_valid_time(profile: ClassProfile, cond: NetworkConditions) -> bool:
-    """Strict time gate: offloading must beat local execution outright.
+def class_valid_time(
+    methods: list[MethodProfile], boundary: bool, cond: NetworkConditions
+) -> bool:
+    """Strict time gate: offloading ``methods`` must beat local execution
+    outright; a ``boundary`` class also pays the transfer penalty.
 
     Empty method lists never validate (nothing measurable to win on).
     """
-    if not profile.methods:
+    if not methods:
         return False
-    boundary = profile.boundary
     local = 0.0
     remote = 0.0
-    for f, m in zip(_frequencies(profile), profile.methods):
+    for f, m in zip(_frequencies(methods), methods):
         local += f * m.t_local_s
         remote += f * _offload_time(m, cond)
         if boundary:
@@ -130,7 +109,7 @@ def class_valid_time(profile: ClassProfile, cond: NetworkConditions) -> bool:
 
 
 def class_valid_energy(
-    profile: ClassProfile, cond: NetworkConditions, model: EnergyModel
+    methods: list[MethodProfile], boundary: bool, cond: NetworkConditions, model: EnergyModel
 ) -> bool:
     """Strict energy gate: offloading must drain the battery strictly less.
 
@@ -140,13 +119,13 @@ def class_valid_energy(
     passes. When neither side consumes any energy at all the gate passes
     vacuously (no energy signal to act on).
     """
-    if not profile.methods:
+    if not methods:
         return False
-    if not profile.boundary:
+    if not boundary:
         return True
     local = 0.0
     remote = 0.0
-    for f, m in zip(_frequencies(profile), profile.methods):
+    for f, m in zip(_frequencies(methods), methods):
         local += f * m.energy_local_j
         wait = _transfer_time(m, cond) + _offload_time(m, cond)
         remote += f * (
@@ -220,13 +199,15 @@ def select_partition(
         for cluster in clusters:
             members = set(cluster)
             for name in cluster:
-                # ``get``: an unknown name misses, and build_class_profile refuses it.
-                key = (name, any(nb not in members for nb in graph.adj.get(name, ())))
+                if name not in graph.vertices:
+                    raise DecisionError(f"unknown class {name!r}")
+                boundary = any(nb not in members for nb in graph.adj[name])
+                key = (name, boundary)
                 if key not in judged:
-                    prof = build_class_profile(graph, name, members)
+                    methods = graph.vertices[name].methods
                     judged[key] = (
-                        class_valid_time(prof, cond),
-                        class_valid_energy(prof, cond, model),
+                        class_valid_time(methods, boundary, cond),
+                        class_valid_energy(methods, boundary, cond, model),
                     )
                 time_ok, energy_ok = judged[key]
                 validity[name] = {"time": time_ok, "energy": energy_ok}
@@ -250,12 +231,10 @@ def select_partition(
 
 
 __all__ = [
-    "ClassProfile",
     "DecisionError",
     "EnergyModel",
     "NetworkConditions",
     "OffloadVerdict",
-    "build_class_profile",
     "class_valid_energy",
     "class_valid_time",
     "load_energy_model",

@@ -178,6 +178,9 @@ class ScenarioConfig:
         return 2 * self.topology.hop_diameter() if self.ttl is None else self.ttl
 
     def validate(self) -> None:
+        # Each field's type is checked, as the JSON loader checks it, just
+        # before its range, so a config built in code fails the same way.
+        values = vars(self)
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r} (choose from {STRATEGIES})")
         for name in (
@@ -187,8 +190,10 @@ class ScenarioConfig:
             "gossip_period_ms",
             "capacity_threshold",
         ):
-            if not _positive(getattr(self, name)):
+            if not _positive(_number(values, name, None)):
                 raise ConfigError(f"{name} must be positive and finite")
+        if self.warmup_s is not None:
+            _number(values, "warmup_s", None)
         w = self.resolved_warmup()
         if not 0.0 <= w < self.horizon_s:
             raise ConfigError("warmup must lie inside [0, horizon)")
@@ -196,9 +201,10 @@ class ScenarioConfig:
             raise ConfigError("estimator buffer_size must be at least 2")
         if type(self.buffer_size) is not int:
             raise ConfigError(f"estimator buffer_size must be an integer, not {self.buffer_size!r}")
+        _checked(values, "ttl", None, (int, type(None)), "an integer or null")
         if self.ttl is not None and self.ttl < 0:
             raise ConfigError("ttl must be non-negative")
-        if not _non_negative(self.sample_interval_ms):
+        if not _non_negative(_number(values, "sample_interval_ms", None)):
             raise ConfigError("sample_interval_ms must be non-negative and finite")
         # Overlapping jitter windows, a plan past a cap and every refusal of
         # the arrival stream's checks, in that order, raise a ConfigError. The

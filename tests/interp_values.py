@@ -109,12 +109,13 @@ def decision_values() -> dict[str, str]:
         names = graph.names()
         cluster = set(names[: len(names) // 2])
         for name in names:
-            prof = decision.build_class_profile(graph, name, cluster)
+            methods = graph.vertices[name].methods
+            boundary = any(nb not in cluster for nb in graph.adj[name])
             verdict = (
-                decision.class_valid_time(prof, cond),
-                decision.class_valid_energy(prof, cond, model),
+                decision.class_valid_time(methods, boundary, cond),
+                decision.class_valid_energy(methods, boundary, cond, model),
             )
-            out[f"freq|{seed}|{name}"] = repr(decision._frequencies(prof))
+            out[f"freq|{seed}|{name}"] = repr(decision._frequencies(methods))
             out[f"gates|{seed}|{name}"] = repr(verdict)
     return out
 

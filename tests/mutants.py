@@ -5,8 +5,8 @@ that replaces it, and the test files expected to kill the result. For each
 mutant the runner copies the checkout (without ``.git`` and caches) to a
 temporary directory outside it, applies the substitution there, and runs
 the listed files with ``-x``. Only if they pass does it run the whole
-suite. A mutant that the whole suite lets pass survives, and any survivor
-fails the runner. So does a mutant that only the whole suite kills: that
+suite, less ``tests/test_mutants.py``. A mutant that the whole suite lets
+pass survives, and any survivor fails the runner. So does a mutant that only the whole suite kills: that
 run has no unmutated baseline, and the entry's killers need mending.
 Before the first mutant it runs every listed file on the unmutated copy,
 since a failure there would pass for a kill.
@@ -39,6 +39,11 @@ ROOT = Path(__file__).resolve().parent.parent
 IGNORED = shutil.ignore_patterns(
     ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_out", "*.egg-info", "build"
 )
+
+
+# tests/test_mutants.py checks that each entry's text is in the library, so
+# it fails on every mutated copy and would pass any survivor off as a kill.
+WHOLE_SUITE = ["tests", "--ignore=tests/test_mutants.py"]
 
 
 @dataclass(frozen=True)
@@ -248,6 +253,13 @@ MUTANTS = [
         ("tests/test_partition.py",),
     ),
     Mutant(
+        "girvan-newman-ties-to-the-last-edge",
+        "src/offloadsim/partition.py",
+        "if sc > best_score + 1e-12:",
+        "if sc >= best_score - 1e-12:",
+        ("tests/test_golden_partitions.py",),
+    ),
+    Mutant(
         "route-takes-an-equal-hop-neighbour",
         "src/offloadsim/topology.py",
         "(dist[nb] == d and hops[nb] < h)",
@@ -280,11 +292,40 @@ MUTANTS = [
         ("tests/test_decision.py",),
     ),
     Mutant(
+        "energy-gate-fails-the-vacuous-case",
+        "src/offloadsim/decision.py",
+        "if local == 0.0 and remote == 0.0:\n        return True",
+        "if local == 0.0 and remote == 0.0:\n        return False",
+        ("tests/test_decision.py",),
+    ),
+    Mutant(
+        "mode-all-is-satisfied-by-one-cluster",
+        "src/offloadsim/decision.py",
+        "len(surviving) == len(clusters)",
+        "len(surviving) >= 1",
+        ("tests/test_golden_partitions.py",),
+    ),
+    Mutant(
+        "select-partition-keeps-an-unknown-class",
+        "src/offloadsim/decision.py",
+        "                if name not in graph.vertices:\n"
+        "                    raise DecisionError(f\"unknown class {name!r}\")\n",
+        "",
+        ("tests/test_decision.py",),
+    ),
+    Mutant(
         "writer-skips-the-cut",
         "src/offloadsim/emit.py",
         "            fh.truncate()",
         "            pass",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "row-changes-by-value",
+        "src/offloadsim/emit.py",
+        "map(operator.is_not, prev, row)",
+        "map(operator.ne, prev, row)",
+        ("tests/test_properties.py",),
     ),
     Mutant(
         "shared-key-refuses-exact-depth",
@@ -305,6 +346,13 @@ MUTANTS = [
         "src/offloadsim/appstats.py",
         "size, count = max(zip(",
         "size, count = min(zip(",
+        ("tests/test_appstats.py",),
+    ),
+    Mutant(
+        "savings-unclamped",
+        "src/offloadsim/appstats.py",
+        "return saving if saving > 0.0 else 0.0",
+        "return saving",
         ("tests/test_appstats.py",),
     ),
     Mutant(
@@ -407,7 +455,7 @@ def run(mutants: list[Mutant]) -> int:
             start = time.perf_counter()
             try:
                 listed = _pytest(copy, list(m.killers))
-                full = _pytest(copy, ["tests"]) if listed.returncode == 0 else None
+                full = _pytest(copy, WHOLE_SUITE) if listed.returncode == 0 else None
             finally:
                 target.write_text(original)
             took = time.perf_counter() - start

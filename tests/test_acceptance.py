@@ -235,9 +235,9 @@ def test_offload_gates_agree_with_straight_line_evaluation():
             energy_per_rx_byte_j=rng.uniform(0.0, 5e-7),
             energy_idle_per_s_j=rng.uniform(0.0, 0.5),
         )
-        assert dc.class_valid_time(profile, cond) is straight_line_time_valid(profile, cond)
-        assert dc.class_valid_energy(profile, cond, model) is straight_line_energy_valid(
-            profile, cond, model
+        assert dc.class_valid_time(*profile, cond) is straight_line_time_valid(*profile, cond)
+        assert dc.class_valid_energy(*profile, cond, model) is straight_line_energy_valid(
+            *profile, cond, model
         )
     assert time.perf_counter() - start < 5.0
 

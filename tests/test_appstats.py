@@ -216,6 +216,16 @@ class TestStorageSavings:
         savings = unique_class_fraction(corpus, depth=2).storage_savings
         assert savings == pytest.approx(0.25, abs=1e-12)
 
+    def test_a_rounding_loss_is_clamped_to_zero(self):
+        # Every class is shared and each kept copy is big's: its 12 classes
+        # at 7/12 bytes each add up to 7.000000000000001 against 7 naive, so
+        # the raw saving is -2.2e-16, which the report clamps to 0.
+        corpus = make_corpus(
+            ("big", 7, {"com.alpha": 5, "org.alpha": 7}),
+            ("empty", 0, {"com.beta": 1, "org.beta": 1}),
+        )
+        assert unique_class_fraction(corpus, depth=1).storage_savings == 0.0
+
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_synthetic_corpora_match_independent_pricing(self, seed):
         synth = synth_corpus(24, seed=seed)

@@ -15,29 +15,29 @@ from offloadsim.partition import MethodProfile
 from conftest import make_graph
 
 
-def straight_line_time_valid(profile, cond):
+def straight_line_time_valid(methods, boundary, cond):
     """Independent evaluation: weighted local time must strictly exceed the
     weighted remote time plus boundary transfer costs."""
-    total_inv = sum(m.invocations for m in profile.methods)
+    total_inv = sum(m.invocations for m in methods)
     local = remote = 0.0
-    for m in profile.methods:
+    for m in methods:
         f = m.invocations / total_inv if total_inv > 0 else 0.0
         local += f * m.t_local_s
         remote += f * (m.t_local_s / (cond.cpu_speedup * m.cpu_scale_hint))
-        if profile.boundary:
+        if boundary:
             remote += f * (
                 cond.rtt_s + (m.in_bytes + m.out_bytes) / cond.bandwidth_bytes_per_s
             )
     return local > remote
 
 
-def straight_line_energy_valid(profile, cond, model):
-    total_inv = sum(m.invocations for m in profile.methods)
+def straight_line_energy_valid(methods, boundary, cond, model):
+    total_inv = sum(m.invocations for m in methods)
     local = remote = 0.0
-    for m in profile.methods:
+    for m in methods:
         f = m.invocations / total_inv if total_inv > 0 else 0.0
         local += f * m.energy_local_j
-        if profile.boundary:
+        if boundary:
             wait = (
                 cond.rtt_s
                 + (m.in_bytes + m.out_bytes) / cond.bandwidth_bytes_per_s
@@ -56,35 +56,33 @@ def straight_line_energy_valid(profile, cond, model):
 def one_method_profile(t_local_ms, rtt_ms=15.0, in_bytes=0.0, out_bytes=0.0,
                        invocations=1.0, boundary=True, speedup=10.0,
                        energy_mj=0.0):
-    prof = dc.ClassProfile(
-        methods=[MethodProfile(
-            name="m", invocations=invocations, t_local_s=t_local_ms / 1000.0,
-            in_bytes=in_bytes, out_bytes=out_bytes,
-            energy_local_j=energy_mj / 1000.0,
-        )],
-        boundary=boundary,
-    )
+    """A one-method (methods, boundary) pair and the link it runs over."""
+    methods = [MethodProfile(
+        name="m", invocations=invocations, t_local_s=t_local_ms / 1000.0,
+        in_bytes=in_bytes, out_bytes=out_bytes,
+        energy_local_j=energy_mj / 1000.0,
+    )]
     cond = dc.NetworkConditions(
         rtt_s=rtt_ms / 1000.0, bandwidth_bytes_per_s=1e9, cpu_speedup=speedup
     )
-    return prof, cond
+    return (methods, boundary), cond
 
 
 def test_short_method_loses_to_round_trip():
     prof, cond = one_method_profile(t_local_ms=10.0)
-    assert dc.class_valid_time(prof, cond) is False
+    assert dc.class_valid_time(*prof, cond) is False
 
 
 def test_long_method_wins_despite_round_trip():
     prof, cond = one_method_profile(t_local_ms=100.0)
-    assert dc.class_valid_time(prof, cond) is True
+    assert dc.class_valid_time(*prof, cond) is True
 
 
 def test_tie_means_stay_local():
     # Remote cost equals local bit for bit: 16 ms local against 8 ms remote
     # execution plus an 8 ms round trip (halving is exact in binary).
     prof, cond = one_method_profile(t_local_ms=16.0, rtt_ms=8.0, speedup=2.0)
-    assert dc.class_valid_time(prof, cond) is False
+    assert dc.class_valid_time(*prof, cond) is False
 
 
 def exact_tie_class(energy_local_j=0.96875):
@@ -93,10 +91,10 @@ def exact_tie_class(energy_local_j=0.96875):
     against 1.25 / 5 s remote plus a 0.25 s round trip and 6 bytes at
     8 bytes/s. Energy: 4 bytes sent at 1/16 J, 2 received at 1/8 J and the
     1.25 s wait at 3/8 J/s add up to 31/32 J."""
-    prof = dc.ClassProfile(
-        methods=[MethodProfile(name="m", invocations=1.0, t_local_s=1.25, in_bytes=4.0,
-                               out_bytes=2.0, energy_local_j=energy_local_j)],
-        boundary=True,
+    prof = (
+        [MethodProfile(name="m", invocations=1.0, t_local_s=1.25, in_bytes=4.0,
+                       out_bytes=2.0, energy_local_j=energy_local_j)],
+        True,
     )
     cond = dc.NetworkConditions(rtt_s=0.25, bandwidth_bytes_per_s=8.0, cpu_speedup=5.0)
     model = dc.EnergyModel(energy_per_tx_byte_j=0.0625, energy_per_rx_byte_j=0.125,
@@ -106,12 +104,12 @@ def exact_tie_class(energy_local_j=0.96875):
 
 def test_exact_ties_fail_both_gates():
     prof, cond, model = exact_tie_class()
-    assert straight_line_time_valid(prof, cond) is False
-    assert dc.class_valid_time(prof, cond) is False
-    assert straight_line_energy_valid(prof, cond, model) is False
-    assert dc.class_valid_energy(prof, cond, model) is False
+    assert straight_line_time_valid(*prof, cond) is False
+    assert dc.class_valid_time(*prof, cond) is False
+    assert straight_line_energy_valid(*prof, cond, model) is False
+    assert dc.class_valid_energy(*prof, cond, model) is False
     prof, cond, model = exact_tie_class(math.nextafter(0.96875, math.inf))
-    assert dc.class_valid_energy(prof, cond, model) is True
+    assert dc.class_valid_energy(*prof, cond, model) is True
 
 
 def test_heavy_method_compensates_trivial_one():
@@ -119,43 +117,40 @@ def test_heavy_method_compensates_trivial_one():
         MethodProfile(name="heavy", invocations=9.0, t_local_s=0.050),
         MethodProfile(name="tostring", invocations=1.0, t_local_s=0.0001),
     ]
-    prof = dc.ClassProfile(methods=methods, boundary=True)
     cond = dc.NetworkConditions(rtt_s=0.015, bandwidth_bytes_per_s=1e9, cpu_speedup=10.0)
-    solo = dc.ClassProfile(methods=[methods[1]], boundary=True)
-    assert dc.class_valid_time(solo, cond) is False
-    assert dc.class_valid_time(prof, cond) is True
+    assert dc.class_valid_time([methods[1]], True, cond) is False
+    assert dc.class_valid_time(methods, True, cond) is True
 
 
 @pytest.mark.parametrize("boundary", [True, False])
 def test_empty_profile_never_valid(boundary):
-    prof = dc.ClassProfile(methods=[], boundary=boundary)
     cond = dc.NetworkConditions(rtt_s=0.01, bandwidth_bytes_per_s=1e6, cpu_speedup=2.0)
-    assert dc.class_valid_time(prof, cond) is False
-    assert dc.class_valid_energy(prof, cond, dc.EnergyModel()) is False
+    assert dc.class_valid_time([], boundary, cond) is False
+    assert dc.class_valid_energy([], boundary, cond, dc.EnergyModel()) is False
 
 
 def test_energy_zero_transfer_beats_positive_local():
     prof, cond = one_method_profile(t_local_ms=10.0, energy_mj=5.0)
     model = dc.EnergyModel(energy_per_tx_byte_j=1e-6, energy_per_rx_byte_j=1e-6,
                            energy_idle_per_s_j=0.0)
-    assert dc.class_valid_energy(prof, cond, model) is True
+    assert dc.class_valid_energy(*prof, cond, model) is True
 
 
 def test_energy_huge_state_transfer_invalid():
     prof, cond = one_method_profile(t_local_ms=10.0, in_bytes=1e12, energy_mj=5.0)
     model = dc.EnergyModel(energy_per_tx_byte_j=1e-6)
-    assert dc.class_valid_energy(prof, cond, model) is False
+    assert dc.class_valid_energy(*prof, cond, model) is False
 
 
 def test_energy_gate_vacuous_when_both_sides_zero():
     prof, cond = one_method_profile(t_local_ms=10.0)
-    assert dc.class_valid_energy(prof, cond, dc.EnergyModel()) is True
+    assert dc.class_valid_energy(*prof, cond, dc.EnergyModel()) is True
 
 
 def test_non_boundary_method_pays_no_transfer():
     prof, cond = one_method_profile(t_local_ms=10.0, boundary=False)
     # Without the round trip the 10x speedup wins outright.
-    assert dc.class_valid_time(prof, cond) is True
+    assert dc.class_valid_time(*prof, cond) is True
 
 
 def test_network_conditions_validated():
@@ -187,6 +182,7 @@ def test_energy_model_rejects_non_finite(field, value):
 
 
 def random_profile(rng):
+    """A random (methods, boundary) pair."""
     n = rng.randint(1, 4)
     methods = [
         MethodProfile(
@@ -200,7 +196,7 @@ def random_profile(rng):
         )
         for i in range(n)
     ]
-    return dc.ClassProfile(methods=methods, boundary=rng.random() < 0.6)
+    return methods, rng.random() < 0.6
 
 
 def test_gates_match_straight_line_oracle():
@@ -214,9 +210,9 @@ def test_gates_match_straight_line_oracle():
             bandwidth_bytes_per_s=rng.uniform(1e4, 1e8),
             cpu_speedup=rng.uniform(0.5, 20.0),
         )
-        assert dc.class_valid_time(prof, cond) == straight_line_time_valid(prof, cond)
-        assert dc.class_valid_energy(prof, cond, model) == straight_line_energy_valid(
-            prof, cond, model
+        assert dc.class_valid_time(*prof, cond) == straight_line_time_valid(*prof, cond)
+        assert dc.class_valid_energy(*prof, cond, model) == straight_line_energy_valid(
+            *prof, cond, model
         )
 
 
@@ -232,8 +228,8 @@ def test_raising_rtt_never_flips_invalid_to_valid(t_local_ms, rtt_lo, rtt_hi, sp
     prof, _ = one_method_profile(t_local_ms=t_local_ms, speedup=speedup)
     cond_lo = dc.NetworkConditions(rtt_s=lo, bandwidth_bytes_per_s=1e7, cpu_speedup=speedup)
     cond_hi = dc.NetworkConditions(rtt_s=hi, bandwidth_bytes_per_s=1e7, cpu_speedup=speedup)
-    if dc.class_valid_time(prof, cond_hi):
-        assert dc.class_valid_time(prof, cond_lo)
+    if dc.class_valid_time(*prof, cond_hi):
+        assert dc.class_valid_time(*prof, cond_lo)
 
 
 @settings(max_examples=80, deadline=None)
@@ -247,17 +243,14 @@ def test_more_bandwidth_never_hurts(bw_lo, bw_hi, payload):
     prof, _ = one_method_profile(t_local_ms=40.0, in_bytes=payload)
     cond_lo = dc.NetworkConditions(rtt_s=0.005, bandwidth_bytes_per_s=lo, cpu_speedup=10.0)
     cond_hi = dc.NetworkConditions(rtt_s=0.005, bandwidth_bytes_per_s=hi, cpu_speedup=10.0)
-    if dc.class_valid_time(prof, cond_lo):
-        assert dc.class_valid_time(prof, cond_hi)
+    if dc.class_valid_time(*prof, cond_lo):
+        assert dc.class_valid_time(*prof, cond_hi)
 
 
 def test_perfect_network_validates_positive_work():
-    prof = dc.ClassProfile(
-        methods=[MethodProfile(name="m", invocations=3.0, t_local_s=0.01)],
-        boundary=True,
-    )
+    methods = [MethodProfile(name="m", invocations=3.0, t_local_s=0.01)]
     cond = dc.NetworkConditions(rtt_s=0.0, bandwidth_bytes_per_s=1e12, cpu_speedup=4.0)
-    assert dc.class_valid_time(prof, cond) is True
+    assert dc.class_valid_time(methods, True, cond) is True
 
 
 def offload_graph(heavy_ms=200.0):
@@ -322,8 +315,7 @@ def test_singleton_fallback_finds_lone_winner():
     g = make_graph([("A", "B", 1.0)], methods=methods)
     whole = pt.girvan_newman(g, 1)
     cond = dc.NetworkConditions(rtt_s=0.010, bandwidth_bytes_per_s=1e8, cpu_speedup=0.5)
-    b_solo = dc.build_class_profile(g, "B", {"B"})
-    assert dc.class_valid_time(b_solo, cond) is False
+    assert dc.class_valid_time(g.vertices["B"].methods, True, cond) is False
     verdict = dc.select_partition([whole], g, cond)
     assert not verdict.local_only
     assert verdict.source == "singleton-fallback"
@@ -360,11 +352,27 @@ def test_energy_model_loading(tmp_path):
     assert model.energy_idle_per_s_j == pytest.approx(0.2)
 
 
-def test_build_class_profile_boundary_detection():
+def test_select_partition_judges_boundary_per_class(monkeypatch):
     g = offload_graph()
-    cluster = {"core.Worker", "core.Helper"}
-    prof = dc.build_class_profile(g, "core.Worker", cluster)
-    # Worker talks to ui.Screen outside the cluster, so it is boundary.
-    assert prof.boundary is True
-    helper = dc.build_class_profile(g, "core.Helper", cluster)
-    assert helper.boundary is False
+    by_methods = {id(node.methods): name for name, node in g.vertices.items()}
+    seen = set()
+    gate = dc.class_valid_time
+
+    def recording(methods, boundary, cond):
+        seen.add((by_methods[id(methods)], boundary))
+        return gate(methods, boundary, cond)
+
+    monkeypatch.setattr(dc, "class_valid_time", recording)
+    verdict = dc.select_partition([pt.girvan_newman(g, 2)], g, fast_network())
+    assert verdict.offload_classes == ["core.Helper", "core.Worker"]
+    # Worker talks to ui.Screen outside the cluster, so it is boundary;
+    # Helper only talks to Worker.
+    assert seen == {("core.Worker", True), ("core.Helper", False)}
+
+
+def test_select_partition_refuses_a_class_the_graph_lacks():
+    g = offload_graph()
+    stray = pt.PartitionSet(n_clusters=1, clusters=[["core.Worker", "core.Ghost"]],
+                            modularity=0.0, offloadable=[True])
+    with pytest.raises(dc.DecisionError, match="unknown class 'core.Ghost'"):
+        dc.select_partition([stray], g, fast_network())

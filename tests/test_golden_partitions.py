@@ -180,14 +180,16 @@ def test_each_class_is_judged_at_most_once_per_boundary_status(monkeypatch):
     those classes six times, the fallback included."""
     graph = profiled("ring-8x10")
     sets = pt.enumerate_partition_sets(graph)
+    # The gates get the graph's own methods list, so identity names the class.
+    by_methods = {id(node.methods): name for name, node in graph.vertices.items()}
     calls = []
-    build = dc.build_class_profile
+    gate = dc.class_valid_time
 
-    def counting(graph, name, cluster):
-        calls.append(name)
-        return build(graph, name, cluster)
+    def counting(methods, boundary, cond):
+        calls.append(by_methods[id(methods)])
+        return gate(methods, boundary, cond)
 
-    monkeypatch.setattr(dc, "build_class_profile", counting)
+    monkeypatch.setattr(dc, "class_valid_time", counting)
     cond = dc.NetworkConditions(rtt_s=0.4, bandwidth_bytes_per_s=1e4, cpu_speedup=1.0)
     assert dc.select_partition(sets, graph, cond, ENERGY).source == "local-only"
     # The fallback judges every unpinned class, and nothing judges more.

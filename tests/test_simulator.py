@@ -565,6 +565,45 @@ def test_config_validation_refuses_a_buffer_size_that_is_not_an_int_of_at_least_
         sim.run_scenario(cfg)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("ttl", 2.5, "ttl must be an integer or null, not 2.5"),
+        ("ttl", True, "ttl must be an integer or null, not True"),
+        ("ttl", math.nan, "ttl must be an integer or null, not nan"),
+        ("ttl", math.inf, "ttl must be an integer or null, not inf"),
+        ("ttl", "3", "ttl must be an integer or null, not '3'"),
+        ("horizon_s", "1", "horizon_s must be a number, not '1'"),
+        pytest.param("horizon_s", 10**400, "horizon_s must be a number within the float range",
+                     id="horizon_s-10**400"),
+        ("horizon_s", True, "horizon_s must be a number, not True"),
+        ("base_rate_per_s", None, "base_rate_per_s must be a number, not None"),
+        ("load_multiplier", [], "load_multiplier must be a number, not []"),
+        ("warmup_s", "0", "warmup_s must be a number, not '0'"),
+        ("gossip_period_ms", True, "gossip_period_ms must be a number, not True"),
+        ("capacity_threshold", True, "capacity_threshold must be a number, not True"),
+        ("sample_interval_ms", "1", "sample_interval_ms must be a number, not '1'"),
+        # Values of the right type keep the range messages they had.
+        ("ttl", -1, "ttl must be non-negative"),
+        ("horizon_s", -1.0, "horizon_s must be positive and finite"),
+        ("warmup_s", -0.5, "warmup must lie inside [0, horizon)"),
+    ],
+)
+def test_config_validation_refuses_a_field_of_the_wrong_type_as_the_loader_does(
+    field, value, message
+):
+    # A ttl of 2.5 used to run as 3 and a ttl of nan never spent, and a
+    # string raised TypeError mid-run; each is refused before any event runs.
+    overrides = {"horizon_s": 0.3, "warmup_s": 0.0, field: value}
+    cfg = dataclasses.replace(sim.preset_overload_line("proactive"), **overrides)
+    with pytest.raises(sim.ConfigError) as refused:
+        cfg.validate()
+    assert str(refused.value) == message
+    with pytest.raises(sim.ConfigError) as refused:
+        sim.run_scenario(cfg)
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "field",
